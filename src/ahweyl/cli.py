@@ -123,16 +123,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_context(args) -> AhContext:
+    if args.degree_bound is not None and args.degree_bound < 0:
+        raise ValueError(f"--degree-bound must be >= 0, got {args.degree_bound}")
     field = FieldSpec(args.characteristic)
     h = parse_poly(args.h_text, field)
     if h.is_zero():
         raise ValueError("h must be nonzero")
     factors = parse_factors(args.factors, field) if args.factors else None
     return AhContext(h, factors=factors, degree_bound=args.degree_bound)
-
-
-def _fmt_opt(value) -> str:
-    return "(none)" if value is None else str(value)
 
 
 def _yesno(flag) -> str:

@@ -166,6 +166,7 @@ class AhContext:
         if degree_bound is None:
             degree_bound = 24 if self.field.is_char_zero else 3 * self.field.p
         self.degree_bound = max(degree_bound, int(h.degree))
+        self._h_powers = [Poly.one(self.field)]
         self._yhat_powers = [WeylElement.one(self.field)]
         self._theta_S = None
         if not self.field.is_char_zero:
@@ -175,7 +176,7 @@ class AhContext:
 
     def _init_char_p(self):
         p = self.field.p
-        hp1 = self.h ** (p - 1)
+        hp1 = self.h_power(p - 1)
         self.hbar_components = hp1.frobenius_split()  # polynomials in u = x^p
         nonzero = [(i, c) for i, c in enumerate(self.hbar_components) if not c.is_zero()]
         g, coeffs = nonzero[0][1].monic(), {}
@@ -248,6 +249,12 @@ class AhContext:
             self.field, {1: self.h, 0: self.h.derivative()}
         )
 
+    def h_power(self, n: int) -> Poly:
+        """h^n, cached: every power of h below n is kept for later calls."""
+        while len(self._h_powers) <= n:
+            self._h_powers.append(self._h_powers[-1] * self.h)
+        return self._h_powers[n]
+
     def yhat_power(self, n: int) -> WeylElement:
         while len(self._yhat_powers) <= n:
             self._yhat_powers.append(self._yhat_powers[-1] * self.yhat)
@@ -257,7 +264,7 @@ class AhContext:
         """The central element h^p y^p."""
         self._require_char_p()
         p = self.p
-        return WeylElement.from_term(self.h**p, p)
+        return WeylElement.from_term(self.h_power(p), p)
 
     def zeta_yhat_form(self) -> WeylElement:
         """zeta rewritten as yhat^p - (delta^p(x)/h) yhat."""
@@ -267,7 +274,7 @@ class AhContext:
 
     def zeta_power_element(self, k: int) -> WeylElement:
         self._require_char_p()
-        return WeylElement.from_term(self.h ** (self.p * k), self.p * k)
+        return WeylElement.from_term(self.h_power(self.p * k), self.p * k)
 
     def a_n_element(self, n: int) -> WeylElement:
         """pi_h h^(n-1) y^n for n >= 1; n = 0 is deliberately not an element
@@ -276,14 +283,14 @@ class AhContext:
             raise ValueError(
                 "a_0 is not materialized; its action is delta0, inside F[x]"
             )
-        return WeylElement.from_term(self.pi_h * self.h ** (n - 1), n)
+        return WeylElement.from_term(self.pi_h * self.h_power(n - 1), n)
 
     # -- membership and coordinates -------------------------------------------------------
 
     def ah_membership(self, a: WeylElement) -> bool:
         """a in A_h iff h^i divides the y^i coefficient for every i."""
         check_same_field(self.field, a.field)
-        return all((self.h**i).divides(r) for i, r in a.terms.items())
+        return all(self.h_power(i).divides(r) for i, r in a.terms.items())
 
     def element(self, a: WeylElement) -> "AhElement":
         return AhElement(a, self)
@@ -305,7 +312,7 @@ class AhContext:
         while not work.is_zero():
             n = work.y_degree
             try:
-                f = work.coefficient(n).exact_div(self.h**n)
+                f = work.coefficient(n).exact_div(self.h_power(n))
             except ExactDivisionError as e:
                 raise MembershipError(
                     f"y-degree {n} coefficient not divisible by h^{n}: not in A_h"
@@ -327,7 +334,7 @@ class AhContext:
             m = work.y_degree
             q, j = divmod(m, p)
             try:
-                w = work.coefficient(m).exact_div(self.h**m)
+                w = work.coefficient(m).exact_div(self.h_power(m))
             except ExactDivisionError as e:
                 raise MembershipError(
                     f"y-degree {m} coefficient not divisible by h^{m}: not in A_h"
@@ -372,7 +379,7 @@ class AhContext:
                 parts.append(Poly.zero(self.field))
                 continue
             try:
-                q = r.exact_div(self.h ** (k * p))
+                q = r.exact_div(self.h_power(k * p))
             except ExactDivisionError:
                 return NotCentral(
                     f"y^{k * p} coefficient not divisible by h^{k * p}"
@@ -402,7 +409,7 @@ class AhContext:
                 gs.append(Poly.zero(self.field))
                 continue
             try:
-                gs.append(r.exact_div(self.h ** (k * p)))
+                gs.append(r.exact_div(self.h_power(k * p)))
             except ExactDivisionError:
                 return NotCentralizing(
                     f"y^{k * p} coefficient not divisible by h^{k * p}"
@@ -418,13 +425,13 @@ class AhContext:
             if i == 0:
                 continue
             if p == 0 or i % p:
-                need = self.pi_h * self.h ** (i - 1)
+                need = self.pi_h * self.h_power(i - 1)
                 if not need.divides(r):
                     return NormalizerResult(
                         False, i, f"pi_h * h^{i - 1} does not divide the y^{i} coefficient"
                     )
             else:
-                if not (self.h ** (i - 1)).divides(r.derivative()):
+                if not self.h_power(i - 1).divides(r.derivative()):
                     return NormalizerResult(
                         False,
                         i,
@@ -456,7 +463,7 @@ class AhContext:
         """vartheta(r) = (r h^(p-1))^(p-1), an element of F[x^p] (in x)."""
         self._require_char_p()
         p = self.p
-        return (r * self.h ** (p - 1)).derivative(p - 1)
+        return (r * self.h_power(p - 1)).derivative(p - 1)
 
     def theta_p_map(self, r: Poly) -> Poly:
         """vartheta(r) reported as a polynomial in u = x^p."""
@@ -614,7 +621,7 @@ class AhContext:
         as one generator becomes dependent."""
         self._require_char_p()
         F = self.field
-        hi = self.h**i
+        hi = self.h_power(i)
         if hi.is_constant():
             return w.exact_div(hi), Poly.zero(F)
         width = int(hi.degree)

@@ -470,7 +470,7 @@ def _base_res(b, ctx: AhContext) -> CenterDerivation:
     if isinstance(b, (BAd, BAdElem)):
         return CenterDerivation(zero, zero)
     if isinstance(b, BBx):
-        w_u = (ctx.h**ctx.p).exact_div(ctx.varrho_h).frobenius_split()[0]
+        w_u = ctx.h_power(ctx.p).exact_div(ctx.varrho_h).frobenius_split()[0]
         hp_u = (ctx.h.derivative() ** ctx.p).exact_div(ctx.varrho_h).frobenius_split()[0]
         return CenterDerivation(
             -CenterPoly.from_t1_poly(w_u),
@@ -546,7 +546,7 @@ def _dg_bx_closed_form(ctx: AhContext, g: Poly):
     h = ctx.h
     # e-term
     e = Poly.zero(F)
-    ghp = g * h ** (p - 1)
+    ghp = g * ctx.h_power(p - 1)
     d = ghp
     for k in range(1, p):
         d = d.derivative()
@@ -554,16 +554,16 @@ def _dg_bx_closed_form(ctx: AhContext, g: Poly):
             break
         c = F.div(F.from_int((-1) ** (k - 1)), F.from_int(k))
         e = e + (d * h.derivative(p - k)).scale(c)
-    e = e + h ** (p - 1) * (h * g.partial_p() - g * h.partial_p())
+    e = e + ctx.h_power(p - 1) * (h * g.partial_p() - g * h.partial_p())
     e = e.exact_div(rho)
     # b-term
     b_terms = {}
-    b1 = (g * h ** (p - 1)).exact_div(rho)
+    b1 = ghp.exact_div(rho)
     if not b1.is_zero():
         b_terms[p - 1] = b1
     for k in range(2, p):
         tk = gh_derivative_times_hk(g, k, ctx)
-        coeff_poly = (tk * h ** (p - k)).exact_div(rho)
+        coeff_poly = (tk * ctx.h_power(p - k)).exact_div(rho)
         if coeff_poly.is_zero():
             continue
         c = F.div(F.from_int((-1) ** k), F.from_int(p - k))
@@ -633,13 +633,12 @@ def _normalizer_quotient_level(ctx: AhContext, i: int, x_bound: int):
     p = ctx.p
     if i % p:
         dim = int(ctx.h_over_pi.degree)
-        gens = tuple(
-            Poly.monomial(F, 1, j) * ctx.pi_h * ctx.h ** (i - 1) for j in range(dim)
-        )
+        base = ctx.pi_h * ctx.h_power(i - 1)
+        gens = tuple(Poly.monomial(F, 1, j) * base for j in range(dim))
         return NormalizerQuotientLevel(i, dim, gens)
     # i = 0 mod p: numerator {r : h^(i-1) | r'}, denominator D h^i + F[x^p]
     width = x_bound + 1
-    hi1 = ctx.h ** (i - 1)
+    hi1 = ctx.h_power(i - 1)
     rows = []
     for n in range(width):
         mono_der = Poly.monomial(F, F.from_int(n), n - 1) if n else Poly.zero(F)
@@ -651,7 +650,7 @@ def _normalizer_quotient_level(ctx: AhContext, i: int, x_bound: int):
     def vec(q):
         return [q.coefficient(k) for k in range(width)]
 
-    hi = ctx.h**i
+    hi = ctx.h_power(i)
     for j in range(width - int(hi.degree)):
         denom.add(vec(Poly.monomial(F, 1, j) * hi))
     for j in range(0, width, p):
@@ -673,7 +672,7 @@ def freeness_and_module_report_charp(
     ctx._require_char_p()
     free = ctx.h_over_pi.is_constant()
     S = ctx.theta_complement_S()
-    w_u = (ctx.h**ctx.p).exact_div(ctx.varrho_h).frobenius_split()[0]
+    w_u = ctx.h_power(ctx.p).exact_div(ctx.varrho_h).frobenius_split()[0]
     res_gens = (
         CenterDerivation(
             CenterPoly.from_t1_poly(w_u), CenterPoly.zero(ctx.field)

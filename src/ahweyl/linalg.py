@@ -72,9 +72,6 @@ class LinearSolver:
             out[g] = F.neg(c)
         return out
 
-    def contains(self, vec) -> bool:
-        return self.express(vec) is not None
-
     @property
     def rank(self) -> int:
         return len(self.rows)

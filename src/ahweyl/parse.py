@@ -6,7 +6,8 @@ Grammar (whitespace-insensitive):
     term   := factor ('*' factor)*
     factor := atom ('^' nat)?
     atom   := number | name | '(' expr ')'
-    number := int ['/' int]          (rationals reduce mod p in char p)
+    number := int ['/' int]          (rationals reduce mod p in char p; a
+                                      denominator 0 or divisible by p is an error)
 
 Recognized names depend on what is being parsed: `x` and `y` for Weyl
 elements, a single variable (`x` or `u`) for polynomials, `t1`/`t2` for
@@ -62,6 +63,8 @@ def _tokenize(text: str):
                 if m == k:
                     raise ParseError("expected digits after '/'", k)
                 den = int(text[k:m])
+                if den == 0:
+                    raise ParseError("zero denominator", k)
                 j = m
             tokens.append(("num", Fraction(num, den) if den else num, i))
             i = j
@@ -141,6 +144,13 @@ class _Parser:
         tok = self.advance()
         kind, value, pos = tok
         if kind == "num":
+            F = self.field
+            den = value.denominator if isinstance(value, Fraction) else 1
+            if not F.is_char_zero and den % F.p == 0:
+                raise ParseError(
+                    f"denominator {den} of {value} is divisible by the characteristic {F.p}",
+                    pos,
+                )
             return WeylElement.from_poly(
                 Poly.constant(self.field, self.field.coerce(value))
             )

@@ -32,10 +32,6 @@ class NotIntegrable:
 
     obstruction: "Poly"
 
-    @property
-    def obstruction_in_u(self) -> "Poly":
-        return self.obstruction.frobenius_split()[0]
-
 
 class Poly:
     """Element of F[x] in canonical dense form."""

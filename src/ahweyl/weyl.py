@@ -78,12 +78,6 @@ class WeylElement:
         for i in sorted(self.terms):
             yield i, self.terms[i]
 
-    def as_poly(self) -> Poly:
-        """The underlying polynomial, if the element lies in F[x]."""
-        if any(i > 0 for i in self.terms):
-            raise ValueError(f"{self} has positive y-degree")
-        return self.coefficient(0)
-
     def __eq__(self, other):
         return (
             isinstance(other, WeylElement)

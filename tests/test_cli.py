@@ -41,6 +41,26 @@ class TestExitCodes:
         assert code == 1
         assert "parse error" in err
 
+    @pytest.mark.parametrize(
+        "h,char,message",
+        [
+            ("1/3*x", "3", "denominator 3 of 1/3 is divisible by the characteristic 3"),
+            ("x + 1/0", "0", "zero denominator"),
+        ],
+    )
+    def test_parse_error_bad_denominator(self, h, char, message, capsys):
+        code, out, err = run_cli(["analyze", "--h", h, "--char", char], capsys=capsys)
+        assert code == 1 and out == ""
+        assert "parse error" in err and message in err
+
+    def test_domain_error_negative_degree_bound(self, capsys):
+        code, out, err = run_cli(
+            ["analyze", "--h", "x^2+1", "--char", "3", "--degree-bound", "-4"],
+            capsys=capsys,
+        )
+        assert code == 1 and out == ""
+        assert "--degree-bound must be >= 0, got -4" in err
+
     def test_domain_error_factor_list(self, capsys):
         code, out, err = run_cli(
             ["analyze", "--h", "x^2", "--char", "0", "--factors", "x^3"], capsys=capsys

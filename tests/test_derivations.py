@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ahweyl.centerpoly import CenterPoly
 from ahweyl.context import AhContext
@@ -19,6 +21,7 @@ from ahweyl.derivations import (
     aut_exp,
     bhat_f,
     bhat_x,
+    d_on_poly,
     decompose_A1_char0,
     decompose_A1_charp,
     decompose_Ah_char0,
@@ -39,6 +42,7 @@ from ahweyl.derivations import (
 )
 from ahweyl.fields import FieldSpec, QQ
 from ahweyl.poly import Poly
+from ahweyl.verify import random_derivation as verify_random_derivation
 from ahweyl.weyl import WeylElement, commutator, varpi
 
 GF2 = FieldSpec(2)
@@ -722,3 +726,69 @@ class TestAutExp:
         rng = random.Random(52)
         a, b = random_ah(rng, ctx), random_ah(rng, ctx)
         assert phi.apply(a * b) == phi.apply(a) * phi.apply(b)
+
+
+# -- D(yhat^j), D(zeta), D(x^p) and h^n against their defining sums ---------------------
+
+
+def yhat_power_image_sum(d, j):
+    """Oracle: D(yhat^j) = sum_k yhat^k D(yhat) yhat^(j-1-k)."""
+    ctx = d.context
+    out = WeylElement.zero(ctx.field)
+    for k in range(j):
+        out = out + ctx.yhat_power(k) * d.image_yhat * ctx.yhat_power(j - 1 - k)
+    return out
+
+
+def context_from(field, coeffs):
+    h = Poly(field, coeffs)
+    assume(not h.is_zero())
+    return AhContext(h)
+
+
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    coeffs=st.lists(st.integers(0, 6), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_pth_power_identity_matches_sums(p, coeffs, seed):
+    ctx = context_from(FieldSpec(p), coeffs)
+    d = verify_random_derivation(random.Random(seed), ctx)
+    c = ctx.zeta_hat_coeff
+    zeta_sum = (
+        yhat_power_image_sum(d, p)
+        - d_on_poly(c, d.image_x) * ctx.yhat
+        - d.image_yhat.poly_mul(c)
+    )
+    assert d.image_of_zeta() == zeta_sum
+    assert d.image_of_xp() == d_on_poly(Poly.monomial(ctx.field, 1, p), d.image_x)
+    # a fresh copy walks the cache from the top: D(yhat^p) first, then the
+    # Leibniz steps above and below it
+    fresh = verify_random_derivation(random.Random(seed), ctx)
+    for j in range(p + 1, -1, -1):
+        assert fresh._image_yhat_power(j) == yhat_power_image_sum(fresh, j)
+
+
+@given(
+    coeffs=st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=20, deadline=None)
+def test_yhat_power_images_match_sum_char0(coeffs, seed):
+    ctx = context_from(QQ, coeffs)
+    d = verify_random_derivation(random.Random(seed), ctx)
+    for j in (3, 0, 4, 1, 2):
+        assert d._image_yhat_power(j) == yhat_power_image_sum(d, j)
+
+
+@given(
+    p=st.sampled_from([0, 2, 3, 5, 7]),
+    coeffs=st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+    ns=st.lists(st.integers(0, 12), min_size=1, max_size=5),
+)
+@settings(max_examples=40, deadline=None)
+def test_h_power_matches_pow(p, coeffs, ns):
+    ctx = context_from(FieldSpec(p), coeffs)
+    for n in ns:
+        assert ctx.h_power(n) == ctx.h**n
