@@ -27,7 +27,7 @@ from typing import Optional
 
 from .centerpoly import CenterPoly
 from .fields import ExactDivisionError, check_same_field
-from .linalg import LinearSolver
+from .linalg import relations
 from .poly import NotIntegrable, Poly
 from .weyl import WeylElement
 
@@ -518,27 +518,15 @@ class AhContext:
         return gens
 
     def _compute_theta_S(self):
-        from .linalg import nullspace
-
         p = self.p
         F = self.field
         n_max = int(self.h.degree) + 2 * p
-        # rows of the vartheta matrix: one row per u-coefficient, columns x^0..x^N
-        images = [self.theta_p_map(Poly.monomial(F, 1, i)) for i in range(n_max + 1)]
-        n_rows = max((len(v.coeffs) for v in images), default=0)
-        rows = [
-            [images[i].coefficient(r) for i in range(n_max + 1)] for r in range(n_rows)
-        ]
-        kernel = nullspace(F, rows, n_max + 1)
-        kernel_polys = sorted((Poly(F, v) for v in kernel), key=lambda q: q.degree)
-        solver = LinearSolver(F)
-        width = n_max + 1
-        for vec, _ in self._im_delta_generators(n_max):
-            solver.add(list(vec.coeffs) + [F.zero()] * (width - len(vec.coeffs)))
-        S = []
-        for q in kernel_polys:
-            if solver.add(list(q.coeffs) + [F.zero()] * (width - len(q.coeffs))):
-                S.append(q.monic())
+        # kernel of vartheta on x^0..x^n_max; relation k has degree k and is monic
+        images = [self.theta_p_map(Poly.monomial(F, 1, i)).coeffs for i in range(n_max + 1)]
+        kernel = [Poly(F, rel) for rel in relations(F, images) if rel is not None]
+        gens = [vec.coeffs for vec, _ in self._im_delta_generators(n_max)]
+        rels = relations(F, gens + [q.coeffs for q in kernel])
+        S = [q for q, rel in zip(kernel, rels[len(gens) :]) if rel is None]
         in_window = [s for s in S if s.degree <= n_max - 2 * p]
         mid_window = [s for s in S if s.degree <= n_max - p]
         if not (len(in_window) == len(mid_window) == len(S)):
@@ -558,19 +546,13 @@ class AhContext:
         F = self.field
         max_deg = max(int(g.degree) if not g.is_zero() else 0, int(self.h.degree) + 2 * self.p)
         gens = self._im_delta_generators(max_deg)
-        solver = LinearSolver(F)
-        width = max_deg + 1
-        def as_vec(q):
-            return list(q.coeffs) + [F.zero()] * (width - len(q.coeffs))
-        for s in S:
-            solver.add(as_vec(s))
-        for vec, _ in gens:
-            solver.add(as_vec(vec))
-        coeffs = solver.express(as_vec(g))
-        if coeffs is None:
+        vectors = [s.coeffs for s in S] + [vec.coeffs for vec, _ in gens] + [g.coeffs]
+        rel = relations(F, vectors)[-1]
+        if rel is None:
             raise ThetaStabilizationError(
                 f"{g} lies in Theta but outside span(S) + im delta within the window"
             )
+        coeffs = [F.neg(c) for c in rel]
         s_part = Poly.zero(F)
         c_part = Poly.zero(F)
         for c, s in zip(coeffs[: len(S)], S):
@@ -589,20 +571,15 @@ class AhContext:
         if not g.is_zero() and g.degree >= self.h.degree:
             raise ValueError("expected deg g < deg h")
         F = self.field
-        width = max(int(self.h.degree), 1)
         gens = []
         for i in range(int(self.pi_h.degree)):
             gens.append(("z", i, Poly.monomial(F, 1, i) * self.h_over_pi))
         for j in range(int(self.h_over_pi.degree)):
             gens.append(("q", j, self.delta0(Poly.monomial(F, 1, j))))
-        solver = LinearSolver(F)
-        def as_vec(q):
-            return list(q.coeffs) + [F.zero()] * (width - len(q.coeffs))
-        for _, _, vec in gens:
-            solver.add(as_vec(vec))
-        coeffs = solver.express(as_vec(g))
-        if coeffs is None:
+        rel = relations(F, [vec.coeffs for _, _, vec in gens] + [g.coeffs])[-1]
+        if rel is None:
             raise AssertionError("center/commutator split must always solve")
+        coeffs = [F.neg(c) for c in rel]
         z = Poly.zero(F)
         q = Poly.zero(F)
         for c, (kind, i, _) in zip(coeffs, gens):
@@ -617,32 +594,27 @@ class AhContext:
     def split_Dhi_plus_Fxp(self, w: Poly, i: int):
         """(d, z) with w = d*h^i + z, z in F[x^p], or None if impossible.
 
-        Works in D/(h^i): the span of the x^(pj) residues stabilizes as soon
-        as one generator becomes dependent."""
+        Works in D/(h^i), of dimension deg h^i, on the residues of x^(pj)
+        for j < deg h^i. Once one of them depends on those before it, every
+        later one does too, since x^p maps their span into itself; so the
+        independent ones span all residues of F[x^p], and the relation of
+        w mod h^i involves only them."""
         self._require_char_p()
         F = self.field
         hi = self.h_power(i)
         if hi.is_constant():
             return w.exact_div(hi), Poly.zero(F)
-        width = int(hi.degree)
-        def as_vec(q):
-            return list(q.coeffs) + [F.zero()] * (width - len(q.coeffs))
-        solver = LinearSolver(F)
-        reps = []
-        j = 0
-        while True:
-            rep = Poly.monomial(F, 1, self.p * j) % hi
-            if not solver.add(as_vec(rep)):
-                break
-            reps.append(j)
-            j += 1
-        target = w % hi
-        coeffs = solver.express(as_vec(target))
-        if coeffs is None:
+        xp = Poly.monomial(F, 1, self.p)
+        reps = [Poly.one(F)]
+        for _ in range(int(hi.degree) - 1):
+            reps.append((xp * reps[-1]) % hi)
+        rel = relations(F, [r.coeffs for r in reps] + [(w % hi).coeffs])[-1]
+        if rel is None:
             return None
         z = Poly.zero(F)
-        for c, jj in zip(coeffs, reps):
-            z = z + Poly.monomial(F, c, self.p * jj)
+        for j, c in enumerate(rel[: len(reps)]):
+            if not F.is_zero(c):
+                z = z + Poly.monomial(F, F.neg(c), self.p * j)
         d = (w - z).exact_div(hi)
         return d, z
 

@@ -50,24 +50,35 @@ class InvalidDerivation:
 
 
 def d_on_poly(f: Poly, u: WeylElement) -> WeylElement:
-    """The unique derivation d of F[x] into A_1 with d(x) = u, applied to f:
-    d(x^n) = sum_k x^k u x^(n-1-k)."""
+    """The unique derivation d of F[x] into A_1 with d(x) = u, applied to f.
+
+    Closed form: with H_m the m-th Hasse derivative,
+
+        d(f) = sum_{l >= 0} H_(l+1)(f) (-ad x)^l(u),
+        (-ad x)^l(r y^j) = j!/(j-l)! r y^(j-l).
+
+    Derivation: d(x^n) = sum_k x^k u x^(n-1-k). Moving x^m to the left of
+    u gives u x^m = sum_l C(m, l) x^(m-l) (-ad x)^l(u), and
+    sum_k C(n-1-k, l) = C(n, l+1), so d(x^n) = sum_l C(n, l+1) x^(n-1-l)
+    (-ad x)^l(u). Only integer binomials enter, so this holds in
+    characteristic p too. For the term r y^j the sum stops at l = j, or
+    once the falling factorial j!/(j-l)! is 0 in F. A zero H_(l+1)(f) is no
+    reason to stop: over GF(2), H_1(1 + x^2) = 0 but H_2(1 + x^2) = 1.
+    """
     F = u.field
-    out = WeylElement.zero(F)
-    if u.is_zero():
-        return out
-    # x^k u x^(n-1-k): precompute u * x^m once per m
-    max_n = len(f.coeffs) - 1
-    right = [u]
-    for m in range(1, max_n):
-        right.append(right[-1] * WeylElement.x_power(F, 1))
-    for n, c in enumerate(f.coeffs):
-        if F.is_zero(c) or n == 0:
-            continue
-        for k in range(n):
-            piece = right[n - 1 - k].poly_mul(Poly.monomial(F, c, k))
-            out = out + piece
-    return out
+    hasse = [f.hasse_derivative(l + 1) for l in range(min(len(f.coeffs) - 1, u.y_degree + 1))]
+    out = {}
+    for j, r in u.terms.items():
+        falling = 1  # j!/(j-l)!
+        for l, hf in enumerate(hasse[: j + 1]):
+            c = F.from_int(falling)
+            if F.is_zero(c):
+                break
+            if hf:
+                piece = (hf * r).scale(c)
+                out[j - l] = out[j - l] + piece if j - l in out else piece
+            falling *= j - l
+    return WeylElement(F, out)
 
 
 class Derivation:
@@ -299,25 +310,18 @@ def ad_ra_n(r: Poly, n: int, ctx: AhContext) -> Derivation:
 
 
 def generic_a1_apply(dx: WeylElement, dy: WeylElement, a: WeylElement) -> WeylElement:
-    """Apply the A_1-derivation with given images of x and y, by Leibniz over
-    the normal form of a."""
+    """Apply the A_1-derivation D with D(x) = dx, D(y) = dy to a, by Leibniz
+    over the normal form: D(r y^i) = D(r) y^i + r D(y^i).
+
+    D(r) is d_on_poly(r, dx). For D(y^i): phi (x <-> y) is an
+    anti-automorphism, so phi D phi is a derivation, and it sends x to
+    phi(dy); hence D(y^i) = phi(d_on_poly(x^i, phi(dy)))."""
     F = a.field
+    phi_dy = dy.apply_phi()
     out = WeylElement.zero(F)
-    y = WeylElement.y_power(F, 1)
-    ypows = {0: WeylElement.one(F)}
-
-    def ypow(k):
-        if k not in ypows:
-            ypows[k] = WeylElement.y_power(F, k)
-        return ypows[k]
-
     for i, r in a.terms.items():
-        out = out + d_on_poly(r, dx) * ypow(i)
-        if not dy.is_zero():
-            acc = WeylElement.zero(F)
-            for k in range(i):
-                acc = acc + ypow(k) * dy * ypow(i - 1 - k)
-            out = out + acc.poly_mul(r)
+        out = out + d_on_poly(r, dx) * WeylElement.y_power(F, i)
+        out = out + d_on_poly(Poly.monomial(F, 1, i), phi_dy).apply_phi().poly_mul(r)
     return out
 
 
@@ -359,26 +363,11 @@ def ex_on_poly(g: Poly) -> WeylElement:
 
 def ey_on_y_poly(g: Poly) -> WeylElement:
     """Closed form for E_y on a polynomial in y (g encodes sum g_k y^k):
-    sum_{k=1}^{p-1} ((-1)^(k-1)/k) x^(p-k) g^(k)(y) - phi(partial_p(g(x)))."""
-    F = g.field
-    p = F.p
-    out = WeylElement.zero(F)
-    d = g
-    for k in range(1, p):
-        d = d.derivative()
-        if d.is_zero():
-            break
-        c = F.div(F.from_int((-1) ** (k - 1)), F.from_int(k))
-        terms = {
-            j: Poly.monomial(F, F.mul(c, v), p - k)
-            for j, v in enumerate(d.coeffs)
-            if not F.is_zero(v)
-        }
-        out = out + WeylElement(F, terms)
-    pp = g.partial_p()
-    if not pp.is_zero():
-        out = out - WeylElement.from_poly(pp).apply_phi()
-    return out
+    sum_{k=1}^{p-1} ((-1)^(k-1)/k) x^(p-k) g^(k)(y) - phi(partial_p(g(x))).
+
+    E_y = phi E_x phi, as both send x to 0 and y to x^(p-1), and phi maps
+    g(y) to g(x); so this is phi(ex_on_poly(g))."""
+    return ex_on_poly(g).apply_phi()
 
 
 def ex_on_yhat(ctx: AhContext) -> WeylElement:

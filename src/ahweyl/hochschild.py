@@ -37,7 +37,7 @@ from .derivations import (
     CenterDerivation,
 )
 from .fields import check_same_field
-from .linalg import LinearSolver, nullspace
+from .linalg import relations
 from .poly import Poly
 from .weyl import WeylElement
 
@@ -638,28 +638,25 @@ def _normalizer_quotient_level(ctx: AhContext, i: int, x_bound: int):
         return NormalizerQuotientLevel(i, dim, gens)
     # i = 0 mod p: numerator {r : h^(i-1) | r'}, denominator D h^i + F[x^p]
     width = x_bound + 1
+    x = Poly.x(F)
     hi1 = ctx.h_power(i - 1)
-    rows = []
-    for n in range(width):
-        mono_der = Poly.monomial(F, F.from_int(n), n - 1) if n else Poly.zero(F)
-        rem = mono_der % hi1
-        rows.append([rem.coefficient(k) for k in range(int(hi1.degree))])
-    numer = [Poly(F, v) for v in nullspace(F, list(map(list, zip(*rows))), width)]
-    denom = LinearSolver(F)
-
-    def vec(q):
-        return [q.coefficient(k) for k in range(width)]
-
+    rem = Poly.one(F) % hi1  # x^(n-1) mod h^(i-1)
+    derivatives = [()]  # (x^n)' mod h^(i-1), n < width
+    for n in range(1, width):
+        derivatives.append(rem.scale(n).coeffs)
+        rem = (x * rem) % hi1
+    # relation n has degree n and is monic
+    numer = [Poly(F, rel) for rel in relations(F, derivatives) if rel is not None]
+    # Modulo h^i the D h^i generators vanish; nothing is lost, because a
+    # multiple of h^i of degree <= x_bound is itself one of them.
     hi = ctx.h_power(i)
-    for j in range(width - int(hi.degree)):
-        denom.add(vec(Poly.monomial(F, 1, j) * hi))
-    for j in range(0, width, p):
-        denom.add(vec(Poly.monomial(F, 1, j)))
-    gens = []
-    for q in sorted(numer, key=lambda t: t.degree):
-        if denom.add(vec(q)):
-            gens.append(q.monic())
-    return NormalizerQuotientLevel(i, len(gens), tuple(gens))
+    xp = Poly.monomial(F, 1, p)
+    frobenius = [Poly.one(F) % hi]  # x^(jp) mod h^i, jp < width
+    for _ in range(p, width, p):
+        frobenius.append((xp * frobenius[-1]) % hi)
+    rels = relations(F, [r.coeffs for r in frobenius] + [(q % hi).coeffs for q in numer])
+    gens = tuple(q for q, rel in zip(numer, rels[len(frobenius) :]) if rel is None)
+    return NormalizerQuotientLevel(i, len(gens), gens)
 
 
 def freeness_and_module_report_charp(

@@ -35,6 +35,7 @@ from ahweyl.derivations import (
     ey_as_derivation,
     ey_on_y_poly,
     ey_on_yhat,
+    generic_a1_apply,
     gh_derivative_times_hk,
     is_inner,
     make_derivation,
@@ -792,3 +793,62 @@ def test_h_power_matches_pow(p, coeffs, ns):
     ctx = context_from(FieldSpec(p), coeffs)
     for n in ns:
         assert ctx.h_power(n) == ctx.h**n
+
+
+# -- the closed Leibniz forms against their defining sums --------------------------------
+
+
+def d_on_poly_sum(f, u):
+    """Oracle: d(x^n) = sum_k x^k u x^(n-1-k), summed term by term."""
+    F = u.field
+    out = WeylElement.zero(F)
+    right = [u]  # u x^m
+    for _ in range(1, len(f.coeffs) - 1):
+        right.append(right[-1] * WeylElement.x_power(F, 1))
+    for n, c in enumerate(f.coeffs):
+        for k in range(n):
+            out = out + right[n - 1 - k].poly_mul(Poly.monomial(F, c, k))
+    return out
+
+
+def generic_a1_apply_sum(dx, dy, a):
+    """Oracle: D(r y^i) = D(r) y^i + r sum_k y^k D(y) y^(i-1-k)."""
+    F = a.field
+    out = WeylElement.zero(F)
+    for i, r in a.terms.items():
+        out = out + d_on_poly_sum(r, dx) * WeylElement.y_power(F, i)
+        acc = WeylElement.zero(F)
+        for k in range(i):
+            acc = acc + WeylElement.y_power(F, k) * dy * WeylElement.y_power(F, i - 1 - k)
+        out = out + acc.poly_mul(r)
+    return out
+
+
+def random_weyl(rng, field, max_ydeg, max_xdeg):
+    return WeylElement(
+        field, {i: random_poly(rng, field, max_xdeg) for i in range(rng.randrange(max_ydeg + 1))}
+    )
+
+
+@given(p=st.sampled_from([0, 2, 3, 5, 7]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_leibniz_closed_forms_match_sums(p, seed):
+    # degrees past p in both x and y reach the Hasse derivatives H_m with
+    # m >= p and the falling factorials that vanish mod p
+    field = FieldSpec(p)
+    rng = random.Random(seed)
+    top = max(p, 3) + 2
+    f = random_poly(rng, field, 2 * top)
+    u = random_weyl(rng, field, top, 3)
+    assert d_on_poly(f, u) == d_on_poly_sum(f, u)
+    dx, dy = random_weyl(rng, field, 3, 3), random_weyl(rng, field, 3, 3)
+    a = random_weyl(rng, field, top, 3)
+    assert generic_a1_apply(dx, dy, a) == generic_a1_apply_sum(dx, dy, a)
+
+
+def test_d_on_poly_does_not_stop_at_a_zero_hasse_derivative():
+    # over GF(2): d(1 + x^2) = x y + y x = 1 + 2 x y = 1, from H_2 although H_1 = 0
+    f = P(GF2, 1, 0, 1)
+    y = WeylElement.y_power(GF2, 1)
+    assert f.hasse_derivative(1).is_zero()
+    assert d_on_poly(f, y) == WeylElement.one(GF2) == d_on_poly_sum(f, y)

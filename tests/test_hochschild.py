@@ -3,6 +3,11 @@
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import GF
+from sympy.polys.matrices import DomainMatrix
 
 from ahweyl.centerpoly import CenterPoly
 from ahweyl.context import AhContext, MissingFactorizationError
@@ -28,6 +33,7 @@ from ahweyl.hochschild import (
     bracket_charp,
     canonical_class_char0,
     center_HH1_char0,
+    _normalizer_quotient_level,
     freeness_and_module_report_charp,
     generator_classes_char0,
     nilpotent_ideal_membership,
@@ -496,6 +502,71 @@ class TestFreenessReport:
         rep2 = freeness_and_module_report_charp(ctx2, seed=10)
         by_level = {l.y_degree: l.dim for l in rep2.normalizer_quotient}
         assert by_level[1] == 1 and by_level[2] == 1 and by_level[4] == 1
+
+
+def monic(q, p):
+    """q scaled so that its last nonzero entry is 1."""
+    inv = pow(next(c for c in reversed(q) if c), -1, p)
+    return [c * inv % p for c in q]
+
+
+def normalizer_level_oracle(h, i, x_bound):
+    """Generators of N_i/(A_h + Z(A_1))_i for p | i by sympy over GF(p), on
+    unreduced coefficient vectors of length x_bound + 1: the RREF kernel
+    basis of r -> r' mod h^(i-1), each vector kept when it enlarges
+    D h^i + F[x^p] plus the vectors kept before it."""
+    p = h.field.p
+    dom = GF(p)
+    X = sympy.Symbol("x")
+    width = x_bound + 1
+
+    def spoly(coeffs):
+        return sympy.Poly(list(reversed(coeffs)), X, modulus=p)
+
+    def vec(q, n):
+        cs = [int(c) % p for c in reversed(q.all_coeffs())]
+        return cs + [0] * (n - len(cs))
+
+    def rank(cols):
+        rows = [[dom(c[r]) for c in cols] for r in range(width)]
+        return DomainMatrix(rows, (width, len(cols)), dom).rank()
+
+    hs = spoly(list(h.coeffs))
+    hi1, hi = hs ** (i - 1), hs**i
+    d1 = hi1.degree()
+    derivatives = [vec(spoly([0] * n + [1]).diff(X).rem(hi1), d1) for n in range(width)]
+    rows = [[dom(v[r]) for v in derivatives] for r in range(d1)]
+    kernel = DomainMatrix(rows, (d1, width), dom).nullspace().to_list()
+    kernel = [monic([int(c) % p for c in q], p) for q in kernel]
+    kernel.sort(key=lambda q: max(k for k, c in enumerate(q) if c))
+    basis = [vec(spoly([0] * j + [1]) * hi, width) for j in range(width - hi.degree())]
+    basis += [vec(spoly([0] * j + [1]), width) for j in range(0, width, p)]
+    gens = []
+    for q in kernel:
+        if rank(basis + [q]) > rank(basis):
+            basis.append(q)
+            gens.append(Poly(h.field, q))
+    return gens
+
+
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    coeffs=st.lists(st.integers(0, 4), min_size=1, max_size=3),
+    square=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_normalizer_quotient_level_matches_sympy(p, coeffs, square):
+    # non-free h (squares, h in F[x^p]) give nonzero levels at p | i
+    field = FieldSpec(p)
+    h = Poly(field, coeffs + [1])
+    if square:
+        h = h * h
+    ctx = AhContext(h)
+    x_bound = p * int(h.degree) + 2 * p
+    level = _normalizer_quotient_level(ctx, p, x_bound)
+    gens = normalizer_level_oracle(h, p, x_bound)
+    assert list(level.generators) == gens
+    assert level.dim == len(gens)
 
 
 class TestZIndependence:

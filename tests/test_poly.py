@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -118,6 +119,28 @@ class TestDerivative:
 
     def test_constant(self):
         assert P(QQ, 7).derivative().is_zero()
+
+
+class TestHasseDerivative:
+    @given(st.lists(st.integers(-20, 20), max_size=9), st.integers(0, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_factorial_times_hasse_is_derivative_over_q(self, coeffs, m):
+        f = Poly(QQ, coeffs)
+        assert f.hasse_derivative(m).scale(factorial(m)) == f.derivative(m)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_hasse_p_of_xp_is_one(self, p):
+        field = FieldSpec(p)
+        xp = Poly.monomial(field, 1, p)
+        assert xp.derivative(p).is_zero()
+        assert xp.hasse_derivative(p).is_one()
+
+    def test_zero_order_and_above_degree(self):
+        f = P(GF3, 1, 2, 0, 1)
+        assert f.hasse_derivative(0) == f
+        assert f.hasse_derivative(4).is_zero()
+        with pytest.raises(ValueError):
+            f.hasse_derivative(-1)
 
 
 class TestGcd:
