@@ -3,6 +3,9 @@
 In characteristic p the center of A_h is F[t1, t2] with t1 = x^p and
 t2 = zeta = h^p y^p; derivations of the center are A*d/dt1 + B*d/dt2 with
 A, B in F[t1, t2]. CenterPoly is the exact coefficient container for these.
+Coefficients are canonical field scalars and no zero one is stored; the
+ring operations follow the reduce-once rule of `poly` (raw values, one
+`FieldSpec.reduce` per result, the trusted `CenterPoly._canonical`).
 """
 
 from __future__ import annotations
@@ -25,10 +28,24 @@ class CenterPoly:
                 if i < 0 or j < 0:
                     raise ValueError("negative exponent")
                 c = field.coerce(c)
-                if not field.is_zero(c):
+                if c:
                     clean[(i, j)] = c
         self.field = field
         self.coeffs = clean
+
+    @classmethod
+    def _canonical(cls, field: FieldSpec, coeffs: dict) -> "CenterPoly":
+        """Trusted constructor: the values are canonical scalars of `field`;
+        only the zero ones are dropped."""
+        out = object.__new__(cls)
+        out.field = field
+        out.coeffs = {k: c for k, c in coeffs.items() if c}
+        return out
+
+    @classmethod
+    def _reduced(cls, field: FieldSpec, raw: dict) -> "CenterPoly":
+        """Trusted constructor from raw sums and products of field scalars."""
+        return cls._canonical(field, dict(zip(raw, field.reduce(raw.values()))))
 
     @classmethod
     def zero(cls, field: FieldSpec) -> "CenterPoly":
@@ -53,7 +70,7 @@ class CenterPoly:
     @classmethod
     def from_t1_poly(cls, w: Poly) -> "CenterPoly":
         """Lift a one-variable polynomial w(u) to w(t1)."""
-        return cls(w.field, {(i, 0): c for i, c in enumerate(w.coeffs)})
+        return cls._canonical(w.field, {(i, 0): c for i, c in enumerate(w.coeffs)})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -82,34 +99,31 @@ class CenterPoly:
     def __add__(self, other: "CenterPoly") -> "CenterPoly":
         self._check(other)
         out = dict(self.coeffs)
-        F = self.field
         for k, c in other.coeffs.items():
-            out[k] = F.add(out.get(k, F.zero()), c)
-        return CenterPoly(F, out)
+            out[k] = out[k] + c if k in out else c
+        return CenterPoly._reduced(self.field, out)
 
     def __sub__(self, other: "CenterPoly") -> "CenterPoly":
         return self + (-other)
 
     def __neg__(self) -> "CenterPoly":
-        F = self.field
-        return CenterPoly(F, {k: F.neg(c) for k, c in self.coeffs.items()})
+        return CenterPoly._reduced(self.field, {k: -c for k, c in self.coeffs.items()})
 
     def scale(self, c) -> "CenterPoly":
         F = self.field
         c = F.coerce(c)
-        return CenterPoly(F, {k: F.mul(c, v) for k, v in self.coeffs.items()})
+        return CenterPoly._reduced(F, {k: c * v for k, v in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        F = self.field
         out = {}
         for (i1, j1), c1 in self.coeffs.items():
             for (i2, j2), c2 in other.coeffs.items():
                 k = (i1 + i2, j1 + j2)
-                out[k] = F.add(out.get(k, F.zero()), F.mul(c1, c2))
-        return CenterPoly(F, out)
+                out[k] = out[k] + c1 * c2 if k in out else c1 * c2
+        return CenterPoly._reduced(self.field, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -125,20 +139,12 @@ class CenterPoly:
         return out
 
     def d_dt1(self) -> "CenterPoly":
-        F = self.field
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            if i:
-                out[(i - 1, j)] = F.mul(c, F.from_int(i))
-        return CenterPoly(F, out)
+        raw = {(i - 1, j): i * c for (i, j), c in self.coeffs.items() if i}
+        return CenterPoly._reduced(self.field, raw)
 
     def d_dt2(self) -> "CenterPoly":
-        F = self.field
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            if j:
-                out[(i, j - 1)] = F.mul(c, F.from_int(j))
-        return CenterPoly(F, out)
+        raw = {(i, j - 1): j * c for (i, j), c in self.coeffs.items() if j}
+        return CenterPoly._reduced(self.field, raw)
 
     def t2_degree(self) -> int:
         return max((j for (_, j) in self.coeffs), default=-1)
@@ -154,9 +160,8 @@ class CenterPoly:
         out = {}
         for j, w in enumerate(parts):
             for i, c in enumerate(w.coeffs):
-                if not field.is_zero(c):
-                    out[(i, j)] = c
-        return cls(field, out)
+                out[(i, j)] = c
+        return cls._canonical(field, out)
 
     def exact_div_t1(self, w: Poly) -> "CenterPoly":
         """Exact division by a polynomial in t1 alone."""
@@ -198,14 +203,6 @@ class CenterPoly:
         for k, q in out:
             parts[k] = parts[k] + q
         return CenterPoly.from_t2_coefficients(F, parts)
-
-    def evaluate(self, t1_value, t2_value):
-        """Evaluate at commuting ring elements (e.g. WeylElements)."""
-        total = None
-        for (i, j), c in sorted(self.coeffs.items()):
-            term = (t1_value**i) * (t2_value**j) * c
-            total = term if total is None else total + term
-        return total
 
     def to_text(self) -> str:
         if self.is_zero():

@@ -523,7 +523,7 @@ class AhContext:
         n_max = int(self.h.degree) + 2 * p
         # kernel of vartheta on x^0..x^n_max; relation k has degree k and is monic
         images = [self.theta_p_map(Poly.monomial(F, 1, i)).coeffs for i in range(n_max + 1)]
-        kernel = [Poly(F, rel) for rel in relations(F, images) if rel is not None]
+        kernel = [Poly._canonical(F, rel) for rel in relations(F, images) if rel is not None]
         gens = [vec.coeffs for vec, _ in self._im_delta_generators(n_max)]
         rels = relations(F, gens + [q.coeffs for q in kernel])
         S = [q for q, rel in zip(kernel, rels[len(gens) :]) if rel is None]

@@ -1,9 +1,15 @@
 """Exact coefficient fields: the rationals and the prime fields GF(p).
 
 A FieldSpec carries the characteristic (0 or a prime p) and provides exact
-arithmetic on plain scalar values: `fractions.Fraction` in characteristic 0,
-least nonnegative residues (Python ints in [0, p)) in characteristic p.
-No floating point is used anywhere.
+arithmetic on plain scalar values. The stored (canonical) form of a scalar
+is a `fractions.Fraction` in characteristic 0 and a least nonnegative
+residue (a Python int in [0, p), never a bool) in characteristic p. No
+floating point is used anywhere.
+
+Both kinds of scalar support `+`, `-` and `*` natively, so the ring loops
+of `poly`, `weyl`, `centerpoly` and `linalg` compute on raw values and call
+`FieldSpec.reduce` once per output coefficient: that method is the only
+place they learn the characteristic. `coerce` validates outside input.
 """
 
 from __future__ import annotations
@@ -84,6 +90,14 @@ class FieldSpec:
             return self.mul(num, self.inv(den))
         raise TypeError(f"cannot coerce {type(v).__name__} into {self}")
 
+    def reduce(self, values) -> list:
+        """Canonical values of raw sums and products of field scalars:
+        each taken mod p in characteristic p, unchanged over Q."""
+        p = self.characteristic
+        if p:
+            return [v % p for v in values]
+        return list(values)
+
     # -- arithmetic ------------------------------------------------------------
 
     def add(self, a, b):
@@ -127,5 +141,5 @@ QQ = FieldSpec(0)
 
 
 def check_same_field(a: FieldSpec, b: FieldSpec) -> None:
-    if a != b:
+    if not (a is b or a == b):
         raise FieldMismatchError(f"field mismatch: {a} vs {b}")

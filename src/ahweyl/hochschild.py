@@ -638,22 +638,20 @@ def _normalizer_quotient_level(ctx: AhContext, i: int, x_bound: int):
         return NormalizerQuotientLevel(i, dim, gens)
     # i = 0 mod p: numerator {r : h^(i-1) | r'}, denominator D h^i + F[x^p]
     width = x_bound + 1
-    x = Poly.x(F)
     hi1 = ctx.h_power(i - 1)
     rem = Poly.one(F) % hi1  # x^(n-1) mod h^(i-1)
     derivatives = [()]  # (x^n)' mod h^(i-1), n < width
     for n in range(1, width):
-        derivatives.append(rem.scale(n).coeffs)
-        rem = (x * rem) % hi1
+        derivatives.append(F.reduce([n * c for c in rem.coeffs]))
+        rem = rem.shift(1) % hi1
     # relation n has degree n and is monic
-    numer = [Poly(F, rel) for rel in relations(F, derivatives) if rel is not None]
+    numer = [Poly._canonical(F, rel) for rel in relations(F, derivatives) if rel is not None]
     # Modulo h^i the D h^i generators vanish; nothing is lost, because a
     # multiple of h^i of degree <= x_bound is itself one of them.
     hi = ctx.h_power(i)
-    xp = Poly.monomial(F, 1, p)
     frobenius = [Poly.one(F) % hi]  # x^(jp) mod h^i, jp < width
     for _ in range(p, width, p):
-        frobenius.append((xp * frobenius[-1]) % hi)
+        frobenius.append(frobenius[-1].shift(p) % hi)
     rels = relations(F, [r.coeffs for r in frobenius] + [(q % hi).coeffs for q in numer])
     gens = tuple(q for q, rel in zip(numer, rels[len(frobenius) :]) if rel is None)
     return NormalizerQuotientLevel(i, len(gens), gens)

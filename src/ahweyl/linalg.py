@@ -13,8 +13,11 @@ reads its answer off that list:
   of w, appended last.
 
 Vectors are sequences of field scalars and may have different lengths
-(missing entries are zero). Everything is small (dimensions in the tens to
-a few hundred), so plain Gaussian elimination is plenty.
+(missing entries are zero); the relations hold canonical scalars (see
+`fields`). Everything is small (dimensions in the tens to a few hundred),
+so plain Gaussian elimination is plenty. As in `poly`, the elimination runs
+on raw values: a vector entry is reduced when it is read as a pivot entry,
+and a vector and its combination once the vector is eliminated.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ def relations(field: FieldSpec, vectors) -> list:
     The independent vectors before v_k are a basis of the span of all
     vectors before it, so that relation is unique."""
     F = field
+    reduce = F.reduce
     zero = F.zero()
     vectors = [list(v) for v in vectors]
     width = max(map(len, vectors), default=0)
@@ -39,17 +43,19 @@ def relations(field: FieldSpec, vectors) -> list:
     out = []
     for k, vec in enumerate(vectors):
         vec.extend([zero] * (width - len(vec)))
-        combo = {k: F.one()}
+        combo = {k: F.one()}  # raw, like vec
         for pivot, row, row_combo in rows:
             c = vec[pivot]
-            if F.is_zero(c):
+            if c:  # a raw 0 is 0; any other raw value is reduced before the test
+                (c,) = reduce((c,))
+            if not c:
                 continue
-            for m in range(pivot, width):
-                if not F.is_zero(row[m]):
-                    vec[m] = F.sub(vec[m], F.mul(c, row[m]))
+            vec[pivot:] = [v - c * r if r else v for v, r in zip(vec[pivot:], row[pivot:])]
             for g, cg in row_combo.items():
-                combo[g] = F.sub(combo.get(g, zero), F.mul(c, cg))
-        pivot = next((m for m, c in enumerate(vec) if not F.is_zero(c)), None)
+                combo[g] = combo[g] - c * cg if g in combo else -c * cg
+        vec = reduce(vec)
+        combo = dict(zip(combo, reduce(combo.values())))
+        pivot = next((m for m, c in enumerate(vec) if c), None)
         if pivot is None:
             relation = [zero] * len(vectors)
             for g, cg in combo.items():
@@ -57,7 +63,7 @@ def relations(field: FieldSpec, vectors) -> list:
             out.append(relation)
             continue
         inv = F.inv(vec[pivot])
-        row = [F.mul(inv, c) for c in vec]
-        insort(rows, (pivot, row, {g: F.mul(inv, cg) for g, cg in combo.items()}))
+        row = reduce([inv * c for c in vec])
+        insort(rows, (pivot, row, dict(zip(combo, reduce([inv * cg for cg in combo.values()])))))
         out.append(None)
     return out

@@ -1,8 +1,17 @@
 """Exact univariate polynomial arithmetic over Q or GF(p).
 
 Polynomials are dense coefficient tuples, index = degree, with no trailing
-zeros; the zero polynomial has an empty tuple and degree -infinity. All
-operations return canonical-form results and are side-effect free.
+zeros; the zero polynomial has an empty tuple and degree -infinity. Every
+coefficient is in the field's canonical form (see `fields`): an int in
+[0, p) over GF(p), a Fraction over Q. All operations return canonical-form
+results and are side-effect free.
+
+Reduce once: the ring operations compute each output coefficient from raw
+sums and products of canonical scalars, map the whole result through
+`FieldSpec.reduce` once, and build it with the trusted constructor
+`Poly._canonical`, which only trims trailing zeros. The public
+`Poly(field, coeffs)` validates and coerces, as the entry point for outside
+input. `_convolve` is the one product loop; the Weyl product shares it.
 
 Besides the ring operations this module carries the characteristic-p
 bookkeeping used throughout the package: the Frobenius decomposition
@@ -39,13 +48,9 @@ class Poly:
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: FieldSpec, coeffs, *, _trusted: bool = False):
-        if _trusted:
-            self.field = field
-            self.coeffs = coeffs
-            return
+    def __init__(self, field: FieldSpec, coeffs):
         vals = [field.coerce(c) for c in coeffs]
-        while vals and field.is_zero(vals[-1]):
+        while vals and not vals[-1]:
             vals.pop()
         self.field = field
         self.coeffs = tuple(vals)
@@ -53,12 +58,29 @@ class Poly:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
+    def _canonical(cls, field: FieldSpec, values) -> "Poly":
+        """Trusted constructor: `values` are canonical scalars of `field`;
+        only trailing zeros are trimmed."""
+        n = len(values)
+        while n and not values[n - 1]:
+            n -= 1
+        out = object.__new__(cls)
+        out.field = field
+        out.coeffs = tuple(values[:n])
+        return out
+
+    @classmethod
+    def _reduced(cls, field: FieldSpec, raw) -> "Poly":
+        """Trusted constructor from raw sums and products of field scalars."""
+        return cls._canonical(field, field.reduce(raw))
+
+    @classmethod
     def zero(cls, field: FieldSpec) -> "Poly":
-        return cls(field, (), _trusted=True)
+        return cls._canonical(field, ())
 
     @classmethod
     def one(cls, field: FieldSpec) -> "Poly":
-        return cls(field, [1])
+        return cls._canonical(field, (field.one(),))
 
     @classmethod
     def constant(cls, field: FieldSpec, c) -> "Poly":
@@ -66,23 +88,24 @@ class Poly:
 
     @classmethod
     def x(cls, field: FieldSpec) -> "Poly":
-        return cls(field, [0, 1])
+        return cls._canonical(field, (field.zero(), field.one()))
 
     @classmethod
     def monomial(cls, field: FieldSpec, c, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative exponent")
-        return cls(field, [0] * n + [c])
+        return cls._canonical(field, (field.zero(),) * n + (field.coerce(c),))
 
     @classmethod
     def from_coeff_dict(cls, field: FieldSpec, d: dict) -> "Poly":
+        """sum_k d[k] x^k; the values must already be scalars of `field`
+        (coefficients of other polynomials over it, say)."""
         if not d:
             return cls.zero(field)
-        n = max(d)
-        coeffs = [0] * (n + 1)
+        coeffs = [field.zero()] * (max(d) + 1)
         for k, v in d.items():
             coeffs[k] = v
-        return cls(field, coeffs)
+        return cls._canonical(field, coeffs)
 
     # -- basic queries ----------------------------------------------------------
 
@@ -138,41 +161,47 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        F = self.field
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return Poly(F, out)
+        raw = [u + v for u, v in zip(a, b)]
+        raw += a[len(b) :]
+        return Poly._reduced(self.field, raw)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._check(other)
+        a, b = self.coeffs, other.coeffs
+        n = min(len(a), len(b))
+        raw = [u - v for u, v in zip(a, b)]
+        raw += a[n:]
+        raw += [-v for v in b[n:]]
+        return Poly._reduced(self.field, raw)
 
     def __neg__(self) -> "Poly":
-        F = self.field
-        return Poly(F, [F.neg(c) for c in self.coeffs])
+        return Poly._reduced(self.field, [-c for c in self.coeffs])
 
     def scale(self, c) -> "Poly":
         F = self.field
         c = F.coerce(c)
-        return Poly(F, [F.mul(c, v) for v in self.coeffs])
+        return Poly._reduced(F, [c * v for v in self.coeffs])
+
+    def shift(self, n: int) -> "Poly":
+        """x^n * self: n zero coefficients prepended, no arithmetic."""
+        if n < 0:
+            raise ValueError("negative exponent")
+        return Poly._canonical(self.field, (self.field.zero(),) * n + self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
         F = self.field
-        if not self.coeffs or not other.coeffs:
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return Poly.zero(F)
-        out = [F.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if F.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return Poly(F, out)
+        acc = [F.zero()] * (len(a) + len(b) - 1)
+        _convolve(acc, a, b)
+        return Poly._reduced(F, acc)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -197,22 +226,23 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         F = self.field
-        rem = list(self.coeffs)
+        reduce = F.reduce
+        rem = list(self.coeffs)  # raw values below the current index
         dv = other.coeffs
         dd = len(dv) - 1
-        lc_inv = F.inv(dv[-1])
         if len(rem) - 1 < dd:
             return Poly.zero(F), self
+        lc_inv = F.inv(dv[-1])
         q = [F.zero()] * (len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if F.is_zero(c):
+            # rem[i] is final here; reduce it (times 1/lc) before the zero test
+            (f,) = reduce((rem[i] * lc_inv,))
+            if not f:
                 continue
-            f = F.mul(c, lc_inv)
-            q[i - dd] = f
-            for j in range(dd + 1):
-                rem[i - dd + j] = F.sub(rem[i - dd + j], F.mul(f, dv[j]))
-        return Poly(F, q), Poly(F, rem)
+            lo = i - dd
+            q[lo] = f
+            rem[lo:i] = [r - f * d for r, d in zip(rem[lo:i], dv)]
+        return Poly._canonical(F, q), Poly._reduced(F, rem[:dd])
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -243,9 +273,8 @@ class Poly:
 
     def derivative(self, order: int = 1) -> "Poly":
         out = self
-        F = self.field
         for _ in range(order):
-            out = Poly(F, [F.mul(F.from_int(i), c) for i, c in enumerate(out.coeffs)][1:])
+            out = Poly._reduced(self.field, [i * c for i, c in enumerate(out.coeffs[1:], 1)])
         return out
 
     def hasse_derivative(self, m: int) -> "Poly":
@@ -256,16 +285,9 @@ class Poly:
         H_p(x^p) = 1 over GF(p)."""
         if m < 0:
             raise ValueError("negative order")
-        F = self.field
-        return Poly(F, [F.mul(F.from_int(comb(n, m)), c) for n, c in enumerate(self.coeffs[m:], m)])
-
-    def evaluate(self, v):
-        F = self.field
-        v = F.coerce(v)
-        acc = F.zero()
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, v), c)
-        return acc
+        return Poly._reduced(
+            self.field, [comb(n, m) * c for n, c in enumerate(self.coeffs[m:], m)]
+        )
 
     def antiderivative(self):
         """Return g with g' = self (constant term 0), or NotIntegrable.
@@ -276,24 +298,21 @@ class Poly:
         carrying that obstruction.
         """
         F = self.field
+        raw = [F.zero()] * (len(self.coeffs) + 1)
         if F.is_char_zero:
-            out = [F.zero()]
-            for i, c in enumerate(self.coeffs):
-                out.append(F.div(c, F.from_int(i + 1)))
-            return Poly(F, out)
+            raw[1:] = [c / (i + 1) for i, c in enumerate(self.coeffs)]
+            return Poly._canonical(F, raw)
         p = F.p
         obstruction = {}
-        out = {}
         for i, c in enumerate(self.coeffs):
-            if F.is_zero(c):
-                continue
             if i % p == p - 1:
-                obstruction[i - (p - 1)] = c
+                if c:
+                    obstruction[i - (p - 1)] = c
             else:
-                out[i + 1] = F.div(c, F.from_int(i % p + 1))
+                raw[i + 1] = c * pow(i % p + 1, -1, p)
         if obstruction:
             return NotIntegrable(Poly.from_coeff_dict(F, obstruction))
-        return Poly.from_coeff_dict(F, out)
+        return Poly._reduced(F, raw)
 
     # -- gcd ----------------------------------------------------------------------
 
@@ -341,7 +360,7 @@ class Poly:
         p = self._require_char_p()
         parts = [dict() for _ in range(p)]
         for i, c in enumerate(self.coeffs):
-            if not self.field.is_zero(c):
+            if c:
                 parts[i % p][i // p] = c
         return [Poly.from_coeff_dict(self.field, d) for d in parts]
 
@@ -354,7 +373,7 @@ class Poly:
         out = {}
         for j, part in enumerate(parts):
             for k, c in enumerate(part.coeffs):
-                if not field.is_zero(c):
+                if c:
                     out[k * p + j] = c
         return cls.from_coeff_dict(field, out)
 
@@ -363,7 +382,7 @@ class Poly:
         p = self._require_char_p()
         return Poly.from_coeff_dict(
             self.field,
-            {i * p: c for i, c in enumerate(self.coeffs) if not self.field.is_zero(c)},
+            {i * p: c for i, c in enumerate(self.coeffs) if c},
         )
 
     def pth_root(self) -> "Poly":
@@ -371,7 +390,7 @@ class Poly:
         p = self._require_char_p()
         out = {}
         for i, c in enumerate(self.coeffs):
-            if self.field.is_zero(c):
+            if not c:
                 continue
             if i % p:
                 raise ExactDivisionError(f"{self} is not a p-th power")
@@ -384,7 +403,7 @@ class Poly:
             return self.is_constant()
         p = self.field.p
         return all(
-            self.field.is_zero(c) for i, c in enumerate(self.coeffs) if i % p
+            not c for i, c in enumerate(self.coeffs) if i % p
         )
 
     def partial_p(self) -> "Poly":
@@ -393,18 +412,7 @@ class Poly:
         On monomials: x^(jp+i) -> j * x^((j-1)p+i) for 0 <= i < p.
         """
         p = self._require_char_p()
-        F = self.field
-        out = {}
-        for n, c in enumerate(self.coeffs):
-            if F.is_zero(c):
-                continue
-            j, i = divmod(n, p)
-            if j == 0:
-                continue
-            v = F.mul(c, F.from_int(j))
-            if not F.is_zero(v):
-                out[(j - 1) * p + i] = v
-        return Poly.from_coeff_dict(F, out)
+        return Poly._reduced(self.field, [(n // p) * c for n, c in enumerate(self.coeffs[p:], p)])
 
     # -- squarefree structure ----------------------------------------------------------
 
@@ -428,7 +436,7 @@ class Poly:
             return "0"
         pieces = []
         for i, c in enumerate(self.coeffs):
-            if self.field.is_zero(c):
+            if not c:
                 continue
             pieces.append((i, c))
         out = []
@@ -447,6 +455,16 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.field}, {self.to_text()!r})"
+
+
+def _convolve(acc: list, a, b) -> None:
+    """acc[m + n] += a[m] * b[n] on raw values, no reduction; acc must be
+    long enough. The one product loop of the package: `Poly.__mul__` and
+    the Weyl product both accumulate through it."""
+    for m, am in enumerate(a):
+        if am:
+            for n, bn in enumerate(b, m):
+                acc[n] += am * bn
 
 
 def _scalar_is_negative(c) -> bool:

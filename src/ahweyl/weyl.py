@@ -1,13 +1,21 @@
 """Normal-form arithmetic in the Weyl algebra A_1 = F<x,y> / (yx - xy - 1).
 
 Elements are finite sums sum_i r_i(x) y^i with all x-factors to the left of
-all y-factors. Multiplication reorders with
+all y-factors, stored as {i: r_i} with every r_i a nonzero canonical `Poly`
+(no zero term is ever stored). Multiplication reorders with
 
     y^n * f = sum_j C(n, j) f^(j) y^(n-j),
 
-binomials computed in Z and reduced into F. The module also provides the
-commutator, the swap anti-automorphism phi (x <-> y), the element varpi with
-[E_x, E_y] = ad_varpi in characteristic p, and the center test for A_1.
+binomials computed in Z and reduced into F. The product follows the
+reduce-once rule of `poly`: each output y-degree gets one row of raw
+coefficients, every piece r_i * C(i, k) s_j^(k) is accumulated into it by
+the shared convolution loop, and each row is reduced once. The public
+`WeylElement(field, terms)` validates its terms; results of the ring
+operations are built by the trusted `WeylElement._canonical`.
+
+The module also provides the commutator, the swap anti-automorphism phi
+(x <-> y), the element varpi with [E_x, E_y] = ad_varpi in characteristic
+p, and the center test for A_1.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from fractions import Fraction
 from math import comb
 
 from .fields import ExactDivisionError, FieldSpec, check_same_field
-from .poly import Poly
+from .poly import Poly, _convolve
 
 
 class WeylElement:
@@ -37,6 +45,14 @@ class WeylElement:
         self.terms = clean
 
     # -- constructors ------------------------------------------------------------
+
+    @classmethod
+    def _canonical(cls, field: FieldSpec, terms: dict) -> "WeylElement":
+        """Trusted constructor: every term is a nonzero Poly over `field`."""
+        out = object.__new__(cls)
+        out.field = field
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, field: FieldSpec) -> "WeylElement":
@@ -102,22 +118,30 @@ class WeylElement:
         self._check(other)
         out = dict(self.terms)
         for i, r in other.terms.items():
-            out[i] = out[i] + r if i in out else r
-        return WeylElement(self.field, out)
+            if i not in out:
+                out[i] = r
+            elif s := out[i] + r:
+                out[i] = s
+            else:
+                del out[i]
+        return WeylElement._canonical(self.field, out)
 
     def __sub__(self, other: "WeylElement") -> "WeylElement":
         return self + (-other)
 
     def __neg__(self) -> "WeylElement":
-        return WeylElement(self.field, {i: -r for i, r in self.terms.items()})
+        return WeylElement._canonical(self.field, {i: -r for i, r in self.terms.items()})
 
     def scale(self, c) -> "WeylElement":
-        return WeylElement(self.field, {i: r.scale(c) for i, r in self.terms.items()})
+        terms = {i: r.scale(c) for i, r in self.terms.items()}
+        return WeylElement._canonical(self.field, {i: r for i, r in terms.items() if r})
 
     def poly_mul(self, r: Poly) -> "WeylElement":
         """Left multiplication by r(x); x-polynomials commute into coefficients."""
         check_same_field(self.field, r.field)
-        return WeylElement(self.field, {i: r * s for i, s in self.terms.items()})
+        if not r:
+            return WeylElement.zero(self.field)
+        return WeylElement._canonical(self.field, {i: r * s for i, s in self.terms.items()})
 
     # -- multiplication ------------------------------------------------------------------
 
@@ -129,22 +153,28 @@ class WeylElement:
             other = WeylElement.from_poly(other)
         self._check(other)
         F = self.field
-        out = {}
-        for i, r in self.terms.items():
-            for j, s in other.terms.items():
-                # y^i * s(x) = sum_k C(i,k) s^(k) y^(i-k)
-                d = s
-                for k in range(i + 1):
-                    if d.is_zero():
-                        break
-                    b = F.from_int(comb(i, k))
-                    if not F.is_zero(b):
-                        piece = (r * d).scale(b)
-                        if not piece.is_zero():
-                            deg = i - k + j
-                            out[deg] = out[deg] + piece if deg in out else piece
-                    d = d.derivative()
-        return WeylElement(F, out)
+        top = max(self.terms, default=0)
+        binomials = {i: F.reduce([comb(i, k) for k in range(i + 1)]) for i in self.terms}
+        rows = {}  # y-degree -> raw coefficients of its x-polynomial
+        for j, s in other.terms.items():
+            chain = [s]  # s^(k) for k <= top, while nonzero; shared by every i
+            while len(chain) <= top and (d := chain[-1].derivative()):
+                chain.append(d)
+            for i, r in self.terms.items():
+                # r y^i * s y^j = sum_k C(i,k) r s^(k) y^(i-k+j)
+                for k, (b, d) in enumerate(zip(binomials[i], chain)):
+                    if not b:
+                        continue
+                    row = rows.setdefault(i - k + j, [])
+                    size = len(r.coeffs) + len(d.coeffs) - 1
+                    if len(row) < size:
+                        row += [F.zero()] * (size - len(row))
+                    _convolve(row, r.coeffs if b == 1 else [b * c for c in r.coeffs], d.coeffs)
+        terms = {}
+        for deg, row in rows.items():
+            if t := Poly._reduced(F, row):
+                terms[deg] = t
+        return WeylElement._canonical(F, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -173,11 +203,11 @@ class WeylElement:
         out = {}
         for i, r in self.terms.items():
             for k, c in enumerate(r.coeffs):
-                if F.is_zero(c):
-                    continue
-                piece = Poly.monomial(F, c, i)
-                out[k] = out[k] + piece if k in out else piece
-        return WeylElement(F, out)
+                if c:
+                    out.setdefault(k, {})[i] = c
+        return WeylElement._canonical(
+            F, {k: Poly.from_coeff_dict(F, d) for k, d in out.items()}
+        )
 
     def is_central_A1(self) -> bool:
         """Membership in Z(A_1): F*1 in characteristic 0, F[x^p, y^p] in
@@ -234,7 +264,7 @@ def _weyl_term_text(r: Poly, i: int):
             return True, txt[1:]
         return False, txt
     ymark = "y" if i == 1 else f"y^{i}"
-    nonzero = [(k, c) for k, c in enumerate(r.coeffs) if not r.field.is_zero(c)]
+    nonzero = [(k, c) for k, c in enumerate(r.coeffs) if c]
     if len(nonzero) == 1:
         k, c = nonzero[0]
         neg = isinstance(c, (int, Fraction)) and c < 0
@@ -271,6 +301,6 @@ def varpi(field: FieldSpec) -> WeylElement:
         fact *= p - n  # builds (p-1-(n-1))! for the next step down
     for n in range(1, p):
         c = field.div(field.from_int(coeffs[n]), field.from_int(n))
-        if not field.is_zero(c):
+        if c:
             out[n] = Poly.monomial(field, c, n)
     return WeylElement(field, out)

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,9 +46,17 @@ class TestFieldSpec:
         assert GF3.neg(1) == 2
         assert GF3.inv(2) == 2
 
-    def test_no_floats(self):
+    @pytest.mark.parametrize("field", [QQ, GF3], ids=["Q", "GF3"])
+    @pytest.mark.parametrize("value", [0.5, True])
+    def test_no_floats(self, field, value):
         with pytest.raises(TypeError):
-            QQ.coerce(0.5)
+            field.coerce(value)
+        with pytest.raises(TypeError):
+            Poly(field, [1, value])
+
+    def test_reduce(self):
+        assert GF5.reduce([7, -1, 0, 25]) == [2, 4, 0, 0]
+        assert QQ.reduce((Fraction(7, 2), 0)) == [Fraction(7, 2), 0]
 
     def test_field_mismatch(self):
         with pytest.raises(FieldMismatchError):
@@ -356,3 +365,112 @@ def test_frobenius_roundtrip_hypothesis(coeffs):
 def test_fraction_coefficients_stay_reduced():
     f = P(QQ, Fraction(2, 4))
     assert f.coeffs == (Fraction(1, 2),)
+
+
+# -- the raw-arithmetic kernel against sympy ------------------------------------
+
+KERNEL_FIELDS = [QQ] + [FieldSpec(p) for p in (2, 3, 5, 7, 13)]
+SX = sympy.Symbol("x")
+
+
+def assert_canonical(f):
+    """The stored form: a tuple with no trailing zero, of ints in [0, p)
+    (never bools) over GF(p) and of Fractions over Q."""
+    assert type(f.coeffs) is tuple
+    assert not f.coeffs or f.coeffs[-1] != 0
+    if f.field.is_char_zero:
+        assert all(type(c) is Fraction for c in f.coeffs)
+    else:
+        assert all(type(c) is int and 0 <= c < f.field.p for c in f.coeffs)
+
+
+def to_sympy(f):
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in map(Fraction, f.coeffs)]
+    if f.field.is_char_zero:
+        return sympy.Poly(coeffs[::-1] or [0], SX, domain=sympy.QQ)
+    return sympy.Poly(coeffs[::-1] or [0], SX, modulus=f.field.p)
+
+
+def from_sympy(field, g):
+    coeffs = [Fraction(int(sympy.numer(c)), int(sympy.denom(c))) for c in g.all_coeffs()[::-1]]
+    return Poly(field, coeffs)
+
+
+def checked(f, want):
+    assert_canonical(f)
+    assert f == from_sympy(f.field, want)
+
+
+scalars = st.one_of(
+    st.integers(-30, 30), st.fractions(min_value=-6, max_value=6, max_denominator=6)
+)
+
+
+@st.composite
+def kernel_pair(draw):
+    """(f, g) over one field; g is often c - f with deg c < deg f, so that
+    f + g cancels its leading terms, or -f, so that it cancels to 0."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    if not field.is_char_zero:
+        # a denominator divisible by p is not a scalar of GF(p)
+        values = st.integers(-3 * field.p, 3 * field.p)
+    else:
+        values = scalars
+    a = draw(st.lists(values, max_size=9))
+    shape = draw(st.sampled_from(["free", "cancel_lead", "cancel_all"]))
+    if shape == "free":
+        b = draw(st.lists(values, max_size=9))
+    else:
+        c = draw(st.lists(values, max_size=max(len(a) - 1, 0))) if shape == "cancel_lead" else []
+        b = [(c[k] if k < len(c) else 0) - v for k, v in enumerate(a)]
+    return Poly(field, a), Poly(field, b)
+
+
+@given(kernel_pair(), scalars)
+@settings(max_examples=300, deadline=None)
+def test_kernel_ring_ops_match_sympy(pair, c):
+    f, g = pair
+    F = f.field
+    if not F.is_char_zero and isinstance(c, Fraction) and c.denominator % F.p == 0:
+        c = c.numerator
+    sf, sg = to_sympy(f), to_sympy(g)
+    checked(f + g, sf + sg)
+    checked(f - g, sf - sg)
+    checked(g - f, sg - sf)
+    checked(-f, -sf)
+    checked(f.scale(c), sf * to_sympy(Poly(F, [c])))
+    checked(f * g, sf * sg)
+    if g:
+        q, r = divmod(f, g)
+        sq, sr = sympy.div(sf, sg)
+        checked(q, sq)
+        checked(r, sr)
+
+
+@given(kernel_pair(), st.integers(0, 4), st.integers(0, 11))
+@settings(max_examples=200, deadline=None)
+def test_kernel_derivatives_match_sympy(pair, order, m):
+    f, _ = pair
+    F = f.field
+    checked(f.derivative(order), to_sympy(f).diff((SX, order)) if order else to_sympy(f))
+    # H_m(f) = f^(m)/m! over Q, on an integer lift in characteristic p
+    lift = sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in map(Fraction, f.coeffs[::-1])] or [0],
+        SX,
+        domain=sympy.QQ,
+    )
+    hasse = lift.diff((SX, m)) * sympy.Rational(1, factorial(m)) if m else lift
+    if not F.is_char_zero:
+        hasse = sympy.Poly(hasse.as_expr(), SX, modulus=F.p)
+    checked(f.hasse_derivative(m), hasse)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+def test_kernel_cancellation_explicit(field):
+    f = Poly(field, [1, 2, 3, 1])
+    g = Poly(field, [5, 0, -3, -1])  # f + g = 6 + 2x
+    for h in (f + g, f - f, f + (-f), f * Poly.zero(field), f.scale(0)):
+        assert_canonical(h)
+    assert f + g == Poly(field, [6, 2])
+    assert (f - f).is_zero() and (f + (-f)).is_zero()
+    assert_canonical(divmod(f, f)[1])

@@ -1,8 +1,12 @@
 """Weyl algebra normal form: products, commutators, phi, varpi, center."""
 
 import random
+from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ahweyl.fields import FieldMismatchError, FieldSpec, QQ
 from ahweyl.poly import Poly
@@ -192,3 +196,69 @@ class TestRightDivision:
             QQ, {3: Poly(QQ, [1, 0, 1]), 1: Poly.monomial(QQ, 2, 1), 0: Poly(QQ, [5])}
         )
         assert a.to_text() == "5 + 2*x*y + (1 + x^2)*y^3"
+
+
+# -- the product against the per-term loop it replaced ---------------------------
+
+
+def per_term_product(a, b):
+    """The Weyl product term by term: one derivative chain per (i, j), each
+    piece (r * s^(k)).scale(C(i, k)) added into its own Poly."""
+    out = {}
+    for i, r in a.terms.items():
+        for j, s in b.terms.items():
+            d = s
+            for k in range(i + 1):
+                if d.is_zero():
+                    break
+                piece = (r * d).scale(comb(i, k))
+                deg = i - k + j
+                out[deg] = out[deg] + piece if deg in out else piece
+                d = d.derivative()
+    return WeylElement(a.field, out)
+
+
+def assert_no_zero_term(a):
+    assert all(not r.is_zero() for r in a.terms.values())
+
+
+@st.composite
+def weyl_pair(draw):
+    field = draw(st.sampled_from([QQ, GF2, GF3, GF5]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return random_weyl(rng, field, 4, 5), random_weyl(rng, field, 4, 5)
+
+
+@given(weyl_pair())
+@settings(max_examples=150, deadline=None)
+def test_product_matches_per_term_loop(pair):
+    a, b = pair
+    for got, want in ((a * b, per_term_product(a, b)), (b * a, per_term_product(b, a))):
+        assert got == want
+        assert_no_zero_term(got)
+    for c in (a + b, a - b, a + (-a), a - a, commutator(a, b), a.scale(a.field.characteristic)):
+        assert_no_zero_term(c)
+    assert (a + (-a)).terms == {} and (a - a).terms == {}
+
+
+@pytest.mark.parametrize("field, n", [(GF2, 2), (GF3, 3)])
+def test_vanishing_middle_terms_not_stored(field, n):
+    # y^n x^n = sum_k C(n, k)^2 k! x^(n-k) y^(n-k); mod p = n only k = 0 survives
+    got = y_elt(field, n) * x_elt(field, n)
+    assert got.terms == {n: Poly.monomial(field, 1, n)}
+    assert_no_zero_term(got)
+
+
+def test_cancelling_row_not_stored():
+    # y (x - x^2 y / 2) = (x y + 1) - (x^2 y^2 + 2 x y) / 2: the y^1 row cancels
+    b = WeylElement(QQ, {0: Poly.x(QQ), 1: Poly.monomial(QQ, Fraction(-1, 2), 2)})
+    got = y_elt(QQ) * b
+    assert got.terms == {0: Poly.one(QQ), 2: Poly.monomial(QQ, Fraction(-1, 2), 2)}
+
+
+def test_public_constructor_validates():
+    with pytest.raises(ValueError):
+        WeylElement(QQ, {-1: Poly.one(QQ)})
+    with pytest.raises(FieldMismatchError):
+        WeylElement(QQ, {0: Poly.one(GF3)})
+    assert WeylElement(GF3, {0: Poly.zero(GF3), 1: Poly.one(GF3)}).terms == {1: Poly.one(GF3)}
