@@ -10,12 +10,22 @@ Both kinds of scalar support `+`, `-` and `*` natively, so the ring loops
 of `poly`, `weyl`, `centerpoly` and `linalg` compute on raw values and call
 `FieldSpec.reduce` once per output coefficient: that method is the only
 place they learn the characteristic. `coerce` validates outside input.
+
+The two product loops (`Poly.__mul__` and the Weyl product) first pass
+their operands through `FieldSpec.lift`. Over Q it clears denominators:
+it returns the lcm `den` of every coefficient denominator and integer
+images `c.numerator * (den // c.denominator)`, so the loops run on Python
+ints, and `reduce(values, den)` turns each raw integer back into
+`Fraction(v, den)`, one division per output coefficient. Over GF(p)
+`lift` returns its argument with `den = 1`. The integer images are
+transient: they never leave the product that made them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 class FieldMismatchError(ValueError):
@@ -90,13 +100,38 @@ class FieldSpec:
             return self.mul(num, self.inv(den))
         raise TypeError(f"cannot coerce {type(v).__name__} into {self}")
 
-    def reduce(self, values) -> list:
+    def reduce(self, values, den=None) -> list:
         """Canonical values of raw sums and products of field scalars:
-        each taken mod p in characteristic p, unchanged over Q."""
+        each taken mod p in characteristic p, unchanged over Q. Over Q,
+        with `den` given, the values are integers over the common
+        denominator `den` (see `lift`) and map to `Fraction(v, den)`."""
         p = self.characteristic
         if p:
             return [v % p for v in values]
-        return list(values)
+        if den is None:
+            return list(values)
+        if den == 1:  # most products over Q; Fraction(v) skips the gcd
+            return [Fraction(v) for v in values]
+        return [Fraction(v, den) for v in values]
+
+    def lift(self, polys):
+        """`(den, images)` for the Polys of one product operand, given as a
+        tuple or as the `{i: r_i}` terms of a Weyl element.
+
+        Over Q, `den` is the lcm of all coefficient denominators and each
+        image has the integer coefficients `den * c`. Over GF(p) the
+        argument itself comes back with `den = 1`, uncopied."""
+        if self.characteristic:
+            return 1, polys
+        rs = polys.values() if isinstance(polys, dict) else polys
+        den = lcm(*{c.denominator for r in rs for c in r.coeffs})
+
+        def image(r):
+            return r._canonical(self, [c.numerator * (den // c.denominator) for c in r.coeffs])
+
+        if isinstance(polys, dict):
+            return den, {i: image(r) for i, r in polys.items()}
+        return den, tuple(image(r) for r in polys)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -104,11 +139,6 @@ class FieldSpec:
         if self.characteristic == 0:
             return a + b
         return (a + b) % self.characteristic
-
-    def sub(self, a, b):
-        if self.characteristic == 0:
-            return a - b
-        return (a - b) % self.characteristic
 
     def mul(self, a, b):
         if self.characteristic == 0:

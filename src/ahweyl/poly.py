@@ -13,6 +13,12 @@ sums and products of canonical scalars, map the whole result through
 `Poly(field, coeffs)` validates and coerces, as the entry point for outside
 input. `_convolve` is the one product loop; the Weyl product shares it.
 
+Products lift their operands first (`FieldSpec.lift`): over Q both factors
+are cleared to integer numerators over one common denominator `den`, the
+loop accumulates Python ints, and each output coefficient is divided by
+`den**2` once, in `reduce`. The integer images exist only inside the
+product; every Poly that leaves it holds Fractions again.
+
 Besides the ring operations this module carries the characteristic-p
 bookkeeping used throughout the package: the Frobenius decomposition
 f = sum_j f_j(x^p) x^j (0 <= j < p), the map partial_p = d/d(x^p) applied
@@ -70,9 +76,10 @@ class Poly:
         return out
 
     @classmethod
-    def _reduced(cls, field: FieldSpec, raw) -> "Poly":
-        """Trusted constructor from raw sums and products of field scalars."""
-        return cls._canonical(field, field.reduce(raw))
+    def _reduced(cls, field: FieldSpec, raw, den=None) -> "Poly":
+        """Trusted constructor from raw sums and products of field scalars
+        (over Q with `den`: of integers over that common denominator)."""
+        return cls._canonical(field, field.reduce(raw, den))
 
     @classmethod
     def zero(cls, field: FieldSpec) -> "Poly":
@@ -196,12 +203,12 @@ class Poly:
             return self.scale(other)
         self._check(other)
         F = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not self.coeffs or not other.coeffs:
             return Poly.zero(F)
-        acc = [F.zero()] * (len(a) + len(b) - 1)
-        _convolve(acc, a, b)
-        return Poly._reduced(F, acc)
+        den, (a, b) = F.lift((self, other))
+        acc = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+        _convolve(acc, a.coeffs, b.coeffs)
+        return Poly._reduced(F, acc, den * den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -9,9 +9,13 @@ all y-factors, stored as {i: r_i} with every r_i a nonzero canonical `Poly`
 binomials computed in Z and reduced into F. The product follows the
 reduce-once rule of `poly`: each output y-degree gets one row of raw
 coefficients, every piece r_i * C(i, k) s_j^(k) is accumulated into it by
-the shared convolution loop, and each row is reduced once. The public
-`WeylElement(field, terms)` validates its terms; results of the ring
-operations are built by the trusted `WeylElement._canonical`.
+the shared convolution loop, and each row is reduced once. Over Q the two
+operands are first lifted (`FieldSpec.lift`) to integer numerators over
+their common denominators da and db, so the derivative chains and the rows
+hold Python ints and each row is divided by da * db once; the integer
+images never leave the product. The public `WeylElement(field, terms)`
+validates its terms; results of the ring operations are built by the
+trusted `WeylElement._canonical`.
 
 The module also provides the commutator, the swap anti-automorphism phi
 (x <-> y), the element varpi with [E_x, E_y] = ad_varpi in characteristic
@@ -153,14 +157,16 @@ class WeylElement:
             other = WeylElement.from_poly(other)
         self._check(other)
         F = self.field
-        top = max(self.terms, default=0)
-        binomials = {i: F.reduce([comb(i, k) for k in range(i + 1)]) for i in self.terms}
+        da, lhs = F.lift(self.terms)
+        db, rhs = F.lift(other.terms)
+        top = max(lhs, default=0)
+        binomials = {i: F.reduce([comb(i, k) for k in range(i + 1)]) for i in lhs}
         rows = {}  # y-degree -> raw coefficients of its x-polynomial
-        for j, s in other.terms.items():
+        for j, s in rhs.items():
             chain = [s]  # s^(k) for k <= top, while nonzero; shared by every i
             while len(chain) <= top and (d := chain[-1].derivative()):
                 chain.append(d)
-            for i, r in self.terms.items():
+            for i, r in lhs.items():
                 # r y^i * s y^j = sum_k C(i,k) r s^(k) y^(i-k+j)
                 for k, (b, d) in enumerate(zip(binomials[i], chain)):
                     if not b:
@@ -168,19 +174,18 @@ class WeylElement:
                     row = rows.setdefault(i - k + j, [])
                     size = len(r.coeffs) + len(d.coeffs) - 1
                     if len(row) < size:
-                        row += [F.zero()] * (size - len(row))
+                        row += [0] * (size - len(row))
                     _convolve(row, r.coeffs if b == 1 else [b * c for c in r.coeffs], d.coeffs)
         terms = {}
+        den = da * db
         for deg, row in rows.items():
-            if t := Poly._reduced(F, row):
+            if t := Poly._reduced(F, row, den):
                 terms[deg] = t
         return WeylElement._canonical(F, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if isinstance(other, Poly):
-            return self.poly_mul(other)
         return NotImplemented
 
     def __pow__(self, n: int) -> "WeylElement":

@@ -58,6 +58,37 @@ class TestFieldSpec:
         assert GF5.reduce([7, -1, 0, 25]) == [2, 4, 0, 0]
         assert QQ.reduce((Fraction(7, 2), 0)) == [Fraction(7, 2), 0]
 
+    def test_reduce_over_common_denominator(self):
+        assert QQ.reduce([3, -4, 0], 6) == [Fraction(1, 2), Fraction(-2, 3), 0]
+        assert GF5.reduce([7, -1], 1) == [2, 4]
+        # den == 1 still gives the stored form over Q: Fractions, not ints
+        got = QQ.reduce([3, 0, -2], 1)
+        assert got == [3, 0, -2]
+        assert all(type(c) is Fraction for c in got)
+
+    def test_lift_char_p_returns_its_argument(self):
+        polys = (P(GF5, 1, 2), P(GF5, 3))
+        terms = {0: P(GF5, 4), 2: P(GF5, 0, 1)}
+        for arg in (polys, terms):
+            den, images = GF5.lift(arg)
+            assert den == 1 and images is arg
+
+    def test_lift_q_clears_to_the_lcm(self):
+        f = P(QQ, Fraction(1, 4), Fraction(-5, 6), 3)
+        g = P(QQ, Fraction(7, 10), 0, Fraction(1, 4))
+        den, (a, b) = QQ.lift((f, g))
+        assert den == 60  # lcm(4, 6, 10); the product of the denominators is 960
+        for image, poly in ((a, f), (b, g)):
+            assert all(type(c) is int for c in image.coeffs)
+            assert [Fraction(c, den) for c in image.coeffs] == list(poly.coeffs)
+        den, terms = QQ.lift({0: f, 3: Poly.one(QQ)})
+        assert den == 12 and set(terms) == {0, 3}
+        assert [Fraction(c, den) for c in terms[0].coeffs] == list(f.coeffs)
+        assert terms[3].coeffs == (12,)
+        den, (image,) = QQ.lift((P(QQ, 2, -3),))
+        assert den == 1 and image.coeffs == (2, -3)
+        assert all(type(c) is int for c in image.coeffs)
+
     def test_field_mismatch(self):
         with pytest.raises(FieldMismatchError):
             P(QQ, 1) + P(GF3, 1)

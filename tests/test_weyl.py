@@ -25,14 +25,15 @@ def y_elt(field, n=1):
     return WeylElement.y_power(field, n)
 
 
-def random_weyl(rng, field, max_ydeg=3, max_xdeg=3):
+def random_weyl(rng, field, max_ydeg=3, max_xdeg=3, dens=(1,)):
+    """Random element; over Q each coefficient is n/d with d drawn from dens."""
     terms = {}
     for i in range(rng.randrange(0, max_ydeg + 2)):
         deg = rng.randrange(-1, max_xdeg + 1)
         if deg < 0:
             continue
         if field.is_char_zero:
-            coeffs = [rng.randrange(-5, 6) for _ in range(deg + 1)]
+            coeffs = [Fraction(rng.randrange(-5, 6), rng.choice(dens)) for _ in range(deg + 1)]
         else:
             coeffs = [rng.randrange(field.p) for _ in range(deg + 1)]
         terms[i] = Poly(field, coeffs)
@@ -201,9 +202,18 @@ class TestRightDivision:
 # -- the product against the per-term loop it replaced ---------------------------
 
 
+def schoolbook(r, s):
+    """r * s summed on the stored coefficients, without `Poly.__mul__`."""
+    out = [0] * (len(r.coeffs) + len(s.coeffs) - 1)
+    for m, u in enumerate(r.coeffs):
+        for n, v in enumerate(s.coeffs):
+            out[m + n] += u * v
+    return Poly(r.field, out)
+
+
 def per_term_product(a, b):
     """The Weyl product term by term: one derivative chain per (i, j), each
-    piece (r * s^(k)).scale(C(i, k)) added into its own Poly."""
+    piece schoolbook(r, s^(k)).scale(C(i, k)) added into its own Poly."""
     out = {}
     for i, r in a.terms.items():
         for j, s in b.terms.items():
@@ -211,7 +221,7 @@ def per_term_product(a, b):
             for k in range(i + 1):
                 if d.is_zero():
                     break
-                piece = (r * d).scale(comb(i, k))
+                piece = schoolbook(r, d).scale(comb(i, k))
                 deg = i - k + j
                 out[deg] = out[deg] + piece if deg in out else piece
                 d = d.derivative()
@@ -222,11 +232,19 @@ def assert_no_zero_term(a):
     assert all(not r.is_zero() for r in a.terms.values())
 
 
+def assert_stored_form(a):
+    """Fractions over Q, also where every operand coefficient was an integer."""
+    if a.field.is_char_zero:
+        assert all(type(c) is Fraction for r in a.terms.values() for c in r.coeffs)
+
+
 @st.composite
 def weyl_pair(draw):
+    """Over Q the coefficients are integers, or n/d with coprime d."""
     field = draw(st.sampled_from([QQ, GF2, GF3, GF5]))
+    dens = draw(st.sampled_from([(1,), (1, 2, 3, 5, 7), (2, 3, 5, 7)]))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    return random_weyl(rng, field, 4, 5), random_weyl(rng, field, 4, 5)
+    return random_weyl(rng, field, 4, 5, dens), random_weyl(rng, field, 4, 5, dens)
 
 
 @given(weyl_pair())
@@ -236,6 +254,7 @@ def test_product_matches_per_term_loop(pair):
     for got, want in ((a * b, per_term_product(a, b)), (b * a, per_term_product(b, a))):
         assert got == want
         assert_no_zero_term(got)
+        assert_stored_form(got)
     for c in (a + b, a - b, a + (-a), a - a, commutator(a, b), a.scale(a.field.characteristic)):
         assert_no_zero_term(c)
     assert (a + (-a)).terms == {} and (a - a).terms == {}
@@ -254,6 +273,26 @@ def test_cancelling_row_not_stored():
     b = WeylElement(QQ, {0: Poly.x(QQ), 1: Poly.monomial(QQ, Fraction(-1, 2), 2)})
     got = y_elt(QQ) * b
     assert got.terms == {0: Poly.one(QQ), 2: Poly.monomial(QQ, Fraction(-1, 2), 2)}
+
+
+def test_q_products_of_integer_operands_store_fractions():
+    a = WeylElement(QQ, {0: Poly(QQ, [2, -1]), 2: Poly(QQ, [0, 3])})
+    b = WeylElement(QQ, {1: Poly(QQ, [1, 1]), 0: Poly.one(QQ)})
+    assert a * b == per_term_product(a, b)
+    for got in (a * b, b * a, commutator(a, b), a * Poly(QQ, [4, 5])):
+        assert got
+        assert_stored_form(got)
+    f = Poly(QQ, [2, -1]) * Poly(QQ, [0, 3])
+    assert f.coeffs == (0, 6, -3) and all(type(c) is Fraction for c in f.coeffs)
+
+
+def test_poly_times_weyl_is_left_to_poly_mul():
+    # Poly.__mul__ rejects a WeylElement, so r * w never reaches WeylElement
+    r = Poly(QQ, [1, 1])
+    w = WeylElement.y_power(QQ, 1)
+    with pytest.raises(TypeError):
+        r * w
+    assert w.poly_mul(r) == WeylElement.from_term(r, 1)
 
 
 def test_public_constructor_validates():
