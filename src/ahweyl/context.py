@@ -17,19 +17,26 @@ consumes:
   Theta = S (+) im delta.
 
 Membership, centralizer and normalizer tests, basis conversions, and the
-embedding A_g -> A_f for f | g live here too.
+embedding A_g -> A_f for f | g live here too. The coordinates that
+derivations are applied in are a = sum g_jk zeta^k yhat^j with g_jk in
+F[x] (j < p in characteristic p, k = 0 over Q), read off by one
+descending-degree elimination. A central factor zeta^k or z(x^p, zeta)
+multiplies without a Weyl product, as a polynomial factor and a shift of
+the y-degrees (`zeta_mul`, `central_mul`), and [yhat, a] has a closed form
+over the cached derivatives of h (`yhat_bracket`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional
 
 from .centerpoly import CenterPoly
 from .fields import ExactDivisionError, check_same_field
 from .linalg import relations
 from .poly import NotIntegrable, Poly
-from .weyl import WeylElement
+from .weyl import WeylElement, _accumulate
 
 
 class MembershipError(ValueError):
@@ -167,8 +174,15 @@ class AhContext:
             degree_bound = 24 if self.field.is_char_zero else 3 * self.field.p
         self.degree_bound = max(degree_bound, int(h.degree))
         self._h_powers = [Poly.one(self.field)]
+        chain = [h]  # h, h', h'', ... while nonzero; none past order p - 1 in char p
+        while d := chain[-1].derivative():
+            chain.append(d)
+        self._h_chain = self.field.lift(tuple(chain))
+        self.x_elt = WeylElement.x_power(self.field, 1)
+        self.yhat = WeylElement(self.field, {1: h, 0: h.derivative()})  # y h = h y + h'
         self._yhat_powers = [WeylElement.one(self.field)]
         self._theta_S = None
+        self._memo = {}
         if not self.field.is_char_zero:
             self._init_char_p()
 
@@ -238,16 +252,12 @@ class AhContext:
 
     # -- basic elements ----------------------------------------------------------------
 
-    @property
-    def x_elt(self) -> WeylElement:
-        return WeylElement.x_power(self.field, 1)
-
-    @property
-    def yhat(self) -> WeylElement:
-        """Normal form of y*h: h y + h'."""
-        return WeylElement(
-            self.field, {1: self.h, 0: self.h.derivative()}
-        )
+    def memo(self, key, build):
+        """build(), computed once per context and kept under `key`: for
+        values that depend on h alone, such as bhat_x and bhat_f."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def h_power(self, n: int) -> Poly:
         """h^n, cached: every power of h below n is kept for later calls."""
@@ -271,10 +281,6 @@ class AhContext:
         self._require_char_p()
         p = self.p
         return self.yhat_power(p) - self.yhat.poly_mul(self.zeta_hat_coeff)
-
-    def zeta_power_element(self, k: int) -> WeylElement:
-        self._require_char_p()
-        return WeylElement.from_term(self.h_power(self.p * k), self.p * k)
 
     def a_n_element(self, n: int) -> WeylElement:
         """pi_h h^(n-1) y^n for n >= 1; n = 0 is deliberately not an element
@@ -304,65 +310,95 @@ class AhContext:
         return out
 
     def yhat_collect(self, a: WeylElement) -> list:
-        """Coefficients [f_0, f_1, ...] with a = sum f_j yhat^j, by
-        descending-degree division (f_n = r_n / h^n exactly)."""
+        """Coefficients [f_0, f_1, ...] with a = sum f_j yhat^j."""
+        coords = self._collect(a, 0)
+        if not coords:
+            return []
+        return [coords.get((j, 0), Poly.zero(self.field)) for j in range(max(coords)[0] + 1)]
+
+    def yhat_zeta_collect(self, a: WeylElement) -> dict:
+        """{(j, k): g_jk} with a = sum g_jk zeta^k yhat^j and every g_jk
+        nonzero in F[x]: j < p in characteristic p, k = 0 over Q (where this
+        is `yhat_collect`)."""
+        return self._collect(a, self.field.characteristic)
+
+    def _collect(self, a: WeylElement, period: int) -> dict:
+        """The one elimination behind both collections, by descending y-degree.
+
+        The top degree m is written as m = period k + j (k = 0 for period 0),
+        g = r_m / h^m is an exact division, and g zeta^k yhat^j, whose top
+        term is g h^m y^m, is subtracted, built by `zeta_mul`."""
         check_same_field(self.field, a.field)
         out = {}
         work = a
-        while not work.is_zero():
-            n = work.y_degree
-            try:
-                f = work.coefficient(n).exact_div(self.h_power(n))
-            except ExactDivisionError as e:
-                raise MembershipError(
-                    f"y-degree {n} coefficient not divisible by h^{n}: not in A_h"
-                ) from e
-            out[n] = f
-            work = work - self.yhat_power(n).poly_mul(f)
-        if not out:
-            return []
-        return [out.get(j, Poly.zero(self.field)) for j in range(max(out) + 1)]
-
-    def zbasis_collect(self, a: WeylElement) -> dict:
-        """Coordinates over the center basis {x^i yhat^j : 0 <= i, j < p}:
-        {(i, j): z_ij in F[t1, t2]} with a = sum z_ij x^i yhat^j."""
-        self._require_char_p()
-        p = self.p
-        out = {}
-        work = a
-        while not work.is_zero():
+        while work:
             m = work.y_degree
-            q, j = divmod(m, p)
+            k, j = divmod(m, period) if period else (0, m)
             try:
-                w = work.coefficient(m).exact_div(self.h_power(m))
+                g = work.terms[m].exact_div(self.h_power(m))
             except ExactDivisionError as e:
                 raise MembershipError(
                     f"y-degree {m} coefficient not divisible by h^{m}: not in A_h"
                 ) from e
-            piece = WeylElement.zero(self.field)
-            for i, part in enumerate(w.frobenius_split()):
-                if part.is_zero():
-                    continue
-                key = (i, j)
-                add = CenterPoly.from_t1_poly(part) * CenterPoly.t2(self.field, q)
-                out[key] = out.get(key, CenterPoly.zero(self.field)) + add
-            piece = (
-                self.zeta_power_element(q).poly_mul(w) * self.yhat_power(j)
-            )
-            work = work - piece
-        return {k: v for k, v in out.items() if not v.is_zero()}
+            out[j, k] = g
+            work = work - self.zeta_mul(self.yhat_power(j), k, g)
+        return out
+
+    def zeta_mul(self, w: WeylElement, k: int, g: Optional[Poly] = None) -> WeylElement:
+        """g zeta^k w (g = 1 if omitted), without a Weyl product: zeta^k =
+        h^(pk) y^(pk) and y^(pk) is central in A_1, so this is
+        (g h^(pk) w) y^(pk), one polynomial factor and a shift of the
+        y-degrees. Over Q, k = 0."""
+        n = self.field.characteristic * k
+        if n:
+            g = self.h_power(n) if g is None else g * self.h_power(n)
+        return w if g is None else w.poly_mul(g).shift(n)
+
+    def central_mul(self, z: CenterPoly, w: WeylElement) -> WeylElement:
+        """z(x^p, zeta) w, as one `zeta_mul` per power of t2 in z."""
+        self._require_char_p()
+        out = WeylElement.zero(self.field)
+        for k in range(z.t2_degree() + 1):
+            if c := z.t2_coefficient(k):
+                out = out + self.zeta_mul(w, k, c.substitute_xp())
+        return out
 
     def center_value(self, z: CenterPoly) -> WeylElement:
         """Evaluate z(t1, t2) at t1 = x^p, t2 = zeta, in normal form."""
-        self._require_char_p()
-        p = self.p
-        out = WeylElement.zero(self.field)
-        for j in range(z.t2_degree() + 1):
-            w = z.t2_coefficient(j)
-            if w.is_zero():
-                continue
-            out = out + self.zeta_power_element(j).poly_mul(w.substitute_xp())
-        return out
+        return self.central_mul(z, WeylElement.one(self.field))
+
+    def yhat_bracket(self, a: WeylElement) -> WeylElement:
+        """[yhat, a] in closed form, without a Weyl product. For a term r y^j,
+
+            [yhat, r y^j] = h r' y^j
+                - sum_{k >= 1} C(j, k) r (h^(k) y^(j-k+1) + h^(k+1) y^(j-k)),
+
+        with h^(k) the k-th derivative of h: yhat r y^j = h r y^(j+1) +
+        (h r' + h' r) y^j, and r y^j yhat = r y^j (h y + h') reorders to the
+        sum over k >= 0, whose k = 0 terms cancel those two. The sum stops
+        at deg h. In characteristic p, h^(k) = 0 for k >= p, so Lucas'
+        theorem gives C(j, k) = C(j mod p, k), and the sum also stops at
+        j mod p. Over Q, r and the derivative chain of h are lifted to
+        integers as in the Weyl product, and each row is reduced once."""
+        check_same_field(self.field, a.field)
+        F = self.field
+        p = F.characteristic
+        dh, chain = self._h_chain
+        da, terms = F.lift(a.terms)
+        h = chain[0].coeffs
+        rows = {}
+        for j, r in terms.items():
+            rc = r.coeffs
+            if len(rc) > 1:
+                _accumulate(rows, j, h, [i * c for i, c in enumerate(rc[1:], 1)])
+            jp = j % p if p else j
+            for k in range(1, min(jp, len(chain) - 1) + 1):
+                b = comb(jp, k)
+                neg = [-b * c for c in rc]
+                _accumulate(rows, j - k + 1, neg, chain[k].coeffs)
+                if k + 1 < len(chain):
+                    _accumulate(rows, j - k, neg, chain[k + 1].coeffs)
+        return WeylElement._from_rows(F, rows, da * dh)
 
     def center_coords(self, a: WeylElement):
         """Express a in Z(A_h) = F[t1, t2], or NotCentral."""

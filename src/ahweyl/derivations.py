@@ -3,9 +3,12 @@
 A derivation of A_h is stored by its generator images (D(x), D(yhat)),
 subject to two checks: both images lie in A_h, and the existence criterion
 [D(yhat), x] + [yhat, D(x)] = d(h) holds, where d is the derivation of F[x]
-with d(x) = D(x). Application routes through the yhat basis (characteristic
-0) or the center basis (characteristic p), so no reordering theory is
-re-derived at apply time.
+with d(x) = D(x). Application reads the coordinates a = sum g_jk zeta^k
+yhat^j (k = 0 over Q, j < p in characteristic p) and applies D by Leibniz;
+zeta is central, so every factor zeta^k is a shift (`AhContext.zeta_mul`)
+and the only Weyl products are one per j. The brackets [a, x] and
+[yhat, a] behind `ad`, the existence criterion and D(yhat^p) are closed
+forms (`bracket_x`, `AhContext.yhat_bracket`).
 
 The module also provides: the special derivations D_g, E_x, E_y, bhat_x and
 bhat_f; extension to A_1 and the constructive decompositions of Der(A_1) in
@@ -23,7 +26,7 @@ from .centerpoly import CenterPoly
 from .context import AhContext, AhElement, NotCentral, NotCentralizing
 from .fields import ExactDivisionError, check_same_field
 from .poly import NotIntegrable, Poly
-from .weyl import WeylElement, commutator
+from .weyl import WeylElement, bracket_x, commutator
 
 
 class InvalidDerivationError(ValueError):
@@ -101,8 +104,8 @@ class Derivation:
         derivation."""
         ctx = self.context
         return (
-            commutator(self.image_yhat, ctx.x_elt)
-            + commutator(ctx.yhat, self.image_x)
+            bracket_x(self.image_yhat)
+            + ctx.yhat_bracket(self.image_x)
             - d_on_poly(ctx.h, self.image_x)
         )
 
@@ -142,9 +145,11 @@ class Derivation:
         return Derivation(self.context, self.image_x.scale(c), self.image_yhat.scale(c))
 
     def central_scale(self, z: CenterPoly) -> "Derivation":
-        """z*D for central z: a |-> z * D(a)."""
-        Z = self.context.center_value(z)
-        return Derivation(self.context, Z * self.image_x, Z * self.image_yhat)
+        """z*D for central z: a |-> z * D(a), by central shifts."""
+        ctx = self.context
+        return Derivation(
+            ctx, ctx.central_mul(z, self.image_x), ctx.central_mul(z, self.image_yhat)
+        )
 
     def is_zero(self) -> bool:
         return self.image_x.is_zero() and self.image_yhat.is_zero()
@@ -157,7 +162,7 @@ class Derivation:
         In characteristic p, D(yhat^p) = (ad yhat)^(p-1)(D(yhat)): the
         p-th power identity for derivations (Jacobson, Lie Algebras, 1962,
         ch. V), which holds because C(p-1, k) = (-1)^k mod p. That is p-1
-        commutators with the two-term yhat. Every other power comes from the
+        closed-form brackets with yhat. Every other power comes from the
         one below it by the Leibniz step
         D(yhat^j) = D(yhat^(j-1)) yhat + yhat^(j-1) D(yhat).
         """
@@ -171,7 +176,7 @@ class Derivation:
             if p and p <= j and p not in images:
                 out = self.image_yhat
                 for _ in range(p - 1):
-                    out = commutator(ctx.yhat, out)
+                    out = ctx.yhat_bracket(out)
                 images[p] = out
             start = max(k for k in images if k <= j)
             for m in range(start + 1, j + 1):
@@ -214,41 +219,28 @@ class Derivation:
         return self._cache[key]
 
     def apply(self, a) -> WeylElement:
-        """Apply to an element of A_h (AhElement or raw WeylElement)."""
+        """Apply to an element of A_h (AhElement or raw WeylElement).
+
+        With a = sum_j G_j yhat^j and G_j = sum_k g_jk zeta^k
+        (`yhat_zeta_collect`), D(a) = sum_j D(G_j) yhat^j + G_j D(yhat^j),
+        where D(G_j) = sum_k d(g_jk) zeta^k + k g_jk zeta^(k-1) D(zeta), as
+        zeta is central; the terms with k = 0 mod p drop out of the second
+        sum. Each zeta^k is applied by `zeta_mul`, so the only Weyl products
+        are the D(G_j) yhat^j, one per j > 0."""
         if isinstance(a, AhElement):
             a = a.value
         ctx = self.context
-        if ctx.field.is_char_zero:
-            out = WeylElement.zero(ctx.field)
-            for j, f in enumerate(ctx.yhat_collect(a)):
-                if f.is_zero():
-                    continue
-                out = out + self.apply_to_poly(f) * ctx.yhat_power(j)
-                out = out + self._image_yhat_power(j).poly_mul(f)
-            return out
-        # characteristic p: a = sum z_ij x^i yhat^j over the center
-        coords = ctx.zbasis_collect(a)
-        if not coords:
-            return WeylElement.zero(ctx.field)
-        dxp = self.image_of_xp()
-        dzeta = self.image_of_zeta()
+        p = ctx.field.characteristic
         out = WeylElement.zero(ctx.field)
-        for (i, j), z in coords.items():
-            basis_elt = ctx.yhat_power(j).poly_mul(Poly.monomial(ctx.field, 1, i))
-            dz = WeylElement.zero(ctx.field)
-            dz1 = z.d_dt1()
-            dz2 = z.d_dt2()
-            if not dz1.is_zero():
-                dz = dz + ctx.center_value(dz1) * dxp
-            if not dz2.is_zero():
-                dz = dz + ctx.center_value(dz2) * dzeta
-            out = out + dz * basis_elt
-            dbasis = self.apply_to_poly(
-                Poly.monomial(ctx.field, 1, i)
-            ) * ctx.yhat_power(j) + self._image_yhat_power(j).poly_mul(
-                Poly.monomial(ctx.field, 1, i)
-            )
-            out = out + ctx.center_value(z) * dbasis
+        dG = {}  # j -> D(G_j)
+        for (j, k), g in ctx.yhat_zeta_collect(a).items():
+            piece = ctx.zeta_mul(self.apply_to_poly(g), k)
+            if k and k % p:
+                piece = piece + ctx.zeta_mul(self.image_of_zeta(), k - 1, g.scale(k))
+            dG[j] = dG[j] + piece if j in dG else piece
+            out = out + ctx.zeta_mul(self._image_yhat_power(j), k, g)
+        for j, dg in dG.items():
+            out = out + (dg * ctx.yhat_power(j) if j else dg)
         return out
 
     def bracket(self, other: "Derivation") -> "Derivation":
@@ -298,7 +290,7 @@ def ad(a: WeylElement, ctx: AhContext) -> Derivation:
         raise InvalidDerivationError(
             f"{a} is not in the normalizer of A_h: {res.reason}"
         )
-    return Derivation(ctx, commutator(a, ctx.x_elt), commutator(a, ctx.yhat))
+    return Derivation(ctx, bracket_x(a), -ctx.yhat_bracket(a))
 
 
 def ad_ra_n(r: Poly, n: int, ctx: AhContext) -> Derivation:
@@ -426,7 +418,12 @@ def gh_derivative_times_hk(g: Poly, k: int, ctx: AhContext) -> Poly:
 
 
 def bhat_x(ctx: AhContext) -> Derivation:
-    """bhat_x = (h^p / varrho_h) E_x, restricted to A_h."""
+    """bhat_x = (h^p / varrho_h) E_x, restricted to A_h; built and validated
+    once per context."""
+    return ctx.memo("bhat_x", lambda: _build_bhat_x(ctx))
+
+
+def _build_bhat_x(ctx: AhContext) -> Derivation:
     w = ctx.h_power(ctx.p).exact_div(ctx.varrho_h)
     return require_derivation(
         WeylElement.from_term(w, ctx.p - 1), ex_on_yhat(ctx).poly_mul(w), ctx
@@ -435,7 +432,12 @@ def bhat_x(ctx: AhContext) -> Derivation:
 
 def bhat_f(ctx: AhContext) -> Derivation:
     """bhat_f = zeta D_{h'/varrho_h} - bhat_x, built from its displayed
-    closed form and cross-checked against the defining difference."""
+    closed form and cross-checked against the defining difference, once per
+    context."""
+    return ctx.memo("bhat_f", lambda: _build_bhat_f(ctx))
+
+
+def _build_bhat_f(ctx: AhContext) -> Derivation:
     F = ctx.field
     p = ctx.p
     w = ctx.h_power(p).exact_div(ctx.varrho_h)
@@ -732,8 +734,8 @@ def decompose_Ah_charp(d: Derivation) -> DecompCharP:
             )
         b_terms[i + 1] = r.scale(F.inv(F.from_int(i % p + 1)))
     b = WeylElement(F, b_terms)
-    f_yhat = e_yhat - commutator(b, ctx.yhat)
-    if (e_x - commutator(b, ctx.x_elt)) != WeylElement.zero(F):
+    f_yhat = e_yhat + ctx.yhat_bracket(b)
+    if e_x != bracket_x(b):
         raise AssertionError("anti-integration of the kernel x-image failed")
     coords = ctx.centralizer_x_coords(f_yhat)
     if isinstance(coords, NotCentralizing):

@@ -17,9 +17,10 @@ images never leave the product. The public `WeylElement(field, terms)`
 validates its terms; results of the ring operations are built by the
 trusted `WeylElement._canonical`.
 
-The module also provides the commutator, the swap anti-automorphism phi
-(x <-> y), the element varpi with [E_x, E_y] = ad_varpi in characteristic
-p, and the center test for A_1.
+The module also provides the commutator, the closed form of [a, x], the
+shift a * y^n, the swap anti-automorphism phi (x <-> y), the element varpi
+with [E_x, E_y] = ad_varpi in characteristic p, and the center test for
+A_1.
 """
 
 from __future__ import annotations
@@ -57,6 +58,16 @@ class WeylElement:
         out.field = field
         out.terms = terms
         return out
+
+    @classmethod
+    def _from_rows(cls, field: FieldSpec, rows: dict, den=None) -> "WeylElement":
+        """Trusted constructor from {y-degree: raw coefficients} (see
+        `_accumulate`): each row reduced once over `den`, zero rows dropped."""
+        terms = {}
+        for deg, row in rows.items():
+            if t := Poly._reduced(field, row, den):
+                terms[deg] = t
+        return cls._canonical(field, terms)
 
     @classmethod
     def zero(cls, field: FieldSpec) -> "WeylElement":
@@ -147,6 +158,15 @@ class WeylElement:
             return WeylElement.zero(self.field)
         return WeylElement._canonical(self.field, {i: r * s for i, s in self.terms.items()})
 
+    def shift(self, n: int) -> "WeylElement":
+        """self * y^n: every y-degree raised by n, no arithmetic.
+
+        In characteristic p, y^(pk) is central, so this is also the product
+        with the central factor y^(pk) on either side."""
+        if n < 0:
+            raise ValueError("negative exponent")
+        return WeylElement._canonical(self.field, {i + n: r for i, r in self.terms.items()})
+
     # -- multiplication ------------------------------------------------------------------
 
     def __mul__(self, other):
@@ -169,19 +189,10 @@ class WeylElement:
             for i, r in lhs.items():
                 # r y^i * s y^j = sum_k C(i,k) r s^(k) y^(i-k+j)
                 for k, (b, d) in enumerate(zip(binomials[i], chain)):
-                    if not b:
-                        continue
-                    row = rows.setdefault(i - k + j, [])
-                    size = len(r.coeffs) + len(d.coeffs) - 1
-                    if len(row) < size:
-                        row += [0] * (size - len(row))
-                    _convolve(row, r.coeffs if b == 1 else [b * c for c in r.coeffs], d.coeffs)
-        terms = {}
-        den = da * db
-        for deg, row in rows.items():
-            if t := Poly._reduced(F, row, den):
-                terms[deg] = t
-        return WeylElement._canonical(F, terms)
+                    if b:
+                        rc = r.coeffs if b == 1 else [b * c for c in r.coeffs]
+                        _accumulate(rows, i - k + j, rc, d.coeffs)
+        return WeylElement._from_rows(F, rows, da * db)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -189,8 +200,15 @@ class WeylElement:
         return NotImplemented
 
     def __pow__(self, n: int) -> "WeylElement":
+        """Closed forms for a base r(x), whose power is r^n, and for a base
+        c*y^i with c a scalar, whose power is c^n y^(in). Any other base is
+        multiplied out n times."""
         if n < 0:
             raise ValueError("negative exponent")
+        if len(self.terms) == 1:
+            ((i, r),) = self.terms.items()
+            if i == 0 or r.is_constant():
+                return WeylElement._canonical(self.field, {i * n: r**n})
         out = WeylElement.one(self.field)
         for _ in range(n):
             out = out * self
@@ -261,6 +279,15 @@ class WeylElement:
         return f"WeylElement({self.field}, {self.to_text()!r})"
 
 
+def _accumulate(rows: dict, deg: int, u, v) -> None:
+    """rows[deg] += u * v on raw coefficients, the row padded as needed."""
+    row = rows.setdefault(deg, [])
+    size = len(u) + len(v) - 1
+    if len(row) < size:
+        row += [0] * (size - len(row))
+    _convolve(row, u, v)
+
+
 def _weyl_term_text(r: Poly, i: int):
     """(positive, text) for the term r*y^i; sign pulled out for monomials."""
     if i == 0:
@@ -289,6 +316,17 @@ def _weyl_term_text(r: Poly, i: int):
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     """[a, b] = ab - ba."""
     return a * b - b * a
+
+
+def bracket_x(a: WeylElement) -> WeylElement:
+    """[a, x] = sum_i i r_i y^(i-1), in closed form: [y^i, x] = i y^(i-1).
+    Terms with i = 0 mod p drop out in characteristic p."""
+    F = a.field
+    terms = {}
+    for i, r in a.terms.items():
+        if i and (t := Poly._reduced(F, [i * c for c in r.coeffs])):
+            terms[i - 1] = t
+    return WeylElement._canonical(F, terms)
 
 
 def varpi(field: FieldSpec) -> WeylElement:

@@ -1,6 +1,7 @@
 """Derivations of A_h and A_1: construction, application, decompositions."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -44,7 +45,7 @@ from ahweyl.derivations import (
 from ahweyl.fields import FieldSpec, QQ
 from ahweyl.poly import Poly
 from ahweyl.verify import random_derivation as verify_random_derivation
-from ahweyl.weyl import WeylElement, commutator, varpi
+from ahweyl.weyl import WeylElement, bracket_x, commutator, varpi
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -852,3 +853,158 @@ def test_d_on_poly_does_not_stop_at_a_zero_hasse_derivative():
     y = WeylElement.y_power(GF2, 1)
     assert f.hasse_derivative(1).is_zero()
     assert d_on_poly(f, y) == WeylElement.one(GF2) == d_on_poly_sum(f, y)
+
+
+# -- apply against the center-basis route it replaced --------------------------------------
+
+
+def center_element(ctx, z):
+    """z(x^p, zeta) built term by term: sum_k z_k(x^p) h^(pk) y^(pk)."""
+    p = ctx.p
+    out = WeylElement.zero(ctx.field)
+    for k in range(z.t2_degree() + 1):
+        w = z.t2_coefficient(k).substitute_xp()
+        if w:
+            out = out + WeylElement.from_term(w * ctx.h ** (p * k), p * k)
+    return out
+
+
+def zbasis_collect(ctx, a):
+    """Oracle: coordinates over the center basis {x^i yhat^j : 0 <= i, j < p},
+    {(i, j): z_ij in F[t1, t2]} with a = sum z_ij x^i yhat^j, by descending
+    y-degree elimination with general Weyl products."""
+    p = ctx.p
+    F = ctx.field
+    out = {}
+    work = a
+    while not work.is_zero():
+        m = work.y_degree
+        q, j = divmod(m, p)
+        w = work.coefficient(m).exact_div(ctx.h**m)
+        for i, part in enumerate(w.frobenius_split()):
+            if part:
+                add = CenterPoly.from_t1_poly(part) * CenterPoly.t2(F, q)
+                out[i, j] = out[i, j] + add if (i, j) in out else add
+        zeta_q = WeylElement.from_term(ctx.h ** (p * q), p * q)
+        work = work - zeta_q.poly_mul(w) * ctx.yhat**j
+    return {key: z for key, z in out.items() if z}
+
+
+def center_basis_apply(d, a):
+    """Oracle: the characteristic-p apply through the center basis,
+    D(z x^i yhat^j) = D(z) x^i yhat^j + z D(x^i yhat^j) with
+    D(z) = dz/dt1 D(x^p) + dz/dt2 D(zeta), by general Weyl products."""
+    ctx = d.context
+    F = ctx.field
+    out = WeylElement.zero(F)
+    for (i, j), z in zbasis_collect(ctx, a).items():
+        xi = Poly.monomial(F, 1, i)
+        dz = center_element(ctx, z.d_dt1()) * d.image_of_xp()
+        dz = dz + center_element(ctx, z.d_dt2()) * d.image_of_zeta()
+        out = out + dz * (ctx.yhat**j).poly_mul(xi)
+        dbasis = d_on_poly(xi, d.image_x) * ctx.yhat**j
+        dbasis = dbasis + yhat_power_image_sum(d, j).poly_mul(xi)
+        out = out + center_element(ctx, z) * dbasis
+    return out
+
+
+@given(
+    p=st.sampled_from([0, 2, 3, 5, 7]),
+    coeffs=st.lists(st.integers(0, 6), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_apply_matches_center_basis_route_and_leibniz(p, coeffs, seed):
+    # y-degree past 2p gives zeta^k with k >= 2, x-degree past p gives
+    # every Frobenius part x^i of the center-basis coordinates
+    ctx = context_from(FieldSpec(p), coeffs)
+    rng = random.Random(seed)
+    d = verify_random_derivation(rng, ctx)
+    a = random_ah(rng, ctx, max_ydeg=2 * p + 2 if p else 5, max_xdeg=p + 2)
+    got = d.apply(a)
+    if p:
+        assert got == center_basis_apply(d, a)
+    b = random_ah(rng, ctx, max_ydeg=p + 1)
+    assert d.apply(a * b) == got * b + a * d.apply(b)
+
+
+@given(
+    p=st.sampled_from([0, 2, 3, 5, 7]),
+    coeffs=st.lists(st.integers(0, 6), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_yhat_zeta_coordinates_rebuild_the_element(p, coeffs, seed):
+    ctx = context_from(FieldSpec(p), coeffs)
+    a = random_ah(random.Random(seed), ctx, max_ydeg=2 * p + 2 if p else 5, max_xdeg=4)
+    coords = ctx.yhat_zeta_collect(a)
+    back = WeylElement.zero(ctx.field)
+    for (j, k), g in coords.items():
+        assert g and (j < p if p else k == 0)
+        zeta_k = ctx.zeta_element() ** k if k else WeylElement.one(ctx.field)
+        back = back + WeylElement.from_poly(g) * zeta_k * ctx.yhat**j
+    assert back == a
+    if not p:
+        fs = ctx.yhat_collect(a)
+        assert coords == {(j, 0): f for j, f in enumerate(fs) if f}
+
+
+def random_h(rng, field, min_deg):
+    """h of degree in [min_deg, min_deg + 2]; over Q with fractional coefficients."""
+    deg = rng.randrange(min_deg, min_deg + 3)
+    if field.is_char_zero:
+        coeffs = [Fraction(rng.randrange(-5, 6), rng.choice([1, 2, 3])) for _ in range(deg)]
+        return Poly(field, coeffs + [Fraction(rng.choice([1, -2, 3]), rng.choice([1, 2]))])
+    return Poly(field, [rng.randrange(field.p) for _ in range(deg)] + [rng.randrange(1, field.p)])
+
+
+@given(p=st.sampled_from([0, 2, 3, 5, 7]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_closed_form_brackets_match_commutators(p, seed):
+    # deg h >= p and y-degrees past p: C(j, k) = 0 mod p for j mod p < k <= deg h
+    field = FieldSpec(p)
+    rng = random.Random(seed)
+    ctx = AhContext(random_h(rng, field, max(p, 2)))
+    a = random_weyl(rng, field, 2 * p + 3 if p else 6, 4)
+    if field.is_char_zero:
+        a = a.poly_mul(Poly.constant(field, Fraction(1, rng.choice([1, 2, 6]))))
+    got = ctx.yhat_bracket(a)
+    assert got == commutator(ctx.yhat, a)
+    assert all(r for r in got.terms.values())
+    assert bracket_x(a) == commutator(a, ctx.x_elt)
+
+
+@given(
+    p=st.sampled_from([0, 2, 3, 5, 7]),
+    coeffs=st.lists(st.integers(0, 6), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_central_shifts_match_products(p, coeffs, seed):
+    ctx = context_from(FieldSpec(p), coeffs)
+    F = ctx.field
+    rng = random.Random(seed)
+    w = random_weyl(rng, F, 2 * p + 1 if p else 4, 3)
+    g = random_poly(rng, F, 3)
+    if not p:
+        assert ctx.zeta_mul(w, 0, g) == WeylElement.from_poly(g) * w
+        assert ctx.zeta_mul(w, 0) == w
+        return
+    k = rng.randrange(0, 3)
+    zeta_k = ctx.zeta_element() ** k
+    assert ctx.zeta_mul(w, k, g) == WeylElement.from_poly(g) * zeta_k * w
+    assert ctx.zeta_mul(w, k) == zeta_k * w == w * zeta_k
+    z = CenterPoly(F, {(rng.randrange(3), rng.randrange(3)): rng.randrange(p) for _ in range(3)})
+    assert ctx.central_mul(z, w) == center_element(ctx, z) * w == w * center_element(ctx, z)
+    assert ctx.center_value(z) == center_element(ctx, z)
+    assert ctx.central_mul(CenterPoly.t1(F), w) == WeylElement.x_power(F, p) * w
+
+
+def test_bhat_built_once_per_context():
+    ctx = AhContext(P(GF3, 1, 0, 1))
+    assert bhat_f(ctx) is bhat_f(ctx) and bhat_x(ctx) is bhat_x(ctx)
+    other = AhContext(P(GF3, 1, 0, 1))
+    for build in (bhat_f, bhat_x):
+        assert build(other) is not build(ctx)
+        assert (build(other).image_x, build(other).image_yhat) == (build(ctx).image_x, build(ctx).image_yhat)
+    assert ctx.yhat is ctx.yhat and ctx.x_elt is ctx.x_elt

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ahweyl.fields import FieldMismatchError, FieldSpec, QQ
 from ahweyl.poly import Poly
-from ahweyl.weyl import WeylElement, commutator, varpi
+from ahweyl.weyl import WeylElement, bracket_x, commutator, varpi
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -301,3 +301,64 @@ def test_public_constructor_validates():
     with pytest.raises(FieldMismatchError):
         WeylElement(QQ, {0: Poly.one(GF3)})
     assert WeylElement(GF3, {0: Poly.zero(GF3), 1: Poly.one(GF3)}).terms == {1: Poly.one(GF3)}
+
+
+# -- closed forms: powers, [a, x] and the shift by y^n --------------------------------
+
+
+def repeated_product(base, n):
+    out = WeylElement.one(base.field)
+    for _ in range(n):
+        out = out * base
+    return out
+
+
+@given(
+    field=st.sampled_from([QQ, GF2, GF3, GF5, FieldSpec(7)]),
+    seed=st.integers(0, 2**32),
+    n=st.integers(0, 7),
+)
+@settings(max_examples=80, deadline=None)
+def test_pow_closed_forms_match_repeated_products(field, seed, n):
+    rng = random.Random(seed)
+    r = random_weyl(rng, field, 0, 4, (1, 2, 3)).coefficient(0)
+    if field.is_char_zero:
+        c = Poly.constant(field, rng.choice([1, 2, -3, Fraction(-1, 2)]))
+    else:
+        c = Poly.constant(field, rng.randrange(1, field.p))
+    bases = (
+        WeylElement.from_poly(r),  # pure x, possibly zero
+        WeylElement.from_term(c, rng.randrange(1, 5)),  # c y^i
+        WeylElement.from_term(c, 0),
+        WeylElement.from_term(Poly.x(field), 2),  # one term, not closed form
+        random_weyl(rng, field, 2, 2, (1, 2, 3)),
+    )
+    for base in bases:
+        got = base**n
+        assert got == repeated_product(base, n)
+        assert_no_zero_term(got)
+        assert_stored_form(got)
+
+
+def test_pow_rejects_negative_exponent():
+    with pytest.raises(ValueError):
+        x_elt(QQ) ** -1
+
+
+@given(field=st.sampled_from([QQ, GF2, GF3, GF5, FieldSpec(7)]), seed=st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_bracket_x_and_shift_match_products(field, seed):
+    # y-degrees past p reach the i = 0 mod p terms that drop out of [a, x]
+    rng = random.Random(seed)
+    top = max(field.characteristic, 3) + 3
+    a = random_weyl(rng, field, top, 4, (1, 2, 3))
+    got = bracket_x(a)
+    assert got == commutator(a, x_elt(field))
+    assert_no_zero_term(got)
+    assert_stored_form(got)
+    n = rng.randrange(0, top)
+    assert a.shift(n) == a * y_elt(field, n)
+    if field.characteristic:
+        # y^(pk) is central: the shift is the product on either side
+        pk = field.characteristic * rng.randrange(0, 3)
+        assert a.shift(pk) == y_elt(field, pk) * a
