@@ -342,6 +342,10 @@ class AhContext:
                 ) from e
             out[j, k] = g
             work = work - self.zeta_mul(self.yhat_power(j), k, g)
+            if work and work.y_degree >= m:
+                raise AssertionError(
+                    f"elimination at y-degree {m} left y-degree {work.y_degree}"
+                )
         return out
 
     def zeta_mul(self, w: WeylElement, k: int, g: Optional[Poly] = None) -> WeylElement:
@@ -362,10 +366,6 @@ class AhContext:
             if c := z.t2_coefficient(k):
                 out = out + self.zeta_mul(w, k, c.substitute_xp())
         return out
-
-    def center_value(self, z: CenterPoly) -> WeylElement:
-        """Evaluate z(t1, t2) at t1 = x^p, t2 = zeta, in normal form."""
-        return self.central_mul(z, WeylElement.one(self.field))
 
     def yhat_bracket(self, a: WeylElement) -> WeylElement:
         """[yhat, a] in closed form, without a Weyl product. For a term r y^j,

@@ -8,7 +8,7 @@ yhat^j (k = 0 over Q, j < p in characteristic p) and applies D by Leibniz;
 zeta is central, so every factor zeta^k is a shift (`AhContext.zeta_mul`)
 and the only Weyl products are one per j. The brackets [a, x] and
 [yhat, a] behind `ad`, the existence criterion and D(yhat^p) are closed
-forms (`bracket_x`, `AhContext.yhat_bracket`).
+forms (`commutator` with the operand x, `AhContext.yhat_bracket`).
 
 The module also provides: the special derivations D_g, E_x, E_y, bhat_x and
 bhat_f; extension to A_1 and the constructive decompositions of Der(A_1) in
@@ -26,7 +26,7 @@ from .centerpoly import CenterPoly
 from .context import AhContext, AhElement, NotCentral, NotCentralizing
 from .fields import ExactDivisionError, check_same_field
 from .poly import NotIntegrable, Poly
-from .weyl import WeylElement, bracket_x, commutator
+from .weyl import WeylElement, commutator
 
 
 class InvalidDerivationError(ValueError):
@@ -104,7 +104,7 @@ class Derivation:
         derivation."""
         ctx = self.context
         return (
-            bracket_x(self.image_yhat)
+            commutator(self.image_yhat, ctx.x_elt)
             + ctx.yhat_bracket(self.image_x)
             - d_on_poly(ctx.h, self.image_x)
         )
@@ -290,7 +290,7 @@ def ad(a: WeylElement, ctx: AhContext) -> Derivation:
         raise InvalidDerivationError(
             f"{a} is not in the normalizer of A_h: {res.reason}"
         )
-    return Derivation(ctx, bracket_x(a), -ctx.yhat_bracket(a))
+    return Derivation(ctx, commutator(a, ctx.x_elt), -ctx.yhat_bracket(a))
 
 
 def ad_ra_n(r: Poly, n: int, ctx: AhContext) -> Derivation:
@@ -735,7 +735,7 @@ def decompose_Ah_charp(d: Derivation) -> DecompCharP:
         b_terms[i + 1] = r.scale(F.inv(F.from_int(i % p + 1)))
     b = WeylElement(F, b_terms)
     f_yhat = e_yhat + ctx.yhat_bracket(b)
-    if e_x != bracket_x(b):
+    if e_x != commutator(b, ctx.x_elt):
         raise AssertionError("anti-integration of the kernel x-image failed")
     coords = ctx.centralizer_x_coords(f_yhat)
     if isinstance(coords, NotCentralizing):

@@ -17,10 +17,10 @@ images never leave the product. The public `WeylElement(field, terms)`
 validates its terms; results of the ring operations are built by the
 trusted `WeylElement._canonical`.
 
-The module also provides the commutator, the closed form of [a, x], the
-shift a * y^n, the swap anti-automorphism phi (x <-> y), the element varpi
-with [E_x, E_y] = ad_varpi in characteristic p, and the center test for
-A_1.
+The module also provides the commutator (in closed form when either
+operand is x), the shift a * y^n, the swap anti-automorphism phi
+(x <-> y), the element varpi with [E_x, E_y] = ad_varpi in characteristic
+p, and the center test for A_1.
 """
 
 from __future__ import annotations
@@ -314,11 +314,21 @@ def _weyl_term_text(r: Poly, i: int):
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
-    """[a, b] = ab - ba."""
+    """[a, b] = ab - ba. When either operand is the generator x this is the
+    closed form of [a, x], without a product."""
+    check_same_field(a.field, b.field)
+    if _is_x(b):
+        return _bracket_x(a)
+    if _is_x(a):
+        return -_bracket_x(b)
     return a * b - b * a
 
 
-def bracket_x(a: WeylElement) -> WeylElement:
+def _is_x(w: WeylElement) -> bool:
+    return len(w.terms) == 1 and (r := w.terms.get(0)) is not None and r.coeffs == (0, 1)
+
+
+def _bracket_x(a: WeylElement) -> WeylElement:
     """[a, x] = sum_i i r_i y^(i-1), in closed form: [y^i, x] = i y^(i-1).
     Terms with i = 0 mod p drop out in characteristic p."""
     F = a.field

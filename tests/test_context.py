@@ -241,7 +241,7 @@ class TestYhatBasis:
                 for (i, j), z in coords.items():
                     assert 0 <= i < field.p and 0 <= j < field.p
                     back = back + (
-                        ctx.center_value(z).poly_mul(xn(field, i)) * ctx.yhat_power(j)
+                        ctx.central_mul(z, WeylElement.from_poly(xn(field, i))) * ctx.yhat_power(j)
                     )
                 assert back == a
 
@@ -415,7 +415,7 @@ class TestCenterCoords:
                     for _ in range(4)
                 },
             )
-            assert ctx.center_coords(ctx.center_value(z)) == z
+            assert ctx.center_coords(ctx.central_mul(z, WeylElement.one(GF3))) == z
 
 
 class TestCentralizerCoords:
