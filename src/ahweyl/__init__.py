@@ -24,7 +24,6 @@ from .context import (
     NormalizerResult,
     NotCentral,
     NotCentralizing,
-    ThetaStabilizationError,
     embed_element,
     pi_of,
     varrho_of,
@@ -114,7 +113,6 @@ __all__ = [
     "ParseError",
     "Poly",
     "QQ",
-    "ThetaStabilizationError",
     "WeylElement",
     "WittClassElement",
     "WittQuotient",

@@ -18,7 +18,6 @@ from .context import (
     MembershipError,
     MissingFactorizationError,
     NotCentral,
-    ThetaStabilizationError,
 )
 from .derivations import (
     Derivation,
@@ -41,7 +40,6 @@ _DOMAIN_ERRORS = (
     FactorListError,
     MembershipError,
     MissingFactorizationError,
-    ThetaStabilizationError,
     InvalidDerivationError,
     ExactDivisionError,
     FieldMismatchError,
@@ -56,7 +54,6 @@ def _error_category(exc: Exception) -> str:
         FactorListError: "factor list error",
         MembershipError: "membership error",
         MissingFactorizationError: "missing factorization",
-        ThetaStabilizationError: "degree bound diagnostic",
         InvalidDerivationError: "invalid derivation",
         ExactDivisionError: "non-exact division",
         FieldMismatchError: "field mismatch",

@@ -12,9 +12,11 @@ consumes:
   realized entirely inside F[x] (no localization is ever materialized);
 * in characteristic p: the central element zeta = h^p y^p, the Frobenius
   components of h^(p-1), their gcd hbar with Bezout witness qbreve, the map
-  vartheta(r) = (r h^(p-1))^(p-1) whose kernel Theta consists of the r with
-  D_r vanishing on the center, and a finite complement S with
-  Theta = S (+) im delta.
+  vartheta(r) = (r h^(p-1))^(p-1), read off r h^(p-1) as the Cartier
+  operator, whose kernel Theta consists of the r with D_r vanishing on the
+  center, and the complement S of im delta in Theta: a basis of Theta in
+  degrees below deg h, with |S| = deg_u hbar, so that
+  Theta = span S (+) im delta.
 
 Membership, centralizer and normalizer tests, basis conversions, and the
 embedding A_g -> A_f for f | g live here too. The coordinates that
@@ -51,11 +53,6 @@ class MissingFactorizationError(ValueError):
     """The operation needs a verified prime factor list and none was given."""
 
 
-class ThetaStabilizationError(RuntimeError):
-    """The search for a complement of im delta in Theta did not stabilize
-    within the degree window, or a later expression fell outside it."""
-
-
 @dataclass(frozen=True)
 class NotCentral:
     reason: str
@@ -81,20 +78,6 @@ class CentralizerCoords:
     """f in C_{A_h}(x) = Z(A_h) D, as f = sum_k g_k zeta^k with g_k in F[x]."""
 
     zeta_coefficients: tuple
-
-    def x_coordinates(self):
-        """{j: z_j} with f = sum_j z_j(t1, t2) x^j, reading each g_k through
-        its Frobenius components."""
-        out = {}
-        for k, g in enumerate(self.zeta_coefficients):
-            if g.is_zero():
-                continue
-            for j, part in enumerate(g.frobenius_split()):
-                if part.is_zero():
-                    continue
-                add = CenterPoly.from_t1_poly(part) * CenterPoly.t2(part.field, k)
-                out[j] = out.get(j, CenterPoly.zero(part.field)) + add
-        return {j: z for j, z in out.items() if not z.is_zero()}
 
 
 def pi_of(h: Poly) -> Poly:
@@ -301,14 +284,6 @@ class AhContext:
     def element(self, a: WeylElement) -> "AhElement":
         return AhElement(a, self)
 
-    def yhat_expand(self, coefficients) -> WeylElement:
-        """sum_j f_j yhat^j in normal form."""
-        out = WeylElement.zero(self.field)
-        for j, f in enumerate(coefficients):
-            if not f.is_zero():
-                out = out + self.yhat_power(j).poly_mul(f)
-        return out
-
     def yhat_collect(self, a: WeylElement) -> list:
         """Coefficients [f_0, f_1, ...] with a = sum f_j yhat^j."""
         coords = self._collect(a, 0)
@@ -488,34 +463,28 @@ class AhContext:
     def delta0_of_one(self) -> Poly:
         return self.delta0(Poly.one(self.field))
 
-    def delta_p_of_x(self) -> Poly:
-        """delta^p(x), by the closed form hbar_{p-1}(x^p) * h."""
-        self._require_char_p()
-        return self.zeta_hat_coeff * self.h
-
     # -- characteristic-p invariants ---------------------------------------------------------
 
-    def theta_of(self, r: Poly) -> Poly:
-        """vartheta(r) = (r h^(p-1))^(p-1), an element of F[x^p] (in x)."""
+    def theta_p_map(self, r: Poly) -> Poly:
+        """vartheta(r) = (r h^(p-1))^(p-1) as a polynomial in u = x^p.
+
+        The (p-1)-th derivative of x^n is n(n-1)...(n-p+2) x^(n-p+1), which
+        vanishes mod p unless n = -1 (mod p), where the product is
+        (p-1)! = -1 by Wilson's theorem. So vartheta reads the coefficients
+        c_(kp+p-1) of r h^(p-1) and returns -sum_k c_(kp+p-1) u^k: the
+        Cartier operator."""
         self._require_char_p()
         p = self.p
-        return (r * self.h_power(p - 1)).derivative(p - 1)
+        coeffs = (r * self.h_power(p - 1)).coeffs[p - 1 :: p]
+        return Poly._reduced(self.field, [-c for c in coeffs])
 
-    def theta_p_map(self, r: Poly) -> Poly:
-        """vartheta(r) reported as a polynomial in u = x^p."""
-        v = self.theta_of(r)
-        split = v.frobenius_split()
-        if any(not c.is_zero() for c in split[1:]):
-            raise AssertionError("vartheta image fell outside F[x^p]")
-        return split[0]
+    def theta_of(self, r: Poly) -> Poly:
+        """vartheta(r), an element of F[x^p] (in x)."""
+        return self.theta_p_map(r).substitute_xp()
 
     def in_theta(self, r: Poly) -> bool:
         """Theta = ker vartheta: exactly the r with D_r vanishing on the center."""
-        return self.theta_of(r).is_zero()
-
-    def hbar_and_qbreve(self):
-        self._require_char_p()
-        return self.hbar, self.qbreve
+        return self.theta_p_map(r).is_zero()
 
     def im_delta_preimage(self, r: Poly):
         """g with delta(g) = r, or None (r must be h * (element of im d/dx))."""
@@ -530,72 +499,47 @@ class AhContext:
         return g
 
     def theta_complement_S(self) -> list:
-        """Basis of a complement S of im delta inside Theta, by degreewise
-        linear algebra over the window deg h + 2p, with a two-block
-        stabilization check."""
+        """Basis of the complement S of im delta inside Theta: the reduced
+        kernel basis of vartheta on x^0, ..., x^(deg h - 1), one monic
+        element per degree it reaches. It spans Theta in degrees below
+        deg h and has deg_u hbar elements."""
         self._require_char_p()
         if self._theta_S is None:
             self._compute_theta_S()
         return list(self._theta_S)
 
-    def _im_delta_generators(self, max_deg: int):
-        """Spanning pairs (vector poly, preimage) of im delta up to degree
-        max_deg: delta(x^(m)/m) = x^(m-1) h for p not dividing m."""
-        p = self.p
-        F = self.field
-        gens = []
-        deg_h = int(self.h.degree)
-        for n in range(0, max_deg - deg_h + 1):
-            if n % p == p - 1:
-                continue  # x^n with n = -1 mod p is not a derivative
-            vec = Poly.monomial(F, 1, n) * self.h
-            pre = Poly.monomial(F, F.inv(F.from_int(n + 1)), n + 1)
-            gens.append((vec, pre))
-        return gens
-
     def _compute_theta_S(self):
-        p = self.p
+        """Nonzero elements of im delta = h F[x]' have degree >= deg h, so
+        they meet F[x] below deg h only in 0. vartheta maps F[x] below
+        deg h into hbar F[u] below deg h, of dimension deg h - deg_u hbar,
+        so its kernel there has dimension at least deg_u hbar =
+        dim Theta/im delta. Hence Theta = (Theta below deg h) (+) im delta,
+        and the dimension count is checked as a certificate."""
         F = self.field
-        n_max = int(self.h.degree) + 2 * p
-        # kernel of vartheta on x^0..x^n_max; relation k has degree k and is monic
-        images = [self.theta_p_map(Poly.monomial(F, 1, i)).coeffs for i in range(n_max + 1)]
-        kernel = [Poly._canonical(F, rel) for rel in relations(F, images) if rel is not None]
-        gens = [vec.coeffs for vec, _ in self._im_delta_generators(n_max)]
-        rels = relations(F, gens + [q.coeffs for q in kernel])
-        S = [q for q, rel in zip(kernel, rels[len(gens) :]) if rel is None]
-        in_window = [s for s in S if s.degree <= n_max - 2 * p]
-        mid_window = [s for s in S if s.degree <= n_max - p]
-        if not (len(in_window) == len(mid_window) == len(S)):
-            raise ThetaStabilizationError(
-                "complement of im delta in Theta did not stabilize over two "
-                f"p-blocks below degree {n_max}"
+        images = [
+            self.theta_p_map(Poly.monomial(F, 1, i)).coeffs for i in range(int(self.h.degree))
+        ]
+        S = tuple(Poly._canonical(F, rel) for rel in relations(F, images) if rel is not None)
+        if len(S) != self.hbar.degree:
+            raise AssertionError(
+                f"dim Theta/im delta is deg_u hbar = {self.hbar.degree}, "
+                f"but {len(S)} kernel elements lie below deg h"
             )
-        self._theta_S = tuple(S)
+        self._theta_S = S
 
     def split_theta(self, g: Poly):
-        """Write g in Theta as s + delta(c) with s in span S; raises the
-        stabilization diagnostic if g falls outside the searched window."""
+        """Write g in Theta as s + delta(c) with s in span S. Nonzero
+        elements of im delta have degree >= deg h and S spans Theta below
+        deg h, so s = g mod h; c is the preimage of g - s with constant
+        term 0 and no x^(kp) terms."""
         self._require_char_p()
         if not self.in_theta(g):
             raise ValueError(f"{g} is not in Theta")
-        S = self.theta_complement_S()
-        F = self.field
-        max_deg = max(int(g.degree) if not g.is_zero() else 0, int(self.h.degree) + 2 * self.p)
-        gens = self._im_delta_generators(max_deg)
-        vectors = [s.coeffs for s in S] + [vec.coeffs for vec, _ in gens] + [g.coeffs]
-        rel = relations(F, vectors)[-1]
-        if rel is None:
-            raise ThetaStabilizationError(
-                f"{g} lies in Theta but outside span(S) + im delta within the window"
-            )
-        coeffs = [F.neg(c) for c in rel]
-        s_part = Poly.zero(F)
-        c_part = Poly.zero(F)
-        for c, s in zip(coeffs[: len(S)], S):
-            s_part = s_part + s.scale(c)
-        for c, (_, pre) in zip(coeffs[len(S) :], gens):
-            c_part = c_part + pre.scale(c)
-        return s_part, c_part
+        s = g % self.h
+        c = self.im_delta_preimage(g - s)
+        if c is None:
+            raise AssertionError(f"{g} lies in Theta but g mod h leaves no element of im delta")
+        return s, c
 
     # -- char-0 center/commutator split of the D_g slot ------------------------------------------
 

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ahweyl.context import (
     AhContext,
@@ -17,6 +19,7 @@ from ahweyl.context import (
 )
 from ahweyl.centerpoly import CenterPoly
 from ahweyl.fields import FieldSpec, QQ
+from ahweyl.linalg import relations
 from ahweyl.poly import Poly
 from ahweyl.weyl import WeylElement, commutator
 from test_derivations import zbasis_collect  # the center-basis oracle
@@ -223,7 +226,7 @@ class TestYhatBasis:
         rng = random.Random(14)
         for _ in range(10):
             coeffs = [random_poly(rng, field, 4) for _ in range(rng.randrange(1, 5))]
-            assert ctx.yhat_collect(ctx.yhat_expand(coeffs)) == _trim(coeffs, field)
+            assert ctx.yhat_collect(yhat_expand(ctx, coeffs)) == _trim(coeffs, field)
 
     def test_collect_rejects_non_members(self):
         ctx = AhContext(xn(QQ, 2))
@@ -251,6 +254,35 @@ def _trim(coeffs, field):
     while out and out[-1].is_zero():
         out.pop()
     return out
+
+
+def yhat_expand(ctx, coefficients):
+    """sum_j f_j yhat^j in normal form, by explicit Weyl products."""
+    out = WeylElement.zero(ctx.field)
+    for j, f in enumerate(coefficients):
+        if not f.is_zero():
+            out = out + ctx.yhat_power(j).poly_mul(f)
+    return out
+
+
+def delta_p_of_x(ctx):
+    """delta^p(x) by the closed form hbar_{p-1}(x^p) * h."""
+    return ctx.zeta_hat_coeff * ctx.h
+
+
+def x_coordinates(coords):
+    """{j: z_j} with f = sum_j z_j(t1, t2) x^j for f = sum_k g_k zeta^k,
+    reading each g_k through its Frobenius components."""
+    out = {}
+    for k, g in enumerate(coords.zeta_coefficients):
+        if g.is_zero():
+            continue
+        for j, part in enumerate(g.frobenius_split()):
+            if part.is_zero():
+                continue
+            add = CenterPoly.from_t1_poly(part) * CenterPoly.t2(part.field, k)
+            out[j] = out.get(j, CenterPoly.zero(part.field)) + add
+    return {j: z for j, z in out.items() if not z.is_zero()}
 
 
 class TestDelta:
@@ -373,13 +405,12 @@ class TestZeta:
             f = Poly.x(field)
             for _ in range(field.p):
                 f = ctx.delta(f)
-            assert ctx.delta_p_of_x() == f
+            assert delta_p_of_x(ctx) == f
 
     def test_delta_p_examples(self):
-        assert AhContext(Poly.one(GF3)).delta_p_of_x().is_zero()
-        ctx = AhContext(Poly.x(GF2))
-        assert ctx.delta_p_of_x() == Poly.x(GF2)
-        assert AhContext(xn(GF3, 3)).delta_p_of_x().is_zero()
+        assert delta_p_of_x(AhContext(Poly.one(GF3))).is_zero()
+        assert delta_p_of_x(AhContext(Poly.x(GF2))) == Poly.x(GF2)
+        assert delta_p_of_x(AhContext(xn(GF3, 3))).is_zero()
 
 
 class TestCenterCoords:
@@ -431,7 +462,7 @@ class TestCentralizerCoords:
         f = ctx.zeta_element().poly_mul(Poly.x(GF3))
         got = ctx.centralizer_x_coords(f)
         assert isinstance(got, CentralizerCoords)
-        coords = got.x_coordinates()
+        coords = x_coordinates(got)
         assert set(coords) == {1}
         assert coords[1] == CenterPoly.t2(GF3)
 
@@ -540,7 +571,7 @@ class TestHbarQbreve:
     def test_h_x(self):
         for p in (2, 3, 5):
             ctx = AhContext(Poly.x(FieldSpec(p)))
-            hbar, qbreve = ctx.hbar_and_qbreve()
+            hbar, qbreve = ctx.hbar, ctx.qbreve
             assert hbar.is_one()
             assert qbreve == Poly.constant(FieldSpec(p), -1)
 
@@ -548,13 +579,13 @@ class TestHbarQbreve:
         for p in (2, 3):
             field = FieldSpec(p)
             ctx = AhContext(Poly.one(field))
-            hbar, qbreve = ctx.hbar_and_qbreve()
+            hbar, qbreve = ctx.hbar, ctx.qbreve
             assert hbar.is_one()
             assert qbreve == Poly.monomial(field, -1, p - 1)
 
     def test_h_x2_p3(self):
         ctx = AhContext(xn(GF3, 2))
-        hbar, qbreve = ctx.hbar_and_qbreve()
+        hbar, qbreve = ctx.hbar, ctx.qbreve
         assert hbar == Poly.x(GF3)  # u
         assert ctx.theta_p_map(qbreve) == hbar
 
@@ -619,6 +650,94 @@ class TestThetaComplement:
                 assert ctx.delta(r) == ctx.delta0(r * ctx.h_over_pi)
                 # im delta0 <= Theta
                 assert ctx.in_theta(ctx.delta0(r))
+
+
+# -- the exact Theta construction against the derivative passes and the old window ----
+
+
+def theta_by_derivatives(ctx, r):
+    """vartheta(r) = (r h^(p-1))^(p-1) by p-1 derivative passes, as a
+    polynomial in u = x^p; asserts that it lies in F[x^p]."""
+    p = ctx.p
+    v = (r * ctx.h ** (p - 1)).derivative(p - 1)
+    split = v.frobenius_split()
+    assert all(c.is_zero() for c in split[1:]), f"vartheta({r}) is not in F[x^p]"
+    return split[0]
+
+
+def theta_S_by_window(ctx):
+    """S by linear algebra over the window deg h + 2p: the kernel of
+    vartheta on x^0..x^n_max, less what im delta and earlier kernel elements
+    span, with the check that S stabilized two p-blocks below n_max."""
+    p, F = ctx.p, ctx.field
+    deg_h = int(ctx.h.degree)
+    n_max = deg_h + 2 * p
+    images = [theta_by_derivatives(ctx, xn(F, i)).coeffs for i in range(n_max + 1)]
+    kernel = [Poly(F, rel) for rel in relations(F, images) if rel is not None]
+    gens = [(xn(F, n) * ctx.h).coeffs for n in range(n_max - deg_h + 1) if n % p != p - 1]
+    rels = relations(F, gens + [q.coeffs for q in kernel])
+    S = [q for q, rel in zip(kernel, rels[len(gens) :]) if rel is None]
+    assert all(s.degree <= n_max - 2 * p for s in S), "S did not stabilize"
+    return S
+
+
+@st.composite
+def theta_contexts(draw):
+    """AhContext over GF(p), p <= 13, with h squarefree, with repeated
+    factors (multiplicities up to p + 1), or in F[x^p]."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    F = FieldSpec(p)
+
+    def poly(max_deg):
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=max_deg + 1))
+        f = Poly(F, coeffs)
+        return f if f else Poly.one(F)
+
+    kind = draw(st.sampled_from(["squarefree", "repeated", "frobenius"]))
+    if kind == "squarefree":
+        h = pi_of(poly(5))
+    elif kind == "repeated":
+        h = poly(1) ** draw(st.integers(2, p + 1)) * poly(3)
+    else:
+        h = poly(2).substitute_xp()
+    return AhContext(h)
+
+
+@given(ctx=theta_contexts(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_cartier_theta_matches_derivative_passes(ctx, data):
+    F = ctx.field
+    coeffs = data.draw(st.lists(st.integers(0, ctx.p - 1), max_size=3 * ctx.p))
+    r = Poly(F, coeffs)
+    want = theta_by_derivatives(ctx, r)
+    assert ctx.theta_p_map(r) == want
+    assert ctx.theta_of(r) == want.substitute_xp()
+    assert ctx.in_theta(r) == want.is_zero()
+
+
+@given(ctx=theta_contexts())
+@settings(max_examples=40, deadline=None)
+def test_theta_S_matches_window_and_dimension(ctx):
+    S = ctx.theta_complement_S()
+    assert S == theta_S_by_window(ctx)
+    assert len(S) == ctx.hbar.degree
+    assert all(s.degree < ctx.h.degree for s in S)
+
+
+@given(ctx=theta_contexts(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_split_theta_recovers_parts(ctx, data):
+    p, F = ctx.p, ctx.field
+    S = ctx.theta_complement_S()
+    s = Poly.zero(F)
+    for b in S:
+        s = s + b.scale(data.draw(st.integers(0, p - 1)))
+    # the preimage split_theta returns: constant term 0, no x^(kp) terms,
+    # degree up to beyond the old deg h + 2p window
+    top = int(ctx.h.degree) + 2 * p + 5
+    raw = data.draw(st.lists(st.integers(0, p - 1), max_size=top + 1))
+    c = Poly(F, [0 if i % p == 0 else v for i, v in enumerate(raw)])
+    assert ctx.split_theta(s + ctx.delta(c)) == (s, c)
 
 
 class TestFrobeniusBaseEquivalence:
