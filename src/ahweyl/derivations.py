@@ -353,15 +353,6 @@ def ex_on_poly(g: Poly) -> WeylElement:
     return WeylElement(F, out)
 
 
-def ey_on_y_poly(g: Poly) -> WeylElement:
-    """Closed form for E_y on a polynomial in y (g encodes sum g_k y^k):
-    sum_{k=1}^{p-1} ((-1)^(k-1)/k) x^(p-k) g^(k)(y) - phi(partial_p(g(x))).
-
-    E_y = phi E_x phi, as both send x to 0 and y to x^(p-1), and phi maps
-    g(y) to g(x); so this is phi(ex_on_poly(g))."""
-    return ex_on_poly(g).apply_phi()
-
-
 def ex_on_yhat(ctx: AhContext) -> WeylElement:
     """Closed form E_x(yhat) = h' y^p + sum_{k=1}^{p-2} ((-1)^(k-1)/((k+1)k))
     h^(k+1) y^(p-k) - partial_p(h) y - partial_p(h')."""

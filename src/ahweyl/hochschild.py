@@ -37,8 +37,7 @@ from .derivations import (
     CenterDerivation,
 )
 from .fields import check_same_field
-from .linalg import relations
-from .poly import Poly
+from .poly import NotIntegrable, Poly
 from .weyl import WeylElement
 
 
@@ -236,10 +235,6 @@ class WittQuotient:
             g = self.vartheta0.gcd_monic(self.pi_hp)
             if not g.is_one():
                 raise AssertionError("gcd(delta0(1), pi_(h/pi)) must be 1")
-            _, s, _ = self.vartheta0.xgcd(self.pi_hp)
-            self.upsilon = s % self.pi_hp
-        else:
-            self.upsilon = Poly.zero(ctx.field)
 
     @property
     def is_trivial(self) -> bool:
@@ -272,16 +267,6 @@ class WittQuotient:
             for lvl, res in sorted(out.items())
             if not (res % self.pi_hp).is_zero()
         ]
-
-    def basis_preimage(self, residue: Poly, level: int) -> HH1ClassChar0:
-        """Class of e_{residue * upsilon, level} = -ad_{(residue upsilon) a_{level+1}}."""
-        if level < -1:
-            raise ValueError("levels start at -1")
-        if self.is_trivial:
-            raise ValueError("the Witt quotient is zero for this h")
-        ctx = self.context
-        r = -(residue * self.upsilon)
-        return HH1ClassChar0(ctx, Poly.zero(ctx.field), [(level + 1, r)])
 
     def e_class(self, g: Poly, level: int) -> HH1ClassChar0:
         """The class e_{g,level} = -ad_{g a_{level+1}} itself."""
@@ -609,7 +594,8 @@ def bracket_charp(e1: DerExpr, e2: DerExpr) -> DerExpr:
 
 @dataclass(frozen=True)
 class NormalizerQuotientLevel:
-    """Truncated picture of N/(A_h + Z(A_1)) at one y-degree."""
+    """N_i/(A_h + Z(A_1)) at one y-degree i, exactly: its dimension and a
+    basis of polynomial coefficients."""
 
     y_degree: int
     dim: int
@@ -626,44 +612,63 @@ class HH1CharPReport:
     normalizer_quotient: tuple  # NormalizerQuotientLevel per y-degree
 
 
-def _normalizer_quotient_level(ctx: AhContext, i: int, x_bound: int):
-    """Bounded enumeration of N_i/(A_h + Z(A_1))_i as an F-space of
-    polynomial coefficients of degree <= x_bound."""
+def _normalizer_quotient_level(ctx: AhContext, i: int) -> NormalizerQuotientLevel:
+    """N_i/(A_h + Z(A_1))_i as an F-space of polynomial coefficients.
+
+    For p not dividing i it is spanned by x^j pi_h h^(i-1), j < deg(h/pi_h).
+
+    For p | i it is N_i/(h^i F[x] + F[x^p]) with N_i = {r : h^(i-1) | r'},
+    and its basis is read off h^(i-1) S:
+
+    * h^(i-p) is a p-th power, so it lies in F[x^p], and the Cartier read
+      commutes with multiplication by it. So h^(i-1) s = h^(i-p) h^(p-1) s
+      lies in F[x]' (the image of d/dx) iff s lies in Theta.
+    * Hence r -> r'/h^(i-1) maps N_i onto Theta. Its kernel is F[x^p], and
+      (h^i q)' = h^(i-1) delta(q) as p | i, so it induces an isomorphism
+      N_i/(h^i F[x] + F[x^p]) -> Theta/im delta. The level has dim |S|.
+    * Theta = span S (+) im delta, and every s in S has degree
+      <= deg h - 2: at degree deg h - 1 the leading coefficient of
+      h^(p-1) s sits at x^(p deg h - 1), under the Cartier read. So each
+      class has a representative r = integral of h^(i-1) s of degree
+      <= i deg h - 1, below deg h^i, where nothing reduces mod h^i.
+
+    Each r has no x^(kp) terms. Made monic and reduced against the earlier
+    generators at their leading degrees, in order of increasing deg s, they
+    are the reduced basis that row reduction of N_i modulo
+    h^i F[x] + F[x^p] gives on any degree window reaching i deg h - 1."""
     F = ctx.field
-    p = ctx.p
-    if i % p:
+    if i % ctx.p:
         dim = int(ctx.h_over_pi.degree)
         base = ctx.pi_h * ctx.h_power(i - 1)
         gens = tuple(Poly.monomial(F, 1, j) * base for j in range(dim))
         return NormalizerQuotientLevel(i, dim, gens)
-    # i = 0 mod p: numerator {r : h^(i-1) | r'}, denominator D h^i + F[x^p]
-    width = x_bound + 1
     hi1 = ctx.h_power(i - 1)
-    rem = Poly.one(F) % hi1  # x^(n-1) mod h^(i-1)
-    derivatives = [()]  # (x^n)' mod h^(i-1), n < width
-    for n in range(1, width):
-        derivatives.append(F.reduce([n * c for c in rem.coeffs]))
-        rem = rem.shift(1) % hi1
-    # relation n has degree n and is monic
-    numer = [Poly._canonical(F, rel) for rel in relations(F, derivatives) if rel is not None]
-    # Modulo h^i the D h^i generators vanish; nothing is lost, because a
-    # multiple of h^i of degree <= x_bound is itself one of them.
-    hi = ctx.h_power(i)
-    frobenius = [Poly.one(F) % hi]  # x^(jp) mod h^i, jp < width
-    for _ in range(p, width, p):
-        frobenius.append(frobenius[-1].shift(p) % hi)
-    rels = relations(F, [r.coeffs for r in frobenius] + [(q % hi).coeffs for q in numer])
-    gens = tuple(q for q, rel in zip(numer, rels[len(frobenius) :]) if rel is None)
-    return NormalizerQuotientLevel(i, len(gens), gens)
+    gens = []
+    for s in ctx.theta_complement_S():
+        r = (hi1 * s).antiderivative()
+        if isinstance(r, NotIntegrable):
+            raise AssertionError(
+                f"h^(i-1) * {s} has no antiderivative for h = {ctx.h}, i = {i}: "
+                "an element of S lies outside Theta"
+            )
+        r = r.monic()
+        for g in gens:
+            c = r.coefficient(int(g.degree))
+            if c:
+                r = r - g.scale(c)
+        gens.append(r)
+    return NormalizerQuotientLevel(i, len(gens), tuple(gens))
 
 
 def freeness_and_module_report_charp(
     ctx: AhContext, seed: int = 0, certificates: int = 10
 ) -> HH1CharPReport:
     """Freeness of HH^1 over the center (iff h/pi_h is a unit) plus the
-    image of the restriction map and a truncated picture of the normalizer
-    quotient. In the free case, `certificates` random normalizer-ad
-    derivations are explicitly reduced to inner witnesses."""
+    image of the restriction map and the normalizer quotient
+    N/(A_h + Z(A_1)) at each y-degree up to degree_bound, each level exact
+    (see `_normalizer_quotient_level`). In the free case, `certificates`
+    random normalizer-ad derivations are explicitly reduced to inner
+    witnesses."""
     ctx._require_char_p()
     free = ctx.h_over_pi.is_constant()
     S = ctx.theta_complement_S()
@@ -689,10 +694,7 @@ def freeness_and_module_report_charp(
                     "freeness certificate failed: normalizer ad not inner"
                 )
             certified += 1
-    levels = []
-    for i in range(1, ctx.degree_bound + 1):
-        x_bound = i * max(int(ctx.h.degree), 1) + 2 * ctx.p
-        levels.append(_normalizer_quotient_level(ctx, i, x_bound))
+    levels = [_normalizer_quotient_level(ctx, i) for i in range(1, ctx.degree_bound + 1)]
     basis = ("D_qbreve", "bhat_f") if free else None
     return HH1CharPReport(
         free_over_center=free,

@@ -138,9 +138,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def constant_term(self):
-        return self.coeffs[0] if self.coeffs else self.field.zero()
-
     def coefficient(self, n: int):
         if 0 <= n < len(self.coeffs):
             return self.coeffs[n]

@@ -106,6 +106,11 @@ class TestGolden:
                 ["classify", "--h", "x", "--char", "0"],
                 '{"Dx": "0", "Dyhat": "1"}',
             ),
+            (
+                "analyze_x3x1sq_char5.txt",
+                ["analyze", "--h", "x^3*(x+1)^2", "--char", "5"],
+                "",
+            ),
         ],
     )
     def test_byte_for_byte(self, name, argv, stdin_text, capsys):

@@ -34,7 +34,6 @@ from ahweyl.derivations import (
     extend_to_A1,
     ey_apply,
     ey_as_derivation,
-    ey_on_y_poly,
     ey_on_yhat,
     generic_a1_apply,
     gh_derivative_times_hk,
@@ -248,7 +247,8 @@ class TestExEy:
             gy = WeylElement(
                 field, {j: Poly.constant(field, c) for j, c in enumerate(g.coeffs) if c}
             )
-            assert ey_on_y_poly(g) == ey_apply(gy)
+            # E_y = phi E_x phi: both send x to 0 and y to x^(p-1)
+            assert ex_on_poly(g).apply_phi() == ey_apply(gy)
 
     @pytest.mark.parametrize("p,h", [(2, (0, 1)), (3, (0, 0, 1)), (5, (1, 2, 1)), (3, (1, 0, 0, 1))])
     def test_yhat_closed_forms(self, p, h):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
@@ -40,6 +40,7 @@ from ahweyl.hochschild import (
     pi_of_h_over_pi,
     structure_report_char0,
 )
+from ahweyl.linalg import relations
 from ahweyl.poly import Poly
 from ahweyl.verify import random_derivation, random_normalizer_element
 from ahweyl.weyl import WeylElement, commutator, varpi
@@ -243,6 +244,15 @@ class TestNilpotentIdeal:
                 assert cls.is_zero()
 
 
+def basis_preimage(wq, residue, level):
+    """Class of e_{residue upsilon, level} = -ad_{(residue upsilon) a_{level+1}},
+    with upsilon the inverse of delta0(1) mod pi_{(h/pi_h)}: the inverse of
+    the Witt quotient map on w_level."""
+    _, s, _ = wq.vartheta0.xgcd(wq.pi_hp)
+    r = -(residue * (s % wq.pi_hp))
+    return HH1ClassChar0(wq.context, Poly.zero(QQ), [(level + 1, r)])
+
+
 class TestWittQuotient:
     def test_trivial_for_squarefree(self):
         ctx = AhContext(P(QQ, -1, 0, 1))
@@ -256,7 +266,7 @@ class TestWittQuotient:
         assert wq.pi_hp == Poly.x(QQ)
         # forward/backward roundtrip on basis elements
         for level in range(-1, 4):
-            cls = wq.basis_preimage(Poly.one(QQ), level)
+            cls = basis_preimage(wq, Poly.one(QQ), level)
             img = wq.map_class(cls)
             assert img == [WittClassElement(Poly.one(QQ), level)]
 
@@ -308,7 +318,7 @@ class TestWittQuotient:
         # basis preimage round trip with nonconstant residues
         for r in (Poly.one(QQ), Poly.x(QQ)):
             for level in (-1, 0, 2):
-                img = wq.map_class(wq.basis_preimage(r, level))
+                img = wq.map_class(basis_preimage(wq, r, level))
                 assert img == [WittClassElement(r % wq.pi_hp, level)]
 
 
@@ -563,10 +573,71 @@ def test_normalizer_quotient_level_matches_sympy(p, coeffs, square):
         h = h * h
     ctx = AhContext(h)
     x_bound = p * int(h.degree) + 2 * p
-    level = _normalizer_quotient_level(ctx, p, x_bound)
+    level = _normalizer_quotient_level(ctx, p)
     gens = normalizer_level_oracle(h, p, x_bound)
     assert list(level.generators) == gens
     assert level.dim == len(gens)
+
+
+def window_normalizer_level(ctx, i):
+    """Generators of N_i/(A_h + Z(A_1))_i for p | i by row reduction on the
+    window deg r <= i max(deg h, 1) + 2p: the relation basis of
+    {r : h^(i-1) | r'}, each element kept when it enlarges
+    F[x^p] + (the elements kept before it) modulo h^i."""
+    F = ctx.field
+    p = ctx.p
+    width = i * max(int(ctx.h.degree), 1) + 2 * p + 1
+    hi1 = ctx.h_power(i - 1)
+    rem = Poly.one(F) % hi1  # x^(n-1) mod h^(i-1)
+    derivatives = [()]  # (x^n)' mod h^(i-1), n < width
+    for n in range(1, width):
+        derivatives.append(F.reduce([n * c for c in rem.coeffs]))
+        rem = rem.shift(1) % hi1
+    numer = [Poly._canonical(F, rel) for rel in relations(F, derivatives) if rel is not None]
+    hi = ctx.h_power(i)
+    frobenius = [Poly.one(F) % hi]  # x^(jp) mod h^i, jp < width
+    for _ in range(p, width, p):
+        frobenius.append(frobenius[-1].shift(p) % hi)
+    rels = relations(F, [r.coeffs for r in frobenius] + [(q % hi).coeffs for q in numer])
+    return tuple(q for q, rel in zip(numer, rels[len(frobenius) :]) if rel is None)
+
+
+def monic_poly(field, coeffs):
+    return Poly(field, list(coeffs) + [1])
+
+
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    kind=st.sampled_from(["free", "repeated", "frobenius"]),
+    f=st.lists(st.integers(0, 6), min_size=0, max_size=2),
+    g=st.lists(st.integers(0, 6), min_size=1, max_size=1),
+)
+@example(p=31, kind="repeated", f=[0, 0, 0], g=[1])  # x^3 (x+1)^2, |S| = 3
+@settings(max_examples=50, deadline=None)
+def test_normalizer_levels_at_p_divides_i_match_window(p, kind, f, g):
+    # free h, h with a repeated factor g^2, and h with a factor g^p
+    field = FieldSpec(p)
+    h = monic_poly(field, f)
+    if kind == "repeated":
+        h = h * monic_poly(field, g) ** 2
+    elif kind == "frobenius":
+        h = h * monic_poly(field, g) ** p
+    ctx = AhContext(h)
+    if kind == "free":
+        assume(ctx.h_over_pi.is_constant())
+    S = ctx.theta_complement_S()
+    for i in (p, 2 * p, 3 * p):
+        level = _normalizer_quotient_level(ctx, i)
+        assert level.generators == window_normalizer_level(ctx, i)
+        assert level.dim == len(S)
+
+
+def test_normalizer_level_rejects_S_outside_theta(monkeypatch):
+    # h = x over GF(3): h^2 * 1 = x^2 is no derivative, so 1 is not in Theta
+    ctx = AhContext(Poly.x(GF3))
+    monkeypatch.setattr(ctx, "theta_complement_S", lambda: [Poly.one(GF3)])
+    with pytest.raises(AssertionError, match=r"h = x, i = 3"):
+        _normalizer_quotient_level(ctx, 3)
 
 
 class TestZIndependence:
