@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import ExactDivisionError, FieldSpec, check_same_field
+from .fields import FieldSpec, check_same_field
 from .poly import Poly
 
 
@@ -56,10 +56,6 @@ class CenterPoly:
         return cls(field, {(0, 0): 1})
 
     @classmethod
-    def constant(cls, field: FieldSpec, c) -> "CenterPoly":
-        return cls(field, {(0, 0): c})
-
-    @classmethod
     def t1(cls, field: FieldSpec, n: int = 1) -> "CenterPoly":
         return cls(field, {(n, 0): 1})
 
@@ -74,9 +70,6 @@ class CenterPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_one(self) -> bool:
-        return self.coeffs == {(0, 0): self.field.one()}
 
     def __eq__(self, other):
         return (
@@ -109,14 +102,7 @@ class CenterPoly:
     def __neg__(self) -> "CenterPoly":
         return CenterPoly._reduced(self.field, {k: -c for k, c in self.coeffs.items()})
 
-    def scale(self, c) -> "CenterPoly":
-        F = self.field
-        c = F.coerce(c)
-        return CenterPoly._reduced(F, {k: c * v for k, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: "CenterPoly") -> "CenterPoly":
         self._check(other)
         out = {}
         for (i1, j1), c1 in self.coeffs.items():
@@ -124,19 +110,6 @@ class CenterPoly:
                 k = (i1 + i2, j1 + j2)
                 out[k] = out[k] + c1 * c2 if k in out else c1 * c2
         return CenterPoly._reduced(self.field, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, n: int) -> "CenterPoly":
-        if n < 0:
-            raise ValueError("negative exponent")
-        out = CenterPoly.one(self.field)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def d_dt1(self) -> "CenterPoly":
         raw = {(i - 1, j): i * c for (i, j), c in self.coeffs.items() if i}
@@ -171,38 +144,6 @@ class CenterPoly:
         for j in range(self.t2_degree() + 1):
             parts.append(self.t2_coefficient(j).exact_div(w))
         return CenterPoly.from_t2_coefficients(self.field, parts)
-
-    def exact_div(self, other: "CenterPoly") -> "CenterPoly":
-        """Exact division by a general center polynomial (used for module
-        coordinates; quotient must be polynomial)."""
-        self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero")
-        # divide t2-adically: view both as polynomials in t2 over F[t1]
-        F = self.field
-        num = [self.t2_coefficient(j) for j in range(self.t2_degree() + 1)]
-        den = [other.t2_coefficient(j) for j in range(other.t2_degree() + 1)]
-        while den and den[-1].is_zero():
-            den.pop()
-        dd = len(den) - 1
-        lead = den[-1]
-        out = []
-        while num and len(num) - 1 >= dd:
-            while num and num[-1].is_zero():
-                num.pop()
-            if not num or len(num) - 1 < dd:
-                break
-            q = num[-1].exact_div(lead)
-            k = len(num) - 1 - dd
-            out.append((k, q))
-            for j in range(dd + 1):
-                num[k + j] = num[k + j] - q * den[j]
-        if any(not v.is_zero() for v in num):
-            raise ExactDivisionError("center-polynomial division not exact")
-        parts = [Poly.zero(F) for _ in range(max((k for k, _ in out), default=-1) + 1)]
-        for k, q in out:
-            parts[k] = parts[k] + q
-        return CenterPoly.from_t2_coefficients(F, parts)
 
     def to_text(self) -> str:
         if self.is_zero():

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 domain error (category printed), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -65,7 +66,10 @@ def _error_category(exc: Exception) -> str:
     return "domain error"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every command in `_COMMANDS`, built at the first call
+    and kept for the rest of the process."""
     parser = argparse.ArgumentParser(
         prog="ahweyl",
         description=(
@@ -93,29 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--output", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("analyze", parents=[common], help="invariants and HH^1 structure")
-    sub.add_parser(
-        "classify",
-        parents=[common],
-        help="decompose a derivation (JSON on stdin: {\"Dx\": ..., \"Dyhat\": ...})",
-    )
-    sub.add_parser(
-        "bracket",
-        parents=[common],
-        help="bracket two derivations (JSON on stdin: {\"left\": ..., \"right\": ...})",
-    )
-    norm = sub.add_parser(
-        "normalizer", parents=[common], help="test normalizer membership"
-    )
-    norm.add_argument("--element", required=True, help="Weyl element text")
-    cent = sub.add_parser("center", parents=[common], help="center data of A_h")
-    cent.add_argument("--element", default=None, help="optional element to coordinate")
-    expaut = sub.add_parser(
-        "exp-aut", parents=[common], help="the automorphism x -> x, yhat -> yhat + g"
-    )
-    expaut.add_argument("--g", required=True, help="polynomial g")
-    expaut.add_argument("--element", default=None, help="optional element to map")
-    sub.add_parser("verify", parents=[common], help="run the seeded property suites")
+    for name, (_, _, help_text, options) in _COMMANDS.items():
+        cmd = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, kwargs in options:
+            cmd.add_argument(flag, **kwargs)
     return parser
 
 
@@ -312,9 +297,9 @@ def _classification_payload(d: Derivation, ctx: AhContext) -> dict:
     }
 
 
-def cmd_classify(args, stdin_text: str) -> dict:
+def cmd_classify(args) -> dict:
     ctx = _build_context(args)
-    obj = json.loads(stdin_text)
+    obj = json.loads(sys.stdin.read())
     d = _parse_derivation_json(obj, ctx)
     payload = {
         "command": "classify",
@@ -367,9 +352,9 @@ def _classify_text(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def cmd_bracket(args, stdin_text: str) -> dict:
+def cmd_bracket(args) -> dict:
     ctx = _build_context(args)
-    obj = json.loads(stdin_text)
+    obj = json.loads(sys.stdin.read())
     if not isinstance(obj, dict) or "left" not in obj or "right" not in obj:
         raise ValueError('bracket JSON must be {"left": {...}, "right": {...}}')
     left = _parse_derivation_json(obj["left"], ctx)
@@ -570,37 +555,51 @@ def _verify_text(payload: dict) -> str:
     return "\n".join(lines)
 
 
-_TEXT_RENDERERS = {
-    "analyze": _analyze_text,
-    "classify": _classify_text,
-    "bracket": _bracket_text,
-    "normalizer": _normalizer_text,
-    "center": _center_text,
-    "exp-aut": _exp_aut_text,
-    "verify": _verify_text,
+# name -> (handler, text renderer, help, options beyond the common ones)
+_COMMANDS = {
+    "analyze": (cmd_analyze, _analyze_text, "invariants and HH^1 structure", ()),
+    "classify": (
+        cmd_classify,
+        _classify_text,
+        "decompose a derivation (JSON on stdin: {\"Dx\": ..., \"Dyhat\": ...})",
+        (),
+    ),
+    "bracket": (
+        cmd_bracket,
+        _bracket_text,
+        "bracket two derivations (JSON on stdin: {\"left\": ..., \"right\": ...})",
+        (),
+    ),
+    "normalizer": (
+        cmd_normalizer,
+        _normalizer_text,
+        "test normalizer membership",
+        (("--element", {"required": True, "help": "Weyl element text"}),),
+    ),
+    "center": (
+        cmd_center,
+        _center_text,
+        "center data of A_h",
+        (("--element", {"default": None, "help": "optional element to coordinate"}),),
+    ),
+    "exp-aut": (
+        cmd_exp_aut,
+        _exp_aut_text,
+        "the automorphism x -> x, yhat -> yhat + g",
+        (
+            ("--g", {"required": True, "help": "polynomial g"}),
+            ("--element", {"default": None, "help": "optional element to map"}),
+        ),
+    ),
+    "verify": (cmd_verify, _verify_text, "run the seeded property suites", ()),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, render, _, _ = _COMMANDS[args.command]
     try:
-        if args.command == "classify":
-            payload = cmd_classify(args, sys.stdin.read())
-        elif args.command == "bracket":
-            payload = cmd_bracket(args, sys.stdin.read())
-        elif args.command == "analyze":
-            payload = cmd_analyze(args)
-        elif args.command == "normalizer":
-            payload = cmd_normalizer(args)
-        elif args.command == "center":
-            payload = cmd_center(args)
-        elif args.command == "exp-aut":
-            payload = cmd_exp_aut(args)
-        elif args.command == "verify":
-            payload = cmd_verify(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            parser.error(f"unknown command {args.command}")
+        payload = handler(args)
     except json.JSONDecodeError as exc:
         print(f"error (invalid JSON input): {exc}", file=sys.stderr)
         return 1
@@ -610,10 +609,8 @@ def main(argv=None) -> int:
     if args.output == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(_TEXT_RENDERERS[args.command](payload))
-    if args.command == "verify" and not payload["all_passed"]:
-        return 1
-    return 0
+        print(render(payload))
+    return 1 if payload.get("all_passed") is False else 0
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ consumes:
 
 * pi_h: the monic generator of {r : h | h'r}, computed as h / gcd(h, h');
 * varrho_h: in characteristic p, the maximal monic divisor of h lying in
-  F[x^p], assembled factorization-free from the squarefree decomposition;
+  F[x^p], assembled factorization-free from the squarefree decomposition,
+  and h^p / varrho_h, read off h(x^p) = h^p without forming a power;
 * delta(f) = f'h and the twisted map delta0(r) = (r pi_h)' - r pi_h h' / h,
   realized entirely inside F[x] (no localization is ever materialized);
 * in characteristic p: the central element zeta = h^p y^p, the Frobenius
@@ -173,6 +174,11 @@ class AhContext:
 
     def _init_char_p(self):
         p = self.field.p
+        # h^p = h(x^p) over the prime field, and varrho_h = sigma(x^p) for
+        # sigma its p-th root, so h^p / varrho_h = (h / sigma)(x^p) and
+        # (h')^p / varrho_h = (h' / sigma)(x^p)
+        self.varrho_root = self.varrho_h.pth_root()
+        self.hp_over_varrho = self.h.exact_div(self.varrho_root).substitute_xp()
         hp1 = self.h_power(p - 1)
         self.hbar_components = hp1.frobenius_split()  # polynomials in u = x^p
         nonzero = [(i, c) for i, c in enumerate(self.hbar_components) if not c.is_zero()]
@@ -568,35 +574,6 @@ class AhContext:
             else:
                 q = q + Poly.monomial(F, c, i)
         return z, q
-
-    # -- A_h + Z(A_1) membership helper (char p) ----------------------------------------------------
-
-    def split_Dhi_plus_Fxp(self, w: Poly, i: int):
-        """(d, z) with w = d*h^i + z, z in F[x^p], or None if impossible.
-
-        Works in D/(h^i), of dimension deg h^i, on the residues of x^(pj)
-        for j < deg h^i. Once one of them depends on those before it, every
-        later one does too, since x^p maps their span into itself; so the
-        independent ones span all residues of F[x^p], and the relation of
-        w mod h^i involves only them."""
-        self._require_char_p()
-        F = self.field
-        hi = self.h_power(i)
-        if hi.is_constant():
-            return w.exact_div(hi), Poly.zero(F)
-        xp = Poly.monomial(F, 1, self.p)
-        reps = [Poly.one(F)]
-        for _ in range(int(hi.degree) - 1):
-            reps.append((xp * reps[-1]) % hi)
-        rel = relations(F, [r.coeffs for r in reps] + [(w % hi).coeffs])[-1]
-        if rel is None:
-            return None
-        z = Poly.zero(F)
-        for j, c in enumerate(rel[: len(reps)]):
-            if not F.is_zero(c):
-                z = z + Poly.monomial(F, F.neg(c), self.p * j)
-        d = (w - z).exact_div(hi)
-        return d, z
 
     def __repr__(self):
         return f"AhContext(h={self.h.to_text()!r}, field={self.field})"

@@ -415,7 +415,7 @@ def bhat_x(ctx: AhContext) -> Derivation:
 
 
 def _build_bhat_x(ctx: AhContext) -> Derivation:
-    w = ctx.h_power(ctx.p).exact_div(ctx.varrho_h)
+    w = ctx.hp_over_varrho
     return require_derivation(
         WeylElement.from_term(w, ctx.p - 1), ex_on_yhat(ctx).poly_mul(w), ctx
     )
@@ -431,7 +431,7 @@ def bhat_f(ctx: AhContext) -> Derivation:
 def _build_bhat_f(ctx: AhContext) -> Derivation:
     F = ctx.field
     p = ctx.p
-    w = ctx.h_power(p).exact_div(ctx.varrho_h)
+    w = ctx.hp_over_varrho
     img_x = WeylElement.from_term(-w, p - 1)
     out = {}
     d = ctx.h.derivative()
@@ -596,12 +596,6 @@ class CenterDerivation:
         b = self.apply(other.b) - other.apply(self.b)
         return CenterDerivation(a, b)
 
-    def __add__(self, other):
-        return CenterDerivation(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        return CenterDerivation(self.a - other.a, self.b - other.b)
-
     def describe(self) -> str:
         return f"({self.a})*d/dt1 + ({self.b})*d/dt2"
 
@@ -705,9 +699,8 @@ def decompose_Ah_charp(d: Derivation) -> DecompCharP:
     F = ctx.field
     p = ctx.p
     res = restrict_to_center(d)
-    w_pol = ctx.h_power(p).exact_div(ctx.varrho_h)  # h^p / varrho, in F[x^p]
     try:
-        v = res.a.exact_div_t1(w_pol.frobenius_split()[0])
+        v = res.a.exact_div_t1(ctx.hp_over_varrho.pth_root())
         u = res.b.exact_div_t1(ctx.hbar)
     except ExactDivisionError as e:
         raise InvalidDerivationError(
@@ -774,7 +767,20 @@ class NotInner:
 
 
 def is_inner(d: Derivation):
-    """InnerWitness(w) with D = ad_w, or NotInner with a certificate."""
+    """InnerWitness(w) with D = ad_w, or NotInner with a certificate.
+
+    In characteristic p the normalizer part must lie in A_h + Z(A_1), term
+    by term. A term r y^i does iff z = r mod h^i is 0, or p | i and z lies
+    in F[x^p]; then (r - z) y^i joins the witness and z y^i is central in
+    A_1. Proof: for p | i, h^i = H(x^p) with H = h^(i/p) read in u = x^p,
+    since h^p = h(x^p) over the prime field. So division by h^i acts on
+    each Frobenius component r_j(x^p) x^j of r separately, and
+    r mod h^i = sum_j (r_j mod H)(x^p) x^j. If r = d h^i + z' with z' in
+    F[x^p], then z = z' mod h^i lies in F[x^p]; conversely z in F[x^p]
+    gives r = (r - z) + z. This z is also the combination of the
+    independent residues x^(pj), j < deg h^i / p, that row reduction
+    against the residues of F[x^p] mod h^i returns. At i = 0, h^0 = 1
+    and all of r joins the witness."""
     ctx = d.context
     if ctx.field.is_char_zero:
         dec = decompose_Ah_char0(d)
@@ -792,30 +798,17 @@ def is_inner(d: Derivation):
         return NotInner(
             "residual D_s component outside im delta", u=dec.u, v=dec.v, s=dec.s
         )
-    # the normalizer part must lie in A_h + Z(A_1), termwise
     p = ctx.p
     witness = dec.inner_witness
     for i, r in sorted(dec.normalizer_part.terms.items()):
-        if i % p:
-            hi = ctx.h_power(i)
-            try:
-                r.exact_div(hi)
-            except ExactDivisionError:
-                return NotInner(
-                    f"normalizer part at y-degree {i} is outside A_h + Z(A_1)",
-                    residue=WeylElement.from_term(r, i),
-                )
-            witness = witness + WeylElement.from_term(r, i)
-        else:
-            split = ctx.split_Dhi_plus_Fxp(r, i) if i else (r, Poly.zero(ctx.field))
-            if split is None:
-                return NotInner(
-                    f"normalizer part at y-degree {i} is outside A_h + Z(A_1)",
-                    residue=WeylElement.from_term(r, i),
-                )
-            di, _z = split
-            if not di.is_zero():
-                witness = witness + WeylElement.from_term(di * ctx.h_power(i), i)
+        z = r % ctx.h_power(i)
+        if z and (i % p or not z.in_frobenius_base()):
+            return NotInner(
+                f"normalizer part at y-degree {i} is outside A_h + Z(A_1)",
+                residue=WeylElement.from_term(r, i),
+            )
+        if r != z:
+            witness = witness + WeylElement.from_term(r - z, i)
     inner = ad(witness, ctx)
     if inner.image_x != d.image_x or inner.image_yhat != d.image_yhat:
         raise AssertionError("inner witness failed to reproduce the derivation")

@@ -404,23 +404,10 @@ class DerExpr:
         self.parts = tuple(clean)
 
     @classmethod
-    def zero(cls, ctx: AhContext) -> "DerExpr":
-        return cls(ctx, ())
-
-    @classmethod
     def of(cls, ctx: AhContext, base, coeff: Optional[CenterPoly] = None) -> "DerExpr":
         if coeff is None:
             coeff = CenterPoly.one(ctx.field)
         return cls(ctx, ((coeff, base),))
-
-    def __add__(self, other: "DerExpr") -> "DerExpr":
-        return DerExpr(self.context, self.parts + other.parts)
-
-    def scale_center(self, z: CenterPoly) -> "DerExpr":
-        return DerExpr(self.context, tuple((z * c, b) for c, b in self.parts))
-
-    def __neg__(self) -> "DerExpr":
-        return self.scale_center(-CenterPoly.one(self.context.field))
 
     def materialize(self) -> Derivation:
         ctx = self.context
@@ -455,10 +442,10 @@ def _base_res(b, ctx: AhContext) -> CenterDerivation:
     if isinstance(b, (BAd, BAdElem)):
         return CenterDerivation(zero, zero)
     if isinstance(b, BBx):
-        w_u = ctx.h_power(ctx.p).exact_div(ctx.varrho_h).frobenius_split()[0]
-        hp_u = (ctx.h.derivative() ** ctx.p).exact_div(ctx.varrho_h).frobenius_split()[0]
+        # (h')^p / varrho_h = (h' / sigma)(x^p), with sigma the p-th root of varrho_h
+        hp_u = ctx.h.derivative().exact_div(ctx.varrho_root)
         return CenterDerivation(
-            -CenterPoly.from_t1_poly(w_u),
+            -CenterPoly.from_t1_poly(ctx.hp_over_varrho.pth_root()),
             -(CenterPoly.from_t1_poly(hp_u) * CenterPoly.t2(F)),
         )
     if isinstance(b, BRaw):
@@ -672,10 +659,10 @@ def freeness_and_module_report_charp(
     ctx._require_char_p()
     free = ctx.h_over_pi.is_constant()
     S = ctx.theta_complement_S()
-    w_u = ctx.h_power(ctx.p).exact_div(ctx.varrho_h).frobenius_split()[0]
     res_gens = (
         CenterDerivation(
-            CenterPoly.from_t1_poly(w_u), CenterPoly.zero(ctx.field)
+            CenterPoly.from_t1_poly(ctx.hp_over_varrho.pth_root()),
+            CenterPoly.zero(ctx.field),
         ),
         CenterDerivation(
             CenterPoly.zero(ctx.field), CenterPoly.from_t1_poly(ctx.hbar)

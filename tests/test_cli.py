@@ -111,12 +111,121 @@ class TestGolden:
                 ["analyze", "--h", "x^3*(x+1)^2", "--char", "5"],
                 "",
             ),
+            (
+                "classify_x2p1_char3.txt",
+                ["classify", "--h", "x^2+1", "--char", "3"],
+                '{"Dx": "x^2 + x^4", "Dyhat": "2*x^2 + 2*x^4 + (x + 2*x^3 + x^5)*y'
+                ' + (2 + 2*x^2 + 2*x^6 + 2*x^8)*y^3"}',
+            ),
+            (
+                "classify_x2_char3.txt",
+                ["classify", "--h", "x^2", "--char", "3"],
+                '{"Dx": "0", "Dyhat": "2*x^6*y^3"}',
+            ),
         ],
     )
     def test_byte_for_byte(self, name, argv, stdin_text, capsys):
         code, out, err = run_cli(argv, stdin_text=stdin_text, capsys=capsys)
         assert code == 0
         assert out == (GOLDEN / name).read_text()
+
+
+class TestTextOutput:
+    @pytest.mark.parametrize(
+        "argv,stdin_text,expected",
+        [
+            (
+                ["bracket", "--h", "x^2", "--char", "0"],
+                '{"left": {"Dx": "0", "Dyhat": "1"}, "right": {"Dx": "x", "Dyhat": "2*x + x^2*y"}}',
+                "h: x^2\n"
+                "characteristic: 0\n"
+                "bracket D(x): 0\n"
+                "bracket D(yhat): 1\n"
+                "classification of the bracket:\n"
+                "  valid: yes\n"
+                "  D part: D_[1]\n"
+                "  inner witness: 0\n"
+                "  verdict: outer (nonzero class components in the D/ad_{r a_n} slots)\n",
+            ),
+            (
+                ["bracket", "--h", "x", "--char", "3"],
+                '{"left": {"Dx": "0", "Dyhat": "x"}, "right": {"Dx": "x", "Dyhat": "0"}}',
+                "h: x\n"
+                "characteristic: 3\n"
+                "bracket D(x): 0\n"
+                "bracket D(yhat): 2*x\n"
+                "classification of the bracket:\n"
+                "  valid: yes\n"
+                "  u (coefficient of D_qbreve): 0\n"
+                "  v (coefficient of bhat_f): 0\n"
+                "  s (complement of im delta in Theta): 0\n"
+                "  normalizer part: 0\n"
+                "  inner witness: x\n"
+                "  verdict: inner, witness x\n",
+            ),
+            (
+                ["bracket", "--h", "x", "--char", "3"],
+                '{"left": {"Dx": "0", "Dyhat": "x"}, "right": {"Dx": "x^2", "Dyhat": "x^3*y"}}',
+                "h: x\n"
+                "characteristic: 3\n"
+                "valid: no (right: criterion defect [v,x] + [yhat,u] - d(h) = x^2 + x^3)\n",
+            ),
+            (
+                ["normalizer", "--h", "x^2", "--char", "0", "--element", "y"],
+                "",
+                "h: x^2\n"
+                "element: y\n"
+                "in A_h: no\n"
+                "in normalizer: no\n"
+                "first failing term: y-degree 1 (pi_h * h^0 does not divide the y^1 coefficient)\n",
+            ),
+            (
+                ["normalizer", "--h", "x^2", "--char", "3", "--element", "x*y + x^5*y^3"],
+                "",
+                "h: x^2\nelement: x*y + x^5*y^3\nin A_h: no\nin normalizer: yes\n",
+            ),
+            (
+                ["center", "--h", "x", "--char", "2", "--element", "x^2*y^2 + x^2"],
+                "",
+                "h: x\n"
+                "Z(A_h) = F[t1, t2] with t1 = x^p, t2 = zeta\n"
+                "zeta: x^2*y^2\n"
+                "zeta_hat_coeff: 1\n"
+                "hbar: 1\n"
+                "qbreve: 1\n"
+                "element coordinates: t1 + t2\n",
+            ),
+            (
+                ["center", "--h", "x", "--char", "2", "--element", "x*y"],
+                "",
+                "h: x\n"
+                "Z(A_h) = F[t1, t2] with t1 = x^p, t2 = zeta\n"
+                "zeta: x^2*y^2\n"
+                "zeta_hat_coeff: 1\n"
+                "hbar: 1\n"
+                "qbreve: 1\n"
+                "element: not central (y-degree 1 is not a multiple of 2)\n",
+            ),
+            (
+                ["center", "--h", "x^2", "--char", "0"],
+                "",
+                "h: x^2\nZ(A_h) = F (scalars only)\n",
+            ),
+            (
+                ["exp-aut", "--h", "x^2", "--char", "0", "--g", "x+1", "--element", "x^2*y"],
+                "",
+                "h: x^2\n"
+                "g: 1 + x\n"
+                "phi_g(x): x\n"
+                "phi_g(yhat): 1 + 3*x + x^2*y\n"
+                "phi_g(element): 1 + x + x^2*y\n",
+            ),
+        ],
+    )
+    def test_text(self, argv, stdin_text, expected, capsys):
+        code, out, err = run_cli(argv, stdin_text=stdin_text, capsys=capsys)
+        assert code == 0 and err == ""
+        assert out == expected
 
 
 class TestJsonSchema:

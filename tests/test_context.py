@@ -18,7 +18,9 @@ from ahweyl.context import (
     varrho_of,
 )
 from ahweyl.centerpoly import CenterPoly
+from ahweyl.derivations import InnerWitness, NotInner, ad, decompose_Ah_charp, is_inner
 from ahweyl.fields import FieldSpec, QQ
+from ahweyl.hochschild import _normalizer_quotient_level
 from ahweyl.linalg import relations
 from ahweyl.poly import Poly
 from ahweyl.weyl import WeylElement, commutator
@@ -772,11 +774,36 @@ class TestCenterCommutatorSplit:
             assert q.is_zero() or q.degree < ctx.h_over_pi.degree
 
 
+def split_Dhi_plus_Fxp(ctx, w, i):
+    """Oracle: (d, z) with w = d*h^i + z, z in F[x^p], or None if impossible,
+    by row reduction in D/(h^i) on the residues of x^(pj), j < deg h^i.
+    Once one of them depends on those before it, every later one does too,
+    since x^p maps their span into itself; so the independent ones span all
+    residues of F[x^p], and the relation of w mod h^i involves only them."""
+    F = ctx.field
+    hi = ctx.h_power(i)
+    if hi.is_constant():
+        return w.exact_div(hi), Poly.zero(F)
+    xp = Poly.monomial(F, 1, ctx.p)
+    reps = [Poly.one(F)]
+    for _ in range(int(hi.degree) - 1):
+        reps.append((xp * reps[-1]) % hi)
+    rel = relations(F, [r.coeffs for r in reps] + [(w % hi).coeffs])[-1]
+    if rel is None:
+        return None
+    z = Poly.zero(F)
+    for j, c in enumerate(rel[: len(reps)]):
+        if not F.is_zero(c):
+            z = z + Poly.monomial(F, F.neg(c), ctx.p * j)
+    d = (w - z).exact_div(hi)
+    return d, z
+
+
 class TestSplitDhiPlusFxp:
     def test_examples(self):
         ctx = AhContext(Poly.x(GF3))
         # x^3 = 0*h^3 + x^3 with x^3 in F[x^p]
-        got = ctx.split_Dhi_plus_Fxp(xn(GF3, 3), 3)
+        got = split_Dhi_plus_Fxp(ctx, xn(GF3, 3), 3)
         assert got is not None
         d, z = got
         assert d * ctx.h**3 + z == xn(GF3, 3)
@@ -785,13 +812,148 @@ class TestSplitDhiPlusFxp:
     def test_membership_boundary(self):
         ctx = AhContext(P(GF3, 0, 0, 1))  # h = x^2, p = 3
         # w = x: x not in D h^1 + F[x^3]? x = d x^2 + z impossible
-        assert ctx.split_Dhi_plus_Fxp(Poly.x(GF3), 1) is None
+        assert split_Dhi_plus_Fxp(ctx, Poly.x(GF3), 1) is None
         rng = random.Random(27)
         for _ in range(20):
             d = random_poly(rng, GF3, 3)
             z = random_poly(rng, GF3, 2).substitute_xp()
             w = d * ctx.h**2 + z
-            got = ctx.split_Dhi_plus_Fxp(w, 2)
+            got = split_Dhi_plus_Fxp(ctx, w, 2)
             assert got is not None
             d2, z2 = got
             assert d2 * ctx.h**2 + z2 == w and z2.in_frobenius_base()
+
+    @given(
+        p=st.sampled_from([2, 3, 5, 7]),
+        kind=st.sampled_from(["free", "repeated", "frobenius"]),
+        f=st.lists(st.integers(0, 6), min_size=0, max_size=2),
+        g=st.integers(0, 6),
+        k=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_split_is_the_remainder_at_p_divides_i(self, p, kind, f, g, k, seed):
+        # h^(kp) = h^k(x^p), so w lies in D h^(kp) + F[x^p] iff
+        # w mod h^(kp) lies in F[x^p], and then that remainder is z
+        ctx = AhContext(monic_with_factor(FieldSpec(p), kind, f, g))
+        rng = random.Random(seed)
+        i = k * p
+        hi = ctx.h_power(i)
+        w = random_poly(rng, ctx.field, 3) * hi
+        w = w + random_poly(rng, ctx.field, 3).substitute_xp()
+        if rng.random() < 0.5:
+            w = w + random_poly(rng, ctx.field, int(hi.degree) - 1)
+        got = split_Dhi_plus_Fxp(ctx, w, i)
+        z = w % hi
+        assert (got is not None) == z.in_frobenius_base()
+        if got is not None:
+            assert got == ((w - z).exact_div(hi), z)
+
+
+def monic_with_factor(field, kind, f, g):
+    """The monic h with low coefficients f, times (x + g)^2 for "repeated"
+    or (x + g)^p for "frobenius" ("free" leaves it as it is)."""
+    h = Poly(field, list(f) + [1])
+    if kind == "repeated":
+        h = h * Poly(field, [g, 1]) ** 2
+    elif kind == "frobenius":
+        h = h * Poly(field, [g, 1]) ** field.p
+    return h
+
+
+class TestHpOverVarrho:
+    @given(
+        p=st.sampled_from([2, 3, 5, 7, 11, 13]),
+        kind=st.sampled_from(["free", "repeated", "frobenius"]),
+        f=st.lists(st.integers(0, 12), min_size=0, max_size=3),
+        g=st.integers(0, 12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_frobenius_identities(self, p, kind, f, g):
+        # h^p / varrho_h = (h / sigma)(x^p), (h')^p / varrho_h = (h' / sigma)(x^p)
+        ctx = AhContext(monic_with_factor(FieldSpec(p), kind, f, g))
+        h = ctx.h
+        assert ctx.varrho_root.substitute_xp() == ctx.varrho_h
+        assert ctx.hp_over_varrho == (h**p).exact_div(ctx.varrho_h)
+        hprime_p = (h.derivative() ** p).exact_div(ctx.varrho_h)
+        assert h.derivative().exact_div(ctx.varrho_root).substitute_xp() == hprime_p
+
+    def test_constant_and_pth_power(self):
+        ctx = AhContext(P(GF3, 2))
+        assert ctx.hp_over_varrho == P(GF3, 2)
+        ctx = AhContext(xn(GF3, 3) * P(GF3, 1, 1))  # varrho_h = x^3
+        assert ctx.varrho_root == Poly.x(GF3)
+        assert ctx.hp_over_varrho == xn(GF3, 6) * P(GF3, 1, 0, 0, 1)
+
+
+def termwise_is_inner(d):
+    """Oracle: is_inner in characteristic p for a derivation with no center,
+    D_s or outer part before the normalizer part, deciding each term r y^i
+    by exact division by h^i for p not dividing i and by the row reduction
+    `split_Dhi_plus_Fxp` for p | i."""
+    ctx = d.context
+    dec = decompose_Ah_charp(d)
+    assert dec.u.is_zero() and dec.v.is_zero() and dec.s.is_zero()
+    witness = dec.inner_witness
+    for i, r in sorted(dec.normalizer_part.terms.items()):
+        outer = NotInner(
+            f"normalizer part at y-degree {i} is outside A_h + Z(A_1)",
+            residue=WeylElement.from_term(r, i),
+        )
+        if i % ctx.p:
+            if not ctx.h_power(i).divides(r):
+                return outer
+            witness = witness + WeylElement.from_term(r, i)
+        else:
+            split = split_Dhi_plus_Fxp(ctx, r, i) if i else (r, Poly.zero(ctx.field))
+            if split is None:
+                return outer
+            di, _z = split
+            if not di.is_zero():
+                witness = witness + WeylElement.from_term(di * ctx.h_power(i), i)
+    return InnerWitness(witness)
+
+
+def normalizer_element(rng, ctx, top):
+    """Random a in N(A_h) up to y-degree top. A term at p not dividing i is
+    r pi_h h^(i-1), in A_h when h/pi_h divides r, which a coin makes it
+    four times in five; a term at p | i is d h^i + z h^(i-p) with z in
+    F[x^p], and lies in A_h + Z(A_1)."""
+    F = ctx.field
+    p = ctx.p
+    a = WeylElement.from_poly(random_poly(rng, F, 3))
+    for i in range(1, top + 1):
+        if rng.random() < 0.3:
+            continue
+        if i % p:
+            r = random_poly(rng, F, 2)
+            if rng.random() < 0.8:
+                r = r * ctx.h_over_pi
+            w = r * ctx.pi_h * ctx.h_power(i - 1)
+        else:
+            z = random_poly(rng, F, 2).substitute_xp()
+            w = random_poly(rng, F, 2) * ctx.h_power(i) + z * ctx.h_power(i - p)
+        a = a + WeylElement.from_term(w, i)
+    return a
+
+
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    kind=st.sampled_from(["free", "repeated", "frobenius"]),
+    f=st.lists(st.integers(0, 6), min_size=0, max_size=2),
+    g=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_is_inner_matches_termwise_row_reduction(p, kind, f, g, seed):
+    # normalizer elements up to y-degree 2p + 1, perturbed half the time at
+    # y-degree p by normalizer quotient generators, which are outside
+    # A_h + Z(A_1) there
+    ctx = AhContext(monic_with_factor(FieldSpec(p), kind, f, g))
+    rng = random.Random(seed)
+    a = normalizer_element(rng, ctx, 2 * p + 1)
+    if rng.random() < 0.5:
+        for gen in _normalizer_quotient_level(ctx, p).generators:
+            a = a + WeylElement.from_term(gen.scale(rng.randrange(p)), p)
+    d = ad(a, ctx)
+    assert is_inner(d) == termwise_is_inner(d)
