@@ -26,8 +26,6 @@ from .derivations import (
     InvalidDerivation,
     InvalidDerivationError,
     aut_exp,
-    decompose_Ah_char0,
-    decompose_Ah_charp,
     is_inner,
     make_derivation,
 )
@@ -36,34 +34,23 @@ from .hochschild import freeness_and_module_report_charp, structure_report_char0
 from .parse import ParseError, parse_factors, parse_poly, parse_weyl
 from .verify import run_verify
 
-_DOMAIN_ERRORS = (
-    ParseError,
-    FactorListError,
-    MembershipError,
-    MissingFactorizationError,
-    InvalidDerivationError,
-    ExactDivisionError,
-    FieldMismatchError,
-    ZeroDivisionError,
-    ValueError,
-)
+# Domain errors (exit 1) and the category printed for each; isinstance picks
+# the first match, so every subclass comes before ValueError.
+_ERROR_CATEGORIES = {
+    ParseError: "parse error",
+    FactorListError: "factor list error",
+    MembershipError: "membership error",
+    MissingFactorizationError: "missing factorization",
+    InvalidDerivationError: "invalid derivation",
+    ExactDivisionError: "non-exact division",
+    FieldMismatchError: "field mismatch",
+    ZeroDivisionError: "division by zero",
+    ValueError: "domain error",
+}
 
 
 def _error_category(exc: Exception) -> str:
-    names = {
-        ParseError: "parse error",
-        FactorListError: "factor list error",
-        MembershipError: "membership error",
-        MissingFactorizationError: "missing factorization",
-        InvalidDerivationError: "invalid derivation",
-        ExactDivisionError: "non-exact division",
-        FieldMismatchError: "field mismatch",
-        ZeroDivisionError: "division by zero",
-    }
-    for cls, name in names.items():
-        if isinstance(exc, cls):
-            return name
-    return "domain error"
+    return next(name for cls, name in _ERROR_CATEGORIES.items() if isinstance(exc, cls))
 
 
 @functools.cache
@@ -265,15 +252,15 @@ def serialize_derivation(d: Derivation) -> dict:
 
 
 def _classification_payload(d: Derivation, ctx: AhContext) -> dict:
+    verdict = is_inner(d)
+    dec = verdict.decomposition
     if ctx.field.is_char_zero:
-        dec = decompose_Ah_char0(d)
         decomposition = {
             "g": str(dec.g),
             "terms": [[n, str(r)] for n, r in dec.terms],
             "inner_witness": str(dec.inner_witness),
         }
     else:
-        dec = decompose_Ah_charp(d)
         decomposition = {
             "u": str(dec.u),
             "v": str(dec.v),
@@ -281,18 +268,11 @@ def _classification_payload(d: Derivation, ctx: AhContext) -> dict:
             "normalizer_part": str(dec.normalizer_part),
             "inner_witness": str(dec.inner_witness),
         }
-    verdict = is_inner(d)
-    if isinstance(verdict, InnerWitness):
-        return {
-            "inner": True,
-            "witness": str(verdict.witness),
-            "certificate": None,
-            "decomposition": decomposition,
-        }
+    inner = isinstance(verdict, InnerWitness)
     return {
-        "inner": False,
-        "witness": None,
-        "certificate": verdict.reason,
+        "inner": inner,
+        "witness": str(verdict.witness) if inner else None,
+        "certificate": None if inner else verdict.reason,
         "decomposition": decomposition,
     }
 
@@ -603,7 +583,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error (invalid JSON input): {exc}", file=sys.stderr)
         return 1
-    except _DOMAIN_ERRORS as exc:
+    except tuple(_ERROR_CATEGORIES) as exc:
         print(f"error ({_error_category(exc)}): {exc}", file=sys.stderr)
         return 1
     if args.output == "json":

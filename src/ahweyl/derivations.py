@@ -13,8 +13,9 @@ forms (`commutator` with the operand x, `AhContext.yhat_bracket`).
 The module also provides: the special derivations D_g, E_x, E_y, bhat_x and
 bhat_f; extension to A_1 and the constructive decompositions of Der(A_1) in
 both characteristics; restriction to the center; the direct decompositions
-of Der(A_h); an inner-ness test with witness or certificate; and the
-one-parameter automorphisms x -> x, yhat -> yhat + g.
+of Der(A_h); the inner-ness test `is_inner`, which decomposes D once and
+returns a witness or a certificate, each carrying that decomposition; and
+the one-parameter automorphisms x -> x, yhat -> yhat + g.
 """
 
 from __future__ import annotations
@@ -750,69 +751,60 @@ def decompose_Ah_charp(d: Derivation) -> DecompCharP:
 
 @dataclass(frozen=True)
 class InnerWitness:
+    """D = ad_witness, with the decomposition the verdict was read from."""
+
     witness: WeylElement
+    decomposition: DecompCharZero | DecompCharP
 
 
 @dataclass(frozen=True)
 class NotInner:
-    """Certificate: the outer components remaining after canonicalization."""
+    """Certificate: the reason, the decomposition whose outer components it
+    names, and in characteristic p the normalizer term outside
+    A_h + Z(A_1), if that is the reason."""
 
     reason: str
-    g: Optional[Poly] = None
-    terms: tuple = ()
-    u: Optional[CenterPoly] = None
-    v: Optional[CenterPoly] = None
-    s: Optional[Poly] = None
+    decomposition: DecompCharZero | DecompCharP
     residue: Optional[WeylElement] = None
 
 
 def is_inner(d: Derivation):
-    """InnerWitness(w) with D = ad_w, or NotInner with a certificate.
+    """InnerWitness(w, decomposition) with D = ad_w, or NotInner with a
+    certificate; the one place that decomposes a derivation to classify it.
 
     In characteristic p the normalizer part must lie in A_h + Z(A_1), term
-    by term. A term r y^i does iff z = r mod h^i is 0, or p | i and z lies
-    in F[x^p]; then (r - z) y^i joins the witness and z y^i is central in
-    A_1. Proof: for p | i, h^i = H(x^p) with H = h^(i/p) read in u = x^p,
-    since h^p = h(x^p) over the prime field. So division by h^i acts on
-    each Frobenius component r_j(x^p) x^j of r separately, and
-    r mod h^i = sum_j (r_j mod H)(x^p) x^j. If r = d h^i + z' with z' in
-    F[x^p], then z = z' mod h^i lies in F[x^p]; conversely z in F[x^p]
-    gives r = (r - z) + z. This z is also the combination of the
-    independent residues x^(pj), j < deg h^i / p, that row reduction
-    against the residues of F[x^p] mod h^i returns. At i = 0, h^0 = 1
-    and all of r joins the witness."""
+    by term, and a term r y^i does iff h^i divides r; then r y^i joins the
+    witness. The other route, z = r mod h^i nonzero but in F[x^p] (central
+    in A_1) at p | i, never occurs. The terms of b in the normalizer part
+    sit at y-degrees prime to p, so a term at y-degree kp comes from
+    c_tilde, an antiderivative, and has no x^(jp) terms. Over the prime
+    field h^p = h(x^p), so h^(kp) = H(x^p) with H = h^k read in u = x^p,
+    and division by H(x^p) acts on each Frobenius component r_j(x^p) x^j
+    of r separately: r mod h^(kp) = sum_j (r_j mod H)(x^p) x^j. Its
+    component j = 0 is then 0, so it lies in F[x^p] only when it is 0."""
     ctx = d.context
     if ctx.field.is_char_zero:
         dec = decompose_Ah_char0(d)
         if dec.g.is_zero() and not dec.terms:
-            return InnerWitness(dec.inner_witness)
-        return NotInner(
-            "nonzero class components in the D/ad_{r a_n} slots",
-            g=dec.g,
-            terms=dec.terms,
-        )
+            return InnerWitness(dec.inner_witness, dec)
+        return NotInner("nonzero class components in the D/ad_{r a_n} slots", dec)
     dec = decompose_Ah_charp(d)
     if not (dec.u.is_zero() and dec.v.is_zero()):
-        return NotInner("nonzero center coefficients", u=dec.u, v=dec.v)
+        return NotInner("nonzero center coefficients", dec)
     if not dec.s.is_zero():
-        return NotInner(
-            "residual D_s component outside im delta", u=dec.u, v=dec.v, s=dec.s
-        )
-    p = ctx.p
-    witness = dec.inner_witness
+        return NotInner("residual D_s component outside im delta", dec)
     for i, r in sorted(dec.normalizer_part.terms.items()):
-        z = r % ctx.h_power(i)
-        if z and (i % p or not z.in_frobenius_base()):
+        if not ctx.h_power(i).divides(r):
             return NotInner(
                 f"normalizer part at y-degree {i} is outside A_h + Z(A_1)",
+                dec,
                 residue=WeylElement.from_term(r, i),
             )
-        if r != z:
-            witness = witness + WeylElement.from_term(r - z, i)
+    witness = dec.inner_witness + dec.normalizer_part
     inner = ad(witness, ctx)
     if inner.image_x != d.image_x or inner.image_yhat != d.image_yhat:
         raise AssertionError("inner witness failed to reproduce the derivation")
-    return InnerWitness(witness)
+    return InnerWitness(witness, dec)
 
 
 # -- exponential automorphisms ----------------------------------------------------------------

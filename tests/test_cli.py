@@ -8,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from ahweyl import cli, derivations
 from ahweyl.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -68,6 +69,14 @@ class TestExitCodes:
         assert code == 1
         assert "factor list error" in err
 
+    def test_domain_error_membership(self, capsys):
+        code, out, err = run_cli(
+            ["exp-aut", "--h", "x", "--char", "0", "--g", "1", "--element", "y"],
+            capsys=capsys,
+        )
+        assert code == 1 and out == ""
+        assert err == "error (membership error): y is not in A_h\n"
+
     def test_domain_error_zero_h(self, capsys):
         code, out, err = run_cli(["analyze", "--h", "0", "--char", "0"], capsys=capsys)
         assert code == 1
@@ -88,6 +97,45 @@ class TestExitCodes:
         )
         assert code == 1
         assert "invalid JSON" in err
+
+
+_BRACKET_INPUT = json.dumps(
+    {"left": {"Dx": "0", "Dyhat": "1"}, "right": {"Dx": "x", "Dyhat": "2*x + x^2*y"}}
+)
+
+
+@pytest.mark.parametrize(
+    "argv,stdin_text",
+    [
+        (["classify", "--h", "x", "--char", "0"], '{"Dx": "0", "Dyhat": "1"}'),
+        (["classify", "--h", "x^2", "--char", "0"], '{"Dx": "0", "Dyhat": "x^2"}'),
+        (["classify", "--h", "x^2", "--char", "3"], '{"Dx": "0", "Dyhat": "2*x^6*y^3"}'),
+        (
+            ["classify", "--h", "x^2+1", "--char", "3"],
+            '{"Dx": "x^2 + x^4", "Dyhat": "2*x^2 + 2*x^4 + (x + 2*x^3 + x^5)*y'
+            ' + (2 + 2*x^2 + 2*x^6 + 2*x^8)*y^3"}',
+        ),
+        (["bracket", "--h", "x^2", "--char", "0"], _BRACKET_INPUT),
+        (["bracket", "--h", "x^2", "--char", "3"], _BRACKET_INPUT),
+    ],
+)
+def test_one_decomposition_per_classified_derivation(argv, stdin_text, monkeypatch, capsys):
+    # is_inner's verdict carries the decomposition the CLI prints; the names
+    # are also patched in cli, so that a decomposition made there counts too
+    calls = []
+    for name in ("decompose_Ah_char0", "decompose_Ah_charp"):
+        original = getattr(derivations, name)
+
+        def counted(d, original=original):
+            calls.append(d)
+            return original(d)
+
+        monkeypatch.setattr(derivations, name, counted)
+        monkeypatch.setattr(cli, name, counted, raising=False)
+    code, out, _ = run_cli(argv + ["--output", "json"], stdin_text=stdin_text, capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["valid"] is True
+    assert len(calls) == 1
 
 
 class TestGolden:

@@ -24,6 +24,7 @@ from ahweyl.hochschild import _normalizer_quotient_level
 from ahweyl.linalg import relations
 from ahweyl.poly import Poly
 from ahweyl.weyl import WeylElement, commutator
+from test_derivations import random_derivation
 from test_derivations import zbasis_collect  # the center-basis oracle
 
 GF2 = FieldSpec(2)
@@ -898,6 +899,7 @@ def termwise_is_inner(d):
     for i, r in sorted(dec.normalizer_part.terms.items()):
         outer = NotInner(
             f"normalizer part at y-degree {i} is outside A_h + Z(A_1)",
+            dec,
             residue=WeylElement.from_term(r, i),
         )
         if i % ctx.p:
@@ -911,7 +913,7 @@ def termwise_is_inner(d):
             di, _z = split
             if not di.is_zero():
                 witness = witness + WeylElement.from_term(di * ctx.h_power(i), i)
-    return InnerWitness(witness)
+    return InnerWitness(witness, dec)
 
 
 def normalizer_element(rng, ctx, top):
@@ -957,3 +959,35 @@ def test_is_inner_matches_termwise_row_reduction(p, kind, f, g, seed):
             a = a + WeylElement.from_term(gen.scale(rng.randrange(p)), p)
     d = ad(a, ctx)
     assert is_inner(d) == termwise_is_inner(d)
+
+
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    kind=st.sampled_from(["squarefree", "repeated", "frobenius"]),
+    f=st.lists(st.integers(0, 6), min_size=0, max_size=2),
+    g=st.integers(0, 6),
+    source=st.sampled_from(["random", "normalizer"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_normalizer_part_has_no_xp_terms_at_p_divides_i(p, kind, f, g, source, seed):
+    # why is_inner has no F[x^p] route: a normalizer term r y^(kp) is an
+    # antiderivative, so its Frobenius component 0 is zero, and so is that
+    # of r mod h^(kp) = r mod h^k(x^p)
+    if kind == "squarefree":
+        h = monic_with_factor(FieldSpec(p), "free", f, g)
+        h = h.exact_div(h.gcd_monic(h.derivative()))
+    else:
+        h = monic_with_factor(FieldSpec(p), kind, f, g)
+    ctx = AhContext(h)
+    rng = random.Random(seed)
+    if source == "random":
+        d = random_derivation(rng, ctx)
+    else:
+        a = normalizer_element(rng, ctx, 2 * p + 1)
+        for gen in _normalizer_quotient_level(ctx, p).generators:
+            a = a + WeylElement.from_term(gen.scale(rng.randrange(p)), p)
+        d = ad(a, ctx)
+    for i, r in decompose_Ah_charp(d).normalizer_part.terms.items():
+        if i % p == 0:
+            assert r.frobenius_split()[0].is_zero()

@@ -669,7 +669,7 @@ class TestIsInner:
         ctx = AhContext(Poly.x(QQ))
         got = is_inner(D_g(Poly.one(QQ), ctx))
         assert isinstance(got, NotInner)
-        assert got.g == Poly.one(QQ)
+        assert got.decomposition.g == Poly.one(QQ)
 
     def test_Ex_outer_h_one_char_p(self):
         ctx = AhContext(Poly.one(GF3))
