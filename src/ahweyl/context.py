@@ -25,8 +25,9 @@ derivations are applied in are a = sum g_jk zeta^k yhat^j with g_jk in
 F[x] (j < p in characteristic p, k = 0 over Q), read off by one
 descending-degree elimination. A central factor zeta^k or z(x^p, zeta)
 multiplies without a Weyl product, as a polynomial factor and a shift of
-the y-degrees (`zeta_mul`, `central_mul`), and [yhat, a] has a closed form
-over the cached derivatives of h (`yhat_bracket`).
+the y-degrees (`zeta_mul`, `central_mul`), and [yhat, a] and a yhat have
+closed forms over the cached derivatives of h (`yhat_bracket`,
+`times_yhat`), which also build the cached powers of yhat.
 """
 
 from __future__ import annotations
@@ -255,8 +256,9 @@ class AhContext:
         return self._h_powers[n]
 
     def yhat_power(self, n: int) -> WeylElement:
+        """yhat^n, cached, each power one `times_yhat` step from the last."""
         while len(self._yhat_powers) <= n:
-            self._yhat_powers.append(self._yhat_powers[-1] * self.yhat)
+            self._yhat_powers.append(self.times_yhat(self._yhat_powers[-1]))
         return self._yhat_powers[n]
 
     def zeta_element(self) -> WeylElement:
@@ -348,38 +350,47 @@ class AhContext:
                 out = out + self.zeta_mul(w, k, c.substitute_xp())
         return out
 
-    def yhat_bracket(self, a: WeylElement) -> WeylElement:
-        """[yhat, a] in closed form, without a Weyl product. For a term r y^j,
-
-            [yhat, r y^j] = h r' y^j
-                - sum_{k >= 1} C(j, k) r (h^(k) y^(j-k+1) + h^(k+1) y^(j-k)),
-
-        with h^(k) the k-th derivative of h: yhat r y^j = h r y^(j+1) +
-        (h r' + h' r) y^j, and r y^j yhat = r y^j (h y + h') reorders to the
-        sum over k >= 0, whose k = 0 terms cancel those two. The sum stops
-        at deg h. In characteristic p, h^(k) = 0 for k >= p, so Lucas'
-        theorem gives C(j, k) = C(j mod p, k), and the sum also stops at
-        j mod p. Over Q, r and the derivative chain of h are lifted to
-        integers as in the Weyl product, and each row is reduced once."""
+    def times_yhat(self, a: WeylElement) -> WeylElement:
+        """a * yhat in closed form, without a Weyl product (`_add_times_yhat`)."""
         check_same_field(self.field, a.field)
-        F = self.field
-        p = F.characteristic
+        da, terms = self.field.lift(a.terms)
+        rows = {}
+        self._add_times_yhat(rows, terms, 0, 1)
+        return WeylElement._from_rows(self.field, rows, da * self._h_chain[0])
+
+    def yhat_bracket(self, a: WeylElement) -> WeylElement:
+        """[yhat, a] in closed form, without a Weyl product. yhat r y^j =
+        y h r y^j = (h r y + (h r)') y^j, and the k = 0 term of r y^j yhat
+        (`_add_times_yhat`) is h r y^(j+1), so
+
+            [yhat, r y^j] = (h r' + h' r) y^j - sum_{k >= 1} C(j+1, k) r h^(k) y^(j+1-k)."""
+        check_same_field(self.field, a.field)
         dh, chain = self._h_chain
-        da, terms = F.lift(a.terms)
-        h = chain[0].coeffs
+        da, terms = self.field.lift(a.terms)
         rows = {}
         for j, r in terms.items():
             rc = r.coeffs
-            if len(rc) > 1:
-                _accumulate(rows, j, h, [i * c for i, c in enumerate(rc[1:], 1)])
-            jp = j % p if p else j
-            for k in range(1, min(jp, len(chain) - 1) + 1):
-                b = comb(jp, k)
-                neg = [-b * c for c in rc]
-                _accumulate(rows, j - k + 1, neg, chain[k].coeffs)
-                if k + 1 < len(chain):
-                    _accumulate(rows, j - k, neg, chain[k + 1].coeffs)
-        return WeylElement._from_rows(F, rows, da * dh)
+            _accumulate(rows, j, chain[0].coeffs, [i * c for i, c in enumerate(rc[1:], 1)])
+            if len(chain) > 1:
+                _accumulate(rows, j, chain[1].coeffs, rc)
+        self._add_times_yhat(rows, terms, 1, -1)
+        return WeylElement._from_rows(self.field, rows, da * dh)
+
+    def _add_times_yhat(self, rows: dict, terms: dict, first: int, sign: int) -> None:
+        """rows += sign * sum_{k >= first} C(j+1, k) r h^(k) y^(j+1-k) over the
+        lifted terms r y^j: the terms of r y^j yhat = r y^(j+1) h, with h^(k)
+        the k-th derivative of h. The sum stops at
+        deg h. In characteristic p, h^(k) = 0 for k >= p, so Lucas' theorem
+        gives C(j+1, k) = C((j+1) mod p, k), and the sum also stops at
+        (j+1) mod p. Over Q, r and the derivative chain of h are lifted to
+        integers as in the Weyl product, and each row is reduced once."""
+        p = self.field.characteristic
+        chain = self._h_chain[1]
+        for j, r in terms.items():
+            jp = (j + 1) % p if p else j + 1
+            for k in range(first, min(jp, len(chain) - 1) + 1):
+                b = sign * comb(jp, k)
+                _accumulate(rows, j + 1 - k, [b * c for c in chain[k].coeffs], r.coeffs)
 
     def center_coords(self, a: WeylElement):
         """Express a in Z(A_h) = F[t1, t2], or NotCentral."""

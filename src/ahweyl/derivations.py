@@ -4,11 +4,12 @@ A derivation of A_h is stored by its generator images (D(x), D(yhat)),
 subject to two checks: both images lie in A_h, and the existence criterion
 [D(yhat), x] + [yhat, D(x)] = d(h) holds, where d is the derivation of F[x]
 with d(x) = D(x). Application reads the coordinates a = sum g_jk zeta^k
-yhat^j (k = 0 over Q, j < p in characteristic p) and applies D by Leibniz;
-zeta is central, so every factor zeta^k is a shift (`AhContext.zeta_mul`)
-and the only Weyl products are one per j. The brackets [a, x] and
-[yhat, a] behind `ad`, the existence criterion and D(yhat^p) are closed
-forms (`commutator` with the operand x, `AhContext.yhat_bracket`).
+yhat^j (k = 0 over Q, j < p in characteristic p), applies D by Leibniz with
+one closed form for D(yhat^n) over the cached iterates (ad yhat)^l(D(yhat)),
+of which D(yhat^p) is the last, and sums the result by Horner in yhat.
+Every zeta^k is a shift (`AhContext.zeta_mul`), and a yhat, [yhat, a] and
+[a, x] are closed forms (`AhContext.times_yhat`, `AhContext.yhat_bracket`,
+`commutator` with the operand x), so no general Weyl product is made.
 
 The module also provides: the special derivations D_g, E_x, E_y, bhat_x and
 bhat_f; extension to A_1 and the constructive decompositions of Der(A_1) in
@@ -20,7 +21,9 @@ the one-parameter automorphisms x -> x, yhat -> yhat + g.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from math import comb
 from typing import Optional
 
 from .centerpoly import CenterPoly
@@ -157,36 +160,6 @@ class Derivation:
 
     # -- application -------------------------------------------------------------------
 
-    def _image_yhat_power(self, j: int) -> WeylElement:
-        """D(yhat^j), every power cached.
-
-        In characteristic p, D(yhat^p) = (ad yhat)^(p-1)(D(yhat)): the
-        p-th power identity for derivations (Jacobson, Lie Algebras, 1962,
-        ch. V), which holds because C(p-1, k) = (-1)^k mod p. That is p-1
-        closed-form brackets with yhat. Every other power comes from the
-        one below it by the Leibniz step
-        D(yhat^j) = D(yhat^(j-1)) yhat + yhat^(j-1) D(yhat).
-        """
-        images = self._cache.get("yhat_pow")
-        if images is None:
-            images = {0: WeylElement.zero(self.context.field), 1: self.image_yhat}
-            self._cache["yhat_pow"] = images
-        if j not in images:
-            ctx = self.context
-            p = ctx.field.characteristic
-            if p and p <= j and p not in images:
-                out = self.image_yhat
-                for _ in range(p - 1):
-                    out = ctx.yhat_bracket(out)
-                images[p] = out
-            start = max(k for k in images if k <= j)
-            for m in range(start + 1, j + 1):
-                images[m] = images[m - 1] * ctx.yhat + ctx.yhat_power(m - 1) * self.image_yhat
-        return images[j]
-
-    def apply_to_poly(self, f: Poly) -> WeylElement:
-        return d_on_poly(f, self.image_x)
-
     def image_of_xp(self) -> WeylElement:
         """D(x^p) = (ad x)^(p-1)(D(x)), by the p-th power identity (Jacobson,
         Lie Algebras, 1962, ch. V).
@@ -206,15 +179,28 @@ class Derivation:
             )
         return self._cache[key]
 
+    def _yhat_iterates(self, n: int) -> list:
+        """The iterates c_l = (ad yhat)^l(D(yhat)) for l < n (at least), cached,
+        each one `yhat_bracket` step from the last."""
+        iterates = self._cache.setdefault("yhat_iterates", [self.image_yhat])
+        while len(iterates) < n:
+            iterates.append(self.context.yhat_bracket(iterates[-1]))
+        return iterates
+
     def image_of_zeta(self) -> WeylElement:
-        """D(zeta) via zeta = yhat^p - (delta^p(x)/h) yhat, with D(yhat^p)
-        = (ad yhat)^(p-1)(D(yhat)) (Jacobson, Lie Algebras, 1962, ch. V)."""
+        """D(zeta) = D(yhat^p) - d(c) yhat - c D(yhat), from zeta = yhat^p - c yhat
+        with c = delta^p(x)/h (`zeta_hat_coeff`).
+
+        In the identity of `apply` for D(yhat^p), C(p, l+1) = 0 mod p for
+        l < p-1, so D(yhat^p) = c_(p-1) = (ad yhat)^(p-1)(D(yhat)): the p-th
+        power identity for derivations (Jacobson, Lie Algebras, 1962, ch. V),
+        p-1 closed-form brackets with yhat."""
         key = "zeta"
         if key not in self._cache:
             ctx = self.context
             c = ctx.zeta_hat_coeff
-            out = self._image_yhat_power(ctx.p)
-            out = out - self.apply_to_poly(c) * ctx.yhat
+            out = self._yhat_iterates(ctx.p)[ctx.p - 1]
+            out = out - ctx.times_yhat(d_on_poly(c, self.image_x))
             out = out - self.image_yhat.poly_mul(c)
             self._cache[key] = out
         return self._cache[key]
@@ -222,26 +208,42 @@ class Derivation:
     def apply(self, a) -> WeylElement:
         """Apply to an element of A_h (AhElement or raw WeylElement).
 
-        With a = sum_j G_j yhat^j and G_j = sum_k g_jk zeta^k
-        (`yhat_zeta_collect`), D(a) = sum_j D(G_j) yhat^j + G_j D(yhat^j),
-        where D(G_j) = sum_k d(g_jk) zeta^k + k g_jk zeta^(k-1) D(zeta), as
-        zeta is central; the terms with k = 0 mod p drop out of the second
-        sum. Each zeta^k is applied by `zeta_mul`, so the only Weyl products
-        are the D(G_j) yhat^j, one per j > 0."""
+        With a = sum g_jk zeta^k yhat^j (`yhat_zeta_collect`), Leibniz gives
+        D(a) = sum D(g_jk zeta^k) yhat^j + g_jk zeta^k D(yhat^j), where
+        D(g zeta^k) = d(g) zeta^k + k g zeta^(k-1) D(zeta), as zeta is
+        central, and, with c_l = (ad yhat)^l(D(yhat)),
+
+            D(yhat^n) = sum_{l < n} C(n, l+1) c_l yhat^(n-1-l).
+
+        Derivation: D(yhat^n) = sum_{i < n} yhat^i c_0 yhat^(n-1-i), and
+        yhat^i c_0 = sum_l C(i, l) c_l yhat^(i-l) (induction on i, from
+        yhat c_l = c_l yhat + c_(l+1)); sum_{i < n} C(i, l) = C(n, l+1) is the
+        hockey stick. It is the identity of `d_on_poly` with yhat in place of
+        x, and holds in characteristic p, as only integer binomials enter.
+
+        So D(a) = sum_m w_m yhat^m, with one `zeta_mul` for each power
+        zeta^k in w_m, and the sum is taken by Horner, (w_top yhat +
+        w_(top-1)) yhat + ..., each step one `times_yhat`."""
         if isinstance(a, AhElement):
             a = a.value
         ctx = self.context
-        p = ctx.field.characteristic
-        out = WeylElement.zero(ctx.field)
-        dG = {}  # j -> D(G_j)
-        for (j, k), g in ctx.yhat_zeta_collect(a).items():
-            piece = ctx.zeta_mul(self.apply_to_poly(g), k)
-            if k and k % p:
-                piece = piece + ctx.zeta_mul(self.image_of_zeta(), k - 1, g.scale(k))
-            dG[j] = dG[j] + piece if j in dG else piece
-            out = out + ctx.zeta_mul(self._image_yhat_power(j), k, g)
-        for j, dg in dG.items():
-            out = out + (dg * ctx.yhat_power(j) if j else dg)
+        F = ctx.field
+        coords = ctx.yhat_zeta_collect(a)
+        top = max((j for j, _ in coords), default=0)
+        iterates = self._yhat_iterates(top)
+        parts = defaultdict(list)  # (m, k) -> summands of the zeta^k yhat^m term
+        for (j, k), g in coords.items():
+            parts[j, k].append(d_on_poly(g, self.image_x))
+            if k and k % F.characteristic:
+                parts[j, k - 1].append(self.image_of_zeta().poly_mul(g.scale(k)))
+            for l in range(j):
+                parts[j - 1 - l, k].append(iterates[l].poly_mul(g.scale(comb(j, l + 1))))
+        w = [WeylElement.zero(F)] * (top + 1)
+        for (m, k), pieces in parts.items():
+            w[m] = w[m] + ctx.zeta_mul(sum(pieces, WeylElement.zero(F)), k)
+        out = WeylElement.zero(F)
+        for m in range(top, -1, -1):
+            out = ctx.times_yhat(out) + w[m]
         return out
 
     def bracket(self, other: "Derivation") -> "Derivation":
@@ -313,7 +315,7 @@ def generic_a1_apply(dx: WeylElement, dy: WeylElement, a: WeylElement) -> WeylEl
     phi_dy = dy.apply_phi()
     out = WeylElement.zero(F)
     for i, r in a.terms.items():
-        out = out + d_on_poly(r, dx) * WeylElement.y_power(F, i)
+        out = out + d_on_poly(r, dx).shift(i)
         out = out + d_on_poly(Poly.monomial(F, 1, i), phi_dy).apply_phi().poly_mul(r)
     return out
 
@@ -332,26 +334,6 @@ def ey_apply(a: WeylElement) -> WeylElement:
     return generic_a1_apply(
         WeylElement.zero(a.field), WeylElement.x_power(a.field, p - 1), a
     )
-
-
-def ex_on_poly(g: Poly) -> WeylElement:
-    """Closed form E_x(g) = sum_{k=1}^{p-1} ((-1)^(k-1)/k) g^(k) y^(p-k) - partial_p(g)."""
-    F = g.field
-    p = F.p
-    out = {}
-    d = g
-    for k in range(1, p):
-        d = d.derivative()
-        if d.is_zero():
-            break
-        c = F.div(F.from_int((-1) ** (k - 1)), F.from_int(k))
-        r = d.scale(c)
-        if not r.is_zero():
-            out[p - k] = r
-    pp = g.partial_p()
-    if not pp.is_zero():
-        out[0] = out.get(0, Poly.zero(F)) - pp
-    return WeylElement(F, out)
 
 
 def ex_on_yhat(ctx: AhContext) -> WeylElement:

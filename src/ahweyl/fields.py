@@ -36,19 +36,26 @@ class ExactDivisionError(ArithmeticError):
     """A division that was required to be exact left a remainder."""
 
 
+# Miller-Rabin to the first 13 prime bases decides primality exactly below
+# _MR_EXACT_BELOW (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(
+            f"characteristic {n} is too large: primality is decided below {_MR_EXACT_BELOW}"
+        )
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    d = (n - 1) >> s
+    # b witnesses that n is composite iff b^d != 1 and b^(d 2^i) != -1 for i < s
+    return not any(
+        pow(b, d, n) != 1 and all(pow(b, d << i, n) != n - 1 for i in range(s))
+        for b in _MR_BASES
+    )
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,20 @@ class TestExitCodes:
         code, out, err = run_cli(["analyze", "--h", "x", "--char", "4"], capsys=capsys)
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "char,message",
+        [
+            # the product of the two primes after 2^31: trial division took
+            # longer than 20 s to reject it
+            ("4611686138686472687", "characteristic must be 0 or prime"),
+            ("3317044064679887385961981", "too large"),
+        ],
+    )
+    def test_domain_error_large_char(self, char, message, capsys):
+        code, out, err = run_cli(["analyze", "--h", "x", "--char", char], capsys=capsys)
+        assert code == 1
+        assert message in err
+
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as e:
             main(["analyze", "--char", "0"])

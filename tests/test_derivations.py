@@ -29,7 +29,6 @@ from ahweyl.derivations import (
     decompose_Ah_charp,
     ex_apply,
     ex_as_derivation,
-    ex_on_poly,
     ex_on_yhat,
     extend_to_A1,
     ey_apply,
@@ -209,6 +208,27 @@ class TestAd:
         ctx = AhContext(xn(QQ, 2))
         with pytest.raises(InvalidDerivationError):
             ad(WeylElement.y_power(QQ, 1), ctx)
+
+
+def ex_on_poly(g: Poly) -> WeylElement:
+    """Oracle: the closed form E_x(g) = sum_{k=1}^{p-1} ((-1)^(k-1)/k)
+    g^(k) y^(p-k) - partial_p(g)."""
+    F = g.field
+    p = F.p
+    out = {}
+    d = g
+    for k in range(1, p):
+        d = d.derivative()
+        if d.is_zero():
+            break
+        c = F.div(F.from_int((-1) ** (k - 1)), F.from_int(k))
+        r = d.scale(c)
+        if not r.is_zero():
+            out[p - k] = r
+    pp = g.partial_p()
+    if not pp.is_zero():
+        out[0] = out.get(0, Poly.zero(F)) - pp
+    return WeylElement(F, out)
 
 
 class TestExEy:
@@ -734,12 +754,42 @@ class TestAutExp:
 
 
 def yhat_power_image_sum(d, j):
-    """Oracle: D(yhat^j) = sum_k yhat^k D(yhat) yhat^(j-1-k)."""
-    ctx = d.context
-    out = WeylElement.zero(ctx.field)
+    """Oracle: D(yhat^j) = sum_k yhat^k D(yhat) yhat^(j-1-k), by general
+    Weyl products."""
+    yhat = d.context.yhat
+    out = WeylElement.zero(d.context.field)
     for k in range(j):
-        out = out + ctx.yhat_power(k) * d.image_yhat * ctx.yhat_power(j - 1 - k)
+        out = out + yhat**k * d.image_yhat * yhat ** (j - 1 - k)
     return out
+
+
+def leibniz_yhat_power_images(d, n):
+    """Oracle: [D(yhat^0), ..., D(yhat^n)] by the Leibniz step D(yhat^j) =
+    D(yhat^(j-1)) yhat + yhat^(j-1) D(yhat), with D(yhat^p) seeded in
+    characteristic p as (ad yhat)^(p-1)(D(yhat)) (Jacobson)."""
+    ctx = d.context
+    p = ctx.field.characteristic
+    images = [WeylElement.zero(ctx.field), d.image_yhat]
+    for j in range(2, n + 1):
+        if j == p:
+            out = d.image_yhat
+            for _ in range(p - 1):
+                out = commutator(ctx.yhat, out)
+            images.append(out)
+        else:
+            images.append(images[-1] * ctx.yhat + ctx.yhat ** (j - 1) * d.image_yhat)
+    return images[: n + 1]
+
+
+def zeta_image_sum(d):
+    """Oracle: D(zeta) from zeta = yhat^p - c yhat by general products."""
+    ctx = d.context
+    c = ctx.zeta_hat_coeff
+    return (
+        yhat_power_image_sum(d, ctx.p)
+        - d_on_poly(c, d.image_x) * ctx.yhat
+        - d.image_yhat.poly_mul(c)
+    )
 
 
 def context_from(field, coeffs):
@@ -757,19 +807,17 @@ def context_from(field, coeffs):
 def test_pth_power_identity_matches_sums(p, coeffs, seed):
     ctx = context_from(FieldSpec(p), coeffs)
     d = verify_random_derivation(random.Random(seed), ctx)
-    c = ctx.zeta_hat_coeff
-    zeta_sum = (
-        yhat_power_image_sum(d, p)
-        - d_on_poly(c, d.image_x) * ctx.yhat
-        - d.image_yhat.poly_mul(c)
-    )
-    assert d.image_of_zeta() == zeta_sum
+    assert d.image_of_zeta() == zeta_image_sum(d)
     assert d.image_of_xp() == d_on_poly(Poly.monomial(ctx.field, 1, p), d.image_x)
-    # a fresh copy walks the cache from the top: D(yhat^p) first, then the
-    # Leibniz steps above and below it
+    # a fresh copy applies the powers from the top down, so its first apply
+    # fills the cached iterates up to (ad yhat)^(p-1)(D(yhat)) through D(zeta)
     fresh = verify_random_derivation(random.Random(seed), ctx)
+    leibniz = leibniz_yhat_power_images(fresh, p + 1)
     for j in range(p + 1, -1, -1):
-        assert fresh._image_yhat_power(j) == yhat_power_image_sum(fresh, j)
+        want = yhat_power_image_sum(fresh, j)
+        assert want == leibniz[j]
+        assert fresh.apply(ctx.yhat**j) == want
+    assert fresh.image_of_zeta() == d.image_of_zeta()
 
 
 @given(
@@ -780,8 +828,11 @@ def test_pth_power_identity_matches_sums(p, coeffs, seed):
 def test_yhat_power_images_match_sum_char0(coeffs, seed):
     ctx = context_from(QQ, coeffs)
     d = verify_random_derivation(random.Random(seed), ctx)
+    leibniz = leibniz_yhat_power_images(d, 4)
     for j in (3, 0, 4, 1, 2):
-        assert d._image_yhat_power(j) == yhat_power_image_sum(d, j)
+        want = yhat_power_image_sum(d, j)
+        assert want == leibniz[j]
+        assert d.apply(ctx.yhat**j) == want
 
 
 @given(
@@ -973,6 +1024,50 @@ def test_closed_form_brackets_match_commutators(p, seed):
     assert all(r for r in got.terms.values())
     x = ctx.x_elt
     assert commutator(a, x) == a * x - x * a == -commutator(x, a)
+
+
+@given(p=st.sampled_from([0, 2, 3, 5, 7]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_times_yhat_and_yhat_powers_match_products(p, seed):
+    # a term at y-degree p - 1 and y-degrees past 2p reach j + 1 = 0 mod p,
+    # where Lucas leaves only the k = 0 term
+    field = FieldSpec(p)
+    rng = random.Random(seed)
+    ctx = AhContext(random_h(rng, field, max(p, 2)))
+    top = 2 * p + 3 if p else 6
+    a = random_weyl(rng, field, top, 4)
+    a = a + WeylElement.from_term(random_h(rng, field, 0), max(p, 1) - 1)
+    if field.is_char_zero:
+        a = a.poly_mul(Poly.constant(field, Fraction(1, rng.choice([1, 2, 6]))))
+    assert ctx.times_yhat(a) == a * ctx.yhat
+    for n in range(top, -1, -1):
+        assert ctx.yhat_power(n) == ctx.yhat**n
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_apply_and_bracket_make_no_weyl_product(p, monkeypatch):
+    field = FieldSpec(p)
+    rng = random.Random(11 + p)
+    ctx = AhContext(random_h(rng, field, 3))
+    d = verify_random_derivation(rng, ctx)
+    e = verify_random_derivation(rng, ctx)
+    a = random_ah(rng, ctx, max_ydeg=2 * p + 2 if p else 5)
+    assert len(ctx._yhat_powers) == 1  # the powers of yhat are built below
+    calls = []
+    product = WeylElement.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return product(self, other)
+
+    monkeypatch.setattr(WeylElement, "__mul__", counted)
+    d.apply(a)
+    d.bracket(e)
+    if p:
+        d.image_of_zeta()
+    monkeypatch.undo()
+    assert not calls
+    assert len(ctx._yhat_powers) > 1
 
 
 @given(

@@ -9,7 +9,14 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ahweyl.fields import ExactDivisionError, FieldMismatchError, FieldSpec, QQ
+from ahweyl.fields import (
+    _MR_EXACT_BELOW,
+    ExactDivisionError,
+    FieldMismatchError,
+    FieldSpec,
+    QQ,
+    _is_prime,
+)
 from ahweyl.poly import NEG_INF, NotIntegrable, Poly
 
 GF2 = FieldSpec(2)
@@ -40,6 +47,21 @@ class TestFieldSpec:
             FieldSpec(4)
         with pytest.raises(ValueError):
             FieldSpec(1)
+
+    def test_primality_matches_sympy(self):
+        # strong pseudoprimes: to the bases 2..23, and to the first 12 prime
+        # bases (the least one, psi_12), which base 41 exposes
+        spsp = [3825123056546413051, 318665857834031151167461]
+        rng = random.Random(7)
+        big = [rng.randrange(2**40, _MR_EXACT_BELOW) for _ in range(300)]
+        big += [sympy.nextprime(n) for n in big[:20]]
+        for n in [*range(-3, 5000), 2**61 - 1, 2147483659 * 2147483693, *spsp, *big]:
+            assert _is_prime(n) == sympy.isprime(n), n
+
+    def test_characteristic_too_large_to_decide_is_rejected(self):
+        for n in (_MR_EXACT_BELOW, 2**89 - 1):
+            with pytest.raises(ValueError, match="too large"):
+                FieldSpec(n)
 
     def test_char_p_residues_reduced(self):
         assert GF3.from_int(7) == 1
