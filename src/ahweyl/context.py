@@ -176,10 +176,11 @@ class AhContext:
     def _init_char_p(self):
         p = self.field.p
         # h^p = h(x^p) over the prime field, and varrho_h = sigma(x^p) for
-        # sigma its p-th root, so h^p / varrho_h = (h / sigma)(x^p) and
-        # (h')^p / varrho_h = (h' / sigma)(x^p)
+        # sigma its p-th root, so h^p / varrho_h = (h / sigma)(x^p); and
+        # h' / varrho_h is exact, as varrho_h' = 0
         self.varrho_root = self.varrho_h.pth_root()
         self.hp_over_varrho = self.h.exact_div(self.varrho_root).substitute_xp()
+        self.hprime_over_varrho = self.h.derivative().exact_div(self.varrho_h)
         hp1 = self.h_power(p - 1)
         self.hbar_components = hp1.frobenius_split()  # polynomials in u = x^p
         nonzero = [(i, c) for i, c in enumerate(self.hbar_components) if not c.is_zero()]
@@ -576,7 +577,7 @@ class AhContext:
         rel = relations(F, [vec.coeffs for _, _, vec in gens] + [g.coeffs])[-1]
         if rel is None:
             raise AssertionError("center/commutator split must always solve")
-        coeffs = [F.neg(c) for c in rel]
+        coeffs = [-c for c in rel]
         z = Poly.zero(F)
         q = Poly.zero(F)
         for c, (kind, i, _) in zip(coeffs, gens):

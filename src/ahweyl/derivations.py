@@ -14,15 +14,17 @@ Every zeta^k is a shift (`AhContext.zeta_mul`), and a yhat, [yhat, a] and
 The module also provides: the special derivations D_g, E_x, E_y, bhat_x and
 bhat_f; extension to A_1 and the constructive decompositions of Der(A_1) in
 both characteristics; restriction to the center; the direct decompositions
-of Der(A_h); the inner-ness test `is_inner`, which decomposes D once and
-returns a witness or a certificate, each carrying that decomposition; and
-the one-parameter automorphisms x -> x, yhat -> yhat + g.
+of Der(A_h), which both peel off ad_b with [b, x] = D(x) first; the
+inner-ness test `is_inner`, which decomposes D once and returns a witness
+or a certificate, each carrying that decomposition; and the one-parameter
+automorphisms x -> x, yhat -> yhat + g.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 from typing import Optional
 
@@ -79,7 +81,7 @@ def d_on_poly(f: Poly, u: WeylElement) -> WeylElement:
         falling = 1  # j!/(j-l)!
         for l, hf in enumerate(hasse[: j + 1]):
             c = F.from_int(falling)
-            if F.is_zero(c):
+            if not c:
                 break
             if hf:
                 piece = (hf * r).scale(c)
@@ -350,8 +352,7 @@ def ex_on_yhat(ctx: AhContext) -> WeylElement:
         d = d.derivative()
         if d.is_zero():
             break
-        c = F.div(F.from_int((-1) ** (k - 1)), F.mul(F.from_int(k + 1), F.from_int(k)))
-        r = d.scale(c)
+        r = d.scale(Fraction((-1) ** (k - 1), (k + 1) * k))
         if not r.is_zero():
             out[p - k] = out.get(p - k, Poly.zero(F)) + r
     pph = ctx.h.partial_p()
@@ -405,40 +406,54 @@ def _build_bhat_x(ctx: AhContext) -> Derivation:
 
 
 def bhat_f(ctx: AhContext) -> Derivation:
-    """bhat_f = zeta D_{h'/varrho_h} - bhat_x, built from its displayed
-    closed form and cross-checked against the defining difference, once per
-    context."""
+    """bhat_f = zeta D_{h'/varrho_h} - bhat_x, built from this definition
+    and validated once per context."""
     return ctx.memo("bhat_f", lambda: _build_bhat_f(ctx))
 
 
 def _build_bhat_f(ctx: AhContext) -> Derivation:
-    F = ctx.field
-    p = ctx.p
-    w = ctx.hp_over_varrho
-    img_x = WeylElement.from_term(-w, p - 1)
-    out = {}
-    d = ctx.h.derivative()
-    for k in range(1, p - 1):
-        d = d.derivative()
-        if d.is_zero():
-            break
-        c = F.div(F.from_int((-1) ** k), F.mul(F.from_int(k + 1), F.from_int(k)))
-        r = d.scale(c)
-        if not r.is_zero():
-            out[p - k] = out.get(p - k, Poly.zero(F)) + r
-    pph = ctx.h.partial_p()
-    if not pph.is_zero():
-        out[1] = out.get(1, Poly.zero(F)) + pph
-    pphp = ctx.h.derivative().partial_p()
-    if not pphp.is_zero():
-        out[0] = out.get(0, Poly.zero(F)) + pphp
-    img_yhat = WeylElement(F, out).poly_mul(w)
-    # independent route: zeta * (h'/varrho_h) - bhat_x(yhat)
-    hpr = ctx.h.derivative().exact_div(ctx.varrho_h)
-    alt = ctx.zeta_element().poly_mul(hpr) - ex_on_yhat(ctx).poly_mul(w)
-    if alt != img_yhat:
-        raise AssertionError("bhat_f closed form disagrees with zeta D - bhat_x")
-    return require_derivation(img_x, img_yhat, ctx)
+    d = D_g(ctx.hprime_over_varrho, ctx).central_scale(CenterPoly.t2(ctx.field)) - bhat_x(ctx)
+    return require_derivation(d.image_x, d.image_yhat, ctx)
+
+
+# -- peeling ad_b off D(x) ------------------------------------------------------------------
+
+
+def _split_ad_x(w: WeylElement):
+    """(b, rest) with w = [b, x] + rest: b takes r/(i+1) y^(i+1) for each
+    term r y^i of w, as [y^(i+1), x] = (i+1) y^i. In characteristic p the
+    terms at y-degree i = -1 mod p have no preimage and stay in rest; over Q
+    rest is 0."""
+    F = w.field
+    p = F.characteristic
+    b, rest = {}, {}
+    for i, r in w.terms.items():
+        if p and i % p == p - 1:
+            rest[i] = r
+        else:
+            b[i + 1] = r.scale(Fraction(1, i + 1))
+    return WeylElement(F, b), WeylElement(F, rest)
+
+
+def _peel_ad(ctx: AhContext, e_x: WeylElement, e_yhat: WeylElement):
+    """(b, gs) for the derivation E with E(x) = e_x, E(yhat) = e_yhat:
+    [b, x] = e_x, so E - ad_b kills x and sends yhat to e_yhat + [yhat, b],
+    which centralizes x; gs are its coordinates sum_k zeta^k g_k there
+    (`centralizer_x_coords`, F[x] over Q and Z(A_h) F[x] in characteristic
+    p)."""
+    b, rest = _split_ad_x(e_x)
+    if not rest.is_zero():
+        raise InvalidDerivationError(
+            "kernel remainder still moves x by a degree = -1 mod p term"
+        )
+    if e_x != commutator(b, ctx.x_elt):
+        raise AssertionError("anti-integration of the kernel x-image failed")
+    coords = ctx.centralizer_x_coords(e_yhat + ctx.yhat_bracket(b))
+    if isinstance(coords, NotCentralizing):
+        raise InvalidDerivationError(
+            f"kernel remainder of yhat does not centralize x: {coords.reason}"
+        )
+    return b, coords.zeta_coefficients
 
 
 # -- extension to A_1 and the A_1 decompositions -------------------------------------------
@@ -496,10 +511,7 @@ def decompose_A1_char0(dx: WeylElement, dy: WeylElement):
     if not F.is_char_zero:
         raise ValueError("characteristic-0 decomposition")
     validate_a1_images(dx, dy)
-    u_terms = {}
-    for i, r in dx.terms.items():
-        u_terms[i + 1] = r.scale(F.div(F.one(), F.from_int(i + 1)))
-    u = WeylElement(F, u_terms)
+    u, _ = _split_ad_x(dx)
     e_y = dy - commutator(u, WeylElement.y_power(F, 1))
     if any(i > 0 for i in e_y.terms):
         raise InvalidDerivationError("residual image of y is not a polynomial in x")
@@ -515,19 +527,13 @@ def decompose_A1_charp(dx: WeylElement, dy: WeylElement):
     p = F.p
     validate_a1_images(dx, dy)
     y = WeylElement.y_power(F, 1)
-    b_terms = {}
-    w_terms = {}
-    for i, r in dx.terms.items():
-        if i % p == p - 1:
-            if not r.in_frobenius_base():
-                raise InvalidDerivationError(
-                    f"degree-{i} coefficient of D(x) must lie in F[x^p]"
-                )
-            w_terms[i - (p - 1)] = r
-        else:
-            b_terms[i + 1] = r.scale(F.inv(F.from_int(i % p + 1)))
-    b = WeylElement(F, b_terms)
-    w = WeylElement(F, w_terms)
+    b, rest = _split_ad_x(dx)
+    for i, r in rest.terms.items():
+        if not r.in_frobenius_base():
+            raise InvalidDerivationError(
+                f"degree-{i} coefficient of D(x) must lie in F[x^p]"
+            )
+    w = WeylElement(F, {i - (p - 1): r for i, r in rest.terms.items()})
     f_y = dy - commutator(b, y)
     z_terms = {}
     c_terms = {}
@@ -636,32 +642,30 @@ class DecompCharP:
 
 
 def decompose_Ah_char0(d: Derivation) -> DecompCharZero:
-    """Peel D_g off the yhat-constant term, extend the remainder to A_1,
-    decompose there (everything inner), and normalize the a_n coefficients
-    by division by h/pi_h."""
+    """Peel ad_b off D, read D_g off the rest, and normalize the a_n
+    coefficients of b by division by h/pi_h.
+
+    `_peel_ad` gives b with [b, x] = D(x), so D - ad_b kills x and is D_g0
+    with g0 = (D - ad_b)(yhat) in the centralizer F[x] of x. With g0 = q h + g,
+    deg g < deg h: for c in F[x], ad_c(yhat) = [c, yhat] = -h c', so
+    D_(qh) = ad_(-int q), and D = D_g + ad_(b - int q). b has no y^0 term,
+    and it lies in N(A_h): with r0 the yhat^0 coefficient of D(yhat),
+    D - D_r0 extends to A_1 (`extend_to_A1`), where it is ad_beta for some
+    beta in N(A_h), and beta - b commutes with x, so lies in F[x]. So
+    pi_h h^(n-1) divides the y^n coefficient r_n of b, and s_n = r_n /
+    (pi_h h^(n-1)) = q_n (h/pi_h) + rt_n splits r_n y^n into q_n h^n y^n in
+    A_h, which joins the witness, and the class component rt_n a_n."""
     ctx = d.context
     if not ctx.field.is_char_zero:
         raise ValueError("characteristic-0 decomposition")
     bad = d.validate()
     if bad is not None:
         raise InvalidDerivationError(bad.describe())
-    F = ctx.field
-    fs = ctx.yhat_collect(d.image_yhat)
-    r0 = fs[0] if fs else Poly.zero(F)
-    q, g = divmod(r0, ctx.h)
-    rbar = (-q).antiderivative()
-    rest_yhat = d.image_yhat - WeylElement.from_poly(r0)
-    a = rest_yhat.right_div_exact(ctx.h)
-    dh = d_on_poly(ctx.h, d.image_x)
-    b = dh.right_div_exact(ctx.h)
-    e_y = a - WeylElement.y_power(F, 1) * b
-    u, w = decompose_A1_char0(d.image_x, e_y)
-    beta = u + WeylElement.from_poly(w)
-    witness = WeylElement.from_poly(rbar + beta.coefficient(0))
+    b, (g0,) = _peel_ad(ctx, d.image_x, d.image_yhat)
+    q, g = divmod(g0, ctx.h)
+    witness = WeylElement.from_poly((-q).antiderivative())
     terms = []
-    for n, rn in sorted(beta.terms.items()):
-        if n == 0:
-            continue
+    for n, rn in sorted(b.terms.items()):
         s_n = rn.exact_div(ctx.pi_h * ctx.h_power(n - 1))
         qn, rt = divmod(s_n, ctx.h_over_pi)
         if not qn.is_zero():
@@ -672,8 +676,15 @@ def decompose_Ah_char0(d: Derivation) -> DecompCharZero:
 
 
 def decompose_Ah_charp(d: Derivation) -> DecompCharP:
-    """Solve the center part (u, v) through Res, then split the kernel
-    remainder into ad-parts and a single D_s with s in the complement S."""
+    """Solve the center part (u, v) through Res, then peel ad_b off the
+    kernel remainder E = D - u D_qbreve - v bhat_f as in characteristic 0.
+
+    `_peel_ad` gives b with [b, x] = E(x) (E(x) has no term at y-degree -1
+    mod p) and E - ad_b = sum_k zeta^k D_(g_k), read in the centralizer
+    Z(A_h) F[x] of x. E kills the center, so every g_k lies in Theta. For
+    k >= 1, zeta^k D_(g_k) = ad_(w_k y^(kp)) with w_k' = -g_k h^(kp-1), and
+    g_0 = s + delta(c0) with s in the complement S, where D_(delta(c0)) =
+    ad_(-c0)."""
     ctx = d.context
     ctx._require_char_p()
     bad = d.validate()
@@ -693,23 +704,7 @@ def decompose_Ah_charp(d: Derivation) -> DecompCharP:
     dbf = bhat_f(ctx).central_scale(v)
     e_x = d.image_x - dqb.image_x - dbf.image_x
     e_yhat = d.image_yhat - dqb.image_yhat - dbf.image_yhat
-    b_terms = {}
-    for i, r in e_x.terms.items():
-        if i % p == p - 1:
-            raise InvalidDerivationError(
-                "kernel remainder still moves x by a degree = -1 mod p term"
-            )
-        b_terms[i + 1] = r.scale(F.inv(F.from_int(i % p + 1)))
-    b = WeylElement(F, b_terms)
-    f_yhat = e_yhat + ctx.yhat_bracket(b)
-    if e_x != commutator(b, ctx.x_elt):
-        raise AssertionError("anti-integration of the kernel x-image failed")
-    coords = ctx.centralizer_x_coords(f_yhat)
-    if isinstance(coords, NotCentralizing):
-        raise InvalidDerivationError(
-            f"kernel remainder of yhat does not centralize x: {coords.reason}"
-        )
-    gs = coords.zeta_coefficients
+    b, gs = _peel_ad(ctx, e_x, e_yhat)
     for g in gs:
         if not ctx.in_theta(g):
             raise InvalidDerivationError(
@@ -763,26 +758,30 @@ def is_inner(d: Derivation):
     field h^p = h(x^p), so h^(kp) = H(x^p) with H = h^k read in u = x^p,
     and division by H(x^p) acts on each Frobenius component r_j(x^p) x^j
     of r separately: r mod h^(kp) = sum_j (r_j mod H)(x^p) x^j. Its
-    component j = 0 is then 0, so it lies in F[x^p] only when it is 0."""
+    component j = 0 is then 0, so it lies in F[x^p] only when it is 0.
+
+    In both characteristics the witness is checked once: ad_w must rebuild
+    D on both generators."""
     ctx = d.context
     if ctx.field.is_char_zero:
         dec = decompose_Ah_char0(d)
-        if dec.g.is_zero() and not dec.terms:
-            return InnerWitness(dec.inner_witness, dec)
-        return NotInner("nonzero class components in the D/ad_{r a_n} slots", dec)
-    dec = decompose_Ah_charp(d)
-    if not (dec.u.is_zero() and dec.v.is_zero()):
-        return NotInner("nonzero center coefficients", dec)
-    if not dec.s.is_zero():
-        return NotInner("residual D_s component outside im delta", dec)
-    for i, r in sorted(dec.normalizer_part.terms.items()):
-        if not ctx.h_power(i).divides(r):
-            return NotInner(
-                f"normalizer part at y-degree {i} is outside A_h + Z(A_1)",
-                dec,
-                residue=WeylElement.from_term(r, i),
-            )
-    witness = dec.inner_witness + dec.normalizer_part
+        if not dec.g.is_zero() or dec.terms:
+            return NotInner("nonzero class components in the D/ad_{r a_n} slots", dec)
+        witness = dec.inner_witness
+    else:
+        dec = decompose_Ah_charp(d)
+        if not (dec.u.is_zero() and dec.v.is_zero()):
+            return NotInner("nonzero center coefficients", dec)
+        if not dec.s.is_zero():
+            return NotInner("residual D_s component outside im delta", dec)
+        for i, r in sorted(dec.normalizer_part.terms.items()):
+            if not ctx.h_power(i).divides(r):
+                return NotInner(
+                    f"normalizer part at y-degree {i} is outside A_h + Z(A_1)",
+                    dec,
+                    residue=WeylElement.from_term(r, i),
+                )
+        witness = dec.inner_witness + dec.normalizer_part
     inner = ad(witness, ctx)
     if inner.image_x != d.image_x or inner.image_yhat != d.image_yhat:
         raise AssertionError("inner witness failed to reproduce the derivation")

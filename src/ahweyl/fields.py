@@ -1,10 +1,11 @@
 """Exact coefficient fields: the rationals and the prime fields GF(p).
 
-A FieldSpec carries the characteristic (0 or a prime p) and provides exact
-arithmetic on plain scalar values. The stored (canonical) form of a scalar
-is a `fractions.Fraction` in characteristic 0 and a least nonnegative
-residue (a Python int in [0, p), never a bool) in characteristic p. No
-floating point is used anywhere.
+A FieldSpec carries the characteristic (0 or a prime p); scalars are plain
+values with exact arithmetic, and a FieldSpec only makes, inverts and
+reduces them. The stored (canonical) form of a scalar is a
+`fractions.Fraction` in characteristic 0 and a least nonnegative residue (a
+Python int in [0, p), never a bool) in characteristic p. No floating point
+is used anywhere.
 
 Both kinds of scalar support `+`, `-` and `*` natively, so the ring loops
 of `poly`, `weyl`, `centerpoly` and `linalg` compute on raw values and call
@@ -102,9 +103,8 @@ class FieldSpec:
         if isinstance(v, Fraction):
             if self.characteristic == 0:
                 return v
-            num = v.numerator % self.characteristic
-            den = v.denominator % self.characteristic
-            return self.mul(num, self.inv(den))
+            p = self.characteristic
+            return v.numerator * self.inv(v.denominator % p) % p
         raise TypeError(f"cannot coerce {type(v).__name__} into {self}")
 
     def reduce(self, values, den=None) -> list:
@@ -142,33 +142,12 @@ class FieldSpec:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def add(self, a, b):
-        if self.characteristic == 0:
-            return a + b
-        return (a + b) % self.characteristic
-
-    def mul(self, a, b):
-        if self.characteristic == 0:
-            return a * b
-        return (a * b) % self.characteristic
-
-    def neg(self, a):
-        if self.characteristic == 0:
-            return -a
-        return (-a) % self.characteristic
-
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
         if self.characteristic == 0:
             return Fraction(1) / a
         return pow(a, -1, self.characteristic)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def is_zero(self, a) -> bool:
-        return not a
 
     def __str__(self):
         return "Q" if self.characteristic == 0 else f"GF({self.characteristic})"

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .centerpoly import CenterPoly
@@ -395,8 +396,7 @@ class DerExpr:
         for z, b in parts:
             if isinstance(b, BBf):
                 # normalize bhat_f = t2 * D_{h'/varrho} - bhat_x
-                hpr = ctx.h.derivative().exact_div(ctx.varrho_h)
-                clean.append((z * CenterPoly.t2(ctx.field), BDg(hpr)))
+                clean.append((z * CenterPoly.t2(ctx.field), BDg(ctx.hprime_over_varrho)))
                 clean.append((-z, BBx()))
                 continue
             if not z.is_zero():
@@ -489,7 +489,7 @@ def _core_bracket(ctx: AhContext, b1, b2) -> Optional[list]:
             inner = _core_bracket(ctx, BDg(ctx.delta0(b2.r)), BBx())
             return [(zk * z, b) for z, b in inner]
         zeta_n = ctx.h_over_pi_rho * ctx.delta0(b2.r) + (
-            b2.r * ctx.h.derivative().exact_div(ctx.varrho_h)
+            b2.r * ctx.hprime_over_varrho
         ).scale(n)
         return _reduce_ad_level(ctx, CenterPoly.t2(F, k + 1), zeta_n, n - 1)
     if isinstance(b1, BAd) and isinstance(b2, BBx):
@@ -524,8 +524,7 @@ def _dg_bx_closed_form(ctx: AhContext, g: Poly):
         d = d.derivative()
         if d.is_zero():
             break
-        c = F.div(F.from_int((-1) ** (k - 1)), F.from_int(k))
-        e = e + (d * h.derivative(p - k)).scale(c)
+        e = e + (d * h.derivative(p - k)).scale(Fraction((-1) ** (k - 1), k))
     e = e + ctx.h_power(p - 1) * (h * g.partial_p() - g * h.partial_p())
     e = e.exact_div(rho)
     # b-term
@@ -538,8 +537,7 @@ def _dg_bx_closed_form(ctx: AhContext, g: Poly):
         coeff_poly = (tk * ctx.h_power(p - k)).exact_div(rho)
         if coeff_poly.is_zero():
             continue
-        c = F.div(F.from_int((-1) ** k), F.from_int(p - k))
-        r = coeff_poly.scale(c)
+        r = coeff_poly.scale(Fraction((-1) ** k, p - k))
         if not r.is_zero():
             b_terms[p - k] = b_terms.get(p - k, Poly.zero(F)) + r
     return e, WeylElement(F, b_terms)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 from .centerpoly import CenterPoly
 from .context import AhContext
@@ -480,7 +481,7 @@ def check_a1_innerness_char0(ctx, rng, n=50):
         for j, r in list(dx.terms.items()):
             rp = r.derivative()
             if not rp.is_zero():
-                terms[j + 1] = rp.scale(F.div(F.from_int(-1), F.from_int(j + 1)))
+                terms[j + 1] = rp.scale(Fraction(-1, j + 1))
         dy = WeylElement(F, terms)
         u, w = decompose_A1_char0(dx, dy)
         b = u + WeylElement.from_poly(w)

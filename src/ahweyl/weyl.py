@@ -353,7 +353,7 @@ def varpi(field: FieldSpec) -> WeylElement:
         coeffs[n] = fact
         fact *= p - n  # builds (p-1-(n-1))! for the next step down
     for n in range(1, p):
-        c = field.div(field.from_int(coeffs[n]), field.from_int(n))
+        c = field.coerce(Fraction(coeffs[n], n))
         if c:
             out[n] = Poly.monomial(field, c, n)
     return WeylElement(field, out)

@@ -794,8 +794,8 @@ def split_Dhi_plus_Fxp(ctx, w, i):
         return None
     z = Poly.zero(F)
     for j, c in enumerate(rel[: len(reps)]):
-        if not F.is_zero(c):
-            z = z + Poly.monomial(F, F.neg(c), ctx.p * j)
+        if c:
+            z = z + Poly.monomial(F, -c, ctx.p * j)
     d = (w - z).exact_div(hi)
     return d, z
 

@@ -39,6 +39,7 @@ from ahweyl.derivations import (
     is_inner,
     make_derivation,
     restrict_to_center,
+    _split_ad_x,
 )
 from ahweyl.fields import FieldSpec, QQ
 from ahweyl.poly import Poly
@@ -221,8 +222,7 @@ def ex_on_poly(g: Poly) -> WeylElement:
         d = d.derivative()
         if d.is_zero():
             break
-        c = F.div(F.from_int((-1) ** (k - 1)), F.from_int(k))
-        r = d.scale(c)
+        r = d.scale(Fraction((-1) ** (k - 1), k))
         if not r.is_zero():
             out[p - k] = r
     pp = g.partial_p()
@@ -353,6 +353,55 @@ class TestBhat:
         ctx = AhContext(Poly(FieldSpec(p), h))
         assert bhat_x(ctx).validate() is None
         assert bhat_f(ctx).validate() is None
+
+
+def bhat_f_closed_form(ctx):
+    """Oracle: bhat_f(yhat) = w (sum_{k=1}^{p-2} ((-1)^k/((k+1)k)) h^(k+1)
+    y^(p-k) + partial_p(h) y + partial_p(h')), w = h^p/varrho_h."""
+    F = ctx.field
+    p = ctx.p
+    out = {}
+    d = ctx.h.derivative()
+    for k in range(1, p - 1):
+        d = d.derivative()
+        if d.is_zero():
+            break
+        r = d.scale(Fraction((-1) ** k, (k + 1) * k))
+        if not r.is_zero():
+            out[p - k] = out.get(p - k, Poly.zero(F)) + r
+    pph = ctx.h.partial_p()
+    if not pph.is_zero():
+        out[1] = out.get(1, Poly.zero(F)) + pph
+    pphp = ctx.h.derivative().partial_p()
+    if not pphp.is_zero():
+        out[0] = out.get(0, Poly.zero(F)) + pphp
+    return WeylElement(F, out).poly_mul(ctx.hp_over_varrho)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("k", range(7))
+def test_bhat_f_matches_closed_form(p, k):
+    # h = 1, x, x^2 + 1, two with varrho_h != 1, and two random h
+    F = FieldSpec(p)
+    rng = random.Random(100 * p + k)
+    x1 = P(F, 1, 1)
+    h = [
+        Poly.one(F),
+        Poly.x(F),
+        P(F, 1, 0, 1),
+        xn(F, p) * x1,
+        x1 ** (p + 1) * Poly.x(F),
+        random_h(rng, F, 2),
+        random_h(rng, F, 4),
+    ][k]
+    ctx = AhContext(h)
+    bf = bhat_f(ctx)
+    w = ctx.hp_over_varrho
+    assert bf.image_x == WeylElement.from_term(-w, p - 1)
+    assert bf.image_yhat == bhat_f_closed_form(ctx)
+    hpr = ctx.h.derivative().exact_div(ctx.varrho_h)
+    assert ctx.hprime_over_varrho == hpr
+    assert bf.image_yhat == ctx.zeta_element().poly_mul(hpr) - ex_on_yhat(ctx).poly_mul(w)
 
 
 class TestExtension:
@@ -1063,6 +1112,7 @@ def test_apply_and_bracket_make_no_weyl_product(p, monkeypatch):
     monkeypatch.setattr(WeylElement, "__mul__", counted)
     d.apply(a)
     d.bracket(e)
+    is_inner(d)
     if p:
         d.image_of_zeta()
     monkeypatch.undo()
@@ -1104,3 +1154,65 @@ def test_bhat_built_once_per_context():
         assert build(other) is not build(ctx)
         assert (build(other).image_x, build(other).image_yhat) == (build(ctx).image_x, build(ctx).image_yhat)
     assert ctx.yhat is ctx.yhat and ctx.x_elt is ctx.x_elt
+
+
+def decompose_Ah_char0_via_A1(d):
+    """Oracle: (g, terms, witness) of the characteristic-0 decomposition by
+    extension to A_1: peel D_g off the yhat-constant term of D(yhat), extend
+    the rest to A_1 (D(yhat) = a h, D(h) = b h, y -> a - y b), decompose
+    there (all inner), and normalize the a_n coefficients."""
+    ctx = d.context
+    F = ctx.field
+    fs = ctx.yhat_collect(d.image_yhat)
+    r0 = fs[0] if fs else Poly.zero(F)
+    q, g = divmod(r0, ctx.h)
+    a = (d.image_yhat - WeylElement.from_poly(r0)).right_div_exact(ctx.h)
+    b = d_on_poly(ctx.h, d.image_x).right_div_exact(ctx.h)
+    u, w = decompose_A1_char0(d.image_x, a - WeylElement.y_power(F, 1) * b)
+    beta = u + WeylElement.from_poly(w)
+    witness = WeylElement.from_poly((-q).antiderivative() + beta.coefficient(0))
+    terms = []
+    for n, rn in sorted(beta.terms.items()):
+        if n == 0:
+            continue
+        qn, rt = divmod(rn.exact_div(ctx.pi_h * ctx.h_power(n - 1)), ctx.h_over_pi)
+        if not qn.is_zero():
+            witness = witness + WeylElement.from_term(qn * ctx.h_power(n), n)
+        if not rt.is_zero():
+            terms.append((n, rt))
+    return g, tuple(terms), witness
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_decompose_Ah_char0_matches_A1_extension_route(seed):
+    # h with repeated factors and fractional coefficients; D = D_g + ad of a
+    # normalizer element whose y^i coefficients reach past pi_h h^(i-1) h/pi_h,
+    # so the witness takes A_h terms as well as a polynomial
+    rng = random.Random(seed)
+    h = Poly.constant(QQ, Fraction(rng.choice([1, -2, 3]), rng.choice([1, 2, 5])))
+    for _ in range(rng.randrange(1, 4)):
+        h = h * random_h(rng, QQ, 1) ** rng.randrange(1, 4)
+    ctx = AhContext(h)
+    top = int(h.degree) + 2
+    a = WeylElement.from_poly(random_h(rng, QQ, 0))
+    for i in range(1, rng.randrange(1, 6)):
+        r = random_h(rng, QQ, rng.randrange(top))
+        a = a + WeylElement.from_term(r * ctx.pi_h * ctx.h_power(i - 1), i)
+    d = D_g(random_h(rng, QQ, rng.randrange(top)), ctx) + ad(a, ctx)
+    dec = decompose_Ah_char0(d)
+    assert (dec.g, dec.terms, dec.inner_witness) == decompose_Ah_char0_via_A1(d)
+
+
+@given(p=st.sampled_from([0, 2, 3, 5, 7]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_split_ad_x_inverts_the_bracket_with_x(p, seed):
+    # w = [b, x] + rest, with rest exactly the terms at y-degree -1 mod p
+    field = FieldSpec(p)
+    rng = random.Random(seed)
+    w = random_weyl(rng, field, 3 * p + 2 if p else 6, 4)
+    if field.is_char_zero:
+        w = w.poly_mul(Poly.constant(field, Fraction(1, rng.choice([1, 2, 6]))))
+    b, rest = _split_ad_x(w)
+    assert commutator(b, WeylElement.x_power(field, 1)) + rest == w
+    assert rest.terms == {i: r for i, r in w.terms.items() if p and i % p == p - 1}
