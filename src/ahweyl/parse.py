@@ -14,6 +14,19 @@ elements, a single variable (`x` or `u`) for polynomials, `t1`/`t2` for
 center coordinates (resolved against a context). Errors carry the offending
 position. Printing lives on the value classes (increasing-degree order);
 everything printed re-parses to an equal value.
+
+Evaluation is sparse: every value is a dict {(i, j): c} standing for the
+sum of the c x^i y^j, each c a nonzero canonical scalar of the field.
+Numbers are coerced once, where they are read. A sum adds the raw
+coefficients of all its terms and reduces them once (`FieldSpec.reduce`),
+dropping zeros; unary minus goes through the same reduction. A product
+whose left factor has no y, or whose right factor has no x, is already in
+normal order, x^i y^j * x^k y^l = x^(i+k) y^(j+l), and only adds exponents.
+Any other product (`y*x`, `t2*t1`) is the Weyl product of `weyl`, the one
+route that reorders. The power of a monomial c x^i or c y^j is c^n x^(in)
+or c^n y^(jn); any other power is square-and-multiply through the same
+product. The value becomes a `WeylElement` or `Poly` once, at the end, so
+text in the printed normal form parses without a polynomial or Weyl product.
 """
 
 from __future__ import annotations
@@ -81,7 +94,28 @@ def _tokenize(text: str):
     return tokens
 
 
+def _reduced(field: FieldSpec, raw: dict) -> dict:
+    """The sparse value of raw sums and products of scalars: one reduction,
+    zero coefficients dropped."""
+    return {k: c for k, c in zip(raw, field.reduce(raw.values())) if c}
+
+
+def _to_weyl(field: FieldSpec, value: dict) -> WeylElement:
+    rows = {}  # y-degree -> {x-degree: coefficient}
+    for (i, j), c in value.items():
+        rows.setdefault(j, {})[i] = c
+    return WeylElement._canonical(
+        field, {j: Poly.from_coeff_dict(field, row) for j, row in rows.items()}
+    )
+
+
+def _from_weyl(w: WeylElement) -> dict:
+    return {(i, j): c for j, r in w.terms.items() for i, c in enumerate(r.coeffs) if c}
+
+
 class _Parser:
+    """Recursive descent over the grammar above, evaluating sparse values."""
+
     def __init__(self, text: str, field: FieldSpec, atoms: dict):
         self.tokens = _tokenize(text)
         self.pos = 0
@@ -110,24 +144,22 @@ class _Parser:
         return value
 
     def expr(self):
-        negate = False
-        if self.peek()[0] == "-":
-            self.advance()
-            negate = True
-        value = self.term()
-        if negate:
-            value = -value
-        while self.peek()[0] in ("+", "-"):
+        raw = {}  # (i, j) -> raw sum of the coefficients of every term
+        op = self.advance()[0] if self.peek()[0] == "-" else "+"
+        while True:
+            for k, c in self.term().items():
+                if op == "-":
+                    c = -c
+                raw[k] = raw[k] + c if k in raw else c
+            if self.peek()[0] not in ("+", "-"):
+                return _reduced(self.field, raw)
             op = self.advance()[0]
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
 
     def term(self):
         value = self.factor()
         while self.peek()[0] == "*":
             self.advance()
-            value = value * self.factor()
+            value = self.mul(value, self.factor())
         return value
 
     def factor(self):
@@ -137,7 +169,7 @@ class _Parser:
             tok = self.expect("num")
             if not isinstance(tok[1], int) or tok[1] < 0:
                 raise ParseError("exponent must be a nonnegative integer", tok[2])
-            return base ** tok[1]
+            return self.power(base, tok[1])
         return base
 
     def atom(self):
@@ -151,9 +183,8 @@ class _Parser:
                     f"denominator {den} of {value} is divisible by the characteristic {F.p}",
                     pos,
                 )
-            return WeylElement.from_poly(
-                Poly.constant(self.field, self.field.coerce(value))
-            )
+            c = F.coerce(value)
+            return {(0, 0): c} if c else {}
         if kind == "name":
             if value not in self.atoms:
                 raise ParseError(f"unknown name {value!r}", pos)
@@ -165,33 +196,54 @@ class _Parser:
                 raise ParseError("expected ')'", closing[2])
             return inner
         if kind == "-":
-            return -self.factor()
+            return _reduced(self.field, {k: -c for k, c in self.factor().items()})
         raise ParseError(f"unexpected token {value!r}", pos)
+
+    def mul(self, a: dict, b: dict) -> dict:
+        F = self.field
+        if any(j for _, j in a) and any(i for i, _ in b):
+            return _from_weyl(_to_weyl(F, a) * _to_weyl(F, b))
+        raw = {}  # normal order: x^i y^j * x^k y^l = x^(i+k) y^(j+l)
+        for (i, j), c in a.items():
+            for (k, l), d in b.items():
+                key = (i + k, j + l)
+                raw[key] = raw[key] + c * d if key in raw else c * d
+        return _reduced(F, raw)
+
+    def power(self, base: dict, n: int) -> dict:
+        if len(base) == 1:
+            (((i, j), c),) = base.items()
+            if i == 0 or j == 0:  # c^n x^(in) y^(jn); c^n mod p by pow, however large n is
+                p = self.field.characteristic
+                return {(i * n, j * n): pow(c, n, p) if p else c**n}
+        out = {(0, 0): self.field.one()}
+        while n:
+            if n & 1:
+                out = self.mul(out, base)
+            n >>= 1
+            if n:
+                base = self.mul(base, base)
+        return out
 
 
 def parse_weyl(text: str, field: FieldSpec) -> WeylElement:
-    atoms = {
-        "x": WeylElement.x_power(field, 1),
-        "y": WeylElement.y_power(field, 1),
-    }
-    return _Parser(text, field, atoms).parse()
+    one = field.one()
+    atoms = {"x": {(1, 0): one}, "y": {(0, 1): one}}
+    return _to_weyl(field, _Parser(text, field, atoms).parse())
 
 
 def parse_poly(text: str, field: FieldSpec, var: str = "x") -> Poly:
-    atoms = {var: WeylElement.x_power(field, 1)}
-    value = _Parser(text, field, atoms).parse()
-    if any(i > 0 for i in value.terms):
-        raise ParseError(f"'y' is not allowed in a polynomial in {var}", 0)
-    return value.coefficient(0)
+    value = _Parser(text, field, {var: {(1, 0): field.one()}}).parse()
+    return Poly.from_coeff_dict(field, {i: c for (i, _), c in value.items()})
 
 
 def parse_center(text: str, ctx: AhContext) -> CenterPoly:
     """Parse an element of F[t1, t2], resolved through the context."""
     atoms = {
-        "t1": WeylElement.from_poly(Poly.monomial(ctx.field, 1, ctx.p)),
-        "t2": ctx.zeta_element(),
+        "t1": {(ctx.p, 0): ctx.field.one()},
+        "t2": _from_weyl(ctx.zeta_element()),
     }
-    value = _Parser(text, ctx.field, atoms).parse()
+    value = _to_weyl(ctx.field, _Parser(text, ctx.field, atoms).parse())
     coords = ctx.center_coords(value)
     if isinstance(coords, NotCentral):
         raise ParseError(f"expression is not central: {coords.reason}", 0)
@@ -206,14 +258,14 @@ def parse_factors(text: str, field: FieldSpec):
         chunk = chunk.strip()
         if not chunk:
             continue
-        base, mult = chunk, 1
+        base, mult = None, 1
         head, sep, tail = chunk.rpartition("^")
         if sep and tail.strip().isdigit() and head.strip():
             try:
-                parse_poly(head.strip(), field)
+                base, mult = parse_poly(head.strip(), field), int(tail)
             except ParseError:
                 pass  # the '^' belongs to the polynomial itself
-            else:
-                base, mult = head.strip(), int(tail)
-        out.append((parse_poly(base, field), mult))
+        if base is None:
+            base = parse_poly(chunk, field)
+        out.append((base, mult))
     return out

@@ -199,21 +199,6 @@ class WeylElement:
             return self.scale(other)
         return NotImplemented
 
-    def __pow__(self, n: int) -> "WeylElement":
-        """Closed forms for a base r(x), whose power is r^n, and for a base
-        c*y^i with c a scalar, whose power is c^n y^(in). Any other base is
-        multiplied out n times."""
-        if n < 0:
-            raise ValueError("negative exponent")
-        if len(self.terms) == 1:
-            ((i, r),) = self.terms.items()
-            if i == 0 or r.is_constant():
-                return WeylElement._canonical(self.field, {i * n: r**n})
-        out = WeylElement.one(self.field)
-        for _ in range(n):
-            out = out * self
-        return out
-
     # -- structure maps ---------------------------------------------------------------------
 
     def apply_phi(self) -> "WeylElement":

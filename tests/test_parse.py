@@ -1,15 +1,29 @@
-"""Text grammar: parsing, printing, and round trips."""
+"""Text grammar: parsing, printing, and round trips; the sparse parser
+against the dense WeylElement-valued parser it replaced."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ahweyl.centerpoly import CenterPoly
 from ahweyl.context import AhContext
 from ahweyl.fields import FieldSpec, QQ
-from ahweyl.parse import ParseError, parse_center, parse_factors, parse_poly, parse_weyl
+from ahweyl.derivations import D_g, ad
+from ahweyl.parse import (
+    ParseError,
+    _tokenize,
+    parse_center,
+    parse_factors,
+    parse_poly,
+    parse_weyl,
+)
 from ahweyl.poly import Poly
 from ahweyl.weyl import WeylElement
+
+from test_weyl import random_weyl, repeated_product
 
 GF3 = FieldSpec(3)
 
@@ -126,3 +140,333 @@ class TestParseFactors:
     def test_power_inside_poly(self):
         got = parse_factors("x^2+1", QQ)
         assert got == [(Poly(QQ, [1, 0, 1]), 1)]
+
+
+# -- the dense parser as an oracle -------------------------------------------------------
+
+
+class OracleParser:
+    """The parser before sparse evaluation: every value a WeylElement, every
+    product the general Weyl product, every sum rebuilt term by term, and a
+    power multiplied out factor by factor."""
+
+    def __init__(self, text, field, atoms):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.field = field
+        self.atoms = atoms
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.advance()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+        return tok
+
+    def parse(self):
+        value = self.expr()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(f"unexpected trailing {tok[1]!r}", tok[2])
+        return value
+
+    def expr(self):
+        negate = False
+        if self.peek()[0] == "-":
+            self.advance()
+            negate = True
+        value = self.term()
+        if negate:
+            value = -value
+        while self.peek()[0] in ("+", "-"):
+            op = self.advance()[0]
+            rhs = self.term()
+            value = value + rhs if op == "+" else value - rhs
+        return value
+
+    def term(self):
+        value = self.factor()
+        while self.peek()[0] == "*":
+            self.advance()
+            value = value * self.factor()
+        return value
+
+    def factor(self):
+        base = self.atom()
+        if self.peek()[0] == "^":
+            self.advance()
+            tok = self.expect("num")
+            if not isinstance(tok[1], int) or tok[1] < 0:
+                raise ParseError("exponent must be a nonnegative integer", tok[2])
+            return repeated_product(base, tok[1])
+        return base
+
+    def atom(self):
+        tok = self.advance()
+        kind, value, pos = tok
+        if kind == "num":
+            F = self.field
+            den = value.denominator if isinstance(value, Fraction) else 1
+            if not F.is_char_zero and den % F.p == 0:
+                raise ParseError(
+                    f"denominator {den} of {value} is divisible by the characteristic {F.p}",
+                    pos,
+                )
+            return WeylElement.from_poly(Poly.constant(F, F.coerce(value)))
+        if kind == "name":
+            if value not in self.atoms:
+                raise ParseError(f"unknown name {value!r}", pos)
+            return self.atoms[value]
+        if kind == "(":
+            inner = self.expr()
+            closing = self.advance()
+            if closing[0] != ")":
+                raise ParseError("expected ')'", closing[2])
+            return inner
+        if kind == "-":
+            return -self.factor()
+        raise ParseError(f"unexpected token {value!r}", pos)
+
+
+def oracle_weyl(text, field):
+    atoms = {"x": WeylElement.x_power(field, 1), "y": WeylElement.y_power(field, 1)}
+    return OracleParser(text, field, atoms).parse()
+
+
+def oracle_poly(text, field, var="x"):
+    value = OracleParser(text, field, {var: WeylElement.x_power(field, 1)}).parse()
+    assert set(value.terms) <= {0}
+    return value.coefficient(0)
+
+
+def oracle_center(text, ctx):
+    atoms = {
+        "t1": WeylElement.from_poly(Poly.monomial(ctx.field, 1, ctx.p)),
+        "t2": ctx.zeta_element(),
+    }
+    return ctx.center_coords(OracleParser(text, ctx.field, atoms).parse())
+
+
+def assert_same_outcome(parse, oracle, text, *args):
+    """Equal values, or ParseErrors with equal message and position."""
+    try:
+        want = oracle(text, *args)
+    except ParseError as e:
+        with pytest.raises(ParseError) as got:
+            parse(text, *args)
+        assert str(got.value) == str(e)
+        assert got.value.position == e.position
+        return None
+    got = parse(text, *args)
+    assert got == want
+    return got
+
+
+def assert_stored_form(polys, field):
+    """Canonical scalars (Fractions over Q, ints in [0, p)), no zero Poly and
+    no trailing zero."""
+    for r in polys:
+        assert r.coeffs and r.coeffs[-1]
+        for c in r.coeffs:
+            if field.is_char_zero:
+                assert type(c) is Fraction
+            else:
+                assert type(c) is int and 0 <= c < field.p
+
+
+FIELDS = [QQ, FieldSpec(2), GF3, FieldSpec(5), FieldSpec(7)]
+
+
+@st.composite
+def grammar_text(draw, names, max_exp=3, depth=2):
+    """A random string of the grammar over `names`: unary minus in both
+    places, nested parentheses, rational numbers and zero, powers, and
+    factors in any order (so products such as y*x need reordering)."""
+
+    def number():
+        num = draw(st.integers(0, 12))
+        if draw(st.booleans()):
+            return str(num)
+        return f"{num}/{draw(st.integers(1, 6))}"
+
+    def atom(level):
+        kinds = ["num", "name", "name"] + (["paren", "paren", "neg"] if level else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "num":
+            return number()
+        if kind == "name":
+            return draw(st.sampled_from(names))
+        if kind == "paren":
+            return f"({expr(level - 1)})"
+        return "-" + factor(level - 1)
+
+    def factor(level):
+        out = atom(level)
+        if draw(st.booleans()):
+            out += f"^{draw(st.integers(0, max_exp))}"
+        return out
+
+    def term(level):
+        sep = draw(st.sampled_from(["*", " * "]))
+        return sep.join(factor(level) for _ in range(draw(st.integers(1, 3))))
+
+    def expr(level):
+        out = draw(st.sampled_from(["", "-", "- "]))
+        for k in range(draw(st.integers(1, 3))):
+            if k:
+                out += draw(st.sampled_from([" + ", " - ", "+", "-"]))
+            out += term(level)
+        return out
+
+    return expr(depth)
+
+
+@given(field=st.sampled_from(FIELDS), text=grammar_text(("x", "y")))
+@example(field=QQ, text="y*x")
+@example(field=GF3, text="y*x")
+@example(field=QQ, text="(x*y + y)^3")
+@example(field=FieldSpec(2), text="(x*y + y)^3")
+@example(field=QQ, text="y^2*(x^3+1)")
+@example(field=FieldSpec(5), text="y^2*(x^3+1)")
+@example(field=QQ, text="x - x")
+@example(field=GF3, text="3*x*y + 1/2 - 2/4")
+@example(field=QQ, text="-(-(x - 1/2*y)*-y)^2 - 2/3*(y*x)")
+@example(field=FieldSpec(7), text="-(-(x - 1/2*y)*-y)^2 - 2/3*(y*x)")
+@example(field=GF3, text="1/3*x")
+@settings(max_examples=300, deadline=None)
+def test_sparse_parser_matches_the_dense_oracle(field, text):
+    got = assert_same_outcome(parse_weyl, oracle_weyl, text, field)
+    if got is not None:
+        assert_stored_form(got.terms.values(), field)
+
+
+@given(
+    field=st.sampled_from(FIELDS),
+    case=st.sampled_from(["x", "u"]).flatmap(lambda v: st.tuples(st.just(v), grammar_text((v,)))),
+)
+@example(field=QQ, case=("x", "x^2 - (x - 1/2)*(x + 1/2) - 1/4"))
+@settings(max_examples=150, deadline=None)
+def test_sparse_poly_parser_matches_the_dense_oracle(field, case):
+    var, text = case
+    got = assert_same_outcome(parse_poly, oracle_poly, text, field, var)
+    if got:
+        assert_stored_form([got], field)
+
+
+CENTER_CTX = AhContext(Poly(GF3, [0, 1, 1]))
+
+
+@given(text=grammar_text(("t1", "t2"), max_exp=2, depth=1))
+@example(text="t2*t1 - t1*t2 + t2^2*t1")
+@settings(max_examples=60, deadline=None)
+def test_sparse_center_parser_matches_the_dense_oracle(text):
+    # t2 = h^p y^p, so t2*t1 reorders through the Weyl product
+    assert_same_outcome(parse_center, oracle_center, text, CENTER_CTX)
+
+
+MALFORMED = [
+    ("1/3*x", GF3),  # a denominator divisible by p
+    ("x + 2/15", FieldSpec(5)),
+    ("x + 1/0", QQ),
+    ("x + 1/", QQ),
+    ("x + z", QQ),  # an unknown name
+    ("x*y*t1", GF3),
+    ("x y", QQ),  # a trailing token
+    ("(x + 1))", GF3),
+    ("x^1/2", QQ),  # a non-integer exponent
+    ("x^4/2", GF3),
+    ("x^-1", QQ),
+    ("x^y", QQ),
+    ("(x + 1", QQ),
+    ("x + @", QQ),
+    ("", QQ),
+    ("*x", GF3),
+    ("x + ", QQ),
+]
+
+
+@pytest.mark.parametrize("text,field", MALFORMED)
+def test_malformed_input_errors_match_the_dense_oracle(text, field):
+    with pytest.raises(ParseError):
+        oracle_weyl(text, field)
+    assert_same_outcome(parse_weyl, oracle_weyl, text, field)
+    assert_same_outcome(parse_poly, oracle_poly, text, field)
+
+
+def test_negative_exponent_is_a_parse_error():
+    for parse in (parse_weyl, parse_poly):
+        with pytest.raises(ParseError) as e:
+            parse("x^-1", QQ)
+        assert str(e.value) == "expected 'num', found '-' (at position 2)"
+
+
+@given(
+    field=st.sampled_from(FIELDS),
+    seed=st.integers(0, 2**32),
+    n=st.integers(0, 7),
+)
+@settings(max_examples=80, deadline=None)
+def test_power_closed_forms_match_repeated_products(field, seed, n):
+    rng = random.Random(seed)
+    r = random_weyl(rng, field, 0, 4, (1, 2, 3)).coefficient(0)
+    if field.is_char_zero:
+        c = Poly.constant(field, rng.choice([1, 2, -3, Fraction(-1, 2)]))
+    else:
+        c = Poly.constant(field, rng.randrange(1, field.p))
+    bases = (
+        WeylElement.from_poly(r),  # pure x, possibly zero
+        WeylElement.from_term(c, rng.randrange(1, 5)),  # c y^i
+        WeylElement.from_term(c, 0),
+        WeylElement.from_term(Poly.x(field), 2),  # one term, not closed form
+        random_weyl(rng, field, 2, 2, (1, 2, 3)),
+    )
+    for base in bases:
+        got = parse_weyl(f"({base})^{n}", field)
+        assert got == repeated_product(base, n)
+        assert_stored_form(got.terms.values(), field)
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_printed_normal_form_parses_without_products(p, monkeypatch):
+    # D(x), D(yhat) of D_g + ad(a) with a in the normalizer, as classify
+    # and bracket read them: sums of c x^i y^j and (r(x))*y^j
+    field = FieldSpec(p)
+    if p:
+        h = Poly(field, [0, 1, 2, 1])  # x (x + 1)^2 over GF(3)
+        g = Poly(field, [1, 0, 2, 1])
+        r = Poly(field, [1, 2, 2])
+    else:
+        h = Poly(field, [Fraction(1, 2), 0, -3, 1])
+        g = Poly(field, [Fraction(-1, 2), 0, 0, 1])
+        r = Poly(field, [1, 2, Fraction(-1, 3)])
+    ctx = AhContext(h)
+    a = WeylElement.from_term(r * ctx.h_power(4), 4) + ctx.a_n_element(2)
+    d = D_g(g, ctx) + ad(a, ctx)
+    texts = [str(d.image_x), str(d.image_yhat)]
+    assert all("y" in t and "(" in t for t in texts)
+    calls = []
+    for cls, name in ((WeylElement, "__mul__"), (Poly, "__mul__"), (Poly, "__pow__")):
+        method = getattr(cls, name)
+
+        def counted(self, other, method=method, name=f"{cls.__name__}.{name}"):
+            calls.append(name)
+            return method(self, other)
+
+        monkeypatch.setattr(cls, name, counted)
+    got = [parse_weyl(t, field) for t in texts]
+    monkeypatch.undo()
+    assert not calls
+    assert got == [d.image_x, d.image_yhat]
+
+
+def test_scalar_power_mod_p_takes_a_large_exponent():
+    F = FieldSpec(7)
+    got = parse_weyl("3^100000000*y + (2*y)^5", F)
+    assert got == WeylElement(F, {1: Poly.constant(F, pow(3, 10**8, 7)), 5: Poly.constant(F, 32)})

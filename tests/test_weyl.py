@@ -228,6 +228,14 @@ def per_term_product(a, b):
     return WeylElement(a.field, out)
 
 
+def repeated_product(base, n):
+    """base^n as n general Weyl products: the oracle for closed-form powers."""
+    out = WeylElement.one(base.field)
+    for _ in range(n):
+        out = out * base
+    return out
+
+
 def assert_no_zero_term(a):
     assert all(not r.is_zero() for r in a.terms.values())
 
@@ -303,46 +311,7 @@ def test_public_constructor_validates():
     assert WeylElement(GF3, {0: Poly.zero(GF3), 1: Poly.one(GF3)}).terms == {1: Poly.one(GF3)}
 
 
-# -- closed forms: powers, [a, x] and the shift by y^n --------------------------------
-
-
-def repeated_product(base, n):
-    out = WeylElement.one(base.field)
-    for _ in range(n):
-        out = out * base
-    return out
-
-
-@given(
-    field=st.sampled_from([QQ, GF2, GF3, GF5, FieldSpec(7)]),
-    seed=st.integers(0, 2**32),
-    n=st.integers(0, 7),
-)
-@settings(max_examples=80, deadline=None)
-def test_pow_closed_forms_match_repeated_products(field, seed, n):
-    rng = random.Random(seed)
-    r = random_weyl(rng, field, 0, 4, (1, 2, 3)).coefficient(0)
-    if field.is_char_zero:
-        c = Poly.constant(field, rng.choice([1, 2, -3, Fraction(-1, 2)]))
-    else:
-        c = Poly.constant(field, rng.randrange(1, field.p))
-    bases = (
-        WeylElement.from_poly(r),  # pure x, possibly zero
-        WeylElement.from_term(c, rng.randrange(1, 5)),  # c y^i
-        WeylElement.from_term(c, 0),
-        WeylElement.from_term(Poly.x(field), 2),  # one term, not closed form
-        random_weyl(rng, field, 2, 2, (1, 2, 3)),
-    )
-    for base in bases:
-        got = base**n
-        assert got == repeated_product(base, n)
-        assert_no_zero_term(got)
-        assert_stored_form(got)
-
-
-def test_pow_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        x_elt(QQ) ** -1
+# -- closed forms: [a, x] and the shift by y^n ------------------------------------------
 
 
 @given(field=st.sampled_from([QQ, GF2, GF3, GF5, FieldSpec(7)]), seed=st.integers(0, 2**32))
