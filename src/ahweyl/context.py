@@ -27,7 +27,8 @@ descending-degree elimination. A central factor zeta^k or z(x^p, zeta)
 multiplies without a Weyl product, as a polynomial factor and a shift of
 the y-degrees (`zeta_mul`, `central_mul`), and [yhat, a] and a yhat have
 closed forms over the cached derivatives of h (`yhat_bracket`,
-`times_yhat`), which also build the cached powers of yhat.
+`times_yhat`), which also build the cached powers of yhat. The cached
+powers of h use h^p = h(x^p) over the prime field (`h_power`).
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ class AhContext:
         if degree_bound is None:
             degree_bound = 24 if self.field.is_char_zero else 3 * self.field.p
         self.degree_bound = max(degree_bound, int(h.degree))
-        self._h_powers = [Poly.one(self.field)]
+        self._h_powers = {0: Poly.one(self.field)}
         chain = [h]  # h, h', h'', ... while nonzero; none past order p - 1 in char p
         while d := chain[-1].derivative():
             chain.append(d)
@@ -199,10 +200,10 @@ class AhContext:
         self.qbreve_multipliers = [
             coeffs.get(i, Poly.zero(self.field)) for i in range(p)
         ]
-        qb = Poly.zero(self.field)
-        for i, qi in enumerate(self.qbreve_multipliers):
-            qb = qb - qi.substitute_xp() * Poly.monomial(self.field, 1, p - 1 - i)
-        self.qbreve = qb
+        # qbreve = -sum_i q_i(x^p) x^(p-1-i), assembled from its Frobenius components
+        self.qbreve = Poly.frobenius_assemble(
+            self.field, [-qi for qi in reversed(self.qbreve_multipliers)]
+        )
         # Bezout witness: sum q_i hbar_i = hbar exactly
         acc = Poly.zero(self.field)
         for qi, hi in zip(self.qbreve_multipliers, self.hbar_components):
@@ -251,10 +252,31 @@ class AhContext:
         return self._memo[key]
 
     def h_power(self, n: int) -> Poly:
-        """h^n, cached: every power of h below n is kept for later calls."""
-        while len(self._h_powers) <= n:
-            self._h_powers.append(self._h_powers[-1] * self.h)
-        return self._h_powers[n]
+        """h^n, cached, by one route for each n.
+
+        Over Q, and for n < p - 1 in characteristic p: h^(n-1) h. Over the
+        prime field the Frobenius fixes every coefficient, so h^p = h(x^p),
+        and then:
+
+        * n = kp + r >= p: h^n = h^k(x^p) h^r, one product whose left
+          factor is sparse (nonzero only at multiples of p);
+        * n = p - 1: h^(p-1) = h(x^p) / h, one exact division."""
+        cache = self._h_powers
+        if n in cache:
+            return cache[n]
+        p = self.field.characteristic
+        if p and n >= p:
+            k, r = divmod(n, p)
+            cache[n] = self.h_power(k).substitute_xp() * self.h_power(r)
+        elif p and n == p - 1:
+            cache[n] = self.h.substitute_xp().exact_div(self.h)
+        else:
+            start = n
+            while start - 1 not in cache:
+                start -= 1
+            for m in range(start, n + 1):
+                cache[m] = cache[m - 1] * self.h
+        return cache[n]
 
     def yhat_power(self, n: int) -> WeylElement:
         """yhat^n, cached, each power one `times_yhat` step from the last."""
@@ -571,7 +593,7 @@ class AhContext:
         F = self.field
         gens = []
         for i in range(int(self.pi_h.degree)):
-            gens.append(("z", i, Poly.monomial(F, 1, i) * self.h_over_pi))
+            gens.append(("z", i, self.h_over_pi.shift(i)))
         for j in range(int(self.h_over_pi.degree)):
             gens.append(("q", j, self.delta0(Poly.monomial(F, 1, j))))
         rel = relations(F, [vec.coeffs for _, _, vec in gens] + [g.coeffs])[-1]

@@ -154,7 +154,7 @@ def center_HH1_char0(ctx: AhContext) -> list:
     if not ctx.field.is_char_zero:
         raise ValueError("characteristic-0 center basis")
     basis = [
-        HH1ClassChar0(ctx, Poly.monomial(ctx.field, 1, j) * ctx.h_over_pi)
+        HH1ClassChar0(ctx, ctx.h_over_pi.shift(j))
         for j in range(int(ctx.pi_h.degree))
     ]
     gens = generator_classes_char0(ctx)
@@ -312,7 +312,7 @@ def structure_report_char0(ctx: AhContext) -> HH1ReportChar0:
         raise ValueError("characteristic-0 report")
     dim_center = int(ctx.pi_h.degree)
     basis = tuple(
-        Poly.monomial(ctx.field, 1, j) * ctx.h_over_pi for j in range(dim_center)
+        ctx.h_over_pi.shift(j) for j in range(dim_center)
     )
     hh1_trivial = ctx.h.is_constant()
     abelian = ctx.h_over_pi.is_constant()
@@ -600,7 +600,8 @@ class HH1CharPReport:
 def _normalizer_quotient_level(ctx: AhContext, i: int) -> NormalizerQuotientLevel:
     """N_i/(A_h + Z(A_1))_i as an F-space of polynomial coefficients.
 
-    For p not dividing i it is spanned by x^j pi_h h^(i-1), j < deg(h/pi_h).
+    For p not dividing i it is spanned by x^j pi_h h^(i-1), j < deg(h/pi_h),
+    so it has dim deg(h/pi_h), and is 0 when h is free (h/pi_h a unit).
 
     For p | i it is N_i/(h^i F[x] + F[x^p]) with N_i = {r : h^(i-1) | r'},
     and its basis is read off h^(i-1) S:
@@ -610,7 +611,8 @@ def _normalizer_quotient_level(ctx: AhContext, i: int) -> NormalizerQuotientLeve
       lies in F[x]' (the image of d/dx) iff s lies in Theta.
     * Hence r -> r'/h^(i-1) maps N_i onto Theta. Its kernel is F[x^p], and
       (h^i q)' = h^(i-1) delta(q) as p | i, so it induces an isomorphism
-      N_i/(h^i F[x] + F[x^p]) -> Theta/im delta. The level has dim |S|.
+      N_i/(h^i F[x] + F[x^p]) -> Theta/im delta. The level has dim |S|,
+      and is 0 when S is empty.
     * Theta = span S (+) im delta, and every s in S has degree
       <= deg h - 2: at degree deg h - 1 the leading coefficient of
       h^(p-1) s sits at x^(p deg h - 1), under the Cartier read. So each
@@ -620,16 +622,21 @@ def _normalizer_quotient_level(ctx: AhContext, i: int) -> NormalizerQuotientLeve
     Each r has no x^(kp) terms. Made monic and reduced against the earlier
     generators at their leading degrees, in order of increasing deg s, they
     are the reduced basis that row reduction of N_i modulo
-    h^i F[x] + F[x^p] gives on any degree window reaching i deg h - 1."""
-    F = ctx.field
+    h^i F[x] + F[x^p] gives on any degree window reaching i deg h - 1.
+
+    A level of dim 0 is returned without forming a power of h."""
     if i % ctx.p:
         dim = int(ctx.h_over_pi.degree)
+        if not dim:
+            return NormalizerQuotientLevel(i, 0, ())
         base = ctx.pi_h * ctx.h_power(i - 1)
-        gens = tuple(Poly.monomial(F, 1, j) * base for j in range(dim))
-        return NormalizerQuotientLevel(i, dim, gens)
+        return NormalizerQuotientLevel(i, dim, tuple(base.shift(j) for j in range(dim)))
+    S = ctx.theta_complement_S()
+    if not S:
+        return NormalizerQuotientLevel(i, 0, ())
     hi1 = ctx.h_power(i - 1)
     gens = []
-    for s in ctx.theta_complement_S():
+    for s in S:
         r = (hi1 * s).antiderivative()
         if isinstance(r, NotIntegrable):
             raise AssertionError(

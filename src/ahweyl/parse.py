@@ -62,16 +62,16 @@ def _tokenize(text: str):
             tokens.append((c, c, i))
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             num = int(text[i:j])
             den = None
             if j < n and text[j] == "/":
                 k = j + 1
                 m = k
-                while m < n and text[m].isdigit():
+                while m < n and text[m].isdecimal():
                     m += 1
                 if m == k:
                     raise ParseError("expected digits after '/'", k)
@@ -260,7 +260,7 @@ def parse_factors(text: str, field: FieldSpec):
             continue
         base, mult = None, 1
         head, sep, tail = chunk.rpartition("^")
-        if sep and tail.strip().isdigit() and head.strip():
+        if sep and tail.strip().isdecimal() and head.strip():
             try:
                 base, mult = parse_poly(head.strip(), field), int(tail)
             except ParseError:

@@ -54,6 +54,19 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "parse error" in err and message in err
 
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--h", "x^\u00b2"], "unexpected character '\u00b2' (at position 2)"),
+            (["--h", "2/\u00b3*x"], "expected digits after '/' (at position 2)"),
+            (["--h", "x^2", "--factors", "x^\u00b2"], "unexpected character '\u00b2' (at position 2)"),
+        ],
+    )
+    def test_parse_error_non_decimal_digit(self, extra, message, capsys):
+        code, out, err = run_cli(["analyze", "--char", "0", *extra], capsys=capsys)
+        assert code == 1 and out == ""
+        assert err == f"error (parse error): {message}\n"
+
     def test_domain_error_negative_degree_bound(self, capsys):
         code, out, err = run_cli(
             ["analyze", "--h", "x^2+1", "--char", "3", "--degree-bound", "-4"],

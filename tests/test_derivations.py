@@ -12,6 +12,7 @@ from ahweyl.context import AhContext
 from ahweyl.derivations import (
     A1Images,
     D_g,
+    Derivation,
     InnerWitness,
     InvalidDerivation,
     InvalidDerivationError,
@@ -893,9 +894,43 @@ def test_yhat_power_images_match_sum_char0(coeffs, seed):
 )
 @settings(max_examples=40, deadline=None)
 def test_h_power_matches_pow(p, coeffs, ns):
-    ctx = context_from(FieldSpec(p), coeffs)
-    for n in ns:
-        assert ctx.h_power(n) == ctx.h**n
+    # 0..3p+2 reaches every route: the chain below p - 1, h(x^p)/h at
+    # p - 1, and h^k(x^p) h^r with r = 0 and with k >= 2; each order of
+    # first calls fills the cache differently
+    field = FieldSpec(p)
+    span = list(range(3 * p + 3))
+    for order in (span, span[::-1], ns):
+        ctx = context_from(field, coeffs)
+        for n in order:
+            assert ctx.h_power(n) == ctx.h**n
+
+
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    kind=st.sampled_from(["free", "repeated", "frobenius"]),
+    coeffs=st.lists(st.integers(0, 6), min_size=0, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_ad_records_zero_images_of_the_center(p, kind, coeffs, seed):
+    # ad_a(z) = [a, z] = 0 for z = x^p and z = zeta, both central in A_1
+    field = FieldSpec(p)
+    h = Poly(field, coeffs + [1])
+    if kind == "repeated":
+        h = h * Poly(field, [1, 1]) ** 2
+    elif kind == "frobenius":
+        h = h * Poly(field, [2, 1]) ** p
+    ctx = AhContext(h)
+    if kind == "free":
+        assume(ctx.h_over_pi.is_constant())
+    a = random_normalizer(random.Random(seed), ctx, max_ydeg=2 * p)
+    d = ad(a, ctx)
+    fresh = Derivation(ctx, d.image_x, d.image_yhat)
+    zero = WeylElement.zero(field)
+    assert d.image_of_xp() == fresh.image_of_xp() == zero
+    assert d.image_of_zeta() == fresh.image_of_zeta() == zero
+    assert zeta_image_sum(fresh) == zero
+    assert restrict_to_center(d).is_zero()
 
 
 # -- the closed Leibniz forms against their defining sums --------------------------------

@@ -1,6 +1,7 @@
 """HH^1 classes, brackets, nilpotent ideal, Witt quotient, char-p reports."""
 
 import random
+import sys
 
 import pytest
 import sympy
@@ -13,6 +14,7 @@ from ahweyl.centerpoly import CenterPoly
 from ahweyl.context import AhContext, MissingFactorizationError
 from ahweyl.derivations import (
     D_g,
+    Derivation,
     InnerWitness,
     ad,
     ad_ra_n,
@@ -630,6 +632,40 @@ def test_normalizer_levels_at_p_divides_i_match_window(p, kind, f, g):
         level = _normalizer_quotient_level(ctx, i)
         assert level.generators == window_normalizer_level(ctx, i)
         assert level.dim == len(S)
+
+
+def test_free_charp_report_skips_center_brackets_and_level_powers(monkeypatch):
+    # x^2 + 1 is free over GF(151): ad records Res(ad_a) = 0, so no
+    # certificate brackets with yhat for D(zeta), and every level has
+    # dim 0, so none forms a power of h
+    ctx = AhContext(Poly(FieldSpec(151), [1, 0, 1]))
+    seen = {"yhat_bracket": [], "h_power": []}
+
+    def counted(name, method, caller):
+        def wrapped(*args):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not caller:
+                frame = frame.f_back
+            seen[name].append(frame is not None)
+            return method(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        ctx,
+        "yhat_bracket",
+        counted("yhat_bracket", ctx.yhat_bracket, Derivation.image_of_zeta.__code__),
+    )
+    monkeypatch.setattr(
+        ctx, "h_power", counted("h_power", ctx.h_power, _normalizer_quotient_level.__code__)
+    )
+    rep = freeness_and_module_report_charp(ctx)
+    assert rep.free_over_center and rep.freeness_certificates == 10
+    assert len(rep.normalizer_quotient) == 3 * 151
+    assert all(level.dim == 0 for level in rep.normalizer_quotient)
+    # the certificates still bracket with yhat and take powers of h
+    assert seen["yhat_bracket"] and seen["h_power"]
+    assert not any(seen["yhat_bracket"]) and not any(seen["h_power"])
 
 
 def test_normalizer_level_rejects_S_outside_theta(monkeypatch):

@@ -400,6 +400,25 @@ def test_malformed_input_errors_match_the_dense_oracle(text, field):
     assert_same_outcome(parse_poly, oracle_poly, text, field)
 
 
+@pytest.mark.parametrize(
+    "text,message,position",
+    [
+        ("x^\u00b2", "unexpected character '\u00b2'", 2),  # a superscript two
+        ("2/\u00b3*x", "expected digits after '/'", 2),
+        ("x + \u00b9", "unexpected character '\u00b9'", 4),
+    ],
+)
+def test_non_decimal_digits_are_parse_errors(text, message, position):
+    # str.isdigit accepts superscripts, which int() rejects
+    for parse in (parse_weyl, parse_poly):
+        with pytest.raises(ParseError) as e:
+            parse(text, QQ)
+        assert str(e.value) == f"{message} (at position {position})"
+    with pytest.raises(ParseError) as e:
+        parse_factors(text, QQ)
+    assert e.value.position == position
+
+
 def test_negative_exponent_is_a_parse_error():
     for parse in (parse_weyl, parse_poly):
         with pytest.raises(ParseError) as e:
