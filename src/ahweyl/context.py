@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 from typing import Optional
 
 from .centerpoly import CenterPoly
@@ -512,11 +513,19 @@ class AhContext:
         vanishes mod p unless n = -1 (mod p), where the product is
         (p-1)! = -1 by Wilson's theorem. So vartheta reads the coefficients
         c_(kp+p-1) of r h^(p-1) and returns -sum_k c_(kp+p-1) u^k: the
-        Cartier operator."""
+        Cartier operator. Only those coefficients are formed,
+        c_t = sum_i r_i H_(t-i) for t = kp + p - 1 and H = h^(p-1), about
+        1/p of the products of r H."""
         self._require_char_p()
         p = self.p
-        coeffs = (r * self.h_power(p - 1)).coeffs[p - 1 :: p]
-        return Poly._reduced(self.field, [-c for c in coeffs])
+        rc = r.coeffs
+        hr = self.h_power(p - 1).coeffs[::-1]  # hr[m - 1 - s] = H_s
+        n, m = len(rc), len(hr)
+        raw = []
+        for t in range(p - 1, n + m - 1, p):
+            lo, hi = max(0, t - m + 1), min(t + 1, n)
+            raw.append(-sum(map(mul, rc[lo:hi], hr[m - 1 - t + lo : m - 1 - t + hi])))
+        return Poly._reduced(self.field, raw)
 
     def theta_of(self, r: Poly) -> Poly:
         """vartheta(r), an element of F[x^p] (in x)."""

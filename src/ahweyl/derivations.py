@@ -32,7 +32,7 @@ from .centerpoly import CenterPoly
 from .context import AhContext, AhElement, NotCentral, NotCentralizing
 from .fields import ExactDivisionError, check_same_field
 from .poly import NotIntegrable, Poly
-from .weyl import WeylElement, commutator
+from .weyl import WeylElement, _accumulate, commutator
 
 
 class InvalidDerivationError(ValueError):
@@ -73,21 +73,32 @@ def d_on_poly(f: Poly, u: WeylElement) -> WeylElement:
     characteristic p too. For the term r y^j the sum stops at l = j, or
     once the falling factorial j!/(j-l)! is 0 in F. A zero H_(l+1)(f) is no
     reason to stop: over GF(2), H_1(1 + x^2) = 0 but H_2(1 + x^2) = 1.
+
+    Both operands are lifted once (`FieldSpec.lift`), the Hasse
+    derivatives are taken on f's integer image as raw C(n, l+1) c_n, and
+    every piece falling * H_(l+1)(f) * r_j is summed into a raw row per
+    y-degree j - l; each row is reduced once, over Q divided by the two
+    lift denominators.
     """
     F = u.field
-    hasse = [f.hasse_derivative(l + 1) for l in range(min(len(f.coeffs) - 1, u.y_degree + 1))]
-    out = {}
-    for j, r in u.terms.items():
-        falling = 1  # j!/(j-l)!
+    p = F.characteristic
+    df, (f,) = F.lift((f,))
+    du, terms = F.lift(u.terms)
+    fc = f.coeffs
+    hasse = [
+        F.reduce([comb(n, l + 1) * c for n, c in enumerate(fc[l + 1 :], l + 1)])
+        for l in range(min(len(fc) - 1, u.y_degree + 1))
+    ]
+    rows = {}  # y-degree -> raw coefficients
+    for j, r in terms.items():
+        falling = 1  # j!/(j-l)!, in F
         for l, hf in enumerate(hasse[: j + 1]):
-            c = F.from_int(falling)
-            if not c:
+            if not falling:
                 break
-            if hf:
-                piece = (hf * r).scale(c)
-                out[j - l] = out[j - l] + piece if j - l in out else piece
-            falling *= j - l
-    return WeylElement(F, out)
+            if any(hf):
+                _accumulate(rows, j - l, [falling * c for c in hf], r.coeffs)
+            falling = falling * (j - l) % p if p else falling * (j - l)
+    return WeylElement._from_rows(F, rows, df * du)
 
 
 class Derivation:

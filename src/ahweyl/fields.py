@@ -12,14 +12,17 @@ of `poly`, `weyl`, `centerpoly` and `linalg` compute on raw values and call
 `FieldSpec.reduce` once per output coefficient: that method is the only
 place they learn the characteristic. `coerce` validates outside input.
 
-The two product loops (`Poly.__mul__` and the Weyl product) first pass
+The product loops (`Poly.__mul__`, the Weyl product and
+`derivations.d_on_poly`) and the division `Poly.__divmod__` first pass
 their operands through `FieldSpec.lift`. Over Q it clears denominators:
 it returns the lcm `den` of every coefficient denominator and integer
 images `c.numerator * (den // c.denominator)`, so the loops run on Python
 ints, and `reduce(values, den)` turns each raw integer back into
-`Fraction(v, den)`, one division per output coefficient. Over GF(p)
-`lift` returns its argument with `den = 1`. The integer images are
-transient: they never leave the product that made them.
+`Fraction(v, den)`, one division per output coefficient. Division
+pseudo-divides the integer images and builds each quotient and remainder
+coefficient as one Fraction at the end. Over GF(p) `lift` returns its
+argument with `den = 1`. The integer images are transient: they never
+leave the operation that made them.
 """
 
 from __future__ import annotations

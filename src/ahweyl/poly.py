@@ -16,8 +16,15 @@ input. `_convolve` is the one product loop; the Weyl product shares it.
 Products lift their operands first (`FieldSpec.lift`): over Q both factors
 are cleared to integer numerators over one common denominator `den`, the
 loop accumulates Python ints, and each output coefficient is divided by
-`den**2` once, in `reduce`. The integer images exist only inside the
-product; every Poly that leaves it holds Fractions again.
+`den**2` once, in `reduce`. Division over Q lifts the dividend and the
+divisor each to integers and pseudo-divides them (Knuth, TAOCP vol. 2,
+4.6.1, Algorithm R) with lazy scaling: with L the divisor's leading
+integer, a step is rem = L*rem - c*divisor on the window below the top,
+the running scale S is multiplied by L, and a lower coefficient is
+multiplied by S once, when it enters the window. Each quotient and
+remainder coefficient becomes one Fraction at the end. Over GF(p) the
+division is its own loop on residues. The integer images exist only inside
+the operation; every Poly that leaves it holds Fractions again.
 
 Besides the ring operations this module carries the characteristic-p
 bookkeeping used throughout the package: the Frobenius decomposition
@@ -230,23 +237,41 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         F = self.field
-        reduce = F.reduce
-        rem = list(self.coeffs)  # raw values below the current index
-        dv = other.coeffs
-        dd = len(dv) - 1
-        if len(rem) - 1 < dd:
+        dd = len(other.coeffs) - 1
+        if len(self.coeffs) - 1 < dd:
             return Poly.zero(F), self
-        lc_inv = F.inv(dv[-1])
-        q = [F.zero()] * (len(rem) - dd)
+        if F.characteristic:
+            p = F.p
+            rem = list(self.coeffs)  # raw values below the current index
+            dv = other.coeffs
+            lc_inv = F.inv(dv[-1])
+            q = [0] * (len(rem) - dd)
+            for i in range(len(rem) - 1, dd - 1, -1):
+                # rem[i] is final here; reduce it (times 1/lc) before the zero test
+                if f := rem[i] * lc_inv % p:
+                    lo = i - dd
+                    q[lo] = f
+                    rem[lo:i] = [r - f * d for r, d in zip(rem[lo:i], dv)]
+            return Poly._canonical(F, q), Poly._reduced(F, rem[:dd])
+        # over Q: pseudo-division of a = da*self by b = db*other (see the
+        # module docstring); rem[k]/S is the remainder of a at every k that
+        # has entered the window [lo, i)
+        da, (a,) = F.lift((self,))
+        db, (b,) = F.lift((other,))
+        rem, dv = list(a.coeffs), b.coeffs
+        L = dv[-1]
+        num, den = [0] * (len(rem) - dd), [1] * (len(rem) - dd)
+        S = 1
         for i in range(len(rem) - 1, dd - 1, -1):
-            # rem[i] is final here; reduce it (times 1/lc) before the zero test
-            (f,) = reduce((rem[i] * lc_inv,))
-            if not f:
-                continue
             lo = i - dd
-            q[lo] = f
-            rem[lo:i] = [r - f * d for r, d in zip(rem[lo:i], dv)]
-        return Poly._canonical(F, q), Poly._reduced(F, rem[:dd])
+            rem[lo] *= S
+            if c := rem[i]:
+                # q_lo = (c/S) / (L/db) / da
+                num[lo], den[lo] = c * db, S * L * da
+                rem[lo:i] = [L * r - c * d for r, d in zip(rem[lo:i], dv)]
+                S *= L
+        q = [Fraction(n, d) for n, d in zip(num, den)]
+        return Poly._canonical(F, q), Poly._reduced(F, rem[:dd], S * da)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]

@@ -165,6 +165,28 @@ def test_one_decomposition_per_classified_derivation(argv, stdin_text, monkeypat
     assert len(calls) == 1
 
 
+# D_g + ad(n) over h = -3/2*x^2*(x+1)^3, g of degree 3 and n in the
+# normalizer, as perfbench's char0-classes draws them
+_FRAC_LC_DX = "3*x + 5*x^2 + 2*x^3 + (-6*x^3 - 24*x^4 - 36*x^5 - 24*x^6 - 6*x^7)*y"
+_FRAC_LC_DYHAT_TAIL = (
+    " + (-9/2*x^2 + 291*x^4 + 1557*x^5 + 7497/2*x^6 + 4989*x^7 + 3807*x^8 + 1566*x^9"
+    " + 270*x^10)*y + (9/2*x^4 + 81/2*x^5 + 297/2*x^6 + 585/2*x^7 + 675/2*x^8"
+    " + 459/2*x^9 + 171/2*x^10 + 27/2*x^11)*y^2"
+)
+BRACKET_FRAC_LC_PAIR = {
+    "left": {
+        "Dx": _FRAC_LC_DX,
+        "Dyhat": "-2 - 8*x - 195/2*x^2 - 463/2*x^3 + 477/2*x^4 + 3615/2*x^5 + 3294*x^6"
+        " + 2997*x^7 + 1404*x^8 + 270*x^9" + _FRAC_LC_DYHAT_TAIL,
+    },
+    "right": {
+        "Dx": _FRAC_LC_DX,
+        "Dyhat": "2 - 9*x - 93*x^2 - 229*x^3 + 216*x^4 + 1776*x^5 + 3282*x^6"
+        " + 2997*x^7 + 1404*x^8 + 270*x^9" + _FRAC_LC_DYHAT_TAIL,
+    },
+}
+
+
 class TestGolden:
     @pytest.mark.parametrize(
         "name,argv,stdin_text",
@@ -196,6 +218,11 @@ class TestGolden:
                 "classify_x2_char3.txt",
                 ["classify", "--h", "x^2", "--char", "3"],
                 '{"Dx": "0", "Dyhat": "2*x^6*y^3"}',
+            ),
+            (
+                "bracket_frac_lc_char0.txt",
+                ["bracket", "--h=-3/2*x^2*(x+1)^3", "--char", "0"],
+                json.dumps(BRACKET_FRAC_LC_PAIR),
             ),
         ],
     )

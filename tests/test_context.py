@@ -706,6 +706,23 @@ def theta_contexts(draw):
     return AhContext(h)
 
 
+def theta_by_full_product(ctx, r):
+    """Oracle: the Cartier read off the whole product r h^(p-1)."""
+    p = ctx.p
+    return Poly(ctx.field, [-c for c in (r * ctx.h_power(p - 1)).coeffs[p - 1 :: p]])
+
+
+@given(p=st.sampled_from([2, 3, 5, 7, 13]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_cartier_theta_matches_full_product(p, data):
+    F = FieldSpec(p)
+    h = Poly(F, data.draw(st.lists(st.integers(0, p - 1), max_size=6))) or Poly.one(F)
+    ctx = AhContext(h)
+    r = Poly(F, data.draw(st.lists(st.integers(0, p - 1), max_size=3 * p)))
+    for s in (r, Poly.zero(F)):
+        assert ctx.theta_p_map(s) == theta_by_full_product(ctx, s)
+
+
 @given(ctx=theta_contexts(), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_cartier_theta_matches_derivative_passes(ctx, data):

@@ -962,6 +962,13 @@ def generic_a1_apply_sum(dx, dy, a):
     return out
 
 
+def rational_poly(rng, max_deg):
+    """A polynomial over Q of degree at most max_deg, zero included, with
+    coefficients such as 1/2 and -3/5."""
+    n = rng.randrange(max_deg + 2)
+    return Poly(QQ, [Fraction(rng.randrange(-5, 6), rng.choice((1, 2, 3, 5))) for _ in range(n)])
+
+
 def random_weyl(rng, field, max_ydeg, max_xdeg):
     return WeylElement(
         field, {i: random_poly(rng, field, max_xdeg) for i in range(rng.randrange(max_ydeg + 1))}
@@ -979,6 +986,10 @@ def test_leibniz_closed_forms_match_sums(p, seed):
     f = random_poly(rng, field, 2 * top)
     u = random_weyl(rng, field, top, 3)
     assert d_on_poly(f, u) == d_on_poly_sum(f, u)
+    # over Q with denominators in both operands, such as 1/2 and -3/5
+    fq = rational_poly(rng, 2 * top)
+    uq = WeylElement(QQ, {i: rational_poly(rng, 3) for i in range(rng.randrange(top + 1))})
+    assert d_on_poly(fq, uq) == d_on_poly_sum(fq, uq)
     dx, dy = random_weyl(rng, field, 3, 3), random_weyl(rng, field, 3, 3)
     a = random_weyl(rng, field, top, 3)
     assert generic_a1_apply(dx, dy, a) == generic_a1_apply_sum(dx, dy, a)

@@ -526,3 +526,83 @@ def test_kernel_cancellation_explicit(field):
     assert f + g == Poly(field, [6, 2])
     assert (f - f).is_zero() and (f + (-f)).is_zero()
     assert_canonical(divmod(f, f)[1])
+
+
+# -- division over Q: the integer pseudo-division against sympy and Fractions -------------
+
+
+def divmod_by_fractions(f, g):
+    """Oracle: long division on Fractions, one multiply and subtract per step."""
+    rem, dv = list(f.coeffs), g.coeffs
+    dd = len(dv) - 1
+    if len(rem) - 1 < dd:
+        return Poly.zero(QQ), f
+    q = [Fraction(0)] * (len(rem) - dd)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i] / dv[-1]
+        if c:
+            lo = i - dd
+            q[lo] = c
+            rem[lo:i] = [r - c * d for r, d in zip(rem[lo:i], dv)]
+    return Poly(QQ, q), Poly(QQ, rem[:dd])
+
+
+def check_q_division(f, g):
+    q, r = divmod(f, g)
+    assert_canonical(q)
+    assert_canonical(r)
+    sq, sr = sympy.div(to_sympy(f), to_sympy(g))
+    assert q == from_sympy(QQ, sq) and r == from_sympy(QQ, sr)
+    assert (q, r) == divmod_by_fractions(f, g)
+
+
+# leading coefficients of the divisor: negative, fractional, both
+DIVISOR_LEADS = [Fraction(-3), Fraction(2), Fraction(1, 2), Fraction(-3, 2)]
+
+
+@st.composite
+def q_division_pair(draw):
+    """(f, g) over Q. "gappy" builds f = q g + r from a quotient q with zero
+    coefficients below its top, so a division step has c = 0 after earlier
+    steps have grown the scale S; "short" has deg f < deg g."""
+    g = Poly(QQ, draw(st.lists(scalars, max_size=4)) + [draw(st.sampled_from(DIVISOR_LEADS))])
+    shape = draw(st.sampled_from(["free", "gappy", "short", "zero"]))
+    if shape == "free":
+        f = Poly(QQ, draw(st.lists(scalars, max_size=14)))
+    elif shape == "gappy":
+        q = draw(st.lists(st.sampled_from([0, 0, 0, 1, -2, Fraction(1, 3)]), min_size=1, max_size=8))
+        q.append(draw(st.sampled_from(DIVISOR_LEADS)))
+        r = Poly(QQ, draw(st.lists(scalars, max_size=g.degree)))
+        f = Poly(QQ, q) * g + r
+    elif shape == "short":
+        f = Poly(QQ, draw(st.lists(scalars, max_size=g.degree)))
+    else:
+        f = Poly.zero(QQ)
+    return f, g
+
+
+@given(q_division_pair())
+@settings(max_examples=300, deadline=None)
+def test_q_division_matches_sympy_and_fractions(pair):
+    check_q_division(*pair)
+
+
+def test_q_division_zero_step_under_scaling():
+    # g has integer image 2g = -3x^2 + 2x, so L = -3; the quotient's zero
+    # x^3 and x^2 coefficients are steps with c = 0 at S = -3 and S = 9
+    g = P(QQ, 0, 1, Fraction(-3, 2))
+    q = P(QQ, Fraction(1, 3), 5, 0, 0, -2)
+    r = P(QQ, Fraction(-1, 7), 4)
+    f = q * g + r
+    assert divmod(f, g) == (q, r)
+    check_q_division(f, g)
+
+
+def test_q_division_long_dividend_by_a_power():
+    # deg 60 by (-3/2 x^2 + x)^5, L = (-3)^5: 51 steps bound the growth of S
+    rng = random.Random(60)
+    g = P(QQ, 0, 1, Fraction(-3, 2)) ** 5
+    f = Poly(QQ, [Fraction(rng.randrange(-9, 10), rng.randrange(1, 8)) for _ in range(60)] + [1])
+    check_q_division(f, g)
+    q = Poly(QQ, [Fraction(rng.randrange(-9, 10), rng.randrange(1, 8)) for _ in range(50)] + [3])
+    assert divmod(q * g, g) == (q, Poly.zero(QQ))
