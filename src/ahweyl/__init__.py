@@ -7,7 +7,7 @@ via yhat = y h. The package computes the structural invariants of A_h
 derivations (construction, validation, application, extension to A_1, the
 direct decompositions in both characteristics), and the Lie structure of
 HH^1(A_h) = Der/Inder (canonical classes, closed-form brackets, the maximal
-nilpotent ideal and Witt-algebra quotient in characteristic 0, the module
+nilpotent ideal and the structure report in characteristic 0, the module
 structure over the center and the freeness criterion in characteristic p).
 
 All arithmetic is exact; no floating point anywhere.
@@ -47,7 +47,6 @@ from .derivations import (
     bhat_f,
     bhat_x,
     decompose_A1_char0,
-    decompose_A1_charp,
     decompose_Ah_char0,
     decompose_Ah_charp,
     ex_apply,
@@ -62,8 +61,6 @@ from .hochschild import (
     HH1CharPReport,
     HH1ClassChar0,
     HH1ReportChar0,
-    WittClassElement,
-    WittQuotient,
     bracket_char0,
     bracket_charp,
     canonical_class_char0,
@@ -114,8 +111,6 @@ __all__ = [
     "Poly",
     "QQ",
     "WeylElement",
-    "WittClassElement",
-    "WittQuotient",
     "ad",
     "ad_ra_n",
     "aut_exp",
@@ -127,7 +122,6 @@ __all__ = [
     "center_HH1_char0",
     "commutator",
     "decompose_A1_char0",
-    "decompose_A1_charp",
     "decompose_Ah_char0",
     "decompose_Ah_charp",
     "embed_element",

@@ -501,9 +501,6 @@ class AhContext:
         """(r pi_h)' - r (pi_h h' / h); all divisions exact in F[x]."""
         return (r * self.pi_h).derivative() - r * self.pi_hprime_over_h
 
-    def delta0_of_one(self) -> Poly:
-        return self.delta0(Poly.one(self.field))
-
     # -- characteristic-p invariants ---------------------------------------------------------
 
     def theta_p_map(self, r: Poly) -> Poly:

@@ -11,9 +11,9 @@ Every zeta^k is a shift (`AhContext.zeta_mul`), and a yhat, [yhat, a] and
 [a, x] are closed forms (`AhContext.times_yhat`, `AhContext.yhat_bracket`,
 `commutator` with the operand x), so no general Weyl product is made.
 
-The module also provides: the special derivations D_g, E_x, E_y, bhat_x and
-bhat_f; extension to A_1 and the constructive decompositions of Der(A_1) in
-both characteristics; restriction to the center; the direct decompositions
+The module also provides: the special derivations D_g, bhat_x and bhat_f,
+and the A_1 derivations E_x and E_y; extension to A_1 and the constructive
+decomposition of Der(A_1) in characteristic 0; restriction to the center; the direct decompositions
 of Der(A_h), which both peel off ad_b with [b, x] = D(x) first; the
 inner-ness test `is_inner`, which decomposes D once and returns a witness
 or a certificate, each carrying that decomposition; and the one-parameter
@@ -384,23 +384,6 @@ def ex_on_yhat(ctx: AhContext) -> WeylElement:
     return WeylElement(F, out)
 
 
-def ey_on_yhat(ctx: AhContext) -> WeylElement:
-    """E_y(yhat) = x^(p-1) h."""
-    return WeylElement.from_poly(ctx.h.shift(ctx.p - 1))
-
-
-def ex_as_derivation(ctx: AhContext) -> Derivation:
-    """E_x restricted to A_h (valid when it preserves A_h, e.g. h = 1)."""
-    return require_derivation(
-        WeylElement.y_power(ctx.field, ctx.p - 1), ex_on_yhat(ctx), ctx
-    )
-
-
-def ey_as_derivation(ctx: AhContext) -> Derivation:
-    """E_y restricted to A_h; always restricts since E_y = D_{x^(p-1) h}."""
-    return require_derivation(WeylElement.zero(ctx.field), ey_on_yhat(ctx), ctx)
-
-
 def gh_derivative_times_hk(g: Poly, k: int, ctx: AhContext) -> Poly:
     """T_k = (g h^(-1))^(k-1) h^k, computed by the polynomial recurrence
     T_1 = g, T_{k+1} = T_k' h - k T_k h'."""
@@ -537,51 +520,6 @@ def decompose_A1_char0(dx: WeylElement, dy: WeylElement):
         raise InvalidDerivationError("residual image of y is not a polynomial in x")
     w = (-e_y.coefficient(0)).antiderivative()
     return u, w
-
-
-def decompose_A1_charp(dx: WeylElement, dy: WeylElement):
-    """Der(A_1) = Z(A_1) E_x + Z(A_1) E_y + Inder(A_1) in characteristic p,
-    following the constructive steps: (w, z, b, c) with
-    D = w E_x + z E_y + ad_b + ad_c, w and z central."""
-    F = dx.field
-    p = F.p
-    validate_a1_images(dx, dy)
-    y = WeylElement.y_power(F, 1)
-    b, rest = _split_ad_x(dx)
-    for i, r in rest.terms.items():
-        if not r.in_frobenius_base():
-            raise InvalidDerivationError(
-                f"degree-{i} coefficient of D(x) must lie in F[x^p]"
-            )
-    w = WeylElement(F, {i - (p - 1): r for i, r in rest.terms.items()})
-    f_y = dy - commutator(b, y)
-    z_terms = {}
-    c_terms = {}
-    for j, e in f_y.terms.items():
-        if j % p:
-            raise InvalidDerivationError(
-                f"residual image of y has a degree-{j} term (not 0 mod p)"
-            )
-        # split e = c_j x^(p-1) - r_j' with c_j in F[x^p]
-        cj = e.frobenius_split()[p - 1].substitute_xp()
-        rj = (cj.shift(p - 1) - e).antiderivative()
-        if isinstance(rj, NotIntegrable):
-            raise AssertionError("x^(p-1) component removal must leave a derivative")
-        if not cj.is_zero():
-            z_terms[j] = cj
-        if not rj.is_zero():
-            c_terms[j] = rj
-    z = WeylElement(F, z_terms)
-    c = WeylElement(F, c_terms)
-    # safety: reassemble on generators
-    ex_x = WeylElement.y_power(F, p - 1)
-    check_x = w * ex_x + commutator(b, WeylElement.x_power(F, 1)) + commutator(
-        c, WeylElement.x_power(F, 1)
-    )
-    check_y = z * WeylElement.x_power(F, p - 1) + commutator(b, y) + commutator(c, y)
-    if check_x != dx or check_y != dy:
-        raise AssertionError("A_1 decomposition failed to reassemble")
-    return w, z, b, c
 
 
 # -- restriction to the center -----------------------------------------------------------

@@ -4,14 +4,13 @@ Characteristic 0: canonical class representatives D_g + sum ad_{r_n a_n}
 (deg g < deg h, deg r_n < deg(h/pi_h), n >= 1; level-0 ad terms are rewritten
 into the g slot through ad_{r a_0} = -D_{delta0(r)}), the closed-form Lie
 bracket on classes, the center of HH^1, the maximal nilpotent ideal N of the
-commutator ideal, and the quotient map onto (D/D pi_{(h/pi_h)}) tensor the
-Witt algebra.
+commutator ideal, and the structure report.
 
 Characteristic p: symbolic derivation expressions over the generator bases
 {D_g, ad_{r a_n}, bhat_x, bhat_f} with center-polynomial coefficients, the
-closed-form brackets between them (falling back to the operator bracket for
-unsupported pairs), and the freeness / module-structure report over the
-center.
+closed-form brackets between them (one route: every pair of input bases has
+a closed form, and [D_g, bhat_x] adds an ad_b part that is an output base
+only), and the freeness / module-structure report over the center.
 """
 
 from __future__ import annotations
@@ -29,12 +28,10 @@ from .derivations import (
     InnerWitness,
     ad,
     ad_ra_n,
-    bhat_f,
     bhat_x,
     decompose_Ah_char0,
     gh_derivative_times_hk,
     is_inner,
-    restrict_to_center,
     CenterDerivation,
 )
 from .fields import check_same_field
@@ -183,7 +180,7 @@ def generator_classes_char0(ctx: AhContext, max_n: int = 3) -> list:
 
 
 # ---------------------------------------------------------------------------
-# characteristic 0: nilpotent ideal and Witt quotient
+# characteristic 0: nilpotent ideal
 # ---------------------------------------------------------------------------
 
 
@@ -211,80 +208,6 @@ def nilpotent_ideal_membership(
     if not mod.divides(q):
         return False
     return all(mod.divides(r) for _, r in cls.terms)
-
-
-@dataclass(frozen=True)
-class WittClassElement:
-    """residue (x) w_level in (D / D pi_{(h/pi_h)}) tensor the Witt algebra,
-    with Witt bracket [w_m, w_n] = (n - m) w_{m+n} (levels >= -1)."""
-
-    residue: Poly
-    level: int
-
-
-class WittQuotient:
-    """The isomorphism [HH^1, HH^1]/N -> (D/D pi_{(h/pi_h)}) tensor W,
-    e_{g,m} = -ad_{g a_{m+1}} + N  |->  (g * delta0(1) mod pi) tensor w_m."""
-
-    def __init__(self, ctx: AhContext):
-        if not ctx.field.is_char_zero:
-            raise ValueError("characteristic-0 quotient")
-        self.context = ctx
-        self.pi_hp = pi_of_h_over_pi(ctx)
-        self.vartheta0 = ctx.delta0_of_one()
-        if not self.pi_hp.is_constant():
-            g = self.vartheta0.gcd_monic(self.pi_hp)
-            if not g.is_one():
-                raise AssertionError("gcd(delta0(1), pi_(h/pi)) must be 1")
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.pi_hp.is_constant()
-
-    def map_class(self, cls: HH1ClassChar0) -> list:
-        """Image of a class in the commutator ideal; raises if the class has
-        a nonzero central component."""
-        ctx = self.context
-        z, q = ctx.split_center_commutator(cls.g)
-        if not z.is_zero():
-            raise ValueError("class is not in the commutator ideal of HH^1")
-        if self.is_trivial:
-            return []
-        out = {}
-
-        def add(level, residue):
-            r = (residue * self.vartheta0) % self.pi_hp
-            if not r.is_zero():
-                key = level
-                cur = out.get(key, Poly.zero(ctx.field))
-                cur = cur + r
-                out[key] = cur
-
-        add(-1, q)  # D_{delta0(q)} = e_{q,-1}
-        for n, r in cls.terms:
-            add(n - 1, -r)  # ad_{r a_n} = -e_{r, n-1}
-        return [
-            WittClassElement(res % self.pi_hp, lvl)
-            for lvl, res in sorted(out.items())
-            if not (res % self.pi_hp).is_zero()
-        ]
-
-    def e_class(self, g: Poly, level: int) -> HH1ClassChar0:
-        """The class e_{g,level} = -ad_{g a_{level+1}} itself."""
-        return HH1ClassChar0(
-            self.context, Poly.zero(self.context.field), [(level + 1, -g)]
-        )
-
-    @staticmethod
-    def witt_bracket(e1: WittClassElement, e2: WittClassElement, mod: Poly) -> list:
-        """[r (x) w_m, s (x) w_n] = (n - m) rs (x) w_{m+n} (zero below w_{-1})."""
-        lvl = e1.level + e2.level
-        if lvl < -1:
-            return []
-        c = (e1.residue * e2.residue).scale(e2.level - e1.level) % mod
-        if c.is_zero():
-            return []
-        return [WittClassElement(c, lvl)]
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +286,8 @@ class BAd:
 
 @dataclass(frozen=True)
 class BAdElem:
-    """ad_a for an explicit normalizer element a."""
+    """ad_a for an explicit normalizer element a: the ad_b part of
+    [D_g, bhat_x]. An output base only; `bracket_charp` refuses it as input."""
 
     a: WeylElement
 
@@ -376,13 +300,6 @@ class BBx:
 @dataclass(frozen=True)
 class BBf:
     """bhat_f = zeta D_{h'/varrho_h} - bhat_x."""
-
-
-@dataclass(frozen=True)
-class BRaw:
-    """Fallback: an explicit derivation (used when no closed form applies)."""
-
-    d: Derivation
 
 
 class DerExpr:
@@ -428,8 +345,6 @@ def _base_derivation(b, ctx: AhContext) -> Derivation:
         return ad(b.a, ctx)
     if isinstance(b, BBx):
         return bhat_x(ctx)
-    if isinstance(b, BRaw):
-        return b.d
     raise TypeError(f"unknown base {b!r}")
 
 
@@ -439,8 +354,13 @@ def _base_res(b, ctx: AhContext) -> CenterDerivation:
     zero = CenterPoly.zero(F)
     if isinstance(b, BDg):
         return CenterDerivation(zero, CenterPoly.from_t1_poly(ctx.theta_p_map(b.g)))
-    if isinstance(b, (BAd, BAdElem)):
+    if isinstance(b, BAd):
         return CenterDerivation(zero, zero)
+    if isinstance(b, BAdElem):
+        raise ValueError(
+            "BAdElem is an output base with no closed-form bracket; "
+            "bracket the materialized derivation instead"
+        )
     if isinstance(b, BBx):
         # (h')^p / varrho_h = (h' / sigma)(x^p), with sigma the p-th root of varrho_h
         hp_u = ctx.h.derivative().exact_div(ctx.varrho_root)
@@ -448,8 +368,6 @@ def _base_res(b, ctx: AhContext) -> CenterDerivation:
             -CenterPoly.from_t1_poly(ctx.hp_over_varrho.pth_root()),
             -(CenterPoly.from_t1_poly(hp_u) * CenterPoly.t2(F)),
         )
-    if isinstance(b, BRaw):
-        return restrict_to_center(b.d)
     raise TypeError(f"unknown base {b!r}")
 
 
@@ -464,9 +382,8 @@ def _reduce_ad_level(ctx: AhContext, coeff: CenterPoly, r: Poly, n: int) -> list
     return [(coeff, BAd(r, n))]
 
 
-def _core_bracket(ctx: AhContext, b1, b2) -> Optional[list]:
-    """Closed-form [b1, b2] as expr parts (coefficients 1), or None when no
-    closed form applies (caller falls back to the operator bracket)."""
+def _core_bracket(ctx: AhContext, b1, b2) -> list:
+    """Closed-form [b1, b2] of two input bases as expr parts."""
     F = ctx.field
     one = CenterPoly.one(F)
     p = ctx.p
@@ -506,7 +423,7 @@ def _core_bracket(ctx: AhContext, b1, b2) -> Optional[list]:
         return [(-z, b) for z, b in _core_bracket(ctx, b2, b1)]
     if isinstance(b1, BBx) and isinstance(b2, BBx):
         return []
-    return None
+    raise TypeError(f"no closed form for the bases {b1!r}, {b2!r}")
 
 
 def _dg_bx_closed_form(ctx: AhContext, g: Poly):
@@ -546,8 +463,10 @@ def _dg_bx_closed_form(ctx: AhContext, g: Poly):
 def bracket_charp(e1: DerExpr, e2: DerExpr) -> DerExpr:
     """Bracket of derivation expressions over the closed forms, with the
     coefficient rule [z1 b1, z2 b2] = z1 R1(z2) b2 - z2 R2(z1) b1
-    + z1 z2 [b1, b2]; unsupported base pairs fall back to the operator
-    bracket of the materialized summands."""
+    + z1 z2 [b1, b2], R the restriction to the center. Every pair of input
+    bases D_g, ad_{r a_n}, bhat_x (bhat_f is expanded on construction) has a
+    closed form; a BAdElem part, which only [D_g, bhat_x] produces, raises
+    ValueError: bracket its `materialize()` with `Derivation.bracket`."""
     ctx = e1.context
     if ctx is not e2.context:
         raise ValueError("expressions over different contexts")
@@ -562,12 +481,7 @@ def bracket_charp(e1: DerExpr, e2: DerExpr) -> DerExpr:
             dz1 = r2.apply(z1)
             if not dz1.is_zero():
                 out.append((-(z2 * dz1), b1))
-            core = _core_bracket(ctx, b1, b2)
-            if core is None:
-                d1 = _base_derivation(b1, ctx)
-                d2 = _base_derivation(b2, ctx)
-                core = [(CenterPoly.one(ctx.field), BRaw(d1.bracket(d2)))]
-            for z, b in core:
+            for z, b in _core_bracket(ctx, b1, b2):
                 out.append((z1 * z2 * z, b))
     return DerExpr(ctx, out)
 

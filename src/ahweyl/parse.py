@@ -27,6 +27,11 @@ route that reorders. The power of a monomial c x^i or c y^j is c^n x^(in)
 or c^n y^(jn); any other power is square-and-multiply through the same
 product. The value becomes a `WeylElement` or `Poly` once, at the end, so
 text in the printed normal form parses without a polynomial or Weyl product.
+
+Each row of that value is dense in x, so a power or product whose x-degree
+or y-degree would exceed `MAX_DEGREE` is refused before it is formed. Both
+degrees add under the Weyl product (A_1 is a domain and reordering only
+lowers them), so they are known from the operands.
 """
 
 from __future__ import annotations
@@ -38,6 +43,12 @@ from .context import AhContext, NotCentral
 from .fields import FieldSpec
 from .poly import Poly
 from .weyl import WeylElement
+
+
+#: Largest x-degree or y-degree of a parsed value: about five times the x-degree
+#: 200006 of zeta that analyze prints for h = x^2+1 at p = 100003. A dense
+#: row of this degree takes 8 MB.
+MAX_DEGREE = 10**6
 
 
 class ParseError(ValueError):
@@ -109,6 +120,22 @@ def _to_weyl(field: FieldSpec, value: dict) -> WeylElement:
     )
 
 
+def _degrees(value: dict):
+    """(x-degree, y-degree) of a sparse value, (0, 0) for zero."""
+    dx = dy = 0
+    for i, j in value:
+        if i > dx:
+            dx = i
+        if j > dy:
+            dy = j
+    return dx, dy
+
+
+def _check_degree(degree: int, position: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ParseError(f"degree {degree} exceeds the limit {MAX_DEGREE}", position)
+
+
 def _from_weyl(w: WeylElement) -> dict:
     return {(i, j): c for j, r in w.terms.items() for i, c in enumerate(r.coeffs) if c}
 
@@ -158,8 +185,11 @@ class _Parser:
     def term(self):
         value = self.factor()
         while self.peek()[0] == "*":
-            self.advance()
-            value = self.mul(value, self.factor())
+            position = self.advance()[2]
+            right = self.factor()
+            (i, j), (k, l) = _degrees(value), _degrees(right)
+            _check_degree(max(i + k, j + l), position)
+            value = self.mul(value, right)
         return value
 
     def factor(self):
@@ -169,6 +199,7 @@ class _Parser:
             tok = self.expect("num")
             if not isinstance(tok[1], int) or tok[1] < 0:
                 raise ParseError("exponent must be a nonnegative integer", tok[2])
+            _check_degree(tok[1] * max(_degrees(base)), tok[2])
             return self.power(base, tok[1])
         return base
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .fields import ExactDivisionError, FieldSpec, check_same_field
 
@@ -305,18 +304,6 @@ class Poly:
         for _ in range(order):
             out = Poly._reduced(self.field, [i * c for i, c in enumerate(out.coeffs[1:], 1)])
         return out
-
-    def hasse_derivative(self, m: int) -> "Poly":
-        """The m-th Hasse derivative H_m(f) = sum_n C(n, m) c_n x^(n-m).
-
-        m! H_m(f) = f^(m), but H_m needs no division by m!: in
-        characteristic p it survives where f^(m) vanishes for m >= p, e.g.
-        H_p(x^p) = 1 over GF(p)."""
-        if m < 0:
-            raise ValueError("negative order")
-        return Poly._reduced(
-            self.field, [comb(n, m) * c for n, c in enumerate(self.coeffs[m:], m)]
-        )
 
     def antiderivative(self):
         """Return g with g' = self (constant term 0), or NotIntegrable.

@@ -18,8 +18,6 @@ from ahweyl.derivations import (
     ad,
     bhat_f,
     decompose_A1_char0,
-    ex_as_derivation,
-    ey_as_derivation,
     is_inner,
     restrict_to_center,
 )
@@ -31,8 +29,6 @@ from ahweyl.hochschild import (
     BDg,
     DerExpr,
     HH1ClassChar0,
-    WittClassElement,
-    WittQuotient,
     bracket_char0,
     bracket_charp,
     canonical_class_char0,
@@ -45,6 +41,9 @@ from ahweyl.hochschild import (
 from ahweyl.poly import Poly
 from ahweyl.verify import random_normalizer_element, random_poly, random_weyl
 from ahweyl.weyl import WeylElement, commutator, varpi
+
+from test_derivations import ex_as_derivation, ey_as_derivation
+from test_hochschild import WittClassElement, WittQuotient
 
 
 def announce(num, ok, text):

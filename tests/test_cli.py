@@ -54,6 +54,13 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "parse error" in err and message in err
 
+    def test_parse_error_degree_over_the_limit(self, capsys):
+        code, out, err = run_cli(["analyze", "--h", "x^1000000000", "--char", "0"], capsys=capsys)
+        assert code == 1 and out == ""
+        assert err == (
+            "error (parse error): degree 1000000000 exceeds the limit 1000000 (at position 2)\n"
+        )
+
     @pytest.mark.parametrize(
         "extra,message",
         [

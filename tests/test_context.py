@@ -321,7 +321,7 @@ class TestDelta0:
     def test_delta0_of_one(self):
         ctx = AhContext(xn(QQ, 2))
         want = ctx.pi_h.derivative() - ctx.pi_hprime_over_h
-        assert ctx.delta0_of_one() == want
+        assert ctx.delta0(Poly.one(QQ)) == want
 
     @pytest.mark.parametrize(
         "field,h",

@@ -25,28 +25,27 @@ from ahweyl.derivations import (
     bhat_x,
     d_on_poly,
     decompose_A1_char0,
-    decompose_A1_charp,
     decompose_Ah_char0,
     decompose_Ah_charp,
     ex_apply,
-    ex_as_derivation,
     ex_on_yhat,
     extend_to_A1,
     ey_apply,
-    ey_as_derivation,
-    ey_on_yhat,
     generic_a1_apply,
     gh_derivative_times_hk,
     is_inner,
     make_derivation,
+    require_derivation,
     restrict_to_center,
+    validate_a1_images,
     _split_ad_x,
 )
 from ahweyl.fields import FieldSpec, QQ
-from ahweyl.poly import Poly
+from ahweyl.poly import NotIntegrable, Poly
 from ahweyl.verify import random_derivation as verify_random_derivation
 from ahweyl.weyl import WeylElement, commutator, varpi
 
+from test_poly import hasse_derivative
 from test_weyl import repeated_product
 
 GF2 = FieldSpec(2)
@@ -232,6 +231,25 @@ def ex_on_poly(g: Poly) -> WeylElement:
     if not pp.is_zero():
         out[0] = out.get(0, Poly.zero(F)) - pp
     return WeylElement(F, out)
+
+
+def ey_on_yhat(ctx: AhContext) -> WeylElement:
+    """Oracle: E_y(yhat) = x^(p-1) h."""
+    return WeylElement.from_poly(ctx.h.shift(ctx.p - 1))
+
+
+def ex_as_derivation(ctx: AhContext) -> Derivation:
+    """Oracle: E_x restricted to A_h (valid when it preserves A_h, e.g.
+    h = 1)."""
+    return require_derivation(
+        WeylElement.y_power(ctx.field, ctx.p - 1), ex_on_yhat(ctx), ctx
+    )
+
+
+def ey_as_derivation(ctx: AhContext) -> Derivation:
+    """Oracle: E_y restricted to A_h; always restricts since
+    E_y = D_{x^(p-1) h}."""
+    return require_derivation(WeylElement.zero(ctx.field), ey_on_yhat(ctx), ctx)
 
 
 class TestExEy:
@@ -476,6 +494,51 @@ class TestDecomposeA1Char0:
             b = u + WeylElement.from_poly(w)
             assert commutator(b, x) == dx
             assert commutator(b, y) == dy
+
+
+def decompose_A1_charp(dx: WeylElement, dy: WeylElement):
+    """Oracle: Der(A_1) = Z(A_1) E_x + Z(A_1) E_y + Inder(A_1) in
+    characteristic p, following the constructive steps: (w, z, b, c) with
+    D = w E_x + z E_y + ad_b + ad_c, w and z central."""
+    F = dx.field
+    p = F.p
+    validate_a1_images(dx, dy)
+    y = WeylElement.y_power(F, 1)
+    b, rest = _split_ad_x(dx)
+    for i, r in rest.terms.items():
+        if not r.in_frobenius_base():
+            raise InvalidDerivationError(
+                f"degree-{i} coefficient of D(x) must lie in F[x^p]"
+            )
+    w = WeylElement(F, {i - (p - 1): r for i, r in rest.terms.items()})
+    f_y = dy - commutator(b, y)
+    z_terms = {}
+    c_terms = {}
+    for j, e in f_y.terms.items():
+        if j % p:
+            raise InvalidDerivationError(
+                f"residual image of y has a degree-{j} term (not 0 mod p)"
+            )
+        # split e = c_j x^(p-1) - r_j' with c_j in F[x^p]
+        cj = e.frobenius_split()[p - 1].substitute_xp()
+        rj = (cj.shift(p - 1) - e).antiderivative()
+        if isinstance(rj, NotIntegrable):
+            raise AssertionError("x^(p-1) component removal must leave a derivative")
+        if not cj.is_zero():
+            z_terms[j] = cj
+        if not rj.is_zero():
+            c_terms[j] = rj
+    z = WeylElement(F, z_terms)
+    c = WeylElement(F, c_terms)
+    # safety: reassemble on generators
+    ex_x = WeylElement.y_power(F, p - 1)
+    check_x = w * ex_x + commutator(b, WeylElement.x_power(F, 1)) + commutator(
+        c, WeylElement.x_power(F, 1)
+    )
+    check_y = z * WeylElement.x_power(F, p - 1) + commutator(b, y) + commutator(c, y)
+    if check_x != dx or check_y != dy:
+        raise AssertionError("A_1 decomposition failed to reassemble")
+    return w, z, b, c
 
 
 class TestDecomposeA1CharP:
@@ -999,7 +1062,7 @@ def test_d_on_poly_does_not_stop_at_a_zero_hasse_derivative():
     # over GF(2): d(1 + x^2) = x y + y x = 1 + 2 x y = 1, from H_2 although H_1 = 0
     f = P(GF2, 1, 0, 1)
     y = WeylElement.y_power(GF2, 1)
-    assert f.hasse_derivative(1).is_zero()
+    assert hasse_derivative(f, 1).is_zero()
     assert d_on_poly(f, y) == WeylElement.one(GF2) == d_on_poly_sum(f, y)
 
 

@@ -13,6 +13,7 @@ from ahweyl.context import AhContext
 from ahweyl.fields import FieldSpec, QQ
 from ahweyl.derivations import D_g, ad
 from ahweyl.parse import (
+    MAX_DEGREE,
     ParseError,
     _tokenize,
     parse_center,
@@ -489,3 +490,27 @@ def test_scalar_power_mod_p_takes_a_large_exponent():
     F = FieldSpec(7)
     got = parse_weyl("3^100000000*y + (2*y)^5", F)
     assert got == WeylElement(F, {1: Poly.constant(F, pow(3, 10**8, 7)), 5: Poly.constant(F, 32)})
+
+
+def test_degree_limit_on_each_side():
+    top, over = MAX_DEGREE, MAX_DEGREE + 1
+    assert parse_poly(f"x^{top}", QQ) == Poly.monomial(QQ, 1, top)
+    assert parse_weyl(f"x^{top}*y^{top}", GF3) == WeylElement.from_term(Poly.monomial(GF3, 1, top), top)
+    for text, position in [
+        (f"x^{over}", 2),
+        (f"2*y^{over} + x", 4),
+        (f"(x+1)^{over}", 6),  # refused before any product is made
+        (f"(x^2)^{top // 2 + 1}", 6),
+        (f"x^{top}*x", 2 + len(str(top))),  # a product: at its '*'
+        (f"y^{top - 1}*(y+1)^2", 2 + len(str(top - 1))),
+    ]:
+        with pytest.raises(ParseError) as e:
+            parse_weyl(text, QQ)
+        assert e.value.position == position
+        assert f"exceeds the limit {MAX_DEGREE}" in str(e.value)
+    with pytest.raises(ParseError, match=f"degree 1000000000 exceeds the limit {MAX_DEGREE}"):
+        parse_poly("x^1000000000", QQ)
+    # a scalar power has degree 0, however large its exponent
+    assert parse_weyl("3^100000000*y", FieldSpec(7)) == WeylElement.from_term(
+        Poly.constant(FieldSpec(7), pow(3, 10**8, 7)), 1
+    )

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 import sympy
@@ -26,6 +26,18 @@ GF5 = FieldSpec(5)
 
 def P(field, *coeffs):
     return Poly(field, coeffs)
+
+
+def hasse_derivative(f, m):
+    """The m-th Hasse derivative H_m(f) = sum_n C(n, m) c_n x^(n-m), the
+    oracle for the Hasse rows that `d_on_poly` builds inline.
+
+    m! H_m(f) = f^(m), but H_m needs no division by m!: in characteristic p
+    it survives where f^(m) vanishes for m >= p, e.g. H_p(x^p) = 1 over
+    GF(p)."""
+    if m < 0:
+        raise ValueError("negative order")
+    return Poly(f.field, [comb(n, m) * c for n, c in enumerate(f.coeffs[m:], m)])
 
 
 def random_poly(rng, field, max_deg=6):
@@ -187,21 +199,21 @@ class TestHasseDerivative:
     @settings(max_examples=60, deadline=None)
     def test_factorial_times_hasse_is_derivative_over_q(self, coeffs, m):
         f = Poly(QQ, coeffs)
-        assert f.hasse_derivative(m).scale(factorial(m)) == f.derivative(m)
+        assert hasse_derivative(f, m).scale(factorial(m)) == f.derivative(m)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_hasse_p_of_xp_is_one(self, p):
         field = FieldSpec(p)
         xp = Poly.monomial(field, 1, p)
         assert xp.derivative(p).is_zero()
-        assert xp.hasse_derivative(p).is_one()
+        assert hasse_derivative(xp, p).is_one()
 
     def test_zero_order_and_above_degree(self):
         f = P(GF3, 1, 2, 0, 1)
-        assert f.hasse_derivative(0) == f
-        assert f.hasse_derivative(4).is_zero()
+        assert hasse_derivative(f, 0) == f
+        assert hasse_derivative(f, 4).is_zero()
         with pytest.raises(ValueError):
-            f.hasse_derivative(-1)
+            hasse_derivative(f, -1)
 
 
 class TestGcd:
@@ -514,7 +526,7 @@ def test_kernel_derivatives_match_sympy(pair, order, m):
     hasse = lift.diff((SX, m)) * sympy.Rational(1, factorial(m)) if m else lift
     if not F.is_char_zero:
         hasse = sympy.Poly(hasse.as_expr(), SX, modulus=F.p)
-    checked(f.hasse_derivative(m), hasse)
+    checked(hasse_derivative(f, m), hasse)
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS)
