@@ -23,18 +23,20 @@ Membership, centralizer and normalizer tests, basis conversions, and the
 embedding A_g -> A_f for f | g live here too. The coordinates that
 derivations are applied in are a = sum g_jk zeta^k yhat^j with g_jk in
 F[x] (j < p in characteristic p, k = 0 over Q), read off by one
-descending-degree elimination. A central factor zeta^k or z(x^p, zeta)
+descending-degree elimination on raw rows, which reduces only the row it
+reads at each step. A central factor zeta^k or z(x^p, zeta)
 multiplies without a Weyl product, as a polynomial factor and a shift of
 the y-degrees (`zeta_mul`, `central_mul`), and [yhat, a] and a yhat have
 closed forms over the cached derivatives of h (`yhat_bracket`,
-`times_yhat`), which also build the cached powers of yhat. The cached
+`times_yhat`, each around a row core that `derivations` shares), which also
+build the cached powers of yhat. The cached
 powers of h use h^p = h(x^p) over the prime field (`h_power`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, lcm
 from operator import mul
 from typing import Optional
 
@@ -334,25 +336,48 @@ class AhContext:
 
         The top degree m is written as m = period k + j (k = 0 for period 0),
         g = r_m / h^m is an exact division, and g zeta^k yhat^j, whose top
-        term is g h^m y^m, is subtracted, built by `zeta_mul`."""
+        term is g h^m y^m, is subtracted, built as `zeta_mul` builds it.
+
+        The work stays in raw rows, and only the top row is reduced, when it
+        is read; over Q they are integers over a running denominator, the
+        lcm of the lift denominators of a and of every g yhat^j. Row m is
+        dropped, not subtracted: yhat^j has top term h^j y^j (checked), so
+        that of g zeta^k yhat^j is g h^m y^m = r_m."""
         check_same_field(self.field, a.field)
+        F = self.field
+        den, terms = F.lift(a.terms)
+        rows = {i: list(r.coeffs) for i, r in terms.items()}
         out = {}
-        work = a
-        while work:
-            m = work.y_degree
+        for m in range(a.y_degree, -1, -1):
+            row_m = rows.pop(m, None)
+            if row_m is None or not (r := Poly._reduced(F, row_m, den)):
+                continue
             k, j = divmod(m, period) if period else (0, m)
             try:
-                g = work.terms[m].exact_div(self.h_power(m))
+                g = r.exact_div(self.h_power(m))
             except ExactDivisionError as e:
                 raise MembershipError(
                     f"y-degree {m} coefficient not divisible by h^{m}: not in A_h"
                 ) from e
             out[j, k] = g
-            work = work - self.zeta_mul(self.yhat_power(j), k, g)
-            if work and work.y_degree >= m:
+            yj = self.yhat_power(j)
+            if yj.terms.get(j) != self.h_power(j) or yj.y_degree != j:
                 raise AssertionError(
-                    f"elimination at y-degree {m} left y-degree {work.y_degree}"
+                    f"elimination at y-degree {m}: yhat^{j} has no top term h^{j} y^{j}"
                 )
+            n = period * k
+            if n:
+                g = g * self.h_power(n)
+            dg, (g,) = F.lift((g,))
+            dy, below = F.lift({i: s for i, s in yj.terms.items() if i < j})
+            if den % (step := dg * dy):  # over Q: move the rows to lcm(den, step)
+                up = lcm(den, step) // den
+                for row in rows.values():
+                    row[:] = [up * c for c in row]
+                den *= up
+            gc = [-(den // step) * c for c in g.coeffs]
+            for i, s in below.items():
+                _accumulate(rows, i + n, gc, s.coeffs)
         return out
 
     def zeta_mul(self, w: WeylElement, k: int, g: Optional[Poly] = None) -> WeylElement:
@@ -379,42 +404,48 @@ class AhContext:
         check_same_field(self.field, a.field)
         da, terms = self.field.lift(a.terms)
         rows = {}
-        self._add_times_yhat(rows, terms, 0, 1)
+        self._add_times_yhat(rows, {j: r.coeffs for j, r in terms.items()}, 0, 1)
         return WeylElement._from_rows(self.field, rows, da * self._h_chain[0])
 
     def yhat_bracket(self, a: WeylElement) -> WeylElement:
-        """[yhat, a] in closed form, without a Weyl product. yhat r y^j =
-        y h r y^j = (h r y + (h r)') y^j, and the k = 0 term of r y^j yhat
-        (`_add_times_yhat`) is h r y^(j+1), so
-
-            [yhat, r y^j] = (h r' + h' r) y^j - sum_{k >= 1} C(j+1, k) r h^(k) y^(j+1-k)."""
+        """[yhat, a] in closed form, without a Weyl product (`_add_yhat_bracket`)."""
         check_same_field(self.field, a.field)
-        dh, chain = self._h_chain
         da, terms = self.field.lift(a.terms)
         rows = {}
-        for j, r in terms.items():
-            rc = r.coeffs
+        self._add_yhat_bracket(rows, {j: r.coeffs for j, r in terms.items()})
+        return WeylElement._from_rows(self.field, rows, da * self._h_chain[0])
+
+    def _add_yhat_bracket(self, rows: dict, terms: dict) -> None:
+        """rows += [yhat, a] over the raw coefficients {j: r} of a (lifted
+        over Q, so the rows are over the lift denominator times that of the
+        lifted derivative chain of h). yhat r y^j = y h r y^j = (h r y +
+        (h r)') y^j, and the k = 0 term of r y^j yhat (`_add_times_yhat`) is
+        h r y^(j+1), so
+
+            [yhat, r y^j] = (h r' + h' r) y^j - sum_{k >= 1} C(j+1, k) r h^(k) y^(j+1-k)."""
+        chain = self._h_chain[1]
+        for j, rc in terms.items():
             _accumulate(rows, j, chain[0].coeffs, [i * c for i, c in enumerate(rc[1:], 1)])
             if len(chain) > 1:
                 _accumulate(rows, j, chain[1].coeffs, rc)
         self._add_times_yhat(rows, terms, 1, -1)
-        return WeylElement._from_rows(self.field, rows, da * dh)
 
     def _add_times_yhat(self, rows: dict, terms: dict, first: int, sign: int) -> None:
         """rows += sign * sum_{k >= first} C(j+1, k) r h^(k) y^(j+1-k) over the
-        lifted terms r y^j: the terms of r y^j yhat = r y^(j+1) h, with h^(k)
-        the k-th derivative of h. The sum stops at
+        raw coefficients {j: r} of the terms r y^j: the terms of r y^j yhat =
+        r y^(j+1) h, with h^(k) the k-th derivative of h. The sum stops at
         deg h. In characteristic p, h^(k) = 0 for k >= p, so Lucas' theorem
         gives C(j+1, k) = C((j+1) mod p, k), and the sum also stops at
-        (j+1) mod p. Over Q, r and the derivative chain of h are lifted to
-        integers as in the Weyl product, and each row is reduced once."""
+        (j+1) mod p. Over Q the derivative chain of h is lifted to integers
+        over one denominator, as in the Weyl product, so rows of lifted terms
+        are over the product of the two denominators."""
         p = self.field.characteristic
         chain = self._h_chain[1]
         for j, r in terms.items():
             jp = (j + 1) % p if p else j + 1
             for k in range(first, min(jp, len(chain) - 1) + 1):
                 b = sign * comb(jp, k)
-                _accumulate(rows, j + 1 - k, [b * c for c in chain[k].coeffs], r.coeffs)
+                _accumulate(rows, j + 1 - k, [b * c for c in chain[k].coeffs], r)
 
     def center_coords(self, a: WeylElement):
         """Express a in Z(A_h) = F[t1, t2], or NotCentral."""

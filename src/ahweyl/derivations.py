@@ -10,6 +10,9 @@ of which D(yhat^p) is the last, and sums the result by Horner in yhat.
 Every zeta^k is a shift (`AhContext.zeta_mul`), and a yhat, [yhat, a] and
 [a, x] are closed forms (`AhContext.times_yhat`, `AhContext.yhat_bracket`,
 `commutator` with the operand x), so no general Weyl product is made.
+`d_on_poly`, `apply` and `criterion_defect` lift their operands once and
+sum every piece into raw rows through shared row cores, reducing each output
+row once: no intermediate Weyl element or element sum is formed.
 
 The module also provides: the special derivations D_g, bhat_x and bhat_f,
 and the A_1 derivations E_x and E_y; extension to A_1 and the constructive
@@ -74,31 +77,47 @@ def d_on_poly(f: Poly, u: WeylElement) -> WeylElement:
     once the falling factorial j!/(j-l)! is 0 in F. A zero H_(l+1)(f) is no
     reason to stop: over GF(2), H_1(1 + x^2) = 0 but H_2(1 + x^2) = 1.
 
-    Both operands are lifted once (`FieldSpec.lift`), the Hasse
-    derivatives are taken on f's integer image as raw C(n, l+1) c_n, and
-    every piece falling * H_(l+1)(f) * r_j is summed into a raw row per
-    y-degree j - l; each row is reduced once, over Q divided by the two
-    lift denominators.
-    """
+    Both operands are lifted once (`FieldSpec.lift`), the rows are summed
+    by `_add_d_on_poly`, and each row is reduced once, over Q divided by
+    the two lift denominators."""
     F = u.field
-    p = F.characteristic
     df, (f,) = F.lift((f,))
     du, terms = F.lift(u.terms)
-    fc = f.coeffs
+    rows = {}
+    _add_d_on_poly(F, rows, f.coeffs, {j: r.coeffs for j, r in terms.items()})
+    return WeylElement._from_rows(F, rows, df * du)
+
+
+def _add_d_on_poly(F, rows: dict, fc, terms: dict) -> None:
+    """rows += d(f) for d(x) = u, on raw coefficients: fc are those of f and
+    terms the {j: coefficients} of u, both lifted over Q (`d_on_poly`).
+
+    The Hasse derivatives are taken on fc as raw C(n, l+1) c_n, reduced
+    once each (mod p in characteristic p, where the falling factorial is
+    kept mod p too), and every piece falling * H_(l+1)(f) * r_j is summed
+    into the raw row of y-degree j - l (`weyl._accumulate`)."""
+    p = F.characteristic
     hasse = [
         F.reduce([comb(n, l + 1) * c for n, c in enumerate(fc[l + 1 :], l + 1)])
-        for l in range(min(len(fc) - 1, u.y_degree + 1))
+        for l in range(min(len(fc) - 1, max(terms, default=-1) + 1))
     ]
-    rows = {}  # y-degree -> raw coefficients
     for j, r in terms.items():
         falling = 1  # j!/(j-l)!, in F
         for l, hf in enumerate(hasse[: j + 1]):
             if not falling:
                 break
             if any(hf):
-                _accumulate(rows, j - l, [falling * c for c in hf], r.coeffs)
+                _accumulate(rows, j - l, [falling * c for c in hf], r)
             falling = falling * (j - l) % p if p else falling * (j - l)
-    return WeylElement._from_rows(F, rows, df * du)
+
+
+def _lift_elements(F, elements):
+    """(den, [{i: raw coefficients}, ...]): the Weyl elements lifted over one
+    common denominator (`FieldSpec.lift`); over GF(p) den = 1 and the
+    coefficients are the stored ones."""
+    den, images = F.lift(tuple(r for w in elements for r in w.terms.values()))
+    it = iter(images)
+    return den, [{i: next(it).coeffs for i in w.terms} for w in elements]
 
 
 class Derivation:
@@ -118,13 +137,21 @@ class Derivation:
 
     def criterion_defect(self) -> WeylElement:
         """[D(yhat), x] + [yhat, D(x)] - d(h); zero iff the images define a
-        derivation."""
+        derivation. The three parts are summed into one set of raw rows over
+        den dh (den lifts both images, dh the derivative chain of h):
+        [D(yhat), x] = sum_i i v_i y^(i-1) scaled by dh, [yhat, D(x)] and
+        -d(h)."""
         ctx = self.context
-        return (
-            commutator(self.image_yhat, ctx.x_elt)
-            + ctx.yhat_bracket(self.image_x)
-            - d_on_poly(ctx.h, self.image_x)
-        )
+        F = ctx.field
+        dh, chain = ctx._h_chain
+        den, (u, v) = _lift_elements(F, (self.image_x, self.image_yhat))
+        rows = {}
+        for i, r in v.items():
+            if i:
+                _accumulate(rows, i - 1, [i * dh], r)
+        ctx._add_yhat_bracket(rows, u)
+        _add_d_on_poly(F, rows, [-c for c in chain[0].coeffs], u)
+        return WeylElement._from_rows(F, rows, den * dh)
 
     def validate(self) -> Optional[InvalidDerivation]:
         ctx = self.context
@@ -234,30 +261,57 @@ class Derivation:
         hockey stick. It is the identity of `d_on_poly` with yhat in place of
         x, and holds in characteristic p, as only integer binomials enter.
 
-        So D(a) = sum_m w_m yhat^m, with one `zeta_mul` for each power
-        zeta^k in w_m, and the sum is taken by Horner, (w_top yhat +
-        w_(top-1)) yhat + ..., each step one `times_yhat`."""
+        So D(a) = sum_m w_m yhat^m, summed by Horner, (w_top yhat +
+        w_(top-1)) yhat + ..., on raw rows: d(g), k g D(zeta) and
+        C(j, l+1) g c_l go into rows keyed by (m, k) over dg den (the lift
+        denominators of the g_jk and of D(x), the c_l and D(zeta)), and
+        zeta^k is h^(pk) and a shift by pk (`zeta_mul`). Over GF(p) each
+        step is reduced mod p; over Q it multiplies by the lifted h (over
+        dh), so w_m enters times dh^(top-m) and one division by
+        dg den dh^top ends the sum."""
         if isinstance(a, AhElement):
             a = a.value
         ctx = self.context
         F = ctx.field
+        p = F.characteristic
         coords = ctx.yhat_zeta_collect(a)
-        top = max((j for j, _ in coords), default=0)
-        iterates = self._yhat_iterates(top)
-        parts = defaultdict(list)  # (m, k) -> summands of the zeta^k yhat^m term
-        for (j, k), g in coords.items():
-            parts[j, k].append(d_on_poly(g, self.image_x))
-            if k and k % F.characteristic:
-                parts[j, k - 1].append(self.image_of_zeta().poly_mul(g.scale(k)))
+        if not coords:
+            return WeylElement.zero(F)
+        top = max(j for j, _ in coords)
+        # D(x), then c_0 ... c_(top-1), then D(zeta) when some k != 0 mod p
+        images = [self.image_x, *self._yhat_iterates(top)[:top]]
+        if any(k % p for _, k in coords if k):
+            images.append(self.image_of_zeta())
+        den, (u, *lifted) = _lift_elements(F, images)
+        dg, gs = F.lift(tuple(coords.values()))
+        rows = defaultdict(dict)  # (m, k) -> raw rows of the zeta^k yhat^m summand
+        for (j, k), g in zip(coords, gs):
+            gc = g.coeffs
+            _add_d_on_poly(F, rows[j, k], gc, u)
+            if k and k % p:
+                kg = [k * c for c in gc]
+                for i, r in lifted[top].items():
+                    _accumulate(rows[j, k - 1], i, kg, r)
             for l in range(j):
-                parts[j - 1 - l, k].append(iterates[l].poly_mul(g.scale(comb(j, l + 1))))
-        w = [WeylElement.zero(F)] * (top + 1)
-        for (m, k), pieces in parts.items():
-            w[m] = w[m] + ctx.zeta_mul(sum(pieces, WeylElement.zero(F)), k)
-        out = WeylElement.zero(F)
+                if b := comb(j, l + 1) % p if p else comb(j, l + 1):
+                    bg = [b * c for c in gc]
+                    for i, r in lifted[l].items():
+                        _accumulate(rows[j - 1 - l, k], i, bg, r)
+        w = [rows.pop((m, 0), {}) for m in range(top + 1)]
+        for (m, k), part in rows.items():
+            hk = ctx.h_power(p * k).coeffs
+            for i, r in part.items():
+                _accumulate(w[m], i + p * k, hk, r)
+        dh = ctx._h_chain[0]
+        out = {}
         for m in range(top, -1, -1):
-            out = ctx.times_yhat(out) + w[m]
-        return out
+            step = {}
+            ctx._add_times_yhat(step, out, 0, 1)
+            scale = [dh ** (top - m)]
+            for i, r in w[m].items():
+                _accumulate(step, i, scale, r)
+            out = {i: [c % p for c in r] for i, r in step.items()} if p else step
+        return WeylElement._from_rows(F, out, dg * den * dh**top)
 
     def bracket(self, other: "Derivation") -> "Derivation":
         """[D, E] as a derivation: images D(E(x)) - E(D(x)), same on yhat."""

@@ -12,9 +12,12 @@ of `poly`, `weyl`, `centerpoly` and `linalg` compute on raw values and call
 `FieldSpec.reduce` once per output coefficient: that method is the only
 place they learn the characteristic. `coerce` validates outside input.
 
-The product loops (`Poly.__mul__`, the Weyl product and
-`derivations.d_on_poly`) and the division `Poly.__divmod__` first pass
-their operands through `FieldSpec.lift`. Over Q it clears denominators:
+The product loops (`Poly.__mul__`, the Weyl product, `d_on_poly` and the
+closed forms `times_yhat` and `yhat_bracket`), the division
+`Poly.__divmod__`, and the three routes that sum raw rows across a whole
+computation (`Derivation.apply`, `Derivation.criterion_defect` and the
+elimination `AhContext._collect`) first pass their operands through
+`FieldSpec.lift`. Over Q it clears denominators:
 it returns the lcm `den` of every coefficient denominator and integer
 images `c.numerator * (den // c.denominator)`, so the loops run on Python
 ints, and `reduce(values, den)` turns each raw integer back into

@@ -31,7 +31,12 @@ text in the printed normal form parses without a polynomial or Weyl product.
 Each row of that value is dense in x, so a power or product whose x-degree
 or y-degree would exceed `MAX_DEGREE` is refused before it is formed. Both
 degrees add under the Weyl product (A_1 is a domain and reordering only
-lowers them), so they are known from the operands.
+lowers them), so they are known from the operands. `MAX_DEGREE` bounds one
+row, not how many there are, so the dense size of a value, the sum over its
+rows of (row x-degree + 1), is bounded by `MAX_CELLS`. It is checked on the
+final value, at the top-level term that takes it over the limit, and on
+both operands of a reordering product, at its '*' or '^', before either is
+made dense. The size of that product is not bounded here.
 """
 
 from __future__ import annotations
@@ -49,6 +54,11 @@ from .weyl import WeylElement
 #: 200006 of zeta that analyze prints for h = x^2+1 at p = 100003. A dense
 #: row of this degree takes 8 MB.
 MAX_DEGREE = 10**6
+
+#: Largest dense size of a parsed value or of an operand of a reordering
+#: product: the sum over its rows of (row x-degree + 1). Two rows of degree
+#: `MAX_DEGREE`, 16 MB.
+MAX_CELLS = 2 * (MAX_DEGREE + 1)
 
 
 class ParseError(ValueError):
@@ -136,6 +146,22 @@ def _check_degree(degree: int, position: int) -> None:
         raise ParseError(f"degree {degree} exceeds the limit {MAX_DEGREE}", position)
 
 
+def _cells(value: dict) -> int:
+    """Dense size of a sparse value: the sum over its rows of (row x-degree + 1)."""
+    top = {}  # y-degree -> x-degree of the row
+    for i, j in value:
+        if i > top.get(j, -1):
+            top[j] = i
+    return sum(top.values()) + len(top)
+
+
+def _check_cells(value: dict, what: str, position: int) -> None:
+    if (cells := _cells(value)) > MAX_CELLS:
+        raise ParseError(
+            f"{what} takes {cells} coefficient slots, over the limit {MAX_CELLS}", position
+        )
+
+
 def _from_weyl(w: WeylElement) -> dict:
     return {(i, j): c for j, r in w.terms.items() for i, c in enumerate(r.coeffs) if c}
 
@@ -164,22 +190,35 @@ class _Parser:
         return tok
 
     def parse(self):
-        value = self.expr()
+        value, crossing = self.expr(track=True)
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected trailing {tok[1]!r}", tok[2])
+        _check_cells(value, "the value", crossing)
         return value
 
-    def expr(self):
+    def expr(self, track=False):
+        """A sum, reduced once. With `track`, also the position of the first
+        term with which the dense size of the partial sums, cancellation
+        ignored, exceeds `MAX_CELLS` (None if it never does): that size
+        never falls and ends at or above the value's own."""
         raw = {}  # (i, j) -> raw sum of the coefficients of every term
+        top, cells, crossing = {}, 0, None  # row x-degrees of the partial sums
         op = self.advance()[0] if self.peek()[0] == "-" else "+"
         while True:
+            position = self.peek()[2]
             for k, c in self.term().items():
                 if op == "-":
                     c = -c
                 raw[k] = raw[k] + c if k in raw else c
+                if track and k[0] > (old := top.get(k[1], -1)):
+                    top[k[1]] = k[0]
+                    cells += k[0] - old
+            if crossing is None and cells > MAX_CELLS:
+                crossing = position
             if self.peek()[0] not in ("+", "-"):
-                return _reduced(self.field, raw)
+                value = _reduced(self.field, raw)
+                return (value, crossing) if track else value
             op = self.advance()[0]
 
     def term(self):
@@ -189,7 +228,7 @@ class _Parser:
             right = self.factor()
             (i, j), (k, l) = _degrees(value), _degrees(right)
             _check_degree(max(i + k, j + l), position)
-            value = self.mul(value, right)
+            value = self.mul(value, right, position)
         return value
 
     def factor(self):
@@ -200,7 +239,7 @@ class _Parser:
             if not isinstance(tok[1], int) or tok[1] < 0:
                 raise ParseError("exponent must be a nonnegative integer", tok[2])
             _check_degree(tok[1] * max(_degrees(base)), tok[2])
-            return self.power(base, tok[1])
+            return self.power(base, tok[1], tok[2])
         return base
 
     def atom(self):
@@ -230,9 +269,11 @@ class _Parser:
             return _reduced(self.field, {k: -c for k, c in self.factor().items()})
         raise ParseError(f"unexpected token {value!r}", pos)
 
-    def mul(self, a: dict, b: dict) -> dict:
+    def mul(self, a: dict, b: dict, position: int) -> dict:
         F = self.field
         if any(j for _, j in a) and any(i for i, _ in b):
+            for operand in (a, b):
+                _check_cells(operand, "an operand of a reordering product", position)
             return _from_weyl(_to_weyl(F, a) * _to_weyl(F, b))
         raw = {}  # normal order: x^i y^j * x^k y^l = x^(i+k) y^(j+l)
         for (i, j), c in a.items():
@@ -241,7 +282,7 @@ class _Parser:
                 raw[key] = raw[key] + c * d if key in raw else c * d
         return _reduced(F, raw)
 
-    def power(self, base: dict, n: int) -> dict:
+    def power(self, base: dict, n: int, position: int) -> dict:
         if len(base) == 1:
             (((i, j), c),) = base.items()
             if i == 0 or j == 0:  # c^n x^(in) y^(jn); c^n mod p by pow, however large n is
@@ -250,10 +291,10 @@ class _Parser:
         out = {(0, 0): self.field.one()}
         while n:
             if n & 1:
-                out = self.mul(out, base)
+                out = self.mul(out, base, position)
             n >>= 1
             if n:
-                base = self.mul(base, base)
+                base = self.mul(base, base, position)
         return out
 
 

@@ -61,6 +61,17 @@ class TestExitCodes:
             "error (parse error): degree 1000000000 exceeds the limit 1000000 (at position 2)\n"
         )
 
+    def test_parse_error_dense_size_over_the_limit(self, capsys):
+        stdin = json.dumps({"Dx": "x^1000000*(1+y) + y^2", "Dyhat": "0"})
+        code, out, err = run_cli(
+            ["classify", "--h", "x^2+1", "--char", "3"], stdin_text=stdin, capsys=capsys
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            "error (parse error): the value takes 2000003 coefficient slots, over the limit"
+            " 2000002 (at position 18)\n"
+        )
+
     @pytest.mark.parametrize(
         "extra,message",
         [

@@ -1,6 +1,8 @@
 """The A_h layer: pi/varrho, membership, bases, delta/delta0, center, Theta."""
 
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +21,12 @@ from ahweyl.context import (
 )
 from ahweyl.centerpoly import CenterPoly
 from ahweyl.derivations import InnerWitness, NotInner, ad, decompose_Ah_charp, is_inner
-from ahweyl.fields import FieldSpec, QQ
+from ahweyl.fields import ExactDivisionError, FieldSpec, QQ
 from ahweyl.hochschild import _normalizer_quotient_level
 from ahweyl.linalg import relations
 from ahweyl.poly import Poly
 from ahweyl.weyl import WeylElement, commutator
-from test_derivations import random_derivation
+from test_derivations import fraction, random_derivation, random_h, random_weyl
 from test_derivations import zbasis_collect  # the center-basis oracle
 
 GF2 = FieldSpec(2)
@@ -233,8 +235,39 @@ class TestYhatBasis:
 
     def test_collect_rejects_non_members(self):
         ctx = AhContext(xn(QQ, 2))
-        with pytest.raises(MembershipError):
-            ctx.yhat_collect(WeylElement.y_power(QQ, 1))
+        y = WeylElement.y_power(QQ, 1)
+        text = r"^y-degree 1 coefficient not divisible by h\^1: not in A_h$"
+        with pytest.raises(MembershipError, match=text):
+            ctx.yhat_collect(y)
+        # the top row divides and is eliminated; the row below it does not
+        with pytest.raises(MembershipError, match=text):
+            ctx.yhat_collect(ctx.yhat_power(2) + y)
+
+    def test_collect_moves_rows_to_the_denominator_of_g(self):
+        # a = yhat/2 = (x + 1) y + 1 over h = 2x + 2 has integer coefficients,
+        # g = 1/2 does not: the row left below must be read over 2
+        ctx = AhContext(P(QQ, 2, 2))
+        a = ctx.yhat.scale(Fraction(1, 2))
+        assert a == WeylElement(QQ, {1: P(QQ, 1, 1), 0: P(QQ, 1)})
+        assert ctx.yhat_collect(a) == [Poly.zero(QQ), P(QQ, Fraction(1, 2))]
+        assert ctx._collect(a, 0) == collect_by_elements(ctx, a, 0)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_zeta_collect_rejects_non_members_at_positive_zeta_power(self, p):
+        # y-degree p and p + 1: k = 1, j = 0 and 1
+        field = FieldSpec(p)
+        ctx = AhContext(Poly(field, [1, 1]))
+        x = Poly.x(field)
+        zeta_yhat = ctx.zeta_mul(ctx.yhat, 1)
+
+        def text(m):
+            return rf"^y-degree {m} coefficient not divisible by h\^{m}: not in A_h$"
+
+        with pytest.raises(MembershipError, match=text(p + 1)):
+            ctx.yhat_zeta_collect(WeylElement.from_term(x, p + 1))
+        with pytest.raises(MembershipError, match=text(p)):
+            ctx.yhat_zeta_collect(zeta_yhat + WeylElement.from_term(x, p))
+        assert ctx.yhat_zeta_collect(zeta_yhat) == {(1, 1): Poly.one(field)}
 
     def test_zbasis_collect_roundtrip(self):
         for field, h in [(GF2, P(GF2, 0, 1)), (GF3, P(GF3, 1, 0, 1))]:
@@ -1008,3 +1041,48 @@ def test_normalizer_part_has_no_xp_terms_at_p_divides_i(p, kind, f, g, source, s
     for i, r in decompose_Ah_charp(d).normalizer_part.terms.items():
         if i % p == 0:
             assert r.frobenius_split()[0].is_zero()
+
+
+# -- the raw elimination against the element-level route it replaced ------------------------
+
+
+def collect_by_elements(ctx, a, period):
+    """Oracle: `AhContext._collect` on Weyl elements, each step subtracting
+    the reduced element g zeta^k yhat^j."""
+    out = {}
+    work = a
+    while work:
+        m = work.y_degree
+        k, j = divmod(m, period) if period else (0, m)
+        try:
+            g = work.terms[m].exact_div(ctx.h_power(m))
+        except ExactDivisionError as e:
+            raise MembershipError(
+                f"y-degree {m} coefficient not divisible by h^{m}: not in A_h"
+            ) from e
+        out[j, k] = g
+        work = work - ctx.zeta_mul(ctx.yhat_power(j), k, g)
+        assert not work or work.y_degree < m
+    return out
+
+
+@given(p=st.sampled_from([0, 2, 3, 5, 7]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_raw_collect_matches_element_route(p, seed):
+    # y-degrees past 2p reach zeta^k with k >= 2; over Q, h and a carry
+    # denominators; a non-member fails at the same degree with the same text
+    field = FieldSpec(p)
+    rng = random.Random(seed)
+    ctx = AhContext(random_h(rng, field, 1))
+    a = random_ah(rng, ctx, max_ydeg=2 * p + 2 if p else 5).scale(fraction(rng, field))
+    for period in {0, p}:
+        assert ctx._collect(a, period) == collect_by_elements(ctx, a, period)
+    b = a + random_weyl(rng, field, 2 * p + 2 if p else 5, 3).scale(fraction(rng, field))
+    for period in {0, p}:
+        try:
+            want = collect_by_elements(ctx, b, period)
+        except MembershipError as e:
+            with pytest.raises(MembershipError, match=f"^{re.escape(str(e))}$"):
+                ctx._collect(b, period)
+        else:
+            assert ctx._collect(b, period) == want

@@ -1,7 +1,9 @@
 """Derivations of A_h and A_1: construction, application, decompositions."""
 
 import random
+from collections import defaultdict
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
@@ -1229,6 +1231,26 @@ def test_apply_and_bracket_make_no_weyl_product(p, monkeypatch):
     monkeypatch.undo()
     assert not calls
     assert len(ctx._yhat_powers) > 1
+    # with the iterates and D(zeta) warm, apply and the criterion sum raw
+    # rows: no element sum and no left multiplication by a polynomial
+    sums = []
+
+    def counting(name):
+        method = getattr(WeylElement, name)
+
+        def wrapper(self, other):
+            sums.append(name)
+            return method(self, other)
+
+        return wrapper
+
+    for name in ("__add__", "poly_mul"):
+        monkeypatch.setattr(WeylElement, name, counting(name))
+    got = d.apply(a)
+    defect = d.criterion_defect()
+    monkeypatch.undo()
+    assert not sums
+    assert got == apply_by_elements(d, a) and defect.is_zero()
 
 
 @given(
@@ -1327,3 +1349,77 @@ def test_split_ad_x_inverts_the_bracket_with_x(p, seed):
     b, rest = _split_ad_x(w)
     assert commutator(b, WeylElement.x_power(field, 1)) + rest == w
     assert rest.terms == {i: r for i, r in w.terms.items() if p and i % p == p - 1}
+
+
+# -- apply and the criterion against the element-level routes they replaced -----------------
+
+
+def apply_by_elements(d, a):
+    """Oracle: `Derivation.apply` summed as Weyl elements, each piece and
+    each Horner step reduced: d(g), k g D(zeta) and C(j, l+1) g c_l by
+    `poly_mul`, each (m, k) sum by `zeta_mul`, Horner by `times_yhat`."""
+    ctx = d.context
+    F = ctx.field
+    coords = ctx.yhat_zeta_collect(a)
+    top = max((j for j, _ in coords), default=0)
+    iterates = d._yhat_iterates(top)
+    parts = defaultdict(list)  # (m, k) -> summands of the zeta^k yhat^m term
+    for (j, k), g in coords.items():
+        parts[j, k].append(d_on_poly(g, d.image_x))
+        if k and k % F.characteristic:
+            parts[j, k - 1].append(d.image_of_zeta().poly_mul(g.scale(k)))
+        for l in range(j):
+            parts[j - 1 - l, k].append(iterates[l].poly_mul(g.scale(comb(j, l + 1))))
+    w = [WeylElement.zero(F)] * (top + 1)
+    for (m, k), pieces in parts.items():
+        w[m] = w[m] + ctx.zeta_mul(sum(pieces, WeylElement.zero(F)), k)
+    out = WeylElement.zero(F)
+    for m in range(top, -1, -1):
+        out = ctx.times_yhat(out) + w[m]
+    return out
+
+
+def criterion_defect_by_elements(d):
+    """Oracle: [D(yhat), x] + [yhat, D(x)] - d(h) as three reduced elements."""
+    ctx = d.context
+    return (
+        commutator(d.image_yhat, ctx.x_elt)
+        + ctx.yhat_bracket(d.image_x)
+        - d_on_poly(ctx.h, d.image_x)
+    )
+
+
+def fraction(rng, field):
+    """A scalar such as 2/3 over Q, 1 over GF(p)."""
+    if not field.is_char_zero:
+        return 1
+    return Fraction(rng.choice([1, -2, 3]), rng.choice([2, 3, 5]))
+
+
+@given(p=st.sampled_from([0, 2, 3, 5, 7]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_raw_apply_and_criterion_match_element_routes(p, seed):
+    # y-degrees past 2p give zeta^k with k >= 2 and, at k = 1, the D(zeta)
+    # pieces; over Q, h, the images and a all carry denominators
+    field = FieldSpec(p)
+    rng = random.Random(seed)
+    ctx = AhContext(random_h(rng, field, 1))
+    d = verify_random_derivation(rng, ctx).scale(fraction(rng, field))
+    a = random_ah(rng, ctx, max_ydeg=2 * p + 2 if p else 5).scale(fraction(rng, field))
+    assert d.criterion_defect() == criterion_defect_by_elements(d) == WeylElement.zero(field)
+    assert d.apply(a) == apply_by_elements(d, a)
+    assert d.apply(WeylElement.zero(field)) == WeylElement.zero(field)
+    # invalid images, in A_h and outside it: the same defect, so the same text
+    for u, v in (
+        (random_ah(rng, ctx, max_ydeg=3), random_ah(rng, ctx, max_ydeg=3)),
+        (random_weyl(rng, field, 3, 3), random_weyl(rng, field, 3, 3)),
+    ):
+        bad = Derivation(ctx, u.scale(fraction(rng, field)), v.scale(fraction(rng, field)))
+        want = criterion_defect_by_elements(bad)
+        assert bad.criterion_defect() == want
+        got = bad.validate()
+        mx, my = ctx.ah_membership(bad.image_x), ctx.ah_membership(bad.image_yhat)
+        if got is None:
+            assert mx and my and want.is_zero()
+        else:
+            assert got.describe() == InvalidDerivation(mx, my, want).describe()

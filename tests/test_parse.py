@@ -12,7 +12,9 @@ from ahweyl.centerpoly import CenterPoly
 from ahweyl.context import AhContext
 from ahweyl.fields import FieldSpec, QQ
 from ahweyl.derivations import D_g, ad
+from ahweyl import parse
 from ahweyl.parse import (
+    MAX_CELLS,
     MAX_DEGREE,
     ParseError,
     _tokenize,
@@ -490,6 +492,51 @@ def test_scalar_power_mod_p_takes_a_large_exponent():
     F = FieldSpec(7)
     got = parse_weyl("3^100000000*y + (2*y)^5", F)
     assert got == WeylElement(F, {1: Poly.constant(F, pow(3, 10**8, 7)), 5: Poly.constant(F, 32)})
+
+
+def test_dense_size_limit_on_each_side():
+    # MAX_DEGREE bounds one row; MAX_CELLS bounds the sum over the rows of
+    # (row x-degree + 1), here two rows of MAX_DEGREE + 1
+    n = MAX_DEGREE
+    assert MAX_CELLS == 2 * (n + 1)
+    x_n = Poly.monomial(GF3, 1, n)
+    assert parse_weyl(f"x^{n}*(1+y)", GF3) == WeylElement(GF3, {0: x_n, 1: x_n})
+    for text, position, cells in [
+        (f"x^{n}*(1+y) + y^2", 18, MAX_CELLS + 1),
+        (f"y - x^{n}*(1+y+y^2)", 4, 3 * (n + 1)),
+        # 47 characters asking for nine rows of 8 MB: refused at its first term
+        ("x^1000000*(" + "+".join(f"y^{j}" for j in range(9)) + ")", 0, 9 * (n + 1)),
+    ]:
+        with pytest.raises(ParseError) as e:
+            parse_weyl(text, GF3)
+        assert e.value.position == position
+        assert str(e.value) == (
+            f"the value takes {cells} coefficient slots, over the limit {MAX_CELLS}"
+            f" (at position {position})"
+        )
+    # a partial sum may pass the limit if the value itself does not
+    assert parse_weyl(f"x^{n}*(1+y) + y^2 - y^2", GF3) == WeylElement(GF3, {0: x_n, 1: x_n})
+
+
+def test_dense_size_limit_on_reordering_operands(monkeypatch):
+    # each operand of a product that reorders is made dense: checked first,
+    # at the '*' or '^'; the limit is lowered so no large row is built
+    monkeypatch.setattr(parse, "MAX_CELLS", 10)
+    # the left operand takes 4 + 4 + 2 = 10 slots; the product takes 13 and
+    # so does its partial sum, but the value takes 9
+    got = parse_weyl("(x^3*(1+y) + x*y^2)*x - x^4*(1+y)", GF3)
+    assert got == parse_weyl("x^3 + 2*x*y + x^2*y^2", GF3)
+    for text, position in [
+        ("(x^3*(1+y) + x^2*y^2)*x", 21),  # 4 + 4 + 3 = 11 slots, at the '*'
+        ("x*(x^3*(1+y) + x^2*y^2)^2", 24),  # the square of that operand, at the exponent
+    ]:
+        with pytest.raises(ParseError) as e:
+            parse_weyl(text, GF3)
+        assert e.value.position == position
+        assert str(e.value) == (
+            "an operand of a reordering product takes 11 coefficient slots, over the limit 10"
+            f" (at position {position})"
+        )
 
 
 def test_degree_limit_on_each_side():
