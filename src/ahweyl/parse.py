@@ -34,9 +34,10 @@ degrees add under the Weyl product (A_1 is a domain and reordering only
 lowers them), so they are known from the operands. `MAX_DEGREE` bounds one
 row, not how many there are, so the dense size of a value, the sum over its
 rows of (row x-degree + 1), is bounded by `MAX_CELLS`. It is checked on the
-final value, at the top-level term that takes it over the limit, and on
-both operands of a reordering product, at its '*' or '^', before either is
-made dense. The size of that product is not bounded here.
+final value, at the top-level term that takes it over the limit, and at the
+'*' or '^' of a reordering product, before anything is made dense: on both
+operands, and on a bound for the product taken row by row from their
+exponents (`_reordered_cells`).
 """
 
 from __future__ import annotations
@@ -162,6 +163,45 @@ def _check_cells(value: dict, what: str, position: int) -> None:
         )
 
 
+def _reordered_cells(a: dict, b: dict, p: int, limit: int) -> int:
+    """An upper bound on the dense size of the product a * b, p the
+    characteristic, or, once the bound passes `limit`, a number over it.
+
+    x^i y^j * x^k y^l = sum over t <= T of C(j, t) k(k-1)...(k-t+1)
+    x^(i+k-t) y^(j+l-t), where T = min(j, k) over Q. In characteristic p the
+    falling factorial is 0 mod p once t > k mod p, and for t < p Lucas'
+    theorem gives C(j, t) = C(j mod p, t) mod p, so T = min(j mod p, k mod p).
+    So a row j of a, of x-degree d, and a row l of b, of x-degree e, reach
+    the product's rows j + l - t with x-degree at most d + e - t, for t up
+    to T taken over that pair of rows. Each row of the product is bounded by
+    the largest of these, not by their sum, so rows that many pairs reach
+    count once. The bound takes one step per pair of rows and t, no more
+    than the product's own row convolutions.
+    """
+    def low(e):
+        return e % p if p else e
+
+    rows_a = {}  # y-degree -> x-degree
+    for i, j in a:
+        if i >= rows_a.get(j, 0):
+            rows_a[j] = i
+    rows_b = {}  # y-degree -> (x-degree, largest x-exponent mod p)
+    for k, l in b:
+        e, s = rows_b.get(l, (0, 0))
+        rows_b[l] = (max(e, k), max(s, low(k)))
+    width = {}  # y-degree of the product -> most slots that row may take
+    total = 0
+    for j, d in rows_a.items():
+        for l, (e, s) in rows_b.items():
+            for t in range(min(low(j), s) + 1):
+                if (w := d + e - t + 1) > (old := width.get(m := j + l - t, 0)):
+                    width[m] = w
+                    total += w - old
+                    if total > limit:
+                        return total
+    return total
+
+
 def _from_weyl(w: WeylElement) -> dict:
     return {(i, j): c for j, r in w.terms.items() for i, c in enumerate(r.coeffs) if c}
 
@@ -274,6 +314,12 @@ class _Parser:
         if any(j for _, j in a) and any(i for i, _ in b):
             for operand in (a, b):
                 _check_cells(operand, "an operand of a reordering product", position)
+            if _reordered_cells(a, b, F.characteristic, MAX_CELLS) > MAX_CELLS:
+                raise ParseError(
+                    "a reordering product may take more coefficient slots than the"
+                    f" limit {MAX_CELLS}",
+                    position,
+                )
             return _from_weyl(_to_weyl(F, a) * _to_weyl(F, b))
         raw = {}  # normal order: x^i y^j * x^k y^l = x^(i+k) y^(j+l)
         for (i, j), c in a.items():

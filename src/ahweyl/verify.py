@@ -4,11 +4,25 @@ Each property draws its inputs from an explicit random.Random, runs a bounded
 number of instances, and reports per-property counts; failures carry a
 counterexample echoed in the text grammar. The CLI `verify` command and the
 test suite both drive these.
+
+The properties are independent, so `run_verify` shares them among up to
+`MAX_WORKERS` processes, no more than the CPUs this process may run on: the
+calling process and children forked from it. Each worker claims the next
+property off a pipe of one-byte tickets, written before the fork, and a
+child sends back what it finished as plain data (`marshal`). The results are
+merged in list order, so the output is the same for every number of workers.
+A property that raises is left to the calling process, which runs every
+missing one itself in list order after the children are reaped: the first
+failing property raises, as in a sequential run. No child outlives the
+call, however it ends.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
 import random
+import threading
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -685,13 +699,132 @@ CHARP_ONLY = [
 ]
 
 
+#: Most worker processes of `run_verify`, the calling process included: each
+#: child costs a fork and a reap, a few ms in a process of tens of MB, and
+#: only two workers, on two CPUs, have been measured.
+MAX_WORKERS = 2
+
+
+def _worker_count(n: int) -> int:
+    """Workers for n properties: the CPUs this process may run on, at most n
+    and `MAX_WORKERS`; 1 where the platform cannot fork, or where another
+    thread runs, since a lock it holds at the fork stays held in the child."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, n, MAX_WORKERS)
+
+
+def _claim(tickets: int, run) -> list:
+    """Run the properties whose indices this worker reads off the ticket
+    pipe, one byte each, until the pipe is empty or a property raises; the
+    indices it finished."""
+    done = []
+    while ticket := os.read(tickets, 1):
+        try:
+            run(ticket[0])
+        except Exception:  # raised again when `run_verify` runs what is missing
+            break
+        done.append(ticket[0])
+    return done
+
+
+def _child(tickets: int, run, results: list, writable: int, mask) -> None:
+    """A forked worker: restore the signal mask, claim properties, write
+    what it finished to its pipe and exit, with status 0 only if all of that
+    was written. Never returns, so nothing unwinds into the caller's frames."""
+    from signal import SIG_SETMASK, pthread_sigmask
+
+    code = 1
+    try:
+        pthread_sigmask(SIG_SETMASK, mask)
+        finished = [(i, results[i]) for i in _claim(tickets, run)]
+        rows = [(i, r.name, r.count, r.passed, r.counterexamples) for i, r in finished]
+        with os.fdopen(writable, "wb") as out:
+            out.write(marshal.dumps(rows))
+        code = 0
+    finally:  # on any BaseException too
+        os._exit(code)
+
+
+def _share(tickets: int, run, results: list, count: int) -> None:
+    """Fork `count` children that claim properties beside this process, and
+    merge what they send back into results.
+
+    Signals are held around each fork and each reap, so a handler that
+    raises (a timeout, Ctrl-C) runs only once the list of unreaped children
+    is up to date; the children still in it are then killed and reaped.
+    """
+    from signal import SIG_BLOCK, SIG_SETMASK, SIGKILL, pthread_sigmask, valid_signals
+
+    every = valid_signals()
+    mask = pthread_sigmask(SIG_BLOCK, ())  # the mask to come back to
+    children = []  # (pid, read end of its result pipe), not yet reaped
+    try:
+        pthread_sigmask(SIG_BLOCK, every)
+        for _ in range(count):
+            readable, writable = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # fewer workers, same results
+                os.close(readable)
+                os.close(writable)
+                break
+            if pid == 0:
+                _child(tickets, run, results, writable, mask)
+            os.close(writable)
+            children.append((pid, readable))
+        pthread_sigmask(SIG_SETMASK, mask)
+        _claim(tickets, run)
+        while children:
+            pid, readable = children[-1]
+            with open(readable, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            pthread_sigmask(SIG_BLOCK, every)
+            status = os.waitpid(pid, 0)[1]
+            children.pop()
+            os.close(readable)
+            pthread_sigmask(SIG_SETMASK, mask)
+            if os.waitstatus_to_exitcode(status) == 0:
+                for index, *fields in marshal.loads(payload):
+                    results[index] = PropertyResult(*fields)
+    finally:
+        try:  # a pending handler may raise here, with the signals held
+            pthread_sigmask(SIG_BLOCK, every)
+        finally:
+            for pid, readable in children:  # left early
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(readable)
+            pthread_sigmask(SIG_SETMASK, mask)
+
+
 def run_verify(ctx: AhContext, seed: int = 0) -> list:
     """Run the property suite appropriate for the context; deterministic for
-    a fixed seed."""
+    a fixed seed, whatever the number of workers."""
     checks = list(COMMON)
     checks += CHAR0_ONLY if ctx.field.is_char_zero else CHARP_ONLY
-    results = []
-    for check in checks:
-        rng = random.Random(f"{seed}:{check.__name__}")
-        results.append(check(ctx, rng))
+    results = [None] * len(checks)
+
+    def run(index: int) -> None:
+        check = checks[index]
+        results[index] = check(ctx, random.Random(f"{seed}:{check.__name__}"))
+
+    tickets, queue = os.pipe()
+    # heaviest first: the operator-bracket oracles close each list
+    os.write(queue, bytes(reversed(range(len(checks)))))
+    os.close(queue)
+    try:
+        if (workers := _worker_count(len(checks))) > 1:
+            _share(tickets, run, results, workers - 1)
+        else:
+            _claim(tickets, run)
+    finally:
+        os.close(tickets)
+    for index, result in enumerate(results):
+        if result is None:
+            run(index)
     return results

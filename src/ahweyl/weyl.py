@@ -179,16 +179,22 @@ class WeylElement:
         F = self.field
         da, lhs = F.lift(self.terms)
         db, rhs = F.lift(other.terms)
-        top = max(lhs, default=0)
-        binomials = {i: F.reduce([comb(i, k) for k in range(i + 1)]) for i in lhs}
+        # C(i, k) = 0 for k > i; in characteristic p, Lucas' theorem gives
+        # C(i, k) = C(i mod p, k) for k < p, and s^(k) = 0 for k >= p
+        p = F.characteristic
+        top = max((i % p if p else i for i in lhs), default=0)
+        binomials = {i: [] for i in lhs}  # C(i, k) in F, as far as a chain has reached
         rows = {}  # y-degree -> raw coefficients of its x-polynomial
         for j, s in rhs.items():
             chain = [s]  # s^(k) for k <= top, while nonzero; shared by every i
             while len(chain) <= top and (d := chain[-1].derivative()):
                 chain.append(d)
             for i, r in lhs.items():
+                row = binomials[i]
+                if len(row) < (n := min(i + 1, len(chain))):
+                    row += F.reduce([comb(i, k) for k in range(len(row), n)])
                 # r y^i * s y^j = sum_k C(i,k) r s^(k) y^(i-k+j)
-                for k, (b, d) in enumerate(zip(binomials[i], chain)):
+                for k, (b, d) in enumerate(zip(row, chain)):
                     if b:
                         rc = r.coeffs if b == 1 else [b * c for c in r.coeffs]
                         _accumulate(rows, i - k + j, rc, d.coeffs)

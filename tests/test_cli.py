@@ -72,6 +72,17 @@ class TestExitCodes:
             " 2000002 (at position 18)\n"
         )
 
+    @pytest.mark.parametrize("char", ["0", "10007"])
+    def test_parse_error_reordering_product_over_the_limit(self, char, capsys):
+        # 19 characters whose product is refused before it is formed
+        argv = ["normalizer", "--h", "x", "--char", char, "--element", "y^1000000*x^1000000"]
+        code, out, err = run_cli(argv, capsys=capsys)
+        assert code == 1 and out == ""
+        assert err == (
+            "error (parse error): a reordering product may take more coefficient slots than the"
+            " limit 2000002 (at position 9)\n"
+        )
+
     @pytest.mark.parametrize(
         "extra,message",
         [

@@ -522,10 +522,14 @@ def test_dense_size_limit_on_reordering_operands(monkeypatch):
     # each operand of a product that reorders is made dense: checked first,
     # at the '*' or '^'; the limit is lowered so no large row is built
     monkeypatch.setattr(parse, "MAX_CELLS", 10)
-    # the left operand takes 4 + 4 + 2 = 10 slots; the product takes 13 and
-    # so does its partial sum, but the value takes 9
-    got = parse_weyl("(x^3*(1+y) + x*y^2)*x - x^4*(1+y)", GF3)
-    assert got == parse_weyl("x^3 + 2*x*y + x^2*y^2", GF3)
+    # the left operand takes 4 + 4 + 2 = 10 slots; the product takes 13,
+    # which is also the bound: rows 0, 1 and 2 of x-degree 4, 4 and 2
+    with pytest.raises(ParseError) as e:
+        parse_weyl("(x^3*(1+y) + x*y^2)*x - x^4*(1+y)", GF3)
+    assert str(e.value) == (
+        "a reordering product may take more coefficient slots than the limit 10 (at position 19)"
+    )
+    assert parse._reordered_cells({(3, 0): 1, (3, 1): 1, (1, 2): 1}, {(1, 0): 1}, 3, 10**9) == 13
     for text, position in [
         ("(x^3*(1+y) + x^2*y^2)*x", 21),  # 4 + 4 + 3 = 11 slots, at the '*'
         ("x*(x^3*(1+y) + x^2*y^2)^2", 24),  # the square of that operand, at the exponent
@@ -537,6 +541,65 @@ def test_dense_size_limit_on_reordering_operands(monkeypatch):
             "an operand of a reordering product takes 11 coefficient slots, over the limit 10"
             f" (at position {position})"
         )
+
+
+def test_dense_size_limit_on_reordering_products():
+    # y^2 x^k = x^k y^2 + 2k x^(k-1) y + k(k-1) x^(k-2): 3k slots, which is
+    # also the bound; the largest k within the limit parses, k + 1 is refused
+    top = MAX_CELLS // 3
+    F = FieldSpec(1000003)  # above k, so no term vanishes mod p
+    got = parse_weyl(f"y^2*x^{top}", F)
+    assert got.terms == {
+        2: Poly.monomial(F, 1, top),
+        1: Poly.monomial(F, 2 * top % F.p, top - 1),
+        0: Poly.monomial(F, top * (top - 1) % F.p, top - 2),
+    }
+    message = f"a reordering product may take more coefficient slots than the limit {MAX_CELLS}"
+    for field in (QQ, F):
+        with pytest.raises(ParseError) as e:
+            parse_weyl(f"y^2*x^{top + 1}", field)
+        assert str(e.value) == f"{message} (at position 3)"
+    # y^n x^n reorders to depth n over Q and to depth n mod p over GF(p)
+    n, p = 10**6, 10007
+    for field in (QQ, FieldSpec(p)):
+        with pytest.raises(ParseError) as e:
+            parse_weyl(f"y^{n}*x^{n}", field)
+        assert str(e.value) == f"{message} (at position 9)"
+    # one row at p = 10007; 51 rows of x-degree at most 50 over Q
+    assert parse_weyl(f"y^{p}*x^{p}", FieldSpec(p)) == WeylElement.from_term(Poly.monomial(FieldSpec(p), 1, p), p)
+    ys = "+".join(f"y^{j}" for j in range(1, 51))
+    xs = "+".join(f"x^{k}" for k in range(1, 51))
+    got = parse_weyl(f"({ys})*({xs})", QQ)
+    assert got == parse_weyl(ys, QQ) * parse_weyl(xs, QQ) and got.y_degree == 50
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(10007)], ids=["Q", "GF10007"])
+def test_reordering_bound_is_taken_row_by_row(field, monkeypatch):
+    # one term's large x-degree and another term's low row are not paired:
+    # x^2000 y x = x^2001 y + x^2000 and y^2000 x = x y^2000 + 2000 y^1999,
+    # 2002 + 2001 + 2 + 1 slots, which is also the bound
+    a, b = parse_weyl("x^2000*y + y^2000", field), parse_weyl("x", field)
+    assert parse_weyl("(x^2000*y + y^2000)*x", field) == a * b
+    assert parse._reordered_cells({(2000, 1): 1, (0, 2000): 1}, {(1, 0): 1}, field.characteristic, 10**9) == 4006
+    # rows that many pairs of rows reach count once: 100 * 101 pairs of
+    # rows, but 201 rows of the product, of at most two slots each
+    monkeypatch.setattr(parse, "MAX_CELLS", 1000)
+    ys = "+".join(f"y^{j}" for j in range(1, 101))
+    got = parse_weyl(f"({ys})*(x + {ys})", field)
+    assert got == parse_weyl(ys, field) * parse_weyl(f"x + {ys}", field)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), st.just(1), min_size=1, max_size=5),
+    st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), st.just(1), min_size=1, max_size=5),
+    st.sampled_from([0, 2, 3, 5]),
+)
+def test_reordering_bound_covers_the_product(a, b, p):
+    # the bound covers every row the product keeps, at every characteristic
+    F = FieldSpec(p) if p else QQ
+    product = parse._from_weyl(parse._to_weyl(F, a) * parse._to_weyl(F, b))
+    assert parse._reordered_cells(a, b, p, 10**9) >= parse._cells(product)
 
 
 def test_degree_limit_on_each_side():

@@ -276,6 +276,30 @@ def test_vanishing_middle_terms_not_stored(field, n):
     assert_no_zero_term(got)
 
 
+def test_binomials_stop_at_the_longest_derivative_chain(monkeypatch):
+    # the chain of s = x^p is s alone, so y^p x^p needs C(p, 0) only, and so
+    # does y^p x^(2p-1): C(p, k) = 0 mod p for 0 < k < p, so the chain of
+    # x^(2p-1), p entries long, stops at s; over Q y^5 x^2 meets x^2, 2x, 2
+    # and needs C(5, 0), C(5, 1), C(5, 2)
+    import ahweyl.weyl as weyl
+
+    calls = []
+
+    def counted(n, k):
+        calls.append((n, k))
+        return comb(n, k)
+
+    monkeypatch.setattr(weyl, "comb", counted)
+    p = 10007
+    F = FieldSpec(p)
+    for n in (p, 2 * p - 1):
+        assert y_elt(F, p) * x_elt(F, n) == WeylElement.from_term(Poly.monomial(F, 1, n), p)
+        assert calls == [(p, 0)]
+        calls.clear()
+    assert y_elt(QQ, 5) * x_elt(QQ, 2) == per_term_product(y_elt(QQ, 5), x_elt(QQ, 2))
+    assert calls == [(5, 0), (5, 1), (5, 2)]
+
+
 def test_cancelling_row_not_stored():
     # y (x - x^2 y / 2) = (x y + 1) - (x^2 y^2 + 2 x y) / 2: the y^1 row cancels
     b = WeylElement(QQ, {0: Poly.x(QQ), 1: Poly.monomial(QQ, Fraction(-1, 2), 2)})
