@@ -6,9 +6,10 @@ via yhat = y h. The package computes the structural invariants of A_h
 (pi_h, varrho_h, the center and its coordinates, the normalizer), its
 derivations (construction, validation, application, extension to A_1, the
 direct decompositions in both characteristics), and the Lie structure of
-HH^1(A_h) = Der/Inder (canonical classes, closed-form brackets, the maximal
-nilpotent ideal and the structure report in characteristic 0, the module
-structure over the center and the freeness criterion in characteristic p).
+HH^1(A_h) = Der/Inder (canonical classes, closed-form brackets and the
+structure report, with the nilpotency index of the maximal nilpotent ideal,
+in characteristic 0; the module structure over the center and the freeness
+criterion in characteristic p).
 
 All arithmetic is exact; no floating point anywhere.
 """
@@ -16,15 +17,11 @@ All arithmetic is exact; no floating point anywhere.
 from .centerpoly import CenterPoly
 from .context import (
     AhContext,
-    AhElement,
-    CentralizerCoords,
     FactorListError,
     MembershipError,
     MissingFactorizationError,
     NormalizerResult,
-    NotCentral,
     NotCentralizing,
-    embed_element,
     pi_of,
     varrho_of,
 )
@@ -66,7 +63,6 @@ from .hochschild import (
     canonical_class_char0,
     center_HH1_char0,
     freeness_and_module_report_charp,
-    nilpotent_ideal_membership,
     structure_report_char0,
 )
 from .parse import ParseError, parse_center, parse_factors, parse_poly, parse_weyl
@@ -79,11 +75,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AhAlgebraMap",
     "AhContext",
-    "AhElement",
     "A1Images",
     "CenterDerivation",
     "CenterPoly",
-    "CentralizerCoords",
     "D_g",
     "DecompCharP",
     "DecompCharZero",
@@ -102,7 +96,6 @@ __all__ = [
     "MissingFactorizationError",
     "NEG_INF",
     "NormalizerResult",
-    "NotCentral",
     "NotCentralizing",
     "NotExtendable",
     "NotInner",
@@ -124,14 +117,12 @@ __all__ = [
     "decompose_A1_char0",
     "decompose_Ah_char0",
     "decompose_Ah_charp",
-    "embed_element",
     "ex_apply",
     "extend_to_A1",
     "ey_apply",
     "freeness_and_module_report_charp",
     "is_inner",
     "make_derivation",
-    "nilpotent_ideal_membership",
     "parse_center",
     "parse_factors",
     "parse_poly",

@@ -18,7 +18,7 @@ from .context import (
     FactorListError,
     MembershipError,
     MissingFactorizationError,
-    NotCentral,
+    NotCentralizing,
 )
 from .derivations import (
     Derivation,
@@ -74,7 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help='optional verified prime factorization, e.g. "x^2,x-1"',
     )
-    common.add_argument("--degree-bound", type=int, default=None)
+    common.add_argument(
+        "--degree-bound",
+        type=int,
+        default=None,
+        help="the number N of normalizer levels y^1..y^N that analyze reads in "
+        "characteristic p (default 3p, at least deg h); no effect over Q",
+    )
     common.add_argument(
         "--seed",
         type=int,
@@ -437,7 +443,7 @@ def cmd_center(args) -> dict:
             payload["not_central_reason"] = None if central else "not a scalar"
         else:
             coords = ctx.center_coords(a)
-            if isinstance(coords, NotCentral):
+            if isinstance(coords, NotCentralizing):
                 payload["element_coords"] = None
                 payload["not_central_reason"] = coords.reason
             else:

@@ -19,8 +19,9 @@ consumes:
   degrees below deg h, with |S| = deg_u hbar, so that
   Theta = span S (+) im delta.
 
-Membership, centralizer and normalizer tests, basis conversions, and the
-embedding A_g -> A_f for f | g live here too. The coordinates that
+Membership and normalizer tests, the one centralizer read (coordinates in
+C_{A_h}(x) = Z(A_h) F[x], of which the center coordinates are the ones in
+F[x^p]) and basis conversions live here too. The coordinates that
 derivations are applied in are a = sum g_jk zeta^k yhat^j with g_jk in
 F[x] (j < p in characteristic p, k = 0 over Q), read off by one
 descending-degree elimination on raw rows, which reduces only the row it
@@ -60,12 +61,10 @@ class MissingFactorizationError(ValueError):
 
 
 @dataclass(frozen=True)
-class NotCentral:
-    reason: str
-
-
-@dataclass(frozen=True)
 class NotCentralizing:
+    """Why a centralizer read failed: of x (`centralizer_x_coords`), or of
+    all of A_h, the center (`center_coords`)."""
+
     reason: str
 
 
@@ -77,13 +76,6 @@ class NormalizerResult:
 
     def __bool__(self):
         return self.ok
-
-
-@dataclass(frozen=True)
-class CentralizerCoords:
-    """f in C_{A_h}(x) = Z(A_h) D, as f = sum_k g_k zeta^k with g_k in F[x]."""
-
-    zeta_coefficients: tuple
 
 
 def pi_of(h: Poly) -> Poly:
@@ -159,9 +151,6 @@ class AhContext:
         self.factors = _verify_factor_list(h, factors) if factors is not None else None
         if self.factors is not None:
             self._cross_check_factors()
-        if degree_bound is None:
-            degree_bound = 24 if self.field.is_char_zero else 3 * self.field.p
-        self.degree_bound = max(degree_bound, int(h.degree))
         self._h_powers = {0: Poly.one(self.field)}
         chain = [h]  # h, h', h'', ... while nonzero; none past order p - 1 in char p
         while d := chain[-1].derivative():
@@ -172,13 +161,17 @@ class AhContext:
         self._yhat_powers = [WeylElement.one(self.field)]
         self._theta_S = None
         self._memo = {}
+        self.degree_bound = None  # the normalizer levels read in characteristic p
         if not self.field.is_char_zero:
-            self._init_char_p()
+            self._init_char_p(degree_bound)
 
     # -- construction helpers ---------------------------------------------------
 
-    def _init_char_p(self):
+    def _init_char_p(self, degree_bound: Optional[int]):
         p = self.field.p
+        if degree_bound is None:
+            degree_bound = 3 * p
+        self.degree_bound = max(degree_bound, int(self.h.degree))
         # h^p = h(x^p) over the prime field, and varrho_h = sigma(x^p) for
         # sigma its p-th root, so h^p / varrho_h = (h / sigma)(x^p); and
         # h' / varrho_h is exact, as varrho_h' = 0
@@ -315,9 +308,6 @@ class AhContext:
         check_same_field(self.field, a.field)
         return all(self.h_power(i).divides(r) for i, r in a.terms.items())
 
-    def element(self, a: WeylElement) -> "AhElement":
-        return AhElement(a, self)
-
     def yhat_collect(self, a: WeylElement) -> list:
         """Coefficients [f_0, f_1, ...] with a = sum f_j yhat^j."""
         coords = self._collect(a, 0)
@@ -447,57 +437,53 @@ class AhContext:
                 b = sign * comb(jp, k)
                 _accumulate(rows, j + 1 - k, [b * c for c in chain[k].coeffs], r)
 
-    def center_coords(self, a: WeylElement):
-        """Express a in Z(A_h) = F[t1, t2], or NotCentral."""
-        self._require_char_p()
-        p = self.p
-        parts = []
-        top = a.y_degree
-        for i, r in a.terms.items():
-            if i % p:
-                return NotCentral(f"y-degree {i} is not a multiple of {p}")
-        for k in range((top // p if top >= 0 else -1) + 1):
-            r = a.coefficient(k * p)
-            if r.is_zero():
-                parts.append(Poly.zero(self.field))
-                continue
-            try:
-                q = r.exact_div(self.h_power(k * p))
-            except ExactDivisionError:
-                return NotCentral(
-                    f"y^{k * p} coefficient not divisible by h^{k * p}"
-                )
-            split = q.frobenius_split()
-            if any(not c.is_zero() for c in split[1:]):
-                return NotCentral(f"y^{k * p} coordinate {q} is not in F[x^p]")
-            parts.append(split[0])
-        return CenterPoly.from_t2_coefficients(self.field, parts)
-
-    def centralizer_x_coords(self, f: WeylElement):
-        """Coordinates in C_{A_h}(x) = Z(A_h) D, or NotCentralizing."""
+    def centralizer_x_coords(self, f: WeylElement, keep=None):
+        """(g_0, g_1, ...) with f = sum_k g_k zeta^k, g_k in F[x], read in
+        C_{A_h}(x) = Z(A_h) F[x] (F[x] over Q, read as (g_0,)), or
+        NotCentralizing. g_k = r_kp / h^(kp) for the y^(kp) coefficient
+        r_kp. `keep(k, g_k)`, if given, maps each nonzero g_k in turn to what
+        is kept, or to a NotCentralizing, which is returned at once: every
+        failure is reported in order of y-degree."""
         check_same_field(self.field, f.field)
-        if self.field.is_char_zero:
+        p = self.field.characteristic
+        if not p:
             if any(i > 0 for i in f.terms):
                 return NotCentralizing("positive y-degree term does not commute with x")
-            return CentralizerCoords((f.coefficient(0),))
-        p = self.p
+            return (f.coefficient(0),)
         for i in f.terms:
             if i % p:
                 return NotCentralizing(f"y-degree {i} is not a multiple of {p}")
-        top = f.y_degree
         gs = []
-        for k in range((top // p if top >= 0 else -1) + 1):
+        for k in range(f.y_degree // p + 1 if f.y_degree >= 0 else 0):
             r = f.coefficient(k * p)
             if r.is_zero():
-                gs.append(Poly.zero(self.field))
+                gs.append(r)
                 continue
             try:
-                gs.append(r.exact_div(self.h_power(k * p)))
+                g = r.exact_div(self.h_power(k * p))
             except ExactDivisionError:
-                return NotCentralizing(
-                    f"y^{k * p} coefficient not divisible by h^{k * p}"
-                )
-        return CentralizerCoords(tuple(gs))
+                return NotCentralizing(f"y^{k * p} coefficient not divisible by h^{k * p}")
+            if keep is not None and isinstance(g := keep(k, g), NotCentralizing):
+                return g
+            gs.append(g)
+        return tuple(gs)
+
+    def center_coords(self, a: WeylElement):
+        """a in Z(A_h) = F[t1, t2], or NotCentralizing: the centralizer
+        coordinates of a, each of which must lie in F[x^p] = F[t1]."""
+        self._require_char_p()
+        p = self.p
+
+        def in_fxp(k, g):
+            split = g.frobenius_split()
+            if any(not c.is_zero() for c in split[1:]):
+                return NotCentralizing(f"y^{k * p} coordinate {g} is not in F[x^p]")
+            return split[0]
+
+        coords = self.centralizer_x_coords(a, in_fxp)
+        if isinstance(coords, NotCentralizing):
+            return coords
+        return CenterPoly.from_t2_coefficients(self.field, coords)
 
     def normalizer_test(self, a: WeylElement) -> NormalizerResult:
         """Membership in the normalizer N of A_h inside A_1, with the first
@@ -618,57 +604,5 @@ class AhContext:
             raise AssertionError(f"{g} lies in Theta but g mod h leaves no element of im delta")
         return s, c
 
-    # -- char-0 center/commutator split of the D_g slot ------------------------------------------
-
-    def split_center_commutator(self, g: Poly):
-        """For deg g < deg h (char 0): the unique (z, q) with
-        g = z * (h/pi_h) + delta0(q), deg z < deg pi_h, deg q < deg(h/pi_h)."""
-        if not self.field.is_char_zero:
-            raise ValueError("center/commutator split is a characteristic-0 device")
-        if not g.is_zero() and g.degree >= self.h.degree:
-            raise ValueError("expected deg g < deg h")
-        F = self.field
-        gens = []
-        for i in range(int(self.pi_h.degree)):
-            gens.append(("z", i, self.h_over_pi.shift(i)))
-        for j in range(int(self.h_over_pi.degree)):
-            gens.append(("q", j, self.delta0(Poly.monomial(F, 1, j))))
-        rel = relations(F, [vec.coeffs for _, _, vec in gens] + [g.coeffs])[-1]
-        if rel is None:
-            raise AssertionError("center/commutator split must always solve")
-        coeffs = [-c for c in rel]
-        z = Poly.zero(F)
-        q = Poly.zero(F)
-        for c, (kind, i, _) in zip(coeffs, gens):
-            if kind == "z":
-                z = z + Poly.monomial(F, c, i)
-            else:
-                q = q + Poly.monomial(F, c, i)
-        return z, q
-
     def __repr__(self):
         return f"AhContext(h={self.h.to_text()!r}, field={self.field})"
-
-
-@dataclass(frozen=True)
-class AhElement:
-    """A WeylElement certified to lie in A_h."""
-
-    value: WeylElement
-    context: AhContext
-
-    def __post_init__(self):
-        if not self.context.ah_membership(self.value):
-            raise MembershipError(f"{self.value} is not in A_h for h = {self.context.h}")
-
-
-def embed_element(a: WeylElement, src: AhContext, dst: AhContext) -> AhElement:
-    """The embedding of A_g into A_f for f | g, realized concretely: both
-    algebras sit inside A_1 (with yhat_g = y*g = (y*f)*(g/f)), so the image
-    is the same normal form viewed in the destination context."""
-    check_same_field(src.field, dst.field)
-    if not dst.h.divides(src.h):
-        raise ValueError(f"{dst.h} does not divide {src.h}: no embedding")
-    if not src.ah_membership(a):
-        raise MembershipError(f"{a} is not in the source algebra")
-    return dst.element(a)

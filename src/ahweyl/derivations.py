@@ -32,7 +32,7 @@ from math import comb
 from typing import Optional
 
 from .centerpoly import CenterPoly
-from .context import AhContext, AhElement, NotCentral, NotCentralizing
+from .context import AhContext, NotCentralizing
 from .fields import ExactDivisionError, check_same_field
 from .poly import NotIntegrable, Poly
 from .weyl import WeylElement, _accumulate, commutator
@@ -245,8 +245,8 @@ class Derivation:
             self._cache[key] = out
         return self._cache[key]
 
-    def apply(self, a) -> WeylElement:
-        """Apply to an element of A_h (AhElement or raw WeylElement).
+    def apply(self, a: WeylElement) -> WeylElement:
+        """Apply to an element of A_h.
 
         With a = sum g_jk zeta^k yhat^j (`yhat_zeta_collect`), Leibniz gives
         D(a) = sum D(g_jk zeta^k) yhat^j + g_jk zeta^k D(yhat^j), where
@@ -269,8 +269,6 @@ class Derivation:
         step is reduced mod p; over Q it multiplies by the lifted h (over
         dh), so w_m enters times dh^(top-m) and one division by
         dg den dh^top ends the sum."""
-        if isinstance(a, AhElement):
-            a = a.value
         ctx = self.context
         F = ctx.field
         p = F.characteristic
@@ -325,10 +323,6 @@ class Derivation:
 
 def make_derivation(u, v, ctx: AhContext):
     """Validated Derivation with D(x) = u, D(yhat) = v, or InvalidDerivation."""
-    if isinstance(u, AhElement):
-        u = u.value
-    if isinstance(v, AhElement):
-        v = v.value
     if isinstance(u, Poly):
         u = WeylElement.from_poly(u)
     if isinstance(v, Poly):
@@ -510,7 +504,7 @@ def _peel_ad(ctx: AhContext, e_x: WeylElement, e_yhat: WeylElement):
         raise InvalidDerivationError(
             f"kernel remainder of yhat does not centralize x: {coords.reason}"
         )
-    return b, coords.zeta_coefficients
+    return b, coords
 
 
 # -- extension to A_1 and the A_1 decompositions -------------------------------------------
@@ -607,7 +601,7 @@ def restrict_to_center(d: Derivation) -> CenterDerivation:
     ctx._require_char_p()
     a = ctx.center_coords(d.image_of_xp())
     b = ctx.center_coords(d.image_of_zeta())
-    if isinstance(a, NotCentral) or isinstance(b, NotCentral):
+    if isinstance(a, NotCentralizing) or isinstance(b, NotCentralizing):
         raise InvalidDerivationError(
             "derivation does not map the center into itself"
         )
@@ -626,13 +620,6 @@ class DecompCharZero:
     terms: tuple  # ((n, r_n) with n >= 1, r_n nonzero)
     inner_witness: WeylElement
 
-    def reassemble(self, ctx: AhContext) -> Derivation:
-        d = D_g(self.g, ctx)
-        for n, r in self.terms:
-            d = d + ad_ra_n(r, n, ctx)
-        d = d + ad(self.inner_witness, ctx)
-        return d
-
 
 @dataclass(frozen=True)
 class DecompCharP:
@@ -643,14 +630,6 @@ class DecompCharP:
     s: Poly
     normalizer_part: WeylElement
     inner_witness: WeylElement
-
-    def reassemble(self, ctx: AhContext) -> Derivation:
-        d = D_g(ctx.qbreve, ctx).central_scale(self.u)
-        d = d + bhat_f(ctx).central_scale(self.v)
-        d = d + D_g(self.s, ctx)
-        d = d + ad(self.normalizer_part, ctx)
-        d = d + ad(self.inner_witness, ctx)
-        return d
 
 
 def decompose_Ah_char0(d: Derivation) -> DecompCharZero:

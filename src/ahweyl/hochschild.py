@@ -1,10 +1,15 @@
 """HH^1(A_h) = Der/Inder as computable data.
 
+Both characteristics share the bases D_g and ad_{r a_n}, the closed forms
+[D_g, ad_{s a_n}] = n ad_{(gs) a_{n-1}} and
+[ad_{r a_m}, ad_{s a_n}] = ad_{(m r delta0(s) - n s delta0(r)) a_{m+n-1}},
+and the level rule: r is read mod h/pi_h, and ad_{r a_0} = -D_{delta0(r)}.
+
 Characteristic 0: canonical class representatives D_g + sum ad_{r_n a_n}
 (deg g < deg h, deg r_n < deg(h/pi_h), n >= 1; level-0 ad terms are rewritten
-into the g slot through ad_{r a_0} = -D_{delta0(r)}), the closed-form Lie
-bracket on classes, the center of HH^1, the maximal nilpotent ideal N of the
-commutator ideal, and the structure report.
+into the g slot by the level rule), the closed-form Lie bracket on classes,
+the center of HH^1, and the structure report, with the nilpotency index of
+the maximal nilpotent ideal N of the commutator ideal.
 
 Characteristic p: symbolic derivation expressions over the generator bases
 {D_g, ad_{r a_n}, bhat_x, bhat_f} with center-polynomial coefficients, the
@@ -21,7 +26,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .centerpoly import CenterPoly
-from .context import AhContext, MissingFactorizationError, pi_of
+from .context import AhContext, pi_of
 from .derivations import (
     D_g,
     Derivation,
@@ -37,6 +42,49 @@ from .derivations import (
 from .fields import check_same_field
 from .poly import NotIntegrable, Poly
 from .weyl import WeylElement
+
+
+# ---------------------------------------------------------------------------
+# both characteristics: the bases D_g, ad_{r a_n} and their closed forms
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BDg:
+    """D_g for g in F[x]."""
+
+    g: Poly
+
+
+@dataclass(frozen=True)
+class BAd:
+    """ad_{r a_n}, n >= 1."""
+
+    r: Poly
+    n: int
+
+
+def _dg_ad(g: Poly, s: Poly, n: int):
+    """[D_g, ad_{s a_n}] = n ad_{(g s) a_{n-1}}, as (level, coefficient)."""
+    return n - 1, (g * s).scale(n)
+
+
+def _ad_ad(ctx: AhContext, r: Poly, m: int, s: Poly, n: int):
+    """[ad_{r a_m}, ad_{s a_n}] = ad_{(m r delta0(s) - n s delta0(r)) a_{m+n-1}},
+    as (level, coefficient)."""
+    return m + n - 1, (r * ctx.delta0(s)).scale(m) - (s * ctx.delta0(r)).scale(n)
+
+
+def _ad_level(ctx: AhContext, coeff, n: int, r: Poly) -> list:
+    """coeff ad_{r a_n} as expr parts, by the level rule: r is reduced mod
+    h/pi_h (for h/pi_h | r, r a_n lies in A_h), and at level 0 ad_{r a_0} is
+    written -D_{delta0(r)}."""
+    r = r % ctx.h_over_pi
+    if r.is_zero():
+        return []
+    if n == 0:
+        return [(-coeff, BDg(ctx.delta0(r)))]
+    return [(coeff, BAd(r, n))]
 
 
 # ---------------------------------------------------------------------------
@@ -58,17 +106,15 @@ class HH1ClassChar0:
             if n < 0:
                 raise ValueError("negative level")
             acc[n] = acc.get(n, Poly.zero(ctx.field)) + r
-        # rewrite level 0 into the D slot: ad_{r a_0} = -D_{delta0(r)}
-        if 0 in acc:
-            g = g - ctx.delta0(acc.pop(0))
-        g = g % ctx.h
         clean = {}
         for n, r in acc.items():
-            r = r % ctx.h_over_pi
-            if not r.is_zero():
-                clean[n] = r
+            for c, b in _ad_level(ctx, 1, n, r):
+                if isinstance(b, BAd):
+                    clean[n] = b.r
+                else:  # level 0, into the D slot
+                    g = g + b.g.scale(c)
         self.context = ctx
-        self.g = g
+        self.g = g % ctx.h
         self.terms = tuple(sorted(clean.items()))
 
     def is_zero(self) -> bool:
@@ -125,23 +171,16 @@ def canonical_class_char0(d: Derivation) -> HH1ClassChar0:
 
 
 def bracket_char0(c1: HH1ClassChar0, c2: HH1ClassChar0) -> HH1ClassChar0:
-    """Closed-form Lie bracket on canonical classes:
-    [D_f, D_g] = 0; [D_g, ad_{r a_n}] = n ad_{(gr) a_{n-1}};
-    [ad_{r a_m}, ad_{s a_n}] = ad_{(m r delta0(s) - n s delta0(r)) a_{m+n-1}}."""
+    """Closed-form Lie bracket on canonical classes: [D_f, D_g] = 0, and the
+    closed forms `_dg_ad` and `_ad_ad` for the pairs with an ad term."""
     ctx = c1.context
     if ctx is not c2.context:
         raise ValueError("classes over different contexts")
-    raw = []
-    for n, s in c2.terms:
-        c = (c1.g * s).scale(n)
-        raw.append((n - 1, c))
+    raw = [_dg_ad(c1.g, s, n) for n, s in c2.terms]
     for m, r in c1.terms:
-        c = (c2.g * r).scale(m)
-        raw.append((m - 1, -c))
-    for m, r in c1.terms:
-        for n, s in c2.terms:
-            q = (r * ctx.delta0(s)).scale(m) - (s * ctx.delta0(r)).scale(n)
-            raw.append((m + n - 1, q))
+        level, c = _dg_ad(c2.g, r, m)
+        raw.append((level, -c))
+        raw.extend(_ad_ad(ctx, r, m, s, n) for n, s in c2.terms)
     return HH1ClassChar0(ctx, Poly.zero(ctx.field), raw)
 
 
@@ -180,37 +219,6 @@ def generator_classes_char0(ctx: AhContext, max_n: int = 3) -> list:
 
 
 # ---------------------------------------------------------------------------
-# characteristic 0: nilpotent ideal
-# ---------------------------------------------------------------------------
-
-
-def pi_of_h_over_pi(ctx: AhContext) -> Poly:
-    """pi_{(h/pi_h)}: the product of the distinct prime factors of h with
-    multiplicity > 1 (computed factorization-free)."""
-    return pi_of(ctx.h_over_pi)
-
-
-def nilpotent_ideal_membership(
-    cls: HH1ClassChar0, ctx: AhContext, power: int = 1
-) -> bool:
-    """Membership in N_j = span{ad_{r a_n} : r in D pi_{(h/pi_h)}^j, n >= 0},
-    on canonical classes (level-0 terms live rewritten in the g slot).
-    Requires the verified factor list on the context."""
-    if ctx.factors is None:
-        raise MissingFactorizationError(
-            "nilpotent-ideal membership needs the verified factor list"
-        )
-    pi_hp = pi_of_h_over_pi(ctx)
-    mod = pi_hp**power
-    z, q = ctx.split_center_commutator(cls.g)
-    if not z.is_zero():
-        return False
-    if not mod.divides(q):
-        return False
-    return all(mod.divides(r) for _, r in cls.terms)
-
-
-# ---------------------------------------------------------------------------
 # characteristic 0: structure report
 # ---------------------------------------------------------------------------
 
@@ -242,7 +250,7 @@ def structure_report_char0(ctx: AhContext) -> HH1ReportChar0:
     if ctx.factors is None:
         return HH1ReportChar0(dim_center, basis, hh1_trivial, abelian)
     gt1 = tuple((u, a) for u, a in ctx.factors if a > 1)
-    pi_hp = pi_of_h_over_pi(ctx)
+    pi_hp = pi_of(ctx.h_over_pi)  # the distinct prime factors of multiplicity > 1
     # least n with h/pi_h | pi_(h/pi_h)^n (n = 0 iff h/pi_h is a unit)
     n = 0
     test = Poly.one(ctx.field)
@@ -267,21 +275,6 @@ def structure_report_char0(ctx: AhContext) -> HH1ReportChar0:
 # ---------------------------------------------------------------------------
 # characteristic p: symbolic derivation expressions and their brackets
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BDg:
-    """D_g for g in F[x]."""
-
-    g: Poly
-
-
-@dataclass(frozen=True)
-class BAd:
-    """ad_{r a_n}, n >= 1."""
-
-    r: Poly
-    n: int
 
 
 @dataclass(frozen=True)
@@ -311,12 +304,13 @@ class DerExpr:
         self.context = ctx
         clean = []
         for z, b in parts:
+            if z.is_zero():
+                continue
             if isinstance(b, BBf):
                 # normalize bhat_f = t2 * D_{h'/varrho} - bhat_x
                 clean.append((z * CenterPoly.t2(ctx.field), BDg(ctx.hprime_over_varrho)))
                 clean.append((-z, BBx()))
-                continue
-            if not z.is_zero():
+            else:
                 clean.append((z, b))
         self.parts = tuple(clean)
 
@@ -371,17 +365,6 @@ def _base_res(b, ctx: AhContext) -> CenterDerivation:
     raise TypeError(f"unknown base {b!r}")
 
 
-def _reduce_ad_level(ctx: AhContext, coeff: CenterPoly, r: Poly, n: int) -> list:
-    """(coeff, ad_{r a_n}) with the coefficient polynomial reduced mod h/pi_h
-    and level-0 occurrences rewritten as D terms; returns expr parts."""
-    r = r % ctx.h_over_pi
-    if r.is_zero():
-        return []
-    if n == 0:
-        return [(-coeff, BDg(ctx.delta0(r)))]
-    return [(coeff, BAd(r, n))]
-
-
 def _core_bracket(ctx: AhContext, b1, b2) -> list:
     """Closed-form [b1, b2] of two input bases as expr parts."""
     F = ctx.field
@@ -390,15 +373,11 @@ def _core_bracket(ctx: AhContext, b1, b2) -> list:
     if isinstance(b1, BDg) and isinstance(b2, BDg):
         return []
     if isinstance(b1, BDg) and isinstance(b2, BAd):
-        c = (b1.g * b2.r).scale(b2.n)
-        return _reduce_ad_level(ctx, one, c, b2.n - 1)
+        return _ad_level(ctx, one, *_dg_ad(b1.g, b2.r, b2.n))
     if isinstance(b1, BAd) and isinstance(b2, BDg):
         return [(-z, b) for z, b in _core_bracket(ctx, b2, b1)]
     if isinstance(b1, BAd) and isinstance(b2, BAd):
-        q = (b1.r * ctx.delta0(b2.r)).scale(b1.n) - (b2.r * ctx.delta0(b1.r)).scale(
-            b2.n
-        )
-        return _reduce_ad_level(ctx, one, q, b1.n + b2.n - 1)
+        return _ad_level(ctx, one, *_ad_ad(ctx, b1.r, b1.n, b2.r, b2.n))
     if isinstance(b1, BBx) and isinstance(b2, BAd):
         k, n = divmod(b2.n, p)
         zk = CenterPoly.t2(F, k)
@@ -408,16 +387,14 @@ def _core_bracket(ctx: AhContext, b1, b2) -> list:
         zeta_n = ctx.h_over_pi_rho * ctx.delta0(b2.r) + (
             b2.r * ctx.hprime_over_varrho
         ).scale(n)
-        return _reduce_ad_level(ctx, CenterPoly.t2(F, k + 1), zeta_n, n - 1)
+        return _ad_level(ctx, CenterPoly.t2(F, k + 1), n - 1, zeta_n)
     if isinstance(b1, BAd) and isinstance(b2, BBx):
         return [(-z, b) for z, b in _core_bracket(ctx, b2, b1)]
     if isinstance(b1, BDg) and isinstance(b2, BBx):
         e, b = _dg_bx_closed_form(ctx, b1.g)
         parts = [(one, BAdElem(b))] if not b.is_zero() else []
-        coords = ctx.centralizer_x_coords(WeylElement.from_poly(e))
-        for k, gk in enumerate(coords.zeta_coefficients):
-            if not gk.is_zero():
-                parts.append((CenterPoly.t2(F, k), BDg(gk)))
+        if not e.is_zero():
+            parts.append((one, BDg(e)))
         return parts
     if isinstance(b1, BBx) and isinstance(b2, BDg):
         return [(-z, b) for z, b in _core_bracket(ctx, b2, b1)]

@@ -45,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .centerpoly import CenterPoly
-from .context import AhContext, NotCentral
+from .context import AhContext, NotCentralizing
 from .fields import FieldSpec
 from .poly import Poly
 from .weyl import WeylElement
@@ -363,7 +363,7 @@ def parse_center(text: str, ctx: AhContext) -> CenterPoly:
     }
     value = _to_weyl(ctx.field, _Parser(text, ctx.field, atoms).parse())
     coords = ctx.center_coords(value)
-    if isinstance(coords, NotCentral):
+    if isinstance(coords, NotCentralizing):
         raise ParseError(f"expression is not central: {coords.reason}", 0)
     return coords
 

@@ -35,7 +35,6 @@ from ahweyl.hochschild import (
     center_HH1_char0,
     freeness_and_module_report_charp,
     generator_classes_char0,
-    nilpotent_ideal_membership,
     structure_report_char0,
 )
 from ahweyl.poly import Poly
@@ -43,7 +42,7 @@ from ahweyl.verify import random_normalizer_element, random_poly, random_weyl
 from ahweyl.weyl import WeylElement, commutator, varpi
 
 from test_derivations import ex_as_derivation, ey_as_derivation
-from test_hochschild import WittClassElement, WittQuotient
+from test_hochschild import WittClassElement, WittQuotient, nilpotent_ideal_membership
 
 
 def announce(num, ok, text):

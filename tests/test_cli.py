@@ -359,6 +359,27 @@ class TestTextOutput:
         assert out == expected
 
 
+@pytest.mark.parametrize(
+    "element,reason",
+    [
+        ("x*y", "y-degree 1 is not a multiple of 2"),
+        ("x*y^2", "y^2 coefficient not divisible by h^2"),
+        ("x^3*y^2", "y^2 coordinate x is not in F[x^p]"),
+        # the coordinates are tested in order of y-degree: y^0 fails first
+        ("x + y^2", "y^0 coordinate x is not in F[x^p]"),
+    ],
+)
+def test_center_element_not_central_reasons(element, reason, capsys):
+    argv = ["center", "--h", "x", "--char", "2", "--element", element]
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == f"element: not central ({reason})"
+    code, out, err = run_cli([*argv, "--output", "json"], capsys=capsys)
+    payload = json.loads(out)
+    assert payload["element_coords"] is None
+    assert payload["not_central_reason"] == reason
+
+
 class TestJsonSchema:
     def test_analyze_char0(self, capsys):
         code, out, _ = run_cli(

@@ -183,6 +183,15 @@ class TestRingOps:
             assert r.degree < g.degree
 
 
+@pytest.mark.parametrize("field", [QQ, GF3])
+def test_pow_matches_repeated_multiplication(field):
+    h = Poly(field, (Fraction(1, 2), -1, 0, 2) if field is QQ else (1, 2, 0, 1))
+    want = Poly.one(field)
+    for n in range(10):
+        assert h**n == want
+        want = want * h
+
+
 class TestDerivative:
     def test_power_rule(self):
         assert P(QQ, 0, 0, 0, 1).derivative() == P(QQ, 0, 0, 3)
