@@ -40,7 +40,6 @@ from .derivations import (
     NotInner,
     ad,
     ad_ra_n,
-    aut_exp,
     bhat_f,
     bhat_x,
     decompose_A1_char0,
@@ -106,7 +105,6 @@ __all__ = [
     "WeylElement",
     "ad",
     "ad_ra_n",
-    "aut_exp",
     "bhat_f",
     "bhat_x",
     "bracket_char0",

@@ -21,11 +21,11 @@ from .context import (
     NotCentralizing,
 )
 from .derivations import (
+    AhAlgebraMap,
     Derivation,
     InnerWitness,
     InvalidDerivation,
     InvalidDerivationError,
-    aut_exp,
     is_inner,
     make_derivation,
 )
@@ -246,7 +246,11 @@ def _analyze_text(payload: dict) -> str:
 
 
 def _parse_derivation_json(obj, ctx: AhContext):
-    if not isinstance(obj, dict) or "Dx" not in obj or "Dyhat" not in obj:
+    if not (
+        isinstance(obj, dict)
+        and isinstance(obj.get("Dx"), str)
+        and isinstance(obj.get("Dyhat"), str)
+    ):
         raise ValueError('derivation JSON must be {"Dx": "...", "Dyhat": "..."}')
     u = parse_weyl(obj["Dx"], ctx.field)
     v = parse_weyl(obj["Dyhat"], ctx.field)
@@ -468,7 +472,7 @@ def _center_text(payload: dict) -> str:
 def cmd_exp_aut(args) -> dict:
     ctx = _build_context(args)
     g = parse_poly(args.g, ctx.field)
-    phi = aut_exp(g, ctx)
+    phi = AhAlgebraMap(g, ctx)
     payload = {
         "command": "exp-aut",
         "characteristic": ctx.field.characteristic,

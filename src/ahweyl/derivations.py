@@ -807,7 +807,3 @@ class AhAlgebraMap:
                 out = out + power.poly_mul(f)
             power = power * img
         return out
-
-
-def aut_exp(g: Poly, ctx: AhContext) -> AhAlgebraMap:
-    return AhAlgebraMap(g, ctx)

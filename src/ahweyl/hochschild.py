@@ -366,20 +366,22 @@ def _base_res(b, ctx: AhContext) -> CenterDerivation:
 
 
 def _core_bracket(ctx: AhContext, b1, b2) -> list:
-    """Closed-form [b1, b2] of two input bases as expr parts."""
+    """Closed-form [b1, b2] of two input bases as expr parts. A pair out of
+    the order D_g < bhat_x < ad_{r a_n} is swapped once, [b1, b2] = -[b2, b1],
+    so each closed form below is written for one order only."""
+    order = (BDg, BBx, BAd)
+    if type(b1) in order and type(b2) in order and order.index(type(b1)) > order.index(type(b2)):
+        return [(-z, b) for z, b in _core_bracket(ctx, b2, b1)]
     F = ctx.field
     one = CenterPoly.one(F)
-    p = ctx.p
-    if isinstance(b1, BDg) and isinstance(b2, BDg):
+    if isinstance(b1, (BDg, BBx)) and type(b2) is type(b1):  # [D_f, D_g] = [bhat_x, bhat_x] = 0
         return []
     if isinstance(b1, BDg) and isinstance(b2, BAd):
         return _ad_level(ctx, one, *_dg_ad(b1.g, b2.r, b2.n))
-    if isinstance(b1, BAd) and isinstance(b2, BDg):
-        return [(-z, b) for z, b in _core_bracket(ctx, b2, b1)]
     if isinstance(b1, BAd) and isinstance(b2, BAd):
         return _ad_level(ctx, one, *_ad_ad(ctx, b1.r, b1.n, b2.r, b2.n))
     if isinstance(b1, BBx) and isinstance(b2, BAd):
-        k, n = divmod(b2.n, p)
+        k, n = divmod(b2.n, ctx.p)
         zk = CenterPoly.t2(F, k)
         if n == 0:
             inner = _core_bracket(ctx, BDg(ctx.delta0(b2.r)), BBx())
@@ -388,18 +390,12 @@ def _core_bracket(ctx: AhContext, b1, b2) -> list:
             b2.r * ctx.hprime_over_varrho
         ).scale(n)
         return _ad_level(ctx, CenterPoly.t2(F, k + 1), n - 1, zeta_n)
-    if isinstance(b1, BAd) and isinstance(b2, BBx):
-        return [(-z, b) for z, b in _core_bracket(ctx, b2, b1)]
     if isinstance(b1, BDg) and isinstance(b2, BBx):
         e, b = _dg_bx_closed_form(ctx, b1.g)
         parts = [(one, BAdElem(b))] if not b.is_zero() else []
         if not e.is_zero():
             parts.append((one, BDg(e)))
         return parts
-    if isinstance(b1, BBx) and isinstance(b2, BDg):
-        return [(-z, b) for z, b in _core_bracket(ctx, b2, b1)]
-    if isinstance(b1, BBx) and isinstance(b2, BBx):
-        return []
     raise TypeError(f"no closed form for the bases {b1!r}, {b2!r}")
 
 

@@ -38,6 +38,11 @@ final value, at the top-level term that takes it over the limit, and at the
 '*' or '^' of a reordering product, before anything is made dense: on both
 operands, and on a bound for the product taken row by row from their
 exponents (`_reordered_cells`).
+
+A scalar has no degree, so `MAX_DIGITS` bounds it instead: a number literal
+longer than that is refused before `int()` reads it, and so is the power
+c^n of a monomial over Q whose numerator or denominator would be longer.
+Over GF(p), c^n mod p stays small for any n.
 """
 
 from __future__ import annotations
@@ -56,6 +61,11 @@ from .weyl import WeylElement
 #: row of this degree takes 8 MB.
 MAX_DEGREE = 10**6
 
+#: Most decimal digits in a number literal, and in the numerator or the
+#: denominator of the coefficient c^n of a monomial power over Q: the longest
+#: integer that Python's `int()` reads from text by default.
+MAX_DIGITS = 4300
+
 #: Largest dense size of a parsed value or of an operand of a reordering
 #: product: the sum over its rows of (row x-degree + 1). Two rows of degree
 #: `MAX_DEGREE`, 16 MB.
@@ -69,6 +79,27 @@ class ParseError(ValueError):
 
 
 _OPS = set("+-*^()")
+
+
+def _check_literal(digits: int, position: int) -> None:
+    if digits > MAX_DIGITS:
+        raise ParseError(
+            f"number literal of {digits} digits exceeds the limit {MAX_DIGITS}", position
+        )
+
+
+def _check_power_digits(c: Fraction, n: int, position: int) -> None:
+    """Refuse c^n over Q whose numerator or denominator would have more than
+    `MAX_DIGITS` digits. Since |a|^n >= 2^(n (bits(a) - 1)) and
+    2^(4 MAX_DIGITS) > 10^MAX_DIGITS, a large n is refused before any power
+    is formed; below that, |a|^n has under 8 `MAX_DIGITS` bits and is
+    compared exactly."""
+    for a in (abs(c.numerator), c.denominator):
+        if a > 1 and (n * (a.bit_length() - 1) >= 4 * MAX_DIGITS or a**n >= 10**MAX_DIGITS):
+            raise ParseError(
+                f"coefficient to the power {n} would take more than {MAX_DIGITS} digits",
+                position,
+            )
 
 
 def _tokenize(text: str):
@@ -88,6 +119,7 @@ def _tokenize(text: str):
             j = i
             while j < n and text[j].isdecimal():
                 j += 1
+            _check_literal(j - i, i)
             num = int(text[i:j])
             den = None
             if j < n and text[j] == "/":
@@ -97,6 +129,7 @@ def _tokenize(text: str):
                     m += 1
                 if m == k:
                     raise ParseError("expected digits after '/'", k)
+                _check_literal(m - k, k)
                 den = int(text[k:m])
                 if den == 0:
                     raise ParseError("zero denominator", k)
@@ -333,7 +366,10 @@ class _Parser:
             (((i, j), c),) = base.items()
             if i == 0 or j == 0:  # c^n x^(in) y^(jn); c^n mod p by pow, however large n is
                 p = self.field.characteristic
-                return {(i * n, j * n): pow(c, n, p) if p else c**n}
+                if p:
+                    return {(i * n, j * n): pow(c, n, p)}
+                _check_power_digits(c, n, position)
+                return {(i * n, j * n): c**n}
         out = {(0, 0): self.field.one()}
         while n:
             if n & 1:

@@ -154,6 +154,18 @@ class TestExitCodes:
         assert code == 1
         assert "invalid JSON" in err
 
+    @pytest.mark.parametrize("value", [0, None])
+    @pytest.mark.parametrize("command", ["classify", "bracket"])
+    def test_non_string_derivation_part(self, command, value, capsys):
+        derivation = {"Dx": value, "Dyhat": "1"}
+        if command == "bracket":
+            derivation = {"left": {"Dx": "0", "Dyhat": "1"}, "right": derivation}
+        code, out, err = run_cli(
+            [command, "--h", "x", "--char", "0"], stdin_text=json.dumps(derivation), capsys=capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == 'error (domain error): derivation JSON must be {"Dx": "...", "Dyhat": "..."}\n'
+
 
 _BRACKET_INPUT = json.dumps(
     {"left": {"Dx": "0", "Dyhat": "1"}, "right": {"Dx": "x", "Dyhat": "2*x + x^2*y"}}

@@ -16,6 +16,7 @@ from ahweyl import parse
 from ahweyl.parse import (
     MAX_CELLS,
     MAX_DEGREE,
+    MAX_DIGITS,
     ParseError,
     _tokenize,
     parse_center,
@@ -624,3 +625,34 @@ def test_degree_limit_on_each_side():
     assert parse_weyl("3^100000000*y", FieldSpec(7)) == WeylElement.from_term(
         Poly.constant(FieldSpec(7), pow(3, 10**8, 7)), 1
     )
+
+
+def test_digit_limit_on_each_side():
+    # a literal is refused before int() reads it; over Q, the power c^n of a
+    # monomial before it is formed, by the digits of its numerator and its
+    # denominator; 2^14000 has 4215 digits and 2^15000 has 4516
+    assert MAX_DIGITS == 4300
+    top = "7" * MAX_DIGITS
+    assert parse_poly(f"{top}*x", QQ) == Poly.monomial(QQ, int(top), 1)
+    assert parse_poly(f"1/{top}", QQ) == Poly.constant(QQ, Fraction(1, int(top)))
+    assert parse_poly("2^14000*x", QQ) == Poly.monomial(QQ, 2**14000, 1)
+    assert parse_poly("(1/2)^14000", QQ) == Poly.constant(QQ, Fraction(1, 2**14000))
+    assert parse_poly("(-3)^9012*x^2", QQ) == Poly.monomial(QQ, 3**9012, 2)  # 4300 digits
+    over = "7" * (MAX_DIGITS + 1)
+    literal = f"number literal of {MAX_DIGITS + 1} digits exceeds the limit {MAX_DIGITS}"
+    for text, position, message in [
+        (f"x + {over}", 4, literal),
+        (f"x + 1/{over}", 6, literal),
+        ("2^15000*x", 2, f"coefficient to the power 15000 would take more than {MAX_DIGITS} digits"),
+        ("(1/2)^15000", 6, f"coefficient to the power 15000 would take more than {MAX_DIGITS} digits"),
+        ("3^9013", 2, f"coefficient to the power 9013 would take more than {MAX_DIGITS} digits"),
+        # refused before any power is formed, however large the exponent
+        ("2^1000000000000*x", 2, "coefficient to the power 1000000000000 would take more"),
+        ("(2^14000)^2", 10, "coefficient to the power 2 would take more"),
+    ]:
+        with pytest.raises(ParseError) as e:
+            parse_poly(text, QQ)
+        assert e.value.position == position
+        assert message in str(e.value)
+    # over GF(p), c^n mod p is small for any n
+    assert parse_poly("2^1000000000000*x", GF3) == Poly.monomial(GF3, pow(2, 10**12, 3), 1)

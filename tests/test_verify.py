@@ -15,7 +15,13 @@ from ahweyl.context import AhContext
 from ahweyl.fields import QQ, ExactDivisionError
 from ahweyl.parse import parse_poly
 
-CASES = [("x", "2", "3"), ("x^2", "0", "1"), ("x^2+1", "3", "1"), ("x^3+2*x", "5", "4")]
+CASES = [
+    ("x", "2", "3"),
+    ("x^2", "0", "1"),
+    ("x^2+1", "3", "1"),
+    ("x^3+2*x", "5", "4"),
+    ("-3/2*x^3+x-1/2", "0", "1"),  # a fractional negative leading coefficient
+]
 
 
 def assert_no_child_left():
@@ -33,7 +39,7 @@ def run_with_workers(argv, workers, monkeypatch, capsys):
 
 @pytest.mark.parametrize("h,char,seed", CASES)
 def test_output_is_the_same_for_every_worker_count(h, char, seed, monkeypatch, capsys):
-    argv = ["verify", "--h", h, "--char", char, "--seed", seed, "--output", "json"]
+    argv = ["verify", f"--h={h}", "--char", char, "--seed", seed, "--output", "json"]
     one = run_with_workers(argv, 1, monkeypatch, capsys)
     assert one[0] == 0 and one[2] == ""
     for workers in (2, 4):
