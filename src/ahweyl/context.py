@@ -21,17 +21,16 @@ consumes:
 
 Membership and normalizer tests, the one centralizer read (coordinates in
 C_{A_h}(x) = Z(A_h) F[x], of which the center coordinates are the ones in
-F[x^p]) and basis conversions live here too. The coordinates that
-derivations are applied in are a = sum g_jk zeta^k yhat^j with g_jk in
-F[x] (j < p in characteristic p, k = 0 over Q), read off by one
-descending-degree elimination on raw rows, which reduces only the row it
-reads at each step. A central factor zeta^k or z(x^p, zeta)
+F[x^p]) and basis conversions live here too. The yhat-adic coordinates
+a = sum f_j yhat^j, which the automorphisms x -> x, yhat -> yhat + g read,
+come from one descending-degree elimination on raw rows, which reduces only
+the row it reads at each step. A central factor zeta^k or z(x^p, zeta)
 multiplies without a Weyl product, as a polynomial factor and a shift of
 the y-degrees (`zeta_mul`, `central_mul`), and [yhat, a] and a yhat have
-closed forms over the cached derivatives of h (`yhat_bracket`,
-`times_yhat`, each around a row core that `derivations` shares), which also
-build the cached powers of yhat. The cached
-powers of h use h^p = h(x^p) over the prime field (`h_power`).
+closed forms over the cached derivatives of h (`yhat_bracket`, whose row
+core `derivations` shares, and `times_yhat`, which builds the cached powers
+of yhat). The cached powers of h use h^p = h(x^p) over the prime field
+(`h_power`).
 """
 
 from __future__ import annotations
@@ -308,58 +307,41 @@ class AhContext:
         check_same_field(self.field, a.field)
         return all(self.h_power(i).divides(r) for i, r in a.terms.items())
 
+    def over_h_power(self, r: Poly, m: int) -> Poly:
+        """r / h^m for the y^m coefficient r of an element of A_h; the
+        division is exact iff r y^m lies in A_h, else MembershipError."""
+        try:
+            return r.exact_div(self.h_power(m))
+        except ExactDivisionError as e:
+            raise MembershipError(
+                f"y-degree {m} coefficient not divisible by h^{m}: not in A_h"
+            ) from e
+
     def yhat_collect(self, a: WeylElement) -> list:
-        """Coefficients [f_0, f_1, ...] with a = sum f_j yhat^j."""
-        coords = self._collect(a, 0)
-        if not coords:
-            return []
-        return [coords.get((j, 0), Poly.zero(self.field)) for j in range(max(coords)[0] + 1)]
-
-    def yhat_zeta_collect(self, a: WeylElement) -> dict:
-        """{(j, k): g_jk} with a = sum g_jk zeta^k yhat^j and every g_jk
-        nonzero in F[x]: j < p in characteristic p, k = 0 over Q (where this
-        is `yhat_collect`)."""
-        return self._collect(a, self.field.characteristic)
-
-    def _collect(self, a: WeylElement, period: int) -> dict:
-        """The one elimination behind both collections, by descending y-degree.
-
-        The top degree m is written as m = period k + j (k = 0 for period 0),
-        g = r_m / h^m is an exact division, and g zeta^k yhat^j, whose top
-        term is g h^m y^m, is subtracted, built as `zeta_mul` builds it.
-
-        The work stays in raw rows, and only the top row is reduced, when it
-        is read; over Q they are integers over a running denominator, the
-        lcm of the lift denominators of a and of every g yhat^j. Row m is
-        dropped, not subtracted: yhat^j has top term h^j y^j (checked), so
-        that of g zeta^k yhat^j is g h^m y^m = r_m."""
+        """Coefficients [f_0, f_1, ...] with a = sum f_j yhat^j, by one
+        elimination in descending y-degree m: f_m = r_m / h^m is an exact
+        division, and the rows of f_m yhat^m below its top term f_m h^m y^m
+        = r_m (checked) are subtracted. The work stays in raw rows, only the
+        top row is reduced, when it is read; over Q they are integers over a
+        running denominator, the lcm of the lift denominators of a and of
+        every f_m yhat^m."""
         check_same_field(self.field, a.field)
         F = self.field
         den, terms = F.lift(a.terms)
         rows = {i: list(r.coeffs) for i, r in terms.items()}
-        out = {}
+        out = [Poly.zero(F)] * (a.y_degree + 1)
         for m in range(a.y_degree, -1, -1):
             row_m = rows.pop(m, None)
             if row_m is None or not (r := Poly._reduced(F, row_m, den)):
                 continue
-            k, j = divmod(m, period) if period else (0, m)
-            try:
-                g = r.exact_div(self.h_power(m))
-            except ExactDivisionError as e:
-                raise MembershipError(
-                    f"y-degree {m} coefficient not divisible by h^{m}: not in A_h"
-                ) from e
-            out[j, k] = g
-            yj = self.yhat_power(j)
-            if yj.terms.get(j) != self.h_power(j) or yj.y_degree != j:
+            g = out[m] = self.over_h_power(r, m)
+            ym = self.yhat_power(m)
+            if ym.terms.get(m) != self.h_power(m) or ym.y_degree != m:
                 raise AssertionError(
-                    f"elimination at y-degree {m}: yhat^{j} has no top term h^{j} y^{j}"
+                    f"elimination at y-degree {m}: yhat^{m} has no top term h^{m} y^{m}"
                 )
-            n = period * k
-            if n:
-                g = g * self.h_power(n)
             dg, (g,) = F.lift((g,))
-            dy, below = F.lift({i: s for i, s in yj.terms.items() if i < j})
+            dy, below = F.lift({i: s for i, s in ym.terms.items() if i < m})
             if den % (step := dg * dy):  # over Q: move the rows to lcm(den, step)
                 up = lcm(den, step) // den
                 for row in rows.values():
@@ -367,7 +349,7 @@ class AhContext:
                 den *= up
             gc = [-(den // step) * c for c in g.coeffs]
             for i, s in below.items():
-                _accumulate(rows, i + n, gc, s.coeffs)
+                _accumulate(rows, i, gc, s.coeffs)
         return out
 
     def zeta_mul(self, w: WeylElement, k: int, g: Optional[Poly] = None) -> WeylElement:

@@ -3,16 +3,14 @@
 A derivation of A_h is stored by its generator images (D(x), D(yhat)),
 subject to two checks: both images lie in A_h, and the existence criterion
 [D(yhat), x] + [yhat, D(x)] = d(h) holds, where d is the derivation of F[x]
-with d(x) = D(x). Application reads the coordinates a = sum g_jk zeta^k
-yhat^j (k = 0 over Q, j < p in characteristic p), applies D by Leibniz with
-one closed form for D(yhat^n) over the cached iterates (ad yhat)^l(D(yhat)),
-of which D(yhat^p) is the last, and sums the result by Horner in yhat.
-Every zeta^k is a shift (`AhContext.zeta_mul`), and a yhat, [yhat, a] and
-[a, x] are closed forms (`AhContext.times_yhat`, `AhContext.yhat_bracket`,
-`commutator` with the operand x), so no general Weyl product is made.
-`d_on_poly`, `apply` and `criterion_defect` lift their operands once and
-sum every piece into raw rows through shared row cores, reducing each output
-row once: no intermediate Weyl element or element sum is formed.
+with d(x) = D(x). `apply` works in the normal form a = sum f_i y^i that
+elements are stored in, through D(y) = W / h in A_1[h^-1], one route over Q
+and GF(p); D(zeta) is `apply` on zeta. With closed forms for [yhat, a] and
+[a, x] (`AhContext.yhat_bracket`, `commutator` with the operand x) no
+general Weyl product is made. `d_on_poly`, `apply` and `criterion_defect`
+lift their operands once and sum every piece into raw rows through shared
+row cores, reducing each output row once: no intermediate Weyl element or
+element sum is formed.
 
 The module also provides: the special derivations D_g, bhat_x and bhat_f,
 and the A_1 derivations E_x and E_y; extension to A_1 and the constructive
@@ -25,7 +23,6 @@ automorphisms x -> x, yhat -> yhat + g.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -34,7 +31,7 @@ from typing import Optional
 from .centerpoly import CenterPoly
 from .context import AhContext, NotCentralizing
 from .fields import ExactDivisionError, check_same_field
-from .poly import NotIntegrable, Poly
+from .poly import NotIntegrable, Poly, _convolve
 from .weyl import WeylElement, _accumulate, commutator
 
 
@@ -88,14 +85,14 @@ def d_on_poly(f: Poly, u: WeylElement) -> WeylElement:
     return WeylElement._from_rows(F, rows, df * du)
 
 
-def _add_d_on_poly(F, rows: dict, fc, terms: dict) -> None:
-    """rows += d(f) for d(x) = u, on raw coefficients: fc are those of f and
-    terms the {j: coefficients} of u, both lifted over Q (`d_on_poly`).
+def _add_d_on_poly(F, rows: dict, fc, terms: dict, shift: int = 0) -> None:
+    """rows += d(f) y^shift for d(x) = u, on raw coefficients: fc are those
+    of f and terms the {j: coefficients} of u, lifted over Q (`d_on_poly`).
 
     The Hasse derivatives are taken on fc as raw C(n, l+1) c_n, reduced
     once each (mod p in characteristic p, where the falling factorial is
     kept mod p too), and every piece falling * H_(l+1)(f) * r_j is summed
-    into the raw row of y-degree j - l (`weyl._accumulate`)."""
+    into the raw row of y-degree j - l + shift (`weyl._accumulate`)."""
     p = F.characteristic
     hasse = [
         F.reduce([comb(n, l + 1) * c for n, c in enumerate(fc[l + 1 :], l + 1)])
@@ -107,7 +104,7 @@ def _add_d_on_poly(F, rows: dict, fc, terms: dict) -> None:
             if not falling:
                 break
             if any(hf):
-                _accumulate(rows, j - l, [falling * c for c in hf], r)
+                _accumulate(rows, j - l + shift, [falling * c for c in hf], r)
             falling = falling * (j - l) % p if p else falling * (j - l)
 
 
@@ -219,97 +216,101 @@ class Derivation:
             )
         return self._cache[key]
 
-    def _yhat_iterates(self, n: int) -> list:
-        """The iterates c_l = (ad yhat)^l(D(yhat)) for l < n (at least), cached,
-        each one `yhat_bracket` step from the last."""
-        iterates = self._cache.setdefault("yhat_iterates", [self.image_yhat])
-        while len(iterates) < n:
-            iterates.append(self.context.yhat_bracket(iterates[-1]))
-        return iterates
+    def _dy_numerators(self, n: int) -> list:
+        """[P_0, ..., P_(n-1)] (at least), cached: the numerators of
+        (ad y)^l(D(y)) = P_l / h^(l+1) (see `apply`). P_0 = W = D(yhat) -
+        D(h) y - D(h'), and each P_(l+1) = h P_l' - (l+1) h' P_l is one row
+        core from the last, over dh times its lift denominator."""
+        ctx = self.context
+        numerators = self._cache.get("dy")
+        if numerators is None:
+            w = self.image_yhat - d_on_poly(ctx.h, self.image_x).shift(1)
+            numerators = self._cache["dy"] = [w - d_on_poly(ctx.h.derivative(), self.image_x)]
+        dh, (hc, *chain) = ctx._h_chain
+        while len(numerators) < n:
+            scale = -len(numerators)  # -(l+1)
+            dl, terms = ctx.field.lift(numerators[-1].terms)
+            rows = {}
+            for j, r in terms.items():
+                rc = r.coeffs
+                _accumulate(rows, j, hc.coeffs, [i * c for i, c in enumerate(rc[1:], 1)])
+                if chain:
+                    _accumulate(rows, j, [scale * c for c in chain[0].coeffs], rc)
+            numerators.append(WeylElement._from_rows(ctx.field, rows, dl * dh))
+        return numerators
 
     def image_of_zeta(self) -> WeylElement:
-        """D(zeta) = D(yhat^p) - d(c) yhat - c D(yhat), from zeta = yhat^p - c yhat
-        with c = delta^p(x)/h (`zeta_hat_coeff`).
+        """D(zeta), cached: `apply` to zeta = h^p y^p.
 
-        In the identity of `apply` for D(yhat^p), C(p, l+1) = 0 mod p for
-        l < p-1, so D(yhat^p) = c_(p-1) = (ad yhat)^(p-1)(D(yhat)): the p-th
-        power identity for derivations (Jacobson, Lie Algebras, 1962, ch. V),
-        p-1 closed-form brackets with yhat."""
+        There g_p = 1 and C(p, l+1) = 0 mod p for l < p-1, so D(zeta) =
+        d(h(x^p)) y^p + P_(p-1): the l = p-1 term is Jacobson's D(y^p) =
+        (ad y)^(p-1)(D(y)) (Lie Algebras, 1962, ch. V), times h^p."""
         key = "zeta"
         if key not in self._cache:
-            ctx = self.context
-            c = ctx.zeta_hat_coeff
-            out = self._yhat_iterates(ctx.p)[ctx.p - 1]
-            out = out - ctx.times_yhat(d_on_poly(c, self.image_x))
-            out = out - self.image_yhat.poly_mul(c)
-            self._cache[key] = out
+            self._cache[key] = self.apply(self.context.zeta_element())
         return self._cache[key]
 
     def apply(self, a: WeylElement) -> WeylElement:
-        """Apply to an element of A_h.
+        """Apply to a = sum f_i y^i in A_h, in the normal form it is stored in.
 
-        With a = sum g_jk zeta^k yhat^j (`yhat_zeta_collect`), Leibniz gives
-        D(a) = sum D(g_jk zeta^k) yhat^j + g_jk zeta^k D(yhat^j), where
-        D(g zeta^k) = d(g) zeta^k + k g zeta^(k-1) D(zeta), as zeta is
-        central, and, with c_l = (ad yhat)^l(D(yhat)),
+        D extends to A_1[h^-1], and on yhat = y h = h y + h' it gives
+        h D(y) = W = D(yhat) - D(h) y - D(h'). There ad y is d/dx, row by
+        row, so c_l = (ad y)^l(D(y)) = P_l / h^(l+1) with P_0 = W and, as
+        (P_l / h^(l+1))' = (h P_l' - (l+1) h' P_l) / h^(l+2),
+        P_(l+1) = h P_l' - (l+1) h' P_l (`_dy_numerators`). Leibniz gives
+        D(y^i) = sum_{k < i} y^k c_0 y^(i-1-k), and y^k c_0 = sum_l C(k, l)
+        c_l y^(k-l) (induction on k, from y c_l = c_l y + c_(l+1)); the hockey
+        stick sum_{k < i} C(k, l) = C(i, l+1) then gives
 
-            D(yhat^n) = sum_{l < n} C(n, l+1) c_l yhat^(n-1-l).
+            D(a) = sum_i d(f_i) y^i
+                 + sum_{l < i} C(i, l+1) g_i h^(i-1-l) P_l y^(i-1-l),
 
-        Derivation: D(yhat^n) = sum_{i < n} yhat^i c_0 yhat^(n-1-i), and
-        yhat^i c_0 = sum_l C(i, l) c_l yhat^(i-l) (induction on i, from
-        yhat c_l = c_l yhat + c_(l+1)); sum_{i < n} C(i, l) = C(n, l+1) is the
-        hockey stick. It is the identity of `d_on_poly` with yhat in place of
-        x, and holds in characteristic p, as only integer binomials enter.
+        with g_i = f_i / h^i. Every term is a polynomial, as f_i c_l =
+        (f_i / h^(l+1)) P_l and h^(l+1) divides f_i = g_i h^i for i > l. The
+        divisions f_i / h^i are exact iff a lies in A_h: they are the
+        membership test. Only integer binomials enter, so this holds in
+        characteristic p, where c_l = 0 for l >= p, as d^p is a derivation
+        of F(x) that kills x; so there l < min(i, p).
 
-        So D(a) = sum_m w_m yhat^m, summed by Horner, (w_top yhat +
-        w_(top-1)) yhat + ..., on raw rows: d(g), k g D(zeta) and
-        C(j, l+1) g c_l go into rows keyed by (m, k) over dg den (the lift
-        denominators of the g_jk and of D(x), the c_l and D(zeta)), and
-        zeta^k is h^(pk) and a shift by pk (`zeta_mul`). Over GF(p) each
-        step is reduced mod p; over Q it multiplies by the lifted h (over
-        dh), so w_m enters times dh^(top-m) and one division by
-        dg den dh^top ends the sum."""
+        The terms are summed on raw rows, each output row reduced once. Over
+        Q, g_i and D(x), P_l are lifted over dg and den, and g_i h^s is
+        built as g_i times the lifted h, s times, over dg dh^s, and enters
+        times dh^(top-s). In characteristic p, Lucas skips values of s, and
+        g_i h^s after a gap is one product with the cached `h_power`."""
         ctx = self.context
         F = ctx.field
         p = F.characteristic
-        coords = ctx.yhat_zeta_collect(a)
-        if not coords:
+        gs = {i: ctx.over_h_power(a.terms[i], i) for i in sorted(a.terms, reverse=True)}
+        if not gs:
             return WeylElement.zero(F)
-        top = max(j for j, _ in coords)
-        # D(x), then c_0 ... c_(top-1), then D(zeta) when some k != 0 mod p
-        images = [self.image_x, *self._yhat_iterates(top)[:top]]
-        if any(k % p for _, k in coords if k):
-            images.append(self.image_of_zeta())
-        den, (u, *lifted) = _lift_elements(F, images)
-        dg, gs = F.lift(tuple(coords.values()))
-        rows = defaultdict(dict)  # (m, k) -> raw rows of the zeta^k yhat^m summand
-        for (j, k), g in zip(coords, gs):
-            gc = g.coeffs
-            _add_d_on_poly(F, rows[j, k], gc, u)
-            if k and k % p:
-                kg = [k * c for c in gc]
-                for i, r in lifted[top].items():
-                    _accumulate(rows[j, k - 1], i, kg, r)
-            for l in range(j):
-                if b := comb(j, l + 1) % p if p else comb(j, l + 1):
-                    bg = [b * c for c in gc]
-                    for i, r in lifted[l].items():
-                        _accumulate(rows[j - 1 - l, k], i, bg, r)
-        w = [rows.pop((m, 0), {}) for m in range(top + 1)]
-        for (m, k), part in rows.items():
-            hk = ctx.h_power(p * k).coeffs
-            for i, r in part.items():
-                _accumulate(w[m], i + p * k, hk, r)
-        dh = ctx._h_chain[0]
-        out = {}
-        for m in range(top, -1, -1):
-            step = {}
-            ctx._add_times_yhat(step, out, 0, 1)
-            scale = [dh ** (top - m)]
-            for i, r in w[m].items():
-                _accumulate(step, i, scale, r)
-            out = {i: [c % p for c in r] for i, r in step.items()} if p else step
-        return WeylElement._from_rows(F, out, dg * den * dh**top)
+        top = max(gs)
+        count = min(top, p) if p else top  # c_l = 0 for l >= p
+        den, (u, *numerators) = _lift_elements(F, [self.image_x, *self._dy_numerators(count)[:count]])
+        dg, lifted = F.lift(tuple(gs.values()))
+        dh, chain = ctx._h_chain
+        hc = chain[0].coeffs
+        rows = {}
+        for (i, g), gc in zip(gs.items(), lifted):
+            t, at = gc.coeffs, 0  # g h^at, raw over dg dh^at
+            for l in range(min(i, p) - 1 if p else i - 1, -2, -1):  # l = -1: d(f_i) y^i
+                s = i - 1 - l
+                b = comb(i, l + 1) % p if p else comb(i, l + 1)
+                if not b:
+                    continue
+                if s == at + 1:
+                    step = [0] * (len(t) + len(hc) - 1)
+                    _convolve(step, t, hc)
+                    t = [c % p for c in step] if p else step
+                elif s != at:  # a gap, in characteristic p only
+                    t = (g * ctx.h_power(s)).coeffs
+                at, scale = s, b * dh ** (top - s)
+                bt = [scale * c for c in t]
+                if l < 0:
+                    _add_d_on_poly(F, rows, bt, u, i)
+                else:
+                    for j, r in numerators[l].items():
+                        _accumulate(rows, j + s, bt, r)
+        return WeylElement._from_rows(F, rows, dg * den * dh**top)
 
     def bracket(self, other: "Derivation") -> "Derivation":
         """[D, E] as a derivation: images D(E(x)) - E(D(x)), same on yhat."""

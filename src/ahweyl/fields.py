@@ -14,10 +14,10 @@ place they learn the characteristic. `coerce` validates outside input.
 
 The product loops (`Poly.__mul__`, the Weyl product, `d_on_poly` and the
 closed forms `times_yhat` and `yhat_bracket`), the division
-`Poly.__divmod__`, and the three routes that sum raw rows across a whole
-computation (`Derivation.apply`, `Derivation.criterion_defect` and the
-elimination `AhContext._collect`) first pass their operands through
-`FieldSpec.lift`. Over Q it clears denominators:
+`Poly.__divmod__`, and the routes that sum raw rows across a whole
+computation (`Derivation.apply` with its cached numerators of D(y),
+`Derivation.criterion_defect` and the elimination `AhContext.yhat_collect`)
+first pass their operands through `FieldSpec.lift`. Over Q it clears denominators:
 it returns the lcm `den` of every coefficient denominator and integer
 images `c.numerator * (den // c.denominator)`, so the loops run on Python
 ints, and `reduce(values, den)` turns each raw integer back into

@@ -42,7 +42,9 @@ exponents (`_reordered_cells`).
 A scalar has no degree, so `MAX_DIGITS` bounds it instead: a number literal
 longer than that is refused before `int()` reads it, and so is the power
 c^n of a monomial over Q whose numerator or denominator would be longer.
-Over GF(p), c^n mod p stays small for any n.
+Every other coefficient over Q is made by a sum or a product, and each is
+checked as it is made, a dense power at each step. Over GF(p) coefficients
+stay below p.
 """
 
 from __future__ import annotations
@@ -62,9 +64,10 @@ from .weyl import WeylElement
 MAX_DEGREE = 10**6
 
 #: Most decimal digits in a number literal, and in the numerator or the
-#: denominator of the coefficient c^n of a monomial power over Q: the longest
-#: integer that Python's `int()` reads from text by default.
+#: denominator of any coefficient over Q: the longest integer that Python's
+#: `int()` reads from text, and `str()` writes, by default.
 MAX_DIGITS = 4300
+_DIGITS_BOUND = 10**MAX_DIGITS  # the least integer with more digits
 
 #: Largest dense size of a parsed value or of an operand of a reordering
 #: product: the sum over its rows of (row x-degree + 1). Two rows of degree
@@ -95,11 +98,21 @@ def _check_power_digits(c: Fraction, n: int, position: int) -> None:
     is formed; below that, |a|^n has under 8 `MAX_DIGITS` bits and is
     compared exactly."""
     for a in (abs(c.numerator), c.denominator):
-        if a > 1 and (n * (a.bit_length() - 1) >= 4 * MAX_DIGITS or a**n >= 10**MAX_DIGITS):
+        if a > 1 and (n * (a.bit_length() - 1) >= 4 * MAX_DIGITS or a**n >= _DIGITS_BOUND):
             raise ParseError(
                 f"coefficient to the power {n} would take more than {MAX_DIGITS} digits",
                 position,
             )
+
+
+def _checked_digits(field: FieldSpec, value: dict, position: int) -> dict:
+    """The value, refused over Q if a coefficient has a numerator or a
+    denominator of more than `MAX_DIGITS` digits."""
+    if field.is_char_zero:
+        for c in value.values():
+            if abs(c.numerator) >= _DIGITS_BOUND or c.denominator >= _DIGITS_BOUND:
+                raise ParseError(f"a coefficient would take more than {MAX_DIGITS} digits", position)
+    return value
 
 
 def _tokenize(text: str):
@@ -290,7 +303,7 @@ class _Parser:
             if crossing is None and cells > MAX_CELLS:
                 crossing = position
             if self.peek()[0] not in ("+", "-"):
-                value = _reduced(self.field, raw)
+                value = _checked_digits(self.field, _reduced(self.field, raw), position)
                 return (value, crossing) if track else value
             op = self.advance()[0]
 
@@ -353,13 +366,13 @@ class _Parser:
                     f" limit {MAX_CELLS}",
                     position,
                 )
-            return _from_weyl(_to_weyl(F, a) * _to_weyl(F, b))
+            return _checked_digits(F, _from_weyl(_to_weyl(F, a) * _to_weyl(F, b)), position)
         raw = {}  # normal order: x^i y^j * x^k y^l = x^(i+k) y^(j+l)
         for (i, j), c in a.items():
             for (k, l), d in b.items():
                 key = (i + k, j + l)
                 raw[key] = raw[key] + c * d if key in raw else c * d
-        return _reduced(F, raw)
+        return _checked_digits(F, _reduced(F, raw), position)
 
     def power(self, base: dict, n: int, position: int) -> dict:
         if len(base) == 1:

@@ -84,6 +84,17 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize(
+        "h,position", [("2^14000*2^14000*x", 7), ("(x+2^14000)^2", 12)]
+    )
+    def test_parse_error_coefficient_over_the_digit_limit(self, h, position, capsys):
+        code, out, err = run_cli(["analyze", "--h", h, "--char", "0"], capsys=capsys)
+        assert code == 1 and out == ""
+        assert err == (
+            "error (parse error): a coefficient would take more than 4300 digits"
+            f" (at position {position})\n"
+        )
+
+    @pytest.mark.parametrize(
         "extra,message",
         [
             (["--h", "x^\u00b2"], "unexpected character '\u00b2' (at position 2)"),

@@ -25,6 +25,7 @@ from ahweyl.poly import Poly
 from ahweyl.weyl import WeylElement, commutator
 from test_derivations import fraction, random_derivation, random_h, random_weyl
 from test_derivations import zbasis_collect  # the center-basis oracle
+from test_derivations import yhat_zeta_collect  # the yhat-zeta oracle
 from test_hochschild import split_center_commutator
 
 GF2 = FieldSpec(2)
@@ -241,24 +242,29 @@ class TestYhatBasis:
         a = ctx.yhat.scale(Fraction(1, 2))
         assert a == WeylElement(QQ, {1: P(QQ, 1, 1), 0: P(QQ, 1)})
         assert ctx.yhat_collect(a) == [Poly.zero(QQ), P(QQ, Fraction(1, 2))]
-        assert ctx._collect(a, 0) == collect_by_elements(ctx, a, 0)
+        assert collect_by_elements(ctx, a, 0) == {(1, 0): P(QQ, Fraction(1, 2))}
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_zeta_collect_rejects_non_members_at_positive_zeta_power(self, p):
-        # y-degree p and p + 1: k = 1, j = 0 and 1
+        # y-degree p and p + 1: k = 1, j = 0 and 1; `Derivation.apply`, which
+        # reads no zeta coordinates, gives the text of the oracle's collect
         field = FieldSpec(p)
         ctx = AhContext(Poly(field, [1, 1]))
         x = Poly.x(field)
         zeta_yhat = ctx.zeta_mul(ctx.yhat, 1)
+        d = random_derivation(random.Random(p), ctx)
 
         def text(m):
             return rf"^y-degree {m} coefficient not divisible by h\^{m}: not in A_h$"
 
-        with pytest.raises(MembershipError, match=text(p + 1)):
-            ctx.yhat_zeta_collect(WeylElement.from_term(x, p + 1))
-        with pytest.raises(MembershipError, match=text(p)):
-            ctx.yhat_zeta_collect(zeta_yhat + WeylElement.from_term(x, p))
-        assert ctx.yhat_zeta_collect(zeta_yhat) == {(1, 1): Poly.one(field)}
+        for bad, m in (
+            (WeylElement.from_term(x, p + 1), p + 1),
+            (zeta_yhat + WeylElement.from_term(x, p), p),
+        ):
+            for read in (lambda a: yhat_zeta_collect(ctx, a), d.apply):
+                with pytest.raises(MembershipError, match=text(m)):
+                    read(bad)
+        assert yhat_zeta_collect(ctx, zeta_yhat) == {(1, 1): Poly.one(field)}
 
     def test_zbasis_collect_roundtrip(self):
         for field, h in [(GF2, P(GF2, 0, 1)), (GF3, P(GF3, 1, 0, 1))]:
@@ -1033,8 +1039,9 @@ def test_normalizer_part_has_no_xp_terms_at_p_divides_i(p, kind, f, g, source, s
 
 
 def collect_by_elements(ctx, a, period):
-    """Oracle: `AhContext._collect` on Weyl elements, each step subtracting
-    the reduced element g zeta^k yhat^j."""
+    """Oracle: the yhat coordinates (period 0) or the yhat-zeta coordinates
+    (period p) on Weyl elements, {(j, k): g}, each step subtracting the
+    reduced element g zeta^k yhat^j."""
     out = {}
     work = a
     while work:
@@ -1052,23 +1059,29 @@ def collect_by_elements(ctx, a, period):
     return out
 
 
+def yhat_coords(ctx, a):
+    """`AhContext.yhat_collect` as {(j, 0): f_j} over the nonzero f_j."""
+    return {(j, 0): f for j, f in enumerate(ctx.yhat_collect(a)) if f}
+
+
 @given(p=st.sampled_from([0, 2, 3, 5, 7]), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_raw_collect_matches_element_route(p, seed):
-    # y-degrees past 2p reach zeta^k with k >= 2; over Q, h and a carry
-    # denominators; a non-member fails at the same degree with the same text
+    # the raw eliminations: `yhat_collect` and the yhat-zeta oracle of
+    # `apply_by_yhat_zeta`; y-degrees past 2p reach zeta^k with k >= 2; over
+    # Q, h and a carry denominators; a non-member fails at the same degree
+    # with the same text
     field = FieldSpec(p)
     rng = random.Random(seed)
     ctx = AhContext(random_h(rng, field, 1))
     a = random_ah(rng, ctx, max_ydeg=2 * p + 2 if p else 5).scale(fraction(rng, field))
-    for period in {0, p}:
-        assert ctx._collect(a, period) == collect_by_elements(ctx, a, period)
     b = a + random_weyl(rng, field, 2 * p + 2 if p else 5, 3).scale(fraction(rng, field))
-    for period in {0, p}:
-        try:
-            want = collect_by_elements(ctx, b, period)
-        except MembershipError as e:
-            with pytest.raises(MembershipError, match=f"^{re.escape(str(e))}$"):
-                ctx._collect(b, period)
-        else:
-            assert ctx._collect(b, period) == want
+    for c in (a, b):
+        for period, collect in ((0, yhat_coords), (p, yhat_zeta_collect)):
+            try:
+                want = collect_by_elements(ctx, c, period)
+            except MembershipError as e:
+                with pytest.raises(MembershipError, match=f"^{re.escape(str(e))}$"):
+                    collect(ctx, c)
+            else:
+                assert collect(ctx, c) == want

@@ -3,14 +3,14 @@
 import random
 from collections import defaultdict
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ahweyl.centerpoly import CenterPoly
-from ahweyl.context import AhContext
+from ahweyl.context import AhContext, MembershipError
 from ahweyl.derivations import (
     A1Images,
     AhAlgebraMap,
@@ -41,12 +41,14 @@ from ahweyl.derivations import (
     require_derivation,
     restrict_to_center,
     validate_a1_images,
+    _add_d_on_poly,
+    _lift_elements,
     _split_ad_x,
 )
-from ahweyl.fields import FieldSpec, QQ
+from ahweyl.fields import ExactDivisionError, FieldSpec, QQ
 from ahweyl.poly import NotIntegrable, Poly
 from ahweyl.verify import random_derivation as verify_random_derivation
-from ahweyl.weyl import WeylElement, commutator, varpi
+from ahweyl.weyl import WeylElement, _accumulate, commutator, varpi
 
 from test_poly import hasse_derivative
 from test_weyl import repeated_product
@@ -945,7 +947,7 @@ def test_pth_power_identity_matches_sums(p, coeffs, seed):
     assert d.image_of_zeta() == zeta_image_sum(d)
     assert d.image_of_xp() == d_on_poly(Poly.monomial(ctx.field, 1, p), d.image_x)
     # a fresh copy applies the powers from the top down, so its first apply
-    # fills the cached iterates up to (ad yhat)^(p-1)(D(yhat)) through D(zeta)
+    # fills the cached numerators P_l up to l = p - 1, which D(zeta) reads
     fresh = verify_random_derivation(random.Random(seed), ctx)
     leibniz = leibniz_yhat_power_images(fresh, p + 1)
     for j in range(p + 1, -1, -1):
@@ -1168,7 +1170,7 @@ def test_apply_matches_center_basis_route_and_leibniz(p, coeffs, seed):
 def test_yhat_zeta_coordinates_rebuild_the_element(p, coeffs, seed):
     ctx = context_from(FieldSpec(p), coeffs)
     a = random_ah(random.Random(seed), ctx, max_ydeg=2 * p + 2 if p else 5, max_xdeg=4)
-    coords = ctx.yhat_zeta_collect(a)
+    coords = yhat_zeta_collect(ctx, a)
     back = WeylElement.zero(ctx.field)
     for (j, k), g in coords.items():
         assert g and (j < p if p else k == 0)
@@ -1232,7 +1234,6 @@ def test_apply_and_bracket_make_no_weyl_product(p, monkeypatch):
     d = verify_random_derivation(rng, ctx)
     e = verify_random_derivation(rng, ctx)
     a = random_ah(rng, ctx, max_ydeg=2 * p + 2 if p else 5)
-    assert len(ctx._yhat_powers) == 1  # the powers of yhat are built below
     calls = []
     product = WeylElement.__mul__
 
@@ -1248,9 +1249,9 @@ def test_apply_and_bracket_make_no_weyl_product(p, monkeypatch):
         d.image_of_zeta()
     monkeypatch.undo()
     assert not calls
-    assert len(ctx._yhat_powers) > 1
-    # with the iterates and D(zeta) warm, apply and the criterion sum raw
-    # rows: no element sum and no left multiplication by a polynomial
+    assert len(ctx._yhat_powers) == 1  # no power of yhat was built
+    # with the numerators P_l and D(zeta) warm, apply and the criterion sum
+    # raw rows: no element sum and no left multiplication by a polynomial
     sums = []
 
     def counting(name):
@@ -1369,23 +1370,137 @@ def test_split_ad_x_inverts_the_bracket_with_x(p, seed):
     assert rest.terms == {i: r for i, r in w.terms.items() if p and i % p == p - 1}
 
 
-# -- apply and the criterion against the element-level routes they replaced -----------------
+# -- apply against the yhat-zeta route it replaced, and the element-level routes -------------
+
+
+def yhat_zeta_collect(ctx, a):
+    """Oracle: {(j, k): g_jk} with a = sum g_jk zeta^k yhat^j, every g_jk
+    nonzero in F[x], j < p in characteristic p and k = 0 over Q.
+
+    One elimination on raw rows, by descending y-degree m = p k + j (k = 0
+    over Q): g = r_m / h^m is an exact division, which raises
+    MembershipError for an a outside A_h, and the rows of g zeta^k yhat^j
+    below its top term g h^m y^m = r_m are subtracted. Over Q the rows are
+    integers over a running denominator."""
+    F = ctx.field
+    p = F.characteristic
+    den, terms = F.lift(a.terms)
+    rows = {i: list(r.coeffs) for i, r in terms.items()}
+    out = {}
+    for m in range(a.y_degree, -1, -1):
+        row_m = rows.pop(m, None)
+        if row_m is None or not (r := Poly._reduced(F, row_m, den)):
+            continue
+        k, j = divmod(m, p) if p else (0, m)
+        try:
+            g = r.exact_div(ctx.h_power(m))
+        except ExactDivisionError as e:
+            raise MembershipError(
+                f"y-degree {m} coefficient not divisible by h^{m}: not in A_h"
+            ) from e
+        out[j, k] = g
+        yj = ctx.yhat_power(j)
+        assert yj.terms.get(j) == ctx.h_power(j) and yj.y_degree == j
+        if n := p * k:
+            g = g * ctx.h_power(n)
+        dg, (g,) = F.lift((g,))
+        dy, below = F.lift({i: s for i, s in yj.terms.items() if i < j})
+        if den % (step := dg * dy):
+            up = lcm(den, step) // den
+            for row in rows.values():
+                row[:] = [up * c for c in row]
+            den *= up
+        gc = [-(den // step) * c for c in g.coeffs]
+        for i, s in below.items():
+            _accumulate(rows, i + n, gc, s.coeffs)
+    return out
+
+
+def yhat_iterates(d, n):
+    """Oracle: the iterates c_l = (ad yhat)^l(D(yhat)) for l < n (at least),
+    cached on the derivation, each one `yhat_bracket` step from the last."""
+    iterates = d._cache.setdefault("oracle_yhat_iterates", [d.image_yhat])
+    while len(iterates) < n:
+        iterates.append(d.context.yhat_bracket(iterates[-1]))
+    return iterates
+
+
+def zeta_by_yhat_iterates(d):
+    """Oracle: D(zeta) = D(yhat^p) - d(c) yhat - c D(yhat), from zeta =
+    yhat^p - c yhat with c = delta^p(x)/h, where D(yhat^p) = c_(p-1) is
+    Jacobson's p-th power identity."""
+    ctx = d.context
+    c = ctx.zeta_hat_coeff
+    out = yhat_iterates(d, ctx.p)[ctx.p - 1]
+    return out - ctx.times_yhat(d_on_poly(c, d.image_x)) - d.image_yhat.poly_mul(c)
+
+
+def apply_by_yhat_zeta(d, a):
+    """Oracle: D(a) in the coordinates a = sum g_jk zeta^k yhat^j.
+
+    Leibniz gives D(a) = sum D(g_jk zeta^k) yhat^j + g_jk zeta^k D(yhat^j),
+    where D(g zeta^k) = d(g) zeta^k + k g zeta^(k-1) D(zeta) and D(yhat^n)
+    = sum_{l < n} C(n, l+1) c_l yhat^(n-1-l). So D(a) = sum_m w_m yhat^m,
+    summed by Horner in yhat on raw rows: the pieces go into rows keyed by
+    (m, k) over dg den, zeta^k is h^(pk) and a shift by pk, and over Q each
+    Horner step multiplies by the lifted h, so w_m enters times
+    dh^(top-m)."""
+    ctx = d.context
+    F = ctx.field
+    p = F.characteristic
+    coords = yhat_zeta_collect(ctx, a)
+    if not coords:
+        return WeylElement.zero(F)
+    top = max(j for j, _ in coords)
+    images = [d.image_x, *yhat_iterates(d, top)[:top]]
+    if any(k % p for _, k in coords if k):
+        images.append(zeta_by_yhat_iterates(d))
+    den, (u, *lifted) = _lift_elements(F, images)
+    dg, gs = F.lift(tuple(coords.values()))
+    rows = defaultdict(dict)  # (m, k) -> raw rows of the zeta^k yhat^m summand
+    for (j, k), g in zip(coords, gs):
+        gc = g.coeffs
+        _add_d_on_poly(F, rows[j, k], gc, u)
+        if k and k % p:
+            kg = [k * c for c in gc]
+            for i, r in lifted[top].items():
+                _accumulate(rows[j, k - 1], i, kg, r)
+        for l in range(j):
+            if b := comb(j, l + 1) % p if p else comb(j, l + 1):
+                bg = [b * c for c in gc]
+                for i, r in lifted[l].items():
+                    _accumulate(rows[j - 1 - l, k], i, bg, r)
+    w = [rows.pop((m, 0), {}) for m in range(top + 1)]
+    for (m, k), part in rows.items():
+        hk = ctx.h_power(p * k).coeffs
+        for i, r in part.items():
+            _accumulate(w[m], i + p * k, hk, r)
+    dh = ctx._h_chain[0]
+    out = {}
+    for m in range(top, -1, -1):
+        step = {}
+        ctx._add_times_yhat(step, out, 0, 1)
+        scale = [dh ** (top - m)]
+        for i, r in w[m].items():
+            _accumulate(step, i, scale, r)
+        out = {i: [c % p for c in r] for i, r in step.items()} if p else step
+    return WeylElement._from_rows(F, out, dg * den * dh**top)
 
 
 def apply_by_elements(d, a):
-    """Oracle: `Derivation.apply` summed as Weyl elements, each piece and
+    """Oracle: `apply_by_yhat_zeta` summed as Weyl elements, each piece and
     each Horner step reduced: d(g), k g D(zeta) and C(j, l+1) g c_l by
     `poly_mul`, each (m, k) sum by `zeta_mul`, Horner by `times_yhat`."""
     ctx = d.context
     F = ctx.field
-    coords = ctx.yhat_zeta_collect(a)
+    coords = yhat_zeta_collect(ctx, a)
     top = max((j for j, _ in coords), default=0)
-    iterates = d._yhat_iterates(top)
+    iterates = yhat_iterates(d, top)
     parts = defaultdict(list)  # (m, k) -> summands of the zeta^k yhat^m term
     for (j, k), g in coords.items():
         parts[j, k].append(d_on_poly(g, d.image_x))
         if k and k % F.characteristic:
-            parts[j, k - 1].append(d.image_of_zeta().poly_mul(g.scale(k)))
+            parts[j, k - 1].append(zeta_by_yhat_iterates(d).poly_mul(g.scale(k)))
         for l in range(j):
             parts[j - 1 - l, k].append(iterates[l].poly_mul(g.scale(comb(j, l + 1))))
     w = [WeylElement.zero(F)] * (top + 1)
@@ -1441,3 +1556,56 @@ def test_raw_apply_and_criterion_match_element_routes(p, seed):
             assert mx and my and want.is_zero()
         else:
             assert got.describe() == InvalidDerivation(mx, my, want).describe()
+
+
+def repeated_factor_h(rng, field):
+    """h = f^m g with f linear, m in {2, 3} and deg h >= p; over Q with
+    fractional coefficients."""
+    p = field.characteristic
+    f = Poly(field, [random_h(rng, field, 0).coeffs[0], 1])
+    m = rng.randrange(2, 4)
+    return f**m * random_h(rng, field, max(p - m, 0))
+
+
+@given(p=st.sampled_from([0, 2, 3, 5, 7]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_apply_matches_yhat_zeta_route(p, seed):
+    # a repeated factor and deg h >= p; y-degrees past 2p reach zeta^2 on
+    # the old route and every l < p on the new; over Q, h, the images and a
+    # carry denominators; in characteristic p the draws add D_qbreve and
+    # bhat_f, so they are not all inner
+    field = FieldSpec(p)
+    rng = random.Random(seed)
+    ctx = AhContext(repeated_factor_h(rng, field))
+    d = verify_random_derivation(rng, ctx).scale(fraction(rng, field))
+    e = verify_random_derivation(rng, ctx)
+    a = random_ah(rng, ctx, max_ydeg=2 * p + 2 if p else 5).scale(fraction(rng, field))
+    assert d.apply(a) == apply_by_yhat_zeta(d, a)
+    for w in (e.image_x, e.image_yhat):
+        assert d.apply(w) == apply_by_yhat_zeta(d, w)
+    if p:
+        assert d.image_of_zeta() == zeta_by_yhat_iterates(d)
+        assert e.image_of_zeta() == zeta_by_yhat_iterates(e)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_apply_rejects_non_members_with_the_collect_text(p):
+    # a non-member at the top y-degree, and one below a member top term that
+    # the old route eliminates first: the same degree and text on both routes
+    field = FieldSpec(p)
+    rng = random.Random(5 + p)
+    ctx = AhContext(repeated_factor_h(rng, field))
+    d = verify_random_derivation(rng, ctx)
+    x = Poly.x(field)
+    top = 2 * p + 1 if p else 4
+    member = WeylElement.from_term(ctx.h_power(top), top)
+    for bad, m in (
+        (WeylElement.from_term(x, top), top),
+        (member + WeylElement.from_term(x, top - 1), top - 1),
+        (member + WeylElement.from_term(x * ctx.h_power(1), 2), 2),
+    ):
+        text = rf"^y-degree {m} coefficient not divisible by h\^{m}: not in A_h$"
+        with pytest.raises(MembershipError, match=text):
+            d.apply(bad)
+        with pytest.raises(MembershipError, match=text):
+            apply_by_yhat_zeta(d, bad)

@@ -152,6 +152,13 @@ CASES = [
         120,
     ),
     (
+        "verify-not-free-p13-deg7",
+        ["verify", "--h", "(x+1)^5*x^2", "--char", "13", "--seed", "3"],
+        None,
+        all_passed,
+        120,
+    ),
+    (
         "verify-char0-deg35",
         ["verify", "--h", "x^10*(x-1)^7*(x^3+x+1)^4*(x^2-3)^3", "--char", "0", "--seed", "1"],
         None,

@@ -656,3 +656,32 @@ def test_digit_limit_on_each_side():
         assert message in str(e.value)
     # over GF(p), c^n mod p is small for any n
     assert parse_poly("2^1000000000000*x", GF3) == Poly.monomial(GF3, pow(2, 10**12, 3), 1)
+
+
+def test_digit_limit_where_a_coefficient_is_made():
+    # over Q each product, each step of a dense power and each sum checks the
+    # coefficients it makes: 2^14284 has 4300 digits and 2^14285 has 4301
+    assert parse_poly("2^7142*2^7142*x", QQ) == Poly.monomial(QQ, 2**14284, 1)
+    assert parse_poly("(x+2^7142)^2", QQ) == Poly(QQ, [2**14284, 2**7143, 1])
+    assert parse_poly("(1/2)^7142*(1/2)^7142", QQ) == Poly.constant(QQ, Fraction(1, 2**14284))
+    assert parse_weyl("(2^7142*y)*x", QQ) == WeylElement(
+        QQ, {1: Poly.monomial(QQ, 2**7142, 1), 0: Poly.constant(QQ, 2**7142)}
+    )
+    fours = "4" * MAX_DIGITS
+    assert parse_poly(f"{fours}*x + {fours}*x", QQ) == Poly.monomial(QQ, 2 * int(fours), 1)
+    sevens = "7" * MAX_DIGITS
+    message = f"a coefficient would take more than {MAX_DIGITS} digits"
+    for parse, text, position in [
+        (parse_poly, "2^7142*2^7143*x", 6),
+        (parse_poly, "2^14000*2^14000*x", 7),
+        (parse_poly, "(x+2^14000)^2", 12),
+        (parse_poly, "(x+2^7143)^2", 11),
+        (parse_poly, "(1/2)^7142*(1/2)^7143", 10),
+        (parse_weyl, "(2^7143*y)*(2^7142*x)", 10),
+        (parse_poly, f"{sevens}*x + {sevens}*x", MAX_DIGITS + 5),
+    ]:
+        with pytest.raises(ParseError) as e:
+            parse(text, QQ)
+        assert (str(e.value), e.value.position) == (f"{message} (at position {position})", position)
+    # over GF(p) a coefficient is below p, whatever its digits over Q
+    assert parse_poly("2^14000*2^14000*x", GF3) == Poly.monomial(GF3, pow(2, 28000, 3), 1)
