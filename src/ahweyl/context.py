@@ -21,22 +21,19 @@ consumes:
 
 Membership and normalizer tests, the one centralizer read (coordinates in
 C_{A_h}(x) = Z(A_h) F[x], of which the center coordinates are the ones in
-F[x^p]) and basis conversions live here too. The yhat-adic coordinates
-a = sum f_j yhat^j, which the automorphisms x -> x, yhat -> yhat + g read,
-come from one descending-degree elimination on raw rows, which reduces only
-the row it reads at each step. A central factor zeta^k or z(x^p, zeta)
-multiplies without a Weyl product, as a polynomial factor and a shift of
-the y-degrees (`zeta_mul`, `central_mul`), and [yhat, a] and a yhat have
-closed forms over the cached derivatives of h (`yhat_bracket`, whose row
-core `derivations` shares, and `times_yhat`, which builds the cached powers
-of yhat). The cached powers of h use h^p = h(x^p) over the prime field
-(`h_power`).
+F[x^p]) and basis conversions live here too. Elements are read only in
+the y normal form a = sum f_i y^i that they are stored in. A central factor
+zeta^k or z(x^p, zeta) multiplies without a Weyl product, as a polynomial
+factor and a shift of the y-degrees (`zeta_mul`, `central_mul`), and
+[yhat, a] has a closed form over the cached derivatives of h
+(`yhat_bracket`, whose row core `derivations` shares). The cached powers of
+h use h^p = h(x^p) over the prime field (`h_power`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, lcm
+from math import comb
 from operator import mul
 from typing import Optional
 
@@ -157,7 +154,6 @@ class AhContext:
         self._h_chain = self.field.lift(tuple(chain))
         self.x_elt = WeylElement.x_power(self.field, 1)
         self.yhat = WeylElement(self.field, {1: h, 0: h.derivative()})  # y h = h y + h'
-        self._yhat_powers = [WeylElement.one(self.field)]
         self._theta_S = None
         self._memo = {}
         self.degree_bound = None  # the normalizer levels read in characteristic p
@@ -273,23 +269,11 @@ class AhContext:
                 cache[m] = cache[m - 1] * self.h
         return cache[n]
 
-    def yhat_power(self, n: int) -> WeylElement:
-        """yhat^n, cached, each power one `times_yhat` step from the last."""
-        while len(self._yhat_powers) <= n:
-            self._yhat_powers.append(self.times_yhat(self._yhat_powers[-1]))
-        return self._yhat_powers[n]
-
     def zeta_element(self) -> WeylElement:
         """The central element h^p y^p."""
         self._require_char_p()
         p = self.p
         return WeylElement.from_term(self.h_power(p), p)
-
-    def zeta_yhat_form(self) -> WeylElement:
-        """zeta rewritten as yhat^p - (delta^p(x)/h) yhat."""
-        self._require_char_p()
-        p = self.p
-        return self.yhat_power(p) - self.yhat.poly_mul(self.zeta_hat_coeff)
 
     def a_n_element(self, n: int) -> WeylElement:
         """pi_h h^(n-1) y^n for n >= 1; n = 0 is deliberately not an element
@@ -317,41 +301,6 @@ class AhContext:
                 f"y-degree {m} coefficient not divisible by h^{m}: not in A_h"
             ) from e
 
-    def yhat_collect(self, a: WeylElement) -> list:
-        """Coefficients [f_0, f_1, ...] with a = sum f_j yhat^j, by one
-        elimination in descending y-degree m: f_m = r_m / h^m is an exact
-        division, and the rows of f_m yhat^m below its top term f_m h^m y^m
-        = r_m (checked) are subtracted. The work stays in raw rows, only the
-        top row is reduced, when it is read; over Q they are integers over a
-        running denominator, the lcm of the lift denominators of a and of
-        every f_m yhat^m."""
-        check_same_field(self.field, a.field)
-        F = self.field
-        den, terms = F.lift(a.terms)
-        rows = {i: list(r.coeffs) for i, r in terms.items()}
-        out = [Poly.zero(F)] * (a.y_degree + 1)
-        for m in range(a.y_degree, -1, -1):
-            row_m = rows.pop(m, None)
-            if row_m is None or not (r := Poly._reduced(F, row_m, den)):
-                continue
-            g = out[m] = self.over_h_power(r, m)
-            ym = self.yhat_power(m)
-            if ym.terms.get(m) != self.h_power(m) or ym.y_degree != m:
-                raise AssertionError(
-                    f"elimination at y-degree {m}: yhat^{m} has no top term h^{m} y^{m}"
-                )
-            dg, (g,) = F.lift((g,))
-            dy, below = F.lift({i: s for i, s in ym.terms.items() if i < m})
-            if den % (step := dg * dy):  # over Q: move the rows to lcm(den, step)
-                up = lcm(den, step) // den
-                for row in rows.values():
-                    row[:] = [up * c for c in row]
-                den *= up
-            gc = [-(den // step) * c for c in g.coeffs]
-            for i, s in below.items():
-                _accumulate(rows, i, gc, s.coeffs)
-        return out
-
     def zeta_mul(self, w: WeylElement, k: int, g: Optional[Poly] = None) -> WeylElement:
         """g zeta^k w (g = 1 if omitted), without a Weyl product: zeta^k =
         h^(pk) y^(pk) and y^(pk) is central in A_1, so this is
@@ -371,14 +320,6 @@ class AhContext:
                 out = out + self.zeta_mul(w, k, c.substitute_xp())
         return out
 
-    def times_yhat(self, a: WeylElement) -> WeylElement:
-        """a * yhat in closed form, without a Weyl product (`_add_times_yhat`)."""
-        check_same_field(self.field, a.field)
-        da, terms = self.field.lift(a.terms)
-        rows = {}
-        self._add_times_yhat(rows, {j: r.coeffs for j, r in terms.items()}, 0, 1)
-        return WeylElement._from_rows(self.field, rows, da * self._h_chain[0])
-
     def yhat_bracket(self, a: WeylElement) -> WeylElement:
         """[yhat, a] in closed form, without a Weyl product (`_add_yhat_bracket`)."""
         check_same_field(self.field, a.field)
@@ -391,33 +332,25 @@ class AhContext:
         """rows += [yhat, a] over the raw coefficients {j: r} of a (lifted
         over Q, so the rows are over the lift denominator times that of the
         lifted derivative chain of h). yhat r y^j = y h r y^j = (h r y +
-        (h r)') y^j, and the k = 0 term of r y^j yhat (`_add_times_yhat`) is
-        h r y^(j+1), so
+        (h r)') y^j, and r y^j yhat = r y^(j+1) h = sum_{k >= 0} C(j+1, k)
+        r h^(k) y^(j+1-k), with h^(k) the k-th derivative of h, whose k = 0
+        term is h r y^(j+1). So
 
-            [yhat, r y^j] = (h r' + h' r) y^j - sum_{k >= 1} C(j+1, k) r h^(k) y^(j+1-k)."""
+            [yhat, r y^j] = (h r' + h' r) y^j - sum_{k >= 1} C(j+1, k) r h^(k) y^(j+1-k).
+
+        The sum stops at deg h. In characteristic p, h^(k) = 0 for k >= p,
+        so Lucas' theorem gives C(j+1, k) = C((j+1) mod p, k), and the sum
+        also stops at (j+1) mod p."""
+        p = self.field.characteristic
         chain = self._h_chain[1]
         for j, rc in terms.items():
             _accumulate(rows, j, chain[0].coeffs, [i * c for i, c in enumerate(rc[1:], 1)])
             if len(chain) > 1:
                 _accumulate(rows, j, chain[1].coeffs, rc)
-        self._add_times_yhat(rows, terms, 1, -1)
-
-    def _add_times_yhat(self, rows: dict, terms: dict, first: int, sign: int) -> None:
-        """rows += sign * sum_{k >= first} C(j+1, k) r h^(k) y^(j+1-k) over the
-        raw coefficients {j: r} of the terms r y^j: the terms of r y^j yhat =
-        r y^(j+1) h, with h^(k) the k-th derivative of h. The sum stops at
-        deg h. In characteristic p, h^(k) = 0 for k >= p, so Lucas' theorem
-        gives C(j+1, k) = C((j+1) mod p, k), and the sum also stops at
-        (j+1) mod p. Over Q the derivative chain of h is lifted to integers
-        over one denominator, as in the Weyl product, so rows of lifted terms
-        are over the product of the two denominators."""
-        p = self.field.characteristic
-        chain = self._h_chain[1]
-        for j, r in terms.items():
             jp = (j + 1) % p if p else j + 1
-            for k in range(first, min(jp, len(chain) - 1) + 1):
-                b = sign * comb(jp, k)
-                _accumulate(rows, j + 1 - k, [b * c for c in chain[k].coeffs], r)
+            for k in range(1, min(jp, len(chain) - 1) + 1):
+                b = -comb(jp, k)
+                _accumulate(rows, j + 1 - k, [b * c for c in chain[k].coeffs], rc)
 
     def centralizer_x_coords(self, f: WeylElement, keep=None):
         """(g_0, g_1, ...) with f = sum_k g_k zeta^k, g_k in F[x], read in

@@ -5,20 +5,21 @@ subject to two checks: both images lie in A_h, and the existence criterion
 [D(yhat), x] + [yhat, D(x)] = d(h) holds, where d is the derivation of F[x]
 with d(x) = D(x). `apply` works in the normal form a = sum f_i y^i that
 elements are stored in, through D(y) = W / h in A_1[h^-1], one route over Q
-and GF(p); D(zeta) is `apply` on zeta. With closed forms for [yhat, a] and
-[a, x] (`AhContext.yhat_bracket`, `commutator` with the operand x) no
-general Weyl product is made. `d_on_poly`, `apply` and `criterion_defect`
-lift their operands once and sum every piece into raw rows through shared
-row cores, reducing each output row once: no intermediate Weyl element or
-element sum is formed.
+and GF(p); D(zeta) is `apply` on zeta. The automorphisms x -> x,
+yhat -> yhat + g read a in the same form, through phi(y) = y + g / h, and
+both sum the same binomial rows (`_binomial_sum`). With closed forms for
+[yhat, a] and [a, x] (`AhContext.yhat_bracket`, `commutator` with the
+operand x) no general Weyl product is made. `d_on_poly`, `_binomial_sum`
+and `criterion_defect` lift their operands once and sum every piece into
+raw rows through shared row cores, reducing each output row once: no
+intermediate Weyl element or element sum is formed.
 
 The module also provides: the special derivations D_g, bhat_x and bhat_f,
 and the A_1 derivations E_x and E_y; extension to A_1 and the constructive
 decomposition of Der(A_1) in characteristic 0; restriction to the center; the direct decompositions
 of Der(A_h), which both peel off ad_b with [b, x] = D(x) first; the
 inner-ness test `is_inner`, which decomposes D once and returns a witness
-or a certificate, each carrying that decomposition; and the one-parameter
-automorphisms x -> x, yhat -> yhat + g.
+or a certificate, each carrying that decomposition.
 """
 
 from __future__ import annotations
@@ -115,6 +116,56 @@ def _lift_elements(F, elements):
     den, images = F.lift(tuple(r for w in elements for r in w.terms.values()))
     it = iter(images)
     return den, [{i: next(it).coeffs for i in w.terms} for w in elements]
+
+
+def _binomial_sum(ctx: AhContext, a: WeylElement, images, first=None) -> WeylElement:
+    """sum_i sum_(k <= i) C(i, k) g_i h^(i-k) T_k y^(i-k) for a = sum f_i y^i
+    in A_h, with g_i = f_i / h^i, summed on raw rows and each output row
+    reduced once: the shape of D(a) (`Derivation.apply`) and of phi_g(a)
+    (`AhAlgebraMap.apply`).
+
+    `images(top)` gives [T_0, ..., T_n] for the y-degree top of a, and T_k
+    = 0 for k > n. With `first`, the k = 0 piece is first(F, rows, fc, T_0,
+    i) on the raw coefficients fc of g_i h^i = f_i instead (`_add_d_on_poly`
+    for d(f_i) y^i). The divisions f_i / h^i, in descending i, are exact iff
+    a lies in A_h: they are the membership test.
+
+    Over Q, g_i and the T_k are lifted over dg and den, and g_i h^s is built
+    as g_i times the lifted h, s times, over dg dh^s, and enters times
+    dh^(top-s). In characteristic p, Lucas skips the s with C(i, i-s) = 0,
+    and g_i h^s after a gap is one product with the cached `h_power`."""
+    F = ctx.field
+    p = F.characteristic
+    gs = {i: ctx.over_h_power(a.terms[i], i) for i in sorted(a.terms, reverse=True)}
+    if not gs:
+        return WeylElement.zero(F)
+    top = max(gs)
+    den, terms = _lift_elements(F, images(top))
+    dg, lifted = F.lift(tuple(gs.values()))
+    dh, chain = ctx._h_chain
+    hc = chain[0].coeffs
+    rows = {}
+    for (i, g), gc in zip(gs.items(), lifted):
+        t, at = gc.coeffs, 0  # g h^at, raw over dg dh^at
+        for k in range(min(i, len(terms) - 1), -1, -1):
+            s = i - k
+            b = comb(i, k) % p if p else comb(i, k)
+            if not b:
+                continue
+            if s == at + 1:
+                step = [0] * (len(t) + len(hc) - 1)
+                _convolve(step, t, hc)
+                t = [c % p for c in step] if p else step
+            elif s != at:  # a gap, in characteristic p only
+                t = (g * ctx.h_power(s)).coeffs
+            at, scale = s, b * dh ** (top - s)
+            bt = [scale * c for c in t]
+            if k or first is None:
+                for j, r in terms[k].items():
+                    _accumulate(rows, j + s, bt, r)
+            else:
+                first(F, rows, bt, terms[0], i)
+    return WeylElement._from_rows(F, rows, dg * den * dh**top)
 
 
 class Derivation:
@@ -266,51 +317,18 @@ class Derivation:
                  + sum_{l < i} C(i, l+1) g_i h^(i-1-l) P_l y^(i-1-l),
 
         with g_i = f_i / h^i. Every term is a polynomial, as f_i c_l =
-        (f_i / h^(l+1)) P_l and h^(l+1) divides f_i = g_i h^i for i > l. The
-        divisions f_i / h^i are exact iff a lies in A_h: they are the
-        membership test. Only integer binomials enter, so this holds in
-        characteristic p, where c_l = 0 for l >= p, as d^p is a derivation
-        of F(x) that kills x; so there l < min(i, p).
+        (f_i / h^(l+1)) P_l and h^(l+1) divides f_i = g_i h^i for i > l.
+        Only integer binomials enter, so this holds in characteristic p,
+        where c_l = 0 for l >= p, as d^p is a derivation of F(x) that kills
+        x; so there l < min(i, p). With k = l + 1 this is `_binomial_sum`
+        over T_k = P_(k-1), whose k = 0 piece is d(f_i) y^i."""
+        p = self.context.field.characteristic
 
-        The terms are summed on raw rows, each output row reduced once. Over
-        Q, g_i and D(x), P_l are lifted over dg and den, and g_i h^s is
-        built as g_i times the lifted h, s times, over dg dh^s, and enters
-        times dh^(top-s). In characteristic p, Lucas skips values of s, and
-        g_i h^s after a gap is one product with the cached `h_power`."""
-        ctx = self.context
-        F = ctx.field
-        p = F.characteristic
-        gs = {i: ctx.over_h_power(a.terms[i], i) for i in sorted(a.terms, reverse=True)}
-        if not gs:
-            return WeylElement.zero(F)
-        top = max(gs)
-        count = min(top, p) if p else top  # c_l = 0 for l >= p
-        den, (u, *numerators) = _lift_elements(F, [self.image_x, *self._dy_numerators(count)[:count]])
-        dg, lifted = F.lift(tuple(gs.values()))
-        dh, chain = ctx._h_chain
-        hc = chain[0].coeffs
-        rows = {}
-        for (i, g), gc in zip(gs.items(), lifted):
-            t, at = gc.coeffs, 0  # g h^at, raw over dg dh^at
-            for l in range(min(i, p) - 1 if p else i - 1, -2, -1):  # l = -1: d(f_i) y^i
-                s = i - 1 - l
-                b = comb(i, l + 1) % p if p else comb(i, l + 1)
-                if not b:
-                    continue
-                if s == at + 1:
-                    step = [0] * (len(t) + len(hc) - 1)
-                    _convolve(step, t, hc)
-                    t = [c % p for c in step] if p else step
-                elif s != at:  # a gap, in characteristic p only
-                    t = (g * ctx.h_power(s)).coeffs
-                at, scale = s, b * dh ** (top - s)
-                bt = [scale * c for c in t]
-                if l < 0:
-                    _add_d_on_poly(F, rows, bt, u, i)
-                else:
-                    for j, r in numerators[l].items():
-                        _accumulate(rows, j + s, bt, r)
-        return WeylElement._from_rows(F, rows, dg * den * dh**top)
+        def images(top):
+            count = min(top, p) if p else top  # c_l = 0 for l >= p
+            return [self.image_x, *self._dy_numerators(count)[:count]]
+
+        return _binomial_sum(self.context, a, images, _add_d_on_poly)
 
     def bracket(self, other: "Derivation") -> "Derivation":
         """[D, E] as a derivation: images D(E(x)) - E(D(x)), same on yhat."""
@@ -799,12 +817,27 @@ class AhAlgebraMap:
         return self.context.yhat + WeylElement.from_poly(self.g)
 
     def apply(self, a: WeylElement) -> WeylElement:
+        """phi_g(a) for a = sum f_i y^i in A_h, in the normal form it is
+        stored in.
+
+        phi fixes h, so phi(y) = y + c with c = g / h in A_1[h^-1], where
+        ad y is d/dx. By induction on i, (y + c)^i = sum_k C(i, k) Y_k
+        y^(i-k) with Y_0 = 1 and Y_(k+1) = Y_k' + c Y_k, and Y_k = N_k / h^k
+        with N_0 = 1, N_(k+1) = h N_k' - k h' N_k + g N_k. So
+
+            phi(a) = sum_i sum_(k <= i) C(i, k) g_i h^(i-k) N_k y^(i-k),
+
+        with g_i = f_i / h^i: `_binomial_sum` over T_k = N_k. Only integer
+        binomials enter, so this holds in characteristic p too, where N_k
+        need not vanish for k >= p."""
         ctx = self.context
-        out = WeylElement.zero(ctx.field)
-        img = self.image_yhat
-        power = WeylElement.one(ctx.field)
-        for j, f in enumerate(ctx.yhat_collect(a)):
-            if not f.is_zero():
-                out = out + power.poly_mul(f)
-            power = power * img
-        return out
+        h, hp = ctx.h, ctx.h.derivative()
+
+        def images(top):
+            numerators = [Poly.one(ctx.field)]
+            for k in range(top):
+                n = numerators[-1]
+                numerators.append(h * n.derivative() + (self.g - hp.scale(k)) * n)
+            return [WeylElement.from_poly(n) for n in numerators]
+
+        return _binomial_sum(ctx, a, images)

@@ -13,12 +13,12 @@ of `poly`, `weyl`, `centerpoly` and `linalg` compute on raw values and call
 place they learn the characteristic. `coerce` validates outside input.
 
 The product loops (`Poly.__mul__`, the Weyl product, `d_on_poly` and the
-closed forms `times_yhat` and `yhat_bracket`), the division
-`Poly.__divmod__`, and the routes that sum raw rows across a whole
-computation (`Derivation.apply` with its cached numerators of D(y),
-`Derivation.criterion_defect` and the elimination `AhContext.yhat_collect`)
-first pass their operands through `FieldSpec.lift`. Over Q it clears denominators:
-it returns the lcm `den` of every coefficient denominator and integer
+closed form `yhat_bracket`), the division `Poly.__divmod__`, and the routes
+that sum raw rows across a whole computation (the binomial sum that
+`Derivation.apply`, with its cached numerators of D(y), and
+`AhAlgebraMap.apply` share, and `Derivation.criterion_defect`) first pass
+their operands through `FieldSpec.lift`. Over Q it clears denominators: it
+returns the lcm `den` of every coefficient denominator and integer
 images `c.numerator * (den // c.denominator)`, so the loops run on Python
 ints, and `reduce(values, den)` turns each raw integer back into
 `Fraction(v, den)`, one division per output coefficient. Division

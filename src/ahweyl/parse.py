@@ -54,7 +54,7 @@ from fractions import Fraction
 from .centerpoly import CenterPoly
 from .context import AhContext, NotCentralizing
 from .fields import FieldSpec
-from .poly import Poly
+from .poly import _DIGITS_BOUND, MAX_DIGITS, Poly
 from .weyl import WeylElement
 
 
@@ -62,12 +62,6 @@ from .weyl import WeylElement
 #: 200006 of zeta that analyze prints for h = x^2+1 at p = 100003. A dense
 #: row of this degree takes 8 MB.
 MAX_DEGREE = 10**6
-
-#: Most decimal digits in a number literal, and in the numerator or the
-#: denominator of any coefficient over Q: the longest integer that Python's
-#: `int()` reads from text, and `str()` writes, by default.
-MAX_DIGITS = 4300
-_DIGITS_BOUND = 10**MAX_DIGITS  # the least integer with more digits
 
 #: Largest dense size of a parsed value or of an operand of a reordering
 #: product: the sum over its rows of (row x-degree + 1). Two rows of degree

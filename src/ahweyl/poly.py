@@ -43,6 +43,13 @@ from .fields import ExactDivisionError, FieldSpec, check_same_field
 #: Degree of the zero polynomial; compares below every integer degree.
 NEG_INF = float("-inf")
 
+#: Most decimal digits in a number literal, and in the numerator or the
+#: denominator of any coefficient over Q: the longest integer that Python's
+#: `int()` reads from text, and `str()` writes, by default. The parser
+#: refuses longer input, and `to_text` a longer computed coefficient.
+MAX_DIGITS = 4300
+_DIGITS_BOUND = 10**MAX_DIGITS  # the least integer with more digits
+
 
 @dataclass(frozen=True)
 class NotIntegrable:
@@ -489,12 +496,20 @@ def _scalar_is_negative(c) -> bool:
 
 
 def _term_text(mag, i: int, var: str) -> str:
+    """The text of the term mag * var^i, for a scalar mag >= 0: the one
+    place a coefficient becomes text. A numerator or a denominator of more
+    than `MAX_DIGITS` digits is a ValueError that names the limit."""
+    num, den = mag.numerator, mag.denominator
+    if num >= _DIGITS_BOUND or den >= _DIGITS_BOUND:
+        raise ValueError(
+            f"a computed coefficient takes more than {MAX_DIGITS} digits, the limit for printing"
+        )
     if i == 0:
-        return str(mag)
+        return str(num) if den == 1 else f"{num}/{den}"
     xpart = var if i == 1 else f"{var}^{i}"
-    if mag == 1:
-        return xpart
-    return f"{mag}*{xpart}"
+    if den == 1:
+        return xpart if num == 1 else f"{num}*{xpart}"
+    return f"{num}/{den}*{xpart}"
 
 
 def _yun(f: Poly):

@@ -362,10 +362,12 @@ def check_membership_closure(ctx, rng, n=10):
 def check_zeta(ctx, rng, n=0):
     res = PropertyResult("zeta: three forms agree and are central")
     z = ctx.zeta_element()
-    ok = ctx.zeta_yhat_form() == z
-    prod = ctx.yhat
+    # yhat^p - (delta^p(x)/h) yhat, and yhat (yhat + h') ... (yhat + (p-1) h')
+    power = prod = ctx.yhat
     for k in range(1, ctx.p):
+        power = power * ctx.yhat
         prod = prod * (ctx.yhat + WeylElement.from_poly(ctx.h.derivative().scale(k)))
+    ok = power - ctx.yhat.poly_mul(ctx.zeta_hat_coeff) == z
     ok = ok and prod == z
     ok = ok and commutator(z, ctx.x_elt).is_zero()
     ok = ok and commutator(z, ctx.yhat).is_zero()

@@ -95,6 +95,32 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize(
+        "argv,stdin_text",
+        [
+            # phi(yhat^2) carries g^2 = 10^5000
+            (["exp-aut", "--h", "x", "--char", "0", "--g", "10^2500", "--element", "x^2*y^2"], ""),
+            # the bracket's coefficients carry 3^16000
+            (
+                ["bracket", "--h", "x^2", "--char", "0"],
+                json.dumps(
+                    {
+                        "left": {"Dx": "-3^8000*x^2", "Dyhat": "-3^8000*2*x^2"},
+                        "right": {"Dx": "0", "Dyhat": "3^8000*x^3"},
+                    }
+                ),
+            ),
+        ],
+    )
+    def test_domain_error_computed_coefficient_over_the_digit_limit(self, argv, stdin_text, capsys):
+        for output in ("text", "json"):
+            code, out, err = run_cli([*argv, "--output", output], stdin_text=stdin_text, capsys=capsys)
+            assert code == 1 and out == ""
+            assert err == (
+                "error (domain error): a computed coefficient takes more than 4300 digits,"
+                " the limit for printing\n"
+            )
+
+    @pytest.mark.parametrize(
         "extra,message",
         [
             (["--h", "x^\u00b2"], "unexpected character '\u00b2' (at position 2)"),
@@ -275,6 +301,19 @@ class TestGolden:
                 "bracket_frac_lc_char0.txt",
                 ["bracket", "--h=-3/2*x^2*(x+1)^3", "--char", "0"],
                 json.dumps(BRACKET_FRAC_LC_PAIR),
+            ),
+            (
+                "exp_aut_x2_char0.txt",
+                ["exp-aut", "--h", "x^2", "--char", "0", "--g", "x+1", "--element", "x^2*y"],
+                "",
+            ),
+            (
+                "exp_aut_x3x1sq_char5.txt",
+                [
+                    "exp-aut", "--h", "x^3*(x+1)^2", "--char", "5", "--g", "x^2+2",
+                    "--element", "(y*(x^3*(x+1)^2) + x)^7",
+                ],
+                "",
             ),
         ],
     )

@@ -25,7 +25,7 @@ from ahweyl.poly import Poly
 from ahweyl.weyl import WeylElement, commutator
 from test_derivations import fraction, random_derivation, random_h, random_weyl
 from test_derivations import zbasis_collect  # the center-basis oracle
-from test_derivations import yhat_zeta_collect  # the yhat-zeta oracle
+from test_derivations import yhat_power, yhat_zeta_collect  # the yhat and yhat-zeta oracles
 from test_hochschild import split_center_commutator
 
 GF2 = FieldSpec(2)
@@ -215,7 +215,7 @@ class TestYhatBasis:
         want = WeylElement(
             QQ, {2: xn(QQ, 2), 1: Poly.monomial(QQ, 3, 1), 0: Poly.one(QQ)}
         )
-        assert ctx.yhat_power(2) == want
+        assert ctx.yhat * ctx.yhat == want
 
     @pytest.mark.parametrize("field,h", [(QQ, (0, 0, 1)), (GF3, (0, 1)), (GF2, (1, 1))])
     def test_collect_roundtrip(self, field, h):
@@ -223,17 +223,18 @@ class TestYhatBasis:
         rng = random.Random(14)
         for _ in range(10):
             coeffs = [random_poly(rng, field, 4) for _ in range(rng.randrange(1, 5))]
-            assert ctx.yhat_collect(yhat_expand(ctx, coeffs)) == _trim(coeffs, field)
+            want = {(j, 0): f for j, f in enumerate(coeffs) if f}
+            assert yhat_zeta_collect(ctx, yhat_expand(ctx, coeffs), 0) == want
 
     def test_collect_rejects_non_members(self):
         ctx = AhContext(xn(QQ, 2))
         y = WeylElement.y_power(QQ, 1)
         text = r"^y-degree 1 coefficient not divisible by h\^1: not in A_h$"
         with pytest.raises(MembershipError, match=text):
-            ctx.yhat_collect(y)
+            yhat_zeta_collect(ctx, y, 0)
         # the top row divides and is eliminated; the row below it does not
         with pytest.raises(MembershipError, match=text):
-            ctx.yhat_collect(ctx.yhat_power(2) + y)
+            yhat_zeta_collect(ctx, ctx.yhat * ctx.yhat + y, 0)
 
     def test_collect_moves_rows_to_the_denominator_of_g(self):
         # a = yhat/2 = (x + 1) y + 1 over h = 2x + 2 has integer coefficients,
@@ -241,7 +242,7 @@ class TestYhatBasis:
         ctx = AhContext(P(QQ, 2, 2))
         a = ctx.yhat.scale(Fraction(1, 2))
         assert a == WeylElement(QQ, {1: P(QQ, 1, 1), 0: P(QQ, 1)})
-        assert ctx.yhat_collect(a) == [Poly.zero(QQ), P(QQ, Fraction(1, 2))]
+        assert yhat_zeta_collect(ctx, a, 0) == {(1, 0): P(QQ, Fraction(1, 2))}
         assert collect_by_elements(ctx, a, 0) == {(1, 0): P(QQ, Fraction(1, 2))}
 
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -277,16 +278,9 @@ class TestYhatBasis:
                 for (i, j), z in coords.items():
                     assert 0 <= i < field.p and 0 <= j < field.p
                     back = back + (
-                        ctx.central_mul(z, WeylElement.from_poly(xn(field, i))) * ctx.yhat_power(j)
+                        ctx.central_mul(z, WeylElement.from_poly(xn(field, i))) * yhat_power(ctx, j)
                     )
                 assert back == a
-
-
-def _trim(coeffs, field):
-    out = list(coeffs)
-    while out and out[-1].is_zero():
-        out.pop()
-    return out
 
 
 def yhat_expand(ctx, coefficients):
@@ -294,8 +288,13 @@ def yhat_expand(ctx, coefficients):
     out = WeylElement.zero(ctx.field)
     for j, f in enumerate(coefficients):
         if not f.is_zero():
-            out = out + ctx.yhat_power(j).poly_mul(f)
+            out = out + yhat_power(ctx, j).poly_mul(f)
     return out
+
+
+def zeta_yhat_form(ctx):
+    """zeta as yhat^p - (delta^p(x)/h) yhat, yhat^p by general Weyl products."""
+    return yhat_power(ctx, ctx.p) - ctx.yhat.poly_mul(ctx.zeta_hat_coeff)
 
 
 def delta_p_of_x(ctx):
@@ -415,7 +414,7 @@ class TestZeta:
         ctx = AhContext(Poly.x(GF2))
         z = ctx.zeta_element()
         assert z == WeylElement.from_term(xn(GF2, 2), 2)
-        assert ctx.zeta_yhat_form() == z
+        assert zeta_yhat_form(ctx) == z
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("h_coeffs", [(1,), (0, 1), (0, 0, 1), (1, 0, 1)])
@@ -423,7 +422,7 @@ class TestZeta:
         field = FieldSpec(p)
         ctx = AhContext(Poly(field, h_coeffs))
         z = ctx.zeta_element()
-        assert ctx.zeta_yhat_form() == z
+        assert zeta_yhat_form(ctx) == z
         # product formula yhat (yhat + h') (yhat + 2h') ... (yhat + (p-1)h')
         prod = ctx.yhat
         for k in range(1, p):
@@ -1054,34 +1053,29 @@ def collect_by_elements(ctx, a, period):
                 f"y-degree {m} coefficient not divisible by h^{m}: not in A_h"
             ) from e
         out[j, k] = g
-        work = work - ctx.zeta_mul(ctx.yhat_power(j), k, g)
+        work = work - ctx.zeta_mul(yhat_power(ctx, j), k, g)
         assert not work or work.y_degree < m
     return out
-
-
-def yhat_coords(ctx, a):
-    """`AhContext.yhat_collect` as {(j, 0): f_j} over the nonzero f_j."""
-    return {(j, 0): f for j, f in enumerate(ctx.yhat_collect(a)) if f}
 
 
 @given(p=st.sampled_from([0, 2, 3, 5, 7]), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_raw_collect_matches_element_route(p, seed):
-    # the raw eliminations: `yhat_collect` and the yhat-zeta oracle of
-    # `apply_by_yhat_zeta`; y-degrees past 2p reach zeta^k with k >= 2; over
-    # Q, h and a carry denominators; a non-member fails at the same degree
-    # with the same text
+    # the raw eliminations of the yhat-zeta oracle, with period 0 (the yhat
+    # coordinates of `aut_by_yhat_coordinates`) and p (`apply_by_yhat_zeta`);
+    # y-degrees past 2p reach zeta^k with k >= 2; over Q, h and a carry
+    # denominators; a non-member fails at the same degree with the same text
     field = FieldSpec(p)
     rng = random.Random(seed)
     ctx = AhContext(random_h(rng, field, 1))
     a = random_ah(rng, ctx, max_ydeg=2 * p + 2 if p else 5).scale(fraction(rng, field))
     b = a + random_weyl(rng, field, 2 * p + 2 if p else 5, 3).scale(fraction(rng, field))
     for c in (a, b):
-        for period, collect in ((0, yhat_coords), (p, yhat_zeta_collect)):
+        for period in (0, p):
             try:
                 want = collect_by_elements(ctx, c, period)
             except MembershipError as e:
                 with pytest.raises(MembershipError, match=f"^{re.escape(str(e))}$"):
-                    collect(ctx, c)
+                    yhat_zeta_collect(ctx, c, period)
             else:
-                assert collect(ctx, c) == want
+                assert yhat_zeta_collect(ctx, c, period) == want

@@ -1,6 +1,7 @@
 """Derivations of A_h and A_1: construction, application, decompositions."""
 
 import random
+import re
 from collections import defaultdict
 from fractions import Fraction
 from math import comb, lcm
@@ -887,6 +888,46 @@ class TestAutExp:
         assert phi.apply(a * b) == phi.apply(a) * phi.apply(b)
 
 
+def aut_by_yhat_coordinates(phi, a):
+    """Oracle: phi_g(a) by the route `AhAlgebraMap.apply` replaced: the yhat
+    coordinates a = sum f_j yhat^j (`yhat_zeta_collect` with period 0),
+    then sum f_j (yhat + g)^j by general Weyl products."""
+    ctx = phi.context
+    coords = yhat_zeta_collect(ctx, a, 0)
+    out = WeylElement.zero(ctx.field)
+    power = WeylElement.one(ctx.field)
+    for j in range(max((j for j, _ in coords), default=-1) + 1):
+        if (j, 0) in coords:
+            out = out + power.poly_mul(coords[j, 0])
+        power = power * phi.image_yhat
+    return out
+
+
+@given(p=st.sampled_from([0, 2, 3, 5, 7]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_aut_matches_yhat_coordinate_route(p, seed):
+    # h = f^m q has repeated factors, and y-degrees past 2p reach k >= p,
+    # where N_k need not vanish and Lucas skips the zero binomials C(i, k)
+    field = FieldSpec(p)
+    rng = random.Random(seed)
+    f = Poly(field, [rng.randrange(p or 5), 1])
+    ctx = AhContext(f ** rng.choice([2, 3]) * random_h(rng, field, 0))
+    top = 2 * p + 2 if p else 5
+    a = random_ah(rng, ctx, max_ydeg=top, max_xdeg=3).scale(fraction(rng, field))
+    b = random_ah(rng, ctx, max_ydeg=p + 1 if p else 3)
+    g, e = random_h(rng, field, 0), random_h(rng, field, 1)
+    phi = AhAlgebraMap(g, ctx)
+    got = phi.apply(a)
+    assert got == aut_by_yhat_coordinates(phi, a)
+    assert AhAlgebraMap(e, ctx).apply(got) == AhAlgebraMap(e + g, ctx).apply(a)
+    assert phi.apply(a * b) == got * phi.apply(b)
+    bad = a + WeylElement.from_term(Poly.one(field), rng.randrange(1, top + 1))
+    with pytest.raises(MembershipError) as want:
+        aut_by_yhat_coordinates(phi, bad)
+    with pytest.raises(MembershipError, match=f"^{re.escape(str(want.value))}$"):
+        phi.apply(bad)
+
+
 # -- D(yhat^j), D(zeta), D(x^p) and h^n against their defining sums ---------------------
 
 
@@ -1177,9 +1218,6 @@ def test_yhat_zeta_coordinates_rebuild_the_element(p, coeffs, seed):
         zeta_k = repeated_product(ctx.zeta_element(), k) if k else WeylElement.one(ctx.field)
         back = back + WeylElement.from_poly(g) * zeta_k * repeated_product(ctx.yhat, j)
     assert back == a
-    if not p:
-        fs = ctx.yhat_collect(a)
-        assert coords == {(j, 0): f for j, f in enumerate(fs) if f}
 
 
 def random_h(rng, field, min_deg):
@@ -1208,24 +1246,6 @@ def test_closed_form_brackets_match_commutators(p, seed):
     assert commutator(a, x) == a * x - x * a == -commutator(x, a)
 
 
-@given(p=st.sampled_from([0, 2, 3, 5, 7]), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_times_yhat_and_yhat_powers_match_products(p, seed):
-    # a term at y-degree p - 1 and y-degrees past 2p reach j + 1 = 0 mod p,
-    # where Lucas leaves only the k = 0 term
-    field = FieldSpec(p)
-    rng = random.Random(seed)
-    ctx = AhContext(random_h(rng, field, max(p, 2)))
-    top = 2 * p + 3 if p else 6
-    a = random_weyl(rng, field, top, 4)
-    a = a + WeylElement.from_term(random_h(rng, field, 0), max(p, 1) - 1)
-    if field.is_char_zero:
-        a = a.poly_mul(Poly.constant(field, Fraction(1, rng.choice([1, 2, 6]))))
-    assert ctx.times_yhat(a) == a * ctx.yhat
-    for n in range(top, -1, -1):
-        assert ctx.yhat_power(n) == repeated_product(ctx.yhat, n)
-
-
 @pytest.mark.parametrize("p", [0, 2, 3, 5])
 def test_apply_and_bracket_make_no_weyl_product(p, monkeypatch):
     field = FieldSpec(p)
@@ -1234,6 +1254,7 @@ def test_apply_and_bracket_make_no_weyl_product(p, monkeypatch):
     d = verify_random_derivation(rng, ctx)
     e = verify_random_derivation(rng, ctx)
     a = random_ah(rng, ctx, max_ydeg=2 * p + 2 if p else 5)
+    phi = AhAlgebraMap(random_h(rng, field, 2), ctx)
     calls = []
     product = WeylElement.__mul__
 
@@ -1247,9 +1268,9 @@ def test_apply_and_bracket_make_no_weyl_product(p, monkeypatch):
     is_inner(d)
     if p:
         d.image_of_zeta()
+    phi.apply(a)
     monkeypatch.undo()
     assert not calls
-    assert len(ctx._yhat_powers) == 1  # no power of yhat was built
     # with the numerators P_l and D(zeta) warm, apply and the criterion sum
     # raw rows: no element sum and no left multiplication by a polynomial
     sums = []
@@ -1267,9 +1288,11 @@ def test_apply_and_bracket_make_no_weyl_product(p, monkeypatch):
         monkeypatch.setattr(WeylElement, name, counting(name))
     got = d.apply(a)
     defect = d.criterion_defect()
+    image = phi.apply(a)
     monkeypatch.undo()
     assert not sums
     assert got == apply_by_elements(d, a) and defect.is_zero()
+    assert image == aut_by_yhat_coordinates(phi, a)
 
 
 @given(
@@ -1315,8 +1338,7 @@ def decompose_Ah_char0_via_A1(d):
     there (all inner), and normalize the a_n coefficients."""
     ctx = d.context
     F = ctx.field
-    fs = ctx.yhat_collect(d.image_yhat)
-    r0 = fs[0] if fs else Poly.zero(F)
+    r0 = yhat_zeta_collect(ctx, d.image_yhat).get((0, 0), Poly.zero(F))
     q, g = divmod(r0, ctx.h)
     a = (d.image_yhat - WeylElement.from_poly(r0)).right_div_exact(ctx.h)
     b = d_on_poly(ctx.h, d.image_x).right_div_exact(ctx.h)
@@ -1373,17 +1395,28 @@ def test_split_ad_x_inverts_the_bracket_with_x(p, seed):
 # -- apply against the yhat-zeta route it replaced, and the element-level routes -------------
 
 
-def yhat_zeta_collect(ctx, a):
-    """Oracle: {(j, k): g_jk} with a = sum g_jk zeta^k yhat^j, every g_jk
-    nonzero in F[x], j < p in characteristic p and k = 0 over Q.
+def yhat_power(ctx, n):
+    """Oracle: yhat^n by general Weyl products, each from the last, kept
+    per context."""
+    return ctx.memo(
+        ("oracle yhat power", n),
+        lambda: yhat_power(ctx, n - 1) * ctx.yhat if n else WeylElement.one(ctx.field),
+    )
 
-    One elimination on raw rows, by descending y-degree m = p k + j (k = 0
-    over Q): g = r_m / h^m is an exact division, which raises
-    MembershipError for an a outside A_h, and the rows of g zeta^k yhat^j
-    below its top term g h^m y^m = r_m are subtracted. Over Q the rows are
-    integers over a running denominator."""
+
+def yhat_zeta_collect(ctx, a, period=None):
+    """Oracle: {(j, k): g_jk} with a = sum g_jk zeta^k yhat^j, every g_jk
+    nonzero in F[x], j < p in characteristic p and k = 0 over Q. With
+    period 0 it reads the yhat coordinates a = sum g_j0 yhat^j in any
+    characteristic.
+
+    One elimination on raw rows, by descending y-degree m = period k + j
+    (k = 0 for period 0; period is p if omitted): g = r_m / h^m is an
+    exact division, which raises MembershipError for an a outside A_h, and
+    the rows of g zeta^k yhat^j below its top term g h^m y^m = r_m are
+    subtracted. Over Q the rows are integers over a running denominator."""
     F = ctx.field
-    p = F.characteristic
+    p = F.characteristic if period is None else period
     den, terms = F.lift(a.terms)
     rows = {i: list(r.coeffs) for i, r in terms.items()}
     out = {}
@@ -1399,7 +1432,7 @@ def yhat_zeta_collect(ctx, a):
                 f"y-degree {m} coefficient not divisible by h^{m}: not in A_h"
             ) from e
         out[j, k] = g
-        yj = ctx.yhat_power(j)
+        yj = yhat_power(ctx, j)
         assert yj.terms.get(j) == ctx.h_power(j) and yj.y_degree == j
         if n := p * k:
             g = g * ctx.h_power(n)
@@ -1432,7 +1465,21 @@ def zeta_by_yhat_iterates(d):
     ctx = d.context
     c = ctx.zeta_hat_coeff
     out = yhat_iterates(d, ctx.p)[ctx.p - 1]
-    return out - ctx.times_yhat(d_on_poly(c, d.image_x)) - d.image_yhat.poly_mul(c)
+    return out - d_on_poly(c, d.image_x) * ctx.yhat - d.image_yhat.poly_mul(c)
+
+
+def add_times_yhat(ctx, rows, terms):
+    """Oracle: rows += a yhat over the raw coefficients {j: r} of a, lifted
+    over Q, so the rows are over the lift denominator times that of the
+    lifted derivative chain of h: r y^j yhat = r y^(j+1) h = sum_k
+    C(j+1, k) r h^(k) y^(j+1-k), the sum stopping at deg h, and in
+    characteristic p at (j+1) mod p (Lucas)."""
+    p = ctx.field.characteristic
+    chain = ctx._h_chain[1]
+    for j, r in terms.items():
+        jp = (j + 1) % p if p else j + 1
+        for k in range(min(jp, len(chain) - 1) + 1):
+            _accumulate(rows, j + 1 - k, [comb(jp, k) * c for c in chain[k].coeffs], r)
 
 
 def apply_by_yhat_zeta(d, a):
@@ -1479,7 +1526,7 @@ def apply_by_yhat_zeta(d, a):
     out = {}
     for m in range(top, -1, -1):
         step = {}
-        ctx._add_times_yhat(step, out, 0, 1)
+        add_times_yhat(ctx, step, out)
         scale = [dh ** (top - m)]
         for i, r in w[m].items():
             _accumulate(step, i, scale, r)
@@ -1490,7 +1537,7 @@ def apply_by_yhat_zeta(d, a):
 def apply_by_elements(d, a):
     """Oracle: `apply_by_yhat_zeta` summed as Weyl elements, each piece and
     each Horner step reduced: d(g), k g D(zeta) and C(j, l+1) g c_l by
-    `poly_mul`, each (m, k) sum by `zeta_mul`, Horner by `times_yhat`."""
+    `poly_mul`, each (m, k) sum by `zeta_mul`, Horner by products with yhat."""
     ctx = d.context
     F = ctx.field
     coords = yhat_zeta_collect(ctx, a)
@@ -1508,7 +1555,7 @@ def apply_by_elements(d, a):
         w[m] = w[m] + ctx.zeta_mul(sum(pieces, WeylElement.zero(F)), k)
     out = WeylElement.zero(F)
     for m in range(top, -1, -1):
-        out = ctx.times_yhat(out) + w[m]
+        out = out * ctx.yhat + w[m]
     return out
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from ahweyl import QQ, AhContext, D_g, WeylElement, ad, parse_poly
+from ahweyl import QQ, AhContext, D_g, FieldSpec, WeylElement, ad, parse_poly, parse_weyl
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -72,6 +72,16 @@ def ad_term_plus_a_n(h, r, k, n, g=None):
         return json.dumps({"Dx": str(d.image_x), "Dyhat": str(d.image_yhat)})
 
     return build
+
+
+def element_image(text, p):
+    """exp-aut: the image of the element is `text`, read in characteristic p."""
+
+    def check(out):
+        F = FieldSpec(p)
+        return parse_weyl(out["element_image"], F) == parse_weyl(text, F)
+
+    return check
 
 
 CASES = [
@@ -164,6 +174,17 @@ CASES = [
         None,
         all_passed,
         120,
+    ),
+    (
+        # phi_g(yhat + x) = yhat + x + g, and the parser's Weyl product forms the power
+        "exp-aut-y30-p13",
+        [
+            "exp-aut", "--h", "(x+1)^5*x^2", "--char", "13", "--g", "x^2+3*x+1",
+            "--element", "(y*((x+1)^5*x^2) + x)^30",
+        ],
+        None,
+        element_image("(y*((x+1)^5*x^2) + x + x^2+3*x+1)^30", 13),
+        10,
     ),
 ]
 
