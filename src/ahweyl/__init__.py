@@ -24,9 +24,9 @@ from .context import (
     NotCentralizing,
     pi_of,
     varrho_of,
+    weyl_context,
 )
 from .derivations import (
-    A1Images,
     AhAlgebraMap,
     CenterDerivation,
     D_g,
@@ -42,7 +42,6 @@ from .derivations import (
     ad_ra_n,
     bhat_f,
     bhat_x,
-    decompose_A1_char0,
     decompose_Ah_char0,
     decompose_Ah_charp,
     ex_apply,
@@ -74,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AhAlgebraMap",
     "AhContext",
-    "A1Images",
     "CenterDerivation",
     "CenterPoly",
     "D_g",
@@ -112,7 +110,6 @@ __all__ = [
     "canonical_class_char0",
     "center_HH1_char0",
     "commutator",
-    "decompose_A1_char0",
     "decompose_Ah_char0",
     "decompose_Ah_charp",
     "ex_apply",
@@ -131,4 +128,5 @@ __all__ = [
     "structure_report_char0",
     "varpi",
     "varrho_of",
+    "weyl_context",
 ]

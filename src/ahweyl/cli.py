@@ -482,10 +482,7 @@ def cmd_exp_aut(args) -> dict:
         "image_yhat": str(phi.image_yhat),
     }
     if args.element is not None:
-        a = parse_weyl(args.element, ctx.field)
-        if not ctx.ah_membership(a):
-            raise MembershipError(f"{a} is not in A_h")
-        payload["element_image"] = str(phi.apply(a))
+        payload["element_image"] = str(phi.apply(parse_weyl(args.element, ctx.field)))
     return payload
 
 

@@ -28,11 +28,17 @@ factor and a shift of the y-degrees (`zeta_mul`, `central_mul`), and
 [yhat, a] has a closed form over the cached derivatives of h
 (`yhat_bracket`, whose row core `derivations` shares). The cached powers of
 h use h^p = h(x^p) over the prime field (`h_power`).
+
+A_1 is itself the member at h = 1, where yhat = y and every element lies
+in A_h: `weyl_context(field)` is that context, one per field, over which
+the derivations of A_1 (E_x, E_y, the extensions of derivations of A_h)
+are `Derivation`s like any other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 from operator import mul
 from typing import Optional
@@ -521,3 +527,9 @@ class AhContext:
 
     def __repr__(self):
         return f"AhContext(h={self.h.to_text()!r}, field={self.field})"
+
+
+@cache
+def weyl_context(field) -> AhContext:
+    """A_1 as its member A_h at h = 1 (yhat = y), built once per field."""
+    return AhContext(Poly.one(field))

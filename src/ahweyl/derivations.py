@@ -14,12 +14,14 @@ and `criterion_defect` lift their operands once and sum every piece into
 raw rows through shared row cores, reducing each output row once: no
 intermediate Weyl element or element sum is formed.
 
-The module also provides: the special derivations D_g, bhat_x and bhat_f,
-and the A_1 derivations E_x and E_y; extension to A_1 and the constructive
-decomposition of Der(A_1) in characteristic 0; restriction to the center; the direct decompositions
-of Der(A_h), which both peel off ad_b with [b, x] = D(x) first; the
-inner-ness test `is_inner`, which decomposes D once and returns a witness
-or a certificate, each carrying that decomposition.
+The module also provides: the special derivations D_g, bhat_x and bhat_f;
+the A_1 derivations E_x and E_y and the extension to A_1, which are
+`Derivation`s over A_1 read as A_h at h = 1 (`weyl_context`), so that
+`is_inner` there decomposes Der(A_1) in characteristic 0; restriction to
+the center; the direct decompositions of Der(A_h), which both peel off ad_b
+with [b, x] = D(x) first; the inner-ness test `is_inner`, which decomposes
+D once and returns a witness or a certificate, each carrying that
+decomposition.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from math import comb
 from typing import Optional
 
 from .centerpoly import CenterPoly
-from .context import AhContext, NotCentralizing
+from .context import AhContext, NotCentralizing, weyl_context
 from .fields import ExactDivisionError, check_same_field
 from .poly import NotIntegrable, Poly, _convolve
 from .weyl import WeylElement, _accumulate, commutator
@@ -267,11 +269,12 @@ class Derivation:
             )
         return self._cache[key]
 
-    def _dy_numerators(self, n: int) -> list:
+    def dy_numerators(self, n: int) -> list:
         """[P_0, ..., P_(n-1)] (at least), cached: the numerators of
         (ad y)^l(D(y)) = P_l / h^(l+1) (see `apply`). P_0 = W = D(yhat) -
         D(h) y - D(h'), and each P_(l+1) = h P_l' - (l+1) h' P_l is one row
-        core from the last, over dh times its lift denominator."""
+        core from the last, over dh times its lift denominator. For D_g,
+        P_(k-1) = T_k = (g h^-1)^(k-1) h^k, derivatives taken in F(x)."""
         ctx = self.context
         numerators = self._cache.get("dy")
         if numerators is None:
@@ -308,7 +311,7 @@ class Derivation:
         h D(y) = W = D(yhat) - D(h) y - D(h'). There ad y is d/dx, row by
         row, so c_l = (ad y)^l(D(y)) = P_l / h^(l+1) with P_0 = W and, as
         (P_l / h^(l+1))' = (h P_l' - (l+1) h' P_l) / h^(l+2),
-        P_(l+1) = h P_l' - (l+1) h' P_l (`_dy_numerators`). Leibniz gives
+        P_(l+1) = h P_l' - (l+1) h' P_l (`dy_numerators`). Leibniz gives
         D(y^i) = sum_{k < i} y^k c_0 y^(i-1-k), and y^k c_0 = sum_l C(k, l)
         c_l y^(k-l) (induction on k, from y c_l = c_l y + c_(l+1)); the hockey
         stick sum_{k < i} C(k, l) = C(i, l+1) then gives
@@ -326,7 +329,7 @@ class Derivation:
 
         def images(top):
             count = min(top, p) if p else top  # c_l = 0 for l >= p
-            return [self.image_x, *self._dy_numerators(count)[:count]]
+            return [self.image_x, *self.dy_numerators(count)[:count]]
 
         return _binomial_sum(self.context, a, images, _add_d_on_poly)
 
@@ -393,73 +396,30 @@ def ad_ra_n(r: Poly, n: int, ctx: AhContext) -> Derivation:
 # -- the A_1 derivations E_x and E_y --------------------------------------------------
 
 
-def generic_a1_apply(dx: WeylElement, dy: WeylElement, a: WeylElement) -> WeylElement:
-    """Apply the A_1-derivation D with D(x) = dx, D(y) = dy to a, by Leibniz
-    over the normal form: D(r y^i) = D(r) y^i + r D(y^i).
-
-    D(r) is d_on_poly(r, dx). For D(y^i): phi (x <-> y) is an
-    anti-automorphism, so phi D phi is a derivation, and it sends x to
-    phi(dy); hence D(y^i) = phi(d_on_poly(x^i, phi(dy)))."""
-    F = a.field
-    phi_dy = dy.apply_phi()
-    out = WeylElement.zero(F)
-    for i, r in a.terms.items():
-        out = out + d_on_poly(r, dx).shift(i)
-        out = out + d_on_poly(Poly.monomial(F, 1, i), phi_dy).apply_phi().poly_mul(r)
-    return out
-
-
 def ex_apply(a: WeylElement) -> WeylElement:
-    """E_x, the A_1-derivation with E_x(x) = y^(p-1), E_x(y) = 0."""
-    p = a.field.p
-    return generic_a1_apply(
-        WeylElement.y_power(a.field, p - 1), WeylElement.zero(a.field), a
-    )
+    """E_x(a), for E_x the A_1-derivation with E_x(x) = y^(p-1), E_x(y) = 0,
+    built once per field over `weyl_context`."""
+    F = a.field
+    ctx = weyl_context(F)
+    return ctx.memo(
+        "E_x", lambda: Derivation(ctx, WeylElement.y_power(F, F.p - 1), WeylElement.zero(F))
+    ).apply(a)
 
 
 def ey_apply(a: WeylElement) -> WeylElement:
-    """E_y, the A_1-derivation with E_y(x) = 0, E_y(y) = x^(p-1)."""
-    p = a.field.p
-    return generic_a1_apply(
-        WeylElement.zero(a.field), WeylElement.x_power(a.field, p - 1), a
-    )
+    """E_y(a), for E_y the A_1-derivation with E_y(x) = 0, E_y(y) = x^(p-1),
+    built once per field over `weyl_context`."""
+    F = a.field
+    ctx = weyl_context(F)
+    return ctx.memo(
+        "E_y", lambda: Derivation(ctx, WeylElement.zero(F), WeylElement.x_power(F, F.p - 1))
+    ).apply(a)
 
 
 def ex_on_yhat(ctx: AhContext) -> WeylElement:
-    """Closed form E_x(yhat) = h' y^p + sum_{k=1}^{p-2} ((-1)^(k-1)/((k+1)k))
-    h^(k+1) y^(p-k) - partial_p(h) y - partial_p(h')."""
-    F = ctx.field
-    p = ctx.p
-    out = {}
-    hp = ctx.h.derivative()
-    if not hp.is_zero():
-        out[p] = hp
-    d = hp
-    for k in range(1, p - 1):
-        d = d.derivative()
-        if d.is_zero():
-            break
-        r = d.scale(Fraction((-1) ** (k - 1), (k + 1) * k))
-        if not r.is_zero():
-            out[p - k] = out.get(p - k, Poly.zero(F)) + r
-    pph = ctx.h.partial_p()
-    if not pph.is_zero():
-        out[1] = out.get(1, Poly.zero(F)) - pph
-    pphp = hp.partial_p()
-    if not pphp.is_zero():
-        out[0] = out.get(0, Poly.zero(F)) - pphp
-    return WeylElement(F, out)
-
-
-def gh_derivative_times_hk(g: Poly, k: int, ctx: AhContext) -> Poly:
-    """T_k = (g h^(-1))^(k-1) h^k, computed by the polynomial recurrence
-    T_1 = g, T_{k+1} = T_k' h - k T_k h'."""
-    if k < 1:
-        raise ValueError("k >= 1 required")
-    t = g
-    for m in range(1, k):
-        t = t.derivative() * ctx.h - t.scale(m) * ctx.h.derivative()
-    return t
+    """E_x(yhat) = E_x(h) y + E_x(h'): Leibniz on yhat = h y + h', as E_x(y) = 0."""
+    e = WeylElement.y_power(ctx.field, ctx.p - 1)
+    return d_on_poly(ctx.h, e).shift(1) + d_on_poly(ctx.h.derivative(), e)
 
 
 def bhat_x(ctx: AhContext) -> Derivation:
@@ -526,67 +486,27 @@ def _peel_ad(ctx: AhContext, e_x: WeylElement, e_yhat: WeylElement):
     return b, coords
 
 
-# -- extension to A_1 and the A_1 decompositions -------------------------------------------
+# -- extension to A_1 ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class NotExtendable:
-    """D(yhat) was not right-divisible by h; carries the failing stage."""
+    """D(y) = W / h does not lie in A_1; carries the reason."""
 
     reason: str
 
 
-@dataclass(frozen=True)
-class A1Images:
-    """Generator images of a derivation of A_1."""
-
-    image_x: WeylElement
-    image_y: WeylElement
-
-    def apply(self, a: WeylElement) -> WeylElement:
-        return generic_a1_apply(self.image_x, self.image_y, a)
-
-
 def extend_to_A1(d: Derivation):
-    """Extension to A_1: possible iff D(yhat) = a h; then the extension maps
-    y to a - y b where D(h) = b h."""
+    """The extension of D to A_1, a `Derivation` over `weyl_context`, or
+    NotExtendable. In A_1[h^-1], h D(y) = W = P_0 (`dy_numerators`), so D
+    extends iff h divides every row of W, and then D(y) = W / h."""
     ctx = d.context
+    w = d.dy_numerators(1)[0]
     try:
-        a = d.image_yhat.right_div_exact(ctx.h)
+        dy = WeylElement(ctx.field, {j: r.exact_div(ctx.h) for j, r in w.terms.items()})
     except ExactDivisionError:
-        return NotExtendable("image of yhat is not right-divisible by h")
-    dh = d_on_poly(ctx.h, d.image_x)
-    try:
-        b = dh.right_div_exact(ctx.h)
-    except ExactDivisionError:
-        return NotExtendable("image of h is not right-divisible by h")
-    y = WeylElement.y_power(ctx.field, 1)
-    return A1Images(d.image_x, a - y * b)
-
-
-def validate_a1_images(dx: WeylElement, dy: WeylElement) -> None:
-    defect = commutator(dy, WeylElement.x_power(dx.field, 1)) + commutator(
-        WeylElement.y_power(dx.field, 1), dx
-    )
-    if not defect.is_zero():
-        raise InvalidDerivationError(
-            f"images do not define a derivation of A_1; defect {defect}"
-        )
-
-
-def decompose_A1_char0(dx: WeylElement, dy: WeylElement):
-    """Every derivation of A_1 is inner in characteristic 0: D = ad_u + ad_w
-    with u integrating D(x) degreewise and w' = -(D - ad_u)(y)."""
-    F = dx.field
-    if not F.is_char_zero:
-        raise ValueError("characteristic-0 decomposition")
-    validate_a1_images(dx, dy)
-    u, _ = _split_ad_x(dx)
-    e_y = dy - commutator(u, WeylElement.y_power(F, 1))
-    if any(i > 0 for i in e_y.terms):
-        raise InvalidDerivationError("residual image of y is not a polynomial in x")
-    w = (-e_y.coefficient(0)).antiderivative()
-    return u, w
+        return NotExtendable("h D(y) = W is not divisible by h")
+    return Derivation(weyl_context(ctx.field), d.image_x, dy)
 
 
 # -- restriction to the center -----------------------------------------------------------

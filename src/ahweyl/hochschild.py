@@ -35,7 +35,6 @@ from .derivations import (
     ad_ra_n,
     bhat_x,
     decompose_Ah_char0,
-    gh_derivative_times_hk,
     is_inner,
     CenterDerivation,
 )
@@ -422,8 +421,9 @@ def _dg_bx_closed_form(ctx: AhContext, g: Poly):
     b1 = ghp.exact_div(rho)
     if not b1.is_zero():
         b_terms[p - 1] = b1
+    numerators = D_g(g, ctx).dy_numerators(p - 1)  # T_k = (g h^-1)^(k-1) h^k = P_(k-1)
     for k in range(2, p):
-        tk = gh_derivative_times_hk(g, k, ctx)
+        tk = numerators[k - 1].coefficient(0)
         coeff_poly = (tk * ctx.h_power(p - k)).exact_div(rho)
         if coeff_poly.is_zero():
             continue

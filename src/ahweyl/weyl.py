@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .fields import ExactDivisionError, FieldSpec, check_same_field
+from .fields import FieldSpec, check_same_field
 from .poly import Poly, _convolve
 
 
@@ -232,22 +232,6 @@ class WeylElement:
         return all(
             i % p == 0 and r.in_frobenius_base() for i, r in self.terms.items()
         )
-
-    def right_div_exact(self, h: Poly) -> "WeylElement":
-        """The unique a with self = a * h, by descending y-degree elimination."""
-        check_same_field(self.field, h.field)
-        if h.is_zero():
-            raise ZeroDivisionError("right division by zero")
-        out = {}
-        work = self
-        while not work.is_zero():
-            n = work.y_degree
-            q = work.coefficient(n).exact_div(h)
-            out[n] = q
-            work = work - WeylElement.from_term(q, n) * h
-            if not work.is_zero() and work.y_degree >= n:
-                raise ExactDivisionError("right division did not reduce degree")
-        return WeylElement(self.field, out)
 
     # -- printing ------------------------------------------------------------------------------
 

@@ -11,13 +11,13 @@ from fractions import Fraction
 import pytest
 
 from ahweyl.centerpoly import CenterPoly
-from ahweyl.context import AhContext
+from ahweyl.context import AhContext, weyl_context
 from ahweyl.derivations import (
     D_g,
+    Derivation,
     InnerWitness,
     ad,
     bhat_f,
-    decompose_A1_char0,
     is_inner,
     restrict_to_center,
 )
@@ -71,9 +71,9 @@ def test_criterion_01_weyl_innerness_char0():
             if not rp.is_zero():
                 terms[j + 1] = rp.scale(Fraction(-1, j + 1))
         dy = WeylElement(F, terms)
-        u, w = decompose_A1_char0(dx, dy)
-        b = u + WeylElement.from_poly(w)
-        ok = ok and commutator(b, x) == dx and commutator(b, y) == dy
+        res = is_inner(Derivation(weyl_context(F), dx, dy))
+        b = res.witness if isinstance(res, InnerWitness) else None
+        ok = ok and b is not None and commutator(b, x) == dx and commutator(b, y) == dy
     announce(1, ok, "Der(A_1) = Inder(A_1) in characteristic 0, 50 random reassemblies")
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from ahweyl import cli, derivations
 from ahweyl.cli import main
+from ahweyl.context import weyl_context
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = json.loads(
@@ -154,7 +155,9 @@ class TestExitCodes:
             capsys=capsys,
         )
         assert code == 1 and out == ""
-        assert err == "error (membership error): y is not in A_h\n"
+        assert err == (
+            "error (membership error): y-degree 1 coefficient not divisible by h^1: not in A_h\n"
+        )
 
     def test_domain_error_zero_h(self, capsys):
         code, out, err = run_cli(["analyze", "--h", "0", "--char", "0"], capsys=capsys)
@@ -620,3 +623,13 @@ class TestCliRoundTrip:
         parse_poly(payload["hbar"], field, var="u")
         for s in payload["S_basis"]:
             parse_poly(s, field)
+
+
+def test_analyze_never_builds_the_unit_context(capsys):
+    # analyze reads E_x only through bhat_x's Leibniz form of E_x(yhat), so
+    # it never builds A_1 as A_h at h = 1, whose Bezout loop runs over all
+    # p Frobenius components
+    weyl_context.cache_clear()
+    code, _, err = run_cli(["analyze", "--h", "x^2+1", "--char", "1009"], capsys=capsys)
+    assert (code, err) == (0, "")
+    assert weyl_context.cache_info().currsize == 0

@@ -11,9 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ahweyl.centerpoly import CenterPoly
-from ahweyl.context import AhContext, MembershipError
+from ahweyl.context import AhContext, MembershipError, weyl_context
 from ahweyl.derivations import (
-    A1Images,
     AhAlgebraMap,
     D_g,
     DecompCharZero,
@@ -28,20 +27,16 @@ from ahweyl.derivations import (
     bhat_f,
     bhat_x,
     d_on_poly,
-    decompose_A1_char0,
     decompose_Ah_char0,
     decompose_Ah_charp,
     ex_apply,
     ex_on_yhat,
     extend_to_A1,
     ey_apply,
-    generic_a1_apply,
-    gh_derivative_times_hk,
     is_inner,
     make_derivation,
     require_derivation,
     restrict_to_center,
-    validate_a1_images,
     _add_d_on_poly,
     _lift_elements,
     _split_ad_x,
@@ -258,6 +253,115 @@ def ey_as_derivation(ctx: AhContext) -> Derivation:
     return require_derivation(WeylElement.zero(ctx.field), ey_on_yhat(ctx), ctx)
 
 
+# -- independent A_1 routes: oracles for the derivations over `weyl_context` ---------
+
+
+def generic_a1_apply(dx: WeylElement, dy: WeylElement, a: WeylElement) -> WeylElement:
+    """Oracle: the A_1-derivation D with D(x) = dx, D(y) = dy applied to a,
+    by Leibniz over the normal form, D(r y^i) = D(r) y^i + r D(y^i). D(r) is
+    d_on_poly(r, dx); phi (x <-> y) is an anti-automorphism, so phi D phi is
+    a derivation sending x to phi(dy), and D(y^i) = phi(d_on_poly(x^i, phi(dy)))."""
+    F = a.field
+    phi_dy = dy.apply_phi()
+    out = WeylElement.zero(F)
+    for i, r in a.terms.items():
+        out = out + d_on_poly(r, dx).shift(i)
+        out = out + d_on_poly(Poly.monomial(F, 1, i), phi_dy).apply_phi().poly_mul(r)
+    return out
+
+
+def ex_on_yhat_closed_form(ctx: AhContext) -> WeylElement:
+    """Oracle: E_x(yhat) = h' y^p + sum_{k=1}^{p-2} ((-1)^(k-1)/((k+1)k))
+    h^(k+1) y^(p-k) - partial_p(h) y - partial_p(h')."""
+    F = ctx.field
+    p = ctx.p
+    out = {}
+    hp = ctx.h.derivative()
+    if not hp.is_zero():
+        out[p] = hp
+    d = hp
+    for k in range(1, p - 1):
+        d = d.derivative()
+        if d.is_zero():
+            break
+        r = d.scale(Fraction((-1) ** (k - 1), (k + 1) * k))
+        if not r.is_zero():
+            out[p - k] = out.get(p - k, Poly.zero(F)) + r
+    pph = ctx.h.partial_p()
+    if not pph.is_zero():
+        out[1] = out.get(1, Poly.zero(F)) - pph
+    pphp = hp.partial_p()
+    if not pphp.is_zero():
+        out[0] = out.get(0, Poly.zero(F)) - pphp
+    return WeylElement(F, out)
+
+
+def gh_derivative_times_hk(g: Poly, k: int, ctx: AhContext) -> Poly:
+    """Oracle: T_k = (g h^(-1))^(k-1) h^k by the polynomial recurrence
+    T_1 = g, T_(k+1) = T_k' h - k T_k h'."""
+    t = g
+    for m in range(1, k):
+        t = t.derivative() * ctx.h - t.scale(m) * ctx.h.derivative()
+    return t
+
+
+def right_div_exact(w: WeylElement, h: Poly) -> WeylElement:
+    """Oracle: the unique a with w = a * h, by descending y-degree
+    elimination; ExactDivisionError if there is none."""
+    out = {}
+    while not w.is_zero():
+        n = w.y_degree
+        q = w.coefficient(n).exact_div(h)
+        out[n] = q
+        w = w - WeylElement.from_term(q, n) * h
+        if not w.is_zero() and w.y_degree >= n:
+            raise ExactDivisionError("right division did not reduce degree")
+    return WeylElement(h.field, out)
+
+
+def extend_to_A1_by_right_division(d: Derivation):
+    """Oracle: (D(x), D(y)) of the extension to A_1, or NotExtendable. It
+    exists iff D(yhat) = a h and D(h) = b h, and then D(y) = a - y b."""
+    ctx = d.context
+    try:
+        a = right_div_exact(d.image_yhat, ctx.h)
+        b = right_div_exact(d_on_poly(ctx.h, d.image_x), ctx.h)
+    except ExactDivisionError:
+        return NotExtendable("not right-divisible by h")
+    return d.image_x, a - WeylElement.y_power(ctx.field, 1) * b
+
+
+def validate_a1_images(dx: WeylElement, dy: WeylElement) -> None:
+    """Oracle: [D(y), x] + [y, D(x)] = 0 by Weyl-product commutators."""
+    defect = commutator(dy, WeylElement.x_power(dx.field, 1)) + commutator(
+        WeylElement.y_power(dx.field, 1), dx
+    )
+    if not defect.is_zero():
+        raise InvalidDerivationError(
+            f"images do not define a derivation of A_1; defect {defect}"
+        )
+
+
+def decompose_A1_char0(dx: WeylElement, dy: WeylElement):
+    """Oracle: every derivation of A_1 is inner in characteristic 0: D =
+    ad_u + ad_w with u integrating D(x) degreewise and w' = -(D - ad_u)(y)."""
+    F = dx.field
+    validate_a1_images(dx, dy)
+    u, _ = _split_ad_x(dx)
+    e_y = dy - commutator(u, WeylElement.y_power(F, 1))
+    if any(i > 0 for i in e_y.terms):
+        raise InvalidDerivationError("residual image of y is not a polynomial in x")
+    w = (-e_y.coefficient(0)).antiderivative()
+    return u, w
+
+
+def inner_witness_on_A1(dx: WeylElement, dy: WeylElement) -> WeylElement:
+    """The witness of `is_inner` for D(x) = dx, D(y) = dy over `weyl_context`."""
+    res = is_inner(Derivation(weyl_context(dx.field), dx, dy))
+    assert isinstance(res, InnerWitness)
+    return res.witness
+
+
 class TestExEy:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_defining_images(self, p):
@@ -301,7 +405,7 @@ class TestExEy:
     def test_yhat_closed_forms(self, p, h):
         field = FieldSpec(p)
         ctx = AhContext(Poly(field, h))
-        assert ex_on_yhat(ctx) == ex_apply(ctx.yhat)
+        assert ex_on_yhat(ctx) == ex_apply(ctx.yhat) == ex_on_yhat_closed_form(ctx)
         assert ey_on_yhat(ctx) == ey_apply(ctx.yhat)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -437,8 +541,8 @@ class TestExtension:
         q = P(QQ, 1, 1)
         d = D_g(q * ctx.h, ctx)
         ext = extend_to_A1(d)
-        assert isinstance(ext, A1Images)
-        assert ext.image_y == WeylElement.from_poly(q)
+        assert isinstance(ext, Derivation) and ext.context is weyl_context(QQ)
+        assert ext.image_yhat == WeylElement.from_poly(q)
 
     def test_Dg_coprime_not_extendable(self):
         ctx = AhContext(xn(QQ, 2))
@@ -451,12 +555,12 @@ class TestExtension:
             for _ in range(6):
                 a = random_normalizer(rng, ctx)
                 ext = extend_to_A1(ad(a, ctx))
-                assert isinstance(ext, A1Images)
+                assert isinstance(ext, Derivation)
                 # the extension acts as ad_a on A_1's generators
                 x = WeylElement.x_power(field, 1)
                 y = WeylElement.y_power(field, 1)
                 assert ext.image_x == commutator(a, x)
-                assert ext.image_y == commutator(a, y)
+                assert ext.image_yhat == commutator(a, y)
 
     def test_extension_faithfulness(self):
         # two extensions agreeing on A_h agree on A_1: perturbing the image
@@ -464,8 +568,8 @@ class TestExtension:
         ctx = AhContext(xn(QQ, 2))
         d = D_g(P(QQ, 0, 0, 1) * ctx.h, ctx)
         ext = extend_to_A1(d)
-        assert isinstance(ext, A1Images)
-        perturbed = A1Images(ext.image_x, ext.image_y + WeylElement.one(QQ))
+        assert isinstance(ext, Derivation)
+        perturbed = Derivation(ext.context, ext.image_x, ext.image_yhat + WeylElement.one(QQ))
         assert perturbed.apply(ctx.yhat) != ext.apply(ctx.yhat)
         assert ext.apply(ctx.yhat) == d.image_yhat
 
@@ -474,13 +578,14 @@ class TestDecomposeA1Char0:
     def test_ad_y_squared(self):
         dx = WeylElement.from_term(P(QQ, 2), 1)  # [y^2, x] = 2y
         dy = WeylElement.zero(QQ)
+        assert inner_witness_on_A1(dx, dy) == WeylElement.y_power(QQ, 2)
         u, w = decompose_A1_char0(dx, dy)
         assert u == WeylElement.y_power(QQ, 2)
         assert w.is_zero()
 
     def test_zero(self):
-        u, w = decompose_A1_char0(WeylElement.zero(QQ), WeylElement.zero(QQ))
-        assert u.is_zero() and w.is_zero()
+        zero = WeylElement.zero(QQ)
+        assert inner_witness_on_A1(zero, zero).is_zero()
 
     def test_random_ad_reassembly(self):
         rng = random.Random(39)
@@ -496,10 +601,11 @@ class TestDecomposeA1Char0:
                 },
             )
             dx, dy = commutator(a, x), commutator(a, y)
-            u, w = decompose_A1_char0(dx, dy)
-            b = u + WeylElement.from_poly(w)
+            b = inner_witness_on_A1(dx, dy)
             assert commutator(b, x) == dx
             assert commutator(b, y) == dy
+            u, w = decompose_A1_char0(dx, dy)
+            assert b == u + WeylElement.from_poly(w)
 
 
 def decompose_A1_charp(dx: WeylElement, dy: WeylElement):
@@ -1103,9 +1209,10 @@ def random_weyl(rng, field, max_ydeg, max_xdeg):
 
 @given(p=st.sampled_from([0, 2, 3, 5, 7]), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_leibniz_closed_forms_match_sums(p, seed):
+def test_unit_context_routes_match_the_A1_oracles(p, seed):
     # degrees past p in both x and y reach the Hasse derivatives H_m with
-    # m >= p and the falling factorials that vanish mod p
+    # m >= p and the falling factorials that vanish mod p; h = f^m q with
+    # m in {2, 3} and deg h >= p
     field = FieldSpec(p)
     rng = random.Random(seed)
     top = max(p, 3) + 2
@@ -1116,9 +1223,42 @@ def test_leibniz_closed_forms_match_sums(p, seed):
     fq = rational_poly(rng, 2 * top)
     uq = WeylElement(QQ, {i: rational_poly(rng, 3) for i in range(rng.randrange(top + 1))})
     assert d_on_poly(fq, uq) == d_on_poly_sum(fq, uq)
+    # `apply` over A_1 = A_h at h = 1 is the Leibniz sum, for any image pair
+    unit = weyl_context(field)
     dx, dy = random_weyl(rng, field, 3, 3), random_weyl(rng, field, 3, 3)
     a = random_weyl(rng, field, top, 3)
-    assert generic_a1_apply(dx, dy, a) == generic_a1_apply_sum(dx, dy, a)
+    got = Derivation(unit, dx, dy).apply(a)
+    assert got == generic_a1_apply(dx, dy, a) == generic_a1_apply_sum(dx, dy, a)
+    zero = WeylElement.zero(field)
+    ctx = AhContext(repeated_factor_h(rng, field))
+    if p:
+        assert ex_apply(a) == generic_a1_apply(WeylElement.y_power(field, p - 1), zero, a)
+        assert ey_apply(a) == generic_a1_apply(zero, WeylElement.x_power(field, p - 1), a)
+        assert ex_on_yhat(ctx) == ex_on_yhat_closed_form(ctx) == ex_apply(ctx.yhat)
+    # T_k = P_(k-1) of D_g
+    g = random_poly(rng, field, 3)
+    numerators = D_g(g, ctx).dy_numerators(top)
+    for k in range(1, top + 1):
+        assert numerators[k - 1] == WeylElement.from_poly(gh_derivative_times_hk(g, k, ctx))
+    # extension: the verdict and the images of the right-division route, and
+    # the extension restricts back to D on A_h
+    draws = [
+        ad(random_normalizer(rng, ctx), ctx),
+        D_g(g * ctx.h, ctx) + ad(random_normalizer(rng, ctx), ctx),
+        D_g(Poly.one(field) + g * ctx.h, ctx),  # g coprime to h: never extends
+        verify_random_derivation(rng, ctx),
+    ]
+    for d in draws:
+        ext = extend_to_A1(d)
+        want = extend_to_A1_by_right_division(d)
+        if isinstance(want, NotExtendable):
+            assert isinstance(ext, NotExtendable)
+            continue
+        assert ext.context is unit and (ext.image_x, ext.image_yhat) == want
+        assert ext.validate() is None
+        b = random_ah(rng, ctx, max_ydeg=top)
+        assert ext.apply(b) == d.apply(b)
+    assert isinstance(extend_to_A1(draws[2]), NotExtendable)
 
 
 def test_d_on_poly_does_not_stop_at_a_zero_hasse_derivative():
@@ -1340,8 +1480,8 @@ def decompose_Ah_char0_via_A1(d):
     F = ctx.field
     r0 = yhat_zeta_collect(ctx, d.image_yhat).get((0, 0), Poly.zero(F))
     q, g = divmod(r0, ctx.h)
-    a = (d.image_yhat - WeylElement.from_poly(r0)).right_div_exact(ctx.h)
-    b = d_on_poly(ctx.h, d.image_x).right_div_exact(ctx.h)
+    a = right_div_exact(d.image_yhat - WeylElement.from_poly(r0), ctx.h)
+    b = right_div_exact(d_on_poly(ctx.h, d.image_x), ctx.h)
     u, w = decompose_A1_char0(d.image_x, a - WeylElement.y_power(F, 1) * b)
     beta = u + WeylElement.from_poly(w)
     witness = WeylElement.from_poly((-q).antiderivative() + beta.coefficient(0))

@@ -547,7 +547,7 @@ class TestBracketCharP:
     def test_projection_oracle_e_term(self):
         # P(D_g(h^n y^n)) = h^n (g h^-1)^(n-1) for 1 <= n < p
         ctx = AhContext(P(GF5, 0, 0, 1))
-        from ahweyl.derivations import gh_derivative_times_hk
+        from test_derivations import gh_derivative_times_hk
 
         for g in (Poly.one(GF5), Poly.x(GF5)):
             for n in (1, 2, 3):

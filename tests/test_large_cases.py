@@ -3,7 +3,8 @@
 They check the paper's large-p claims: HH^1 is free over the center iff
 h/pi_h is a unit; the normalizer levels N_i/(A_h + Z(A_1)) have dim |S| at
 p | i; a normalizer term at y-degree kp is inner iff h^{kp} divides it. They
-also run classify and verify on large h over Q.
+also run classify and verify on large h over Q, and verify on A_1 itself
+(h = 1) at large p.
 
 Each row of `CASES` is (id, argv, stdin, predicate, cap). The stdin is the
 text given to the command, a builder of that text on the public `ahweyl`
@@ -167,6 +168,14 @@ CASES = [
         None,
         all_passed,
         120,
+    ),
+    (
+        # A_1 itself: E_x, E_y and the extensions to A_1 at large p
+        "verify-weyl-p61",
+        ["verify", "--h", "1", "--char", "61", "--seed", "1"],
+        None,
+        all_passed,
+        30,
     ),
     (
         "verify-char0-deg35",

@@ -1,5 +1,6 @@
-"""The package parses under the oldest Python that CI runs (3.10), so syntax
-that needs a later version fails here, on any interpreter."""
+"""Static checks on the package source: it parses under the oldest Python
+that CI runs (3.10), so syntax that needs a later version fails here on any
+interpreter, and no module but `__init__` imports a name it does not use."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,27 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ahweyl"
+MODULES = sorted(SRC.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_source_parses_as_python_3_10(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_imported_name_is_used(path):
+    # `__init__` imports to re-export; elsewhere an unused import is dead code
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in imported.items() if name not in used}
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
