@@ -5,7 +5,8 @@ subject to two checks: both images lie in A_h, and the existence criterion
 [D(yhat), x] + [yhat, D(x)] = d(h) holds, where d is the derivation of F[x]
 with d(x) = D(x). `apply` works in the normal form a = sum f_i y^i that
 elements are stored in, through D(y) = W / h in A_1[h^-1], one route over Q
-and GF(p); D(zeta) is `apply` on zeta. The automorphisms x -> x,
+and GF(p); D(zeta) is read in closed form from D(x^p) and the Cartier read
+of W (`image_of_zeta`). The automorphisms x -> x,
 yhat -> yhat + g read a in the same form, through phi(y) = y + g / h, and
 both sum the same binomial rows (`_binomial_sum`). With closed forms for
 [yhat, a] and [a, x] (`AhContext.yhat_bracket`, `commutator` with the
@@ -204,13 +205,17 @@ class Derivation:
         return WeylElement._from_rows(F, rows, den * dh)
 
     def validate(self) -> Optional[InvalidDerivation]:
-        ctx = self.context
-        mx = ctx.ah_membership(self.image_x)
-        my = ctx.ah_membership(self.image_yhat)
-        defect = self.criterion_defect()
-        if mx and my and defect.is_zero():
-            return None
-        return InvalidDerivation(mx, my, defect)
+        """None for a derivation, else the defect; cached, so that
+        `make_derivation` and the decomposition it feeds check once."""
+        key = "valid"
+        if key not in self._cache:
+            ctx = self.context
+            mx = ctx.ah_membership(self.image_x)
+            my = ctx.ah_membership(self.image_yhat)
+            defect = self.criterion_defect()
+            ok = mx and my and defect.is_zero()
+            self._cache[key] = None if ok else InvalidDerivation(mx, my, defect)
+        return self._cache[key]
 
     # -- linear structure ------------------------------------------------------------
 
@@ -294,14 +299,33 @@ class Derivation:
         return numerators
 
     def image_of_zeta(self) -> WeylElement:
-        """D(zeta), cached: `apply` to zeta = h^p y^p.
+        """D(zeta) for zeta = h^p y^p, cached, in closed form:
 
-        There g_p = 1 and C(p, l+1) = 0 mod p for l < p-1, so D(zeta) =
-        d(h(x^p)) y^p + P_(p-1): the l = p-1 term is Jacobson's D(y^p) =
-        (ad y)^(p-1)(D(y)) (Lie Algebras, 1962, ch. V), times h^p."""
+            D(zeta) = h'(x^p) D(x^p) y^p + sum_j vartheta(W_j)(x^p) y^j,
+
+        with W = sum_j W_j y^j = h D(y) (`dy_numerators`) and vartheta the
+        Cartier read (`AhContext.theta_of`).
+
+        Over the prime field h^p = h(x^p). As x^p is central in A_1,
+        D(x^(kp)) = k x^((k-1)p) D(x^p), so D(h(x^p)) = h'(x^p) D(x^p):
+        the first term is D(h(x^p)) y^p. The second is h(x^p) D(y^p), and
+        D(y^p) = (ad y)^(p-1)(D(y)) by the p-th power identity (Jacobson,
+        Lie Algebras, 1962, ch. V) in A_1[h^-1]. There ad y is d/dx on
+        each row, and h(x^p) has derivative 0, so
+
+            (ad y)^(p-1)(W_j / h y^j) = (W_j h^(p-1) / h(x^p))^((p-1)) y^j
+                                      = (W_j h^(p-1))^((p-1)) / h(x^p) y^j,
+
+        and (W_j h^(p-1))^((p-1)) is vartheta(W_j) in x. No P_l past P_0
+        is formed; `apply` on zeta gives the same element through
+        P_(p-1)."""
         key = "zeta"
         if key not in self._cache:
-            self._cache[key] = self.apply(self.context.zeta_element())
+            ctx = self.context
+            w = self.dy_numerators(1)[0]
+            rows = WeylElement(ctx.field, {j: ctx.theta_of(r) for j, r in w.terms.items()})
+            hprime = ctx.h.derivative().substitute_xp()
+            self._cache[key] = self.image_of_xp().poly_mul(hprime).shift(ctx.p) + rows
         return self._cache[key]
 
     def apply(self, a: WeylElement) -> WeylElement:
@@ -630,11 +654,12 @@ def decompose_Ah_charp(d: Derivation) -> DecompCharP:
         raise InvalidDerivationError(
             f"restriction to the center is outside its image module: {e}"
         ) from e
-    dqb = D_g(ctx.qbreve, ctx).central_scale(u)
-    dbf = bhat_f(ctx).central_scale(v)
-    e_x = d.image_x - dqb.image_x - dbf.image_x
-    e_yhat = d.image_yhat - dqb.image_yhat - dbf.image_yhat
-    b, gs = _peel_ad(ctx, e_x, e_yhat)
+    e = d
+    if not u.is_zero():
+        e = e - D_g(ctx.qbreve, ctx).central_scale(u)
+    if not v.is_zero():
+        e = e - bhat_f(ctx).central_scale(v)
+    b, gs = _peel_ad(ctx, e.image_x, e.image_yhat)
     for g in gs:
         if not ctx.in_theta(g):
             raise InvalidDerivationError(

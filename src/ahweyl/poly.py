@@ -245,6 +245,9 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         F = self.field
         dd = len(other.coeffs) - 1
+        if dd == 0:  # a nonzero constant c: the quotient is self / c
+            c = other.coeffs[0]
+            return (self if c == 1 else self.scale(F.inv(c))), Poly.zero(F)
         if len(self.coeffs) - 1 < dd:
             return Poly.zero(F), self
         if F.characteristic:

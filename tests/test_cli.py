@@ -246,6 +246,40 @@ def test_one_decomposition_per_classified_derivation(argv, stdin_text, monkeypat
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "argv,stdin_text",
+    [
+        (["classify", "--h", "x^2", "--char", "0"], '{"Dx": "0", "Dyhat": "x^2"}'),
+        (["classify", "--h", "x^2", "--char", "3"], '{"Dx": "0", "Dyhat": "2*x^6*y^3"}'),
+        (
+            ["classify", "--h", "x^2+1", "--char", "3"],
+            '{"Dx": "x^2 + x^4", "Dyhat": "2*x^2 + 2*x^4 + (x + 2*x^3 + x^5)*y'
+            ' + (2 + 2*x^2 + 2*x^6 + 2*x^8)*y^3"}',
+        ),
+    ],
+)
+def test_classify_validates_its_input_once(argv, stdin_text, monkeypatch, capsys):
+    # make_derivation validates the parsed derivation, and the decomposition
+    # that is_inner makes of it reads that cached verdict
+    checked, classified = [], []
+    original_defect, original_is_inner = derivations.Derivation.criterion_defect, cli.is_inner
+
+    def counted_defect(d):
+        checked.append(d)
+        return original_defect(d)
+
+    def recorded_is_inner(d):
+        classified.append(d)
+        return original_is_inner(d)
+
+    monkeypatch.setattr(derivations.Derivation, "criterion_defect", counted_defect)
+    monkeypatch.setattr(cli, "is_inner", recorded_is_inner)
+    code, out, _ = run_cli(argv + ["--output", "json"], stdin_text=stdin_text, capsys=capsys)
+    assert code == 0 and json.loads(out)["valid"] is True
+    (d,) = classified
+    assert sum(c is d for c in checked) == 1
+
+
 # D_g + ad(n) over h = -3/2*x^2*(x+1)^3, g of degree 3 and n in the
 # normalizer, as perfbench's char0-classes draws them
 _FRAC_LC_DX = "3*x + 5*x^2 + 2*x^3 + (-6*x^3 - 24*x^4 - 36*x^5 - 24*x^6 - 6*x^7)*y"

@@ -950,6 +950,18 @@ class TestIsInner:
                 got = is_inner(ad(a, ctx))
                 assert isinstance(got, InnerWitness)
 
+    @pytest.mark.parametrize("p,h", [(2, (0, 1)), (5, (1, 0, 1)), (7, (1, 0, 0, 1))])
+    def test_ad_on_a_free_context_never_builds_bhat_f(self, p, h):
+        # Res(ad_a) = 0 gives u = v = 0, so neither u D_qbreve nor v bhat_f
+        # is formed, and a fresh context keeps bhat_f (and bhat_x) unbuilt
+        ctx = AhContext(Poly(FieldSpec(p), h))
+        rng = random.Random(50 + p)
+        for _ in range(4):
+            got = is_inner(ad(random_normalizer(rng, ctx), ctx))
+            assert isinstance(got, InnerWitness)
+            assert got.decomposition.u.is_zero() and got.decomposition.v.is_zero()
+        assert "bhat_f" not in ctx._memo and "bhat_x" not in ctx._memo
+
 
 class TestAutExp:
     def test_identity(self):
@@ -1094,7 +1106,7 @@ def test_pth_power_identity_matches_sums(p, coeffs, seed):
     assert d.image_of_zeta() == zeta_image_sum(d)
     assert d.image_of_xp() == d_on_poly(Poly.monomial(ctx.field, 1, p), d.image_x)
     # a fresh copy applies the powers from the top down, so its first apply
-    # fills the cached numerators P_l up to l = p - 1, which D(zeta) reads
+    # fills the cached numerators P_l up to l = p - 1 before D(zeta) reads P_0
     fresh = verify_random_derivation(random.Random(seed), ctx)
     leibniz = leibniz_yhat_power_images(fresh, p + 1)
     for j in range(p + 1, -1, -1):
@@ -1102,6 +1114,40 @@ def test_pth_power_identity_matches_sums(p, coeffs, seed):
         assert want == leibniz[j]
         assert fresh.apply(repeated_product(ctx.yhat, j)) == want
     assert fresh.image_of_zeta() == d.image_of_zeta()
+
+
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 11]),
+    f=st.lists(st.integers(0, 10), min_size=2, max_size=3),
+    m=st.integers(2, 3),
+    q=st.lists(st.integers(0, 10), min_size=1, max_size=3),
+    c=st.integers(0, 10),
+    seed=st.integers(0, 2**32 - 1),
+    bx=st.integers(0, 10),
+    bf=st.integers(0, 10),
+)
+@settings(max_examples=40, deadline=None)
+def test_zeta_closed_form_matches_apply(p, f, m, q, c, seed, bx, bf):
+    # h = f^m q (x + c)^k has a repeated factor and deg h >= p; D = D_g +
+    # ad_n + u D_qbreve + bx bhat_x + bf bhat_f, whose D(x^p) = (bf - bx)
+    # h^p / varrho_h is nonzero unless bx = bf mod p; `apply` on zeta,
+    # through P_(p-1), is the oracle for the closed form, which reads
+    # D(x^p) and P_0 only
+    field = FieldSpec(p)
+    base = Poly(field, f) ** m * Poly(field, q)
+    assume(base.degree >= 1)
+    h = base * Poly(field, [c, 1]) ** max(0, p - int(base.degree))
+    ctx = AhContext(h)
+    rng = random.Random(seed)
+    u = CenterPoly(field, {(rng.randrange(2), rng.randrange(2)): rng.randrange(p)})
+    d = D_g(random_poly(rng, field), ctx) + ad(random_normalizer(rng, ctx), ctx)
+    d = d + D_g(ctx.qbreve, ctx).central_scale(u)
+    d = d + bhat_x(ctx).scale(bx) + bhat_f(ctx).scale(bf)
+    oracle = Derivation(ctx, d.image_x, d.image_yhat)
+    assert oracle.validate() is None
+    assert d.image_of_xp() == WeylElement.from_poly(ctx.hp_over_varrho.scale(bf - bx))
+    assert d.image_of_zeta() == oracle.apply(ctx.zeta_element())
+    assert ctx.center_coords(d.image_of_zeta()) == ctx.center_coords(oracle.apply(ctx.zeta_element()))
 
 
 @given(

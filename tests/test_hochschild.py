@@ -773,10 +773,17 @@ def test_normalizer_levels_at_p_divides_i_match_window(p, kind, f, g):
 
 def test_free_charp_report_skips_center_brackets_and_level_powers(monkeypatch):
     # x^2 + 1 is free over GF(151): ad records Res(ad_a) = 0, so no
-    # certificate brackets with yhat for D(zeta), and every level has
-    # dim 0, so none forms a power of h
+    # certificate reads D(zeta), whose closed form starts from W = P_0 of
+    # `dy_numerators`, and u = v = 0 builds no bhat_f, so no numerator is
+    # formed at all; every level has dim 0, so none forms a power of h
     ctx = AhContext(Poly(FieldSpec(151), [1, 0, 1]))
-    seen = {"yhat_bracket": [], "h_power": []}
+    seen = {"h_power": []}
+    numerators = []
+    original = Derivation.dy_numerators
+
+    def counted_numerators(d, n):
+        numerators.append(n)
+        return original(d, n)
 
     def counted(name, method, caller):
         def wrapped(*args):
@@ -788,11 +795,7 @@ def test_free_charp_report_skips_center_brackets_and_level_powers(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(
-        ctx,
-        "yhat_bracket",
-        counted("yhat_bracket", ctx.yhat_bracket, Derivation.image_of_zeta.__code__),
-    )
+    monkeypatch.setattr(Derivation, "dy_numerators", counted_numerators)
     monkeypatch.setattr(
         ctx, "h_power", counted("h_power", ctx.h_power, _normalizer_quotient_level.__code__)
     )
@@ -800,9 +803,9 @@ def test_free_charp_report_skips_center_brackets_and_level_powers(monkeypatch):
     assert rep.free_over_center and rep.freeness_certificates == 10
     assert len(rep.normalizer_quotient) == 3 * 151
     assert all(level.dim == 0 for level in rep.normalizer_quotient)
-    # the certificates still bracket with yhat and take powers of h
-    assert seen["yhat_bracket"] and seen["h_power"]
-    assert not any(seen["yhat_bracket"]) and not any(seen["h_power"])
+    assert numerators == [] and "bhat_f" not in ctx._memo
+    # the certificates still take powers of h
+    assert seen["h_power"] and not any(seen["h_power"])
 
 
 def test_normalizer_level_rejects_S_outside_theta(monkeypatch):

@@ -156,6 +156,15 @@ CASES = [
         120,
     ),
     (
+        # the cliff of verify in p: Res morphism and the two bracket
+        # properties read D(zeta) and brackets of derivations at p = 61
+        "verify-free-p61",
+        ["verify", "--h", "x^2+1", "--char", "61", "--seed", "1"],
+        None,
+        all_passed,
+        60,
+    ),
+    (
         "verify-not-free-p11",
         ["verify", "--h", "x^3*(x+1)^2", "--char", "11", "--seed", "2"],
         None,

@@ -627,3 +627,41 @@ def test_q_division_long_dividend_by_a_power():
     check_q_division(f, g)
     q = Poly(QQ, [Fraction(rng.randrange(-9, 10), rng.randrange(1, 8)) for _ in range(50)] + [3])
     assert divmod(q * g, g) == (q, Poly.zero(QQ))
+
+
+def divmod_mod_p(f, g):
+    """Oracle: long division over GF(p) on residues, one step per degree."""
+    F = f.field
+    p = F.p
+    rem, dv = list(f.coeffs), g.coeffs
+    dd = len(dv) - 1
+    if len(rem) - 1 < dd:
+        return Poly.zero(F), f
+    inv = pow(dv[-1], -1, p)
+    q = [0] * (len(rem) - dd)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i] * inv % p
+        lo = i - dd
+        q[lo] = c
+        rem[lo:i] = [(r - c * d) % p for r, d in zip(rem[lo:i], dv)]
+    return Poly(F, q), Poly(F, rem[:dd])
+
+
+@given(
+    st.sampled_from([QQ, GF2, GF5, FieldSpec(7)]),
+    st.lists(st.integers(-40, 40), max_size=12),
+    st.sampled_from([1, -1, 2, 3, Fraction(1, 2), Fraction(-7, 3)]),
+)
+@settings(max_examples=200, deadline=None)
+def test_division_by_a_constant_matches_long_division(field, coeffs, c):
+    # a nonzero constant divisor takes the scaling path, not the loop
+    if not field.is_char_zero:
+        c = Fraction(c).numerator % field.p or 1
+    f, g = Poly(field, coeffs), Poly.constant(field, field.coerce(c))
+    q, r = divmod(f, g)
+    assert_canonical(q)
+    assert r.is_zero()
+    assert q * g == f
+    oracle = divmod_by_fractions(f, g) if field.is_char_zero else divmod_mod_p(f, g)
+    assert (q, r) == oracle
+    assert g.divides(f) and f.exact_div(g) == q
