@@ -10,10 +10,8 @@ ring operations follow the reduce-once rule of `poly` (raw values, one
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .fields import FieldSpec, check_same_field
-from .poly import Poly
+from .poly import Poly, _join_terms, _power_text, _term_printer
 
 
 class CenterPoly:
@@ -148,22 +146,11 @@ class CenterPoly:
     def to_text(self) -> str:
         if self.is_zero():
             return "0"
-        pieces = []
-        for (i, j), c in sorted(self.coeffs.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            neg = isinstance(c, (int, Fraction)) and c < 0
-            mag = -c if neg else c
-            parts = []
-            if mag != 1 or (i == 0 and j == 0):
-                parts.append(str(mag))
-            if i:
-                parts.append("t1" if i == 1 else f"t1^{i}")
-            if j:
-                parts.append("t2" if j == 1 else f"t2^{j}")
-            pieces.append((neg, "*".join(parts)))
-        out = ("-" + pieces[0][1]) if pieces[0][0] else pieces[0][1]
-        for neg, body in pieces[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
+        term = _term_printer(self.field)
+        return _join_terms(
+            term(c, "*".join(filter(None, (_power_text("t1", i), _power_text("t2", j)))))
+            for (i, j), c in sorted(self.coeffs.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+        )
 
     def __str__(self):
         return self.to_text()

@@ -115,7 +115,6 @@ def _verify_factor_list(h: Poly, factors) -> tuple:
     trial gcd, squarefree, product reassembling h up to its leading
     coefficient. Returns the tuple as given."""
     factors = tuple((u, int(a)) for u, a in factors)
-    prod = Poly.constant(h.field, h.leading_coefficient())
     for idx, (u, a) in enumerate(factors):
         check_same_field(h.field, u.field)
         if u.is_constant() or not u.is_monic():
@@ -128,6 +127,11 @@ def _verify_factor_list(h: Poly, factors) -> tuple:
         for v, _ in factors[idx + 1 :]:
             if not u.gcd_monic(v).is_one():
                 raise FactorListError(f"factors {u} and {v} share a root")
+    # degrees first, so that a large multiplicity is refused before its power is formed
+    if sum(a * u.degree for u, a in factors) != h.degree:
+        raise FactorListError("factor product does not reassemble h")
+    prod = Poly.constant(h.field, h.leading_coefficient())
+    for u, a in factors:
         prod = prod * u**a
     if prod != h:
         raise FactorListError("factor product does not reassemble h")

@@ -10,7 +10,12 @@ is used anywhere.
 Both kinds of scalar support `+`, `-` and `*` natively, so the ring loops
 of `poly`, `weyl`, `centerpoly` and `linalg` compute on raw values and call
 `FieldSpec.reduce` once per output coefficient: that method is the only
-place they learn the characteristic. `coerce` validates outside input.
+place they learn the characteristic. `coerce` validates outside scalars
+where they enter a value class: the public constructors and `Poly.scale`.
+The parser calls it only on an `a/b` literal over GF(p): it keeps every
+other scalar in the field's raw form (a residue mod p; over Q an int, or a
+`Fraction` from an `a/b` literal) and makes each canonical once, where a
+value leaves it (see `parse`).
 
 The product loops (`Poly.__mul__`, the Weyl product, `d_on_poly` and the
 closed form `yhat_bracket`), the division `Poly.__divmod__`, and the routes

@@ -16,17 +16,22 @@ position. Printing lives on the value classes (increasing-degree order);
 everything printed re-parses to an equal value.
 
 Evaluation is sparse: every value is a dict {(i, j): c} standing for the
-sum of the c x^i y^j, each c a nonzero canonical scalar of the field.
-Numbers are coerced once, where they are read. A sum adds the raw
-coefficients of all its terms and reduces them once (`FieldSpec.reduce`),
-dropping zeros; unary minus goes through the same reduction. A product
-whose left factor has no y, or whose right factor has no x, is already in
-normal order, x^i y^j * x^k y^l = x^(i+k) y^(j+l), and only adds exponents.
-Any other product (`y*x`, `t2*t1`) is the Weyl product of `weyl`, the one
-route that reorders. The power of a monomial c x^i or c y^j is c^n x^(in)
-or c^n y^(jn); any other power is square-and-multiply through the same
-product. The value becomes a `WeylElement` or `Poly` once, at the end, so
-text in the printed normal form parses without a polynomial or Weyl product.
+sum of the c x^i y^j, each c a nonzero scalar in the field's raw form: a
+residue in [0, p) over GF(p); over Q a plain int, or a `Fraction` where an
+`a/b` literal made one. A sum adds the raw coefficients of all its terms
+and reduces them once (`FieldSpec.reduce`), dropping zeros; unary minus
+goes through the same reduction. A product whose left factor has no y, or
+whose right factor has no x, is already in normal order, x^i y^j * x^k y^l
+= x^(i+k) y^(j+l), and only adds exponents; of two monomials it is one
+step, one scalar product. Any other product (`y*x`, `t2*t1`) is the Weyl
+product of `weyl`, the one route that reorders. The power of a monomial
+c x^i or c y^j is c^n x^(in) or c^n y^(jn); any other power is
+square-and-multiply through the same product. Scalars become canonical
+(an int over Q a `Fraction`) once, where a value leaves the parser: as a
+`WeylElement` or `Poly` at the end, and on the operands of the reordering
+product. So text in the printed normal form parses without a polynomial or
+Weyl product, and over Q without `Fraction` arithmetic unless it has a
+rational literal.
 
 Each row of that value is dense in x, so a power or product whose x-degree
 or y-degree would exceed `MAX_DEGREE` is refused before it is formed. Both
@@ -85,7 +90,7 @@ def _check_literal(digits: int, position: int) -> None:
         )
 
 
-def _check_power_digits(c: Fraction, n: int, position: int) -> None:
+def _check_power_digits(c, n: int, position: int) -> None:
     """Refuse c^n over Q whose numerator or denominator would have more than
     `MAX_DIGITS` digits. Since |a|^n >= 2^(n (bits(a) - 1)) and
     2^(4 MAX_DIGITS) > 10^MAX_DIGITS, a large n is refused before any power
@@ -162,10 +167,18 @@ def _reduced(field: FieldSpec, raw: dict) -> dict:
     return {k: c for k, c in zip(raw, field.reduce(raw.values())) if c}
 
 
-def _to_weyl(field: FieldSpec, value: dict) -> WeylElement:
-    rows = {}  # y-degree -> {x-degree: coefficient}
+def _canonical_rows(field: FieldSpec, value: dict) -> dict:
+    """{y-degree: {x-degree: coefficient}} of a sparse value, each raw
+    scalar made canonical: over Q an int becomes a `Fraction`; a residue
+    over GF(p) already is one."""
+    rows, rational = {}, field.is_char_zero
     for (i, j), c in value.items():
-        rows.setdefault(j, {})[i] = c
+        rows.setdefault(j, {})[i] = Fraction(c) if rational and type(c) is int else c
+    return rows
+
+
+def _to_weyl(field: FieldSpec, value: dict) -> WeylElement:
+    rows = _canonical_rows(field, value)
     return WeylElement._canonical(
         field, {j: Poly.from_coeff_dict(field, row) for j, row in rows.items()}
     )
@@ -253,6 +266,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.field = field
+        self.p = field.characteristic
         self.atoms = atoms
 
     def peek(self):
@@ -306,13 +320,27 @@ class _Parser:
         while self.peek()[0] == "*":
             position = self.advance()[2]
             right = self.factor()
+            if len(value) == 1 == len(right):
+                (((i, j), c),) = value.items()
+                (((k, l), d),) = right.items()
+                if not j or not k:  # c x^i y^j * d x^k y^l = cd x^(i+k) y^(j+l)
+                    _check_degree(max(i + k, j + l), position)
+                    e = c * d % self.p if self.p else c * d  # nonzero: a field has no zero divisors
+                    value = _checked_digits(self.field, {(i + k, j + l): e}, position)
+                    continue
             (i, j), (k, l) = _degrees(value), _degrees(right)
             _check_degree(max(i + k, j + l), position)
             value = self.mul(value, right, position)
         return value
 
     def factor(self):
-        base = self.atom()
+        tok = self.advance()
+        if tok[0] == "name":
+            if tok[1] not in self.atoms:
+                raise ParseError(f"unknown name {tok[1]!r}", tok[2])
+            base = self.atoms[tok[1]]
+        else:
+            base = self.atom(tok)
         if self.peek()[0] == "^":
             self.advance()
             tok = self.expect("num")
@@ -322,23 +350,25 @@ class _Parser:
             return self.power(base, tok[1], tok[2])
         return base
 
-    def atom(self):
-        tok = self.advance()
+    def atom(self, tok):
+        """The value of a number, a parenthesized sum or a negated factor;
+        `factor` reads names itself."""
         kind, value, pos = tok
         if kind == "num":
-            F = self.field
-            den = value.denominator if isinstance(value, Fraction) else 1
-            if not F.is_char_zero and den % F.p == 0:
-                raise ParseError(
-                    f"denominator {den} of {value} is divisible by the characteristic {F.p}",
-                    pos,
-                )
-            c = F.coerce(value)
+            p = self.p
+            if not p:
+                return {(0, 0): value} if value else {}
+            if isinstance(value, Fraction):
+                if value.denominator % p == 0:
+                    raise ParseError(
+                        f"denominator {value.denominator} of {value} is divisible by the"
+                        f" characteristic {p}",
+                        pos,
+                    )
+                c = self.field.coerce(value)
+            else:
+                c = value % p
             return {(0, 0): c} if c else {}
-        if kind == "name":
-            if value not in self.atoms:
-                raise ParseError(f"unknown name {value!r}", pos)
-            return self.atoms[value]
         if kind == "(":
             inner = self.expr()
             closing = self.advance()
@@ -372,12 +402,11 @@ class _Parser:
         if len(base) == 1:
             (((i, j), c),) = base.items()
             if i == 0 or j == 0:  # c^n x^(in) y^(jn); c^n mod p by pow, however large n is
-                p = self.field.characteristic
-                if p:
-                    return {(i * n, j * n): pow(c, n, p)}
+                if self.p:
+                    return {(i * n, j * n): pow(c, n, self.p)}
                 _check_power_digits(c, n, position)
                 return {(i * n, j * n): c**n}
-        out = {(0, 0): self.field.one()}
+        out = {(0, 0): 1}
         while n:
             if n & 1:
                 out = self.mul(out, base, position)
@@ -388,20 +417,19 @@ class _Parser:
 
 
 def parse_weyl(text: str, field: FieldSpec) -> WeylElement:
-    one = field.one()
-    atoms = {"x": {(1, 0): one}, "y": {(0, 1): one}}
+    atoms = {"x": {(1, 0): 1}, "y": {(0, 1): 1}}
     return _to_weyl(field, _Parser(text, field, atoms).parse())
 
 
 def parse_poly(text: str, field: FieldSpec, var: str = "x") -> Poly:
-    value = _Parser(text, field, {var: {(1, 0): field.one()}}).parse()
-    return Poly.from_coeff_dict(field, {i: c for (i, _), c in value.items()})
+    value = _Parser(text, field, {var: {(1, 0): 1}}).parse()
+    return Poly.from_coeff_dict(field, _canonical_rows(field, value).get(0, {}))
 
 
 def parse_center(text: str, ctx: AhContext) -> CenterPoly:
     """Parse an element of F[t1, t2], resolved through the context."""
     atoms = {
-        "t1": {(ctx.p, 0): ctx.field.one()},
+        "t1": {(ctx.p, 0): 1},
         "t2": _from_weyl(ctx.zeta_element()),
     }
     value = _to_weyl(ctx.field, _Parser(text, ctx.field, atoms).parse())
@@ -413,7 +441,8 @@ def parse_center(text: str, ctx: AhContext) -> CenterPoly:
 
 def parse_factors(text: str, field: FieldSpec):
     """Factor list syntax: comma-separated `poly` or `poly^mult` entries,
-    e.g. "x^2,x-1"; the power after the last '^' is the multiplicity."""
+    e.g. "x^2,x-1"; the power after the last '^' is the multiplicity, a
+    number literal under the same `MAX_DIGITS` limit."""
     out = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -421,9 +450,10 @@ def parse_factors(text: str, field: FieldSpec):
             continue
         base, mult = None, 1
         head, sep, tail = chunk.rpartition("^")
-        if sep and tail.strip().isdecimal() and head.strip():
+        if sep and (digits := tail.strip()).isdecimal() and head.strip():
+            _check_literal(len(digits), len(chunk) - len(digits))
             try:
-                base, mult = parse_poly(head.strip(), field), int(tail)
+                base, mult = parse_poly(head.strip(), field), int(digits)
             except ParseError:
                 pass  # the '^' belongs to the polynomial itself
         if base is None:

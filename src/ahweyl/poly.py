@@ -46,7 +46,8 @@ NEG_INF = float("-inf")
 #: Most decimal digits in a number literal, and in the numerator or the
 #: denominator of any coefficient over Q: the longest integer that Python's
 #: `int()` reads from text, and `str()` writes, by default. The parser
-#: refuses longer input, and `to_text` a longer computed coefficient.
+#: refuses longer input, and the term printer of Q (`_term_printer`) a
+#: longer computed coefficient, for `Poly`, `WeylElement` and `CenterPoly`.
 MAX_DIGITS = 4300
 _DIGITS_BOUND = 10**MAX_DIGITS  # the least integer with more digits
 
@@ -461,21 +462,7 @@ class Poly:
         """Render with terms in increasing degree, e.g. '1 - 2*x + x^3'."""
         if self.is_zero():
             return "0"
-        pieces = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            pieces.append((i, c))
-        out = []
-        for idx, (i, c) in enumerate(pieces):
-            neg = _scalar_is_negative(c)
-            mag = -c if neg else c
-            body = _term_text(mag, i, var)
-            if idx == 0:
-                out.append(("-" if neg else "") + body)
-            else:
-                out.append(("- " if neg else "+ ") + body)
-        return " ".join(out)
+        return _join_terms(_poly_terms(self, _term_printer(self.field), var))
 
     def __str__(self):
         return self.to_text()
@@ -494,25 +481,60 @@ def _convolve(acc: list, a, b) -> None:
                 acc[n] += am * bn
 
 
-def _scalar_is_negative(c) -> bool:
-    return isinstance(c, (int, Fraction)) and c < 0
+def _term_printer(field: FieldSpec):
+    """The printer of a term of `field`: (c, monomial) -> (negative, text) for
+    a nonzero canonical scalar c and the text of a monomial ('' for 1). The
+    text is c without its sign, then '*' and the monomial; a coefficient 1
+    before a monomial is left out. Chosen once per printed value: the one
+    place a coefficient becomes text."""
+    return _rational_term if field.is_char_zero else _residue_term
 
 
-def _term_text(mag, i: int, var: str) -> str:
-    """The text of the term mag * var^i, for a scalar mag >= 0: the one
-    place a coefficient becomes text. A numerator or a denominator of more
-    than `MAX_DIGITS` digits is a ValueError that names the limit."""
-    num, den = mag.numerator, mag.denominator
+def _residue_term(c, monomial: str):
+    """A residue in [0, p) is never negative and never near `MAX_DIGITS`."""
+    if not monomial:
+        return False, str(c)
+    return False, monomial if c == 1 else f"{c}*{monomial}"
+
+
+def _rational_term(c, monomial: str):
+    """The sign split off, then num or num/den; a numerator or a denominator
+    of more than `MAX_DIGITS` digits is a ValueError that names the limit."""
+    num, den = c.numerator, c.denominator
+    neg = num < 0
+    if neg:
+        num = -num
     if num >= _DIGITS_BOUND or den >= _DIGITS_BOUND:
         raise ValueError(
             f"a computed coefficient takes more than {MAX_DIGITS} digits, the limit for printing"
         )
-    if i == 0:
-        return str(num) if den == 1 else f"{num}/{den}"
-    xpart = var if i == 1 else f"{var}^{i}"
-    if den == 1:
-        return xpart if num == 1 else f"{num}*{xpart}"
-    return f"{num}/{den}*{xpart}"
+    text = str(num) if den == 1 else f"{num}/{den}"
+    if not monomial:
+        return neg, text
+    return neg, monomial if text == "1" else f"{text}*{monomial}"
+
+
+def _power_text(var: str, n: int) -> str:
+    """var^n as printed: '' for n = 0, var for n = 1."""
+    return "" if n == 0 else var if n == 1 else f"{var}^{n}"
+
+
+def _poly_terms(r: Poly, term, var: str, suffix: str = ""):
+    """The printed terms of r, each monomial var^i followed by `suffix`."""
+    for i, c in enumerate(r.coeffs):
+        if c:
+            # _power_text, inlined: this loop runs once per printed coefficient
+            monomial = "" if i == 0 else var if i == 1 else f"{var}^{i}"
+            yield term(c, f"{monomial}*{suffix}" if monomial and suffix else monomial or suffix)
+
+
+def _join_terms(terms) -> str:
+    """'a + b - c' from printed terms (negative, text), the first one's sign
+    written as a bare '-'."""
+    out = []
+    for neg, text in terms:
+        out.append(((" - " if neg else " + ") if out else ("-" if neg else "")) + text)
+    return "".join(out)
 
 
 def _yun(f: Poly):

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import comb
 
 from .fields import FieldSpec, check_same_field
-from .poly import Poly, _convolve
+from .poly import Poly, _convolve, _join_terms, _poly_terms, _power_text, _term_printer
 
 
 class WeylElement:
@@ -239,13 +239,8 @@ class WeylElement:
         """Terms in increasing y-degree, e.g. '(1 + x^2)*y^3 + 2*x*y + 5'."""
         if self.is_zero():
             return "0"
-        pieces = []
-        for i, r in self.iter_terms():
-            pieces.append(_weyl_term_text(r, i))
-        out = ("-" + pieces[0][1]) if pieces[0][0] else pieces[0][1]
-        for neg, body in pieces[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
+        term = _term_printer(self.field)
+        return _join_terms(t for i, r in self.iter_terms() for t in _row_terms(r, i, term))
 
     def __str__(self):
         return self.to_text()
@@ -263,29 +258,15 @@ def _accumulate(rows: dict, deg: int, u, v) -> None:
     _convolve(row, u, v)
 
 
-def _weyl_term_text(r: Poly, i: int):
-    """(positive, text) for the term r*y^i; sign pulled out for monomials."""
+def _row_terms(r: Poly, i: int, term):
+    """The printed terms of r*y^i: those of r at y^0; r's one term times y^i
+    when it has one; else r parenthesized, times y^i."""
     if i == 0:
-        txt = r.to_text()
-        if txt.startswith("-"):
-            return True, txt[1:]
-        return False, txt
-    ymark = "y" if i == 1 else f"y^{i}"
-    nonzero = [(k, c) for k, c in enumerate(r.coeffs) if c]
-    if len(nonzero) == 1:
-        k, c = nonzero[0]
-        neg = isinstance(c, (int, Fraction)) and c < 0
-        mag = -c if neg else c
-        parts = []
-        if mag != 1:
-            parts.append(str(mag))
-        if k == 1:
-            parts.append("x")
-        elif k > 1:
-            parts.append(f"x^{k}")
-        parts.append(ymark)
-        return neg, "*".join(parts)
-    return False, f"({r.to_text()})*{ymark}"
+        return _poly_terms(r, term, "x")
+    ymark = _power_text("y", i)
+    if sum(1 for c in r.coeffs if c) == 1:
+        return _poly_terms(r, term, "x", ymark)
+    return ((False, f"({_join_terms(_poly_terms(r, term, 'x'))})*{ymark}"),)
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:

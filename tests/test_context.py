@@ -176,6 +176,17 @@ class TestContextInvariants:
         with pytest.raises(FactorListError):
             AhContext(h, factors=[(xn(QQ, 2), 1), (P(QQ, -1, 1), 1)])
 
+    def test_factor_degrees_are_compared_before_any_power(self, monkeypatch):
+        h = xn(QQ, 2) * P(QQ, -1, 1)
+
+        def no_power(self, n):
+            raise AssertionError(f"formed a power {n} of {self}")
+
+        monkeypatch.setattr(Poly, "__pow__", no_power)
+        for factors in ([(Poly.x(QQ), 3000000), (P(QQ, -1, 1), 1)], [(Poly.x(QQ), 1)]):
+            with pytest.raises(FactorListError, match="factor product does not reassemble h"):
+                AhContext(h, factors=factors)
+
 
 class TestMembership:
     def test_examples(self):

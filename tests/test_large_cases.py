@@ -6,13 +6,18 @@ p | i; a normalizer term at y-degree kp is inner iff h^{kp} divides it. They
 also run classify and verify on large h over Q, and verify on A_1 itself
 (h = 1) at large p.
 
+They also check that input which would exhaust time or memory is refused
+before the work starts, as a domain error.
+
 Each row of `CASES` is (id, argv, stdin, predicate, cap). The stdin is the
 text given to the command, a builder of that text on the public `ahweyl`
 API, or None. The row runs as `python -m ahweyl.cli <argv> --output json` in
-a new session and must exit 0, write nothing to stderr, and satisfy the
-predicate on its JSON within its cap in seconds; a builder's time counts
-against the cap. A row over its cap has its whole process group killed,
-verify's forked workers with it, and fails. A new large case is one row.
+a new session and must finish within its cap in seconds; a builder's time
+counts against the cap. It must exit 0, write nothing to stderr, and satisfy
+the predicate on its JSON; or, where the predicate is `Refused(category)`,
+exit 1 with that category on stderr and nothing on stdout. A row over its
+cap has its whole process group killed, verify's forked workers with it,
+and fails. A new large case is one row.
 """
 
 import json
@@ -22,6 +27,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -55,6 +61,12 @@ def char0_outer(g, terms):
         return out["inner"] is False and c["g"] == g and c["terms"] == terms
 
     return check
+
+
+class Refused(NamedTuple):
+    """The predicate of a row that must exit 1 with this error category."""
+
+    category: str
 
 
 def all_passed(out):
@@ -204,6 +216,22 @@ CASES = [
         element_image("(y*((x+1)^5*x^2) + x + x^2+3*x+1)^30", 13),
         10,
     ),
+    (
+        # a multiplicity past the digit limit is a number literal past it
+        "factors-multiplicity-digits",
+        ["analyze", "--h", "x", "--char", "0", "--factors", "x^" + "9" * 5000],
+        None,
+        Refused("parse error"),
+        2,
+    ),
+    (
+        # the degrees are compared before x^3000000 is formed
+        "factors-multiplicity-degree",
+        ["analyze", "--h", "x", "--char", "0", "--factors", "x^3000000"],
+        None,
+        Refused("factor list error"),
+        2,
+    ),
 ]
 
 
@@ -241,6 +269,10 @@ def test_large_case(case_id, argv, stdin, check, cap):
     if result is None:
         pytest.fail(f"{case_id} ran over its cap of {cap} s")
     code, out, err = result
+    if isinstance(check, Refused):
+        assert code == 1 and out == "", f"{case_id}: exit {code}"
+        assert err.startswith(f"error ({check.category}): "), f"{case_id}: {err[:200]}"
+        return
     assert (code, err) == (0, ""), f"{case_id}: exit {code}"
     holds = check(json.loads(out))
     assert holds, f"{case_id}: the predicate does not hold"

@@ -145,6 +145,18 @@ class TestParseFactors:
         got = parse_factors("x^2+1", QQ)
         assert got == [(Poly(QQ, [1, 0, 1]), 1)]
 
+    def test_multiplicity_over_the_digit_limit(self):
+        # refused before int() reads it, as a number literal, at its position in its entry
+        assert parse_factors(f"x^{'9' * MAX_DIGITS}", QQ) == [(Poly.x(QQ), int("9" * MAX_DIGITS))]
+        over = "9" * (MAX_DIGITS + 1)
+        for text, position in [(f"x^{over}", 2), (f"x-1, (x+1)^ {over}", 7)]:
+            with pytest.raises(ParseError) as e:
+                parse_factors(text, QQ)
+            assert str(e.value) == (
+                f"number literal of {MAX_DIGITS + 1} digits exceeds the limit {MAX_DIGITS}"
+                f" (at position {position})"
+            )
+
 
 # -- the dense parser as an oracle -------------------------------------------------------
 
