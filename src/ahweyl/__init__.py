@@ -63,7 +63,7 @@ from .hochschild import (
     freeness_and_module_report_charp,
     structure_report_char0,
 )
-from .parse import ParseError, parse_center, parse_factors, parse_poly, parse_weyl
+from .parse import ParseError, parse_factors, parse_poly, parse_weyl
 from .poly import NEG_INF, NotIntegrable, Poly
 from .verify import run_verify
 from .weyl import WeylElement, commutator, varpi
@@ -118,7 +118,6 @@ __all__ = [
     "freeness_and_module_report_charp",
     "is_inner",
     "make_derivation",
-    "parse_center",
     "parse_factors",
     "parse_poly",
     "parse_weyl",

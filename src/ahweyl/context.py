@@ -25,9 +25,10 @@ F[x^p]) and basis conversions live here too. Elements are read only in
 the y normal form a = sum f_i y^i that they are stored in. A central factor
 zeta^k or z(x^p, zeta) multiplies without a Weyl product, as a polynomial
 factor and a shift of the y-degrees (`zeta_mul`, `central_mul`), and
-[yhat, a] has a closed form over the cached derivatives of h
-(`yhat_bracket`, whose row core `derivations` shares). The cached powers of
-h use h^p = h(x^p) over the prime field (`h_power`).
+[yhat, a] has a closed form (`yhat_bracket`, whose row core `derivations`
+shares) over one cached table H_0(h), H_1(h), ... of Hasse derivatives,
+grown only as far as a caller reads it (`h_hasse`). The cached powers of h
+use h^p = h(x^p) over the prime field (`h_power`).
 
 A_1 is itself the member at h = 1, where yhat = y and every element lies
 in A_h: `weyl_context(field)` is that context, one per field, over which
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import comb
 from operator import mul
 from typing import Optional
 
@@ -47,7 +47,7 @@ from .centerpoly import CenterPoly
 from .fields import ExactDivisionError, check_same_field
 from .linalg import relations
 from .poly import NotIntegrable, Poly
-from .weyl import WeylElement, _accumulate
+from .weyl import WeylElement, _accumulate, _add_reordered, _hasse_rows, _reach
 
 
 class MembershipError(ValueError):
@@ -158,10 +158,8 @@ class AhContext:
         if self.factors is not None:
             self._cross_check_factors()
         self._h_powers = {0: Poly.one(self.field)}
-        chain = [h]  # h, h', h'', ... while nonzero; none past order p - 1 in char p
-        while d := chain[-1].derivative():
-            chain.append(d)
-        self._h_chain = self.field.lift(tuple(chain))
+        self._dh, (lifted,) = self.field.lift((h,))
+        self._h_hasse = [lifted.coeffs]  # H_0(h), H_1(h), ... over dh, grown by `h_hasse`
         self.x_elt = WeylElement.x_power(self.field, 1)
         self.yhat = WeylElement(self.field, {1: h, 0: h.derivative()})  # y h = h y + h'
         self._theta_S = None
@@ -330,37 +328,53 @@ class AhContext:
                 out = out + self.zeta_mul(w, k, c.substitute_xp())
         return out
 
+    def h_hasse(self, n: int):
+        """(dh, [H_0(h), ..., H_(n-1)(h)]), raw over the lift denominator dh
+        of h (1 over GF(p)), each row built on the first call that reads it;
+        the list stops at deg h, past which H_k(h) = 0. h^(m) = m! H_m(h)."""
+        table = self._h_hasse
+        if len(table) < min(n, len(table[0])):
+            table += _hasse_rows(self.field, table[0], len(table), n)
+        return self._dh, table[:n]
+
     def yhat_bracket(self, a: WeylElement) -> WeylElement:
         """[yhat, a] in closed form, without a Weyl product (`_add_yhat_bracket`)."""
         check_same_field(self.field, a.field)
         da, terms = self.field.lift(a.terms)
         rows = {}
         self._add_yhat_bracket(rows, {j: r.coeffs for j, r in terms.items()})
-        return WeylElement._from_rows(self.field, rows, da * self._h_chain[0])
+        return WeylElement._from_rows(self.field, rows, da * self._dh)
 
     def _add_yhat_bracket(self, rows: dict, terms: dict) -> None:
         """rows += [yhat, a] over the raw coefficients {j: r} of a (lifted
-        over Q, so the rows are over the lift denominator times that of the
-        lifted derivative chain of h). yhat r y^j = y h r y^j = (h r y +
-        (h r)') y^j, and r y^j yhat = r y^(j+1) h = sum_{k >= 0} C(j+1, k)
-        r h^(k) y^(j+1-k), with h^(k) the k-th derivative of h, whose k = 0
-        term is h r y^(j+1). So
+        over Q, so the rows are over the lift denominator times dh). yhat r
+        y^j = y h r y^j = (h r y + (h r)') y^j, and r y^j yhat = r y^(j+1) h
+        = sum_{k >= 0} (j+1)_k r H_k(h) y^(j+1-k), whose k = 0 term is
+        h r y^(j+1). With (j+1)_(l+1) = (j+1) (j)_l this gives
 
-            [yhat, r y^j] = (h r' + h' r) y^j - sum_{k >= 1} C(j+1, k) r h^(k) y^(j+1-k).
+            [yhat, r y^j] = (h r' + h' r) y^j - (j+1) sum_l (j)_l r H_(l+1)(h) y^(j-l),
 
-        The sum stops at deg h. In characteristic p, h^(k) = 0 for k >= p,
-        so Lucas' theorem gives C(j+1, k) = C((j+1) mod p, k), and the sum
-        also stops at (j+1) mod p."""
+        and the sum is d(h) for d(x) = -(j+1) r y^j (`_add_d_of_h`). A term
+        with j + 1 = 0 in F has no sum."""
         p = self.field.characteristic
-        chain = self._h_chain[1]
+        _, (hc, *hp) = self.h_hasse(2)
+        scaled = {}
         for j, rc in terms.items():
-            _accumulate(rows, j, chain[0].coeffs, [i * c for i, c in enumerate(rc[1:], 1)])
-            if len(chain) > 1:
-                _accumulate(rows, j, chain[1].coeffs, rc)
-            jp = (j + 1) % p if p else j + 1
-            for k in range(1, min(jp, len(chain) - 1) + 1):
-                b = -comb(jp, k)
-                _accumulate(rows, j + 1 - k, [b * c for c in chain[k].coeffs], rc)
+            _accumulate(rows, j, hc, [i * c for i, c in enumerate(rc[1:], 1)])
+            if hp:
+                _accumulate(rows, j, hp[0], rc)
+            if b := -(j + 1) % p if p else -(j + 1):
+                scaled[j] = [b * c for c in rc]
+        self._add_d_of_h(rows, scaled)
+
+    def _add_d_of_h(self, rows: dict, terms: dict) -> None:
+        """rows += d(h) for the derivation d of F[x] with d(x) = u, over the
+        raw coefficients {j: r} of u (rows over their denominator times
+        dh): the kernel `weyl._add_reordered` on the cached table H_1(h),
+        H_2(h), ..., read as far as the y-degrees of u reach."""
+        p = self.field.characteristic
+        _, table = self.h_hasse(_reach(terms, p) + 2)
+        _add_reordered(rows, terms, table[1:], 0, p)
 
     def centralizer_x_coords(self, f: WeylElement, keep=None):
         """(g_0, g_1, ...) with f = sum_k g_k zeta^k, g_k in F[x], read in

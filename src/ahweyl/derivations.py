@@ -36,7 +36,7 @@ from .centerpoly import CenterPoly
 from .context import AhContext, NotCentralizing, weyl_context
 from .fields import ExactDivisionError, check_same_field
 from .poly import NotIntegrable, Poly, _convolve
-from .weyl import WeylElement, _accumulate, commutator
+from .weyl import WeylElement, _accumulate, _add_reordered, _hasse_rows, _reach, commutator
 
 
 class InvalidDerivationError(ValueError):
@@ -93,23 +93,12 @@ def _add_d_on_poly(F, rows: dict, fc, terms: dict, shift: int = 0) -> None:
     """rows += d(f) y^shift for d(x) = u, on raw coefficients: fc are those
     of f and terms the {j: coefficients} of u, lifted over Q (`d_on_poly`).
 
-    The Hasse derivatives are taken on fc as raw C(n, l+1) c_n, reduced
-    once each (mod p in characteristic p, where the falling factorial is
-    kept mod p too), and every piece falling * H_(l+1)(f) * r_j is summed
-    into the raw row of y-degree j - l + shift (`weyl._accumulate`)."""
+    The table H_1(f), H_2(f), ... (`weyl._hasse_rows`) is built as far as
+    the falling factorials (j)_l of the y-degrees of u reach, and the
+    reordering kernel `weyl._add_reordered` sums every piece
+    (j)_l H_(l+1)(f) r_j into the raw row of y-degree j - l + shift."""
     p = F.characteristic
-    hasse = [
-        F.reduce([comb(n, l + 1) * c for n, c in enumerate(fc[l + 1 :], l + 1)])
-        for l in range(min(len(fc) - 1, max(terms, default=-1) + 1))
-    ]
-    for j, r in terms.items():
-        falling = 1  # j!/(j-l)!, in F
-        for l, hf in enumerate(hasse[: j + 1]):
-            if not falling:
-                break
-            if any(hf):
-                _accumulate(rows, j - l + shift, [falling * c for c in hf], r)
-            falling = falling * (j - l) % p if p else falling * (j - l)
+    _add_reordered(rows, terms, _hasse_rows(F, fc, 1, _reach(terms, p) + 2), shift, p)
 
 
 def _lift_elements(F, elements):
@@ -145,8 +134,7 @@ def _binomial_sum(ctx: AhContext, a: WeylElement, images, first=None) -> WeylEle
     top = max(gs)
     den, terms = _lift_elements(F, images(top))
     dg, lifted = F.lift(tuple(gs.values()))
-    dh, chain = ctx._h_chain
-    hc = chain[0].coeffs
+    dh, (hc,) = ctx.h_hasse(1)
     rows = {}
     for (i, g), gc in zip(gs.items(), lifted):
         t, at = gc.coeffs, 0  # g h^at, raw over dg dh^at
@@ -189,19 +177,19 @@ class Derivation:
     def criterion_defect(self) -> WeylElement:
         """[D(yhat), x] + [yhat, D(x)] - d(h); zero iff the images define a
         derivation. The three parts are summed into one set of raw rows over
-        den dh (den lifts both images, dh the derivative chain of h):
-        [D(yhat), x] = sum_i i v_i y^(i-1) scaled by dh, [yhat, D(x)] and
-        -d(h)."""
+        den dh (den lifts both images, dh lifts h): [D(yhat), x] =
+        sum_i i v_i y^(i-1) scaled by dh, [yhat, D(x)] and -d(h), the last
+        on the cached Hasse table of h (`AhContext._add_d_of_h`)."""
         ctx = self.context
         F = ctx.field
-        dh, chain = ctx._h_chain
+        dh = ctx._dh
         den, (u, v) = _lift_elements(F, (self.image_x, self.image_yhat))
         rows = {}
         for i, r in v.items():
             if i:
                 _accumulate(rows, i - 1, [i * dh], r)
         ctx._add_yhat_bracket(rows, u)
-        _add_d_on_poly(F, rows, [-c for c in chain[0].coeffs], u)
+        ctx._add_d_of_h(rows, {j: [-c for c in r] for j, r in u.items()})
         return WeylElement._from_rows(F, rows, den * dh)
 
     def validate(self) -> Optional[InvalidDerivation]:
@@ -285,16 +273,16 @@ class Derivation:
         if numerators is None:
             w = self.image_yhat - d_on_poly(ctx.h, self.image_x).shift(1)
             numerators = self._cache["dy"] = [w - d_on_poly(ctx.h.derivative(), self.image_x)]
-        dh, (hc, *chain) = ctx._h_chain
+        dh, (hc, *hp) = ctx.h_hasse(2)
         while len(numerators) < n:
             scale = -len(numerators)  # -(l+1)
             dl, terms = ctx.field.lift(numerators[-1].terms)
             rows = {}
             for j, r in terms.items():
                 rc = r.coeffs
-                _accumulate(rows, j, hc.coeffs, [i * c for i, c in enumerate(rc[1:], 1)])
-                if chain:
-                    _accumulate(rows, j, [scale * c for c in chain[0].coeffs], rc)
+                _accumulate(rows, j, hc, [i * c for i, c in enumerate(rc[1:], 1)])
+                if hp:
+                    _accumulate(rows, j, [scale * c for c in hp[0]], rc)
             numerators.append(WeylElement._from_rows(ctx.field, rows, dl * dh))
         return numerators
 

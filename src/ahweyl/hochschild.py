@@ -13,9 +13,10 @@ the maximal nilpotent ideal N of the commutator ideal.
 
 Characteristic p: symbolic derivation expressions over the generator bases
 {D_g, ad_{r a_n}, bhat_x, bhat_f} with center-polynomial coefficients, the
-closed-form brackets between them (one route: every pair of input bases has
-a closed form, and [D_g, bhat_x] adds an ad_b part that is an output base
-only), and the freeness / module-structure report over the center.
+closed-form brackets between them (one route: every pair of bases has a
+closed form, and the brackets are closed on their own output, as the ad_b
+part of [D_g, bhat_x] is written in the bases ad_{r a_n}), and the
+freeness / module-structure report over the center.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .derivations import (
 )
 from .fields import check_same_field
 from .poly import NotIntegrable, Poly
-from .weyl import WeylElement
+from .weyl import WeylElement, _hasse_rows
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +278,6 @@ def structure_report_char0(ctx: AhContext) -> HH1ReportChar0:
 
 
 @dataclass(frozen=True)
-class BAdElem:
-    """ad_a for an explicit normalizer element a: the ad_b part of
-    [D_g, bhat_x]. An output base only; `bracket_charp` refuses it as input."""
-
-    a: WeylElement
-
-
-@dataclass(frozen=True)
 class BBx:
     """bhat_x = (h^p / varrho_h) E_x."""
 
@@ -334,8 +327,6 @@ def _base_derivation(b, ctx: AhContext) -> Derivation:
         return D_g(b.g, ctx)
     if isinstance(b, BAd):
         return ad_ra_n(b.r, b.n, ctx)
-    if isinstance(b, BAdElem):
-        return ad(b.a, ctx)
     if isinstance(b, BBx):
         return bhat_x(ctx)
     raise TypeError(f"unknown base {b!r}")
@@ -349,11 +340,6 @@ def _base_res(b, ctx: AhContext) -> CenterDerivation:
         return CenterDerivation(zero, CenterPoly.from_t1_poly(ctx.theta_p_map(b.g)))
     if isinstance(b, BAd):
         return CenterDerivation(zero, zero)
-    if isinstance(b, BAdElem):
-        raise ValueError(
-            "BAdElem is an output base with no closed-form bracket; "
-            "bracket the materialized derivation instead"
-        )
     if isinstance(b, BBx):
         # (h')^p / varrho_h = (h' / sigma)(x^p), with sigma the p-th root of varrho_h
         hp_u = ctx.h.derivative().exact_div(ctx.varrho_root)
@@ -390,8 +376,12 @@ def _core_bracket(ctx: AhContext, b1, b2) -> list:
         ).scale(n)
         return _ad_level(ctx, CenterPoly.t2(F, k + 1), n - 1, zeta_n)
     if isinstance(b1, BDg) and isinstance(b2, BBx):
+        # b = sum_n b_n y^n lies in the normalizer, and its y-degrees n are
+        # prime to p, so each b_n / (pi_h h^(n-1)) is exact: ad_b is the sum
+        # of the ad_{r a_n}, kept whole (not reduced by the level rule), so
+        # that the parts materialize to ad_b itself
         e, b = _dg_bx_closed_form(ctx, b1.g)
-        parts = [(one, BAdElem(b))] if not b.is_zero() else []
+        parts = [(one, BAd(bn.exact_div(ctx.pi_h * ctx.h_power(n - 1)), n)) for n, bn in b.items()]
         if not e.is_zero():
             parts.append((one, BDg(e)))
         return parts
@@ -399,38 +389,31 @@ def _core_bracket(ctx: AhContext, b1, b2) -> list:
 
 
 def _dg_bx_closed_form(ctx: AhContext, g: Poly):
-    """[D_g, bhat_x] = D_e + ad_b: returns (e, b) by the displayed closed
-    forms; e is the explicit x-polynomial and b = b_1 + b_2."""
+    """[D_g, bhat_x] = D_e + ad_b: returns e and the nonzero terms {n: b_n}
+    of b = sum_n b_n y^n, whose y-degrees are n = p - k for 1 <= k < p.
+
+    With G = g h^(p-1), e varrho_h = E + h^(p-1) (h partial_p(g) -
+    g partial_p(h)) for E = sum_k (-1)^(k-1)/k G^(k) h^(p-k). As G^(k) =
+    k! H_k(G), h^(p-k) = (p-k)! H_(p-k)(h), and (k-1)! (p-k)! = (-1)^k by
+    Wilson's theorem, E = -sum_k H_k(G) H_(p-k)(h): the cached table of h
+    (`AhContext.h_hasse`) is read, and only the k >= p - deg h enter."""
     F = ctx.field
     p = ctx.p
     rho = ctx.varrho_h
     h = ctx.h
-    # e-term
-    e = Poly.zero(F)
     ghp = g * ctx.h_power(p - 1)
-    d = ghp
-    for k in range(1, p):
-        d = d.derivative()
-        if d.is_zero():
-            break
-        e = e + (d * h.derivative(p - k)).scale(Fraction((-1) ** (k - 1), k))
-    e = e + ctx.h_power(p - 1) * (h * g.partial_p() - g * h.partial_p())
+    _, hasse = ctx.h_hasse(p)
+    lo = max(1, p + 1 - len(hasse))  # H_(p-k)(h) = 0 for p - k > deg h
+    e = ctx.h_power(p - 1) * (h * g.partial_p() - g * h.partial_p())
+    for k, gk in enumerate(_hasse_rows(F, ghp.coeffs, lo, p), lo):
+        e = e - Poly._canonical(F, gk) * Poly._canonical(F, hasse[p - k])
     e = e.exact_div(rho)
-    # b-term
-    b_terms = {}
-    b1 = ghp.exact_div(rho)
-    if not b1.is_zero():
-        b_terms[p - 1] = b1
+    b = {p - 1: ghp.exact_div(rho)}
     numerators = D_g(g, ctx).dy_numerators(p - 1)  # T_k = (g h^-1)^(k-1) h^k = P_(k-1)
     for k in range(2, p):
         tk = numerators[k - 1].coefficient(0)
-        coeff_poly = (tk * ctx.h_power(p - k)).exact_div(rho)
-        if coeff_poly.is_zero():
-            continue
-        r = coeff_poly.scale(Fraction((-1) ** k, p - k))
-        if not r.is_zero():
-            b_terms[p - k] = b_terms.get(p - k, Poly.zero(F)) + r
-    return e, WeylElement(F, b_terms)
+        b[p - k] = (tk * ctx.h_power(p - k)).exact_div(rho).scale(Fraction((-1) ** k, p - k))
+    return e, {n: bn for n, bn in b.items() if bn}
 
 
 def bracket_charp(e1: DerExpr, e2: DerExpr) -> DerExpr:
@@ -438,8 +421,8 @@ def bracket_charp(e1: DerExpr, e2: DerExpr) -> DerExpr:
     coefficient rule [z1 b1, z2 b2] = z1 R1(z2) b2 - z2 R2(z1) b1
     + z1 z2 [b1, b2], R the restriction to the center. Every pair of input
     bases D_g, ad_{r a_n}, bhat_x (bhat_f is expanded on construction) has a
-    closed form; a BAdElem part, which only [D_g, bhat_x] produces, raises
-    ValueError: bracket its `materialize()` with `Derivation.bracket`."""
+    closed form, and the output is again in these bases, so the bracket
+    takes its own output as input."""
     ctx = e1.context
     if ctx is not e2.context:
         raise ValueError("expressions over different contexts")

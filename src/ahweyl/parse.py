@@ -1,4 +1,4 @@
-"""Text grammar for polynomials, Weyl elements, and center polynomials.
+"""Text grammar for polynomials and Weyl elements.
 
 Grammar (whitespace-insensitive):
 
@@ -10,9 +10,8 @@ Grammar (whitespace-insensitive):
                                       denominator 0 or divisible by p is an error)
 
 Recognized names depend on what is being parsed: `x` and `y` for Weyl
-elements, a single variable (`x` or `u`) for polynomials, `t1`/`t2` for
-center coordinates (resolved against a context). Errors carry the offending
-position. Printing lives on the value classes (increasing-degree order);
+elements, a single variable (`x` or `u`) for polynomials. Errors carry the
+offending position. Printing lives on the value classes (increasing-degree order);
 everything printed re-parses to an equal value.
 
 Evaluation is sparse: every value is a dict {(i, j): c} standing for the
@@ -23,7 +22,7 @@ and reduces them once (`FieldSpec.reduce`), dropping zeros; unary minus
 goes through the same reduction. A product whose left factor has no y, or
 whose right factor has no x, is already in normal order, x^i y^j * x^k y^l
 = x^(i+k) y^(j+l), and only adds exponents; of two monomials it is one
-step, one scalar product. Any other product (`y*x`, `t2*t1`) is the Weyl
+step, one scalar product. Any other product (`y*x`) is the Weyl
 product of `weyl`, the one route that reorders. The power of a monomial
 c x^i or c y^j is c^n x^(in) or c^n y^(jn); any other power is
 square-and-multiply through the same product. Scalars become canonical
@@ -56,8 +55,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .centerpoly import CenterPoly
-from .context import AhContext, NotCentralizing
 from .fields import FieldSpec
 from .poly import _DIGITS_BOUND, MAX_DIGITS, Poly
 from .weyl import WeylElement
@@ -424,19 +421,6 @@ def parse_weyl(text: str, field: FieldSpec) -> WeylElement:
 def parse_poly(text: str, field: FieldSpec, var: str = "x") -> Poly:
     value = _Parser(text, field, {var: {(1, 0): 1}}).parse()
     return Poly.from_coeff_dict(field, _canonical_rows(field, value).get(0, {}))
-
-
-def parse_center(text: str, ctx: AhContext) -> CenterPoly:
-    """Parse an element of F[t1, t2], resolved through the context."""
-    atoms = {
-        "t1": {(ctx.p, 0): 1},
-        "t2": _from_weyl(ctx.zeta_element()),
-    }
-    value = _to_weyl(ctx.field, _Parser(text, ctx.field, atoms).parse())
-    coords = ctx.center_coords(value)
-    if isinstance(coords, NotCentralizing):
-        raise ParseError(f"expression is not central: {coords.reason}", 0)
-    return coords
 
 
 def parse_factors(text: str, field: FieldSpec):

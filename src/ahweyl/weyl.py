@@ -4,18 +4,20 @@ Elements are finite sums sum_i r_i(x) y^i with all x-factors to the left of
 all y-factors, stored as {i: r_i} with every r_i a nonzero canonical `Poly`
 (no zero term is ever stored). Multiplication reorders with
 
-    y^n * f = sum_j C(n, j) f^(j) y^(n-j),
+    y^i * f = sum_k (i)_k H_k(f) y^(i-k),
 
-binomials computed in Z and reduced into F. The product follows the
-reduce-once rule of `poly`: each output y-degree gets one row of raw
-coefficients, every piece r_i * C(i, k) s_j^(k) is accumulated into it by
+with H_k the k-th Hasse derivative and (i)_k = i!/(i-k)! the falling
+factorial, in every characteristic. One row kernel over one table H_0(f),
+H_1(f), ... (`_add_reordered`, `_hasse_rows`) does every reordering of the
+package: this product, [yhat, a] and d(f) for a derivation d of F[x]. It
+follows the reduce-once rule of `poly`: each output y-degree gets one row
+of raw coefficients, every piece (i)_k H_k(s) r_i is accumulated into it by
 the shared convolution loop, and each row is reduced once. Over Q the two
 operands are first lifted (`FieldSpec.lift`) to integer numerators over
-their common denominators da and db, so the derivative chains and the rows
-hold Python ints and each row is divided by da * db once; the integer
-images never leave the product. The public `WeylElement(field, terms)`
-validates its terms; results of the ring operations are built by the
-trusted `WeylElement._canonical`.
+their common denominators da and db, so the tables and the rows hold Python
+ints and each row is divided by da * db once. The public
+`WeylElement(field, terms)` validates its terms; results of the ring
+operations are built by the trusted `WeylElement._canonical`.
 
 The module also provides the commutator (in closed form when either
 operand is x), the shift a * y^n, the swap anti-automorphism phi
@@ -26,7 +28,6 @@ p, and the center test for A_1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .fields import FieldSpec, check_same_field
 from .poly import Poly, _convolve, _join_terms, _poly_terms, _power_text, _term_printer
@@ -173,31 +174,18 @@ class WeylElement:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if isinstance(other, Poly):
-            # r_i y^i * s = sum_j C(i, j) r_i s^(j) y^(i-j)
             other = WeylElement.from_poly(other)
         self._check(other)
         F = self.field
+        p = F.characteristic
         da, lhs = F.lift(self.terms)
         db, rhs = F.lift(other.terms)
-        # C(i, k) = 0 for k > i; in characteristic p, Lucas' theorem gives
-        # C(i, k) = C(i mod p, k) for k < p, and s^(k) = 0 for k >= p
-        p = F.characteristic
-        top = max((i % p if p else i for i in lhs), default=0)
-        binomials = {i: [] for i in lhs}  # C(i, k) in F, as far as a chain has reached
+        terms = {i: r.coeffs for i, r in lhs.items()}
+        stop = _reach(terms, p) + 1
         rows = {}  # y-degree -> raw coefficients of its x-polynomial
         for j, s in rhs.items():
-            chain = [s]  # s^(k) for k <= top, while nonzero; shared by every i
-            while len(chain) <= top and (d := chain[-1].derivative()):
-                chain.append(d)
-            for i, r in lhs.items():
-                row = binomials[i]
-                if len(row) < (n := min(i + 1, len(chain))):
-                    row += F.reduce([comb(i, k) for k in range(len(row), n)])
-                # r y^i * s y^j = sum_k C(i,k) r s^(k) y^(i-k+j)
-                for k, (b, d) in enumerate(zip(row, chain)):
-                    if b:
-                        rc = r.coeffs if b == 1 else [b * c for c in r.coeffs]
-                        _accumulate(rows, i - k + j, rc, d.coeffs)
+            # r y^i * s y^j = sum_k (i)_k r H_k(s) y^(i-k+j)
+            _add_reordered(rows, terms, [s.coeffs, *_hasse_rows(F, s.coeffs, 1, stop)], j, p)
         return WeylElement._from_rows(F, rows, da * db)
 
     def __rmul__(self, other):
@@ -256,6 +244,47 @@ def _accumulate(rows: dict, deg: int, u, v) -> None:
     if len(row) < size:
         row += [0] * (size - len(row))
     _convolve(row, u, v)
+
+
+def _reach(terms: dict, p: int) -> int:
+    """The largest k with (i)_k nonzero in F for a y-degree i of `terms`, -1
+    for none: max i, or in characteristic p max i mod p, as (i)_k has the
+    factor i - (i mod p) once k > i mod p."""
+    return max((i % p if p else i for i in terms), default=-1)
+
+
+def _hasse_rows(F: FieldSpec, fc, start: int, stop: int) -> list:
+    """[H_k(f) for start <= k < stop], as far as deg f, on the raw integer
+    coefficients fc of f. H_k(f) has the coefficients C(n, k) c_n, n >= k,
+    each stepped from the row before by C(n, k) = C(n, k-1) (n-k+1) / k,
+    exact in Z; each row is reduced once and trimmed (H_k(f) = 0 is empty).
+    Over GF(p), H_k with k >= p may be nonzero: H_p(x^p) = 1."""
+    table, raw = [], list(fc)
+    for k in range(min(stop, len(fc))):
+        if k:
+            raw = [c * (n - k + 1) // k for n, c in enumerate(raw[1:], k)]
+        if k >= start:
+            table.append(Poly._reduced(F, raw).coeffs)
+    return table
+
+
+def _add_reordered(rows: dict, terms: dict, table, shift: int, p: int) -> None:
+    """rows[i - k + shift] += (i)_k table[k] r for every term r y^i of
+    `terms` (raw coefficients), for k = 0, 1, ... while the table lasts and
+    the falling factorial (i)_k is nonzero in F (kept mod p in
+    characteristic p). The one reordering kernel: with table[k] = H_k(s)
+    and shift j it sums a * s y^j; with table[k] = H_(k+1)(f) it sums d(f)
+    for the derivation d of F[x] with d(x) = a. A zero table row is skipped,
+    not a stop: over GF(2), H_1(1 + x^2) = 0 but H_2(1 + x^2) = 1."""
+    for i, r in terms.items():
+        falling = 1
+        for k, t in enumerate(table):
+            if t:
+                u = t if falling == 1 else [falling * c for c in t]
+                _accumulate(rows, i - k + shift, u, r)
+            falling = falling * (i - k) % p if p else falling * (i - k)
+            if not falling:
+                break
 
 
 def _row_terms(r: Poly, i: int, term):

@@ -46,6 +46,7 @@ from ahweyl.poly import NotIntegrable, Poly
 from ahweyl.verify import random_derivation as verify_random_derivation
 from ahweyl.weyl import WeylElement, _accumulate, commutator, varpi
 
+from test_oracles import lifted_chain
 from test_poly import hasse_derivative
 from test_weyl import repeated_product
 
@@ -1657,11 +1658,11 @@ def zeta_by_yhat_iterates(d):
 def add_times_yhat(ctx, rows, terms):
     """Oracle: rows += a yhat over the raw coefficients {j: r} of a, lifted
     over Q, so the rows are over the lift denominator times that of the
-    lifted derivative chain of h: r y^j yhat = r y^(j+1) h = sum_k
-    C(j+1, k) r h^(k) y^(j+1-k), the sum stopping at deg h, and in
+    lifted derivative chain of h (`lifted_chain`): r y^j yhat = r y^(j+1) h
+    = sum_k C(j+1, k) r h^(k) y^(j+1-k), the sum stopping at deg h, and in
     characteristic p at (j+1) mod p (Lucas)."""
     p = ctx.field.characteristic
-    chain = ctx._h_chain[1]
+    chain = lifted_chain(ctx.h)[1]
     for j, r in terms.items():
         jp = (j + 1) % p if p else j + 1
         for k in range(min(jp, len(chain) - 1) + 1):
@@ -1708,7 +1709,7 @@ def apply_by_yhat_zeta(d, a):
         hk = ctx.h_power(p * k).coeffs
         for i, r in part.items():
             _accumulate(w[m], i + p * k, hk, r)
-    dh = ctx._h_chain[0]
+    dh = lifted_chain(ctx.h)[0]
     out = {}
     for m in range(top, -1, -1):
         step = {}

@@ -26,7 +26,6 @@ from ahweyl.derivations import (
 from ahweyl.fields import FieldSpec, QQ
 from ahweyl.hochschild import (
     BAd,
-    BAdElem,
     BBf,
     BBx,
     BDg,
@@ -43,7 +42,7 @@ from ahweyl.hochschild import (
 )
 from ahweyl.linalg import relations
 from ahweyl.poly import Poly
-from ahweyl.verify import random_derivation, random_normalizer_element
+from ahweyl.verify import random_derivation
 from ahweyl.weyl import WeylElement, commutator, varpi
 
 from test_derivations import ex_as_derivation
@@ -528,21 +527,26 @@ class TestBracketCharP:
         assert DerExpr(ctx, [(zero, BBx()), (zero, BDg(P(GF5, 1)))]).parts == ()
         assert len(DerExpr(ctx, [(CenterPoly.one(GF5), BBf())]).parts) == 2
 
-    def test_explicit_ad_is_an_output_base_only(self):
-        # [D_g, bhat_x] carries an ad_b part, which still materializes to the
-        # operator bracket up to an inner derivation ...
-        ctx = AhContext(P(GF3, 0, 0, 1))
-        g = P(GF3, 1, 1)
-        out = bracket_charp(DerExpr.of(ctx, BDg(g)), DerExpr.of(ctx, BBx()))
-        assert any(isinstance(b, BAdElem) for _, b in out.parts)
-        want = D_g(g, ctx).bracket(bhat_x(ctx))
-        assert isinstance(is_inner(out.materialize() - want), InnerWitness)
-        # ... but it has no closed-form bracket, so as an input it is refused
-        a = random_normalizer_element(random.Random(68), ctx)
-        explicit = DerExpr.of(ctx, BAdElem(a))
-        for e1, e2 in ((explicit, out), (out, explicit), (explicit, explicit)):
-            with pytest.raises(ValueError, match="BAdElem"):
-                bracket_charp(e1, e2)
+    def test_dg_bhat_x_bracket_is_closed_on_its_output(self):
+        # [D_g, bhat_x] is written in the bases D_g and ad_{r a_n}: it
+        # materializes to the operator bracket up to an inner derivation, and
+        # bracketing it again with bhat_x and with D_(1+x) matches the
+        # operator bracket of the materialized derivations the same way
+        rng = random.Random(68)
+        cases = [(2, (1, 1, 1)), (3, (0, 0, 1)), (3, (1, 0, 2, 1)), (5, (0, 1, 1)),
+                 (5, (2, 0, 0, 1, 1)), (7, (0, 0, 1)), (7, (1, 1, 0, 3))]
+        for p, h in cases:
+            field = FieldSpec(p)
+            ctx = AhContext(Poly(field, h))
+            g = Poly(field, [rng.randrange(p) for _ in range(rng.randrange(1, 4))])
+            out = bracket_charp(DerExpr.of(ctx, BDg(g)), DerExpr.of(ctx, BBx()))
+            assert all(isinstance(b, (BDg, BAd)) for _, b in out.parts)
+            want = D_g(g, ctx).bracket(bhat_x(ctx))
+            assert isinstance(is_inner(out.materialize() - want), InnerWitness)
+            for other in (DerExpr.of(ctx, BBx()), DerExpr.of(ctx, BDg(P(field, 1, 1)))):
+                closed = bracket_charp(out, other).materialize()
+                op = out.materialize().bracket(other.materialize())
+                assert isinstance(is_inner(closed - op), InnerWitness)
 
     def test_projection_oracle_e_term(self):
         # P(D_g(h^n y^n)) = h^n (g h^-1)^(n-1) for 1 <= n < p

@@ -127,6 +127,14 @@ CASES = [
         60,
     ),
     (
+        # a dense h over Q: the context reads no derivative of h past h'
+        "analyze-char0-dense-1000",
+        ["analyze", "--h", "(x+1)^1000", "--char", "0"],
+        None,
+        lambda out: out["pi_h"] == "1 + x" and out["hh1"]["dim_center"] == 1,
+        2,
+    ),
+    (
         "classify-inner-y61-p61",
         ["classify", "--h", "x^2+1", "--char", "61"],
         json.dumps(

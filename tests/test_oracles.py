@@ -6,16 +6,30 @@ implemented here directly from the derivative, with no use of the package's
 normal-ordering formula, so comparing module actions cross-checks the
 product from the outside. Polynomial gcd and squarefree decomposition are
 cross-checked against sympy.
+
+The package reorders y^i past a polynomial by one kernel over one Hasse
+table (`weyl._add_reordered`, `weyl._hasse_rows`). The routes it replaced
+are kept here as its oracles: the Weyl product over a derivative chain of
+each right-hand term with cached binomials C(i, k), the closed form of
+[yhat, a] over the lifted derivative chain of h with one binomial per
+term, and d(f) over Hasse rows made of one `math.comb` per coefficient.
 """
 
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ahweyl.context import AhContext
+from ahweyl.derivations import d_on_poly
 from ahweyl.fields import FieldSpec, QQ
 from ahweyl.poly import Poly
-from ahweyl.weyl import WeylElement
+from ahweyl.weyl import WeylElement, _accumulate, _hasse_rows
+
+from test_poly import hasse_derivative
 
 sympy = pytest.importorskip("sympy")
 
@@ -149,3 +163,175 @@ class TestSympyCrossChecks:
                 q = Poly(field, coeffs).monic()
                 got[int(m)] = got[int(m)] * q if int(m) in got else q
             assert ours == got
+
+# ---------------------------------------------------------------------------
+# the reordering kernel against the routes it replaced
+# ---------------------------------------------------------------------------
+
+
+def lifted_chain(h):
+    """(dh, (h, h', h'', ...)): the derivative chain of h while nonzero, lifted
+    over one denominator dh (`FieldSpec.lift`)."""
+    chain = [h]
+    while d := chain[-1].derivative():
+        chain.append(d)
+    return h.field.lift(tuple(chain))
+
+
+def chain_product(a, b):
+    """Oracle: a * b with y^i s = sum_k C(i, k) s^(k) y^(i-k), over one
+    derivative chain of each term s of b, shared by every term of a, and
+    the binomials C(i, k) in F cached per i. In characteristic p, Lucas
+    gives C(i, k) = C(i mod p, k) for k < p, and s^(k) = 0 for k >= p."""
+    F = a.field
+    da, lhs = F.lift(a.terms)
+    db, rhs = F.lift(b.terms)
+    p = F.characteristic
+    top = max((i % p if p else i for i in lhs), default=0)
+    binomials = {i: [] for i in lhs}  # C(i, k) in F, as far as a chain has reached
+    rows = {}
+    for j, s in rhs.items():
+        chain = [s]  # s^(k) for k <= top, while nonzero
+        while len(chain) <= top and (d := chain[-1].derivative()):
+            chain.append(d)
+        for i, r in lhs.items():
+            row = binomials[i]
+            if len(row) < (n := min(i + 1, len(chain))):
+                row += F.reduce([comb(i, k) for k in range(len(row), n)])
+            for k, (bk, d) in enumerate(zip(row, chain)):
+                if bk:
+                    rc = r.coeffs if bk == 1 else [bk * c for c in r.coeffs]
+                    _accumulate(rows, i - k + j, rc, d.coeffs)
+    return WeylElement._from_rows(F, rows, da * db)
+
+
+def yhat_bracket_by_chain(ctx, a):
+    """Oracle: [yhat, r y^j] = (h r' + h' r) y^j - sum_{k >= 1} C(j+1, k) r
+    h^(k) y^(j+1-k) over the lifted derivative chain of h; in
+    characteristic p, Lucas gives C(j+1, k) = C((j+1) mod p, k)."""
+    F = ctx.field
+    p = F.characteristic
+    dh, chain = lifted_chain(ctx.h)
+    da, terms = F.lift(a.terms)
+    rows = {}
+    for j, r in terms.items():
+        rc = r.coeffs
+        _accumulate(rows, j, chain[0].coeffs, [i * c for i, c in enumerate(rc[1:], 1)])
+        if len(chain) > 1:
+            _accumulate(rows, j, chain[1].coeffs, rc)
+        jp = (j + 1) % p if p else j + 1
+        for k in range(1, min(jp, len(chain) - 1) + 1):
+            _accumulate(rows, j + 1 - k, [-comb(jp, k) * c for c in chain[k].coeffs], rc)
+    return WeylElement._from_rows(F, rows, da * dh)
+
+
+def d_on_poly_by_comb(f, u):
+    """Oracle: d(f) = sum_l H_(l+1)(f) (j)_l r y^(j-l) over the terms r y^j
+    of u = d(x), with every Hasse coefficient C(n, l+1) c_n made by
+    `math.comb`."""
+    F = u.field
+    p = F.characteristic
+    df, (fl,) = F.lift((f,))
+    du, terms = F.lift(u.terms)
+    fc = fl.coeffs
+    hasse = [
+        F.reduce([comb(n, l + 1) * c for n, c in enumerate(fc[l + 1 :], l + 1)])
+        for l in range(min(len(fc) - 1, max(terms, default=-1) + 1))
+    ]
+    rows = {}
+    for j, r in terms.items():
+        falling = 1  # (j)_l, in F
+        for l, hf in enumerate(hasse[: j + 1]):
+            if not falling:
+                break
+            if any(hf):
+                _accumulate(rows, j - l, [falling * c for c in hf], r.coeffs)
+            falling = falling * (j - l) % p if p else falling * (j - l)
+    return WeylElement._from_rows(F, rows, df * du)
+
+
+FIELDS = [QQ, FieldSpec(2), FieldSpec(3), FieldSpec(5)]
+
+
+@st.composite
+def polys(draw, field, max_deg, min_deg=-1):
+    """A Poly of degree at most max_deg; over Q with signed fractions."""
+    deg = draw(st.integers(min_deg, max_deg))
+    if field.is_char_zero:
+        scalar = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 7]))
+    else:
+        scalar = st.integers(0, field.p - 1)
+    return Poly(field, draw(st.lists(scalar, min_size=deg + 1, max_size=deg + 1)))
+
+
+@st.composite
+def weyls(draw, field, max_ydeg=11, max_xdeg=5):
+    """A Weyl element whose y-degrees reach past p and 2p for p <= 5."""
+    degrees = draw(st.sets(st.integers(0, max_ydeg), max_size=4))
+    return WeylElement(field, {j: draw(polys(field, max_xdeg)) for j in degrees})
+
+
+@given(data=st.data(), field=st.sampled_from(FIELDS))
+@settings(max_examples=120, deadline=None)
+def test_weyl_product_matches_the_chain_oracle(data, field):
+    a, b = data.draw(weyls(field)), data.draw(weyls(field))
+    assert a * b == chain_product(a, b)
+    assert b * a == chain_product(b, a)
+
+
+@given(data=st.data(), field=st.sampled_from(FIELDS))
+@settings(max_examples=120, deadline=None)
+def test_yhat_bracket_matches_the_chain_oracle(data, field):
+    # deg h up to 8 >= 2p for p <= 3, so H_k(h) with k >= p is in the table
+    h = data.draw(polys(field, 8, 0).filter(lambda f: not f.is_zero()))
+    a = data.draw(weyls(field))
+    ctx = AhContext(h)
+    assert ctx.yhat_bracket(a) == yhat_bracket_by_chain(ctx, a)
+
+
+@given(data=st.data(), field=st.sampled_from(FIELDS))
+@settings(max_examples=120, deadline=None)
+def test_d_on_poly_matches_the_comb_oracle(data, field):
+    f, u = data.draw(polys(field, 12)), data.draw(weyls(field))
+    assert d_on_poly(f, u) == d_on_poly_by_comb(f, u)
+
+
+def test_d_on_poly_reads_past_a_zero_hasse_row():
+    # H_1(1 + x^2) = 0 but H_2(1 + x^2) = 1 over GF(2): d(x) = y^3 gives
+    # d(1 + x^2) = (3)_1 H_2 y^2 = y^2
+    F = FieldSpec(2)
+    f, u = Poly(F, [1, 0, 1]), WeylElement.y_power(F, 3)
+    assert d_on_poly(f, u) == d_on_poly_by_comb(f, u) == WeylElement.y_power(F, 2)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_hasse_table_matches_the_oracle(field):
+    # over GF(p), H_k with k >= p is read too; over Q the table of a lifted
+    # h is dh H_k(h), and k! H_k(f) is sympy's k-th derivative
+    rng = random.Random(86 + field.characteristic)
+    x = sympy.Symbol("x")
+    for _ in range(20):
+        f = random_poly(rng, field, 12)
+        table = _hasse_rows(field, f.coeffs, 0, 14)
+        assert len(table) == len(f.coeffs)
+        for k, row in enumerate(table):
+            assert Poly(field, row) == hasse_derivative(f, k)
+            if field.is_char_zero:
+                want = sympy.diff(_to_sympy(f, x), x, k) / factorial(k)
+                assert Poly(field, row) == _from_sympy(want, field, x) if want else not row
+        if f.is_zero():
+            continue
+        ctx = AhContext(f)
+        dh, hasse = ctx.h_hasse(14)
+        assert [Poly(field, row).scale(Fraction(1, dh)) for row in hasse] == [
+            hasse_derivative(f, k) for k in range(len(f.coeffs))
+        ]
+
+
+def test_context_builds_no_derivative_of_h_past_h_prime():
+    # analyze reads h and h' only; [yhat, x] = h reads no Hasse row past H_1
+    h = Poly(QQ, [1] * 40)
+    ctx = AhContext(h)
+    assert len(ctx._h_hasse) == 1
+    assert ctx.yhat_bracket(ctx.x_elt) == WeylElement.from_poly(h)
+    assert len(ctx._h_hasse) == 2

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ahweyl.centerpoly import CenterPoly
-from ahweyl.context import AhContext
+from ahweyl.context import AhContext, NotCentralizing
 from ahweyl.fields import FieldSpec, QQ
 from ahweyl.derivations import D_g, ad
 from ahweyl import parse
@@ -19,7 +19,6 @@ from ahweyl.parse import (
     MAX_DIGITS,
     ParseError,
     _tokenize,
-    parse_center,
     parse_factors,
     parse_poly,
     parse_weyl,
@@ -260,6 +259,19 @@ def oracle_poly(text, field, var="x"):
     value = OracleParser(text, field, {var: WeylElement.x_power(field, 1)}).parse()
     assert set(value.terms) <= {0}
     return value.coefficient(0)
+
+
+def parse_center(text, ctx):
+    """An element of F[t1, t2] in the sparse parser, resolved through the
+    context: t1 = x^p and t2 = zeta, read back by `center_coords`. No
+    command reads center text; this is the sparse side of the center
+    oracle below."""
+    atoms = {"t1": {(ctx.p, 0): 1}, "t2": parse._from_weyl(ctx.zeta_element())}
+    value = parse._to_weyl(ctx.field, parse._Parser(text, ctx.field, atoms).parse())
+    coords = ctx.center_coords(value)
+    if isinstance(coords, NotCentralizing):
+        raise ParseError(f"expression is not central: {coords.reason}", 0)
+    return coords
 
 
 def oracle_center(text, ctx):

@@ -30,7 +30,7 @@ def P(field, *coeffs):
 
 def hasse_derivative(f, m):
     """The m-th Hasse derivative H_m(f) = sum_n C(n, m) c_n x^(n-m), the
-    oracle for the Hasse rows that `d_on_poly` builds inline.
+    oracle for the Hasse table `weyl._hasse_rows` that every reordering reads.
 
     m! H_m(f) = f^(m), but H_m needs no division by m!: in characteristic p
     it survives where f^(m) vanishes for m >= p, e.g. H_p(x^p) = 1 over

@@ -1,6 +1,7 @@
 """Static checks on the package source: it parses under the oldest Python
 that CI runs (3.10), so syntax that needs a later version fails here on any
-interpreter, and no module but `__init__` imports a name it does not use."""
+interpreter, no module but `__init__` imports a name it does not use, and
+every private helper is referenced somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,20 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported.items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_every_private_helper_is_referenced():
+    # a private function, class or method that nothing in the package names
+    # is dead code; a use is any name or attribute read of it, in any module
+    defined, used = {}, set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined[node.name] = f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    dead = {name: where for name, where in defined.items() if name not in used}
+    assert not dead, f"private helpers never referenced: {dead}"

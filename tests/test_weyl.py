@@ -268,28 +268,28 @@ def test_vanishing_middle_terms_not_stored(field, n):
     assert_no_zero_term(got)
 
 
-def test_binomials_stop_at_the_longest_derivative_chain(monkeypatch):
-    # the chain of s = x^p is s alone, so y^p x^p needs C(p, 0) only, and so
-    # does y^p x^(2p-1): C(p, k) = 0 mod p for 0 < k < p, so the chain of
-    # x^(2p-1), p entries long, stops at s; over Q y^5 x^2 meets x^2, 2x, 2
-    # and needs C(5, 0), C(5, 1), C(5, 2)
+def test_tables_stop_at_the_reach_of_the_falling_factorials(monkeypatch):
+    # (p)_k = 0 mod p for k >= 1, so y^p x^p and y^p x^(2p-1) read H_0 alone
+    # and build no Hasse row; over Q y^5 x^2 reads H_0, H_1, H_2 = x^2, 2x, 1
     import ahweyl.weyl as weyl
 
-    calls = []
+    built = []
 
-    def counted(n, k):
-        calls.append((n, k))
-        return comb(n, k)
+    def counted(F, fc, start, stop):
+        table = hasse_rows(F, fc, start, stop)
+        built.append(len(table))
+        return table
 
-    monkeypatch.setattr(weyl, "comb", counted)
+    hasse_rows = weyl._hasse_rows
+    monkeypatch.setattr(weyl, "_hasse_rows", counted)
     p = 10007
     F = FieldSpec(p)
     for n in (p, 2 * p - 1):
         assert y_elt(F, p) * x_elt(F, n) == WeylElement.from_term(Poly.monomial(F, 1, n), p)
-        assert calls == [(p, 0)]
-        calls.clear()
+        assert built == [0]
+        built.clear()
     assert y_elt(QQ, 5) * x_elt(QQ, 2) == per_term_product(y_elt(QQ, 5), x_elt(QQ, 2))
-    assert calls == [(5, 0), (5, 1), (5, 2)]
+    assert built == [2]
 
 
 def test_cancelling_row_not_stored():
