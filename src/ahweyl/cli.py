@@ -4,6 +4,13 @@ Subcommands: analyze, bracket, classify, normalizer, center, exp-aut, verify.
 Common flags: --h, --char, --factors, --degree-bound, --seed,
 --output text|json. classify and bracket read derivation JSON from stdin.
 Exit codes: 0 success, 1 domain error (category printed), 2 usage error.
+
+`main` builds the context and writes the keys every JSON payload carries,
+`command`, `characteristic` and `h` (in text, the `h:` line); each `cmd_*`
+returns only its own fields. A result record is printed under its field
+names, which are its keys in schema.json. A characteristic-p context whose
+zeta = h^p y^p would take p * max(deg h, 1) over `parse.MAX_DEGREE` is
+refused as a domain error before it is built.
 """
 
 from __future__ import annotations
@@ -12,7 +19,9 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import is_dataclass
 
+from .centerpoly import CenterPoly
 from .context import (
     AhContext,
     FactorListError,
@@ -22,6 +31,7 @@ from .context import (
 )
 from .derivations import (
     AhAlgebraMap,
+    CenterDerivation,
     Derivation,
     InnerWitness,
     InvalidDerivation,
@@ -31,8 +41,10 @@ from .derivations import (
 )
 from .fields import ExactDivisionError, FieldMismatchError, FieldSpec
 from .hochschild import freeness_and_module_report_charp, structure_report_char0
-from .parse import ParseError, parse_factors, parse_poly, parse_weyl
+from .parse import MAX_DEGREE, ParseError, parse_factors, parse_poly, parse_weyl
+from .poly import Poly
 from .verify import run_verify
+from .weyl import WeylElement
 
 # Domain errors (exit 1) and the category printed for each; isinstance picks
 # the first match, so every subclass comes before ValueError.
@@ -85,8 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=0,
-        help="seed for the randomized suites; negative draws a time-based "
-        "seed (fuzzing) and reports the one used",
+        help="seed of verify's randomized suites and of analyze's freeness "
+        "certificates in characteristic p; only verify reads a negative seed as "
+        "a request for a time-based one (fuzzing), and reports the one used",
     )
     common.add_argument("--output", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -104,86 +117,79 @@ def _build_context(args) -> AhContext:
     h = parse_poly(args.h_text, field)
     if h.is_zero():
         raise ValueError("h must be nonzero")
+    # zeta = h^p y^p has x-degree p deg h and y-degree p
+    zeta_degree = field.characteristic * max(int(h.degree), 1)
+    if zeta_degree > MAX_DEGREE:
+        raise ValueError(
+            f"zeta = h^p*y^p would have degree {zeta_degree} in x or y,"
+            f" over the limit {MAX_DEGREE}"
+        )
     factors = parse_factors(args.factors, field) if args.factors else None
     return AhContext(h, factors=factors, degree_bound=args.degree_bound)
 
 
-def _yesno(flag) -> str:
-    if flag is None:
+_TEXT_TYPES = frozenset((Poly, WeylElement, CenterPoly))
+
+
+def _json(value):
+    """The JSON form of a value: the text of a polynomial or Weyl element, a
+    list for a tuple or list, the description of a center derivation, the
+    dict of a result record's fields by name (its keys in schema.json).
+    Dispatch is on the exact type, text types first: analyze converts every
+    normalizer level and every generator."""
+    kind = type(value)
+    if kind in _TEXT_TYPES:
+        return str(value)
+    if kind is tuple or kind is list:
+        return [_json(v) for v in value]
+    if kind is CenterDerivation:
+        return value.describe()
+    if is_dataclass(kind):
+        return {name: _json(v) for name, v in vars(value).items()}
+    return value
+
+
+def _show(value) -> str:
+    """A report value as text: yes or no for a flag, and None, a field that
+    needs the verified factor list, as a note saying so."""
+    if value is None:
         return "(needs --factors)"
-    return "yes" if flag else "no"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return str(value)
 
 
-# -- analyze -------------------------------------------------------------------
+# -- analyze / center -------------------------------------------------------------
 
 
-def _report_char0_payload(ctx: AhContext) -> dict:
-    rep = structure_report_char0(ctx)
+def _charp_center(ctx: AhContext) -> dict:
+    """zeta, with x^p a generator of Z(A_h), and the polynomials read off it."""
     return {
-        "dim_center": rep.dim_center,
-        "center_basis": [str(g) for g in rep.center_basis],
-        "hh1_trivial": rep.hh1_trivial,
-        "abelian": rep.abelian,
-        "multiplicity_gt1_primes": (
-            None
-            if rep.multiplicity_gt1_primes is None
-            else [[str(u), a] for u, a in rep.multiplicity_gt1_primes]
-        ),
-        "nilpotent_N_trivial": rep.nilpotent_N_trivial,
-        "nilpotency_index_bound": rep.nilpotency_index_bound,
-        "witt_summand_count": rep.witt_summand_count,
+        "zeta": str(ctx.zeta_element()),
+        "zeta_hat_coeff": str(ctx.zeta_hat_coeff),
+        "hbar": ctx.hbar.to_text("u"),
+        "qbreve": str(ctx.qbreve),
     }
 
 
-def _report_charp_payload(ctx: AhContext, seed: int) -> dict:
-    rep = freeness_and_module_report_charp(ctx, seed=seed)
-    return {
-        "free_over_center": rep.free_over_center,
-        "theta_quotient_dim": rep.theta_quotient_dim,
-        "res_image_generators": [d.describe() for d in rep.res_image_generators],
-        "basis_if_free": list(rep.basis_if_free) if rep.basis_if_free else None,
-        "freeness_certificates": rep.freeness_certificates,
-        "normalizer_quotient": [
-            {
-                "y_degree": lvl.y_degree,
-                "dim": lvl.dim,
-                "generators": [str(g) for g in lvl.generators],
-            }
-            for lvl in rep.normalizer_quotient
-        ],
-    }
-
-
-def cmd_analyze(args) -> dict:
-    ctx = _build_context(args)
+def cmd_analyze(args, ctx: AhContext) -> dict:
     payload = {
-        "command": "analyze",
-        "characteristic": ctx.field.characteristic,
-        "h": str(ctx.h),
         "pi_h": str(ctx.pi_h),
         "varrho_h": str(ctx.varrho_h),
         "h_over_pi": str(ctx.h_over_pi),
     }
     if ctx.field.is_char_zero:
-        payload["hh1"] = _report_char0_payload(ctx)
-    else:
-        payload.update(
-            {
-                "zeta": str(ctx.zeta_element()),
-                "zeta_hat_coeff": str(ctx.zeta_hat_coeff),
-                "hbar": ctx.hbar.to_text("u"),
-                "qbreve": str(ctx.qbreve),
-                "hbar_components": [c.to_text("u") for c in ctx.hbar_components],
-                "S_basis": [str(s) for s in ctx.theta_complement_S()],
-            }
-        )
-        payload["charp_report"] = _report_charp_payload(ctx, args.seed)
+        payload["hh1"] = _json(structure_report_char0(ctx))
+        return payload
+    payload.update(_charp_center(ctx))
+    payload["hbar_components"] = [c.to_text("u") for c in ctx.hbar_components]
+    payload["S_basis"] = _json(ctx.theta_complement_S())
+    payload["charp_report"] = _json(freeness_and_module_report_charp(ctx, seed=args.seed))
     return payload
 
 
 def _analyze_text(payload: dict) -> str:
     lines = [
-        f"h: {payload['h']}",
         f"characteristic: {payload['characteristic']}",
         f"pi_h: {payload['pi_h']}",
         f"varrho_h: {payload['varrho_h']}",
@@ -197,27 +203,17 @@ def _analyze_text(payload: dict) -> str:
             f"  dim Z(HH1): {rep['dim_center']}",
             "  center basis: "
             + (", ".join(f"D_[{g}]" for g in rep["center_basis"]) or "(empty)"),
-            f"  HH1 trivial: {'yes' if rep['hh1_trivial'] else 'no'}",
-            f"  abelian: {'yes' if rep['abelian'] else 'no'}",
+            f"  HH1 trivial: {_show(rep['hh1_trivial'])}",
+            f"  abelian: {_show(rep['abelian'])}",
             "  primes with multiplicity > 1: "
             + (
                 "(needs --factors)"
                 if primes is None
                 else ", ".join(f"{u} (multiplicity {a})" for u, a in primes) or "(none)"
             ),
-            f"  nilpotent ideal trivial: {_yesno(rep['nilpotent_N_trivial'])}",
-            "  nilpotency index bound: "
-            + (
-                "(needs --factors)"
-                if rep["nilpotency_index_bound"] is None
-                else str(rep["nilpotency_index_bound"])
-            ),
-            "  Witt summands: "
-            + (
-                "(needs --factors)"
-                if rep["witt_summand_count"] is None
-                else str(rep["witt_summand_count"])
-            ),
+            f"  nilpotent ideal trivial: {_show(rep['nilpotent_N_trivial'])}",
+            f"  nilpotency index bound: {_show(rep['nilpotency_index_bound'])}",
+            f"  Witt summands: {_show(rep['witt_summand_count'])}",
         ]
     else:
         rep = payload["charp_report"]
@@ -228,7 +224,7 @@ def _analyze_text(payload: dict) -> str:
             f"qbreve: {payload['qbreve']}",
             "S basis: " + (", ".join(payload["S_basis"]) or "(empty)"),
             "HH1 over the center (characteristic p):",
-            f"  free of rank 2: {'yes' if rep['free_over_center'] else 'no'}",
+            f"  free of rank 2: {_show(rep['free_over_center'])}",
             "  basis if free: "
             + (", ".join(rep["basis_if_free"]) if rep["basis_if_free"] else "(not free)"),
             f"  dim Theta/im delta: {rep['theta_quotient_dim']}",
@@ -257,147 +253,102 @@ def _parse_derivation_json(obj, ctx: AhContext):
     return make_derivation(u, v, ctx)
 
 
-def serialize_derivation(d: Derivation) -> dict:
-    return {"Dx": str(d.image_x), "Dyhat": str(d.image_yhat)}
-
-
-def _classification_payload(d: Derivation, ctx: AhContext) -> dict:
+def _classification(d: Derivation) -> dict:
     verdict = is_inner(d)
-    dec = verdict.decomposition
-    if ctx.field.is_char_zero:
-        decomposition = {
-            "g": str(dec.g),
-            "terms": [[n, str(r)] for n, r in dec.terms],
-            "inner_witness": str(dec.inner_witness),
-        }
-    else:
-        decomposition = {
-            "u": str(dec.u),
-            "v": str(dec.v),
-            "s": str(dec.s),
-            "normalizer_part": str(dec.normalizer_part),
-            "inner_witness": str(dec.inner_witness),
-        }
     inner = isinstance(verdict, InnerWitness)
     return {
         "inner": inner,
         "witness": str(verdict.witness) if inner else None,
         "certificate": None if inner else verdict.reason,
-        "decomposition": decomposition,
+        "decomposition": _json(verdict.decomposition),
     }
 
 
-def cmd_classify(args) -> dict:
-    ctx = _build_context(args)
-    obj = json.loads(sys.stdin.read())
-    d = _parse_derivation_json(obj, ctx)
-    payload = {
-        "command": "classify",
-        "characteristic": ctx.field.characteristic,
-        "h": str(ctx.h),
-    }
+def cmd_classify(args, ctx: AhContext) -> dict:
+    d = _parse_derivation_json(json.loads(sys.stdin.read()), ctx)
     if isinstance(d, InvalidDerivation):
-        payload.update(
-            {
-                "valid": False,
-                "defect": d.describe(),
-                "inner": None,
-                "witness": None,
-                "certificate": None,
-                "decomposition": None,
-            }
-        )
-        return payload
-    payload["valid"] = True
-    payload["defect"] = None
-    payload.update(_classification_payload(d, ctx))
-    return payload
+        return {
+            "valid": False,
+            "defect": d.describe(),
+            "inner": None,
+            "witness": None,
+            "certificate": None,
+            "decomposition": None,
+        }
+    return {"valid": True, "defect": None, **_classification(d)}
 
 
-def _classify_text(payload: dict) -> str:
-    lines = [
-        f"h: {payload['h']}",
-        f"characteristic: {payload['characteristic']}",
-    ]
-    if not payload["valid"]:
-        lines.append(f"valid: no ({payload['defect']})")
-        return "\n".join(lines)
-    lines.append("valid: yes")
-    dec = payload["decomposition"]
+def _classification_lines(cls: dict) -> list:
+    lines = ["valid: yes"]
+    dec = cls["decomposition"]
     if "g" in dec:
         lines.append(f"D part: D_[{dec['g']}]")
         for n, r in dec["terms"]:
             lines.append(f"normalizer term: ad_[({r})*a_{n}]")
-        lines.append(f"inner witness: {dec['inner_witness']}")
     else:
         lines.append(f"u (coefficient of D_qbreve): {dec['u']}")
         lines.append(f"v (coefficient of bhat_f): {dec['v']}")
         lines.append(f"s (complement of im delta in Theta): {dec['s']}")
         lines.append(f"normalizer part: {dec['normalizer_part']}")
-        lines.append(f"inner witness: {dec['inner_witness']}")
-    if payload["inner"]:
-        lines.append(f"verdict: inner, witness {payload['witness']}")
+    lines.append(f"inner witness: {dec['inner_witness']}")
+    if cls["inner"]:
+        lines.append(f"verdict: inner, witness {cls['witness']}")
     else:
-        lines.append(f"verdict: outer ({payload['certificate']})")
+        lines.append(f"verdict: outer ({cls['certificate']})")
+    return lines
+
+
+def _classify_text(payload: dict) -> str:
+    lines = [f"characteristic: {payload['characteristic']}"]
+    if not payload["valid"]:
+        lines.append(f"valid: no ({payload['defect']})")
+    else:
+        lines += _classification_lines(payload)
     return "\n".join(lines)
 
 
-def cmd_bracket(args) -> dict:
-    ctx = _build_context(args)
+def cmd_bracket(args, ctx: AhContext) -> dict:
     obj = json.loads(sys.stdin.read())
     if not isinstance(obj, dict) or "left" not in obj or "right" not in obj:
         raise ValueError('bracket JSON must be {"left": {...}, "right": {...}}')
     left = _parse_derivation_json(obj["left"], ctx)
     right = _parse_derivation_json(obj["right"], ctx)
-    payload = {
-        "command": "bracket",
-        "characteristic": ctx.field.characteristic,
-        "h": str(ctx.h),
-    }
     for name, d in (("left", left), ("right", right)):
         if isinstance(d, InvalidDerivation):
-            payload.update(
-                {"valid": False, "defect": f"{name}: {d.describe()}", "bracket": None, "classification": None}
-            )
-            return payload
+            return {
+                "valid": False,
+                "defect": f"{name}: {d.describe()}",
+                "bracket": None,
+                "classification": None,
+            }
     br = left.bracket(right)
-    payload.update(
-        {
-            "valid": True,
-            "defect": None,
-            "bracket": serialize_derivation(br),
-            "classification": _classification_payload(br, ctx),
-        }
-    )
-    return payload
+    return {
+        "valid": True,
+        "defect": None,
+        "bracket": {"Dx": str(br.image_x), "Dyhat": str(br.image_yhat)},
+        "classification": _classification(br),
+    }
 
 
 def _bracket_text(payload: dict) -> str:
-    lines = [f"h: {payload['h']}", f"characteristic: {payload['characteristic']}"]
+    lines = [f"characteristic: {payload['characteristic']}"]
     if not payload["valid"]:
         lines.append(f"valid: no ({payload['defect']})")
         return "\n".join(lines)
     lines.append(f"bracket D(x): {payload['bracket']['Dx']}")
     lines.append(f"bracket D(yhat): {payload['bracket']['Dyhat']}")
-    cls = dict(payload["classification"])
-    cls.update({"valid": True, "h": payload["h"], "characteristic": payload["characteristic"]})
     lines.append("classification of the bracket:")
-    for line in _classify_text(cls).splitlines()[2:]:
-        lines.append("  " + line)
+    lines += ["  " + line for line in _classification_lines(payload["classification"])]
     return "\n".join(lines)
 
 
 # -- normalizer / center / exp-aut ----------------------------------------------------
 
 
-def cmd_normalizer(args) -> dict:
-    ctx = _build_context(args)
+def cmd_normalizer(args, ctx: AhContext) -> dict:
     a = parse_weyl(args.element, ctx.field)
     res = ctx.normalizer_test(a)
     return {
-        "command": "normalizer",
-        "characteristic": ctx.field.characteristic,
-        "h": str(ctx.h),
         "element": str(a),
         "in_normalizer": res.ok,
         "failing_y_degree": res.failing_y_degree,
@@ -408,10 +359,9 @@ def cmd_normalizer(args) -> dict:
 
 def _normalizer_text(payload: dict) -> str:
     lines = [
-        f"h: {payload['h']}",
         f"element: {payload['element']}",
-        f"in A_h: {'yes' if payload['in_ah'] else 'no'}",
-        f"in normalizer: {'yes' if payload['in_normalizer'] else 'no'}",
+        f"in A_h: {_show(payload['in_ah'])}",
+        f"in normalizer: {_show(payload['in_normalizer'])}",
     ]
     if not payload["in_normalizer"]:
         lines.append(
@@ -420,44 +370,29 @@ def _normalizer_text(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def cmd_center(args) -> dict:
-    ctx = _build_context(args)
-    payload = {
-        "command": "center",
-        "characteristic": ctx.field.characteristic,
-        "h": str(ctx.h),
-    }
+def cmd_center(args, ctx: AhContext) -> dict:
     if ctx.field.is_char_zero:
-        payload["description"] = "Z(A_h) = F (scalars only)"
+        payload = {"description": "Z(A_h) = F (scalars only)"}
     else:
-        payload.update(
-            {
-                "description": "Z(A_h) = F[t1, t2] with t1 = x^p, t2 = zeta",
-                "zeta": str(ctx.zeta_element()),
-                "zeta_hat_coeff": str(ctx.zeta_hat_coeff),
-                "hbar": ctx.hbar.to_text("u"),
-                "qbreve": str(ctx.qbreve),
-            }
-        )
+        payload = {"description": "Z(A_h) = F[t1, t2] with t1 = x^p, t2 = zeta", **_charp_center(ctx)}
     if args.element is not None:
         a = parse_weyl(args.element, ctx.field)
         if ctx.field.is_char_zero:
             central = not any(i > 0 for i in a.terms) and a.coefficient(0).is_constant()
-            payload["element_coords"] = str(a) if central else None
-            payload["not_central_reason"] = None if central else "not a scalar"
+            coords = a if central else NotCentralizing("not a scalar")
         else:
             coords = ctx.center_coords(a)
-            if isinstance(coords, NotCentralizing):
-                payload["element_coords"] = None
-                payload["not_central_reason"] = coords.reason
-            else:
-                payload["element_coords"] = str(coords)
-                payload["not_central_reason"] = None
+        if isinstance(coords, NotCentralizing):
+            payload["element_coords"] = None
+            payload["not_central_reason"] = coords.reason
+        else:
+            payload["element_coords"] = str(coords)
+            payload["not_central_reason"] = None
     return payload
 
 
 def _center_text(payload: dict) -> str:
-    lines = [f"h: {payload['h']}", payload["description"]]
+    lines = [payload["description"]]
     for key in ("zeta", "zeta_hat_coeff", "hbar", "qbreve"):
         if key in payload:
             lines.append(f"{key}: {payload[key]}")
@@ -469,14 +404,10 @@ def _center_text(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def cmd_exp_aut(args) -> dict:
-    ctx = _build_context(args)
+def cmd_exp_aut(args, ctx: AhContext) -> dict:
     g = parse_poly(args.g, ctx.field)
     phi = AhAlgebraMap(g, ctx)
     payload = {
-        "command": "exp-aut",
-        "characteristic": ctx.field.characteristic,
-        "h": str(ctx.h),
         "g": str(g),
         "image_x": str(phi.image_x),
         "image_yhat": str(phi.image_yhat),
@@ -488,7 +419,6 @@ def cmd_exp_aut(args) -> dict:
 
 def _exp_aut_text(payload: dict) -> str:
     lines = [
-        f"h: {payload['h']}",
         f"g: {payload['g']}",
         f"phi_g(x): {payload['image_x']}",
         f"phi_g(yhat): {payload['image_yhat']}",
@@ -501,8 +431,7 @@ def _exp_aut_text(payload: dict) -> str:
 # -- verify -----------------------------------------------------------------------------
 
 
-def cmd_verify(args) -> dict:
-    ctx = _build_context(args)
+def cmd_verify(args, ctx: AhContext) -> dict:
     seed = args.seed
     if seed < 0:
         import time
@@ -510,26 +439,14 @@ def cmd_verify(args) -> dict:
         seed = int(time.time_ns()) % (2**31)
     results = run_verify(ctx, seed=seed)
     return {
-        "command": "verify",
-        "characteristic": ctx.field.characteristic,
-        "h": str(ctx.h),
         "seed": seed,
         "all_passed": all(r.passed for r in results),
-        "properties": [
-            {
-                "name": r.name,
-                "count": r.count,
-                "passed": r.passed,
-                "counterexamples": list(r.counterexamples),
-            }
-            for r in results
-        ],
+        "properties": _json(results),
     }
 
 
 def _verify_text(payload: dict) -> str:
     lines = [
-        f"h: {payload['h']}",
         f"characteristic: {payload['characteristic']}",
         f"seed: {payload['seed']}",
     ]
@@ -586,7 +503,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler, render, _, _ = _COMMANDS[args.command]
     try:
-        payload = handler(args)
+        ctx = _build_context(args)
+        payload = {
+            "command": args.command,
+            "characteristic": ctx.field.characteristic,
+            "h": str(ctx.h),
+            **handler(args, ctx),
+        }
     except json.JSONDecodeError as exc:
         print(f"error (invalid JSON input): {exc}", file=sys.stderr)
         return 1
@@ -596,7 +519,7 @@ def main(argv=None) -> int:
     if args.output == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(render(payload))
+        print(f"h: {payload['h']}\n{render(payload)}")
     return 1 if payload.get("all_passed") is False else 0
 
 

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, JSON schema validation, golden files, round trips."""
 
+import dataclasses
 import io
 import json
 import sys
@@ -11,6 +12,9 @@ import pytest
 from ahweyl import cli, derivations
 from ahweyl.cli import main
 from ahweyl.context import weyl_context
+from ahweyl.derivations import DecompCharP, DecompCharZero
+from ahweyl.hochschild import HH1CharPReport, HH1ReportChar0, NormalizerQuotientLevel
+from ahweyl.verify import PropertyResult
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = json.loads(
@@ -174,12 +178,20 @@ class TestExitCodes:
             # longer than 20 s to reject it
             ("4611686138686472687", "characteristic must be 0 or prime"),
             ("3317044064679887385961981", "too large"),
+            # zeta = h^p y^p: h(x^p) alone would take 2p + 1 coefficients
+            ("1000000007", "degree 2000000014 in x or y, over the limit 1000000"),
         ],
     )
     def test_domain_error_large_char(self, char, message, capsys):
-        code, out, err = run_cli(["analyze", "--h", "x", "--char", char], capsys=capsys)
-        assert code == 1
-        assert message in err
+        code, out, err = run_cli(["analyze", "--h", "x^2", "--char", char], capsys=capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error (domain error): ") and message in err
+
+    def test_zeta_degree_under_the_limit_is_accepted(self, capsys):
+        # zeta has x-degree 200006, the figure parse.MAX_DEGREE was sized on
+        code, out, err = run_cli(["center", "--h", "x^2+1", "--char", "100003"], capsys=capsys)
+        assert (code, err) == (0, "")
+        assert "zeta: " in out
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -207,6 +219,12 @@ class TestExitCodes:
         assert err == 'error (domain error): derivation JSON must be {"Dx": "...", "Dyhat": "..."}\n'
 
 
+# an inner derivation of A_h at h = x^2+1 over GF(3), with a y^3 term
+_X2P1_CHAR3_DERIVATION = (
+    '{"Dx": "x^2 + x^4", "Dyhat": "2*x^2 + 2*x^4 + (x + 2*x^3 + x^5)*y'
+    ' + (2 + 2*x^2 + 2*x^6 + 2*x^8)*y^3"}'
+)
+
 _BRACKET_INPUT = json.dumps(
     {"left": {"Dx": "0", "Dyhat": "1"}, "right": {"Dx": "x", "Dyhat": "2*x + x^2*y"}}
 )
@@ -220,8 +238,7 @@ _BRACKET_INPUT = json.dumps(
         (["classify", "--h", "x^2", "--char", "3"], '{"Dx": "0", "Dyhat": "2*x^6*y^3"}'),
         (
             ["classify", "--h", "x^2+1", "--char", "3"],
-            '{"Dx": "x^2 + x^4", "Dyhat": "2*x^2 + 2*x^4 + (x + 2*x^3 + x^5)*y'
-            ' + (2 + 2*x^2 + 2*x^6 + 2*x^8)*y^3"}',
+            _X2P1_CHAR3_DERIVATION,
         ),
         (["bracket", "--h", "x^2", "--char", "0"], _BRACKET_INPUT),
         (["bracket", "--h", "x^2", "--char", "3"], _BRACKET_INPUT),
@@ -253,8 +270,7 @@ def test_one_decomposition_per_classified_derivation(argv, stdin_text, monkeypat
         (["classify", "--h", "x^2", "--char", "3"], '{"Dx": "0", "Dyhat": "2*x^6*y^3"}'),
         (
             ["classify", "--h", "x^2+1", "--char", "3"],
-            '{"Dx": "x^2 + x^4", "Dyhat": "2*x^2 + 2*x^4 + (x + 2*x^3 + x^5)*y'
-            ' + (2 + 2*x^2 + 2*x^6 + 2*x^8)*y^3"}',
+            _X2P1_CHAR3_DERIVATION,
         ),
     ],
 )
@@ -302,62 +318,97 @@ BRACKET_FRAC_LC_PAIR = {
 }
 
 
-class TestGolden:
-    @pytest.mark.parametrize(
-        "name,argv,stdin_text",
+# (golden text file, argv, stdin); each text golden has a JSON twin, the
+# same name with .json, from the same command with --output json
+GOLDEN_CASES = [
+    (
+        "analyze_x2_char0.txt",
+        ["analyze", "--h", "x^2", "--char", "0", "--factors", "x^2"],
+        "",
+    ),
+    ("analyze_1_char0.txt", ["analyze", "--h", "1", "--char", "0"], ""),
+    ("analyze_x_char3.txt", ["analyze", "--h", "x", "--char", "3"], ""),
+    (
+        "classify_D1_x_char0.txt",
+        ["classify", "--h", "x", "--char", "0"],
+        '{"Dx": "0", "Dyhat": "1"}',
+    ),
+    (
+        "analyze_x3x1sq_char5.txt",
+        ["analyze", "--h", "x^3*(x+1)^2", "--char", "5"],
+        "",
+    ),
+    (
+        "classify_x2p1_char3.txt",
+        ["classify", "--h", "x^2+1", "--char", "3"],
+        _X2P1_CHAR3_DERIVATION,
+    ),
+    (
+        "classify_x2_char3.txt",
+        ["classify", "--h", "x^2", "--char", "3"],
+        '{"Dx": "0", "Dyhat": "2*x^6*y^3"}',
+    ),
+    (
+        "bracket_frac_lc_char0.txt",
+        ["bracket", "--h=-3/2*x^2*(x+1)^3", "--char", "0"],
+        json.dumps(BRACKET_FRAC_LC_PAIR),
+    ),
+    (
+        "exp_aut_x2_char0.txt",
+        ["exp-aut", "--h", "x^2", "--char", "0", "--g", "x+1", "--element", "x^2*y"],
+        "",
+    ),
+    (
+        "exp_aut_x3x1sq_char5.txt",
         [
-            (
-                "analyze_x2_char0.txt",
-                ["analyze", "--h", "x^2", "--char", "0", "--factors", "x^2"],
-                "",
-            ),
-            ("analyze_1_char0.txt", ["analyze", "--h", "1", "--char", "0"], ""),
-            ("analyze_x_char3.txt", ["analyze", "--h", "x", "--char", "3"], ""),
-            (
-                "classify_D1_x_char0.txt",
-                ["classify", "--h", "x", "--char", "0"],
-                '{"Dx": "0", "Dyhat": "1"}',
-            ),
-            (
-                "analyze_x3x1sq_char5.txt",
-                ["analyze", "--h", "x^3*(x+1)^2", "--char", "5"],
-                "",
-            ),
-            (
-                "classify_x2p1_char3.txt",
-                ["classify", "--h", "x^2+1", "--char", "3"],
-                '{"Dx": "x^2 + x^4", "Dyhat": "2*x^2 + 2*x^4 + (x + 2*x^3 + x^5)*y'
-                ' + (2 + 2*x^2 + 2*x^6 + 2*x^8)*y^3"}',
-            ),
-            (
-                "classify_x2_char3.txt",
-                ["classify", "--h", "x^2", "--char", "3"],
-                '{"Dx": "0", "Dyhat": "2*x^6*y^3"}',
-            ),
-            (
-                "bracket_frac_lc_char0.txt",
-                ["bracket", "--h=-3/2*x^2*(x+1)^3", "--char", "0"],
-                json.dumps(BRACKET_FRAC_LC_PAIR),
-            ),
-            (
-                "exp_aut_x2_char0.txt",
-                ["exp-aut", "--h", "x^2", "--char", "0", "--g", "x+1", "--element", "x^2*y"],
-                "",
-            ),
-            (
-                "exp_aut_x3x1sq_char5.txt",
-                [
-                    "exp-aut", "--h", "x^3*(x+1)^2", "--char", "5", "--g", "x^2+2",
-                    "--element", "(y*(x^3*(x+1)^2) + x)^7",
-                ],
-                "",
-            ),
+            "exp-aut", "--h", "x^3*(x+1)^2", "--char", "5", "--g", "x^2+2",
+            "--element", "(y*(x^3*(x+1)^2) + x)^7",
         ],
-    )
+        "",
+    ),
+    (
+        "normalizer_xy_x2p1_char3.txt",
+        ["normalizer", "--h", "x^2+1", "--char", "3", "--element", "x*y"],
+        "",
+    ),
+    (
+        "normalizer_y_x2p1_char3.txt",
+        ["normalizer", "--h", "x^2+1", "--char", "3", "--element", "y"],
+        "",
+    ),
+    (
+        "center_x3_x2p1_char3.txt",
+        ["center", "--h", "x^2+1", "--char", "3", "--element", "x^3"],
+        "",
+    ),
+    ("center_3_x2_char0.txt", ["center", "--h", "x^2", "--char", "0", "--element", "3"], ""),
+    ("verify_x_char2.txt", ["verify", "--h", "x", "--char", "2", "--seed", "3"], ""),
+    (
+        "classify_invalid_x2_char0.txt",
+        ["classify", "--h", "x^2", "--char", "0"],
+        '{"Dx": "y", "Dyhat": "1"}',
+    ),
+    (
+        "bracket_D1_x2p1_char3.txt",
+        ["bracket", "--h", "x^2+1", "--char", "3"],
+        '{"left": {"Dx": "0", "Dyhat": "1"}, "right": ' + _X2P1_CHAR3_DERIVATION + "}",
+    ),
+]
+
+
+class TestGolden:
+    @pytest.mark.parametrize("name,argv,stdin_text", GOLDEN_CASES)
     def test_byte_for_byte(self, name, argv, stdin_text, capsys):
         code, out, err = run_cli(argv, stdin_text=stdin_text, capsys=capsys)
         assert code == 0
         assert out == (GOLDEN / name).read_text()
+
+    @pytest.mark.parametrize("name,argv,stdin_text", GOLDEN_CASES)
+    def test_json_twin(self, name, argv, stdin_text, capsys):
+        code, out, err = run_cli([*argv, "--output", "json"], stdin_text=stdin_text, capsys=capsys)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / name).with_suffix(".json").read_text()
+        validate(json.loads(out))
 
 
 class TestTextOutput:
@@ -612,6 +663,28 @@ class TestJsonSchema:
         payload = json.loads(out)
         validate(payload)
         assert payload["all_passed"] is True
+
+
+_DEFS = SCHEMA["$defs"]
+_RECORD_SCHEMAS = [
+    (HH1ReportChar0, _DEFS["hh1_char0"]),
+    (HH1CharPReport, _DEFS["charp_report"]),
+    (NormalizerQuotientLevel, _DEFS["charp_report"]["properties"]["normalizer_quotient"]["items"]),
+    (DecompCharZero, _DEFS["decomposition_char0"]),
+    (DecompCharP, _DEFS["decomposition_charp"]),
+    (PropertyResult, _DEFS["verify"]["properties"]["properties"]["items"]),
+]
+
+
+@pytest.mark.parametrize(
+    "record,definition", _RECORD_SCHEMAS, ids=[r.__name__ for r, _ in _RECORD_SCHEMAS]
+)
+def test_records_print_under_their_schema_keys(record, definition):
+    # the CLI prints a result record as the dict of its fields by name, so
+    # its schema definition names exactly those fields, all required
+    names = [f.name for f in dataclasses.fields(record)]
+    assert list(definition["properties"]) == names
+    assert definition["required"] == names
 
 
 class TestVerifyCommand:

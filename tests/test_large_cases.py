@@ -240,6 +240,22 @@ CASES = [
         Refused("factor list error"),
         2,
     ),
+    (
+        # zeta = h^p y^p would have x-degree 2p: refused before h(x^p) is formed
+        "analyze-zeta-degree-p1000000007",
+        ["analyze", "--h", "x^2", "--char", "1000000007"],
+        None,
+        Refused("domain error"),
+        2,
+    ),
+    (
+        # h = 1: zeta = y^p, whose y-degree p is over the limit
+        "analyze-zeta-degree-h1-p1000003",
+        ["analyze", "--h", "1", "--char", "1000003"],
+        None,
+        Refused("domain error"),
+        2,
+    ),
 ]
 
 
