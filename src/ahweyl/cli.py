@@ -42,7 +42,7 @@ from .derivations import (
 from .fields import ExactDivisionError, FieldMismatchError, FieldSpec
 from .hochschild import freeness_and_module_report_charp, structure_report_char0
 from .parse import MAX_DEGREE, ParseError, parse_factors, parse_poly, parse_weyl
-from .poly import Poly
+from .poly import Poly, QPoly
 from .verify import run_verify
 from .weyl import WeylElement
 
@@ -128,7 +128,7 @@ def _build_context(args) -> AhContext:
     return AhContext(h, factors=factors, degree_bound=args.degree_bound)
 
 
-_TEXT_TYPES = frozenset((Poly, WeylElement, CenterPoly))
+_TEXT_TYPES = frozenset((Poly, QPoly, WeylElement, CenterPoly))
 
 
 def _json(value):

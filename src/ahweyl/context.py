@@ -159,7 +159,7 @@ class AhContext:
             self._cross_check_factors()
         self._h_powers = {0: Poly.one(self.field)}
         self._dh, (lifted,) = self.field.lift((h,))
-        self._h_hasse = [lifted.coeffs]  # H_0(h), H_1(h), ... over dh, grown by `h_hasse`
+        self._h_hasse = [lifted]  # H_0(h), H_1(h), ... over dh, grown by `h_hasse`
         self.x_elt = WeylElement.x_power(self.field, 1)
         self.yhat = WeylElement(self.field, {1: h, 0: h.derivative()})  # y h = h y + h'
         self._theta_S = None
@@ -181,32 +181,33 @@ class AhContext:
         self.varrho_root = self.varrho_h.pth_root()
         self.hp_over_varrho = self.h.exact_div(self.varrho_root).substitute_xp()
         self.hprime_over_varrho = self.h.derivative().exact_div(self.varrho_h)
-        hp1 = self.h_power(p - 1)
-        self.hbar_components = hp1.frobenius_split()  # polynomials in u = x^p
-        nonzero = [(i, c) for i, c in enumerate(self.hbar_components) if not c.is_zero()]
-        g, coeffs = nonzero[0][1].monic(), {}
-        # iterated extended gcd in F[u], tracking Bezout multipliers
-        scale = self.field.inv(nonzero[0][1].leading_coefficient())
-        coeffs[nonzero[0][0]] = Poly.constant(self.field, scale)
-        for i, c in nonzero[1:]:
+        F = self.field
+        zero = Poly.zero(F)
+        self.hbar_components = self.h_power(p - 1).frobenius_split()  # polynomials in u = x^p
+        # iterated extended gcd in F[u] over the nonzero components only,
+        # tracking their Bezout multipliers q_i
+        (i0, c0), *rest = [(i, c) for i, c in enumerate(self.hbar_components) if c]
+        g = c0.monic()
+        coeffs = {i0: Poly.constant(F, F.inv(c0.leading_coefficient()))}
+        for i, c in rest:
             if g.is_one():
                 break
-            g2, s, t = g.xgcd(c)
+            g, s, t = g.xgcd(c)
             coeffs = {k: s * v for k, v in coeffs.items()}
-            coeffs[i] = coeffs.get(i, Poly.zero(self.field)) + t
-            g = g2
+            coeffs[i] = t
         self.hbar = g  # monic gcd of the hbar components, in u
-        self.qbreve_multipliers = [
-            coeffs.get(i, Poly.zero(self.field)) for i in range(p)
-        ]
-        # qbreve = -sum_i q_i(x^p) x^(p-1-i), assembled from its Frobenius components
-        self.qbreve = Poly.frobenius_assemble(
-            self.field, [-qi for qi in reversed(self.qbreve_multipliers)]
-        )
+        self.qbreve_multipliers = [coeffs.get(i, zero) for i in range(p)]
+        # qbreve = -sum_i q_i(x^p) x^(p-1-i), assembled from the nonzero q_i
+        qbreve = {}
+        for i, qi in coeffs.items():
+            for k, c in enumerate((-qi).coeffs):
+                if c:
+                    qbreve[k * p + p - 1 - i] = c
+        self.qbreve = Poly.from_coeff_dict(F, qbreve)
         # Bezout witness: sum q_i hbar_i = hbar exactly
-        acc = Poly.zero(self.field)
-        for qi, hi in zip(self.qbreve_multipliers, self.hbar_components):
-            acc = acc + qi * hi
+        acc = zero
+        for i, qi in coeffs.items():
+            acc = acc + qi * self.hbar_components[i]
         if acc != self.hbar:
             raise AssertionError("Bezout witness for hbar failed")
         self.zeta_hat_coeff = self.hbar_components[p - 1].substitute_xp()
@@ -290,7 +291,12 @@ class AhContext:
             raise ValueError(
                 "a_0 is not materialized; its action is delta0, inside F[x]"
             )
-        return WeylElement.from_term(self.pi_h * self.h_power(n - 1), n)
+        return WeylElement.from_term(self.a_n_coefficient(n), n)
+
+    def a_n_coefficient(self, n: int) -> Poly:
+        """pi_h h^(n-1), the y^n coefficient of a_n (n >= 1), cached: one
+        product per n."""
+        return self.memo(("a_n", n), lambda: self.pi_h * self.h_power(n - 1))
 
     # -- membership and coordinates -------------------------------------------------------
 
@@ -342,7 +348,7 @@ class AhContext:
         check_same_field(self.field, a.field)
         da, terms = self.field.lift(a.terms)
         rows = {}
-        self._add_yhat_bracket(rows, {j: r.coeffs for j, r in terms.items()})
+        self._add_yhat_bracket(rows, terms)
         return WeylElement._from_rows(self.field, rows, da * self._dh)
 
     def _add_yhat_bracket(self, rows: dict, terms: dict) -> None:
@@ -433,8 +439,7 @@ class AhContext:
             if i == 0:
                 continue
             if p == 0 or i % p:
-                need = self.pi_h * self.h_power(i - 1)
-                if not need.divides(r):
+                if not self.a_n_coefficient(i).divides(r):
                     return NormalizerResult(
                         False, i, f"pi_h * h^{i - 1} does not divide the y^{i} coefficient"
                     )

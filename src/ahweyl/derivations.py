@@ -82,10 +82,10 @@ def d_on_poly(f: Poly, u: WeylElement) -> WeylElement:
     by `_add_d_on_poly`, and each row is reduced once, over Q divided by
     the two lift denominators."""
     F = u.field
-    df, (f,) = F.lift((f,))
+    df, (fc,) = F.lift((f,))
     du, terms = F.lift(u.terms)
     rows = {}
-    _add_d_on_poly(F, rows, f.coeffs, {j: r.coeffs for j, r in terms.items()})
+    _add_d_on_poly(F, rows, fc, terms)
     return WeylElement._from_rows(F, rows, df * du)
 
 
@@ -107,7 +107,7 @@ def _lift_elements(F, elements):
     coefficients are the stored ones."""
     den, images = F.lift(tuple(r for w in elements for r in w.terms.values()))
     it = iter(images)
-    return den, [{i: next(it).coeffs for i in w.terms} for w in elements]
+    return den, [{i: next(it) for i in w.terms} for w in elements]
 
 
 def _binomial_sum(ctx: AhContext, a: WeylElement, images, first=None) -> WeylElement:
@@ -137,7 +137,7 @@ def _binomial_sum(ctx: AhContext, a: WeylElement, images, first=None) -> WeylEle
     dh, (hc,) = ctx.h_hasse(1)
     rows = {}
     for (i, g), gc in zip(gs.items(), lifted):
-        t, at = gc.coeffs, 0  # g h^at, raw over dg dh^at
+        t, at = gc, 0  # g h^at, raw over dg dh^at
         for k in range(min(i, len(terms) - 1), -1, -1):
             s = i - k
             b = comb(i, k) % p if p else comb(i, k)
@@ -278,8 +278,7 @@ class Derivation:
             scale = -len(numerators)  # -(l+1)
             dl, terms = ctx.field.lift(numerators[-1].terms)
             rows = {}
-            for j, r in terms.items():
-                rc = r.coeffs
+            for j, rc in terms.items():
                 _accumulate(rows, j, hc, [i * c for i, c in enumerate(rc[1:], 1)])
                 if hp:
                     _accumulate(rows, j, [scale * c for c in hp[0]], rc)
@@ -608,7 +607,7 @@ def decompose_Ah_char0(d: Derivation) -> DecompCharZero:
     witness = WeylElement.from_poly((-q).antiderivative())
     terms = []
     for n, rn in sorted(b.terms.items()):
-        s_n = rn.exact_div(ctx.pi_h * ctx.h_power(n - 1))
+        s_n = rn.exact_div(ctx.a_n_coefficient(n))
         qn, rt = divmod(s_n, ctx.h_over_pi)
         if not qn.is_zero():
             witness = witness + WeylElement.from_term(qn * ctx.h_power(n), n)

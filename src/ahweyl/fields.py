@@ -2,35 +2,32 @@
 
 A FieldSpec carries the characteristic (0 or a prime p); scalars are plain
 values with exact arithmetic, and a FieldSpec only makes, inverts and
-reduces them. The stored (canonical) form of a scalar is a
-`fractions.Fraction` in characteristic 0 and a least nonnegative residue (a
-Python int in [0, p), never a bool) in characteristic p. No floating point
-is used anywhere.
+reduces them. A canonical scalar is a `fractions.Fraction` in
+characteristic 0 and a least nonnegative residue (a Python int in [0, p),
+never a bool) in characteristic p. No floating point is used anywhere.
 
-Both kinds of scalar support `+`, `-` and `*` natively, so the ring loops
-of `poly`, `weyl`, `centerpoly` and `linalg` compute on raw values and call
-`FieldSpec.reduce` once per output coefficient: that method is the only
-place they learn the characteristic. `coerce` validates outside scalars
-where they enter a value class: the public constructors and `Poly.scale`.
-The parser calls it only on an `a/b` literal over GF(p): it keeps every
-other scalar in the field's raw form (a residue mod p; over Q an int, or a
-`Fraction` from an `a/b` literal) and makes each canonical once, where a
-value leaves it (see `parse`).
+Polynomials do not store scalars one by one over Q: a `poly.QPoly` holds
+integer numerators over one denominator, and its kernel is chosen once per
+value (see `poly`). So this module serves the places that still handle
+scalars: `coerce` validates outside scalars where they enter a value class
+(the public constructors and `scale`); `reduce` maps raw sums and products
+of canonical scalars to canonical ones (mod p over GF(p), unchanged over
+Q), once per output coefficient, for the GF(p) polynomial kernel,
+`centerpoly`, `linalg` and the parser, which keeps every scalar in the
+field's raw form (a residue mod p; over Q an int, or a `Fraction` from an
+`a/b` literal) until a value leaves it (see `parse`).
 
-The product loops (`Poly.__mul__`, the Weyl product, `d_on_poly` and the
-closed form `yhat_bracket`), the division `Poly.__divmod__`, and the routes
-that sum raw rows across a whole computation (the binomial sum that
-`Derivation.apply`, with its cached numerators of D(y), and
-`AhAlgebraMap.apply` share, and `Derivation.criterion_defect`) first pass
-their operands through `FieldSpec.lift`. Over Q it clears denominators: it
-returns the lcm `den` of every coefficient denominator and integer
-images `c.numerator * (den // c.denominator)`, so the loops run on Python
-ints, and `reduce(values, den)` turns each raw integer back into
-`Fraction(v, den)`, one division per output coefficient. Division
-pseudo-divides the integer images and builds each quotient and remainder
-coefficient as one Fraction at the end. Over GF(p) `lift` returns its
-argument with `den = 1`. The integer images are transient: they never
-leave the operation that made them.
+The routes that sum raw rows across several polynomials (the Weyl
+product, `d_on_poly`, the closed form `yhat_bracket`, the binomial sum
+that `Derivation.apply` and `AhAlgebraMap.apply` share, and
+`Derivation.criterion_defect`) first pass their operands through
+`FieldSpec.lift`, which puts them over one common denominator `den`:
+over Q the lcm of the polynomials' `den`s, each image the numerators
+times `den // r.den` (a polynomial already over `den` passes its
+numerators uncopied); over GF(p) `den = 1` and each image is the stored
+residues. The loops run on those raw integers, and each output row is
+made a polynomial again over the product of the lift denominators, by
+one gcd.
 """
 
 from __future__ import annotations
@@ -118,38 +115,35 @@ class FieldSpec:
             return v.numerator * self.inv(v.denominator % p) % p
         raise TypeError(f"cannot coerce {type(v).__name__} into {self}")
 
-    def reduce(self, values, den=None) -> list:
+    def reduce(self, values) -> list:
         """Canonical values of raw sums and products of field scalars:
-        each taken mod p in characteristic p, unchanged over Q. Over Q,
-        with `den` given, the values are integers over the common
-        denominator `den` (see `lift`) and map to `Fraction(v, den)`."""
+        each taken mod p in characteristic p, unchanged over Q."""
         p = self.characteristic
         if p:
             return [v % p for v in values]
-        if den is None:
-            return list(values)
-        if den == 1:  # most products over Q; Fraction(v) skips the gcd
-            return [Fraction(v) for v in values]
-        return [Fraction(v, den) for v in values]
+        return list(values)
 
     def lift(self, polys):
         """`(den, images)` for the Polys of one product operand, given as a
-        tuple or as the `{i: r_i}` terms of a Weyl element.
+        tuple or as the `{i: r_i}` terms of a Weyl element: each image is
+        the raw coefficient sequence of one Poly over the common
+        denominator `den`.
 
-        Over Q, `den` is the lcm of all coefficient denominators and each
-        image has the integer coefficients `den * c`. Over GF(p) the
-        argument itself comes back with `den = 1`, uncopied."""
-        if self.characteristic:
-            return 1, polys
+        Over Q, `den` is the lcm of the denominators `r.den`, and an image
+        is `r.num` times `den // r.den`, or `r.num` itself, uncopied, when
+        `r.den` is `den` already. Over GF(p), `den` is 1 and each image is
+        the stored `r.coeffs`."""
         rs = polys.values() if isinstance(polys, dict) else polys
-        den = lcm(*{c.denominator for r in rs for c in r.coeffs})
-
-        def image(r):
-            return r._canonical(self, [c.numerator * (den // c.denominator) for c in r.coeffs])
-
+        if self.characteristic:
+            den, images = 1, [r.coeffs for r in rs]
+        else:
+            den, images = lcm(*{r.den for r in rs}), []
+            for r in rs:
+                m = den // r.den
+                images.append(r.num if m == 1 else [m * c for c in r.num])
         if isinstance(polys, dict):
-            return den, {i: image(r) for i, r in polys.items()}
-        return den, tuple(image(r) for r in polys)
+            return den, dict(zip(polys, images))
+        return den, tuple(images)
 
     # -- arithmetic ------------------------------------------------------------
 

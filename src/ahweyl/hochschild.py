@@ -381,7 +381,7 @@ def _core_bracket(ctx: AhContext, b1, b2) -> list:
         # of the ad_{r a_n}, kept whole (not reduced by the level rule), so
         # that the parts materialize to ad_b itself
         e, b = _dg_bx_closed_form(ctx, b1.g)
-        parts = [(one, BAd(bn.exact_div(ctx.pi_h * ctx.h_power(n - 1)), n)) for n, bn in b.items()]
+        parts = [(one, BAd(bn.exact_div(ctx.a_n_coefficient(n)), n)) for n, bn in b.items()]
         if not e.is_zero():
             parts.append((one, BDg(e)))
         return parts
@@ -499,7 +499,7 @@ def _normalizer_quotient_level(ctx: AhContext, i: int) -> NormalizerQuotientLeve
         dim = int(ctx.h_over_pi.degree)
         if not dim:
             return NormalizerQuotientLevel(i, 0, ())
-        base = ctx.pi_h * ctx.h_power(i - 1)
+        base = ctx.a_n_coefficient(i)
         return NormalizerQuotientLevel(i, dim, tuple(base.shift(j) for j in range(dim)))
     S = ctx.theta_complement_S()
     if not S:

@@ -26,11 +26,17 @@ step, one scalar product. Any other product (`y*x`) is the Weyl
 product of `weyl`, the one route that reorders. The power of a monomial
 c x^i or c y^j is c^n x^(in) or c^n y^(jn); any other power is
 square-and-multiply through the same product. Scalars become canonical
-(an int over Q a `Fraction`) once, where a value leaves the parser: as a
-`WeylElement` or `Poly` at the end, and on the operands of the reordering
-product. So text in the printed normal form parses without a polynomial or
-Weyl product, and over Q without `Fraction` arithmetic unless it has a
-rational literal.
+once, where a value leaves the parser: as a `WeylElement` or `Poly` at the
+end, and on the operands of the reordering product. Over Q each row is
+then put over one denominator, the lcm of its literals' denominators,
+straight from the raw ints and Fractions (`Poly.from_coeff_dict`), and
+the product's rows come back as ints, with a `Fraction` only where a row
+has a denominator. So text in the printed normal form parses without a
+polynomial or Weyl product, and over Q without `Fraction` arithmetic
+unless it has a rational literal.
+
+The tokenizer is one compiled regex (`_TOKEN`), whose character classes
+are exactly those of `str.isspace`, `str.isdecimal` and `str.isalnum`.
 
 Each row of that value is dense in x, so a power or product whose x-degree
 or y-degree would exceed `MAX_DEGREE` is refused before it is formed. Both
@@ -53,10 +59,11 @@ stay below p.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .fields import FieldSpec
-from .poly import _DIGITS_BOUND, MAX_DIGITS, Poly
+from .poly import _DIGITS_BOUND, MAX_DIGITS, Poly, _stored
 from .weyl import WeylElement
 
 
@@ -75,9 +82,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-_OPS = set("+-*^()")
 
 
 def _check_literal(digits: int, position: int) -> None:
@@ -111,50 +115,47 @@ def _checked_digits(field: FieldSpec, value: dict, position: int) -> dict:
     return value
 
 
+#: One token and the whitespace before it. Over str patterns \d is exactly
+#: `str.isdecimal`, \w exactly `str.isalnum` or '_', and \s exactly
+#: `str.isspace`. No class is `str.isalpha`, which a name starts with
+#: (`[^\W\d_]` also takes '²'), so a \w run is a name only when its first
+#: character is a letter; a decimal run is tried first. Every character
+#: matches `.`, so the matches tile the text, and whitespace at its end is
+#: one match of `.` alone.
+_TOKEN = re.compile(r"(\s*)(?:([-+*^()])|(\d+)(/\d*)?|(\w+)|(.))", re.DOTALL)
+
+
 def _tokenize(text: str):
+    """[(kind, value, position)], closed by ("end", None, len(text)); a
+    number literal is checked against `MAX_DIGITS` before `int()` reads it."""
     tokens = []
     i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
+    for space, op, num, den, name, other in _TOKEN.findall(text):
+        i += len(space)
+        if op:
+            tokens.append((op, op, i))
             i += 1
-            continue
-        if c in _OPS:
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            _check_literal(j - i, i)
-            num = int(text[i:j])
-            den = None
-            if j < n and text[j] == "/":
-                k = j + 1
-                m = k
-                while m < n and text[m].isdecimal():
-                    m += 1
-                if m == k:
+        elif num:
+            _check_literal(len(num), i)
+            value = int(num)
+            if den:
+                k = i + len(num) + 1
+                if len(den) == 1:
                     raise ParseError("expected digits after '/'", k)
-                _check_literal(m - k, k)
-                den = int(text[k:m])
-                if den == 0:
+                _check_literal(len(den) - 1, k)
+                if not (d := int(den[1:])):
                     raise ParseError("zero denominator", k)
-                j = m
-            tokens.append(("num", Fraction(num, den) if den else num, i))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", None, n))
+                value = Fraction(value, d)
+            tokens.append(("num", value, i))
+            i += len(num) + len(den)
+        elif name:
+            if not name[0].isalpha():
+                raise ParseError(f"unexpected character {name[0]!r}", i)
+            tokens.append(("name", name, i))
+            i += len(name)
+        elif not other.isspace():
+            raise ParseError(f"unexpected character {other!r}", i)
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
@@ -164,20 +165,20 @@ def _reduced(field: FieldSpec, raw: dict) -> dict:
     return {k: c for k, c in zip(raw, field.reduce(raw.values())) if c}
 
 
-def _canonical_rows(field: FieldSpec, value: dict) -> dict:
-    """{y-degree: {x-degree: coefficient}} of a sparse value, each raw
-    scalar made canonical: over Q an int becomes a `Fraction`; a residue
-    over GF(p) already is one."""
-    rows, rational = {}, field.is_char_zero
+def _rows(value: dict) -> dict:
+    """{y-degree: {x-degree: coefficient}} of a sparse value. Its raw
+    scalars are canonical for `Poly.from_coeff_dict`: a residue over GF(p);
+    over Q an int or a `Fraction`, which the Q kernel puts over one
+    denominator."""
+    rows = {}
     for (i, j), c in value.items():
-        rows.setdefault(j, {})[i] = Fraction(c) if rational and type(c) is int else c
+        rows.setdefault(j, {})[i] = c
     return rows
 
 
 def _to_weyl(field: FieldSpec, value: dict) -> WeylElement:
-    rows = _canonical_rows(field, value)
     return WeylElement._canonical(
-        field, {j: Poly.from_coeff_dict(field, row) for j, row in rows.items()}
+        field, {j: Poly.from_coeff_dict(field, row) for j, row in _rows(value).items()}
     )
 
 
@@ -253,7 +254,15 @@ def _reordered_cells(a: dict, b: dict, p: int, limit: int) -> int:
 
 
 def _from_weyl(w: WeylElement) -> dict:
-    return {(i, j): c for j, r in w.terms.items() for i, c in enumerate(r.coeffs) if c}
+    """The sparse value of w, each scalar in the raw form: over Q an int,
+    or a `Fraction` where the row has a denominator."""
+    value = {}
+    for j, r in w.terms.items():
+        den, values = _stored(r)
+        for i, c in enumerate(values):
+            if c:
+                value[(i, j)] = c if den == 1 else Fraction(c, den)
+    return value
 
 
 class _Parser:
@@ -420,7 +429,7 @@ def parse_weyl(text: str, field: FieldSpec) -> WeylElement:
 
 def parse_poly(text: str, field: FieldSpec, var: str = "x") -> Poly:
     value = _Parser(text, field, {var: {(1, 0): 1}}).parse()
-    return Poly.from_coeff_dict(field, _canonical_rows(field, value).get(0, {}))
+    return Poly.from_coeff_dict(field, _rows(value).get(0, {}))
 
 
 def parse_factors(text: str, field: FieldSpec):

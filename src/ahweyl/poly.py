@@ -1,30 +1,34 @@
 """Exact univariate polynomial arithmetic over Q or GF(p).
 
-Polynomials are dense coefficient tuples, index = degree, with no trailing
-zeros; the zero polynomial has an empty tuple and degree -infinity. Every
-coefficient is in the field's canonical form (see `fields`): an int in
-[0, p) over GF(p), a Fraction over Q. All operations return canonical-form
-results and are side-effect free.
+Polynomials are dense, index = degree, with no trailing zeros; the zero
+polynomial has degree -infinity. All operations are side-effect free.
+
+The kernel is chosen once per value, by its field, when it is made: over
+GF(p) a `Poly` holds `coeffs`, a tuple of residues in [0, p); over Q the
+constructors make its subclass `QPoly`, which holds `num`, a tuple of ints,
+over one denominator `den` (the layout of FLINT's fmpq_poly), canonical
+with `den > 0` and gcd(den, *num) = 1. The zero polynomial over Q is
+((), 1). So the ring and calculus operations over Q run on Python ints and
+normalize each result with one `math.gcd`. `QPoly.coeffs` keeps the public
+meaning, a tuple of `Fraction`s, made on its first read and kept; besides
+that, a `Fraction` is made only where a scalar leaves a value
+(`coefficient`, `leading_coefficient`) or enters one (`Poly(F, coeffs)`).
 
 Reduce once: the ring operations compute each output coefficient from raw
-sums and products of canonical scalars, map the whole result through
-`FieldSpec.reduce` once, and build it with the trusted constructor
-`Poly._canonical`, which only trims trailing zeros. The public
+sums and products and make the result with the trusted constructor
+`_reduced` of the kernel: over GF(p) each value is taken mod p
+(`FieldSpec.reduce`) and trailing zeros are trimmed; over Q the raw
+integers over their denominator are divided by one gcd with it. The public
 `Poly(field, coeffs)` validates and coerces, as the entry point for outside
 input. `_convolve` is the one product loop; the Weyl product shares it.
 
-Products lift their operands first (`FieldSpec.lift`): over Q both factors
-are cleared to integer numerators over one common denominator `den`, the
-loop accumulates Python ints, and each output coefficient is divided by
-`den**2` once, in `reduce`. Division over Q lifts the dividend and the
-divisor each to integers and pseudo-divides them (Knuth, TAOCP vol. 2,
-4.6.1, Algorithm R) with lazy scaling: with L the divisor's leading
-integer, a step is rem = L*rem - c*divisor on the window below the top,
-the running scale S is multiplied by L, and a lower coefficient is
-multiplied by S once, when it enters the window. Each quotient and
-remainder coefficient becomes one Fraction at the end. Over GF(p) the
-division is its own loop on residues. The integer images exist only inside
-the operation; every Poly that leaves it holds Fractions again.
+Division over Q pseudo-divides the numerators (Knuth, TAOCP vol. 2, 4.6.1,
+Algorithm R) with lazy scaling: with L the divisor's leading numerator, a
+step is rem = L*rem - c*divisor on the window below the top, the running
+scale S is multiplied by L, and a lower coefficient is multiplied by S
+once, when it enters the window. The quotient and the remainder each come
+out over one common denominator. Over GF(p) the division is its own loop
+on residues.
 
 Besides the ring operations this module carries the characteristic-p
 bookkeeping used throughout the package: the Frobenius decomposition
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .fields import ExactDivisionError, FieldSpec, check_same_field
 
@@ -63,10 +68,21 @@ class NotIntegrable:
     obstruction: "Poly"
 
 
+def _kernel(field: FieldSpec) -> type:
+    """The class of the polynomials over `field`: `QPoly` over Q, `Poly`
+    over GF(p)."""
+    return Poly if field.characteristic else QPoly
+
+
 class Poly:
-    """Element of F[x] in canonical dense form."""
+    """Element of F[x] in canonical dense form. This class is the GF(p)
+    kernel; `Poly(field, coeffs)` and the classmethod constructors make a
+    `QPoly` over Q."""
 
     __slots__ = ("field", "coeffs")
+
+    def __new__(cls, field: FieldSpec, coeffs=()):
+        return object.__new__(Poly if field.characteristic else QPoly)  # `_kernel`, inlined
 
     def __init__(self, field: FieldSpec, coeffs):
         vals = [field.coerce(c) for c in coeffs]
@@ -90,43 +106,42 @@ class Poly:
         return out
 
     @classmethod
-    def _reduced(cls, field: FieldSpec, raw, den=None) -> "Poly":
-        """Trusted constructor from raw sums and products of field scalars
-        (over Q with `den`: of integers over that common denominator)."""
-        return cls._canonical(field, field.reduce(raw, den))
+    def _reduced(cls, field: FieldSpec, raw, den=1) -> "Poly":
+        """Trusted constructor from raw sums and products of field scalars,
+        over the denominator `den`, which is 1 over GF(p) (`FieldSpec.lift`)."""
+        return cls._canonical(field, field.reduce(raw))
 
     @classmethod
     def zero(cls, field: FieldSpec) -> "Poly":
-        return cls._canonical(field, ())
+        return _kernel(field)._canonical(field, ())
 
     @classmethod
     def one(cls, field: FieldSpec) -> "Poly":
-        return cls._canonical(field, (field.one(),))
+        return _kernel(field)._canonical(field, (1,))
 
     @classmethod
     def constant(cls, field: FieldSpec, c) -> "Poly":
-        return cls(field, [c])
+        return Poly(field, [c])
 
     @classmethod
     def x(cls, field: FieldSpec) -> "Poly":
-        return cls._canonical(field, (field.zero(), field.one()))
+        return _kernel(field)._canonical(field, (0, 1))
 
     @classmethod
     def monomial(cls, field: FieldSpec, c, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative exponent")
-        return cls._canonical(field, (field.zero(),) * n + (field.coerce(c),))
+        return Poly(field, [c]).shift(n)
 
     @classmethod
     def from_coeff_dict(cls, field: FieldSpec, d: dict) -> "Poly":
         """sum_k d[k] x^k; the values must already be scalars of `field`
-        (coefficients of other polynomials over it, say)."""
+        (coefficients of other polynomials over it, say; over Q ints or
+        Fractions)."""
         if not d:
             return cls.zero(field)
-        coeffs = [field.zero()] * (max(d) + 1)
+        coeffs = [0] * (max(d) + 1)
         for k, v in d.items():
             coeffs[k] = v
-        return cls._canonical(field, coeffs)
+        return _kernel(field)._canonical(field, coeffs)
 
     # -- basic queries ----------------------------------------------------------
 
@@ -214,12 +229,12 @@ class Poly:
             return self.scale(other)
         self._check(other)
         F = self.field
-        if not self.coeffs or not other.coeffs:
-            return Poly.zero(F)
-        den, (a, b) = F.lift((self, other))
-        acc = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
-        _convolve(acc, a.coeffs, b.coeffs)
-        return Poly._reduced(F, acc, den * den)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return Poly._canonical(F, ())
+        acc = [0] * (len(a) + len(b) - 1)
+        _convolve(acc, a, b)
+        return Poly._reduced(F, acc)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -248,41 +263,21 @@ class Poly:
         dd = len(other.coeffs) - 1
         if dd == 0:  # a nonzero constant c: the quotient is self / c
             c = other.coeffs[0]
-            return (self if c == 1 else self.scale(F.inv(c))), Poly.zero(F)
+            return (self if c == 1 else self.scale(F.inv(c))), Poly._canonical(F, ())
         if len(self.coeffs) - 1 < dd:
-            return Poly.zero(F), self
-        if F.characteristic:
-            p = F.p
-            rem = list(self.coeffs)  # raw values below the current index
-            dv = other.coeffs
-            lc_inv = F.inv(dv[-1])
-            q = [0] * (len(rem) - dd)
-            for i in range(len(rem) - 1, dd - 1, -1):
-                # rem[i] is final here; reduce it (times 1/lc) before the zero test
-                if f := rem[i] * lc_inv % p:
-                    lo = i - dd
-                    q[lo] = f
-                    rem[lo:i] = [r - f * d for r, d in zip(rem[lo:i], dv)]
-            return Poly._canonical(F, q), Poly._reduced(F, rem[:dd])
-        # over Q: pseudo-division of a = da*self by b = db*other (see the
-        # module docstring); rem[k]/S is the remainder of a at every k that
-        # has entered the window [lo, i)
-        da, (a,) = F.lift((self,))
-        db, (b,) = F.lift((other,))
-        rem, dv = list(a.coeffs), b.coeffs
-        L = dv[-1]
-        num, den = [0] * (len(rem) - dd), [1] * (len(rem) - dd)
-        S = 1
+            return Poly._canonical(F, ()), self
+        p = F.p
+        rem = list(self.coeffs)  # raw values below the current index
+        dv = other.coeffs
+        lc_inv = F.inv(dv[-1])
+        q = [0] * (len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
-            lo = i - dd
-            rem[lo] *= S
-            if c := rem[i]:
-                # q_lo = (c/S) / (L/db) / da
-                num[lo], den[lo] = c * db, S * L * da
-                rem[lo:i] = [L * r - c * d for r, d in zip(rem[lo:i], dv)]
-                S *= L
-        q = [Fraction(n, d) for n, d in zip(num, den)]
-        return Poly._canonical(F, q), Poly._reduced(F, rem[:dd], S * da)
+            # rem[i] is final here; reduce it (times 1/lc) before the zero test
+            if f := rem[i] * lc_inv % p:
+                lo = i - dd
+                q[lo] = f
+                rem[lo:i] = [r - f * d for r, d in zip(rem[lo:i], dv)]
+        return Poly._canonical(F, q), Poly._reduced(F, rem[:dd])
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -320,17 +315,14 @@ class Poly:
     def antiderivative(self):
         """Return g with g' = self (constant term 0), or NotIntegrable.
 
-        In characteristic 0 this always succeeds. In characteristic p the
-        image of d/dx misses exactly the F[x^p]*x^(p-1) component: when the
-        Frobenius component f_{p-1} is nonzero the result is NotIntegrable
-        carrying that obstruction.
+        In characteristic 0 this always succeeds (`QPoly.antiderivative`).
+        In characteristic p the image of d/dx misses exactly the
+        F[x^p]*x^(p-1) component: when the Frobenius component f_{p-1} is
+        nonzero the result is NotIntegrable carrying that obstruction.
         """
         F = self.field
-        raw = [F.zero()] * (len(self.coeffs) + 1)
-        if F.is_char_zero:
-            raw[1:] = [c / (i + 1) for i, c in enumerate(self.coeffs)]
-            return Poly._canonical(F, raw)
         p = F.p
+        raw = [0] * (len(self.coeffs) + 1)
         obstruction = {}
         for i, c in enumerate(self.coeffs):
             if i % p == p - 1:
@@ -384,13 +376,18 @@ class Poly:
 
         Each f_j is returned as a polynomial in u = x^p (same field, new
         variable); over the prime field the coefficients carry over directly.
+        The zero components are one shared zero Poly, so the cost past the
+        length-p list is in the nonzero ones.
         """
         p = self._require_char_p()
-        parts = [dict() for _ in range(p)]
+        parts = {}
         for i, c in enumerate(self.coeffs):
             if c:
-                parts[i % p][i // p] = c
-        return [Poly.from_coeff_dict(self.field, d) for d in parts]
+                parts.setdefault(i % p, {})[i // p] = c
+        out = [Poly.zero(self.field)] * p
+        for j, d in parts.items():
+            out[j] = Poly.from_coeff_dict(self.field, d)
+        return out
 
     @classmethod
     def frobenius_assemble(cls, field: FieldSpec, parts) -> "Poly":
@@ -471,6 +468,268 @@ class Poly:
         return f"Poly({self.field}, {self.to_text()!r})"
 
 
+# The slot that holds `coeffs` over GF(p); a QPoly keeps its Fractions there.
+_COEFFS = Poly.coeffs
+
+
+class QPoly(Poly):
+    """Element of Q[x]: integer numerators `num` over one denominator `den`,
+    canonical: no trailing zero in `num`, `den > 0`, gcd(den, *num) = 1,
+    and ((), 1) for zero. Every operation of `Poly` that reads or makes
+    coefficients is redefined here on `num` and `den`."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, field: FieldSpec, coeffs):
+        # an int or a Fraction is already canonical; `coerce` validates the rest
+        vals = [c if type(c) is int or type(c) is Fraction else field.coerce(c) for c in coeffs]
+        self.field = field
+        self.num, self.den = _over_lcm(vals)
+
+    # -- constructors ----------------------------------------------------------
+
+    @classmethod
+    def _make(cls, field: FieldSpec, num: tuple, den: int) -> "QPoly":
+        """Trusted constructor: `num` and `den` are canonical already."""
+        out = object.__new__(cls)
+        out.field = field
+        out.num = num
+        out.den = den
+        return out
+
+    @classmethod
+    def _canonical(cls, field: FieldSpec, values) -> "QPoly":
+        """Trusted constructor from canonical scalars of Q, ints or Fractions
+        (`_over_lcm`)."""
+        return cls._make(field, *_over_lcm(values))
+
+    @classmethod
+    def _reduced(cls, field: FieldSpec, raw, den=1) -> "QPoly":
+        """Trusted constructor from raw integers over the nonzero integer
+        `den`: trailing zeros trimmed, then one gcd of den with the rest
+        divided out, with the sign that makes den positive."""
+        n = len(raw)
+        while n and not raw[n - 1]:
+            n -= 1
+        if not n:
+            return _zero(field)
+        if den != 1:
+            g = gcd(den, *raw)
+            if den < 0:
+                g = -g
+            if g != 1:
+                return cls._make(field, tuple([v // g for v in raw[:n]]), den // g)
+        return cls._make(field, tuple(raw[:n]), den)
+
+    # -- basic queries ----------------------------------------------------------
+
+    @property
+    def coeffs(self):
+        """The coefficients as `Fraction`s, made on the first read and kept."""
+        try:
+            return _COEFFS.__get__(self)
+        except AttributeError:
+            den = self.den
+            coeffs = tuple(Fraction(n, den) for n in self.num)
+            _COEFFS.__set__(self, coeffs)
+            return coeffs
+
+    @property
+    def degree(self):
+        """Degree; NEG_INF (not -1) for the zero polynomial."""
+        return len(self.num) - 1 if self.num else NEG_INF
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def is_constant(self) -> bool:
+        return len(self.num) <= 1
+
+    def is_one(self) -> bool:
+        return self.num == (1,) and self.den == 1
+
+    def is_monic(self) -> bool:
+        return bool(self.num) and self.num[-1] == self.den
+
+    def leading_coefficient(self):
+        if not self.num:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return Fraction(self.num[-1], self.den)
+
+    def coefficient(self, n: int):
+        if 0 <= n < len(self.num):
+            return Fraction(self.num[n], self.den)
+        return Fraction(0)
+
+    def __eq__(self, other):
+        return isinstance(other, QPoly) and self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __bool__(self):
+        return bool(self.num)
+
+    # -- ring operations ---------------------------------------------------------
+
+    def _over(self, other: "QPoly"):
+        """(den, a, b): the numerators of self and other over the lcm den of
+        their denominators."""
+        self._check(other)
+        a, da, b, db = self.num, self.den, other.num, other.den
+        if da == db:
+            return da, a, b
+        den = lcm(da, db)
+        if da != den:
+            m = den // da
+            a = [m * v for v in a]
+        if db != den:
+            m = den // db
+            b = [m * v for v in b]
+        return den, a, b
+
+    def __add__(self, other: "QPoly") -> "QPoly":
+        den, a, b = self._over(other)
+        if len(a) < len(b):
+            a, b = b, a
+        raw = [u + v for u, v in zip(a, b)]
+        raw += a[len(b) :]
+        return QPoly._reduced(self.field, raw, den)
+
+    def __sub__(self, other: "QPoly") -> "QPoly":
+        den, a, b = self._over(other)
+        n = min(len(a), len(b))
+        raw = [u - v for u, v in zip(a, b)]
+        raw += a[n:]
+        raw += [-v for v in b[n:]]
+        return QPoly._reduced(self.field, raw, den)
+
+    def __neg__(self) -> "QPoly":
+        return QPoly._make(self.field, tuple([-v for v in self.num]), self.den)
+
+    def scale(self, c) -> "QPoly":
+        if type(c) is not int:
+            c = self.field.coerce(c)
+        n, d = c.numerator, c.denominator
+        if n == d:  # c = 1
+            return self
+        return QPoly._reduced(self.field, [n * v for v in self.num], d * self.den)
+
+    def shift(self, n: int) -> "QPoly":
+        """x^n * self: n zero coefficients prepended, no arithmetic."""
+        if n < 0:
+            raise ValueError("negative exponent")
+        if not n or not self.num:
+            return self
+        return QPoly._make(self.field, (0,) * n + self.num, self.den)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        self._check(other)
+        a, b = self.num, other.num
+        if not a or not b:
+            return _zero(self.field)
+        acc = [0] * (len(a) + len(b) - 1)
+        _convolve(acc, a, b)
+        return QPoly._reduced(self.field, acc, self.den * other.den)
+
+    def __divmod__(self, other: "QPoly"):
+        """(q, r) with self = q*other + r and deg r < deg other: the
+        pseudo-division of the module docstring on a = self.num by b =
+        other.num. With S = L^K after K steps, a step at window bottom lo
+        taken after k steps gives q_lo = c db / (L^(k+1) da), so over the
+        common denominator S da its numerator is c db L^(K-k-1); the
+        remainder of a is rem / S, that of self rem / (S da)."""
+        self._check(other)
+        F = self.field
+        b = other.num
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        dd = len(b) - 1
+        a = self.num
+        if dd == 0:  # a nonzero constant b0/db: the quotient is self * db/b0
+            return QPoly._reduced(F, [other.den * v for v in a], b[0] * self.den), _zero(F)
+        if len(a) - 1 < dd:
+            return _zero(F), self
+        rem = list(a)
+        L = b[-1]
+        q = [0] * (len(rem) - dd)
+        S = 1
+        for i in range(len(rem) - 1, dd - 1, -1):
+            lo = i - dd
+            rem[lo] *= S
+            if c := rem[i]:
+                q[lo] = c
+                rem[lo:i] = [L * r - c * d for r, d in zip(rem[lo:i], b)]
+                S *= L
+        m = other.den  # db L^(K-k-1), for the steps in order of increasing lo
+        for lo, c in enumerate(q):
+            if c:
+                q[lo] = c * m
+                m *= L
+        den = S * self.den
+        return QPoly._reduced(F, q, den), QPoly._reduced(F, rem[:dd], den)
+
+    def monic(self) -> "QPoly":
+        num = self.num
+        if not num:
+            raise ValueError("cannot normalize the zero polynomial")
+        if num[-1] == self.den:
+            return self
+        return QPoly._reduced(self.field, num, num[-1])
+
+    # -- calculus ----------------------------------------------------------------
+
+    def derivative(self, order: int = 1) -> "QPoly":
+        if not order:
+            return self
+        num = self.num
+        for _ in range(order):
+            num = [i * c for i, c in enumerate(num[1:], 1)]
+        return QPoly._reduced(self.field, num, self.den)
+
+    def antiderivative(self) -> "QPoly":
+        """g with g' = self and constant term 0: the term c x^(i-1) becomes
+        c/i x^i, over the lcm L of those i (with c nonzero) times den."""
+        num = self.num
+        if not num:
+            return self
+        L = lcm(*(i for i, c in enumerate(num, 1) if c))
+        raw = [0] + [c * (L // i) for i, c in enumerate(num, 1)]
+        return QPoly._reduced(self.field, raw, L * self.den)
+
+
+def _zero(field: FieldSpec) -> QPoly:
+    """The zero polynomial over Q, ((), 1)."""
+    return QPoly._make(field, (), 1)
+
+
+def _over_lcm(values):
+    """(num, den) of canonical rationals, ints or Fractions, trailing zeros
+    trimmed: den the lcm of their denominators and num the values times den.
+    As each value is in lowest terms, gcd(den, *num) = 1 with no gcd taken:
+    for a prime q of den, the value whose denominator holds the highest
+    power of q has a numerator prime to q, and den / that denominator is
+    prime to q too."""
+    n = len(values)
+    while n and not values[n - 1]:
+        n -= 1
+    values = values[:n]
+    den = lcm(*[c.denominator for c in values if type(c) is not int])
+    if den == 1:
+        return tuple([c if type(c) is int else c.numerator for c in values]), 1
+    num = [c * den if type(c) is int else c.numerator * (den // c.denominator) for c in values]
+    return tuple(num), den
+
+
+def _stored(r: Poly):
+    """(den, values): the stored scalars of r over their common denominator,
+    (1, coeffs) over GF(p) and (den, num) over Q. For the routes that read a
+    polynomial's coefficients raw: printing, and the parser's sparse form."""
+    return (r.den, r.num) if type(r) is QPoly else (1, r.coeffs)
+
+
 def _convolve(acc: list, a, b) -> None:
     """acc[m + n] += a[m] * b[n] on raw values, no reduction; acc must be
     long enough. The one product loop of the package: `Poly.__mul__` and
@@ -482,25 +741,30 @@ def _convolve(acc: list, a, b) -> None:
 
 
 def _term_printer(field: FieldSpec):
-    """The printer of a term of `field`: (c, monomial) -> (negative, text) for
-    a nonzero canonical scalar c and the text of a monomial ('' for 1). The
-    text is c without its sign, then '*' and the monomial; a coefficient 1
-    before a monomial is left out. Chosen once per printed value: the one
-    place a coefficient becomes text."""
+    """The printer of a term of `field`: (c, monomial, den) -> (negative,
+    text) for a nonzero scalar c / den, den = 1 over GF(p), and the text of
+    a monomial ('' for 1). The text is c / den without its sign, then '*'
+    and the monomial; a coefficient 1 before a monomial is left out. Chosen
+    once per printed value: the one place a coefficient becomes text."""
     return _rational_term if field.is_char_zero else _residue_term
 
 
-def _residue_term(c, monomial: str):
+def _residue_term(c, monomial: str, den: int = 1):
     """A residue in [0, p) is never negative and never near `MAX_DIGITS`."""
     if not monomial:
         return False, str(c)
     return False, monomial if c == 1 else f"{c}*{monomial}"
 
 
-def _rational_term(c, monomial: str):
-    """The sign split off, then num or num/den; a numerator or a denominator
-    of more than `MAX_DIGITS` digits is a ValueError that names the limit."""
-    num, den = c.numerator, c.denominator
+def _rational_term(c, monomial: str, den: int = 1):
+    """c / den for an int or a Fraction c and an int den > 0: put in lowest
+    terms by one gcd, the sign split off, then num or num/den; a numerator
+    or a denominator of more than `MAX_DIGITS` digits is a ValueError that
+    names the limit."""
+    num, den = c.numerator, c.denominator * den
+    if den != 1 and (g := gcd(num, den)) != 1:
+        num //= g
+        den //= g
     neg = num < 0
     if neg:
         num = -num
@@ -521,11 +785,13 @@ def _power_text(var: str, n: int) -> str:
 
 def _poly_terms(r: Poly, term, var: str, suffix: str = ""):
     """The printed terms of r, each monomial var^i followed by `suffix`."""
-    for i, c in enumerate(r.coeffs):
+    den, values = _stored(r)
+    for i, c in enumerate(values):
         if c:
             # _power_text, inlined: this loop runs once per printed coefficient
             monomial = "" if i == 0 else var if i == 1 else f"{var}^{i}"
-            yield term(c, f"{monomial}*{suffix}" if monomial and suffix else monomial or suffix)
+            monomial = f"{monomial}*{suffix}" if monomial and suffix else monomial or suffix
+            yield term(c, monomial, den)
 
 
 def _join_terms(terms) -> str:

@@ -105,7 +105,7 @@ def random_normalizer_element(rng, ctx: AhContext, max_ydeg=3) -> WeylElement:
         if p == 0 or i % p:
             r = random_poly(rng, ctx.field, 2)
             if not r.is_zero():
-                out = out + WeylElement.from_term(r * ctx.pi_h * ctx.h_power(i - 1), i)
+                out = out + WeylElement.from_term(r * ctx.a_n_coefficient(i), i)
         else:
             d = random_poly(rng, ctx.field, 2)
             z = random_poly(rng, ctx.field, 1).substitute_xp()

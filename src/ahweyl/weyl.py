@@ -15,7 +15,7 @@ of raw coefficients, every piece (i)_k H_k(s) r_i is accumulated into it by
 the shared convolution loop, and each row is reduced once. Over Q the two
 operands are first lifted (`FieldSpec.lift`) to integer numerators over
 their common denominators da and db, so the tables and the rows hold Python
-ints and each row is divided by da * db once. The public
+ints and each row becomes a polynomial over da * db by one gcd. The public
 `WeylElement(field, terms)` validates its terms; results of the ring
 operations are built by the trusted `WeylElement._canonical`.
 
@@ -30,7 +30,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fields import FieldSpec, check_same_field
-from .poly import Poly, _convolve, _join_terms, _poly_terms, _power_text, _term_printer
+from .poly import (
+    Poly,
+    _convolve,
+    _join_terms,
+    _kernel,
+    _poly_terms,
+    _power_text,
+    _stored,
+    _term_printer,
+)
 
 
 class WeylElement:
@@ -61,12 +70,13 @@ class WeylElement:
         return out
 
     @classmethod
-    def _from_rows(cls, field: FieldSpec, rows: dict, den=None) -> "WeylElement":
+    def _from_rows(cls, field: FieldSpec, rows: dict, den=1) -> "WeylElement":
         """Trusted constructor from {y-degree: raw coefficients} (see
         `_accumulate`): each row reduced once over `den`, zero rows dropped."""
+        make = _kernel(field)._reduced
         terms = {}
         for deg, row in rows.items():
-            if t := Poly._reduced(field, row, den):
+            if t := make(field, row, den):
                 terms[deg] = t
         return cls._canonical(field, terms)
 
@@ -118,7 +128,7 @@ class WeylElement:
         )
 
     def __hash__(self):
-        return hash((self.field, tuple(sorted((i, p.coeffs) for i, p in self.terms.items()))))
+        return hash((self.field, tuple(sorted(self.terms.items()))))
 
     def __bool__(self):
         return bool(self.terms)
@@ -178,14 +188,13 @@ class WeylElement:
         self._check(other)
         F = self.field
         p = F.characteristic
-        da, lhs = F.lift(self.terms)
+        da, terms = F.lift(self.terms)
         db, rhs = F.lift(other.terms)
-        terms = {i: r.coeffs for i, r in lhs.items()}
         stop = _reach(terms, p) + 1
         rows = {}  # y-degree -> raw coefficients of its x-polynomial
         for j, s in rhs.items():
             # r y^i * s y^j = sum_k (i)_k r H_k(s) y^(i-k+j)
-            _add_reordered(rows, terms, [s.coeffs, *_hasse_rows(F, s.coeffs, 1, stop)], j, p)
+            _add_reordered(rows, terms, [s, *_hasse_rows(F, s, 1, stop)], j, p)
         return WeylElement._from_rows(F, rows, da * db)
 
     def __rmul__(self, other):
@@ -264,7 +273,10 @@ def _hasse_rows(F: FieldSpec, fc, start: int, stop: int) -> list:
         if k:
             raw = [c * (n - k + 1) // k for n, c in enumerate(raw[1:], k)]
         if k >= start:
-            table.append(Poly._reduced(F, raw).coeffs)
+            row = F.reduce(raw)
+            while row and not row[-1]:
+                row.pop()
+            table.append(row)
     return table
 
 
@@ -293,7 +305,7 @@ def _row_terms(r: Poly, i: int, term):
     if i == 0:
         return _poly_terms(r, term, "x")
     ymark = _power_text("y", i)
-    if sum(1 for c in r.coeffs if c) == 1:
+    if sum(1 for c in _stored(r)[1] if c) == 1:
         return _poly_terms(r, term, "x", ymark)
     return ((False, f"({_join_terms(_poly_terms(r, term, 'x'))})*{ymark}"),)
 
@@ -310,7 +322,7 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
 
 
 def _is_x(w: WeylElement) -> bool:
-    return len(w.terms) == 1 and (r := w.terms.get(0)) is not None and r.coeffs == (0, 1)
+    return len(w.terms) == 1 and (r := w.terms.get(0)) is not None and _stored(r) == (1, (0, 1))
 
 
 def _bracket_x(a: WeylElement) -> WeylElement:
@@ -319,7 +331,7 @@ def _bracket_x(a: WeylElement) -> WeylElement:
     F = a.field
     terms = {}
     for i, r in a.terms.items():
-        if i and (t := Poly._reduced(F, [i * c for c in r.coeffs])):
+        if i and (t := r.scale(i)):
             terms[i - 1] = t
     return WeylElement._canonical(F, terms)
 

@@ -42,7 +42,7 @@ from ahweyl.derivations import (
     _split_ad_x,
 )
 from ahweyl.fields import ExactDivisionError, FieldSpec, QQ
-from ahweyl.poly import NotIntegrable, Poly
+from ahweyl.poly import NotIntegrable, Poly, _kernel
 from ahweyl.verify import random_derivation as verify_random_derivation
 from ahweyl.weyl import WeylElement, _accumulate, commutator, varpi
 
@@ -1605,11 +1605,11 @@ def yhat_zeta_collect(ctx, a, period=None):
     F = ctx.field
     p = F.characteristic if period is None else period
     den, terms = F.lift(a.terms)
-    rows = {i: list(r.coeffs) for i, r in terms.items()}
+    rows = {i: list(r) for i, r in terms.items()}
     out = {}
     for m in range(a.y_degree, -1, -1):
         row_m = rows.pop(m, None)
-        if row_m is None or not (r := Poly._reduced(F, row_m, den)):
+        if row_m is None or not (r := _kernel(F)._reduced(F, row_m, den)):
             continue
         k, j = divmod(m, p) if p else (0, m)
         try:
@@ -1630,9 +1630,9 @@ def yhat_zeta_collect(ctx, a, period=None):
             for row in rows.values():
                 row[:] = [up * c for c in row]
             den *= up
-        gc = [-(den // step) * c for c in g.coeffs]
+        gc = [-(den // step) * c for c in g]
         for i, s in below.items():
-            _accumulate(rows, i + n, gc, s.coeffs)
+            _accumulate(rows, i + n, gc, s)
     return out
 
 
@@ -1666,7 +1666,7 @@ def add_times_yhat(ctx, rows, terms):
     for j, r in terms.items():
         jp = (j + 1) % p if p else j + 1
         for k in range(min(jp, len(chain) - 1) + 1):
-            _accumulate(rows, j + 1 - k, [comb(jp, k) * c for c in chain[k].coeffs], r)
+            _accumulate(rows, j + 1 - k, [comb(jp, k) * c for c in chain[k]], r)
 
 
 def apply_by_yhat_zeta(d, a):
@@ -1692,8 +1692,7 @@ def apply_by_yhat_zeta(d, a):
     den, (u, *lifted) = _lift_elements(F, images)
     dg, gs = F.lift(tuple(coords.values()))
     rows = defaultdict(dict)  # (m, k) -> raw rows of the zeta^k yhat^m summand
-    for (j, k), g in zip(coords, gs):
-        gc = g.coeffs
+    for (j, k), gc in zip(coords, gs):
         _add_d_on_poly(F, rows[j, k], gc, u)
         if k and k % p:
             kg = [k * c for c in gc]

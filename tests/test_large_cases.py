@@ -169,6 +169,15 @@ CASES = [
         120,
     ),
     (
+        # h = 1 at a large p: h^(p-1) has one nonzero Frobenius component,
+        # and the Bezout multipliers and qbreve are built from it alone
+        "center-h1-p999983",
+        ["center", "--h", "1", "--char", "999983"],
+        None,
+        lambda out: out["hbar"] == "1" and out["qbreve"] == "999982*x^999982",
+        5,
+    ),
+    (
         "verify-free-p31",
         ["verify", "--h", "x^2+1", "--char", "31", "--seed", "1"],
         None,

@@ -7,6 +7,10 @@ normal-ordering formula, so comparing module actions cross-checks the
 product from the outside. Polynomial gcd and squarefree decomposition are
 cross-checked against sympy.
 
+Over Q a polynomial holds integer numerators over one denominator
+(`poly.QPoly`). Its ring and calculus operations are checked against the
+coefficient-wise Fraction arithmetic it replaced, on tuples of Fractions.
+
 The package reorders y^i past a polynomial by one kernel over one Hasse
 table (`weyl._add_reordered`, `weyl._hasse_rows`). The routes it replaced
 are kept here as its oracles: the Weyl product over a derivative chain of
@@ -17,7 +21,7 @@ term, and d(f) over Hasse rows made of one `math.comb` per coefficient.
 
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +29,8 @@ from hypothesis import strategies as st
 
 from ahweyl.context import AhContext
 from ahweyl.derivations import d_on_poly
-from ahweyl.fields import FieldSpec, QQ
-from ahweyl.poly import Poly
+from ahweyl.fields import ExactDivisionError, FieldSpec, QQ
+from ahweyl.poly import Poly, QPoly
 from ahweyl.weyl import WeylElement, _accumulate, _hasse_rows
 
 from test_poly import hasse_derivative
@@ -178,6 +182,14 @@ def lifted_chain(h):
     return h.field.lift(tuple(chain))
 
 
+def raw_derivative(F, s):
+    """The derivative of raw (lifted) coefficients s, reduced and trimmed."""
+    row = F.reduce([i * c for i, c in enumerate(s[1:], 1)])
+    while row and not row[-1]:
+        row.pop()
+    return row
+
+
 def chain_product(a, b):
     """Oracle: a * b with y^i s = sum_k C(i, k) s^(k) y^(i-k), over one
     derivative chain of each term s of b, shared by every term of a, and
@@ -192,7 +204,7 @@ def chain_product(a, b):
     rows = {}
     for j, s in rhs.items():
         chain = [s]  # s^(k) for k <= top, while nonzero
-        while len(chain) <= top and (d := chain[-1].derivative()):
+        while len(chain) <= top and (d := raw_derivative(F, chain[-1])):
             chain.append(d)
         for i, r in lhs.items():
             row = binomials[i]
@@ -200,8 +212,8 @@ def chain_product(a, b):
                 row += F.reduce([comb(i, k) for k in range(len(row), n)])
             for k, (bk, d) in enumerate(zip(row, chain)):
                 if bk:
-                    rc = r.coeffs if bk == 1 else [bk * c for c in r.coeffs]
-                    _accumulate(rows, i - k + j, rc, d.coeffs)
+                    rc = r if bk == 1 else [bk * c for c in r]
+                    _accumulate(rows, i - k + j, rc, d)
     return WeylElement._from_rows(F, rows, da * db)
 
 
@@ -214,14 +226,13 @@ def yhat_bracket_by_chain(ctx, a):
     dh, chain = lifted_chain(ctx.h)
     da, terms = F.lift(a.terms)
     rows = {}
-    for j, r in terms.items():
-        rc = r.coeffs
-        _accumulate(rows, j, chain[0].coeffs, [i * c for i, c in enumerate(rc[1:], 1)])
+    for j, rc in terms.items():
+        _accumulate(rows, j, chain[0], [i * c for i, c in enumerate(rc[1:], 1)])
         if len(chain) > 1:
-            _accumulate(rows, j, chain[1].coeffs, rc)
+            _accumulate(rows, j, chain[1], rc)
         jp = (j + 1) % p if p else j + 1
         for k in range(1, min(jp, len(chain) - 1) + 1):
-            _accumulate(rows, j + 1 - k, [-comb(jp, k) * c for c in chain[k].coeffs], rc)
+            _accumulate(rows, j + 1 - k, [-comb(jp, k) * c for c in chain[k]], rc)
     return WeylElement._from_rows(F, rows, da * dh)
 
 
@@ -231,9 +242,8 @@ def d_on_poly_by_comb(f, u):
     `math.comb`."""
     F = u.field
     p = F.characteristic
-    df, (fl,) = F.lift((f,))
+    df, (fc,) = F.lift((f,))
     du, terms = F.lift(u.terms)
-    fc = fl.coeffs
     hasse = [
         F.reduce([comb(n, l + 1) * c for n, c in enumerate(fc[l + 1 :], l + 1)])
         for l in range(min(len(fc) - 1, max(terms, default=-1) + 1))
@@ -245,7 +255,7 @@ def d_on_poly_by_comb(f, u):
             if not falling:
                 break
             if any(hf):
-                _accumulate(rows, j - l, [falling * c for c in hf], r.coeffs)
+                _accumulate(rows, j - l, [falling * c for c in hf], r)
             falling = falling * (j - l) % p if p else falling * (j - l)
     return WeylElement._from_rows(F, rows, df * du)
 
@@ -335,3 +345,139 @@ def test_context_builds_no_derivative_of_h_past_h_prime():
     assert len(ctx._h_hasse) == 1
     assert ctx.yhat_bracket(ctx.x_elt) == WeylElement.from_poly(h)
     assert len(ctx._h_hasse) == 2
+
+
+# ---------------------------------------------------------------------------
+# the Q kernel against coefficient-wise Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+
+def trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def fr_add(a, b):
+    n = max(len(a), len(b))
+    return trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def fr_neg(a):
+    return tuple(-c for c in a)
+
+
+def fr_scale(a, c):
+    return trim(c * v for v in a)
+
+
+def fr_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return trim(out)
+
+
+def fr_divmod(a, b):
+    """Schoolbook long division, one Fraction per step."""
+    if len(a) < len(b):
+        return (), a
+    rem, q = list(a), [Fraction(0)] * (len(a) - len(b) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = rem[i + len(b) - 1] / b[-1]
+        for j, d in enumerate(b):
+            rem[i + j] -= c * d
+    return trim(q), trim(rem[: len(b) - 1])
+
+
+def fr_monic(a):
+    return tuple(c / a[-1] for c in a)
+
+
+def fr_gcd_monic(a, b):
+    while b:
+        a, b = b, fr_divmod(a, b)[1]
+    return fr_monic(a)
+
+
+def fr_xgcd(a, b):
+    r0, r1, s0, s1, t0, t1 = a, b, (Fraction(1),), (), (), (Fraction(1),)
+    while r1:
+        q = fr_divmod(r0, r1)[0]
+        r0, r1 = r1, fr_add(r0, fr_neg(fr_mul(q, r1)))
+        s0, s1 = s1, fr_add(s0, fr_neg(fr_mul(q, s1)))
+        t0, t1 = t1, fr_add(t0, fr_neg(fr_mul(q, t1)))
+    inv = 1 / r0[-1]
+    return fr_scale(r0, inv), fr_scale(s0, inv), fr_scale(t0, inv)
+
+
+def assert_q_canonical(f):
+    assert type(f) is QPoly
+    assert f.den > 0 and gcd(f.den, *f.num) == 1
+    assert not f.num or f.num[-1]
+    assert all(type(n) is int for n in f.num)
+    assert f.coeffs == tuple(Fraction(n, f.den) for n in f.num)
+
+
+# signed numerators of many digits, denominators from 1 up, and the
+# leading coefficients -3/2, 0 and 1
+Q_SCALARS = st.one_of(
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**25)),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6, 12])),
+    st.sampled_from([Fraction(-3, 2), Fraction(0), Fraction(1)]),
+)
+Q_LISTS = st.lists(Q_SCALARS, max_size=6)
+
+
+@given(a=Q_LISTS, b=Q_LISTS, c=Q_SCALARS)
+@settings(max_examples=300, deadline=None)
+def test_q_kernel_matches_fraction_tuples(a, b, c):
+    f, g = Poly(QQ, a), Poly(QQ, b)
+    a, b = trim(a), trim(b)
+    cases = [
+        (f + g, fr_add(a, b)),
+        (f - g, fr_add(a, fr_neg(b))),
+        (-f, fr_neg(a)),
+        (f.scale(c), fr_scale(a, c)),
+        (f * g, fr_mul(a, b)),
+        (f.derivative(), trim(i * v for i, v in enumerate(a[1:], 1))),
+        (f.antiderivative(), trim((Fraction(0),) + tuple(v / (i + 1) for i, v in enumerate(a)))),
+    ]
+    if b:
+        q, r = divmod(f, g)
+        want_q, want_r = fr_divmod(a, b)
+        cases += [(q, want_q), (r, want_r), ((f * g).exact_div(g), a)]
+        assert g.divides(f * g) and g.divides(f) == (not want_r)
+        if want_r:
+            with pytest.raises(ExactDivisionError):
+                f.exact_div(g)
+    if a:
+        cases.append((f.monic(), fr_monic(a)))
+    if a or b:
+        cases.append((f.gcd_monic(g), fr_gcd_monic(a, b)))
+        cases += list(zip(f.xgcd(g), fr_xgcd(a, b)))
+    for got, want in cases:
+        assert_q_canonical(got)
+        assert got.coeffs == want
+
+
+@given(a=Q_LISTS.filter(any), b=Q_LISTS.filter(any))
+@settings(max_examples=100, deadline=None)
+def test_q_routes_to_one_value_agree_with_hash(a, b):
+    # from Fractions, as a product, as a quotient, and rescaled
+    f, g = Poly(QQ, a), Poly(QQ, b)
+    product = f * g
+    built = Poly(QQ, fr_mul(trim(a), trim(b)))
+    for one, other in [
+        (product, built),
+        (product.exact_div(g), f),
+        (divmod(product, f)[0], g),
+        (f.scale(Fraction(-7, 3)).scale(Fraction(-3, 7)), f),
+        (Poly(QQ, [Fraction(n, f.den) for n in f.num]), f),
+    ]:
+        assert_q_canonical(one)
+        assert one == other and hash(one) == hash(other)

@@ -1,5 +1,6 @@
 """Text grammar: parsing, printing, and round trips; the sparse parser
-against the dense WeylElement-valued parser it replaced."""
+against the dense WeylElement-valued parser it replaced, and the one-regex
+tokenizer against the per-character loop it replaced."""
 
 import random
 from fractions import Fraction
@@ -445,6 +446,94 @@ def test_non_decimal_digits_are_parse_errors(text, message, position):
     with pytest.raises(ParseError) as e:
         parse_factors(text, QQ)
     assert e.value.position == position
+
+
+def tokenize_by_loop(text: str):
+    """Oracle: the per-character loop that the one-regex `_tokenize`
+    replaced, on `str.isspace`, `str.isdecimal`, `str.isalpha` and
+    `str.isalnum` or '_'."""
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "+-*^()":
+            tokens.append((c, c, i))
+            i += 1
+            continue
+        if c.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            parse._check_literal(j - i, i)
+            num = int(text[i:j])
+            den = None
+            if j < n and text[j] == "/":
+                k = j + 1
+                m = k
+                while m < n and text[m].isdecimal():
+                    m += 1
+                if m == k:
+                    raise ParseError("expected digits after '/'", k)
+                parse._check_literal(m - k, k)
+                den = int(text[k:m])
+                if den == 0:
+                    raise ParseError("zero denominator", k)
+                j = m
+            tokens.append(("num", Fraction(num, den) if den else num, i))
+            i = j
+            continue
+        if c.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j], i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(("end", None, n))
+    return tokens
+
+
+# characters on each side of every class boundary: a superscript, an
+# Arabic-Indic digit, a letter with a combining accent, a Roman numeral, a
+# vulgar fraction, a no-break space and stray symbols
+TOKEN_CHARS = list("0123456789/+-*^() \t\nxyu_e\u00e9\u00b2\u0663\u0301\u00a0\u216b\u00bd\u00df!@.")
+
+
+def long_digits(around):
+    """Text from `around` on both sides of a run of digits at the literal
+    limit or one past it, with or without a denominator."""
+    return st.builds(
+        lambda a, k, slash, b: a + "7" * k + slash + b,
+        around,
+        st.sampled_from([MAX_DIGITS, MAX_DIGITS + 1]),
+        st.sampled_from(["", "/", "/3", "/0", "/" + "9" * (MAX_DIGITS + 1)]),
+        around,
+    )
+
+
+def tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as e:
+        return str(e), e.position
+
+
+@given(
+    text=st.one_of(
+        st.text(st.sampled_from(TOKEN_CHARS), max_size=24),
+        long_digits(st.text(st.sampled_from(TOKEN_CHARS), max_size=4)),
+    )
+)
+@settings(max_examples=400, deadline=None)
+@example(text="x\u00b2 + \u00b2x + _x + \u0663/\u0663 + 1/0")
+@example(text="2/\u00b3*x")
+def test_tokenizer_matches_the_loop_oracle(text):
+    assert tokens_or_error(_tokenize, text) == tokens_or_error(tokenize_by_loop, text)
 
 
 def test_negative_exponent_is_a_parse_error():

@@ -17,7 +17,7 @@ from ahweyl.fields import (
     QQ,
     _is_prime,
 )
-from ahweyl.poly import NEG_INF, NotIntegrable, Poly
+from ahweyl.poly import NEG_INF, NotIntegrable, Poly, QPoly, _kernel
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -92,19 +92,32 @@ class TestFieldSpec:
         assert QQ.reduce((Fraction(7, 2), 0)) == [Fraction(7, 2), 0]
 
     def test_reduce_over_common_denominator(self):
-        assert QQ.reduce([3, -4, 0], 6) == [Fraction(1, 2), Fraction(-2, 3), 0]
-        assert GF5.reduce([7, -1], 1) == [2, 4]
-        # den == 1 still gives the stored form over Q: Fractions, not ints
-        got = QQ.reduce([3, 0, -2], 1)
-        assert got == [3, 0, -2]
-        assert all(type(c) is Fraction for c in got)
+        # raw integers over a common denominator: one QPoly, its gcd with
+        # the denominator divided out and the sign moved to the numerators
+        r = _kernel(QQ)._reduced(QQ, [3, -4, 0], 6)
+        assert (r.num, r.den) == ((3, -4), 6)
+        assert r.coeffs == (Fraction(1, 2), Fraction(-2, 3))
+        r = _kernel(QQ)._reduced(QQ, [4, -6, 0], -8)
+        assert (r.num, r.den) == ((-2, 3), 4)
+        assert r.coeffs == (Fraction(-1, 2), Fraction(3, 4))
+        assert _kernel(QQ)._reduced(QQ, [0, 0], 6) == Poly.zero(QQ)
+        assert (Poly.zero(QQ).num, Poly.zero(QQ).den) == ((), 1)
+        assert _kernel(GF5)._reduced(GF5, [7, -1, 5]).coeffs == (2, 4)
+        # den == 1 over Q: ints stored, Fractions read
+        got = _kernel(QQ)._reduced(QQ, [3, 0, -2])
+        assert (got.num, got.den) == ((3, 0, -2), 1)
+        assert got.coeffs == (3, 0, -2)
+        assert all(type(c) is Fraction for c in got.coeffs)
 
     def test_lift_char_p_returns_its_argument(self):
+        # its argument's stored residues, uncopied, over den = 1
         polys = (P(GF5, 1, 2), P(GF5, 3))
+        den, images = GF5.lift(polys)
+        assert den == 1 and all(im is r.coeffs for im, r in zip(images, polys, strict=True))
         terms = {0: P(GF5, 4), 2: P(GF5, 0, 1)}
-        for arg in (polys, terms):
-            den, images = GF5.lift(arg)
-            assert den == 1 and images is arg
+        den, images = GF5.lift(terms)
+        assert den == 1 and images.keys() == terms.keys()
+        assert all(images[i] is r.coeffs for i, r in terms.items())
 
     def test_lift_q_clears_to_the_lcm(self):
         f = P(QQ, Fraction(1, 4), Fraction(-5, 6), 3)
@@ -112,15 +125,17 @@ class TestFieldSpec:
         den, (a, b) = QQ.lift((f, g))
         assert den == 60  # lcm(4, 6, 10); the product of the denominators is 960
         for image, poly in ((a, f), (b, g)):
-            assert all(type(c) is int for c in image.coeffs)
-            assert [Fraction(c, den) for c in image.coeffs] == list(poly.coeffs)
+            assert all(type(c) is int for c in image)
+            assert [Fraction(c, den) for c in image] == list(poly.coeffs)
         den, terms = QQ.lift({0: f, 3: Poly.one(QQ)})
         assert den == 12 and set(terms) == {0, 3}
-        assert [Fraction(c, den) for c in terms[0].coeffs] == list(f.coeffs)
-        assert terms[3].coeffs == (12,)
-        den, (image,) = QQ.lift((P(QQ, 2, -3),))
-        assert den == 1 and image.coeffs == (2, -3)
-        assert all(type(c) is int for c in image.coeffs)
+        assert [Fraction(c, den) for c in terms[0]] == list(f.coeffs)
+        assert list(terms[3]) == [12]
+        # a Poly already over den passes its numerators uncopied
+        assert terms[0] is f.num
+        one = P(QQ, 2, -3)
+        den, (image,) = QQ.lift((one,))
+        assert den == 1 and image is one.num and image == (2, -3)
 
     def test_field_mismatch(self):
         with pytest.raises(FieldMismatchError):
@@ -665,3 +680,23 @@ def test_division_by_a_constant_matches_long_division(field, coeffs, c):
     oracle = divmod_by_fractions(f, g) if field.is_char_zero else divmod_mod_p(f, g)
     assert (q, r) == oracle
     assert g.divides(f) and f.exact_div(g) == q
+
+
+def test_the_kernel_is_chosen_once_by_the_field():
+    # over Q every constructor makes a QPoly; the GF(p) Poly keeps its two
+    # slots and has no __getattr__, which would slow every attribute read
+    for f in (
+        Poly(QQ, [1, Fraction(1, 2)]),
+        Poly.zero(QQ),
+        Poly.one(QQ),
+        Poly.x(QQ),
+        Poly.constant(QQ, 3),
+        Poly.monomial(QQ, Fraction(-3, 2), 4),
+        Poly.from_coeff_dict(QQ, {2: Fraction(1, 3), 0: 5}),
+    ):
+        assert type(f) is QPoly is _kernel(f.field)
+    assert Poly.monomial(QQ, Fraction(-3, 2), 4).coeffs == (0, 0, 0, 0, Fraction(-3, 2))
+    for f in (Poly(GF5, [1, 2]), Poly.zero(GF5), Poly.x(GF5), Poly.monomial(GF5, 3, 2)):
+        assert type(f) is Poly is _kernel(f.field)
+    assert Poly.__slots__ == ("field", "coeffs")
+    assert not hasattr(Poly, "__getattr__") and not hasattr(QPoly, "__getattr__")

@@ -1,9 +1,12 @@
 """Static checks on the package source: it parses under the oldest Python
 that CI runs (3.10), so syntax that needs a later version fails here on any
-interpreter, no module but `__init__` imports a name it does not use, and
-every private helper is referenced somewhere in the package."""
+interpreter, no module but `__init__` imports a name it does not use,
+every private helper is referenced somewhere in the package, and no module
+leans on the private API of `fractions.Fraction`, which changes between
+the Python versions CI runs."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -50,3 +53,26 @@ def test_every_private_helper_is_referenced():
                 used.add(node.attr)
     dead = {name: where for name, where in defined.items() if name not in used}
     assert not dead, f"private helpers never referenced: {dead}"
+
+
+# `_from_coprime_ints` exists only from 3.12 and the constructor keyword
+# `_normalize` only up to 3.11, while CI runs 3.10 and 3.11; the other
+# names are the private attributes of Fraction on the running interpreter
+FRACTION_PRIVATE = {"_from_coprime_ints", "_normalize", "_numerator", "_denominator"} | {
+    name for name in vars(Fraction) if name.startswith("_") and not name.endswith("__")
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_fraction_api(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [
+        f"{node.attr} at line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in FRACTION_PRIVATE
+    ] + [
+        f"{node.arg}= at line {node.value.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.keyword) and node.arg == "_normalize"
+    ]
+    assert not found, f"{path.name} uses the private API of Fraction: {found}"
