@@ -351,36 +351,32 @@ class AhContext:
         self._add_yhat_bracket(rows, terms)
         return WeylElement._from_rows(self.field, rows, da * self._dh)
 
-    def _add_yhat_bracket(self, rows: dict, terms: dict) -> None:
-        """rows += [yhat, a] over the raw coefficients {j: r} of a (lifted
-        over Q, so the rows are over the lift denominator times dh). yhat r
-        y^j = y h r y^j = (h r y + (h r)') y^j, and r y^j yhat = r y^(j+1) h
-        = sum_{k >= 0} (j+1)_k r H_k(h) y^(j+1-k), whose k = 0 term is
-        h r y^(j+1). With (j+1)_(l+1) = (j+1) (j)_l this gives
+    def _add_yhat_bracket(self, rows: dict, terms: dict, e: int = 0) -> None:
+        """rows += [yhat, a] - e d(h) for e in {0, 1}, over the raw
+        coefficients {j: r} of a (lifted over Q, so the rows are over the
+        lift denominator times dh), with d the derivation of F[x] with d(x)
+        = a. yhat r y^j = y h r y^j = (h r y + (h r)') y^j, and r y^j yhat
+        = r y^(j+1) h = sum_{k >= 0} (j+1)_k r H_k(h) y^(j+1-k), whose k = 0
+        term is h r y^(j+1). With (j+1)_(l+1) = (j+1) (j)_l this gives
 
-            [yhat, r y^j] = (h r' + h' r) y^j - (j+1) sum_l (j)_l r H_(l+1)(h) y^(j-l),
+            [yhat, r y^j] = (h r' - j h' r) y^j - (j+1) sum_{l >= 1} (j)_l H_(l+1)(h) r y^(j-l),
 
-        and the sum is d(h) for d(x) = -(j+1) r y^j (`_add_d_of_h`). A term
-        with j + 1 = 0 in F has no sum."""
+        and d(h) = sum_{l >= 0} (j)_l H_(l+1)(h) r y^(j-l) adds e to each
+        factor j and j+1: the criterion defect [yhat, a] - d(h) is one pass
+        with e = 1. The sum over l >= 1 is the kernel `weyl._add_reordered`
+        on the cached table H_2(h), H_3(h), ... behind an empty row for l = 0;
+        a term with j + 1 + e = 0 in F has no sum."""
         p = self.field.characteristic
-        _, (hc, *hp) = self.h_hasse(2)
+        _, table = self.h_hasse(_reach(terms, p) + 2)
+        hc, hp = table[0], table[1] if len(table) > 1 else ()
         scaled = {}
         for j, rc in terms.items():
             _accumulate(rows, j, hc, [i * c for i, c in enumerate(rc[1:], 1)])
-            if hp:
-                _accumulate(rows, j, hp[0], rc)
-            if b := -(j + 1) % p if p else -(j + 1):
+            if hp and (b := -(j + e) % p if p else -(j + e)):
+                _accumulate(rows, j, hp, [b * c for c in rc])
+            if b := -(j + 1 + e) % p if p else -(j + 1 + e):
                 scaled[j] = [b * c for c in rc]
-        self._add_d_of_h(rows, scaled)
-
-    def _add_d_of_h(self, rows: dict, terms: dict) -> None:
-        """rows += d(h) for the derivation d of F[x] with d(x) = u, over the
-        raw coefficients {j: r} of u (rows over their denominator times
-        dh): the kernel `weyl._add_reordered` on the cached table H_1(h),
-        H_2(h), ..., read as far as the y-degrees of u reach."""
-        p = self.field.characteristic
-        _, table = self.h_hasse(_reach(terms, p) + 2)
-        _add_reordered(rows, terms, table[1:], 0, p)
+        _add_reordered(rows, scaled, [(), *table[2:]], 0, p)
 
     def centralizer_x_coords(self, f: WeylElement, keep=None):
         """(g_0, g_1, ...) with f = sum_k g_k zeta^k, g_k in F[x], read in

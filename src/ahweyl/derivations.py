@@ -178,8 +178,8 @@ class Derivation:
         """[D(yhat), x] + [yhat, D(x)] - d(h); zero iff the images define a
         derivation. The three parts are summed into one set of raw rows over
         den dh (den lifts both images, dh lifts h): [D(yhat), x] =
-        sum_i i v_i y^(i-1) scaled by dh, [yhat, D(x)] and -d(h), the last
-        on the cached Hasse table of h (`AhContext._add_d_of_h`)."""
+        sum_i i v_i y^(i-1) scaled by dh, and [yhat, D(x)] - d(h) in one
+        pass of `AhContext._add_yhat_bracket`."""
         ctx = self.context
         F = ctx.field
         dh = ctx._dh
@@ -188,8 +188,7 @@ class Derivation:
         for i, r in v.items():
             if i:
                 _accumulate(rows, i - 1, [i * dh], r)
-        ctx._add_yhat_bracket(rows, u)
-        ctx._add_d_of_h(rows, {j: [-c for c in r] for j, r in u.items()})
+        ctx._add_yhat_bracket(rows, u, 1)
         return WeylElement._from_rows(F, rows, den * dh)
 
     def validate(self) -> Optional[InvalidDerivation]:

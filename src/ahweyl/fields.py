@@ -6,16 +6,17 @@ reduces them. A canonical scalar is a `fractions.Fraction` in
 characteristic 0 and a least nonnegative residue (a Python int in [0, p),
 never a bool) in characteristic p. No floating point is used anywhere.
 
-Polynomials do not store scalars one by one over Q: a `poly.QPoly` holds
-integer numerators over one denominator, and its kernel is chosen once per
-value (see `poly`). So this module serves the places that still handle
-scalars: `coerce` validates outside scalars where they enter a value class
-(the public constructors and `scale`); `reduce` maps raw sums and products
-of canonical scalars to canonical ones (mod p over GF(p), unchanged over
-Q), once per output coefficient, for the GF(p) polynomial kernel,
-`centerpoly`, `linalg` and the parser, which keeps every scalar in the
-field's raw form (a residue mod p; over Q an int, or a `Fraction` from an
-`a/b` literal) until a value leaves it (see `parse`).
+Polynomials do not reduce their scalars through this module: the kernel
+of a `poly.Poly` is chosen once per value (see `poly`), and it reduces its
+own raw values, over GF(p) mod p in one pass, over Q (`poly.QPoly`, integer
+numerators over one denominator) by one gcd. So this module serves the
+places that still handle scalars one by one: `coerce` validates outside
+scalars where they enter a value class (the public constructors and
+`scale`); `reduce` maps raw sums and products of canonical scalars to
+canonical ones (mod p over GF(p), unchanged over Q), once per output
+coefficient, for `centerpoly`, `linalg` and the parser, which keeps every
+scalar in the field's raw form (a residue mod p; over Q an int, or a
+`Fraction` from an `a/b` literal) until a value leaves it (see `parse`).
 
 The routes that sum raw rows across several polynomials (the Weyl
 product, `d_on_poly`, the closed form `yhat_bracket`, the binomial sum
@@ -25,9 +26,10 @@ that `Derivation.apply` and `AhAlgebraMap.apply` share, and
 over Q the lcm of the polynomials' `den`s, each image the numerators
 times `den // r.den` (a polynomial already over `den` passes its
 numerators uncopied); over GF(p) `den = 1` and each image is the stored
-residues. The loops run on those raw integers, and each output row is
-made a polynomial again over the product of the lift denominators, by
-one gcd.
+residue tuple, returned at once. The loops run on those raw integers, and
+each output row is made a polynomial again by the kernel's `_reduced`:
+over Q over the product of the lift denominators, by one gcd; over GF(p)
+mod p.
 """
 
 from __future__ import annotations
@@ -133,15 +135,17 @@ class FieldSpec:
         is `r.num` times `den // r.den`, or `r.num` itself, uncopied, when
         `r.den` is `den` already. Over GF(p), `den` is 1 and each image is
         the stored `r.coeffs`."""
-        rs = polys.values() if isinstance(polys, dict) else polys
+        is_dict = isinstance(polys, dict)
         if self.characteristic:
-            den, images = 1, [r.coeffs for r in rs]
-        else:
-            den, images = lcm(*{r.den for r in rs}), []
-            for r in rs:
-                m = den // r.den
-                images.append(r.num if m == 1 else [m * c for c in r.num])
-        if isinstance(polys, dict):
+            if is_dict:
+                return 1, {i: r.coeffs for i, r in polys.items()}
+            return 1, tuple([r.coeffs for r in polys])
+        rs = polys.values() if is_dict else polys
+        den, images = lcm(*{r.den for r in rs}), []
+        for r in rs:
+            m = den // r.den
+            images.append(r.num if m == 1 else [m * c for c in r.num])
+        if is_dict:
             return den, dict(zip(polys, images))
         return den, tuple(images)
 

@@ -16,11 +16,13 @@ that, a `Fraction` is made only where a scalar leaves a value
 
 Reduce once: the ring operations compute each output coefficient from raw
 sums and products and make the result with the trusted constructor
-`_reduced` of the kernel: over GF(p) each value is taken mod p
-(`FieldSpec.reduce`) and trailing zeros are trimmed; over Q the raw
-integers over their denominator are divided by one gcd with it. The public
-`Poly(field, coeffs)` validates and coerces, as the entry point for outside
-input. `_convolve` is the one product loop; the Weyl product shares it.
+`_reduced` of the kernel: over GF(p) it reads p once and takes each value
+mod p and trims the trailing zeros in one pass, with no call into the
+field; over Q the raw integers over their denominator are divided by one
+gcd with it. `+`, `-` and `*` of two GF(p) polynomials over the same
+`FieldSpec` object skip the operand check. The public `Poly(field,
+coeffs)` validates and coerces, as the entry point for outside input.
+`_convolve` is the one product loop; the Weyl product shares it.
 
 Division over Q pseudo-divides the numerators (Knuth, TAOCP vol. 2, 4.6.1,
 Algorithm R) with lazy scaling: with L the divisor's leading numerator, a
@@ -28,7 +30,8 @@ step is rem = L*rem - c*divisor on the window below the top, the running
 scale S is multiplied by L, and a lower coefficient is multiplied by S
 once, when it enters the window. The quotient and the remainder each come
 out over one common denominator. Over GF(p) the division is its own loop
-on residues.
+on residues. `%` and `divides` run either loop without a quotient
+(`_pseudo_divide`, `_residue_divide`).
 
 Besides the ring operations this module carries the characteristic-p
 bookkeeping used throughout the package: the Frobenius decomposition
@@ -96,20 +99,29 @@ class Poly:
     @classmethod
     def _canonical(cls, field: FieldSpec, values) -> "Poly":
         """Trusted constructor: `values` are canonical scalars of `field`;
-        only trailing zeros are trimmed."""
+        only trailing zeros are trimmed (a tuple with none is kept as is)."""
         n = len(values)
         while n and not values[n - 1]:
             n -= 1
         out = object.__new__(cls)
         out.field = field
-        out.coeffs = tuple(values[:n])
+        out.coeffs = tuple(values) if n == len(values) else tuple(values[:n])
         return out
 
     @classmethod
     def _reduced(cls, field: FieldSpec, raw, den=1) -> "Poly":
-        """Trusted constructor from raw sums and products of field scalars,
-        over the denominator `den`, which is 1 over GF(p) (`FieldSpec.lift`)."""
-        return cls._canonical(field, field.reduce(raw))
+        """Trusted constructor from raw integer sums and products of
+        residues, over the denominator `den`, which is 1 over GF(p)
+        (`FieldSpec.lift`): one pass takes each value mod p, then the
+        trailing zeros are trimmed."""
+        p = field.characteristic
+        vals = [v % p for v in raw]
+        while vals and not vals[-1]:
+            vals.pop()
+        out = object.__new__(Poly)
+        out.field = field
+        out.coeffs = tuple(vals)
+        return out
 
     @classmethod
     def zero(cls, field: FieldSpec) -> "Poly":
@@ -157,10 +169,10 @@ class Poly:
         return len(self.coeffs) <= 1
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == self.field.one()
+        return self.coeffs == (1,)
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one()
+        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def leading_coefficient(self):
         if not self.coeffs:
@@ -170,7 +182,7 @@ class Poly:
     def coefficient(self, n: int):
         if 0 <= n < len(self.coeffs):
             return self.coeffs[n]
-        return self.field.zero()
+        return 0
 
     def __eq__(self, other):
         return (
@@ -193,7 +205,8 @@ class Poly:
         check_same_field(self.field, other.field)
 
     def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
+        if type(other) is not Poly or other.field is not self.field:
+            self._check(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -202,7 +215,8 @@ class Poly:
         return Poly._reduced(self.field, raw)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check(other)
+        if type(other) is not Poly or other.field is not self.field:
+            self._check(other)
         a, b = self.coeffs, other.coeffs
         n = min(len(a), len(b))
         raw = [u - v for u, v in zip(a, b)]
@@ -222,12 +236,14 @@ class Poly:
         """x^n * self: n zero coefficients prepended, no arithmetic."""
         if n < 0:
             raise ValueError("negative exponent")
-        return Poly._canonical(self.field, (self.field.zero(),) * n + self.coeffs)
+        return Poly._canonical(self.field, (0,) * n + self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        self._check(other)
+        # the same kernel over the same field object needs no check
+        if type(other) is not Poly or other.field is not self.field:
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
+            self._check(other)
         F = self.field
         a, b = self.coeffs, other.coeffs
         if not a or not b:
@@ -266,24 +282,24 @@ class Poly:
             return (self if c == 1 else self.scale(F.inv(c))), Poly._canonical(F, ())
         if len(self.coeffs) - 1 < dd:
             return Poly._canonical(F, ()), self
-        p = F.p
-        rem = list(self.coeffs)  # raw values below the current index
-        dv = other.coeffs
-        lc_inv = F.inv(dv[-1])
-        q = [0] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            # rem[i] is final here; reduce it (times 1/lc) before the zero test
-            if f := rem[i] * lc_inv % p:
-                lo = i - dd
-                q[lo] = f
-                rem[lo:i] = [r - f * d for r, d in zip(rem[lo:i], dv)]
-        return Poly._canonical(F, q), Poly._reduced(F, rem[:dd])
+        q = [0] * (len(self.coeffs) - dd)
+        rem = _residue_divide(self.coeffs, other.coeffs, F.characteristic, q)
+        return Poly._canonical(F, q), Poly._reduced(F, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
+        """self mod other: the division loop without a quotient."""
+        self._check(other)
+        a, b = self.coeffs, other.coeffs
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        if len(b) == 1:
+            return Poly._canonical(self.field, ())
+        if len(a) < len(b):
+            return self
+        return Poly._reduced(self.field, _residue_divide(a, b, self.field.characteristic))
 
     def exact_div(self, other: "Poly") -> "Poly":
         """Quotient of an exact division; ExactDivisionError on remainder."""
@@ -367,9 +383,9 @@ class Poly:
     # -- characteristic-p structure -------------------------------------------------
 
     def _require_char_p(self) -> int:
-        if self.field.is_char_zero:
-            raise ValueError("operation requires positive characteristic")
-        return self.field.p
+        if p := self.field.characteristic:
+            return p
+        raise ValueError("operation requires positive characteristic")
 
     def frobenius_split(self):
         """Components (f_0, ..., f_{p-1}) with f = sum_j f_j(x^p) x^j.
@@ -646,30 +662,34 @@ class QPoly(Poly):
         b = other.num
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        dd = len(b) - 1
         a = self.num
-        if dd == 0:  # a nonzero constant b0/db: the quotient is self * db/b0
+        if len(b) == 1:  # a nonzero constant b0/db: the quotient is self * db/b0
             return QPoly._reduced(F, [other.den * v for v in a], b[0] * self.den), _zero(F)
-        if len(a) - 1 < dd:
+        if len(a) < len(b):
             return _zero(F), self
-        rem = list(a)
+        q = [0] * (len(a) - len(b) + 1)
+        S, rem = _pseudo_divide(a, b, q)
         L = b[-1]
-        q = [0] * (len(rem) - dd)
-        S = 1
-        for i in range(len(rem) - 1, dd - 1, -1):
-            lo = i - dd
-            rem[lo] *= S
-            if c := rem[i]:
-                q[lo] = c
-                rem[lo:i] = [L * r - c * d for r, d in zip(rem[lo:i], b)]
-                S *= L
         m = other.den  # db L^(K-k-1), for the steps in order of increasing lo
         for lo, c in enumerate(q):
             if c:
                 q[lo] = c * m
                 m *= L
         den = S * self.den
-        return QPoly._reduced(F, q, den), QPoly._reduced(F, rem[:dd], den)
+        return QPoly._reduced(F, q, den), QPoly._reduced(F, rem, den)
+
+    def __mod__(self, other: "QPoly") -> "QPoly":
+        """self mod other: the pseudo-division without a quotient, rem / (S da)."""
+        self._check(other)
+        a, b = self.num, other.num
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        if len(b) == 1:
+            return _zero(self.field)
+        if len(a) < len(b):
+            return self
+        S, rem = _pseudo_divide(a, b)
+        return QPoly._reduced(self.field, rem, S * self.den)
 
     def monic(self) -> "QPoly":
         num = self.num
@@ -721,6 +741,43 @@ def _over_lcm(values):
         return tuple([c if type(c) is int else c.numerator for c in values]), 1
     num = [c * den if type(c) is int else c.numerator * (den // c.denominator) for c in values]
     return tuple(num), den
+
+
+def _residue_divide(a, b, p: int, q=None) -> list:
+    """The raw remainder of the residues a by b (deg b >= 1) over GF(p):
+    the schoolbook division loop, storing the quotient's residues in q when
+    given. Each step reduces only the coefficient it reads."""
+    dd = len(b) - 1
+    rem = list(a)  # raw values below the current index
+    lc_inv = pow(b[-1], -1, p)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        # rem[i] is final here; reduce it (times 1/lc) before the zero test
+        if f := rem[i] * lc_inv % p:
+            lo = i - dd
+            if q is not None:
+                q[lo] = f
+            rem[lo:i] = [r - f * d for r, d in zip(rem[lo:i], b)]
+    return rem[:dd]
+
+
+def _pseudo_divide(a, b, q=None):
+    """(S, rem) for the numerators a and b (deg b >= 1): the lazily scaled
+    pseudo-division of the module docstring, with S = L^K after K steps and
+    S a = quotient b + rem. Each step stores its top coefficient c in q, at
+    the window bottom, when q is given (`QPoly.__divmod__` scales them)."""
+    dd = len(b) - 1
+    rem = list(a)
+    L = b[-1]
+    S = 1
+    for i in range(len(rem) - 1, dd - 1, -1):
+        lo = i - dd
+        rem[lo] *= S
+        if c := rem[i]:
+            if q is not None:
+                q[lo] = c
+            rem[lo:i] = [L * r - c * d for r, d in zip(rem[lo:i], b)]
+            S *= L
+    return S, rem[:dd]
 
 
 def _stored(r: Poly):

@@ -42,7 +42,7 @@ from .derivations import (
     restrict_to_center,
 )
 from .fields import FieldSpec
-from .poly import NotIntegrable, Poly
+from .poly import NotIntegrable, Poly, QPoly
 from .weyl import WeylElement, commutator, varpi
 
 
@@ -68,9 +68,10 @@ def random_poly(rng: random.Random, field: FieldSpec, max_deg: int = 5) -> Poly:
     deg = rng.randrange(-1, max_deg + 1)
     if deg < 0:
         return Poly.zero(field)
-    if field.is_char_zero:
-        return Poly(field, [rng.randrange(-9, 10) for _ in range(deg + 1)])
-    return Poly(field, [rng.randrange(field.p) for _ in range(deg + 1)])
+    p = field.characteristic
+    if not p:
+        return QPoly._reduced(field, [rng.randrange(-9, 10) for _ in range(deg + 1)])
+    return Poly._canonical(field, [rng.randrange(p) for _ in range(deg + 1)])
 
 
 def random_weyl(rng, field, max_ydeg=3, max_xdeg=4) -> WeylElement:

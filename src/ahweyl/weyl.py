@@ -12,12 +12,16 @@ H_1(f), ... (`_add_reordered`, `_hasse_rows`) does every reordering of the
 package: this product, [yhat, a] and d(f) for a derivation d of F[x]. It
 follows the reduce-once rule of `poly`: each output y-degree gets one row
 of raw coefficients, every piece (i)_k H_k(s) r_i is accumulated into it by
-the shared convolution loop, and each row is reduced once. Over Q the two
-operands are first lifted (`FieldSpec.lift`) to integer numerators over
-their common denominators da and db, so the tables and the rows hold Python
-ints and each row becomes a polynomial over da * db by one gcd. The public
-`WeylElement(field, terms)` validates its terms; results of the ring
-operations are built by the trusted `WeylElement._canonical`.
+the shared convolution loop, and each row is reduced once, by the
+polynomial kernel's own `_reduced` (`WeylElement._from_rows`): over GF(p)
+the stored residues are the raw values, and the Hasse rows and the output
+rows are taken mod p with p read once per call, not through the field.
+Over Q the two operands are first lifted (`FieldSpec.lift`) to integer
+numerators over their common denominators da and db, so the tables and the
+rows hold Python ints and each row becomes a polynomial over da * db by
+one gcd. The public `WeylElement(field, terms)` validates its terms;
+results of the ring operations, and `from_poly` and `from_term`, are
+built by the trusted `WeylElement._canonical`.
 
 The module also provides the commutator (in closed form when either
 operand is x), the shift a * y^n, the swap anti-automorphism phi
@@ -90,7 +94,7 @@ class WeylElement:
 
     @classmethod
     def from_poly(cls, r: Poly) -> "WeylElement":
-        return cls(r.field, {0: r})
+        return cls._canonical(r.field, {0: r} if r else {})
 
     @classmethod
     def x_power(cls, field: FieldSpec, n: int) -> "WeylElement":
@@ -102,7 +106,9 @@ class WeylElement:
 
     @classmethod
     def from_term(cls, r: Poly, n: int) -> "WeylElement":
-        return cls(r.field, {n: r})
+        if n < 0:
+            raise ValueError("negative y-degree")
+        return cls._canonical(r.field, {n: r} if r else {})
 
     # -- queries -------------------------------------------------------------------
 
@@ -259,7 +265,9 @@ def _reach(terms: dict, p: int) -> int:
     """The largest k with (i)_k nonzero in F for a y-degree i of `terms`, -1
     for none: max i, or in characteristic p max i mod p, as (i)_k has the
     factor i - (i mod p) once k > i mod p."""
-    return max((i % p if p else i for i in terms), default=-1)
+    if not terms:
+        return -1
+    return max([i % p for i in terms]) if p else max(terms)
 
 
 def _hasse_rows(F: FieldSpec, fc, start: int, stop: int) -> list:
@@ -268,12 +276,14 @@ def _hasse_rows(F: FieldSpec, fc, start: int, stop: int) -> list:
     each stepped from the row before by C(n, k) = C(n, k-1) (n-k+1) / k,
     exact in Z; each row is reduced once and trimmed (H_k(f) = 0 is empty).
     Over GF(p), H_k with k >= p may be nonzero: H_p(x^p) = 1."""
+    p = F.characteristic
     table, raw = [], list(fc)
     for k in range(min(stop, len(fc))):
         if k:
             raw = [c * (n - k + 1) // k for n, c in enumerate(raw[1:], k)]
         if k >= start:
-            row = F.reduce(raw)
+            # over Q the row is raw itself: C(deg f, k) c_deg is not 0, so no pop
+            row = [c % p for c in raw] if p else raw
             while row and not row[-1]:
                 row.pop()
             table.append(row)

@@ -481,3 +481,180 @@ def test_q_routes_to_one_value_agree_with_hash(a, b):
     ]:
         assert_q_canonical(one)
         assert one == other and hash(one) == hash(other)
+
+
+# -- the GF(p) kernel: trusted constructors, remainders, no field dispatch ----------
+#
+# Over GF(p) a `Poly` reduces its own raw values, once per value, in
+# `Poly._reduced` and `WeylElement._from_rows`; `%` and `divides` run the
+# division loop without a quotient in both kernels. The public constructors,
+# `divmod` and the generators' former bodies are the oracles.
+
+GF_PRIMES = [2, 3, 13, 1000003]
+
+# raw ints: negative, at least p, with trailing zeros and all-zero rows
+RAW_INTS = st.one_of(st.integers(-(10**8), 10**8), st.sampled_from([0, -1, 1000003, 2 * 1000003]))
+RAW_ROWS = st.one_of(
+    st.lists(RAW_INTS, max_size=7),
+    st.lists(RAW_INTS, max_size=4).map(lambda row: row + [0] * 3),
+    st.integers(0, 4).map(lambda n: [0] * n),
+)
+
+
+def assert_residues(f, p):
+    assert type(f) is Poly and type(f.coeffs) is tuple
+    assert all(type(c) is int and 0 <= c < p for c in f.coeffs)
+    assert not f.coeffs or f.coeffs[-1]
+
+
+@given(p=st.sampled_from(GF_PRIMES), raw=RAW_ROWS, rows=st.dictionaries(st.integers(0, 6), RAW_ROWS))
+@settings(max_examples=200, deadline=None)
+def test_gf_trusted_constructors_agree_with_the_public_ones(p, raw, rows):
+    F = FieldSpec(p)
+    got = Poly._reduced(F, raw)
+    assert got == Poly(F, raw)
+    assert_residues(got, p)
+    residues = tuple(v % p for v in raw)
+    assert Poly._canonical(F, residues) == got
+    w = WeylElement._from_rows(F, {j: list(row) for j, row in rows.items()})
+    assert w == WeylElement(F, {j: Poly(F, row) for j, row in rows.items()})
+    assert all(r for r in w.terms.values())
+    for r in w.terms.values():
+        assert_residues(r, p)
+
+
+def test_trusted_weyl_constructors_keep_their_checks():
+    F = FieldSpec(5)
+    r = Poly(F, [1, 2])
+    assert WeylElement.from_term(r, 3) == WeylElement(F, {3: r})
+    assert WeylElement.from_term(Poly.zero(F), 3).terms == {}
+    assert WeylElement.from_poly(Poly.zero(F)).terms == {}
+    with pytest.raises(ValueError, match="negative y-degree"):
+        WeylElement.from_term(r, -1)
+
+
+# divisors: constants, leading coefficients other than 1, and the dividends
+# zero and below the divisor's degree
+@st.composite
+def gf_division_pairs(draw):
+    F = FieldSpec(draw(st.sampled_from([2, 3, 13, 1000003])))
+    coeff = st.integers(0, F.p - 1)
+    b = Poly(F, draw(st.lists(coeff, max_size=6)) + [draw(st.integers(1, F.p - 1))])
+    a = Poly(F, draw(st.lists(coeff, max_size=9)))
+    return a, b
+
+
+@st.composite
+def q_division_pairs(draw):
+    return Poly(QQ, draw(Q_LISTS)), Poly(QQ, draw(Q_LISTS.filter(lambda b: any(b))))
+
+
+@given(pair=st.one_of(gf_division_pairs(), q_division_pairs()))
+@settings(max_examples=300, deadline=None)
+def test_remainder_path_matches_divmod(pair):
+    a, b = pair
+    want = divmod(a, b)[1]
+    got = a % b
+    assert got == want and type(got) is type(want)
+    assert b.divides(a) == want.is_zero()
+    assert b.divides(a * b) and b.divides(Poly.zero(a.field))
+    assert (b * b).divides(b) == b.is_constant()
+    if a:
+        assert not Poly.zero(a.field).divides(a)
+        assert a % Poly.constant(a.field, -1) == Poly.zero(a.field)
+
+
+def test_remainder_path_edge_cases():
+    F = FieldSpec(13)
+    b = Poly(F, [1, 0, 5])  # leading coefficient 5
+    for a in (Poly.zero(F), Poly(F, [4, 7]), Poly(F, [1, 2, 3, 4, 5])):
+        assert a % b == divmod(a, b)[1]
+    big = Poly(QQ, [Fraction(-(10**30) + 7, 3), Fraction(10**20, 7), Fraction(-5, 2)])
+    d = Poly(QQ, [Fraction(-3, 2), Fraction(10**25 + 1, 11)])
+    assert big % d == divmod(big, d)[1]
+    for zero in (Poly.zero(F), Poly.zero(QQ)):
+        with pytest.raises(ZeroDivisionError):
+            zero % zero
+
+
+# The generators of `ahweyl.verify` as they were written on the public
+# constructors, the oracle of their trusted-constructor bodies.
+def public_random_poly(rng, field, max_deg=5):
+    deg = rng.randrange(-1, max_deg + 1)
+    if deg < 0:
+        return Poly.zero(field)
+    if field.is_char_zero:
+        return Poly(field, [rng.randrange(-9, 10) for _ in range(deg + 1)])
+    return Poly(field, [rng.randrange(field.p) for _ in range(deg + 1)])
+
+
+def public_random_weyl(rng, field, max_ydeg=3, max_xdeg=4):
+    terms = {}
+    for i in range(max_ydeg + 1):
+        if rng.random() < 0.4:
+            continue
+        r = public_random_poly(rng, field, max_xdeg)
+        if not r.is_zero():
+            terms[i] = r
+    return WeylElement(field, terms)
+
+
+def public_random_normalizer_element(rng, ctx, max_ydeg=3):
+    p = 0 if ctx.field.is_char_zero else ctx.field.p
+    out = WeylElement(ctx.field, {0: public_random_poly(rng, ctx.field, 3)})
+    for i in range(1, max_ydeg + 1):
+        if rng.random() < 0.4:
+            continue
+        if p == 0 or i % p:
+            r = public_random_poly(rng, ctx.field, 2)
+            if not r.is_zero():
+                out = out + WeylElement(ctx.field, {i: r * ctx.a_n_coefficient(i)})
+        else:
+            d = public_random_poly(rng, ctx.field, 2)
+            z = public_random_poly(rng, ctx.field, 1).substitute_xp()
+            w = d * ctx.h_power(i) + z * ctx.h_power(i - p)
+            if not w.is_zero():
+                out = out + WeylElement(ctx.field, {i: w})
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(2), FieldSpec(3), FieldSpec(13)], ids=str)
+def test_verify_generators_match_their_public_constructor_oracles(field):
+    from ahweyl import verify
+
+    ctx = AhContext(Poly(field, [1, 0, 1]))
+    for seed in range(25):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        assert verify.random_poly(rng, field) == public_random_poly(oracle, field)
+        assert verify.random_weyl(rng, field) == public_random_weyl(oracle, field)
+        got = verify.random_normalizer_element(rng, ctx)
+        assert got == public_random_normalizer_element(oracle, ctx)
+        assert rng.random() == oracle.random()  # the same draws, in the same order
+
+
+def test_gf_hot_path_does_not_reduce_through_the_field(monkeypatch):
+    # the GF(p) kernel reduces its own values: a Weyl product, apply,
+    # bracket, [yhat, .] and the criterion defect run with FieldSpec.reduce
+    # broken. (`coerce` stays: scaling by a Fraction goes through it.)
+    from ahweyl.derivations import D_g, Derivation, ad
+
+    F = FieldSpec(5)
+    h = Poly(F, [1, 3, 0, 1])
+    ctx = AhContext(h)
+    a = WeylElement(F, {0: Poly(F, [2, 1]), 1: Poly(F, [0, 4, 3]), 6: Poly(F, [1, 1])})
+    b = WeylElement(F, {2: Poly(F, [3, 0, 1]), 5: Poly(F, [4])})
+    n = WeylElement(F, {1: ctx.a_n_coefficient(1), 0: Poly(F, [0, 2])})
+    d1, d2 = D_g(Poly(F, [1, 2, 3]), ctx), ad(n, ctx)
+    element = WeylElement(F, {0: Poly(F, [1, 4]), 2: h * h * Poly(F, [2, 0, 1])})
+    defective = Derivation(ctx, b, a)
+    want = (a * b, d1.apply(element), d1.bracket(d2), ctx.yhat_bracket(a), defective.criterion_defect())
+
+    def broken(self, values):
+        raise AssertionError("FieldSpec.reduce on the GF(p) hot path")
+
+    monkeypatch.setattr(FieldSpec, "reduce", broken)
+    d1, d2 = D_g(Poly(F, [1, 2, 3]), ctx), ad(n, ctx)
+    defective = Derivation(ctx, b, a)
+    got = (a * b, d1.apply(element), d1.bracket(d2), ctx.yhat_bracket(a), defective.criterion_defect())
+    assert got == want
+    assert not want[-1].is_zero()
