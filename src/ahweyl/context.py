@@ -329,9 +329,8 @@ class AhContext:
         """z(x^p, zeta) w, as one `zeta_mul` per power of t2 in z."""
         self._require_char_p()
         out = WeylElement.zero(self.field)
-        for k in range(z.t2_degree() + 1):
-            if c := z.t2_coefficient(k):
-                out = out + self.zeta_mul(w, k, c.substitute_xp())
+        for k, c in sorted(z.terms.items()):
+            out = out + self.zeta_mul(w, k, c.substitute_xp())
         return out
 
     def h_hasse(self, n: int):

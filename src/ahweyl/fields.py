@@ -11,15 +11,15 @@ of a `poly.Poly` is chosen once per value (see `poly`), and it reduces its
 own raw values, over GF(p) mod p in one pass, over Q (`poly.QPoly`, integer
 numerators over one denominator) by one gcd. So this module serves the
 places that still handle scalars one by one: `coerce` validates outside
-scalars where they enter a value class (the public constructors and
-`scale`); `reduce` maps raw sums and products of canonical scalars to
-canonical ones (mod p over GF(p), unchanged over Q), once per output
-coefficient, for `centerpoly`, `linalg` and the parser, which keeps every
+scalars, ints among them, where they enter a value class (the public
+constructors and `scale`); `reduce` maps raw sums and products of
+canonical scalars to canonical ones (mod p over GF(p), unchanged over Q),
+once per output coefficient, for `linalg` and the parser, which keeps every
 scalar in the field's raw form (a residue mod p; over Q an int, or a
 `Fraction` from an `a/b` literal) until a value leaves it (see `parse`).
 
-The routes that sum raw rows across several polynomials (the Weyl
-product, `d_on_poly`, the closed form `yhat_bracket`, the binomial sum
+The routes that sum raw rows across several polynomials (the Weyl and
+`CenterPoly` products, `d_on_poly`, the closed form `yhat_bracket`, the binomial sum
 that `Derivation.apply` and `AhAlgebraMap.apply` share, and
 `Derivation.criterion_defect`) first pass their operands through
 `FieldSpec.lift`, which puts them over one common denominator `den`:
@@ -99,17 +99,12 @@ class FieldSpec:
     def one(self):
         return Fraction(1) if self.characteristic == 0 else 1
 
-    def from_int(self, n: int):
-        if self.characteristic == 0:
-            return Fraction(n)
-        return n % self.characteristic
-
     def coerce(self, v):
         """Coerce an int / Fraction into this field; reject floats."""
         if isinstance(v, bool) or isinstance(v, float):
             raise TypeError(f"inexact scalar {v!r} not allowed")
         if isinstance(v, int):
-            return self.from_int(v)
+            return v % self.characteristic if self.characteristic else Fraction(v)
         if isinstance(v, Fraction):
             if self.characteristic == 0:
                 return v

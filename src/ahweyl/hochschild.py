@@ -300,7 +300,7 @@ class DerExpr:
                 continue
             if isinstance(b, BBf):
                 # normalize bhat_f = t2 * D_{h'/varrho} - bhat_x
-                clean.append((z * CenterPoly.t2(ctx.field), BDg(ctx.hprime_over_varrho)))
+                clean.append((z.shift(1), BDg(ctx.hprime_over_varrho)))
                 clean.append((-z, BBx()))
             else:
                 clean.append((z, b))
@@ -345,7 +345,7 @@ def _base_res(b, ctx: AhContext) -> CenterDerivation:
         hp_u = ctx.h.derivative().exact_div(ctx.varrho_root)
         return CenterDerivation(
             -CenterPoly.from_t1_poly(ctx.hp_over_varrho.pth_root()),
-            -(CenterPoly.from_t1_poly(hp_u) * CenterPoly.t2(F)),
+            -CenterPoly.from_t1_poly(hp_u).shift(1),
         )
     raise TypeError(f"unknown base {b!r}")
 
@@ -367,10 +367,9 @@ def _core_bracket(ctx: AhContext, b1, b2) -> list:
         return _ad_level(ctx, one, *_ad_ad(ctx, b1.r, b1.n, b2.r, b2.n))
     if isinstance(b1, BBx) and isinstance(b2, BAd):
         k, n = divmod(b2.n, ctx.p)
-        zk = CenterPoly.t2(F, k)
         if n == 0:
             inner = _core_bracket(ctx, BDg(ctx.delta0(b2.r)), BBx())
-            return [(zk * z, b) for z, b in inner]
+            return [(z.shift(k), b) for z, b in inner]
         zeta_n = ctx.h_over_pi_rho * ctx.delta0(b2.r) + (
             b2.r * ctx.hprime_over_varrho
         ).scale(n)

@@ -469,9 +469,8 @@ def check_dg_ad_formula(ctx, rng, n=6):
         first = (r * ctx.pi_h * t[nn - 1]).exact_div(ctx.h)
         img = WeylElement.from_poly(first)
         for k in range(1, nn):
-            coeff = ctx.field.from_int(comb(nn, k))
             img = img + WeylElement.from_term(
-                (t[k - 1] * r * ctx.pi_h * ctx.h_power(nn - k - 1)).scale(coeff), nn - k
+                (t[k - 1] * r * ctx.pi_h * ctx.h_power(nn - k - 1)).scale(comb(nn, k)), nn - k
             )
         formula = ad(img, ctx)
         ok = (

@@ -21,7 +21,11 @@ numerators over their common denominators da and db, so the tables and the
 rows hold Python ints and each row becomes a polynomial over da * db by
 one gcd. The public `WeylElement(field, terms)` validates its terms;
 results of the ring operations, and `from_poly` and `from_term`, are
-built by the trusted `WeylElement._canonical`.
+built by the trusted `_canonical`.
+
+The row form {i: r_i}, with its additive structure, `scale`, `poly_mul`,
+`shift`, equality and trusted constructors, is the private container
+`_Rows`, which `centerpoly.CenterPoly` (rows r_j(t1) t2^j) shares.
 
 The module also provides the commutator (in closed form when either
 operand is x), the shift a * y^n, the swap anti-automorphism phi
@@ -46,10 +50,127 @@ from .poly import (
 )
 
 
-class WeylElement:
-    """Sum_i r_i(x) y^i with every stored r_i nonzero."""
+class _Rows:
+    """sum_i r_i(u) v^i as `terms = {i: r_i}`, every r_i a nonzero `Poly`
+    over `field`: the row form of `WeylElement` and `centerpoly.CenterPoly`.
+    `_check` and `==` compare the exact type, so a value never meets the
+    other class. Each class names its error for a negative degree, `_negative`."""
 
     __slots__ = ("field", "terms")
+
+    # -- constructors ------------------------------------------------------------
+
+    @classmethod
+    def _canonical(cls, field: FieldSpec, terms: dict):
+        """Trusted constructor: every term is a nonzero Poly over `field`."""
+        out = object.__new__(cls)
+        out.field = field
+        out.terms = terms
+        return out
+
+    @classmethod
+    def _from_rows(cls, field: FieldSpec, rows: dict, den=1):
+        """Trusted constructor from {degree: raw coefficients} (see
+        `_accumulate`): each row reduced once over `den`, zero rows dropped."""
+        make = _kernel(field)._reduced
+        terms = {}
+        for deg, row in rows.items():
+            if t := make(field, row, den):
+                terms[deg] = t
+        return cls._canonical(field, terms)
+
+    @classmethod
+    def zero(cls, field: FieldSpec):
+        return cls._canonical(field, {})
+
+    @classmethod
+    def from_term(cls, r: Poly, n: int):
+        if n < 0:
+            raise ValueError(cls._negative)
+        return cls._canonical(r.field, {n: r} if r else {})
+
+    def _lift(self):
+        """(den, {i: raw coefficients of r_i}) over one denominator (`FieldSpec.lift`)."""
+        return self.field.lift(self.terms)
+
+    # -- queries -------------------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coefficient(self, i: int) -> Poly:
+        return self.terms.get(i, Poly.zero(self.field))
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.field == other.field
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.field, tuple(sorted(self.terms.items()))))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    # -- additive structure -----------------------------------------------------------
+
+    def _check(self, other) -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
+        check_same_field(self.field, other.field)
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for i, r in other.terms.items():
+            if i not in out:
+                out[i] = r
+            elif s := out[i] + r:
+                out[i] = s
+            else:
+                del out[i]
+        return self._canonical(self.field, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._canonical(self.field, {i: -r for i, r in self.terms.items()})
+
+    def scale(self, c):
+        terms = {i: r.scale(c) for i, r in self.terms.items()}
+        return self._canonical(self.field, {i: r for i, r in terms.items() if r})
+
+    def poly_mul(self, r: Poly):
+        """Multiplication by r(u); u-polynomials commute into coefficients."""
+        check_same_field(self.field, r.field)
+        if not r:
+            return self.zero(self.field)
+        return self._canonical(self.field, {i: r * s for i, s in self.terms.items()})
+
+    def shift(self, n: int):
+        """self * v^n: every degree raised by n, no arithmetic.
+
+        In characteristic p, y^(pk) is central in A_1, so for a Weyl
+        element this is also the product with y^(pk) on either side."""
+        if n < 0:
+            raise ValueError("negative exponent")
+        return self._canonical(self.field, {i + n: r for i, r in self.terms.items()})
+
+    def _d_dv(self):
+        """d/dv, sum_i i r_i v^(i-1); a term with i = 0 in F drops out."""
+        terms = {i - 1: t for i, r in self.terms.items() if i and (t := r.scale(i))}
+        return self._canonical(self.field, terms)
+
+
+class WeylElement(_Rows):
+    """Sum_i r_i(x) y^i with every stored r_i nonzero."""
+
+    __slots__ = ()
+
+    _negative = "negative y-degree"
 
     def __init__(self, field: FieldSpec, terms=None):
         clean = {}
@@ -66,35 +187,12 @@ class WeylElement:
     # -- constructors ------------------------------------------------------------
 
     @classmethod
-    def _canonical(cls, field: FieldSpec, terms: dict) -> "WeylElement":
-        """Trusted constructor: every term is a nonzero Poly over `field`."""
-        out = object.__new__(cls)
-        out.field = field
-        out.terms = terms
-        return out
-
-    @classmethod
-    def _from_rows(cls, field: FieldSpec, rows: dict, den=1) -> "WeylElement":
-        """Trusted constructor from {y-degree: raw coefficients} (see
-        `_accumulate`): each row reduced once over `den`, zero rows dropped."""
-        make = _kernel(field)._reduced
-        terms = {}
-        for deg, row in rows.items():
-            if t := make(field, row, den):
-                terms[deg] = t
-        return cls._canonical(field, terms)
-
-    @classmethod
-    def zero(cls, field: FieldSpec) -> "WeylElement":
-        return cls(field)
-
-    @classmethod
     def one(cls, field: FieldSpec) -> "WeylElement":
         return cls(field, {0: Poly.one(field)})
 
     @classmethod
     def from_poly(cls, r: Poly) -> "WeylElement":
-        return cls._canonical(r.field, {0: r} if r else {})
+        return cls.from_term(r, 0)
 
     @classmethod
     def x_power(cls, field: FieldSpec, n: int) -> "WeylElement":
@@ -104,85 +202,15 @@ class WeylElement:
     def y_power(cls, field: FieldSpec, n: int) -> "WeylElement":
         return cls(field, {n: Poly.one(field)})
 
-    @classmethod
-    def from_term(cls, r: Poly, n: int) -> "WeylElement":
-        if n < 0:
-            raise ValueError("negative y-degree")
-        return cls._canonical(r.field, {n: r} if r else {})
-
     # -- queries -------------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     @property
     def y_degree(self):
         return max(self.terms) if self.terms else -1
 
-    def coefficient(self, i: int) -> Poly:
-        return self.terms.get(i, Poly.zero(self.field))
-
     def iter_terms(self):
         for i in sorted(self.terms):
             yield i, self.terms[i]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeylElement)
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.field, tuple(sorted(self.terms.items()))))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    # -- additive structure -----------------------------------------------------------
-
-    def _check(self, other: "WeylElement") -> None:
-        if not isinstance(other, WeylElement):
-            raise TypeError(f"expected WeylElement, got {type(other).__name__}")
-        check_same_field(self.field, other.field)
-
-    def __add__(self, other: "WeylElement") -> "WeylElement":
-        self._check(other)
-        out = dict(self.terms)
-        for i, r in other.terms.items():
-            if i not in out:
-                out[i] = r
-            elif s := out[i] + r:
-                out[i] = s
-            else:
-                del out[i]
-        return WeylElement._canonical(self.field, out)
-
-    def __sub__(self, other: "WeylElement") -> "WeylElement":
-        return self + (-other)
-
-    def __neg__(self) -> "WeylElement":
-        return WeylElement._canonical(self.field, {i: -r for i, r in self.terms.items()})
-
-    def scale(self, c) -> "WeylElement":
-        terms = {i: r.scale(c) for i, r in self.terms.items()}
-        return WeylElement._canonical(self.field, {i: r for i, r in terms.items() if r})
-
-    def poly_mul(self, r: Poly) -> "WeylElement":
-        """Left multiplication by r(x); x-polynomials commute into coefficients."""
-        check_same_field(self.field, r.field)
-        if not r:
-            return WeylElement.zero(self.field)
-        return WeylElement._canonical(self.field, {i: r * s for i, s in self.terms.items()})
-
-    def shift(self, n: int) -> "WeylElement":
-        """self * y^n: every y-degree raised by n, no arithmetic.
-
-        In characteristic p, y^(pk) is central, so this is also the product
-        with the central factor y^(pk) on either side."""
-        if n < 0:
-            raise ValueError("negative exponent")
-        return WeylElement._canonical(self.field, {i + n: r for i, r in self.terms.items()})
 
     # -- multiplication ------------------------------------------------------------------
 
@@ -194,8 +222,8 @@ class WeylElement:
         self._check(other)
         F = self.field
         p = F.characteristic
-        da, terms = F.lift(self.terms)
-        db, rhs = F.lift(other.terms)
+        da, terms = self._lift()
+        db, rhs = other._lift()
         stop = _reach(terms, p) + 1
         rows = {}  # y-degree -> raw coefficients of its x-polynomial
         for j, s in rhs.items():
@@ -322,28 +350,18 @@ def _row_terms(r: Poly, i: int, term):
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     """[a, b] = ab - ba. When either operand is the generator x this is the
-    closed form of [a, x], without a product."""
+    closed form [a, x] = sum_i i r_i y^(i-1) (`_Rows._d_dv`), from [y^i, x]
+    = i y^(i-1), without a product."""
     check_same_field(a.field, b.field)
     if _is_x(b):
-        return _bracket_x(a)
+        return a._d_dv()
     if _is_x(a):
-        return -_bracket_x(b)
+        return -b._d_dv()
     return a * b - b * a
 
 
 def _is_x(w: WeylElement) -> bool:
     return len(w.terms) == 1 and (r := w.terms.get(0)) is not None and _stored(r) == (1, (0, 1))
-
-
-def _bracket_x(a: WeylElement) -> WeylElement:
-    """[a, x] = sum_i i r_i y^(i-1), in closed form: [y^i, x] = i y^(i-1).
-    Terms with i = 0 mod p drop out in characteristic p."""
-    F = a.field
-    terms = {}
-    for i, r in a.terms.items():
-        if i and (t := r.scale(i)):
-            terms[i - 1] = t
-    return WeylElement._canonical(F, terms)
 
 
 def varpi(field: FieldSpec) -> WeylElement:

@@ -39,7 +39,7 @@ def combination(field, coeffs, vectors):
 @settings(max_examples=150, deadline=None)
 def test_relations_match_sympy_rank(p, raw):
     F = FieldSpec(p)
-    vectors = [[F.from_int(c) for c in v] for v in raw]
+    vectors = [[F.coerce(c) for c in v] for v in raw]
     rels = relations(F, vectors)
     assert len(rels) == len(vectors)
     assert sum(rel is not None for rel in rels) == len(vectors) - sympy_rank(F, vectors)
@@ -67,7 +67,7 @@ def test_ragged_coordinates_over_q():
     # w = 2*(1, 1) - 1/2*(0, 2, 4) + 0*(2, 2) read off the relation of w
     F = QQ
     vectors = [[1, 1], [0, 2, 4], [2, 2], [2, 1, -2]]
-    vectors = [[F.from_int(c) for c in v] for v in vectors]
+    vectors = [[F.coerce(c) for c in v] for v in vectors]
     rels = relations(F, vectors)
     assert rels[:2] == [None, None]
     assert rels[2] == [-2, 0, 1, 0]

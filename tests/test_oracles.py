@@ -17,6 +17,10 @@ are kept here as its oracles: the Weyl product over a derivative chain of
 each right-hand term with cached binomials C(i, k), the closed form of
 [yhat, a] over the lifted derivative chain of h with one binomial per
 term, and d(f) over Hasse rows made of one `math.comb` per coefficient.
+
+A center polynomial is stored in the row form of a Weyl element,
+{j: r_j(t1)} for sum_j r_j t2^j. The dict form {(i, j): scalar} it
+replaced is kept here as its oracle (`DictCenterPoly`).
 """
 
 import random
@@ -634,9 +638,10 @@ def test_verify_generators_match_their_public_constructor_oracles(field):
 
 def test_gf_hot_path_does_not_reduce_through_the_field(monkeypatch):
     # the GF(p) kernel reduces its own values: a Weyl product, apply,
-    # bracket, [yhat, .] and the criterion defect run with FieldSpec.reduce
+    # bracket, [yhat, .], the criterion defect, and through the center
+    # polynomials Res, its bracket and is_inner run with FieldSpec.reduce
     # broken. (`coerce` stays: scaling by a Fraction goes through it.)
-    from ahweyl.derivations import D_g, Derivation, ad
+    from ahweyl.derivations import D_g, Derivation, ad, bhat_f, is_inner, restrict_to_center
 
     F = FieldSpec(5)
     h = Poly(F, [1, 3, 0, 1])
@@ -648,6 +653,8 @@ def test_gf_hot_path_does_not_reduce_through_the_field(monkeypatch):
     element = WeylElement(F, {0: Poly(F, [1, 4]), 2: h * h * Poly(F, [2, 0, 1])})
     defective = Derivation(ctx, b, a)
     want = (a * b, d1.apply(element), d1.bracket(d2), ctx.yhat_bracket(a), defective.criterion_defect())
+    res = restrict_to_center(d1 + bhat_f(ctx))
+    center = (res.bracket(restrict_to_center(bhat_f(ctx))), is_inner(d1).reason)
 
     def broken(self, values):
         raise AssertionError("FieldSpec.reduce on the GF(p) hot path")
@@ -658,3 +665,175 @@ def test_gf_hot_path_does_not_reduce_through_the_field(monkeypatch):
     got = (a * b, d1.apply(element), d1.bracket(d2), ctx.yhat_bracket(a), defective.criterion_defect())
     assert got == want
     assert not want[-1].is_zero()
+    res = restrict_to_center(d1 + bhat_f(ctx))
+    assert (res.bracket(restrict_to_center(bhat_f(ctx))), is_inner(d1).reason) == center
+    assert not center[0].is_zero()
+
+
+# -- the center polynomial against its dict form ----------------------------------------------
+
+
+class DictCenterPoly:
+    """F[t1, t2] as {(i, j): scalar} for c t1^i t2^j, every result reduced
+    through `FieldSpec.reduce` and rebuilt: the form `CenterPoly` had
+    before it shared the row form of a Weyl element."""
+
+    def __init__(self, field, coeffs):
+        self.field = field
+        self.coeffs = {k: c for k, c in ((k, field.coerce(c)) for k, c in coeffs.items()) if c}
+
+    @classmethod
+    def _reduced(cls, field, raw):
+        return cls(field, dict(zip(raw, field.reduce(raw.values()))))
+
+    def __eq__(self, other):
+        return self.field == other.field and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.field, tuple(sorted(self.coeffs.items()))))
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, 0) + c
+        return DictCenterPoly._reduced(self.field, out)
+
+    def __neg__(self):
+        return DictCenterPoly._reduced(self.field, {k: -c for k, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for (i1, j1), c1 in self.coeffs.items():
+            for (i2, j2), c2 in other.coeffs.items():
+                k = (i1 + i2, j1 + j2)
+                out[k] = out.get(k, 0) + c1 * c2
+        return DictCenterPoly._reduced(self.field, out)
+
+    def d_dt1(self):
+        return DictCenterPoly._reduced(self.field, {(i - 1, j): i * c for (i, j), c in self.coeffs.items() if i})
+
+    def d_dt2(self):
+        return DictCenterPoly._reduced(self.field, {(i, j - 1): j * c for (i, j), c in self.coeffs.items() if j})
+
+    def exact_div_t1(self, w):
+        if w.is_zero():
+            raise ZeroDivisionError("division by zero")
+        out = {}
+        for j in {j for _, j in self.coeffs}:
+            row = Poly.from_coeff_dict(self.field, {i: c for (i, jj), c in self.coeffs.items() if jj == j})
+            out.update({(i, j): c for i, c in enumerate(row.exact_div(w).coeffs)})
+        return DictCenterPoly(self.field, out)
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        pieces = []
+        for (i, j), c in sorted(self.coeffs.items(), key=lambda kv: (kv[0][1], kv[0][0])):
+            t1 = "" if i == 0 else "t1" if i == 1 else f"t1^{i}"
+            t2 = "" if j == 0 else "t2" if j == 1 else f"t2^{j}"
+            monomial = "*".join(m for m in (t1, t2) if m)
+            neg = c < 0
+            mag = str(-c if neg else c)
+            text = (monomial if mag == "1" else f"{mag}*{monomial}") if monomial else mag
+            if pieces:
+                pieces.append((" - " if neg else " + ") + text)
+            else:
+                pieces.append(("-" if neg else "") + text)
+        return "".join(pieces)
+
+
+def center_dict(z):
+    """{(i, j): c} of a row-form CenterPoly."""
+    return {(i, j): c for j, r in z.terms.items() for i, c in enumerate(r.coeffs) if c}
+
+
+@st.composite
+def center_cases(draw, fields):
+    F = draw(st.sampled_from(fields))
+    if F.is_char_zero:
+        scalar = st.one_of(st.integers(-9, 9), Q_SCALARS)
+    else:
+        scalar = st.integers(-F.p, 3 * F.p)  # raw: negative, >= p and zero
+    exponents = st.tuples(st.integers(0, 4), st.integers(0, 3))
+    dicts = st.dictionaries(exponents, scalar, max_size=6)
+    return F, [draw(dicts) for _ in range(4)]
+
+
+CENTER_PRIMES = [FieldSpec(p) for p in (2, 3, 5, 13)]
+
+
+@given(case=center_cases(CENTER_PRIMES), w=st.lists(st.integers(0, 12), min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_center_rows_match_the_dict_oracle(case, w):
+    from ahweyl.centerpoly import CenterPoly
+    from ahweyl.derivations import CenterDerivation
+
+    F, dicts = case
+    new = [CenterPoly(F, d) for d in dicts]
+    old = [DictCenterPoly(F, d) for d in dicts]
+    u, v, a, b = new
+    U, V, A, B = old
+    assert [center_dict(z) for z in new] == [Z.coeffs for Z in old]
+    for got, want in [
+        (u + v, U + V), (u - v, U - V), (-u, -U), (u * v, U * V), (v * u, V * U),
+        (u.d_dt1(), U.d_dt1()), (u.d_dt2(), U.d_dt2()),
+    ]:
+        assert center_dict(got) == want.coeffs
+        assert str(got) == str(want)
+    assert (u == v) == (U == V)
+    assert u + v - v == u and hash(u + v - v) == hash(u)
+    assert CenterPoly(F, dict(reversed(dicts[0].items()))) == u
+    # the exact division, and its failure on a row 1 at t2^5
+    wp = Poly(F, w + [1])
+    W = DictCenterPoly(F, {(i, 0): c for i, c in enumerate(wp.coeffs)})
+    assert center_dict((u * CenterPoly.from_t1_poly(wp)).exact_div_t1(wp)) == (U * W).exact_div_t1(wp).coeffs
+    assert (U * W).exact_div_t1(wp) == U
+    if wp.degree > 0:
+        for z in (u + CenterPoly.t2(F, 5), U + DictCenterPoly(F, {(0, 5): 1})):
+            with pytest.raises(ExactDivisionError):
+                z.exact_div_t1(wp)
+    for z in (u, U):
+        with pytest.raises(ZeroDivisionError):
+            z.exact_div_t1(Poly.zero(F))
+    # the bracket of center derivations reads only +, -, * and d/dt
+    got = CenterDerivation(u, v).bracket(CenterDerivation(a, b))
+    want = CenterDerivation(U, V).bracket(CenterDerivation(A, B))
+    assert (center_dict(got.a), center_dict(got.b)) == (want.a.coeffs, want.b.coeffs)
+
+
+@given(case=center_cases([QQ]))
+@settings(max_examples=200, deadline=None)
+def test_center_printer_over_q_matches_the_dict_oracle(case):
+    from ahweyl.centerpoly import CenterPoly
+
+    F, dicts = case
+    u, v = (CenterPoly(F, d) for d in dicts[:2])
+    U, V = (DictCenterPoly(F, d) for d in dicts[:2])
+    for got, want in [(u, U), (u * v, U * V), (u - v, U - V), (u.d_dt1(), U.d_dt1())]:
+        assert center_dict(got) == want.coeffs
+        assert str(got) == str(want)
+
+
+def test_row_form_classes_do_not_mix():
+    import operator
+
+    from ahweyl.centerpoly import CenterPoly
+
+    F = FieldSpec(5)
+    w, z = WeylElement.one(F), CenterPoly.one(F)
+    assert w.terms == z.terms  # the same rows, and still never equal
+    assert w != z and z != w
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(w, z)
+        with pytest.raises(TypeError):
+            op(z, w)
+    with pytest.raises(ValueError, match="negative y-degree"):
+        WeylElement.from_term(Poly.one(F), -1)
+    with pytest.raises(ValueError, match="negative exponent"):
+        CenterPoly(F, {(-1, 0): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        CenterPoly.t2(F, -1)

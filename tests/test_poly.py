@@ -76,7 +76,7 @@ class TestFieldSpec:
                 FieldSpec(n)
 
     def test_char_p_residues_reduced(self):
-        assert GF3.from_int(7) == 1
+        assert GF3.coerce(7) == 1
         assert GF3.inv(2) == 2
 
     @pytest.mark.parametrize("field", [QQ, GF3], ids=["Q", "GF3"])

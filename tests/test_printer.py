@@ -95,7 +95,8 @@ def oracle_center_text(z: CenterPoly) -> str:
     if z.is_zero():
         return "0"
     pieces = []
-    for (i, j), c in sorted(z.coeffs.items(), key=lambda kv: (kv[0][1], kv[0][0])):
+    coeffs = {(i, j): c for j, r in z.terms.items() for i, c in enumerate(r.coeffs) if c}
+    for (i, j), c in sorted(coeffs.items(), key=lambda kv: (kv[0][1], kv[0][0])):
         neg = isinstance(c, (int, Fraction)) and c < 0
         mag = -c if neg else c
         parts = []
