@@ -19,7 +19,6 @@ from .context import (
     AhContext,
     FactorListError,
     MembershipError,
-    MissingFactorizationError,
     NormalizerResult,
     NotCentralizing,
     pi_of,
@@ -90,7 +89,6 @@ __all__ = [
     "InvalidDerivation",
     "InvalidDerivationError",
     "MembershipError",
-    "MissingFactorizationError",
     "NEG_INF",
     "NormalizerResult",
     "NotCentralizing",

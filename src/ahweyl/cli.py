@@ -26,7 +26,6 @@ from .context import (
     AhContext,
     FactorListError,
     MembershipError,
-    MissingFactorizationError,
     NotCentralizing,
 )
 from .derivations import (
@@ -52,7 +51,6 @@ _ERROR_CATEGORIES = {
     ParseError: "parse error",
     FactorListError: "factor list error",
     MembershipError: "membership error",
-    MissingFactorizationError: "missing factorization",
     InvalidDerivationError: "invalid derivation",
     ExactDivisionError: "non-exact division",
     FieldMismatchError: "field mismatch",
@@ -84,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--factors",
         default=None,
-        help='optional verified prime factorization, e.g. "x^2,x-1"',
+        help='optional factor list, e.g. "x^2,x-1": it must match the squarefree '
+        "decomposition of h; irreducibility of a factor is not checked",
     )
     common.add_argument(
         "--degree-bound",

@@ -5,10 +5,14 @@ A_h is generated by x and yhat = y*h inside the Weyl algebra, with
 (D = F[x]). An AhContext bundles h with the invariants every other module
 consumes:
 
-* pi_h: the monic generator of {r : h | h'r}, computed as h / gcd(h, h');
+* the squarefree decomposition h = lc prod f_m^m, computed once
+  (`squarefree`): pi_h, varrho_h and the check of a factor list given by
+  the user are read off it, with no factoring;
+* pi_h: the monic generator of {r : h | h'r}, the product of the f_m with
+  p not dividing m (every f_m over Q);
 * varrho_h: in characteristic p, the maximal monic divisor of h lying in
-  F[x^p], assembled factorization-free from the squarefree decomposition,
-  and h^p / varrho_h, read off h(x^p) = h^p without forming a power;
+  F[x^p], prod f_m^(p floor(m/p)), and h^p / varrho_h, read off
+  h(x^p) = h^p without forming a power;
 * delta(f) = f'h and the twisted map delta0(r) = (r pi_h)' - r pi_h h' / h,
   realized entirely inside F[x] (no localization is ever materialized);
 * in characteristic p: the central element zeta = h^p y^p, the Frobenius
@@ -55,11 +59,7 @@ class MembershipError(ValueError):
 
 
 class FactorListError(ValueError):
-    """A user-supplied prime factor list failed verification."""
-
-
-class MissingFactorizationError(ValueError):
-    """The operation needs a verified prime factor list and none was given."""
+    """A user-supplied factor list does not match h's squarefree decomposition."""
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,25 @@ class NormalizerResult:
         return self.ok
 
 
+def _pi_varrho(field, squarefree) -> tuple:
+    """(pi_h, varrho_h) read off h = lc prod f_m^m, given as [(f_m, m)]:
+    pi_h = h / gcd(h, h') is the product of the f_m with p not dividing m
+    (every f_m over Q), and varrho_h = prod f_m^(p floor(m/p))."""
+    p = field.characteristic
+    pi = rho = Poly.one(field)
+    for f, m in squarefree:
+        if not p or m % p:
+            pi = pi * f
+        if p and m >= p:
+            rho = rho * f ** (p * (m // p))
+    return pi, rho
+
+
 def pi_of(h: Poly) -> Poly:
     """Monic generator of {r : h | h'r}; equals h / gcd(h, h')."""
     if h.is_zero():
         raise ValueError("pi is undefined for h = 0")
-    d = h.derivative()
-    if d.is_zero():
-        return Poly.one(h.field)
-    return h.exact_div(h.gcd_monic(d)).monic()
+    return _pi_varrho(h.field, h.squarefree_decomposition())[0]
 
 
 def varrho_of(h: Poly) -> Poly:
@@ -98,43 +109,37 @@ def varrho_of(h: Poly) -> Poly:
     """
     if h.is_zero():
         raise ValueError("varrho is undefined for h = 0")
-    if h.field.is_char_zero:
-        return Poly.one(h.field)
-    p = h.field.p
-    out = Poly.one(h.field)
-    if h.is_constant():
-        return out
-    for g, m in h.squarefree_decomposition():
-        if m >= p:
-            out = out * g ** (p * (m // p))
-    return out
+    return _pi_varrho(h.field, h.squarefree_decomposition())[1]
 
 
-def _verify_factor_list(h: Poly, factors) -> tuple:
-    """Validate [(u_i, alpha_i)]: monic nonconstant, pairwise coprime by
-    trial gcd, squarefree, product reassembling h up to its leading
-    coefficient. Returns the tuple as given."""
+def _verify_factor_list(h: Poly, squarefree, factors) -> tuple:
+    """Check [(u_i, alpha_i)] against h = lc prod f_m^m, given as
+    `squarefree` = [(f_m, m)]: each u_i monic and nonconstant over the field
+    of h, each alpha_i >= 1, and for every m the u_i with alpha_i = m
+    multiplying to f_m. By uniqueness of the squarefree decomposition, that
+    last comparison holds iff the u_i are squarefree, pairwise coprime and
+    reassemble h up to its leading coefficient. Irreducibility of a u_i is
+    not checked. Returns the tuple as given."""
     factors = tuple((u, int(a)) for u, a in factors)
-    for idx, (u, a) in enumerate(factors):
+    for u, a in factors:
         check_same_field(h.field, u.field)
         if u.is_constant() or not u.is_monic():
             raise FactorListError(f"factor {u} must be monic and nonconstant")
         if a < 1:
             raise FactorListError(f"multiplicity {a} of {u} must be >= 1")
-        du = u.derivative()
-        if du.is_zero() or not u.gcd_monic(du).is_one():
-            raise FactorListError(f"factor {u} is not squarefree")
-        for v, _ in factors[idx + 1 :]:
-            if not u.gcd_monic(v).is_one():
-                raise FactorListError(f"factors {u} and {v} share a root")
-    # degrees first, so that a large multiplicity is refused before its power is formed
+    # degrees first, so that a list of the wrong size is refused before any product is formed
     if sum(a * u.degree for u, a in factors) != h.degree:
         raise FactorListError("factor product does not reassemble h")
-    prod = Poly.constant(h.field, h.leading_coefficient())
+    listed = {}
     for u, a in factors:
-        prod = prod * u**a
-    if prod != h:
-        raise FactorListError("factor product does not reassemble h")
+        listed[a] = listed[a] * u if a in listed else u
+    parts = {m: f for f, m in squarefree}
+    for m in sorted(listed.keys() | parts.keys()):
+        if listed.get(m) != parts.get(m):
+            raise FactorListError(
+                f"the factors of multiplicity {m} do not multiply to the part of h"
+                f" of multiplicity {m}"
+            )
     return factors
 
 
@@ -146,17 +151,17 @@ class AhContext:
             raise ValueError("h must be nonzero")
         self.field = h.field
         self.h = h
-        self.pi_h = pi_of(h)
+        self.squarefree = tuple(h.squarefree_decomposition())  # h = lc prod f_m^m, as (f_m, m)
+        self.pi_h, self.varrho_h = _pi_varrho(self.field, self.squarefree)
         self.h_over_pi = h.exact_div(self.pi_h)
         # pi_h * h' / h is exact by the defining property of pi_h
         self.pi_hprime_over_h = (self.pi_h * h.derivative()).exact_div(h)
-        self.varrho_h = varrho_of(h)
         self.h_over_pi_rho = h.exact_div(self.pi_h * self.varrho_h)
         if factors is None and h.is_constant():
             factors = ()  # a unit has the (verified) empty factorization
-        self.factors = _verify_factor_list(h, factors) if factors is not None else None
-        if self.factors is not None:
-            self._cross_check_factors()
+        self.factors = (
+            None if factors is None else _verify_factor_list(h, self.squarefree, factors)
+        )
         self._h_powers = {0: Poly.one(self.field)}
         self._dh, (lifted,) = self.field.lift((h,))
         self._h_hasse = [lifted]  # H_0(h), H_1(h), ... over dh, grown by `h_hasse`
@@ -213,24 +218,6 @@ class AhContext:
         self.zeta_hat_coeff = self.hbar_components[p - 1].substitute_xp()
         if self.theta_p_map(self.qbreve) != self.hbar:
             raise AssertionError("vartheta(qbreve) != hbar")
-
-    def _cross_check_factors(self):
-        """The verified factor list must reproduce the gcd-computed invariants."""
-        F = self.field
-        pi = Poly.one(F)
-        rho = Poly.one(F)
-        for u, a in self.factors:
-            if F.is_char_zero:
-                pi = pi * u
-            else:
-                p = F.p
-                if a % p:
-                    pi = pi * u
-                rho = rho * u ** (p * (a // p))
-        if pi != self.pi_h or rho != self.varrho_h:
-            raise FactorListError(
-                "factor list disagrees with the gcd-computed pi/varrho"
-            )
 
     # -- characteristic helpers -----------------------------------------------------
 

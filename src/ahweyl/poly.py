@@ -861,21 +861,24 @@ def _join_terms(terms) -> str:
 
 
 def _yun(f: Poly):
-    """Yun's squarefree decomposition, characteristic 0, f monic nonconstant."""
+    """Yun's squarefree decomposition, characteristic 0, f monic nonconstant.
+    c is the product of the parts of multiplicity >= k and w = c sum (m - k)
+    f_m' / f_m over them, so w = 0 says that c is the last part, f_k."""
     d = f.derivative()
     g = f.gcd_monic(d)
     c = f.exact_div(g)
     w = d.exact_div(g) - c.derivative()
     out = []
     k = 1
-    while not c.is_one():
-        a = c.gcd_monic(w) if not w.is_zero() else c.monic()
+    while not w.is_zero():
+        a = c.gcd_monic(w)
         if not a.is_one():
             out.append((a, k))
-        c = c.exact_div(a)
-        w = w.exact_div(a) - c.derivative()
+            c = c.exact_div(a)
+            w = w.exact_div(a)
+        w = w - c.derivative()
         k += 1
-    return out
+    return out + [(c, k)]
 
 
 def _squarefree_char_p(f: Poly):

@@ -411,6 +411,32 @@ class TestGolden:
         validate(json.loads(out))
 
 
+_CHAR0_ANALYZE = [
+    argv
+    for _, argv, _ in GOLDEN_CASES
+    if argv[0] == "analyze" and argv[argv.index("--char") + 1] == "0"
+] + [["analyze", "--h", "x^2*(x-1)^3", "--char", "0", "--factors", "(x-1)^3,x^2"]]
+
+
+@pytest.mark.parametrize("argv", _CHAR0_ANALYZE, ids=lambda argv: argv[2])
+def test_analyze_char0_without_factors_differs_only_in_prime_fields(argv, capsys):
+    # the report without --factors equals the report with a verified list
+    # (implied empty for h = 1) on every field but the two that name primes
+    def report(args):
+        code, out, err = run_cli([*args, "--output", "json"], capsys=capsys)
+        assert (code, err) == (0, "")
+        return json.loads(out)
+
+    listed = report(argv)
+    bare = report(argv[: argv.index("--factors")] if "--factors" in argv else argv)
+    for field in ("multiplicity_gt1_primes", "witt_summand_count"):
+        assert listed["hh1"].pop(field) is not None
+        without = bare["hh1"].pop(field)
+        if "--factors" in argv:
+            assert without is None
+    assert bare == listed
+
+
 class TestTextOutput:
     @pytest.mark.parametrize(
         "argv,stdin_text,expected",
@@ -500,6 +526,25 @@ class TestTextOutput:
                 "phi_g(x): x\n"
                 "phi_g(yhat): 1 + 3*x + x^2*y\n"
                 "phi_g(element): 1 + x + x^2*y\n",
+            ),
+            (
+                # without --factors, only the fields that name primes are missing
+                ["analyze", "--h", "x^3", "--char", "0"],
+                "",
+                "h: x^3\n"
+                "characteristic: 0\n"
+                "pi_h: x\n"
+                "varrho_h: 1\n"
+                "h/pi_h: x^2\n"
+                "HH1 structure (characteristic 0):\n"
+                "  dim Z(HH1): 1\n"
+                "  center basis: D_[x^2]\n"
+                "  HH1 trivial: no\n"
+                "  abelian: no\n"
+                "  primes with multiplicity > 1: (needs --factors)\n"
+                "  nilpotent ideal trivial: no\n"
+                "  nilpotency index bound: 2\n"
+                "  Witt summands: (needs --factors)\n",
             ),
         ],
     )

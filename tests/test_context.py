@@ -1,10 +1,16 @@
-"""The A_h layer: pi/varrho, membership, bases, delta/delta0, center, Theta."""
+"""The A_h layer: pi/varrho, membership, bases, delta/delta0, center, Theta.
+
+pi_h, varrho_h and the factor-list check are read off one squarefree
+decomposition. The routes they replaced are kept here as oracles: pi_h as
+h / gcd(h, h'), the factor-list check by trial gcds with its cross-check of
+pi_h and varrho_h, and the nilpotency index bound by search."""
 
 import random
 import re
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +25,7 @@ from ahweyl.context import (
 from ahweyl.centerpoly import CenterPoly
 from ahweyl.derivations import InnerWitness, NotInner, ad, decompose_Ah_charp, is_inner
 from ahweyl.fields import ExactDivisionError, FieldSpec, QQ
-from ahweyl.hochschild import _normalizer_quotient_level
+from ahweyl.hochschild import _normalizer_quotient_level, structure_report_char0
 from ahweyl.linalg import relations
 from ahweyl.poly import Poly
 from ahweyl.weyl import WeylElement, commutator
@@ -171,7 +177,7 @@ class TestContextInvariants:
         AhContext(h, factors=[(Poly.x(QQ), 2), (P(QQ, -1, 1), 1)])
         with pytest.raises(FactorListError):
             AhContext(h, factors=[(Poly.x(QQ), 3)])
-        with pytest.raises(FactorListError):
+        with pytest.raises(FactorListError, match="factors of multiplicity 1 do not multiply"):
             AhContext(h, factors=[(Poly.x(QQ), 2), (Poly.x(QQ), 1)])
         with pytest.raises(FactorListError):
             AhContext(h, factors=[(xn(QQ, 2), 1), (P(QQ, -1, 1), 1)])
@@ -186,6 +192,178 @@ class TestContextInvariants:
         for factors in ([(Poly.x(QQ), 3000000), (P(QQ, -1, 1), 1)], [(Poly.x(QQ), 1)]):
             with pytest.raises(FactorListError, match="factor product does not reassemble h"):
                 AhContext(h, factors=factors)
+
+
+# -- the routes the squarefree decomposition replaced, kept as oracles ----------------
+
+
+def pi_by_gcd(h):
+    """Oracle: pi_h = h / gcd(h, h'), made monic (1 when h' = 0)."""
+    d = h.derivative()
+    if d.is_zero():
+        return Poly.one(h.field)
+    return h.exact_div(h.gcd_monic(d)).monic()
+
+
+def varrho_by_sympy(h):
+    """Oracle: varrho_h = prod g^(p floor(m/p)) over sympy's squarefree
+    decomposition h = lc prod g^m (1 over Q)."""
+    F = h.field
+    if F.is_char_zero or h.is_constant():
+        return Poly.one(F)
+    p = F.p
+    x = sympy.Symbol("x")
+    _, parts = sympy.sqf_list(sympy.Poly([int(c) for c in reversed(h.coeffs)], x, modulus=p))
+    out = Poly.one(F)
+    for g, m in parts:
+        g = Poly(F, [int(c) % p for c in reversed(g.all_coeffs())]).monic()
+        out = out * g ** (p * (int(m) // p))
+    return out
+
+
+def verify_factor_list_by_gcds(h, factors):
+    """Oracle: the factor-list check by trial gcds. Each u is monic,
+    nonconstant and squarefree, each multiplicity is >= 1, the u are
+    pairwise coprime, and they reassemble h up to its leading coefficient;
+    then pi_h and varrho_h rebuilt from the list must equal `pi_by_gcd` and
+    `varrho_by_sympy`. Returns (pi_h, varrho_h), or raises FactorListError."""
+    F = h.field
+    p = F.characteristic
+    for idx, (u, a) in enumerate(factors):
+        if u.is_constant() or not u.is_monic():
+            raise FactorListError(f"factor {u} must be monic and nonconstant")
+        if a < 1:
+            raise FactorListError(f"multiplicity {a} of {u} must be >= 1")
+        du = u.derivative()
+        if du.is_zero() or not u.gcd_monic(du).is_one():
+            raise FactorListError(f"factor {u} is not squarefree")
+        for v, _ in factors[idx + 1 :]:
+            if not u.gcd_monic(v).is_one():
+                raise FactorListError(f"factors {u} and {v} share a root")
+    if sum(a * u.degree for u, a in factors) != h.degree:
+        raise FactorListError("factor product does not reassemble h")
+    prod = Poly.constant(F, h.leading_coefficient())
+    pi = rho = Poly.one(F)
+    for u, a in factors:
+        prod = prod * u**a
+        if not p or a % p:
+            pi = pi * u
+        if p:
+            rho = rho * u ** (p * (a // p))
+    if prod != h:
+        raise FactorListError("factor product does not reassemble h")
+    if pi != pi_by_gcd(h) or rho != varrho_by_sympy(h):
+        raise FactorListError("factor list disagrees with the gcd-computed pi/varrho")
+    return pi, rho
+
+
+def nilpotency_bound_by_search(h):
+    """Oracle, characteristic 0: the least n with h/pi_h | pi_(h/pi_h)^n,
+    found by trying n = 0, 1, 2, ..."""
+    h_over_pi = h.exact_div(pi_by_gcd(h)).monic()
+    pi_hp = pi_by_gcd(h_over_pi)
+    n, test = 0, Poly.one(h.field)
+    while not h_over_pi.divides(test):
+        n += 1
+        test = test * pi_hp
+        assert n <= h.degree + 1, "nilpotency bound search did not terminate"
+    return n
+
+
+def check_against_oracles(h, factors):
+    """The context's verdict on `factors`, its pi_h and varrho_h, and over Q
+    its structure report, each against the oracles above; returns whether
+    the list was accepted."""
+    plain = AhContext(h)
+    assert plain.pi_h == pi_of(h) == pi_by_gcd(h)
+    assert plain.varrho_h == varrho_of(h) == varrho_by_sympy(h)
+    try:
+        want = verify_factor_list_by_gcds(h, factors)
+    except FactorListError:
+        with pytest.raises(FactorListError):
+            AhContext(h, factors=factors)
+        return False
+    ctx = AhContext(h, factors=factors)
+    assert (ctx.pi_h, ctx.varrho_h) == want
+    if h.field.is_char_zero:
+        rep, bare = structure_report_char0(ctx), structure_report_char0(plain)
+        bound = nilpotency_bound_by_search(h)
+        assert rep.nilpotency_index_bound == bare.nilpotency_index_bound == bound
+        assert rep.nilpotent_N_trivial == bare.nilpotent_N_trivial == all(a <= 2 for _, a in factors)
+        assert rep.multiplicity_gt1_primes == tuple((u, a) for u, a in factors if a > 1)
+        assert bare.multiplicity_gt1_primes is None and bare.witt_summand_count is None
+    return True
+
+
+@st.composite
+def factor_lists(draw, field):
+    """(h, factors): h = lc prod u_i^alpha_i over a few small monic u_i,
+    which may be reducible, non-squarefree, p-th powers (some u(x^p)) or
+    share roots, and the list (u_i, alpha_i) as drawn or mutated: a
+    multiplicity moved, two entries merged into one reducible factor (valid
+    when their multiplicities agree and they are coprime), an entry dropped
+    or repeated, or a factor scaled off monic."""
+    p = field.characteristic
+    scalars = st.integers(0, p - 1) if p else st.integers(-3, 3)
+    shapes = ["linear", "linear", "quadratic"] + (["frobenius"] if p else [])
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        shape = draw(st.sampled_from(shapes))
+        low = [draw(scalars) for _ in range(2 if shape == "quadratic" else 1)]
+        u = Poly(field, [*low, 1])
+        if shape == "frobenius":
+            u = u.substitute_xp()
+        factors.append((u, draw(st.integers(1, p + 2 if p else 4))))
+    lc = draw(scalars.filter(bool))
+    h = Poly.constant(field, lc)
+    for u, a in factors:
+        h = h * u**a
+    kinds = ["as drawn", "as drawn", "multiplicity", "merge", "merge", "drop", "repeat", "scale"]
+    kind = draw(st.sampled_from(kinds))
+    i = draw(st.integers(0, len(factors) - 1))
+    u, a = factors[i]
+    if kind == "multiplicity":
+        factors[i] = (u, a + draw(st.sampled_from([-1, 1])))
+    elif kind == "merge" and len(factors) > 1:
+        v, b = factors.pop(i - 1)
+        factors[i - 1 if i else 0] = (u * v, min(a, b))
+    elif kind == "drop":
+        factors.pop(i)
+    elif kind == "repeat":
+        factors.append((u, a))
+    elif kind == "scale" and p != 2:
+        factors[i] = (u.scale(2), a)
+    return h, factors
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3, GF5], ids=str)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_factor_list_check_matches_the_gcd_route(field, data):
+    h, factors = data.draw(factor_lists(field))
+    check_against_oracles(h, factors)
+
+
+@pytest.mark.parametrize(
+    "h,factors,accepted",
+    [
+        # a p-th power factor is not squarefree; its p-th root is the valid entry
+        (xn(GF3, 3) * P(GF3, 1, 1), [(xn(GF3, 3), 1), (P(GF3, 1, 1), 1)], False),
+        (xn(GF3, 3) * P(GF3, 1, 1), [(Poly.x(GF3), 3), (P(GF3, 1, 1), 1)], True),
+        (P(GF2, 1, 0, 1) ** 2, [(P(GF2, 1, 1), 4)], True),
+        # shared roots, and a non-squarefree factor
+        (xn(QQ, 2) * P(QQ, 1, 1), [(Poly.x(QQ), 1), (P(QQ, 0, 1, 1), 1)], False),
+        (xn(QQ, 2) * P(QQ, 1, 1), [(xn(QQ, 2), 1), (P(QQ, 1, 1), 1)], False),
+        # wrong multiplicities with the right degree
+        (xn(QQ, 2) * P(QQ, 1, 1) ** 2, [(Poly.x(QQ), 3), (P(QQ, 1, 1), 1)], False),
+        (xn(GF5, 2) * P(GF5, 1, 1), [(Poly.x(GF5), 1), (P(GF5, 1, 1), 2)], False),
+        # a reducible factor is accepted: irreducibility is not checked
+        (xn(QQ, 2) * P(QQ, 1, 1) ** 2, [(P(QQ, 0, 1, 1), 2)], True),
+        (xn(GF3, 3) * P(GF3, 1, 1) ** 3, [(P(GF3, 0, 1, 1), 3)], True),
+    ],
+)
+def test_factor_list_cases(h, factors, accepted):
+    assert check_against_oracles(h, factors) == accepted
 
 
 class TestMembership:

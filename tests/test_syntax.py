@@ -1,11 +1,13 @@
 """Static checks on the package source: it parses under the oldest Python
 that CI runs (3.10), so syntax that needs a later version fails here on any
 interpreter, no module but `__init__` imports a name it does not use,
-every private helper is referenced somewhere in the package, and no module
+every private helper is referenced somewhere in the package, every
+exception class it defines is raised somewhere in it, and no module
 leans on the private API of `fractions.Fraction`, which changes between
 the Python versions CI runs."""
 
 import ast
+import builtins
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,6 +55,39 @@ def test_every_private_helper_is_referenced():
                 used.add(node.attr)
     dead = {name: where for name, where in defined.items() if name not in used}
     assert not dead, f"private helpers never referenced: {dead}"
+
+
+def test_every_exception_class_is_raised():
+    # an exception class that nothing in the package raises is dead API; an
+    # exception class is one whose bases include a builtin exception or
+    # another exception class of the package, and a raise names it directly
+    bases, raised = {}, set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = (
+                    {b.id for b in node.bases if isinstance(b, ast.Name)},
+                    f"{path.name}:{node.lineno}",
+                )
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+
+    def is_exception(name, seen=()):
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type) and issubclass(builtin, BaseException):
+            return True
+        return name in bases and name not in seen and any(
+            is_exception(b, (*seen, name)) for b in bases[name][0]
+        )
+
+    never = {
+        name: where
+        for name, (_, where) in bases.items()
+        if is_exception(name) and name not in raised
+    }
+    assert not never, f"exception classes never raised: {never}"
 
 
 # `_from_coprime_ints` exists only from 3.12 and the constructor keyword
