@@ -14,7 +14,18 @@ elements, a single variable (`x` or `u`) for polynomials. Errors carry the
 offending position. Printing lives on the value classes (increasing-degree order);
 everything printed re-parses to an equal value.
 
-Evaluation is sparse: every value is a dict {(i, j): c} standing for the
+Two routes read text, and the input alone picks one. Printed text is
+read in one regular pass per piece (`_read_normal_form`): the printers'
+language is a signed sum of c*x^i, c*x^i*y^j, y^j and (signed sum of
+c*x^i)*y^j, a compiled pattern matches one piece at a time, and each
+coefficient goes straight into the raw dict of its row, with no token
+list and no per-term value. The reader never raises: for any other text,
+and wherever a check below could fire, it returns None, and the recursive
+descent over the grammar above reads the text. So every error, with its
+message and position, comes from the descent, and the descent alone reads
+powers of sums, nesting, reordering products and hand-typed input.
+
+The descent evaluates sparsely: every value is a dict {(i, j): c} for the
 sum of the c x^i y^j, each c a nonzero scalar in the field's raw form: a
 residue in [0, p) over GF(p); over Q a plain int, or a `Fraction` where an
 `a/b` literal made one. A sum adds the raw coefficients of all its terms
@@ -31,8 +42,8 @@ end, and on the operands of the reordering product. Over Q each row is
 then put over one denominator, the lcm of its literals' denominators,
 straight from the raw ints and Fractions (`Poly.from_coeff_dict`), and
 the product's rows come back as ints, with a `Fraction` only where a row
-has a denominator. So text in the printed normal form parses without a
-polynomial or Weyl product, and over Q without `Fraction` arithmetic
+has a denominator. So text in normal order parses without a polynomial or
+Weyl product on either route, and over Q without `Fraction` arithmetic
 unless it has a rational literal.
 
 The tokenizer is one compiled regex (`_TOKEN`), whose character classes
@@ -61,6 +72,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from .fields import FieldSpec
 from .poly import _DIGITS_BOUND, MAX_DIGITS, Poly, _stored
@@ -108,11 +120,15 @@ def _check_power_digits(c, n: int, position: int) -> None:
 def _checked_digits(field: FieldSpec, value: dict, position: int) -> dict:
     """The value, refused over Q if a coefficient has a numerator or a
     denominator of more than `MAX_DIGITS` digits."""
-    if field.is_char_zero:
-        for c in value.values():
-            if abs(c.numerator) >= _DIGITS_BOUND or c.denominator >= _DIGITS_BOUND:
-                raise ParseError(f"a coefficient would take more than {MAX_DIGITS} digits", position)
+    if field.is_char_zero and _over_digits(value.values()):
+        raise ParseError(f"a coefficient would take more than {MAX_DIGITS} digits", position)
     return value
+
+
+def _over_digits(values) -> bool:
+    """Whether a scalar over Q among `values` has a numerator or a
+    denominator of more than `MAX_DIGITS` digits."""
+    return any(abs(c.numerator) >= _DIGITS_BOUND or c.denominator >= _DIGITS_BOUND for c in values)
 
 
 #: One token and the whitespace before it. Over str patterns \d is exactly
@@ -177,9 +193,17 @@ def _rows(value: dict) -> dict:
 
 
 def _to_weyl(field: FieldSpec, value: dict) -> WeylElement:
-    return WeylElement._canonical(
-        field, {j: Poly.from_coeff_dict(field, row) for j, row in _rows(value).items()}
-    )
+    return _weyl_from_rows(field, _rows(value))
+
+
+def _weyl_from_rows(field: FieldSpec, rows: dict) -> WeylElement:
+    """The element of rows {y-degree: {x-degree: raw scalar}} (`_rows`); a
+    row whose scalars are all zero is dropped."""
+    terms = {}
+    for j, row in rows.items():
+        if r := Poly.from_coeff_dict(field, row):
+            terms[j] = r
+    return WeylElement._canonical(field, terms)
 
 
 def _degrees(value: dict):
@@ -286,7 +310,8 @@ class _Parser:
     def expect(self, kind):
         tok = self.advance()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            found = "end of input" if tok[0] == "end" else repr(tok[1])
+            raise ParseError(f"expected {kind!r}, found {found}", tok[2])
         return tok
 
     def parse(self):
@@ -383,6 +408,8 @@ class _Parser:
             return inner
         if kind == "-":
             return _reduced(self.field, {k: -c for k, c in self.factor().items()})
+        if kind == "end":
+            raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected token {value!r}", pos)
 
     def mul(self, a: dict, b: dict, position: int) -> dict:
@@ -422,14 +449,143 @@ class _Parser:
         return out
 
 
+# -- the printed normal form -------------------------------------------------------------
+
+
+def _name_power(name: str, group: str) -> str:
+    """The pattern of name or name^e, the name captured as `group`, then e."""
+    return rf"(?P<{group}>{re.escape(name)})(?:\s*\^\s*(\d+))?"
+
+
+@lru_cache(maxsize=8)  # names are few: (x, y), (x,) and (u,)
+def _piece_patterns(names: tuple):
+    """(monomial, row): the compiled patterns of one piece of the printed
+    normal form over `names`, (x,) or (x, y), with the whitespace around it.
+
+    `monomial` is an optional sign, then c*x^i*y^j, where the coefficient c
+    (an int or a/b) and each power may be left out, but not all three, and
+    a '*' stands before a power that follows a coefficient or a power. Its
+    groups are (sign, c, b, x, i), then (y, j) with y. `row`, None without
+    y, is an optional sign, a parenthesized text and then '*' y^j, with the
+    groups (sign, text, y, j). Whitespace is \\s and digits are \\d, as in
+    `_TOKEN`. Each piece after the first starts with a sign, so a name or a
+    number that only starts a longer token of `_tokenize` ('x2', '2x')
+    leaves text that no piece matches."""
+    x, *y = names
+    sign = r"\s*(?:([-+])\s*)?"  # no two \s* meet, so a failed match backtracks in linear time
+    monomial = (
+        rf"{sign}(?=\d|{'|'.join(map(re.escape, names))})(?:(?P<c>\d+)(?:/(\d+))?)?"
+        rf"(?:(?(c)\s*\*\s*){_name_power(x, 'x')})?"
+    )
+    if not y:
+        return re.compile(monomial + r"\s*"), None
+    monomial += rf"(?:(?(c)\s*\*\s*|(?(x)\s*\*\s*)){_name_power(y[0], 'y')})?\s*"
+    row = rf"{sign}\(([^()]*)\)\s*\*\s*{_name_power(y[0], 'y')}\s*"
+    return re.compile(monomial), re.compile(row)
+
+
+def _scalar(negative: bool, num, den, p: int):
+    """The raw scalar of the coefficient num or num/den of a piece, 1 where
+    it has none, negated with `negative`; None where the descent would
+    refuse it: a literal over `MAX_DIGITS` digits, a zero denominator, or
+    a denominator divisible by p. `int()` reads only literals within the
+    limit."""
+    if num is None:
+        c = 1
+    elif len(num) > MAX_DIGITS:
+        return None
+    elif den is None:
+        c = int(num)
+    elif len(den) > MAX_DIGITS or not (d := int(den)) or (p and d % p == 0):
+        return None
+    else:
+        c = int(num) * pow(d, -1, p) if p else Fraction(int(num), d)
+    if negative:
+        c = -c
+    return c % p if p else c
+
+
+def _exponent(name, e) -> int:
+    """The exponent of a power name^e in a piece: 0 where there is no name,
+    1 where there is no '^', and -1 where the descent would refuse it: a
+    literal over `MAX_DIGITS` digits or a degree over `MAX_DEGREE`."""
+    if name is None:
+        return 0
+    if e is None:
+        return 1
+    return -1 if len(e) > MAX_DIGITS or (n := int(e)) > MAX_DEGREE else n
+
+
+def _add(row: dict, i: int, c, p: int) -> bool:
+    """row[i] += c, reduced mod p; True where row held i, so a sum was made."""
+    if i not in row:
+        row[i] = c
+        return False
+    row[i] = (row[i] + c) % p if p else row[i] + c
+    return True
+
+
+def _read_normal_form(text: str, field: FieldSpec, names: tuple):
+    """The rows {y-degree: {x-degree: c}} (`_rows`) of text in the language
+    of the printers over `names`, (x,) or (x, y), each c a raw scalar,
+    zeros kept; None for any other text.
+
+    The language is regular: a signed sum of the pieces c*x^i, c*x^i*y^j,
+    y^j and (signed sum of c*x^i)*y^j, of which `_piece_patterns` matches
+    one at a time; the text in parentheses is read over (x,). Each
+    coefficient is added straight into its row, with no token list and no
+    descent. None also wherever a check of the descent could fire: on a
+    literal or an exponent (`_scalar`, `_exponent`), on a sum over Q, in
+    each parenthesized row and in the whole text, and on the dense size,
+    taken with zeros counted, over `MAX_CELLS`. So every error, and every
+    text outside the language, is left to the descent. Never raises."""
+    p = field.characteristic
+    monomial, parenthesized = _piece_patterns(names)
+    rows, summed, pos = {}, False, 0
+    while True:
+        if m := monomial.match(text, pos):
+            sign, num, den, xs, i, *y = m.groups()
+            c, i, j = _scalar(sign == "-", num, den, p), _exponent(xs, i), _exponent(*y) if y else 0
+            if c is None or i < 0 or j < 0:
+                return None
+            summed |= _add(rows.setdefault(j, {}), i, c, p)
+        elif parenthesized and (m := parenthesized.match(text, pos)):
+            sign, inner, ys, j = m.groups()
+            inner, j = _read_normal_form(inner, field, names[:1]), _exponent(ys, j)
+            if inner is None or j < 0:
+                return None
+            row = inner[0]
+            if sign == "-":
+                row = {i: -c % p if p else -c for i, c in row.items()}
+            if (old := rows.setdefault(j, row)) is not row:
+                for i, c in row.items():
+                    summed |= _add(old, i, c, p)
+        else:
+            return None
+        if (sign == "+") if not pos else (sign is None):
+            return None
+        if (pos := m.end()) == len(text):
+            break
+    if summed and not p and any(_over_digits(row.values()) for row in rows.values()):
+        return None
+    if sum(map(max, rows.values())) + len(rows) > MAX_CELLS:
+        return None
+    return rows
+
+
 def parse_weyl(text: str, field: FieldSpec) -> WeylElement:
-    atoms = {"x": {(1, 0): 1}, "y": {(0, 1): 1}}
-    return _to_weyl(field, _Parser(text, field, atoms).parse())
+    rows = _read_normal_form(text, field, ("x", "y"))
+    if rows is None:
+        atoms = {"x": {(1, 0): 1}, "y": {(0, 1): 1}}
+        rows = _rows(_Parser(text, field, atoms).parse())
+    return _weyl_from_rows(field, rows)
 
 
 def parse_poly(text: str, field: FieldSpec, var: str = "x") -> Poly:
-    value = _Parser(text, field, {var: {(1, 0): 1}}).parse()
-    return Poly.from_coeff_dict(field, _rows(value).get(0, {}))
+    rows = _read_normal_form(text, field, (var,))
+    if rows is None:
+        rows = _rows(_Parser(text, field, {var: {(1, 0): 1}}).parse())
+    return Poly.from_coeff_dict(field, rows.get(0, {}))
 
 
 def parse_factors(text: str, field: FieldSpec):

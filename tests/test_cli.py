@@ -47,6 +47,11 @@ class TestExitCodes:
         assert code == 1
         assert "parse error" in err
 
+    def test_parse_error_at_the_end_of_input(self, capsys):
+        code, out, err = run_cli(["analyze", "--h", "", "--char", "3"], capsys=capsys)
+        assert code == 1 and out == ""
+        assert err == "error (parse error): unexpected end of input (at position 0)\n"
+
     @pytest.mark.parametrize(
         "h,char,message",
         [

@@ -1,6 +1,7 @@
 """Text grammar: parsing, printing, and round trips; the sparse parser
-against the dense WeylElement-valued parser it replaced, and the one-regex
-tokenizer against the per-character loop it replaced."""
+against the dense WeylElement-valued parser it replaced, the one-regex
+tokenizer against the per-character loop it replaced, and the normal-form
+reader against the recursive descent behind it."""
 
 import random
 from fractions import Fraction
@@ -27,6 +28,7 @@ from ahweyl.parse import (
 from ahweyl.poly import Poly
 from ahweyl.weyl import WeylElement
 
+from test_printer import polys
 from test_weyl import random_weyl, repeated_product
 
 GF3 = FieldSpec(3)
@@ -183,7 +185,8 @@ class OracleParser:
     def expect(self, kind):
         tok = self.advance()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            found = "end of input" if tok[0] == "end" else repr(tok[1])
+            raise ParseError(f"expected {kind!r}, found {found}", tok[2])
         return tok
 
     def parse(self):
@@ -248,6 +251,8 @@ class OracleParser:
             return inner
         if kind == "-":
             return -self.factor()
+        if kind == "end":
+            raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected token {value!r}", pos)
 
 
@@ -543,6 +548,27 @@ def test_negative_exponent_is_a_parse_error():
         assert str(e.value) == "expected 'num', found '-' (at position 2)"
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "unexpected end of input"),
+        ("x +", "unexpected end of input"),
+        ("x + ", "unexpected end of input"),
+        ("x*", "unexpected end of input"),
+        ("(", "unexpected end of input"),
+        ("-", "unexpected end of input"),
+        ("x^", "expected 'num', found end of input"),
+    ],
+)
+def test_errors_at_the_end_of_input_name_it(text, message):
+    # the position is the length of the text, trailing whitespace included
+    for parse_text in (parse_weyl, parse_poly):
+        with pytest.raises(ParseError) as e:
+            parse_text(text, GF3)
+        assert (str(e.value), e.value.position) == (f"{message} (at position {len(text)})", len(text))
+    assert_same_outcome(parse_weyl, oracle_weyl, text, GF3)
+
+
 @given(
     field=st.sampled_from(FIELDS),
     seed=st.integers(0, 2**32),
@@ -798,3 +824,235 @@ def test_digit_limit_where_a_coefficient_is_made():
         assert (str(e.value), e.value.position) == (f"{message} (at position {position})", position)
     # over GF(p) a coefficient is below p, whatever its digits over Q
     assert parse_poly("2^14000*2^14000*x", GF3) == Poly.monomial(GF3, pow(2, 28000, 3), 1)
+
+
+# -- the normal-form reader in front of the descent ----------------------------------------
+
+WEYL_NAMES = ("x", "y")
+
+
+def read(text, field, names):
+    """The reader alone: the WeylElement (two names) or Poly (one) it reads,
+    or None where it declines."""
+    rows = parse._read_normal_form(text, field, names)
+    if rows is None:
+        return None
+    if len(names) == 2:
+        return parse._weyl_from_rows(field, rows)
+    return Poly.from_coeff_dict(field, rows.get(0, {}))
+
+
+def descend(text, field, names):
+    """The recursive descent alone, as both parsers ran before the reader."""
+    atoms = {"x": {(1, 0): 1}, "y": {(0, 1): 1}} if len(names) == 2 else {names[0]: {(1, 0): 1}}
+    value = parse._Parser(text, field, atoms).parse()
+    if len(names) == 2:
+        return parse._to_weyl(field, value)
+    return Poly.from_coeff_dict(field, parse._rows(value).get(0, {}))
+
+
+def parse_with(text, field, names):
+    return parse_weyl(text, field) if len(names) == 2 else parse_poly(text, field, names[0])
+
+
+def oracle_with(text, field, names):
+    return oracle_weyl(text, field) if len(names) == 2 else oracle_poly(text, field, names[0])
+
+
+def assert_reader_agrees(text, field, names):
+    """The reader never raises, and a value it reads is the descent's."""
+    got = read(text, field, names)
+    if got is not None:
+        assert descend(text, field, names) == got
+
+
+@st.composite
+def printed_values(draw):
+    """(field, value, printed text, names): a WeylElement or a Poly (over x
+    or u) with fractional, negative leading, zero and one coefficients over
+    Q, and exponents past p."""
+    field = draw(st.sampled_from(FIELDS))
+    if draw(st.booleans()):
+        w = WeylElement(field, draw(st.dictionaries(st.integers(0, 12), polys(field, 12), max_size=5)))
+        return field, w, str(w), WEYL_NAMES
+    var = draw(st.sampled_from(["x", "u"]))
+    f = draw(polys(field, 12))
+    return field, f, f.to_text(var), (var,)
+
+
+@given(case=printed_values())
+@example(case=(QQ, WeylElement.zero(QQ), "0", WEYL_NAMES))
+@example(case=(FieldSpec(2), Poly.zero(FieldSpec(2)), "0", ("u",)))
+@example(case=(QQ, parse_weyl("-1/2 + (-x + 3*x^9)*y^11", QQ), "-1/2 + (-x + 3*x^9)*y^11", WEYL_NAMES))
+@settings(max_examples=300, deadline=None)
+def test_reader_reads_every_printed_text(case):
+    # a reader that declined printed text would fall back to the descent
+    # and still parse it; this catches such a silent fallback
+    field, value, text, names = case
+    assert read(text, field, names) == value
+    assert parse_with(text, field, names) == value
+
+
+def spaced(text, draw):
+    """text with whitespace drawn before each of its tokens and at its end,
+    wherever `_tokenize` allows it."""
+    out, last = [], 0
+    for _, _, position in _tokenize(text):
+        out.append(text[last:position])
+        out.append(draw(st.sampled_from(["", "", " ", "  ", "\t", "\n ", "\u00a0"])))
+        last = position
+    return "".join(out)
+
+
+@given(case=printed_values(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_reader_reads_printed_text_with_extra_whitespace(case, data):
+    field, value, text, names = case
+    text = spaced(text, data.draw)
+    assert read(text, field, names) == value
+    assert assert_same_outcome(parse_with, oracle_with, text, field, names) == value
+
+
+@st.composite
+def normal_form_text(draw, names):
+    """Text in the reader's language over `names`, past what the printers
+    write: repeated and zero terms, x^0, 1*x, a/b not in lowest terms,
+    pieces in any order, rows in parentheses with y^0 or y^1; now and then
+    with a suffix that may leave the language, such as '^2', ' + -1' or
+    ' + y*x'."""
+    x, *y = names
+
+    def power_of(name):
+        return name + draw(st.sampled_from(["", "^0", "^1", "^2", "^3", " ^ 7", "^11"]))
+
+    def number():
+        n = str(draw(st.integers(0, 12)))
+        return n if draw(st.booleans()) else f"{n}/{draw(st.integers(1, 6))}"
+
+    def monomial(names):
+        parts = [number()] if draw(st.booleans()) else []
+        parts += [power_of(name) for name in names if draw(st.booleans())]
+        return draw(st.sampled_from(["*", " * "])).join(parts or [number()])
+
+    def signed_sum(piece):
+        out = draw(st.sampled_from(["", "-", "- "]))
+        for k in range(draw(st.integers(1, 4))):
+            if k:
+                out += draw(st.sampled_from([" + ", " - ", "+", "-"]))
+            out += piece()
+        return out
+
+    def piece():
+        if y and draw(st.integers(0, 3)) == 0:
+            return f"({signed_sum(lambda: monomial([x]))})*{power_of(y[0])}"
+        return monomial(names)
+
+    suffix = draw(st.sampled_from(["", "", "", "^2", " + -1", f" + {names[-1]}*{x}", " + 2x", "*(x+1)"]))
+    return signed_sum(piece) + suffix
+
+
+@given(
+    field=st.sampled_from(FIELDS),
+    case=st.sampled_from([WEYL_NAMES, ("x",), ("u",)]).flatmap(
+        lambda names: st.tuples(st.just(names), normal_form_text(names))
+    ),
+)
+@example(field=QQ, case=(WEYL_NAMES, "x*y - 2/4*x*y + (0*x + 1)*y - 1/2*y^1 - (1)*y + 0"))
+@example(field=FieldSpec(2), case=(WEYL_NAMES, "(x + x)*y^0 - 3*x^0*y^0 + 1"))
+@settings(max_examples=400, deadline=None)
+def test_reader_matches_the_descent_and_the_oracle(field, case):
+    names, text = case
+    assert_reader_agrees(text, field, names)
+    assert_same_outcome(parse_with, oracle_with, text, field, names)
+
+
+@given(
+    field=st.sampled_from(FIELDS),
+    text=st.one_of(
+        grammar_text(WEYL_NAMES),
+        st.text(st.sampled_from(TOKEN_CHARS), max_size=24),
+        long_digits(st.text(st.sampled_from(TOKEN_CHARS), max_size=4)),
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_reader_never_raises_and_agrees_with_the_descent(field, text):
+    for names in (WEYL_NAMES, ("x",)):
+        assert_reader_agrees(text, field, names)
+
+
+FIVES = "5" * MAX_DIGITS  # twice it has MAX_DIGITS + 1 digits
+TOP = MAX_DEGREE
+
+
+@pytest.mark.parametrize(
+    "text,field,names,outcome",
+    [
+        ("+x", QQ, WEYL_NAMES, ("unexpected token '+'", 0)),
+        ("x + -1", QQ, WEYL_NAMES, "-1 + x"),
+        ("x^2^3", QQ, WEYL_NAMES, ("unexpected trailing '^'", 3)),
+        ("y*x", QQ, WEYL_NAMES, "1 + x*y"),
+        ("2x", GF3, WEYL_NAMES, ("unexpected trailing 'x'", 1)),
+        ("(x + 1)", QQ, WEYL_NAMES, "1 + x"),  # a row without its y^j
+        ("(x + +1)*y", QQ, WEYL_NAMES, ("unexpected token '+'", 5)),
+        (
+            f"{'7' * (MAX_DIGITS + 1)}*x",
+            QQ,
+            WEYL_NAMES,
+            (f"number literal of {MAX_DIGITS + 1} digits exceeds the limit {MAX_DIGITS}", 0),
+        ),
+        (
+            f"y^{'0' * MAX_DIGITS}1",
+            QQ,
+            WEYL_NAMES,
+            (f"number literal of {MAX_DIGITS + 1} digits exceeds the limit {MAX_DIGITS}", 2),
+        ),
+        (f"x^{TOP + 1}", QQ, ("x",), (f"degree {TOP + 1} exceeds the limit {TOP}", 2)),
+        (f"(1 + x^{TOP + 1})*y", QQ, WEYL_NAMES, (f"degree {TOP + 1} exceeds the limit {TOP}", 7)),
+        ("1/0", QQ, WEYL_NAMES, ("zero denominator", 2)),
+        ("1/3*x", GF3, WEYL_NAMES, ("denominator 3 of 1/3 is divisible by the characteristic 3", 0)),
+        ("x - 2/15*y", FieldSpec(5), WEYL_NAMES, ("denominator 15 of 2/15 is divisible by the characteristic 5", 4)),
+        # the row's own sum is over the limit, though the whole text cancels to 0
+        (
+            f"({FIVES}*x + {FIVES}*x)*y - {FIVES}*x*y - {FIVES}*x*y",
+            QQ,
+            WEYL_NAMES,
+            (f"a coefficient would take more than {MAX_DIGITS} digits", MAX_DIGITS + 6),
+        ),
+        # a row within the limit, and its sum with a term of the same y-degree over it
+        (
+            f"({FIVES}*x + 1)*y + {FIVES}*x*y",
+            QQ,
+            WEYL_NAMES,
+            (f"a coefficient would take more than {MAX_DIGITS} digits", MAX_DIGITS + 13),
+        ),
+        (
+            f"{FIVES}*x*y + ({FIVES}*x + 1)*y",
+            QQ,
+            WEYL_NAMES,
+            (f"a coefficient would take more than {MAX_DIGITS} digits", MAX_DIGITS + 7),
+        ),
+        (
+            f"{FIVES}*x + {FIVES}*x",
+            QQ,
+            ("x",),
+            (f"a coefficient would take more than {MAX_DIGITS} digits", MAX_DIGITS + 5),
+        ),
+        ("x + y", QQ, ("x",), ("unknown name 'y'", 4)),
+        ("u + x", QQ, ("u",), ("unknown name 'x'", 4)),
+        (
+            f"x^{TOP}*y + x^{TOP}*y^2 + 1",
+            GF3,
+            WEYL_NAMES,
+            (f"the value takes {MAX_CELLS + 1} coefficient slots, over the limit {MAX_CELLS}", 30),
+        ),
+    ],
+)
+def test_reader_declines_and_the_descent_decides(text, field, names, outcome):
+    assert parse._read_normal_form(text, field, names) is None
+    if isinstance(outcome, str):
+        assert parse_with(text, field, names) == parse_weyl(outcome, field)
+        return
+    message, position = outcome
+    with pytest.raises(ParseError) as e:
+        parse_with(text, field, names)
+    assert (str(e.value), e.value.position) == (f"{message} (at position {position})", position)
