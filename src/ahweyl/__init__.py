@@ -21,8 +21,6 @@ from .context import (
     MembershipError,
     NormalizerResult,
     NotCentralizing,
-    pi_of,
-    varrho_of,
     weyl_context,
 )
 from .derivations import (
@@ -119,11 +117,9 @@ __all__ = [
     "parse_factors",
     "parse_poly",
     "parse_weyl",
-    "pi_of",
     "restrict_to_center",
     "run_verify",
     "structure_report_char0",
     "varpi",
-    "varrho_of",
     "weyl_context",
 ]

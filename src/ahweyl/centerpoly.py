@@ -59,8 +59,8 @@ class CenterPoly(_Rows):
 
     def __mul__(self, other: "CenterPoly") -> "CenterPoly":
         self._check(other)
-        da, a = self._lift()
-        db, b = other._lift()
+        da, a = self.field.lift(self.terms)
+        db, b = self.field.lift(other.terms)
         rows = {}  # t2-degree -> raw coefficients of its t1-polynomial
         for j1, r1 in a.items():
             for j2, r2 in b.items():

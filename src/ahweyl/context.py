@@ -7,7 +7,8 @@ consumes:
 
 * the squarefree decomposition h = lc prod f_m^m, computed once
   (`squarefree`): pi_h, varrho_h and the check of a factor list given by
-  the user are read off it, with no factoring;
+  the user are read off it, with no factoring; the attributes `pi_h` and
+  `varrho_h` are the one route to either;
 * pi_h: the monic generator of {r : h | h'r}, the product of the f_m with
   p not dividing m (every f_m over Q);
 * varrho_h: in characteristic p, the maximal monic divisor of h lying in
@@ -21,7 +22,8 @@ consumes:
   operator, whose kernel Theta consists of the r with D_r vanishing on the
   center, and the complement S of im delta in Theta: a basis of Theta in
   degrees below deg h, with |S| = deg_u hbar, so that
-  Theta = span S (+) im delta.
+  Theta = span S (+) im delta. S, like the other values built once per
+  context, is kept by `memo`.
 
 Membership and normalizer tests, the one centralizer read (coordinates in
 C_{A_h}(x) = Z(A_h) F[x], of which the center coordinates are the ones in
@@ -94,24 +96,6 @@ def _pi_varrho(field, squarefree) -> tuple:
     return pi, rho
 
 
-def pi_of(h: Poly) -> Poly:
-    """Monic generator of {r : h | h'r}; equals h / gcd(h, h')."""
-    if h.is_zero():
-        raise ValueError("pi is undefined for h = 0")
-    return _pi_varrho(h.field, h.squarefree_decomposition())[0]
-
-
-def varrho_of(h: Poly) -> Poly:
-    """Maximal monic divisor of h lying in F[x^p]; 1 in characteristic 0.
-
-    Over the prime field F[x^p] = {w^p}, so this is the largest p-th power
-    dividing h, read off the squarefree decomposition.
-    """
-    if h.is_zero():
-        raise ValueError("varrho is undefined for h = 0")
-    return _pi_varrho(h.field, h.squarefree_decomposition())[1]
-
-
 def _verify_factor_list(h: Poly, squarefree, factors) -> tuple:
     """Check [(u_i, alpha_i)] against h = lc prod f_m^m, given as
     `squarefree` = [(f_m, m)]: each u_i monic and nonconstant over the field
@@ -167,7 +151,6 @@ class AhContext:
         self._h_hasse = [lifted]  # H_0(h), H_1(h), ... over dh, grown by `h_hasse`
         self.x_elt = WeylElement.x_power(self.field, 1)
         self.yhat = WeylElement(self.field, {1: h, 0: h.derivative()})  # y h = h y + h'
-        self._theta_S = None
         self._memo = {}
         self.degree_bound = None  # the normalizer levels read in characteristic p
         if not self.field.is_char_zero:
@@ -233,7 +216,7 @@ class AhContext:
 
     def memo(self, key, build):
         """build(), computed once per context and kept under `key`: for
-        values that depend on h alone, such as bhat_x and bhat_f."""
+        values that depend on h alone, such as bhat_x, bhat_f, the a_n and S."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
@@ -493,17 +476,15 @@ class AhContext:
         element per degree it reaches. It spans Theta in degrees below
         deg h and has deg_u hbar elements."""
         self._require_char_p()
-        if self._theta_S is None:
-            self._compute_theta_S()
-        return list(self._theta_S)
+        return list(self.memo("theta_S", self._compute_theta_S))
 
-    def _compute_theta_S(self):
-        """Nonzero elements of im delta = h F[x]' have degree >= deg h, so
-        they meet F[x] below deg h only in 0. vartheta maps F[x] below
-        deg h into hbar F[u] below deg h, of dimension deg h - deg_u hbar,
-        so its kernel there has dimension at least deg_u hbar =
-        dim Theta/im delta. Hence Theta = (Theta below deg h) (+) im delta,
-        and the dimension count is checked as a certificate."""
+    def _compute_theta_S(self) -> tuple:
+        """S, as a tuple. Nonzero elements of im delta = h F[x]' have
+        degree >= deg h, so they meet F[x] below deg h only in 0. vartheta
+        maps F[x] below deg h into hbar F[u] below deg h, of dimension
+        deg h - deg_u hbar, so its kernel there has dimension at least
+        deg_u hbar = dim Theta/im delta. Hence Theta = (Theta below deg h)
+        (+) im delta, and the dimension count is checked as a certificate."""
         F = self.field
         images = [
             self.theta_p_map(Poly.monomial(F, 1, i)).coeffs for i in range(int(self.h.degree))
@@ -514,7 +495,7 @@ class AhContext:
                 f"dim Theta/im delta is deg_u hbar = {self.hbar.degree}, "
                 f"but {len(S)} kernel elements lie below deg h"
             )
-        self._theta_S = S
+        return S
 
     def split_theta(self, g: Poly):
         """Write g in Theta as s + delta(c) with s in span S. Nonzero

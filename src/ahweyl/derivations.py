@@ -224,9 +224,6 @@ class Derivation:
             self.context, self.image_x - other.image_x, self.image_yhat - other.image_yhat
         )
 
-    def __neg__(self) -> "Derivation":
-        return Derivation(self.context, -self.image_x, -self.image_yhat)
-
     def scale(self, c) -> "Derivation":
         return Derivation(self.context, self.image_x.scale(c), self.image_yhat.scale(c))
 

@@ -128,16 +128,10 @@ class HH1ClassChar0:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((id(self.context), self.g, self.terms))
-
     def __add__(self, other: "HH1ClassChar0") -> "HH1ClassChar0":
         return HH1ClassChar0(
             self.context, self.g + other.g, tuple(self.terms) + tuple(other.terms)
         )
-
-    def __sub__(self, other: "HH1ClassChar0") -> "HH1ClassChar0":
-        return self + other.scale(-1)
 
     def scale(self, c) -> "HH1ClassChar0":
         return HH1ClassChar0(

@@ -7,7 +7,8 @@ Grammar (whitespace-insensitive):
     factor := atom ('^' nat)?
     atom   := number | name | '(' expr ')'
     number := int ['/' int]          (rationals reduce mod p in char p; a
-                                      denominator 0 or divisible by p is an error)
+                                      denominator 0 or divisible by p, as
+                                      written, is an error)
 
 Recognized names depend on what is being parsed: `x` and `y` for Weyl
 elements, a single variable (`x` or `u`) for polynomials. Errors carry the
@@ -32,10 +33,9 @@ residue in [0, p) over GF(p); over Q a plain int, or a `Fraction` where an
 and reduces them once (`FieldSpec.reduce`), dropping zeros; unary minus
 goes through the same reduction. A product whose left factor has no y, or
 whose right factor has no x, is already in normal order, x^i y^j * x^k y^l
-= x^(i+k) y^(j+l), and only adds exponents; of two monomials it is one
-step, one scalar product. Any other product (`y*x`) is the Weyl
-product of `weyl`, the one route that reorders. The power of a monomial
-c x^i or c y^j is c^n x^(in) or c^n y^(jn); any other power is
+= x^(i+k) y^(j+l), and only adds exponents. Any other product (`y*x`) is
+the Weyl product of `weyl`, the one route that reorders. The power of a
+monomial c x^i or c y^j is c^n x^(in) or c^n y^(jn); any other power is
 square-and-multiply through the same product. Scalars become canonical
 once, where a value leaves the parser: as a `WeylElement` or `Poly` at the
 end, and on the operands of the reordering product. Over Q each row is
@@ -143,7 +143,9 @@ _TOKEN = re.compile(r"(\s*)(?:([-+*^()])|(\d+)(/\d*)?|(\w+)|(.))", re.DOTALL)
 
 def _tokenize(text: str):
     """[(kind, value, position)], closed by ("end", None, len(text)); a
-    number literal is checked against `MAX_DIGITS` before `int()` reads it."""
+    number literal is checked against `MAX_DIGITS` before `int()` reads it.
+    The value of an integer literal is its int, that of a/b the text as
+    written, unreduced, which `atom` reads as `_scalar` does."""
     tokens = []
     i = 0
     for space, op, num, den, name, other in _TOKEN.findall(text):
@@ -159,9 +161,9 @@ def _tokenize(text: str):
                 if len(den) == 1:
                     raise ParseError("expected digits after '/'", k)
                 _check_literal(len(den) - 1, k)
-                if not (d := int(den[1:])):
+                if not int(den[1:]):
                     raise ParseError("zero denominator", k)
-                value = Fraction(value, d)
+                value = num + den
             tokens.append(("num", value, i))
             i += len(num) + len(den)
         elif name:
@@ -351,14 +353,6 @@ class _Parser:
         while self.peek()[0] == "*":
             position = self.advance()[2]
             right = self.factor()
-            if len(value) == 1 == len(right):
-                (((i, j), c),) = value.items()
-                (((k, l), d),) = right.items()
-                if not j or not k:  # c x^i y^j * d x^k y^l = cd x^(i+k) y^(j+l)
-                    _check_degree(max(i + k, j + l), position)
-                    e = c * d % self.p if self.p else c * d  # nonzero: a field has no zero divisors
-                    value = _checked_digits(self.field, {(i + k, j + l): e}, position)
-                    continue
             (i, j), (k, l) = _degrees(value), _degrees(right)
             _check_degree(max(i + k, j + l), position)
             value = self.mul(value, right, position)
@@ -387,18 +381,16 @@ class _Parser:
         kind, value, pos = tok
         if kind == "num":
             p = self.p
-            if not p:
-                return {(0, 0): value} if value else {}
-            if isinstance(value, Fraction):
-                if value.denominator % p == 0:
+            if type(value) is int:
+                c = value % p if p else value
+            else:
+                num, den = value.split("/")
+                if (c := _scalar(False, num, den, p)) is None:
                     raise ParseError(
-                        f"denominator {value.denominator} of {value} is divisible by the"
+                        f"denominator {int(den)} of {value} is divisible by the"
                         f" characteristic {p}",
                         pos,
                     )
-                c = self.field.coerce(value)
-            else:
-                c = value % p
             return {(0, 0): c} if c else {}
         if kind == "(":
             inner = self.expr()
@@ -488,8 +480,9 @@ def _scalar(negative: bool, num, den, p: int):
     """The raw scalar of the coefficient num or num/den of a piece, 1 where
     it has none, negated with `negative`; None where the descent would
     refuse it: a literal over `MAX_DIGITS` digits, a zero denominator, or
-    a denominator divisible by p. `int()` reads only literals within the
-    limit."""
+    a denominator divisible by p, tested as written. `int()` reads only
+    literals within the limit. The descent's `atom` reads an a/b literal
+    here too."""
     if num is None:
         c = 1
     elif len(num) > MAX_DIGITS:

@@ -241,8 +241,6 @@ class Poly:
     def __mul__(self, other):
         # the same kernel over the same field object needs no check
         if type(other) is not Poly or other.field is not self.field:
-            if isinstance(other, (int, Fraction)):
-                return self.scale(other)
             self._check(other)
         F = self.field
         a, b = self.coeffs, other.coeffs
@@ -251,11 +249,6 @@ class Poly:
         acc = [0] * (len(a) + len(b) - 1)
         _convolve(acc, a, b)
         return Poly._reduced(F, acc)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -640,8 +633,6 @@ class QPoly(Poly):
         return QPoly._make(self.field, (0,) * n + self.num, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         self._check(other)
         a, b = self.num, other.num
         if not a or not b:

@@ -1,8 +1,9 @@
 """Seeded property suites over a fixed context.
 
-Each property draws its inputs from an explicit random.Random, runs a bounded
-number of instances, and reports per-property counts; failures carry a
-counterexample echoed in the text grammar. The CLI `verify` command and the
+Each property is a function of the context and an explicit random.Random
+alone, `check_*(ctx, rng)`: it draws its inputs from the generator, runs a
+number of instances fixed in its body, and reports per-property counts;
+failures carry a counterexample echoed in the text grammar. The CLI `verify` command and the
 test suite both drive these.
 
 The properties are independent, so `run_verify` shares them among up to
@@ -139,20 +140,20 @@ def random_derivation(rng, ctx: AhContext):
 # -- individual properties ------------------------------------------------------------
 
 
-def check_poly_ring_axioms(ctx, rng, n=20):
+def check_poly_ring_axioms(ctx, rng):
     res = PropertyResult("poly ring axioms (associativity, distributivity)")
     F = ctx.field
-    for _ in range(n):
+    for _ in range(20):
         a, b, c = (random_poly(rng, F) for _ in range(3))
         ok = (a * b) * c == a * (b * c) and a * (b + c) == a * b + a * c
         res.check(ok, lambda: f"a={a}, b={b}, c={c}")
     return res
 
 
-def check_poly_divmod(ctx, rng, n=25):
+def check_poly_divmod(ctx, rng):
     res = PropertyResult("polynomial divmod contract")
     F = ctx.field
-    for _ in range(n):
+    for _ in range(25):
         f = random_poly(rng, F, 8)
         g = random_poly(rng, F, 5)
         if g.is_zero():
@@ -164,10 +165,10 @@ def check_poly_divmod(ctx, rng, n=25):
     return res
 
 
-def check_poly_gcd(ctx, rng, n=20):
+def check_poly_gcd(ctx, rng):
     res = PropertyResult("monic gcd divides both arguments")
     F = ctx.field
-    for _ in range(n):
+    for _ in range(20):
         f, g = random_poly(rng, F, 6), random_poly(rng, F, 6)
         if f.is_zero() and g.is_zero():
             continue
@@ -178,10 +179,10 @@ def check_poly_gcd(ctx, rng, n=20):
     return res
 
 
-def check_antiderivative(ctx, rng, n=20):
+def check_antiderivative(ctx, rng):
     res = PropertyResult("antiderivative/derivative round trip")
     F = ctx.field
-    for _ in range(n):
+    for _ in range(20):
         f = random_poly(rng, F, 10)
         g = f.antiderivative()
         if isinstance(g, NotIntegrable):
@@ -194,10 +195,10 @@ def check_antiderivative(ctx, rng, n=20):
     return res
 
 
-def check_frobenius(ctx, rng, n=20):
+def check_frobenius(ctx, rng):
     res = PropertyResult("Frobenius split/assemble round trip")
     F = ctx.field
-    for _ in range(n):
+    for _ in range(20):
         f = random_poly(rng, F, 3 * F.p)
         res.check(
             Poly.frobenius_assemble(F, f.frobenius_split()) == f, lambda: f"f={f}"
@@ -205,7 +206,7 @@ def check_frobenius(ctx, rng, n=20):
     return res
 
 
-def check_partial_p(ctx, rng, n=0):
+def check_partial_p(ctx, rng):
     res = PropertyResult("partial_p bucket formula on monomials")
     F = ctx.field
     p = F.p
@@ -221,19 +222,19 @@ def check_partial_p(ctx, rng, n=0):
     return res
 
 
-def check_weyl_associativity(ctx, rng, n=12):
+def check_weyl_associativity(ctx, rng):
     res = PropertyResult("Weyl product associativity")
     F = ctx.field
-    for _ in range(n):
+    for _ in range(12):
         a, b, c = (random_weyl(rng, F) for _ in range(3))
         res.check((a * b) * c == a * (b * c), lambda: f"a={a}, b={b}, c={c}")
     return res
 
 
-def check_weyl_jacobi(ctx, rng, n=10):
+def check_weyl_jacobi(ctx, rng):
     res = PropertyResult("Jacobi identity for the commutator")
     F = ctx.field
-    for _ in range(n):
+    for _ in range(10):
         a, b, c = (random_weyl(rng, F, 2, 3) for _ in range(3))
         s = (
             commutator(a, commutator(b, c))
@@ -244,10 +245,10 @@ def check_weyl_jacobi(ctx, rng, n=10):
     return res
 
 
-def check_reordering(ctx, rng, n=10):
+def check_reordering(ctx, rng):
     res = PropertyResult("normal-ordering formula vs iterated single steps")
     F = ctx.field
-    for _ in range(n):
+    for _ in range(10):
         f = WeylElement.from_poly(random_poly(rng, F, 5))
         m = rng.randrange(0, 7)
         lhs = WeylElement.y_power(F, m) * f
@@ -258,10 +259,10 @@ def check_reordering(ctx, rng, n=10):
     return res
 
 
-def check_phi(ctx, rng, n=12):
+def check_phi(ctx, rng):
     res = PropertyResult("phi is an involutive anti-automorphism")
     F = ctx.field
-    for _ in range(n):
+    for _ in range(12):
         a, b = random_weyl(rng, F), random_weyl(rng, F)
         ok = (a * b).apply_phi() == b.apply_phi() * a.apply_phi()
         ok = ok and a.apply_phi().apply_phi() == a
@@ -269,7 +270,7 @@ def check_phi(ctx, rng, n=12):
     return res
 
 
-def check_center_A1(ctx, rng, n=10):
+def check_center_A1(ctx, rng):
     res = PropertyResult("central elements of A_1 commute with everything")
     F = ctx.field
     p = F.p
@@ -282,25 +283,25 @@ def check_center_A1(ctx, rng, n=10):
         if not z.is_central_A1():
             res.check(False, lambda: f"z={z}")
             continue
-        for _ in range(n // 2):
+        for _ in range(5):
             a = random_weyl(rng, F)
             res.check(commutator(a, z).is_zero(), lambda: f"a={a}, z={z}")
     return res
 
 
-def check_pi_defining(ctx, rng, n=50):
+def check_pi_defining(ctx, rng):
     res = PropertyResult("defining property of pi_h: h | h'r iff pi_h | r")
     hp = ctx.h.derivative()
-    for _ in range(n):
+    for _ in range(50):
         r = random_poly(rng, ctx.field, 8)
         ok = ctx.h.divides(hp * r) == ctx.pi_h.divides(r)
         res.check(ok, lambda: f"r={r}")
     return res
 
 
-def check_delta_leibniz(ctx, rng, n=20):
+def check_delta_leibniz(ctx, rng):
     res = PropertyResult("delta(fg) = delta(f)g + f delta(g)")
-    for _ in range(n):
+    for _ in range(20):
         f, g = random_poly(rng, ctx.field), random_poly(rng, ctx.field)
         res.check(
             ctx.delta(f * g) == ctx.delta(f) * g + f * ctx.delta(g),
@@ -309,9 +310,9 @@ def check_delta_leibniz(ctx, rng, n=20):
     return res
 
 
-def check_delta0_product(ctx, rng, n=25):
+def check_delta0_product(ctx, rng):
     res = PropertyResult("delta0(rs) = r delta0(s) + r's pi_h")
-    for _ in range(n):
+    for _ in range(25):
         r, s = random_poly(rng, ctx.field), random_poly(rng, ctx.field)
         lhs = ctx.delta0(r * s)
         rhs = r * ctx.delta0(s) + r.derivative() * s * ctx.pi_h
@@ -319,7 +320,7 @@ def check_delta0_product(ctx, rng, n=25):
     return res
 
 
-def check_delta0_kernel(ctx, rng, n=25):
+def check_delta0_kernel(ctx, rng):
     res = PropertyResult("ker delta0 = (D cap Z) h/(pi varrho), bounded")
     w = ctx.h_over_pi_rho
     p = 0 if ctx.field.is_char_zero else ctx.field.p
@@ -328,7 +329,7 @@ def check_delta0_kernel(ctx, rng, n=25):
         in_kernel = ctx.delta0(f * w).is_zero()
         expected = deg == 0 if p == 0 else deg % p == 0
         res.check(in_kernel == expected, lambda: f"x^{deg} * ({w})")
-    for _ in range(n):
+    for _ in range(25):
         r = random_poly(rng, ctx.field, 8)
         if r.is_zero() or not ctx.delta0(r).is_zero():
             continue
@@ -337,10 +338,10 @@ def check_delta0_kernel(ctx, rng, n=25):
     return res
 
 
-def check_delta0_transfer(ctx, rng, n=50):
+def check_delta0_transfer(ctx, rng):
     res = PropertyResult("h/(pi varrho) | delta0(r) iff h/(pi varrho) | r")
     w = ctx.h_over_pi_rho
-    for _ in range(n):
+    for _ in range(50):
         r = random_poly(rng, ctx.field, 7)
         if rng.random() < 0.4:
             r = r * w
@@ -348,9 +349,9 @@ def check_delta0_transfer(ctx, rng, n=50):
     return res
 
 
-def check_membership_closure(ctx, rng, n=10):
+def check_membership_closure(ctx, rng):
     res = PropertyResult("A_h closed under product and commutator")
-    for _ in range(n):
+    for _ in range(10):
         a = random_ah_element(rng, ctx)
         b = random_ah_element(rng, ctx)
         ok = ctx.ah_membership(a * b) and ctx.ah_membership(commutator(a, b))
@@ -358,7 +359,7 @@ def check_membership_closure(ctx, rng, n=10):
     return res
 
 
-def check_zeta(ctx, rng, n=0):
+def check_zeta(ctx, rng):
     res = PropertyResult("zeta: three forms agree and are central")
     z = ctx.zeta_element()
     # yhat^p - (delta^p(x)/h) yhat, and yhat (yhat + h') ... (yhat + (p-1) h')
@@ -374,11 +375,11 @@ def check_zeta(ctx, rng, n=0):
     return res
 
 
-def check_vhp1_equivalence(ctx, rng, n=50):
+def check_vhp1_equivalence(ctx, rng):
     res = PropertyResult("v h^(p-1) in F[x^p] iff v'h = vh' iff v in F[x^p] h/varrho")
     p = ctx.p
     w = ctx.h.exact_div(ctx.varrho_h)
-    for _ in range(n):
+    for _ in range(50):
         v = random_poly(rng, ctx.field, 6)
         if rng.random() < 0.4:
             v = w * random_poly(rng, ctx.field, 2).substitute_xp()
@@ -390,19 +391,19 @@ def check_vhp1_equivalence(ctx, rng, n=50):
     return res
 
 
-def check_prime_power_identity(ctx, rng, n=50):
+def check_prime_power_identity(ctx, rng):
     res = PropertyResult("(f' f^(p-1))^(p-1) = -(f')^p")
     p = ctx.p
-    for _ in range(n):
+    for _ in range(50):
         f = random_poly(rng, ctx.field, 4)
         lhs = (f.derivative() * f ** (p - 1)).derivative(p - 1)
         res.check(lhs == -(f.derivative() ** p), lambda: f"f={f}")
     return res
 
 
-def check_theta_chain(ctx, rng, n=20):
+def check_theta_chain(ctx, rng):
     res = PropertyResult("im delta <= im delta0 <= Theta")
-    for _ in range(n):
+    for _ in range(20):
         r = random_poly(rng, ctx.field, 6)
         ok = ctx.delta(r) == ctx.delta0(r * ctx.h_over_pi)
         ok = ok and ctx.in_theta(ctx.delta0(r))
@@ -410,7 +411,7 @@ def check_theta_chain(ctx, rng, n=20):
     return res
 
 
-def check_theta_S(ctx, rng, n=0):
+def check_theta_S(ctx, rng):
     res = PropertyResult("S lies in Theta and misses im delta")
     for s in ctx.theta_complement_S():
         ok = ctx.in_theta(s) and ctx.im_delta_preimage(s) is None
@@ -418,9 +419,9 @@ def check_theta_S(ctx, rng, n=0):
     return res
 
 
-def check_derivation_leibniz(ctx, rng, n=5):
+def check_derivation_leibniz(ctx, rng):
     res = PropertyResult("derivations satisfy the Leibniz rule on A_h")
-    for _ in range(n):
+    for _ in range(5):
         d = random_derivation(rng, ctx)
         a = random_ah_element(rng, ctx)
         b = random_ah_element(rng, ctx)
@@ -429,17 +430,17 @@ def check_derivation_leibniz(ctx, rng, n=5):
     return res
 
 
-def check_bracket_closure(ctx, rng, n=4):
+def check_bracket_closure(ctx, rng):
     res = PropertyResult("bracket of derivations is a derivation")
-    for _ in range(n):
+    for _ in range(4):
         d, e = random_derivation(rng, ctx), random_derivation(rng, ctx)
         res.check(d.bracket(e).validate() is None, lambda: "random derivation pair")
     return res
 
 
-def check_extension_faithfulness(ctx, rng, n=6):
+def check_extension_faithfulness(ctx, rng):
     res = PropertyResult("extensions to A_1 are unique and restrict back")
-    for _ in range(n):
+    for _ in range(6):
         a = random_normalizer_element(rng, ctx)
         d = ad(a, ctx)
         ext = extend_to_A1(d)
@@ -453,43 +454,43 @@ def check_extension_faithfulness(ctx, rng, n=6):
     return res
 
 
-def check_dg_ad_formula(ctx, rng, n=6):
+def check_dg_ad_formula(ctx, rng):
     res = PropertyResult("[D_g, ad_{r a_n}] = ad of the explicit image (n >= 2)")
     from math import comb
 
-    for _ in range(n):
-        nn = rng.randrange(2, 5)
+    for _ in range(6):
+        n = rng.randrange(2, 5)
         g = random_poly(rng, ctx.field, 3)
         r = random_poly(rng, ctx.field, 3)
         if r.is_zero():
             continue
         dg = D_g(g, ctx)
-        op = dg.bracket(ad_ra_n(r, nn, ctx))
-        t = [w.coefficient(0) for w in dg.dy_numerators(nn)]  # T_k = P_(k-1)
-        first = (r * ctx.pi_h * t[nn - 1]).exact_div(ctx.h)
+        op = dg.bracket(ad_ra_n(r, n, ctx))
+        t = [w.coefficient(0) for w in dg.dy_numerators(n)]  # T_k = P_(k-1)
+        first = (r * ctx.pi_h * t[n - 1]).exact_div(ctx.h)
         img = WeylElement.from_poly(first)
-        for k in range(1, nn):
+        for k in range(1, n):
             img = img + WeylElement.from_term(
-                (t[k - 1] * r * ctx.pi_h * ctx.h_power(nn - k - 1)).scale(comb(nn, k)), nn - k
+                (t[k - 1] * r * ctx.pi_h * ctx.h_power(n - k - 1)).scale(comb(n, k)), n - k
             )
         formula = ad(img, ctx)
         ok = (
             op.image_x == formula.image_x
             and op.image_yhat == formula.image_yhat
             and ctx.ah_membership(
-                img - ctx.a_n_element(nn - 1).poly_mul((g * r).scale(nn))
+                img - ctx.a_n_element(n - 1).poly_mul((g * r).scale(n))
             )
         )
-        res.check(ok, lambda: f"g={g}, r={r}, n={nn}")
+        res.check(ok, lambda: f"g={g}, r={r}, n={n}")
     return res
 
 
-def check_a1_innerness_char0(ctx, rng, n=50):
+def check_a1_innerness_char0(ctx, rng):
     res = PropertyResult("derivations of A_1 are inner (char 0), reassembly")
     F = ctx.field
     x = WeylElement.x_power(F, 1)
     y = WeylElement.y_power(F, 1)
-    for _ in range(n):
+    for _ in range(50):
         dx = random_weyl(rng, F, 4, 4)
         e0 = random_poly(rng, F, 4)
         terms = {0: e0} if not e0.is_zero() else {}
@@ -505,7 +506,7 @@ def check_a1_innerness_char0(ctx, rng, n=50):
     return res
 
 
-def check_ex_ey_varpi(ctx, rng, n=0):
+def check_ex_ey_varpi(ctx, rng):
     res = PropertyResult("[E_x, E_y] = ad_varpi on the generators")
     F = ctx.field
     w = varpi(F)
@@ -515,12 +516,12 @@ def check_ex_ey_varpi(ctx, rng, n=0):
     return res
 
 
-def check_scaled_product_rule(ctx, rng, n=5):
+def check_scaled_product_rule(ctx, rng):
     res = PropertyResult("[wD, zE] = wD(z)E - zE(w)D + wz[D,E] for E_x, E_y")
     F = ctx.field
     w_c = varpi(F)
     gens = (WeylElement.x_power(F, 1), WeylElement.y_power(F, 1))
-    for _ in range(n):
+    for _ in range(5):
         w = random_poly(rng, F, 1).substitute_xp()
         z = random_poly(rng, F, 1).substitute_xp()
         wE = WeylElement.from_poly(w)
@@ -536,9 +537,9 @@ def check_scaled_product_rule(ctx, rng, n=5):
     return res
 
 
-def check_res_morphism(ctx, rng, n=4):
+def check_res_morphism(ctx, rng):
     res = PropertyResult("Res is a morphism of Lie algebras")
-    for _ in range(n):
+    for _ in range(4):
         d, e = random_derivation(rng, ctx), random_derivation(rng, ctx)
         lhs = restrict_to_center(d.bracket(e))
         rhs = restrict_to_center(d).bracket(restrict_to_center(e))
@@ -546,21 +547,21 @@ def check_res_morphism(ctx, rng, n=4):
     return res
 
 
-def check_dr_zeta(ctx, rng, n=10):
+def check_dr_zeta(ctx, rng):
     res = PropertyResult("D_r(zeta) = (r h^(p-1))^(p-1)")
-    for _ in range(n):
+    for _ in range(10):
         r = random_poly(rng, ctx.field, 4)
         got = D_g(r, ctx).apply(ctx.zeta_element())
         res.check(got == WeylElement.from_poly(ctx.theta_of(r)), lambda: f"r={r}")
     return res
 
 
-def check_bracket_oracle_char0(ctx, rng, n=12):
+def check_bracket_oracle_char0(ctx, rng):
     res = PropertyResult("closed-form brackets match operator brackets (char 0)")
     from .hochschild import HH1ClassChar0, bracket_char0, canonical_class_char0
 
     width = max(int(ctx.h_over_pi.degree), 1)
-    for _ in range(n):
+    for _ in range(12):
         if rng.random() < 0.5:
             c1 = HH1ClassChar0(ctx, random_poly(rng, ctx.field, int(ctx.h.degree)))
         else:
@@ -587,7 +588,7 @@ def check_bracket_oracle_char0(ctx, rng, n=12):
     return res
 
 
-def check_bracket_oracle_charp(ctx, rng, n=8):
+def check_bracket_oracle_charp(ctx, rng):
     res = PropertyResult("closed-form brackets match operator brackets (char p)")
     from .hochschild import BAd, BBf, BBx, BDg, DerExpr, bracket_charp
 
@@ -605,7 +606,7 @@ def check_bracket_oracle_charp(ctx, rng, n=8):
         )
         return DerExpr.of(ctx, BBx() if kind == 2 else BBf(), z)
 
-    for _ in range(n):
+    for _ in range(8):
         e1, e2 = random_expr(), random_expr()
         closed = bracket_charp(e1, e2).materialize()
         op = e1.materialize().bracket(e2.materialize())
@@ -617,7 +618,7 @@ def check_bracket_oracle_charp(ctx, rng, n=8):
     return res
 
 
-def check_hh1_center_char0(ctx, rng, n=0):
+def check_hh1_center_char0(ctx, rng):
     res = PropertyResult("center of HH^1 brackets to zero with generators")
     from .hochschild import bracket_char0, center_HH1_char0, generator_classes_char0
 
@@ -631,7 +632,7 @@ def check_hh1_center_char0(ctx, rng, n=0):
     return res
 
 
-def check_class_jacobi_char0(ctx, rng, n=6):
+def check_class_jacobi_char0(ctx, rng):
     res = PropertyResult("Jacobi identity for the class bracket")
     from .hochschild import HH1ClassChar0, bracket_char0
 
@@ -644,7 +645,7 @@ def check_class_jacobi_char0(ctx, rng, n=6):
             [(rng.randrange(1, 4), random_poly(rng, ctx.field, width - 1))],
         )
 
-    for _ in range(n):
+    for _ in range(6):
         a, b, c = random_class(), random_class(), random_class()
         s = (
             bracket_char0(a, bracket_char0(b, c))

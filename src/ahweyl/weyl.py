@@ -89,10 +89,6 @@ class _Rows:
             raise ValueError(cls._negative)
         return cls._canonical(r.field, {n: r} if r else {})
 
-    def _lift(self):
-        """(den, {i: raw coefficients of r_i}) over one denominator (`FieldSpec.lift`)."""
-        return self.field.lift(self.terms)
-
     # -- queries -------------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -215,26 +211,19 @@ class WeylElement(_Rows):
     # -- multiplication ------------------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if isinstance(other, Poly):
             other = WeylElement.from_poly(other)
         self._check(other)
         F = self.field
         p = F.characteristic
-        da, terms = self._lift()
-        db, rhs = other._lift()
+        da, terms = F.lift(self.terms)
+        db, rhs = F.lift(other.terms)
         stop = _reach(terms, p) + 1
         rows = {}  # y-degree -> raw coefficients of its x-polynomial
         for j, s in rhs.items():
             # r y^i * s y^j = sum_k (i)_k r H_k(s) y^(i-k+j)
             _add_reordered(rows, terms, [s, *_hasse_rows(F, s, 1, stop)], j, p)
         return WeylElement._from_rows(F, rows, da * db)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     # -- structure maps ---------------------------------------------------------------------
 

@@ -56,6 +56,7 @@ class TestExitCodes:
         "h,char,message",
         [
             ("1/3*x", "3", "denominator 3 of 1/3 is divisible by the characteristic 3"),
+            ("3/3*x^2 + 1", "3", "denominator 3 of 3/3 is divisible by the characteristic 3"),
             ("x + 1/0", "0", "zero denominator"),
         ],
     )
@@ -210,6 +211,14 @@ class TestExitCodes:
         )
         assert code == 1
         assert "invalid JSON" in err
+
+    def test_bracket_without_right(self, capsys):
+        stdin = json.dumps({"left": {"Dx": "0", "Dyhat": "1"}})
+        code, out, err = run_cli(
+            ["bracket", "--h", "x", "--char", "0"], stdin_text=stdin, capsys=capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == 'error (domain error): bracket JSON must be {"left": {...}, "right": {...}}\n'
 
     @pytest.mark.parametrize("value", [0, None])
     @pytest.mark.parametrize("command", ["classify", "bracket"])
@@ -752,6 +761,14 @@ class TestVerifyCommand:
         _, out1, _ = run_cli(argv, capsys=capsys)
         _, out2, _ = run_cli(argv, capsys=capsys)
         assert out1 == out2
+
+    def test_negative_seed_reports_a_seed_that_reproduces_the_run(self, capsys):
+        argv = ["verify", "--h", "x", "--char", "2", "--output", "json", "--seed"]
+        code, out, err = run_cli([*argv, "-1"], capsys=capsys)
+        assert (code, err) == (0, "")
+        seed = json.loads(out)["seed"]
+        assert 0 <= seed < 2**31
+        assert run_cli([*argv, str(seed)], capsys=capsys) == (0, out, "")
 
     def test_seed_changes_draws(self, capsys):
         argv1 = ["verify", "--h", "x", "--char", "0", "--seed", "1", "--output", "json"]

@@ -19,8 +19,6 @@ from ahweyl.context import (
     FactorListError,
     MembershipError,
     NotCentralizing,
-    pi_of,
-    varrho_of,
 )
 from ahweyl.centerpoly import CenterPoly
 from ahweyl.derivations import InnerWitness, NotInner, ad, decompose_Ah_charp, is_inner
@@ -63,19 +61,19 @@ def random_poly(rng, field, max_deg=6, nonzero=False):
 class TestPiH:
     def test_char0_power_of_x(self):
         for m in (1, 2, 5):
-            assert pi_of(xn(QQ, m)) == Poly.x(QQ)
+            assert AhContext(xn(QQ, m)).pi_h == Poly.x(QQ)
 
     def test_constant_h(self):
-        assert pi_of(P(QQ, 3)) == Poly.one(QQ)
-        assert pi_of(P(GF3, 2)) == Poly.one(GF3)
+        assert AhContext(P(QQ, 3)).pi_h == Poly.one(QQ)
+        assert AhContext(P(GF3, 2)).pi_h == Poly.one(GF3)
 
     def test_p3_x_cubed(self):
-        assert pi_of(xn(GF3, 3)) == Poly.one(GF3)
+        assert AhContext(xn(GF3, 3)).pi_h == Poly.one(GF3)
 
     def test_char_p_mixed(self):
         # h = x^4 (x+1)^3 over GF(3): x^4 not a cube, (x+1)^3 is -> pi = x
         h = xn(GF3, 4) * (P(GF3, 1, 1) ** 3)
-        assert pi_of(h) == Poly.x(GF3)
+        assert AhContext(h).pi_h == Poly.x(GF3)
 
     @pytest.mark.parametrize("field", [QQ, GF3, GF5])
     def test_defining_property(self, field):
@@ -87,7 +85,7 @@ class TestPiH:
             P(field, 2, 1),
         ]
         for h in hs:
-            pi = pi_of(h)
+            pi = AhContext(h).pi_h
             hp = h.derivative()
             for _ in range(50):
                 r = random_poly(rng, field, 8)
@@ -103,19 +101,19 @@ class TestPiH:
             for g, m in h.squarefree_decomposition():
                 if p == 0 or m % p:
                     pi = pi * g
-            assert pi_of(h) == pi
+            assert AhContext(h).pi_h == pi
 
 
 class TestVarrho:
     def test_char0_always_one(self):
-        assert varrho_of(xn(QQ, 7)) == Poly.one(QQ)
+        assert AhContext(xn(QQ, 7)).varrho_h == Poly.one(QQ)
 
     def test_h_in_base(self):
-        assert varrho_of(xn(GF3, 3)) == xn(GF3, 3)
+        assert AhContext(xn(GF3, 3)).varrho_h == xn(GF3, 3)
 
     def test_p3_x4(self):
         # enumerate monic divisors of x^4 in F[x^3]: 1, x^3 -> max degree x^3
-        assert varrho_of(xn(GF3, 4)) == xn(GF3, 3)
+        assert AhContext(xn(GF3, 4)).varrho_h == xn(GF3, 3)
 
     def test_maximality_by_enumeration(self):
         # oracle: brute-force over divisors d = x^a (x+1)^b of h
@@ -126,15 +124,15 @@ class TestVarrho:
                 d = xn(GF3, a) * P(GF3, 1, 1) ** b
                 if d.in_frobenius_base() and d.degree > best.degree:
                     best = d
-        assert varrho_of(h) == best
-        assert varrho_of(h) == xn(GF3, 3) * (P(GF3, 1, 1) ** 3)
+        assert AhContext(h).varrho_h == best
+        assert AhContext(h).varrho_h == xn(GF3, 3) * (P(GF3, 1, 1) ** 3)
 
     def test_varrho_divides_h_and_hprime(self):
         rng = random.Random(12)
         for field in (GF2, GF3, GF5):
             for _ in range(10):
                 h = random_poly(rng, field, 7, nonzero=True)
-                rho = varrho_of(h)
+                rho = AhContext(h).varrho_h
                 assert rho.in_frobenius_base()
                 assert rho.divides(h)
                 if not h.derivative().is_zero():
@@ -275,8 +273,8 @@ def check_against_oracles(h, factors):
     its structure report, each against the oracles above; returns whether
     the list was accepted."""
     plain = AhContext(h)
-    assert plain.pi_h == pi_of(h) == pi_by_gcd(h)
-    assert plain.varrho_h == varrho_of(h) == varrho_by_sympy(h)
+    assert plain.pi_h == pi_by_gcd(h)
+    assert plain.varrho_h == varrho_by_sympy(h)
     try:
         want = verify_factor_list_by_gcds(h, factors)
     except FactorListError:
@@ -911,7 +909,7 @@ def theta_contexts(draw):
 
     kind = draw(st.sampled_from(["squarefree", "repeated", "frobenius"]))
     if kind == "squarefree":
-        h = pi_of(poly(5))
+        h = AhContext(poly(5)).pi_h
     elif kind == "repeated":
         h = poly(1) ** draw(st.integers(2, p + 1)) * poly(3)
     else:

@@ -12,7 +12,7 @@ from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
 from ahweyl.centerpoly import CenterPoly
-from ahweyl.context import AhContext, pi_of
+from ahweyl.context import AhContext
 from ahweyl.derivations import (
     D_g,
     Derivation,
@@ -217,7 +217,7 @@ def nilpotent_ideal_membership(cls: HH1ClassChar0, ctx: AhContext, power: int = 
         raise MissingFactorizationError(
             "nilpotent-ideal membership needs the verified factor list"
         )
-    mod = pi_of(ctx.h_over_pi) ** power
+    mod = AhContext(ctx.h_over_pi).pi_h ** power
     z, q = split_center_commutator(ctx, cls.g)
     if not z.is_zero() or not mod.divides(q):
         return False
@@ -255,7 +255,7 @@ class TestNilpotentIdeal:
 
     def test_ideal_property_and_chain(self):
         ctx = AhContext(xn(QQ, 3), factors=x_factors(QQ, 3))
-        pi_hp = pi_of(ctx.h_over_pi)
+        pi_hp = AhContext(ctx.h_over_pi).pi_h
         assert pi_hp == Poly.x(QQ)
         rng = random.Random(64)
         members = [
@@ -297,7 +297,7 @@ class WittQuotient:
         if not ctx.field.is_char_zero:
             raise ValueError("characteristic-0 quotient")
         self.context = ctx
-        self.pi_hp = pi_of(ctx.h_over_pi)
+        self.pi_hp = AhContext(ctx.h_over_pi).pi_h
         self.vartheta0 = ctx.delta0(Poly.one(ctx.field))
         if not self.pi_hp.is_constant():
             g = self.vartheta0.gcd_monic(self.pi_hp)

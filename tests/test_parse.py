@@ -232,13 +232,13 @@ class OracleParser:
         kind, value, pos = tok
         if kind == "num":
             F = self.field
-            den = value.denominator if isinstance(value, Fraction) else 1
+            num, den = map(int, value.split("/")) if isinstance(value, str) else (value, 1)
             if not F.is_char_zero and den % F.p == 0:
                 raise ParseError(
                     f"denominator {den} of {value} is divisible by the characteristic {F.p}",
                     pos,
                 )
-            return WeylElement.from_poly(Poly.constant(F, F.coerce(value)))
+            return WeylElement.from_poly(Poly.constant(F, F.coerce(Fraction(num, den))))
         if kind == "name":
             if value not in self.atoms:
                 raise ParseError(f"unknown name {value!r}", pos)
@@ -435,6 +435,40 @@ def test_malformed_input_errors_match_the_dense_oracle(text, field):
 
 
 @pytest.mark.parametrize(
+    "text,p,literal,position",
+    [
+        ("3/3*x^2 + 1", 3, "3/3", 0),  # the reader's language: left to the descent
+        ("6/3 + x", 3, "6/3", 0),
+        ("2/6 + x", 3, "2/6", 0),
+        ("x + 0/3", 3, "0/3", 4),
+        ("(3/3)^2*x", 3, "3/3", 1),  # the descent alone
+        ("x*y + 10/5", 5, "10/5", 6),
+        ("(x + 5/15)*y", 5, "5/15", 5),
+        ("y*x - 25/05", 5, "25/05", 6),
+    ],
+)
+def test_denominator_divisible_by_p_as_written_is_an_error(text, p, literal, position):
+    # a/b is tested as written, not reduced: 3/3 over GF(3) is refused, as 1/3 is
+    field = FieldSpec(p)
+    message = (
+        f"denominator {int(literal.split('/')[1])} of {literal} is divisible by the"
+        f" characteristic {p} (at position {position})"
+    )
+    parsers = [(parse_weyl, oracle_weyl)] + ([] if "y" in text else [(parse_poly, oracle_poly)])
+    for parse_text, oracle in parsers:
+        with pytest.raises(ParseError) as e:
+            parse_text(text, field)
+        assert (str(e.value), e.value.position) == (message, position)
+        assert_same_outcome(parse_text, oracle, text, field)
+
+
+def test_unreduced_literal_over_q_reads_as_its_value():
+    assert parse_poly("3/3*x^2 + 1", QQ) == parse_poly("x^2 + 1", QQ)
+    assert parse_poly("6/3 + x", QQ) == parse_poly("(3/3)^2*2 + x", QQ) == parse_poly("2 + x", QQ)
+    assert parse_weyl("2/6*y", QQ) == WeylElement.from_term(Poly.constant(QQ, Fraction(1, 3)), 1)
+
+
+@pytest.mark.parametrize(
     "text,message,position",
     [
         ("x^\u00b2", "unexpected character '\u00b2'", 2),  # a superscript two
@@ -488,7 +522,7 @@ def tokenize_by_loop(text: str):
                 if den == 0:
                     raise ParseError("zero denominator", k)
                 j = m
-            tokens.append(("num", Fraction(num, den) if den else num, i))
+            tokens.append(("num", text[i:j] if den else num, i))
             i = j
             continue
         if c.isalpha():

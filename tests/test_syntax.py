@@ -2,7 +2,9 @@
 that CI runs (3.10), so syntax that needs a later version fails here on any
 interpreter, no module but `__init__` imports a name it does not use,
 every private helper is referenced somewhere in the package, every
-exception class it defines is raised somewhere in it, and no module
+module-level public function or class is named by some module other
+than `__init__`, every exception class it defines is raised somewhere
+in it, and no module
 leans on the private API of `fractions.Fraction`, which changes between
 the Python versions CI runs."""
 
@@ -55,6 +57,28 @@ def test_every_private_helper_is_referenced():
                 used.add(node.attr)
     dead = {name: where for name, where in defined.items() if name not in used}
     assert not dead, f"private helpers never referenced: {dead}"
+
+
+def test_every_public_name_is_used_in_the_package():
+    # a module-level public function or class that no module but `__init__`
+    # names is API the system does not use: only its re-export and the tests
+    # reach it; a use is any name or attribute read of it
+    defined, used = {}, set()
+    for path in MODULES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    defined[node.name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = {name: where for name, where in defined.items() if name not in used}
+    assert not unused, f"public names no module of the package uses: {unused}"
 
 
 def test_every_exception_class_is_raised():

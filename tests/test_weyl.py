@@ -319,6 +319,19 @@ def test_poly_times_weyl_is_left_to_poly_mul():
     assert w.poly_mul(r) == WeylElement.from_term(r, 1)
 
 
+@pytest.mark.parametrize("field", [QQ, FieldSpec(3)], ids=["Q", "GF3"])
+@pytest.mark.parametrize("scalar", [2, Fraction(1, 2)])
+def test_scalars_multiply_only_through_scale(field, scalar):
+    # `*` takes two values of one class; a bare scalar goes through `scale`
+    c = Poly.constant(field, scalar)
+    pairs = [(Poly(field, [1, 1]), c), (WeylElement.y_power(field, 1), WeylElement.from_poly(c))]
+    for value, constant in pairs:
+        for product in (lambda: value * scalar, lambda: scalar * value):
+            with pytest.raises(TypeError):
+                product()
+        assert value.scale(scalar) == value * constant
+
+
 def test_public_constructor_validates():
     with pytest.raises(ValueError):
         WeylElement(QQ, {-1: Poly.one(QQ)})
