@@ -377,8 +377,7 @@ def cmd_center(args, ctx: AhContext) -> dict:
     if args.element is not None:
         a = parse_weyl(args.element, ctx.field)
         if ctx.field.is_char_zero:
-            central = not any(i > 0 for i in a.terms) and a.coefficient(0).is_constant()
-            coords = a if central else NotCentralizing("not a scalar")
+            coords = a if a.is_central_A1() else NotCentralizing("not a scalar")
         else:
             coords = ctx.center_coords(a)
         if isinstance(coords, NotCentralizing):

@@ -352,10 +352,6 @@ class Derivation:
 
 def make_derivation(u, v, ctx: AhContext):
     """Validated Derivation with D(x) = u, D(yhat) = v, or InvalidDerivation."""
-    if isinstance(u, Poly):
-        u = WeylElement.from_poly(u)
-    if isinstance(v, Poly):
-        v = WeylElement.from_poly(v)
     d = Derivation(ctx, u, v)
     bad = d.validate()
     if bad is not None:

@@ -26,11 +26,12 @@ descent over the grammar above reads the text. So every error, with its
 message and position, comes from the descent, and the descent alone reads
 powers of sums, nesting, reordering products and hand-typed input.
 
-The descent evaluates sparsely: every value is a dict {(i, j): c} for the
-sum of the c x^i y^j, each c a nonzero scalar in the field's raw form: a
-residue in [0, p) over GF(p); over Q a plain int, or a `Fraction` where an
-`a/b` literal made one. A sum adds the raw coefficients of all its terms
-and reduces them once (`FieldSpec.reduce`), dropping zeros; unary minus
+The descent evaluates sparsely, on the reader's form: every value is its
+rows {j: {i: c}} for the sum of the c x^i y^j, each c a nonzero scalar in
+the field's raw form: a residue in [0, p) over GF(p); over Q a plain int,
+or a `Fraction` where an `a/b` literal made one. A sum adds the raw
+coefficients of all its terms and reduces each row once
+(`FieldSpec.reduce`), dropping zeros and empty rows; unary minus
 goes through the same reduction. A product whose left factor has no y, or
 whose right factor has no x, is already in normal order, x^i y^j * x^k y^l
 = x^(i+k) y^(j+l), and only adds exponents. Any other product (`y*x`) is
@@ -117,18 +118,22 @@ def _check_power_digits(c, n: int, position: int) -> None:
             )
 
 
-def _checked_digits(field: FieldSpec, value: dict, position: int) -> dict:
+def _checked_digits(field: FieldSpec, rows: dict, position: int) -> dict:
     """The value, refused over Q if a coefficient has a numerator or a
     denominator of more than `MAX_DIGITS` digits."""
-    if field.is_char_zero and _over_digits(value.values()):
+    if field.is_char_zero and _over_digits(rows):
         raise ParseError(f"a coefficient would take more than {MAX_DIGITS} digits", position)
-    return value
+    return rows
 
 
-def _over_digits(values) -> bool:
-    """Whether a scalar over Q among `values` has a numerator or a
-    denominator of more than `MAX_DIGITS` digits."""
-    return any(abs(c.numerator) >= _DIGITS_BOUND or c.denominator >= _DIGITS_BOUND for c in values)
+def _over_digits(rows: dict) -> bool:
+    """Whether a scalar over Q in `rows` has a numerator or a denominator
+    of more than `MAX_DIGITS` digits."""
+    return any(
+        abs(c.numerator) >= _DIGITS_BOUND or c.denominator >= _DIGITS_BOUND
+        for row in rows.values()
+        for c in row.values()
+    )
 
 
 #: One token and the whitespace before it. Over str patterns \d is exactly
@@ -178,29 +183,18 @@ def _tokenize(text: str):
 
 
 def _reduced(field: FieldSpec, raw: dict) -> dict:
-    """The sparse value of raw sums and products of scalars: one reduction,
-    zero coefficients dropped."""
-    return {k: c for k, c in zip(raw, field.reduce(raw.values())) if c}
-
-
-def _rows(value: dict) -> dict:
-    """{y-degree: {x-degree: coefficient}} of a sparse value. Its raw
-    scalars are canonical for `Poly.from_coeff_dict`: a residue over GF(p);
-    over Q an int or a `Fraction`, which the Q kernel puts over one
-    denominator."""
+    """The value of rows of raw sums and products of scalars: one reduction
+    per row, zero coefficients and rows left empty dropped."""
     rows = {}
-    for (i, j), c in value.items():
-        rows.setdefault(j, {})[i] = c
+    for j, row in raw.items():
+        if kept := {i: c for i, c in zip(row, field.reduce(row.values())) if c}:
+            rows[j] = kept
     return rows
 
 
-def _to_weyl(field: FieldSpec, value: dict) -> WeylElement:
-    return _weyl_from_rows(field, _rows(value))
-
-
 def _weyl_from_rows(field: FieldSpec, rows: dict) -> WeylElement:
-    """The element of rows {y-degree: {x-degree: raw scalar}} (`_rows`); a
-    row whose scalars are all zero is dropped."""
+    """The element of rows {y-degree: {x-degree: raw scalar}}; a row whose
+    scalars are all zero is dropped."""
     terms = {}
     for j, row in rows.items():
         if r := Poly.from_coeff_dict(field, row):
@@ -208,15 +202,9 @@ def _weyl_from_rows(field: FieldSpec, rows: dict) -> WeylElement:
     return WeylElement._canonical(field, terms)
 
 
-def _degrees(value: dict):
-    """(x-degree, y-degree) of a sparse value, (0, 0) for zero."""
-    dx = dy = 0
-    for i, j in value:
-        if i > dx:
-            dx = i
-        if j > dy:
-            dy = j
-    return dx, dy
+def _degrees(rows: dict):
+    """(x-degree, y-degree) of a value, (0, 0) for zero."""
+    return max(map(max, rows.values()), default=0), max(rows, default=0)
 
 
 def _check_degree(degree: int, position: int) -> None:
@@ -224,13 +212,9 @@ def _check_degree(degree: int, position: int) -> None:
         raise ParseError(f"degree {degree} exceeds the limit {MAX_DEGREE}", position)
 
 
-def _cells(value: dict) -> int:
-    """Dense size of a sparse value: the sum over its rows of (row x-degree + 1)."""
-    top = {}  # y-degree -> x-degree of the row
-    for i, j in value:
-        if i > top.get(j, -1):
-            top[j] = i
-    return sum(top.values()) + len(top)
+def _cells(rows: dict) -> int:
+    """Dense size of a value: the sum over its rows of (row x-degree + 1)."""
+    return sum(map(max, rows.values())) + len(rows)
 
 
 def _check_cells(value: dict, what: str, position: int) -> None:
@@ -258,17 +242,12 @@ def _reordered_cells(a: dict, b: dict, p: int, limit: int) -> int:
     def low(e):
         return e % p if p else e
 
-    rows_a = {}  # y-degree -> x-degree
-    for i, j in a:
-        if i >= rows_a.get(j, 0):
-            rows_a[j] = i
-    rows_b = {}  # y-degree -> (x-degree, largest x-exponent mod p)
-    for k, l in b:
-        e, s = rows_b.get(l, (0, 0))
-        rows_b[l] = (max(e, k), max(s, low(k)))
+    # y-degree of b -> (x-degree, largest x-exponent mod p)
+    rows_b = {l: (max(row), max(map(low, row))) for l, row in b.items()}
     width = {}  # y-degree of the product -> most slots that row may take
     total = 0
-    for j, d in rows_a.items():
+    for j, row in a.items():
+        d = max(row)
         for l, (e, s) in rows_b.items():
             for t in range(min(low(j), s) + 1):
                 if (w := d + e - t + 1) > (old := width.get(m := j + l - t, 0)):
@@ -280,19 +259,17 @@ def _reordered_cells(a: dict, b: dict, p: int, limit: int) -> int:
 
 
 def _from_weyl(w: WeylElement) -> dict:
-    """The sparse value of w, each scalar in the raw form: over Q an int,
-    or a `Fraction` where the row has a denominator."""
-    value = {}
+    """The rows of w, each scalar in the raw form: over Q an int, or a
+    `Fraction` where the row has a denominator."""
+    rows = {}
     for j, r in w.terms.items():
         den, values = _stored(r)
-        for i, c in enumerate(values):
-            if c:
-                value[(i, j)] = c if den == 1 else Fraction(c, den)
-    return value
+        rows[j] = {i: c if den == 1 else Fraction(c, den) for i, c in enumerate(values) if c}
+    return rows
 
 
 class _Parser:
-    """Recursive descent over the grammar above, evaluating sparse values."""
+    """Recursive descent over the grammar above, evaluating sparse rows."""
 
     def __init__(self, text: str, field: FieldSpec, atoms: dict):
         self.tokens = _tokenize(text)
@@ -329,18 +306,20 @@ class _Parser:
         term with which the dense size of the partial sums, cancellation
         ignored, exceeds `MAX_CELLS` (None if it never does): that size
         never falls and ends at or above the value's own."""
-        raw = {}  # (i, j) -> raw sum of the coefficients of every term
+        raw = {}  # j -> i -> raw sum of the coefficients of every term
         top, cells, crossing = {}, 0, None  # row x-degrees of the partial sums
         op = self.advance()[0] if self.peek()[0] == "-" else "+"
         while True:
             position = self.peek()[2]
-            for k, c in self.term().items():
-                if op == "-":
-                    c = -c
-                raw[k] = raw[k] + c if k in raw else c
-                if track and k[0] > (old := top.get(k[1], -1)):
-                    top[k[1]] = k[0]
-                    cells += k[0] - old
+            for j, row in self.term().items():
+                acc = raw.setdefault(j, {})
+                for i, c in row.items():
+                    if op == "-":
+                        c = -c
+                    acc[i] = acc[i] + c if i in acc else c
+                if track and (d := max(row)) > (old := top.get(j, -1)):
+                    top[j] = d
+                    cells += d - old
             if crossing is None and cells > MAX_CELLS:
                 crossing = position
             if self.peek()[0] not in ("+", "-"):
@@ -391,7 +370,7 @@ class _Parser:
                         f" characteristic {p}",
                         pos,
                     )
-            return {(0, 0): c} if c else {}
+            return {0: {0: c}} if c else {}
         if kind == "(":
             inner = self.expr()
             closing = self.advance()
@@ -399,14 +378,15 @@ class _Parser:
                 raise ParseError("expected ')'", closing[2])
             return inner
         if kind == "-":
-            return _reduced(self.field, {k: -c for k, c in self.factor().items()})
+            negated = {j: {i: -c for i, c in row.items()} for j, row in self.factor().items()}
+            return _reduced(self.field, negated)
         if kind == "end":
             raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected token {value!r}", pos)
 
     def mul(self, a: dict, b: dict, position: int) -> dict:
         F = self.field
-        if any(j for _, j in a) and any(i for i, _ in b):
+        if any(a) and any(map(max, b.values())):
             for operand in (a, b):
                 _check_cells(operand, "an operand of a reordering product", position)
             if _reordered_cells(a, b, F.characteristic, MAX_CELLS) > MAX_CELLS:
@@ -415,23 +395,28 @@ class _Parser:
                     f" limit {MAX_CELLS}",
                     position,
                 )
-            return _checked_digits(F, _from_weyl(_to_weyl(F, a) * _to_weyl(F, b)), position)
+            product = _weyl_from_rows(F, a) * _weyl_from_rows(F, b)
+            return _checked_digits(F, _from_weyl(product), position)
         raw = {}  # normal order: x^i y^j * x^k y^l = x^(i+k) y^(j+l)
-        for (i, j), c in a.items():
-            for (k, l), d in b.items():
-                key = (i + k, j + l)
-                raw[key] = raw[key] + c * d if key in raw else c * d
+        for j, row_a in a.items():
+            for l, row_b in b.items():
+                acc = raw.setdefault(j + l, {})
+                for i, c in row_a.items():
+                    for k, d in row_b.items():
+                        acc[i + k] = acc[i + k] + c * d if i + k in acc else c * d
         return _checked_digits(F, _reduced(F, raw), position)
 
     def power(self, base: dict, n: int, position: int) -> dict:
         if len(base) == 1:
-            (((i, j), c),) = base.items()
-            if i == 0 or j == 0:  # c^n x^(in) y^(jn); c^n mod p by pow, however large n is
+            ((j, row),) = base.items()
+            if len(row) == 1 and (j == 0 or 0 in row):
+                # c^n x^(in) y^(jn); c^n mod p by pow, however large n is
+                ((i, c),) = row.items()
                 if self.p:
-                    return {(i * n, j * n): pow(c, n, self.p)}
+                    return {j * n: {i * n: pow(c, n, self.p)}}
                 _check_power_digits(c, n, position)
-                return {(i * n, j * n): c**n}
-        out = {(0, 0): 1}
+                return {j * n: {i * n: c**n}}
+        out = {0: {0: 1}}
         while n:
             if n & 1:
                 out = self.mul(out, base, position)
@@ -519,7 +504,7 @@ def _add(row: dict, i: int, c, p: int) -> bool:
 
 
 def _read_normal_form(text: str, field: FieldSpec, names: tuple):
-    """The rows {y-degree: {x-degree: c}} (`_rows`) of text in the language
+    """The rows {y-degree: {x-degree: c}} of text in the language
     of the printers over `names`, (x,) or (x, y), each c a raw scalar,
     zeros kept; None for any other text.
 
@@ -559,9 +544,9 @@ def _read_normal_form(text: str, field: FieldSpec, names: tuple):
             return None
         if (pos := m.end()) == len(text):
             break
-    if summed and not p and any(_over_digits(row.values()) for row in rows.values()):
+    if summed and not p and _over_digits(rows):
         return None
-    if sum(map(max, rows.values())) + len(rows) > MAX_CELLS:
+    if _cells(rows) > MAX_CELLS:
         return None
     return rows
 
@@ -569,15 +554,14 @@ def _read_normal_form(text: str, field: FieldSpec, names: tuple):
 def parse_weyl(text: str, field: FieldSpec) -> WeylElement:
     rows = _read_normal_form(text, field, ("x", "y"))
     if rows is None:
-        atoms = {"x": {(1, 0): 1}, "y": {(0, 1): 1}}
-        rows = _rows(_Parser(text, field, atoms).parse())
+        rows = _Parser(text, field, {"x": {0: {1: 1}}, "y": {1: {0: 1}}}).parse()
     return _weyl_from_rows(field, rows)
 
 
 def parse_poly(text: str, field: FieldSpec, var: str = "x") -> Poly:
     rows = _read_normal_form(text, field, (var,))
     if rows is None:
-        rows = _rows(_Parser(text, field, {var: {(1, 0): 1}}).parse())
+        rows = _Parser(text, field, {var: {0: {1: 1}}}).parse()
     return Poly.from_coeff_dict(field, rows.get(0, {}))
 
 

@@ -37,7 +37,8 @@ Besides the ring operations this module carries the characteristic-p
 bookkeeping used throughout the package: the Frobenius decomposition
 f = sum_j f_j(x^p) x^j (0 <= j < p), the map partial_p = d/d(x^p) applied
 componentwise, exact p-th roots, antiderivatives with their integrability
-obstruction, and squarefree decomposition via gcd/derivative chains.
+obstruction, and squarefree decomposition by Musser's loop, one routine
+for both fields.
 """
 
 from __future__ import annotations
@@ -458,9 +459,7 @@ class Poly:
         f = self.monic()
         if f.is_one():
             return []
-        if self.field.is_char_zero:
-            return _yun(f)
-        return _squarefree_char_p(f)
+        return _squarefree(f)
 
     # -- printing -----------------------------------------------------------------------
 
@@ -851,52 +850,29 @@ def _join_terms(terms) -> str:
     return "".join(out)
 
 
-def _yun(f: Poly):
-    """Yun's squarefree decomposition, characteristic 0, f monic nonconstant.
-    c is the product of the parts of multiplicity >= k and w = c sum (m - k)
-    f_m' / f_m over them, so w = 0 says that c is the last part, f_k."""
-    d = f.derivative()
-    g = f.gcd_monic(d)
-    c = f.exact_div(g)
-    w = d.exact_div(g) - c.derivative()
-    out = []
-    k = 1
-    while not w.is_zero():
-        a = c.gcd_monic(w)
-        if not a.is_one():
-            out.append((a, k))
-            c = c.exact_div(a)
-            w = w.exact_div(a)
-        w = w - c.derivative()
-        k += 1
-    return out + [(c, k)]
-
-
-def _squarefree_char_p(f: Poly):
-    """Squarefree decomposition over GF(p), recursing on the p-th power part."""
-    p = f.field.p
-    out = {}
-    d = f.derivative()
-    if d.is_zero():
-        for g, m in _squarefree_char_p(f.pth_root()):
-            out[m * p] = g
-        return sorted(((g, m) for m, g in out.items()), key=lambda t: t[1])
-    c = f.gcd_monic(d)
+def _squarefree(f: Poly):
+    """Musser's squarefree decomposition of f, monic nonconstant, over Q or
+    GF(p). With c = gcd(f, f') and w = f / c, the product of the parts f_m
+    with m prime to p (every part over Q), step k splits off f_k = w /
+    gcd(w, c) and divides c by gcd(w, c). What c keeps at the end is the
+    product of the f_m^m with p | m, a p-th power, whose decomposition is
+    that of its p-th root with every multiplicity times p; where f' = 0, c
+    is f itself. Over Q f' is not 0 and c ends at 1, so the p-th root is
+    never taken."""
+    c = f.gcd_monic(f.derivative())
     w = f.exact_div(c)
+    out = []
     k = 1
     while not w.is_one():
         y = w.gcd_monic(c) if not c.is_one() else Poly.one(f.field)
         z = w.exact_div(y)
         if not z.is_one():
-            out[k] = z
+            out.append((z, k))
         w = y
         if not y.is_one():
             c = c.exact_div(y)
         k += 1
     if not c.is_one():
-        for g, m in _squarefree_char_p(c.pth_root()):
-            if m * p in out:
-                out[m * p] = out[m * p] * g
-            else:
-                out[m * p] = g
-    return sorted(((g, m) for m, g in out.items()), key=lambda t: t[1])
+        p = f.field.characteristic
+        out += [(g, m * p) for g, m in _squarefree(c.pth_root())]
+    return sorted(out, key=lambda t: t[1])

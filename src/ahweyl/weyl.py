@@ -211,8 +211,6 @@ class WeylElement(_Rows):
     # -- multiplication ------------------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            other = WeylElement.from_poly(other)
         self._check(other)
         F = self.field
         p = F.characteristic

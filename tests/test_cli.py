@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import shlex
 import sys
 from pathlib import Path
 
@@ -587,6 +588,62 @@ def test_center_element_not_central_reasons(element, reason, capsys):
     payload = json.loads(out)
     assert payload["element_coords"] is None
     assert payload["not_central_reason"] == reason
+
+
+@pytest.mark.parametrize(
+    "element,last",
+    [
+        ("x", "element: not central (not a scalar)"),
+        ("y", "element: not central (not a scalar)"),
+        ("0", "element coordinates: 0"),
+    ],
+)
+def test_center_over_q_takes_scalars_only(element, last, capsys):
+    argv = ["center", "--h", "x^2", "--char", "0", "--element", element]
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert code == 0 and err == ""
+    assert out == f"h: x^2\nZ(A_h) = F (scalars only)\n{last}\n"
+
+
+def readme_block(section: str, language: str) -> str:
+    """The first fenced `language` block after the README heading `section`."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    after = text.split(f"\n## {section}\n", 1)[1]
+    return after.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def readme_commands():
+    """Each `ahweyl ...` command of the README's command-line examples, as
+    (argv, stdin): continued lines joined, a quoted text that spans lines
+    kept whole, and the text of an `echo ... |` in front taken as stdin."""
+    commands, pending = [], ""
+    for line in readme_block("Command line", "sh").splitlines():
+        if not pending and (not line.strip() or line.lstrip().startswith("#")):
+            continue
+        pending += line + "\n"
+        if pending.count("'") % 2 or pending.endswith("\\\n"):
+            continue
+        words = shlex.split(pending.replace("\\\n", " "))
+        pending, stdin = "", ""
+        if words[0] == "echo":
+            stdin, bar, words = words[1], words[2], words[3:]
+            assert bar == "|"
+        assert words[0] == "ahweyl"
+        commands.append((words[1:], stdin))
+    assert not pending
+    return commands
+
+
+@pytest.mark.parametrize("argv,stdin_text", readme_commands())
+def test_readme_commands_run(argv, stdin_text, capsys):
+    code, out, err = run_cli(argv, stdin_text=stdin_text, capsys=capsys)
+    assert code == 0, err
+    assert out
+
+
+def test_readme_library_example_runs(capsys):
+    exec(compile(readme_block("Library example", "python"), "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1] == "D_[1]"
 
 
 class TestJsonSchema:

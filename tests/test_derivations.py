@@ -119,27 +119,27 @@ def random_derivation(rng, ctx):
 class TestMakeDerivation:
     def test_Dg_valid_for_centralizer(self):
         ctx = AhContext(xn(QQ, 2))
-        d = make_derivation(Poly.zero(QQ), P(QQ, 1, 2), ctx)
+        d = make_derivation(WeylElement.zero(QQ), WeylElement.from_poly(P(QQ, 1, 2)), ctx)
         assert not isinstance(d, InvalidDerivation)
         assert d.image_yhat == WeylElement.from_poly(P(QQ, 1, 2))
 
     def test_h_zero_pair_is_ad_yhat(self):
         # (h, 0): criterion [0,x] + [yhat,h] = delta(h) = h'h = d(h)
         ctx = AhContext(xn(QQ, 2))
-        d = make_derivation(ctx.h, Poly.zero(QQ), ctx)
+        d = make_derivation(WeylElement.from_poly(ctx.h), WeylElement.zero(QQ), ctx)
         assert not isinstance(d, InvalidDerivation)
         adyh = ad(ctx.yhat, ctx)
         assert d.image_x == adyh.image_x and d.image_yhat == adyh.image_yhat
 
     def test_invalid_with_defect(self):
         ctx = AhContext(Poly.one(QQ))
-        d = make_derivation(Poly.zero(QQ), WeylElement.y_power(QQ, 1), ctx)
+        d = make_derivation(WeylElement.zero(QQ), WeylElement.y_power(QQ, 1), ctx)
         assert isinstance(d, InvalidDerivation)
         assert d.defect == WeylElement.one(QQ)
 
     def test_membership_reported_separately(self):
         ctx = AhContext(xn(QQ, 2))
-        d = make_derivation(Poly.zero(QQ), WeylElement.y_power(QQ, 1), ctx)
+        d = make_derivation(WeylElement.zero(QQ), WeylElement.y_power(QQ, 1), ctx)
         assert isinstance(d, InvalidDerivation)
         assert not d.yhat_in_ah
 
@@ -314,7 +314,7 @@ def right_div_exact(w: WeylElement, h: Poly) -> WeylElement:
         n = w.y_degree
         q = w.coefficient(n).exact_div(h)
         out[n] = q
-        w = w - WeylElement.from_term(q, n) * h
+        w = w - WeylElement.from_term(q, n) * WeylElement.from_poly(h)
         if not w.is_zero() and w.y_degree >= n:
             raise ExactDivisionError("right division did not reduce degree")
     return WeylElement(h.field, out)

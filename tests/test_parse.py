@@ -272,8 +272,8 @@ def parse_center(text, ctx):
     context: t1 = x^p and t2 = zeta, read back by `center_coords`. No
     command reads center text; this is the sparse side of the center
     oracle below."""
-    atoms = {"t1": {(ctx.p, 0): 1}, "t2": parse._from_weyl(ctx.zeta_element())}
-    value = parse._to_weyl(ctx.field, parse._Parser(text, ctx.field, atoms).parse())
+    atoms = {"t1": {0: {ctx.p: 1}}, "t2": parse._from_weyl(ctx.zeta_element())}
+    value = parse._weyl_from_rows(ctx.field, parse._Parser(text, ctx.field, atoms).parse())
     coords = ctx.center_coords(value)
     if isinstance(coords, NotCentralizing):
         raise ParseError(f"expression is not central: {coords.reason}", 0)
@@ -703,7 +703,7 @@ def test_dense_size_limit_on_reordering_operands(monkeypatch):
     assert str(e.value) == (
         "a reordering product may take more coefficient slots than the limit 10 (at position 19)"
     )
-    assert parse._reordered_cells({(3, 0): 1, (3, 1): 1, (1, 2): 1}, {(1, 0): 1}, 3, 10**9) == 13
+    assert parse._reordered_cells({0: {3: 1}, 1: {3: 1}, 2: {1: 1}}, {0: {1: 1}}, 3, 10**9) == 13
     for text, position in [
         ("(x^3*(1+y) + x^2*y^2)*x", 21),  # 4 + 4 + 3 = 11 slots, at the '*'
         ("x*(x^3*(1+y) + x^2*y^2)^2", 24),  # the square of that operand, at the exponent
@@ -754,7 +754,7 @@ def test_reordering_bound_is_taken_row_by_row(field, monkeypatch):
     # 2002 + 2001 + 2 + 1 slots, which is also the bound
     a, b = parse_weyl("x^2000*y + y^2000", field), parse_weyl("x", field)
     assert parse_weyl("(x^2000*y + y^2000)*x", field) == a * b
-    assert parse._reordered_cells({(2000, 1): 1, (0, 2000): 1}, {(1, 0): 1}, field.characteristic, 10**9) == 4006
+    assert parse._reordered_cells({1: {2000: 1}, 2000: {0: 1}}, {0: {1: 1}}, field.characteristic, 10**9) == 4006
     # rows that many pairs of rows reach count once: 100 * 101 pairs of
     # rows, but 201 rows of the product, of at most two slots each
     monkeypatch.setattr(parse, "MAX_CELLS", 1000)
@@ -763,17 +763,65 @@ def test_reordering_bound_is_taken_row_by_row(field, monkeypatch):
     assert got == parse_weyl(ys, field) * parse_weyl(f"x + {ys}", field)
 
 
+def rows_of(flat: dict) -> dict:
+    """The rows {j: {i: c}} of a flat value {(i, j): c}."""
+    rows = {}
+    for (i, j), c in flat.items():
+        rows.setdefault(j, {})[i] = c
+    return rows
+
+
+def flat_reordered_cells(a: dict, b: dict, p: int, limit: int) -> int:
+    """Oracle: `_reordered_cells` on flat values {(i, j): c}, as the descent
+    evaluated them before it adopted the reader's rows."""
+    def low(e):
+        return e % p if p else e
+
+    rows_a = {}  # y-degree -> x-degree
+    for i, j in a:
+        if i >= rows_a.get(j, 0):
+            rows_a[j] = i
+    rows_b = {}  # y-degree -> (x-degree, largest x-exponent mod p)
+    for k, l in b:
+        e, s = rows_b.get(l, (0, 0))
+        rows_b[l] = (max(e, k), max(s, low(k)))
+    width = {}  # y-degree of the product -> most slots that row may take
+    total = 0
+    for j, d in rows_a.items():
+        for l, (e, s) in rows_b.items():
+            for t in range(min(low(j), s) + 1):
+                if (w := d + e - t + 1) > (old := width.get(m := j + l - t, 0)):
+                    width[m] = w
+                    total += w - old
+                    if total > limit:
+                        return total
+    return total
+
+
+def flat_values(i_max, j_max, size):
+    return st.dictionaries(
+        st.tuples(st.integers(0, i_max), st.integers(0, j_max)), st.just(1), min_size=1, max_size=size
+    )
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), st.just(1), min_size=1, max_size=5),
-    st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), st.just(1), min_size=1, max_size=5),
-    st.sampled_from([0, 2, 3, 5]),
-)
+@given(flat_values(6, 6, 5), flat_values(6, 6, 5), st.sampled_from([0, 2, 3, 5]))
 def test_reordering_bound_covers_the_product(a, b, p):
     # the bound covers every row the product keeps, at every characteristic
     F = FieldSpec(p) if p else QQ
-    product = parse._from_weyl(parse._to_weyl(F, a) * parse._to_weyl(F, b))
+    a, b = rows_of(a), rows_of(b)
+    product = parse._from_weyl(parse._weyl_from_rows(F, a) * parse._weyl_from_rows(F, b))
     assert parse._reordered_cells(a, b, p, 10**9) >= parse._cells(product)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flat_values(40, 9, 8), flat_values(40, 9, 8), st.sampled_from([0, 2, 3, 5]), st.integers(0, 300))
+def test_reordering_bound_matches_the_flat_oracle(a, b, p, limit):
+    # the same bound as on flat values, and the same refusals at any limit
+    rows_a, rows_b = rows_of(a), rows_of(b)
+    assert parse._reordered_cells(rows_a, rows_b, p, 10**9) == flat_reordered_cells(a, b, p, 10**9)
+    got = parse._reordered_cells(rows_a, rows_b, p, limit) > limit
+    assert got == (flat_reordered_cells(a, b, p, limit) > limit)
 
 
 def test_degree_limit_on_each_side():
@@ -878,11 +926,11 @@ def read(text, field, names):
 
 def descend(text, field, names):
     """The recursive descent alone, as both parsers ran before the reader."""
-    atoms = {"x": {(1, 0): 1}, "y": {(0, 1): 1}} if len(names) == 2 else {names[0]: {(1, 0): 1}}
-    value = parse._Parser(text, field, atoms).parse()
+    atoms = {"x": {0: {1: 1}}, "y": {1: {0: 1}}} if len(names) == 2 else {names[0]: {0: {1: 1}}}
+    rows = parse._Parser(text, field, atoms).parse()
     if len(names) == 2:
-        return parse._to_weyl(field, value)
-    return Poly.from_coeff_dict(field, parse._rows(value).get(0, {}))
+        return parse._weyl_from_rows(field, rows)
+    return Poly.from_coeff_dict(field, rows.get(0, {}))
 
 
 def parse_with(text, field, names):

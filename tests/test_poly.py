@@ -564,6 +564,35 @@ def test_kernel_cancellation_explicit(field):
     assert_canonical(divmod(f, f)[1])
 
 
+@st.composite
+def squarefree_case(draw):
+    """lc * prod g_k^m_k over a sampled field: over Q with fractional
+    coefficients and multiplicities up to 6; over GF(p) with a first
+    multiplicity at or above p, so the decomposition recurses on a p-th
+    root."""
+    field = draw(st.sampled_from([QQ] + [FieldSpec(p) for p in (2, 3, 5, 7)]))
+    p = field.characteristic
+    values = scalars if not p else st.integers(0, p - 1)
+    f = Poly.constant(field, draw(values.filter(bool)))
+    for k in range(draw(st.integers(1, 3))):
+        g = Poly(field, [*draw(st.lists(values, min_size=1, max_size=2)), draw(values.filter(bool))])
+        f = f * g ** draw(st.integers(p if p and not k else 1, 2 * p + 1 if p else 6))
+    return f
+
+
+@given(squarefree_case())
+@settings(max_examples=150, deadline=None)
+def test_squarefree_decomposition_matches_sympy(f):
+    # the ordered list (f_m, m), f_m monic, the parts of one multiplicity
+    # that sympy lists apart multiplied together
+    _, theirs = sympy.sqf_list(to_sympy(f))
+    parts = {}
+    for g, m in theirs:
+        g = from_sympy(f.field, g).monic()
+        parts[int(m)] = parts[int(m)] * g if int(m) in parts else g
+    assert f.squarefree_decomposition() == [(parts[m], m) for m in sorted(parts)]
+
+
 # -- division over Q: the integer pseudo-division against sympy and Fractions -------------
 
 

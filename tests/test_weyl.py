@@ -303,7 +303,7 @@ def test_q_products_of_integer_operands_store_fractions():
     a = WeylElement(QQ, {0: Poly(QQ, [2, -1]), 2: Poly(QQ, [0, 3])})
     b = WeylElement(QQ, {1: Poly(QQ, [1, 1]), 0: Poly.one(QQ)})
     assert a * b == per_term_product(a, b)
-    for got in (a * b, b * a, commutator(a, b), a * Poly(QQ, [4, 5])):
+    for got in (a * b, b * a, commutator(a, b), a * WeylElement.from_poly(Poly(QQ, [4, 5]))):
         assert got
         assert_stored_form(got)
     f = Poly(QQ, [2, -1]) * Poly(QQ, [0, 3])
@@ -330,6 +330,9 @@ def test_scalars_multiply_only_through_scale(field, scalar):
             with pytest.raises(TypeError):
                 product()
         assert value.scale(scalar) == value * constant
+    # and a Weyl element takes only a Weyl element: a Poly goes through `from_poly`
+    with pytest.raises(TypeError):
+        WeylElement.y_power(field, 1) * c
 
 
 def test_public_constructor_validates():
