@@ -7,13 +7,15 @@ in the row form of a Weyl element: sum_j r_j(t1) t2^j stored as {j: r_j},
 every r_j a nonzero `Poly` in t1. The container `weyl._Rows` gives it the
 additive structure, equality and `shift` (the product by t2^n); the
 product sums raw rows through the convolution loop of the Weyl product and
-reduces each row once, by the polynomial kernel.
+reduces each row once, by the polynomial kernel. It prints each row r_j
+through the printing kernel of its field (`Poly._terms_text`), with t2^j
+as the suffix of every term.
 """
 
 from __future__ import annotations
 
 from .fields import FieldSpec
-from .poly import Poly, _join_terms, _poly_terms, _power_text, _term_printer
+from .poly import Poly, _monomials, _signed
 from .weyl import _Rows, _accumulate
 
 
@@ -81,12 +83,12 @@ class CenterPoly(_Rows):
         return CenterPoly._canonical(self.field, {j: r.exact_div(w) for j, r in self.terms.items()})
 
     def to_text(self) -> str:
-        if self.is_zero():
+        """Terms in increasing t2-degree, then t1-degree, e.g. '1 + t1*t2^2'."""
+        terms = self.terms
+        if not terms:
             return "0"
-        term = _term_printer(self.field)
-        return _join_terms(
-            t for j in sorted(self.terms) for t in _poly_terms(self.terms[j], term, "t1", _power_text("t2", j))
-        )
+        t2 = _monomials("t2", max(terms) + 1)
+        return _signed("".join(terms[j]._terms_text("t1", t2[j]) for j in sorted(terms)))
 
     def __str__(self):
         return self.to_text()

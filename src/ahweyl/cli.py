@@ -10,7 +10,9 @@ Exit codes: 0 success, 1 domain error (category printed), 2 usage error.
 returns only its own fields. A result record is printed under its field
 names, which are its keys in schema.json. A characteristic-p context whose
 zeta = h^p y^p would take p * max(deg h, 1) over `parse.MAX_DEGREE` is
-refused as a domain error before it is built.
+refused as a domain error before it is built. The payload is written by
+one JSON writer (`_json_text`), whose bytes are those of
+`json.dumps(payload, indent=2, sort_keys=True)`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import functools
 import json
 import sys
 from dataclasses import is_dataclass
+from json.encoder import encode_basestring_ascii
 
 from .centerpoly import CenterPoly
 from .context import (
@@ -146,6 +149,60 @@ def _json(value):
     if is_dataclass(kind):
         return {name: _json(v) for name, v in vars(value).items()}
     return value
+
+
+def _json_text(value) -> str:
+    """The JSON text of a payload: the bytes of `json.dumps(value, indent=2,
+    sort_keys=True)`, ASCII-escaped, written without the pure-Python
+    encoder that `indent` selects there. Made whole before it is printed,
+    so an error leaves no output. A type outside JSON is a TypeError, and
+    so is a key that is not a string: payload keys are field names."""
+    out = []
+    _write_json(value, "\n", out.append)
+    return "".join(out)
+
+
+def _write_json(value, newline: str, put) -> None:
+    """Write `value` through `put`, its nested lines led by `newline`, a
+    line break and the indent of its level. Strings take the C escaper of
+    `json`, and a list made only of strings is joined in one call."""
+    if isinstance(value, str):
+        put(encode_basestring_ascii(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        if all(isinstance(v, str) for v in value):
+            put(f"[{inner}{(',' + inner).join(map(encode_basestring_ascii, value))}{newline}]")
+            return
+        lead = "[" + inner
+        for v in value:
+            put(lead)
+            lead = "," + inner
+            _write_json(v, inner, put)
+        put(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key, v in sorted(value.items()):
+            put(f"{lead}{encode_basestring_ascii(key)}: ")
+            lead = "," + inner
+            _write_json(v, inner, put)
+        put(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _show(value) -> str:
@@ -515,7 +572,7 @@ def main(argv=None) -> int:
         print(f"error ({_error_category(exc)}): {exc}", file=sys.stderr)
         return 1
     if args.output == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
     else:
         print(f"h: {payload['h']}\n{render(payload)}")
     return 1 if payload.get("all_passed") is False else 0

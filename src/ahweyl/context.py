@@ -140,7 +140,12 @@ class AhContext:
         self.h_over_pi = h.exact_div(self.pi_h)
         # pi_h * h' / h is exact by the defining property of pi_h
         self.pi_hprime_over_h = (self.pi_h * h.derivative()).exact_div(h)
-        self.h_over_pi_rho = h.exact_div(self.pi_h * self.varrho_h)
+        # h / (pi_h varrho_h): varrho_h is 1 over Q. Over GF(p), h / pi_h
+        # has the factor f_m^(m-1) where p does not divide m and f_m^m where
+        # it does, and varrho_h's f_m^(p floor(m/p)) divides either
+        self.h_over_pi_rho = (
+            self.h_over_pi.exact_div(self.varrho_h) if self.field.characteristic else self.h_over_pi
+        )
         if factors is None and h.is_constant():
             factors = ()  # a unit has the (verified) empty factorization
         self.factors = (

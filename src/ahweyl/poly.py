@@ -39,6 +39,14 @@ f = sum_j f_j(x^p) x^j (0 <= j < p), the map partial_p = d/d(x^p) applied
 componentwise, exact p-th roots, antiderivatives with their integrability
 obstruction, and squarefree decomposition by Musser's loop, one routine
 for both fields.
+
+Printing has one kernel per field too, `_terms_text`, which renders a
+whole row of stored coefficients, each monomial followed by an optional
+suffix (y^j for a Weyl row, t2^j for a center row), so `Poly`,
+`WeylElement` and `CenterPoly` all print through it. The texts of the
+monomials come from a table per variable name (`_monomials`), grown by
+doubling. Over GF(p) a residue is printed as it is stored; over Q a
+numerator is read over `den` and put in lowest terms by one gcd.
 """
 
 from __future__ import annotations
@@ -55,8 +63,8 @@ NEG_INF = float("-inf")
 #: Most decimal digits in a number literal, and in the numerator or the
 #: denominator of any coefficient over Q: the longest integer that Python's
 #: `int()` reads from text, and `str()` writes, by default. The parser
-#: refuses longer input, and the term printer of Q (`_term_printer`) a
-#: longer computed coefficient, for `Poly`, `WeylElement` and `CenterPoly`.
+#: refuses longer input, and the printing kernel of Q (`QPoly._terms_text`)
+#: a longer computed coefficient, for `Poly`, `WeylElement` and `CenterPoly`.
 MAX_DIGITS = 4300
 _DIGITS_BOUND = 10**MAX_DIGITS  # the least integer with more digits
 
@@ -465,9 +473,27 @@ class Poly:
 
     def to_text(self, var: str = "x") -> str:
         """Render with terms in increasing degree, e.g. '1 - 2*x + x^3'."""
-        if self.is_zero():
-            return "0"
-        return _join_terms(_poly_terms(self, _term_printer(self.field), var))
+        return _signed(self._terms_text(var))
+
+    def _terms_text(self, var: str, suffix: str = "") -> str:
+        """The printing kernel of the field: the terms of self in increasing
+        degree, each led by ' + ' or ' - ' (see `_signed`); '' for zero. A
+        term is its coefficient without the sign, then '*' and its monomial
+        var^i, followed by '*' and `suffix` when one is given; a coefficient
+        1 before a monomial is left out. Over GF(p) a residue is never
+        negative, so every term is led by ' + '."""
+        cs = self.coeffs
+        if not cs:
+            return ""
+        tail = "*" + suffix if suffix else ""
+        terms = [
+            m + tail if c == 1 else f"{c}*{m}{tail}"
+            for c, m in zip(cs, _monomials(var, len(cs)))
+            if c
+        ]
+        if c := cs[0]:
+            terms[0] = _constant_text(str(c), suffix)
+        return " + " + " + ".join(terms)
 
     def __str__(self):
         return self.to_text()
@@ -709,6 +735,41 @@ class QPoly(Poly):
         raw = [0] + [c * (L // i) for i, c in enumerate(num, 1)]
         return QPoly._reduced(self.field, raw, L * self.den)
 
+    # -- printing -----------------------------------------------------------------------
+
+    def _terms_text(self, var: str, suffix: str = "") -> str:
+        """The kernel of `Poly._terms_text` over Q: each numerator is read
+        over `den` and put in lowest terms by one gcd, its sign leads the
+        term, and it prints as num or num/den. A numerator or a denominator
+        of more than `MAX_DIGITS` digits is a ValueError that names the
+        limit."""
+        den = self.den
+        tail = "*" + suffix if suffix else ""
+        out = []
+        for n, m in zip(self.num, _monomials(var, len(self.num))):
+            if n:
+                d = den
+                if d != 1 and (g := gcd(n, d)) != 1:
+                    n //= g
+                    d //= g
+                sign = " + "
+                if n < 0:
+                    sign = " - "
+                    n = -n
+                if n >= _DIGITS_BOUND or d >= _DIGITS_BOUND:
+                    raise ValueError(
+                        f"a computed coefficient takes more than {MAX_DIGITS} digits,"
+                        " the limit for printing"
+                    )
+                text = str(n) if d == 1 else f"{n}/{d}"
+                if not m:
+                    out.append(sign + _constant_text(text, suffix))
+                elif text == "1":
+                    out.append(sign + m + tail)
+                else:
+                    out.append(f"{sign}{text}*{m}{tail}")
+        return "".join(out)
+
 
 def _zero(field: FieldSpec) -> QPoly:
     """The zero polynomial over Q, ((), 1)."""
@@ -787,67 +848,37 @@ def _convolve(acc: list, a, b) -> None:
                 acc[n] += am * bn
 
 
-def _term_printer(field: FieldSpec):
-    """The printer of a term of `field`: (c, monomial, den) -> (negative,
-    text) for a nonzero scalar c / den, den = 1 over GF(p), and the text of
-    a monomial ('' for 1). The text is c / den without its sign, then '*'
-    and the monomial; a coefficient 1 before a monomial is left out. Chosen
-    once per printed value: the one place a coefficient becomes text."""
-    return _rational_term if field.is_char_zero else _residue_term
+#: var -> the texts of its powers, '' for var^0 and `var` for var^1: the
+#: monomial table of the printing kernels, kept per variable name
+_MONOMIALS: dict = {}
 
 
-def _residue_term(c, monomial: str, den: int = 1):
-    """A residue in [0, p) is never negative and never near `MAX_DIGITS`."""
-    if not monomial:
-        return False, str(c)
-    return False, monomial if c == 1 else f"{c}*{monomial}"
+def _monomials(var: str, n: int) -> list:
+    """The texts of var^0, ..., var^(n-1), or more. The table grows to at
+    least double its length, so printing ever longer rows, as the normalizer
+    levels of one run are, rebuilds it only a logarithmic number of times."""
+    table = _MONOMIALS.get(var)
+    if table is None:
+        table = _MONOMIALS[var] = ["", var]
+    if len(table) < n:
+        table += [f"{var}^{i}" for i in range(len(table), max(n, 2 * len(table)))]
+    return table
 
 
-def _rational_term(c, monomial: str, den: int = 1):
-    """c / den for an int or a Fraction c and an int den > 0: put in lowest
-    terms by one gcd, the sign split off, then num or num/den; a numerator
-    or a denominator of more than `MAX_DIGITS` digits is a ValueError that
-    names the limit."""
-    num, den = c.numerator, c.denominator * den
-    if den != 1 and (g := gcd(num, den)) != 1:
-        num //= g
-        den //= g
-    neg = num < 0
-    if neg:
-        num = -num
-    if num >= _DIGITS_BOUND or den >= _DIGITS_BOUND:
-        raise ValueError(
-            f"a computed coefficient takes more than {MAX_DIGITS} digits, the limit for printing"
-        )
-    text = str(num) if den == 1 else f"{num}/{den}"
-    if not monomial:
-        return neg, text
-    return neg, monomial if text == "1" else f"{text}*{monomial}"
+def _constant_text(text: str, suffix: str) -> str:
+    """A constant term c, printed as `text`, times the monomial `suffix`."""
+    if not suffix:
+        return text
+    return suffix if text == "1" else f"{text}*{suffix}"
 
 
-def _power_text(var: str, n: int) -> str:
-    """var^n as printed: '' for n = 0, var for n = 1."""
-    return "" if n == 0 else var if n == 1 else f"{var}^{n}"
-
-
-def _poly_terms(r: Poly, term, var: str, suffix: str = ""):
-    """The printed terms of r, each monomial var^i followed by `suffix`."""
-    den, values = _stored(r)
-    for i, c in enumerate(values):
-        if c:
-            # _power_text, inlined: this loop runs once per printed coefficient
-            monomial = "" if i == 0 else var if i == 1 else f"{var}^{i}"
-            monomial = f"{monomial}*{suffix}" if monomial and suffix else monomial or suffix
-            yield term(c, monomial, den)
-
-
-def _join_terms(terms) -> str:
-    """'a + b - c' from printed terms (negative, text), the first one's sign
-    written as a bare '-'."""
-    out = []
-    for neg, text in terms:
-        out.append(((" - " if neg else " + ") if out else ("-" if neg else "")) + text)
-    return "".join(out)
+def _signed(terms: str) -> str:
+    """A printed value from the terms a kernel writes (`Poly._terms_text`),
+    each led by ' + ' or ' - ': the first becomes '' or '-', and no term
+    prints as '0'."""
+    if not terms:
+        return "0"
+    return terms[3:] if terms[1] == "+" else "-" + terms[3:]
 
 
 def _squarefree(f: Poly):

@@ -31,6 +31,10 @@ The module also provides the commutator (in closed form when either
 operand is x), the shift a * y^n, the swap anti-automorphism phi
 (x <-> y), the element varpi with [E_x, E_y] = ad_varpi in characteristic
 p, and the center test for A_1.
+
+`WeylElement.to_text` prints each row r_i through the printing kernel of
+its field (`Poly._terms_text`): a row with one term takes y^i as the
+suffix of that term, a longer one is printed in parentheses, times y^i.
 """
 
 from __future__ import annotations
@@ -38,16 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fields import FieldSpec, check_same_field
-from .poly import (
-    Poly,
-    _convolve,
-    _join_terms,
-    _kernel,
-    _poly_terms,
-    _power_text,
-    _stored,
-    _term_printer,
-)
+from .poly import Poly, _convolve, _kernel, _monomials, _signed, _stored
 
 
 class _Rows:
@@ -204,10 +199,6 @@ class WeylElement(_Rows):
     def y_degree(self):
         return max(self.terms) if self.terms else -1
 
-    def iter_terms(self):
-        for i in sorted(self.terms):
-            yield i, self.terms[i]
-
     # -- multiplication ------------------------------------------------------------------
 
     def __mul__(self, other):
@@ -254,11 +245,25 @@ class WeylElement(_Rows):
     # -- printing ------------------------------------------------------------------------------
 
     def to_text(self) -> str:
-        """Terms in increasing y-degree, e.g. '(1 + x^2)*y^3 + 2*x*y + 5'."""
-        if self.is_zero():
+        """Terms in increasing y-degree, e.g. '5 + 2*x*y + (1 + x^2)*y^3':
+        the row r_0 as its terms; a row r_i y^i, i > 0, as r_i's one term
+        times y^i when it has one, else r_i parenthesized, times y^i."""
+        terms = self.terms
+        if not terms:
             return "0"
-        term = _term_printer(self.field)
-        return _join_terms(t for i, r in self.iter_terms() for t in _row_terms(r, i, term))
+        ys = _monomials("y", max(terms) + 1)
+        out = []
+        for i in sorted(terms):
+            r = terms[i]
+            if not i:
+                out.append(r._terms_text("x"))
+                continue
+            values = _stored(r)[1]
+            if values.count(0) == len(values) - 1:
+                out.append(r._terms_text("x", ys[i]))
+            else:
+                out.append(f" + ({_signed(r._terms_text('x'))})*{ys[i]}")
+        return _signed("".join(out))
 
     def __str__(self):
         return self.to_text()
@@ -322,17 +327,6 @@ def _add_reordered(rows: dict, terms: dict, table, shift: int, p: int) -> None:
             falling = falling * (i - k) % p if p else falling * (i - k)
             if not falling:
                 break
-
-
-def _row_terms(r: Poly, i: int, term):
-    """The printed terms of r*y^i: those of r at y^0; r's one term times y^i
-    when it has one; else r parenthesized, times y^i."""
-    if i == 0:
-        return _poly_terms(r, term, "x")
-    ymark = _power_text("y", i)
-    if sum(1 for c in _stored(r)[1] if c) == 1:
-        return _poly_terms(r, term, "x", ymark)
-    return ((False, f"({_join_terms(_poly_terms(r, term, 'x'))})*{ymark}"),)
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:

@@ -5,10 +5,13 @@ import io
 import json
 import shlex
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ahweyl import cli, derivations
 from ahweyl.cli import main
@@ -864,3 +867,68 @@ def test_analyze_never_builds_the_unit_context(capsys):
     code, _, err = run_cli(["analyze", "--h", "x^2+1", "--char", "1009"], capsys=capsys)
     assert (code, err) == (0, "")
     assert weyl_context.cache_info().currsize == 0
+
+
+# -- the JSON writer against json.dumps --------------------------------------------------
+
+# quote, backslash, control characters, DEL, non-ASCII, a line separator, an
+# astral character (a surrogate pair in the output) and a lone surrogate
+JSON_CHARS = st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\t", "\x1f", "\x7f", "\xe9", "\u2028", "\U0001d11e", "\ud800"]),
+    st.characters(),
+)
+JSON_STRINGS = st.text(JSON_CHARS, max_size=12)
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**300),
+    st.integers(min_value=-(2**300), max_value=-(2**64)),
+    JSON_STRINGS,
+)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.lists(kids, max_size=5).map(tuple),
+        st.lists(JSON_STRINGS, max_size=5),  # a list of strings only
+        st.dictionaries(JSON_STRINGS, kids, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+def dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+@given(JSON_TREES)
+@settings(max_examples=400, deadline=None)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json_text(value) == dumps(value)
+
+
+@pytest.mark.parametrize(
+    "value", [{}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}, [[]]], "", [""], {"": ""}], ids=repr
+)
+def test_json_writer_empty_containers(value):
+    assert cli._json_text(value) == dumps(value)
+
+
+@given(tree=JSON_TREES, bad=st.sampled_from([{1, 2}, Fraction(1, 2), b"x", 1j, object()]))
+@settings(max_examples=100, deadline=None)
+def test_json_writer_refuses_what_json_dumps_refuses(tree, bad):
+    for value in (bad, [tree, bad], {"k": tree, "z": (bad,)}):
+        with pytest.raises(TypeError):
+            dumps(value)
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+
+
+def test_json_error_leaves_no_output(monkeypatch, capsys):
+    # the text is made whole before it is printed: an unserializable value
+    # deep in the payload raises with stdout still empty
+    monkeypatch.setattr(cli, "_charp_center", lambda ctx: {"zeta": "1", "late": [object()]})
+    with pytest.raises(TypeError):
+        run_cli(["analyze", "--h", "x", "--char", "3", "--output", "json"], capsys=capsys)
+    assert capsys.readouterr().out == ""

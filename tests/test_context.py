@@ -1115,6 +1115,26 @@ class TestHpOverVarrho:
         assert ctx.hp_over_varrho == xn(GF3, 6) * P(GF3, 1, 0, 0, 1)
 
 
+@given(
+    field=st.sampled_from([QQ, GF2, GF3, GF5]),
+    low=st.lists(st.integers(-3, 3), max_size=3),
+    lc=st.integers(1, 4),
+    roots=st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 7)), max_size=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_h_over_pi_rho_is_h_over_pi_h_varrho_h(field, low, lc, roots):
+    # multiplicities past p, at and off its multiples; over Q a fractional lc
+    h = Poly(field, [*low, lc])
+    for g, m in roots:
+        h = h * Poly(field, [g, 1]) ** m
+    if field.is_char_zero:
+        h = h.scale(Fraction(1, 3))
+    if h.is_zero():
+        return
+    ctx = AhContext(h)
+    assert ctx.h_over_pi_rho == h.exact_div(ctx.pi_h * ctx.varrho_h)
+
+
 def termwise_is_inner(d):
     """Oracle: is_inner in characteristic p for a derivation with no center,
     D_s or outer part before the normalizer part, deciding each term r y^i

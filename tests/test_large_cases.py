@@ -113,6 +113,15 @@ CASES = [
         120,
     ),
     (
+        # 1203 levels of three generators each: 32 MB of JSON, the printing
+        # kernel and the JSON writer at scale
+        "analyze-not-free-p401",
+        ["analyze", "--h", "x^3*(x+1)^2", "--char", "401"],
+        None,
+        charp_levels(False, 1203, 3, theta_quotient_dim=3),
+        20,
+    ),
+    (
         "analyze-free-p1009",
         ["analyze", "--h", "x^2+1", "--char", "1009"],
         None,

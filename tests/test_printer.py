@@ -1,10 +1,10 @@
-"""The per-field term printer of `Poly`, `WeylElement` and `CenterPoly`.
+"""The per-field printing kernel of `Poly`, `WeylElement` and `CenterPoly`.
 
 The oracle is the formatting the three printers had before they shared one
-term printer: `Poly.to_text` through `_term_text` and `_scalar_is_negative`,
-the rows of `WeylElement.to_text` through `_weyl_term_text`, and
+kernel: `Poly.to_text` through `_term_text` and `_scalar_is_negative`, the
+rows of `WeylElement.to_text` through `_weyl_term_text`, and
 `CenterPoly.to_text`, each with its own copy of the sign split and the
-coefficient text.
+coefficient text, a power of each variable formatted per term.
 """
 
 from fractions import Fraction
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ahweyl.centerpoly import CenterPoly
 from ahweyl.fields import QQ, FieldSpec
-from ahweyl.poly import MAX_DIGITS, Poly
+from ahweyl.poly import MAX_DIGITS, Poly, _monomials
 from ahweyl.weyl import WeylElement
 
 FIELDS = [QQ, FieldSpec(2), FieldSpec(3), FieldSpec(5), FieldSpec(7)]
@@ -88,7 +88,7 @@ def oracle_join(pieces) -> str:
 def oracle_weyl_text(w: WeylElement) -> str:
     if w.is_zero():
         return "0"
-    return oracle_join([oracle_weyl_term_text(r, i) for i, r in w.iter_terms()])
+    return oracle_join([oracle_weyl_term_text(r, i) for i, r in sorted(w.terms.items())])
 
 
 def oracle_center_text(z: CenterPoly) -> str:
@@ -183,6 +183,73 @@ def test_printer_examples(field):
         w = WeylElement(field, {0: Poly(field, [-1, 2]), 1: Poly.monomial(field, Fraction(-3, 2), 2)})
         assert str(w) == "-1 + 2*x - 3/2*x^2*y"
         assert str(CenterPoly(field, {(0, 1): Fraction(-1, 2), (0, 0): -1})) == "-1 - 1/2*t2"
+
+
+def dense_row(field, n, seed):
+    """A row of length n with zeros, ones and, over Q, signs and denominators."""
+    values = [(seed * k * k + k) % 7 for k in range(n)]
+    if field.is_char_zero:
+        values = [Fraction(v - 3, (k % 3) + 1) for k, v in enumerate(values)]
+    return Poly(field, [*values[:-1], 1])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_rows_longer_than_the_monomial_table(field):
+    # a fresh variable per field, so its table starts short and has to grow
+    # past rows printed before; y and t2 rows reach far past y^5 and t2^4
+    var = f"w{field.characteristic}"
+    for n in (1, 2, 3, 5, 4, 9, 17, 16, 100, 101, 40, 257):
+        r = dense_row(field, n, n)
+        assert r.to_text(var) == oracle_poly_text(r, var)
+    for top in (3, 70, 140):
+        w = WeylElement(field, {i: dense_row(field, 1 + i % 5, i) for i in range(0, top, 3)})
+        w = w + WeylElement.from_term(Poly.monomial(field, 1, top), top)
+        assert w.to_text() == oracle_weyl_text(w)
+        z = CenterPoly(field, {(i, j): (i + j) % 4 for i in range(0, top, 7) for j in (0, 1, top)})
+        assert z.to_text() == oracle_center_text(z)
+
+
+def test_monomial_table_grows_by_doubling():
+    table = _monomials("v_table", 3)
+    assert table == ["", "v_table", "v_table^2", "v_table^3"]
+    assert _monomials("v_table", 5) is table and len(table) == 8
+    assert _monomials("v_table", 8) is table and len(table) == 8
+    assert len(_monomials("v_table", 100)) == 100
+    assert table[99] == "v_table^99"
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_suffix_rows_at_y1_and_t2_powers(field):
+    # one-term rows take the suffix y^i: a constant, a coefficient 1, x^k
+    c = field.coerce(Fraction(-3, 2)) if field.is_char_zero else field.coerce(2 % field.p or 1)
+    for r in (
+        Poly.one(field),
+        Poly.constant(field, c),
+        Poly.monomial(field, 1, 1),
+        Poly.monomial(field, c, 1),
+        Poly.monomial(field, c, 4),
+    ):
+        for i in (1, 2, 11):
+            w = WeylElement.from_term(r, i)
+            assert w.to_text() == oracle_weyl_text(w)
+            w = w + WeylElement.from_term(Poly(field, [1, 1]), 0)
+            assert w.to_text() == oracle_weyl_text(w)
+    # every term of a CenterPoly row takes the suffix t2^j
+    for j in (0, 1, 2, 12):
+        z = CenterPoly(field, {(0, j): 1, (1, j): c, (3, j): 1, (0, j + 1): c})
+        assert z.to_text() == oracle_center_text(z)
+
+
+def test_rational_rows_need_a_gcd_per_coefficient():
+    # one denominator for the row (6), each coefficient put in lowest terms
+    r = Poly(QQ, [Fraction(1, 2), Fraction(-1, 3), 1, Fraction(5, 6), Fraction(-4, 3), -2])
+    assert (r.num, r.den) == ((3, -2, 6, 5, -8, -12), 6)
+    assert r.to_text() == oracle_poly_text(r) == "1/2 - 1/3*x + x^2 + 5/6*x^3 - 4/3*x^4 - 2*x^5"
+    w = WeylElement(QQ, {0: r, 1: Poly(QQ, [0, Fraction(-2, 4)]), 3: r})
+    assert w.to_text() == oracle_weyl_text(w)
+    assert w.to_text().startswith("1/2 - 1/3*x") and " - 1/2*x*y + (1/2 - 1/3*x" in w.to_text()
+    z = CenterPoly(QQ, {(0, 1): Fraction(3, 9), (2, 1): Fraction(-10, 4), (1, 2): Fraction(7, 1)})
+    assert z.to_text() == oracle_center_text(z) == "1/3*t2 - 5/2*t1^2*t2 + 7*t1*t2^2"
 
 
 # -- the digit limit -----------------------------------------------------------------------

@@ -4,9 +4,11 @@ interpreter, no module but `__init__` imports a name it does not use,
 every private helper is referenced somewhere in the package, every
 module-level public function or class is named by some module other
 than `__init__`, every exception class it defines is raised somewhere
-in it, and no module
+in it, no module
 leans on the private API of `fractions.Fraction`, which changes between
-the Python versions CI runs."""
+the Python versions CI runs, and no module writes JSON but through the
+CLI's writer (`cli._json_text`): `json.dumps`, `json.dump` and
+`JSONEncoder` are not used."""
 
 import ast
 import builtins
@@ -135,3 +137,42 @@ def test_no_private_fraction_api(path):
         if isinstance(node, ast.keyword) and node.arg == "_normalize"
     ]
     assert not found, f"{path.name} uses the private API of Fraction: {found}"
+
+
+JSON_ROUTES = {"dumps", "dump", "JSONEncoder"}
+
+
+def _root_name(node):
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_json_route(path):
+    # JSON output goes through one writer, which emits the bytes of
+    # json.dumps(indent=2, sort_keys=True); reading JSON (json.loads) is
+    # free, and so is another module's dumps (marshal.dumps)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    json_names = {
+        alias.asname or "json"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.split(".")[0] == "json"
+    }
+    found = [
+        f"{node.attr} at line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in JSON_ROUTES
+        and _root_name(node.value) in json_names
+    ] + [
+        f"import of {alias.name} at line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "json"
+        for alias in node.names
+        if alias.name in JSON_ROUTES
+    ]
+    assert not found, f"{path.name} writes JSON outside the CLI's writer: {found}"
