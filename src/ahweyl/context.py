@@ -280,6 +280,40 @@ class AhContext:
         check_same_field(self.field, a.field)
         return all(self.h_power(i).divides(r) for i, r in a.terms.items())
 
+    def ah_center_part(self, a: WeylElement) -> Optional[WeylElement]:
+        """The A_h part w of a, with a - w central in A_1, when a lies in
+        A_h + Z(A_1); None otherwise.
+
+        For a in the normalizer, ad_a is inner on A_h iff a lies in
+        A_h + Z(A_1), and then ad_a = ad_w: C_{A_1}(A_h) = F[x^p, y^p] =
+        Z(A_1), as the centralizer of x is F[x, y^p] and
+        [yhat, f y^(kp)] = h f' y^(kp). Both summands are sums over y-degrees,
+        so the test runs term by term. With q = r mod h^i for the y^i
+        coefficient r, r y^i lies in A_h iff q = 0, and in A_h + Z(A_1) iff
+        also p | i and q lies in F[x^p] (every Frobenius component past the
+        first is 0): at p | i, h^i = H(x^p) over the prime field, so a
+        central z(x^p) leaves the remainder (z mod H)(x^p). Then q y^i is
+        central and (r - q) y^i joins w. Over Q, Z(A_1) = F lies in A_h, and
+        only q = 0 passes.
+
+        Every element `verify.random_normalizer_element` draws for a free h
+        passes, which is what `analyze`'s freeness certificates check: h/pi_h
+        is a unit, so pi_h h^(i-1) = h^i / lc(h), and at p | i the drawn
+        coefficient d h^i + z h^(i-p), z in F[x^p], has z h^(i-p) in F[x^p],
+        as h^(i-p) = H(x^p) over the prime field."""
+        check_same_field(self.field, a.field)
+        p = self.field.characteristic
+        w = {}
+        for i, r in a.terms.items():
+            q = r % self.h_power(i)
+            if not q:
+                w[i] = r
+            elif p and not i % p and not any(q.frobenius_split()[1:]):
+                w[i] = r - q
+            else:
+                return None
+        return WeylElement(self.field, w)
+
     def over_h_power(self, r: Poly, m: int) -> Poly:
         """r / h^m for the y^m coefficient r of an element of A_h; the
         division is exact iff r y^m lies in A_h, else MembershipError."""

@@ -439,6 +439,9 @@ def check_bracket_closure(ctx, rng):
 
 
 def check_extension_faithfulness(ctx, rng):
+    """Also the oracle of the decomposer against membership: ad_a is inner
+    iff a lies in A_h + Z(A_1) (`AhContext.ah_center_part`), both ways, on
+    normalizer elements that land on either side for a non-free h."""
     res = PropertyResult("extensions to A_1 are unique and restrict back")
     for _ in range(6):
         a = random_normalizer_element(rng, ctx)
@@ -450,6 +453,8 @@ def check_extension_faithfulness(ctx, rng):
         ok = ext.apply(ctx.yhat) == d.image_yhat and ext.apply(ctx.x_elt) == d.image_x
         perturbed = ext + D_g(Poly.one(ctx.field), ext.context)
         ok = ok and perturbed.apply(ctx.yhat) != d.image_yhat
+        inner = isinstance(is_inner(d), InnerWitness)
+        ok = ok and inner == (ctx.ah_center_part(a) is not None)
         res.check(ok, lambda: f"a={a}")
     return res
 

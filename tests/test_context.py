@@ -896,10 +896,10 @@ def theta_S_by_window(ctx):
 
 
 @st.composite
-def theta_contexts(draw):
-    """AhContext over GF(p), p <= 13, with h squarefree, with repeated
-    factors (multiplicities up to p + 1), or in F[x^p]."""
-    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+def theta_contexts(draw, primes=(2, 3, 5, 7, 11, 13)):
+    """AhContext over GF(p), p among `primes`, with h squarefree, with
+    repeated factors (multiplicities up to p + 1), or in F[x^p]."""
+    p = draw(st.sampled_from(primes))
     F = FieldSpec(p)
 
     def poly(max_deg):
@@ -969,6 +969,75 @@ def test_split_theta_recovers_parts(ctx, data):
     raw = data.draw(st.lists(st.integers(0, p - 1), max_size=top + 1))
     c = Poly(F, [0 if i % p == 0 else v for i, v in enumerate(raw)])
     assert ctx.split_theta(s + ctx.delta(c)) == (s, c)
+
+
+def draw_normalizer_element(data, ctx, top):
+    """An element of N(A_h) of y-degree up to `top`: either all inside
+    A_h + Z(A_1), or with each level i drawn inside it (h^i F[x], plus
+    F[x^p] at p | i) or from the whole of N_i: at p not dividing i, the
+    multiples of pi_h h^(i-1); at p | i, the antiderivatives of
+    h^(i-1) s, s in S, added, which span N_i modulo h^i F[x] + F[x^p]
+    (`_normalizer_quotient_level`)."""
+    p, F = ctx.p, ctx.field
+
+    def poly(max_deg):
+        return Poly(F, data.draw(st.lists(st.integers(0, p - 1), max_size=max_deg + 1)))
+
+    member = data.draw(st.booleans())
+    terms = {0: poly(3)}
+    for i in range(1, top + 1):
+        inside = member or data.draw(st.booleans())
+        if i % p:
+            terms[i] = poly(2) * (ctx.h_power(i) if inside else ctx.a_n_coefficient(i))
+            continue
+        r = poly(2) * ctx.h_power(i) + poly(2).substitute_xp()
+        for s in () if inside else ctx.theta_complement_S():
+            r = r + (ctx.h_power(i - 1) * s).antiderivative().scale(data.draw(st.integers(0, p - 1)))
+        terms[i] = r
+    return WeylElement(F, terms)
+
+
+@given(ctx=theta_contexts(primes=(2, 3, 5, 7)), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_ah_center_part_is_the_innerness_of_ad(ctx, data):
+    # free, repeated-factor and F[x^p] h; y-degrees up to 2p + 1 reach the
+    # levels p | i twice
+    a = draw_normalizer_element(data, ctx, 2 * ctx.p + 1)
+    assert ctx.normalizer_test(a).ok
+    w = ctx.ah_center_part(a)
+    d = ad(a, ctx)
+    assert isinstance(is_inner(d), InnerWitness) == (w is not None)
+    if w is not None:
+        assert ctx.ah_membership(w)
+        dw = ad(w, ctx)
+        assert dw.image_x == d.image_x and dw.image_yhat == d.image_yhat
+
+
+class TestAhCenterPart:
+    def test_non_members(self):
+        # y is not even in the normalizer for h = x; x y = a_1 is, for
+        # h = x^2, and its ad is outer
+        assert AhContext(Poly.x(GF3)).ah_center_part(WeylElement.y_power(GF3, 1)) is None
+        ctx = AhContext(xn(GF3, 2))
+        a = ctx.a_n_element(1)
+        assert ctx.ah_center_part(a) is None
+        assert not isinstance(is_inner(ad(a, ctx)), InnerWitness)
+
+    def test_a_central_remainder_is_split_off(self):
+        # h = x^2 over GF(3): z = x^3 lies in F[x^p] and h^3 = x^6 does not
+        # divide it, so z y^3 is the non-A_h part of a, and is central
+        ctx = AhContext(xn(GF3, 2))
+        member = WeylElement.from_term(P(GF3, 1, 1) * ctx.h_power(3), 3)
+        a = member + WeylElement.from_term(xn(GF3, 3), 3)
+        assert not ctx.ah_membership(a)
+        assert ctx.ah_center_part(a) == member
+        assert isinstance(is_inner(ad(a, ctx)), InnerWitness)
+
+    def test_over_q_only_a_h_passes(self):
+        ctx = AhContext(xn(QQ, 2))
+        assert ctx.ah_center_part(WeylElement.from_term(xn(QQ, 3), 2)) is None
+        a = WeylElement.from_term(xn(QQ, 4), 2)
+        assert ctx.ah_center_part(a) == a
 
 
 class TestFrobeniusBaseEquivalence:

@@ -603,6 +603,34 @@ class TestFreenessReport:
             assert rep.freeness_certificates == 10
             assert rep.theta_quotient_dim == 0
 
+    def test_failing_certificate_names_the_y_degree(self, monkeypatch):
+        # for h = x every normalizer element is a member, so the certificate
+        # is handed one from outside N: x^2 y^2 lies in A_h, y^4 does not
+        from ahweyl import verify
+
+        ctx = AhContext(Poly.x(GF3))
+        a = WeylElement.from_term(xn(GF3, 2), 2) + WeylElement.y_power(GF3, 4)
+        monkeypatch.setattr(verify, "random_normalizer_element", lambda rng, ctx: a)
+        with pytest.raises(AssertionError, match=r"y-degree 4 term .* outside A_h \+ Z\(A_1\)"):
+            freeness_and_module_report_charp(ctx)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_certificates_run_no_decomposition(self, p, monkeypatch):
+        # every module's binding of the decomposer raises, so a certificate
+        # that went back to is_inner or decompose_Ah_charp fails here
+        def refuse(*args):
+            raise AssertionError("a certificate ran the decomposer")
+
+        for name, module in list(sys.modules.items()):
+            if name == "ahweyl" or name.startswith("ahweyl."):
+                for attr in ("is_inner", "decompose_Ah_charp"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, refuse)
+        field = FieldSpec(p)
+        ctx = AhContext(Poly(field, [1, 1, 0, 1]))  # x^3 + x + 1 is squarefree mod 2, 3, 5
+        rep = freeness_and_module_report_charp(ctx, seed=p)
+        assert rep.free_over_center and rep.freeness_certificates == 10
+
     def test_h_one_free(self):
         ctx = AhContext(Poly.one(GF3))
         rep = freeness_and_module_report_charp(ctx, seed=6)
