@@ -526,13 +526,13 @@ def freeness_and_module_report_charp(
         for _ in range(certificates):
             a = random_normalizer_element(rng, ctx)
             if ctx.ah_center_part(a) is None:
-                i = min(
+                degree = min(
                     i
                     for i, r in a.terms.items()
                     if ctx.ah_center_part(WeylElement.from_term(r, i)) is None
                 )
                 raise AssertionError(
-                    f"freeness certificate failed: the y-degree {i} term of a "
+                    f"freeness certificate failed: the y-degree {degree} term of a "
                     "normalizer element is outside A_h + Z(A_1), so its ad is not inner"
                 )
             certified += 1
