@@ -21,7 +21,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import is_dataclass
 from json.encoder import encode_basestring_ascii
 
 from .centerpoly import CenterPoly
@@ -45,7 +44,8 @@ from .fields import ExactDivisionError, FieldMismatchError, FieldSpec
 from .hochschild import freeness_and_module_report_charp, structure_report_char0
 from .parse import MAX_DEGREE, ParseError, parse_factors, parse_poly, parse_weyl
 from .poly import Poly, QPoly
-from .verify import run_verify
+from .record import Record
+from .verify import PropertyResult, run_verify
 from .weyl import WeylElement
 
 # Domain errors (exit 1) and the category printed for each; isinstance picks
@@ -131,14 +131,15 @@ def _build_context(args) -> AhContext:
 
 
 _TEXT_TYPES = frozenset((Poly, QPoly, WeylElement, CenterPoly))
+_RECORD_TYPES = (Record, PropertyResult)
 
 
 def _json(value):
     """The JSON form of a value: the text of a polynomial or Weyl element, a
     list for a tuple or list, the description of a center derivation, the
-    dict of a result record's fields by name (its keys in schema.json).
-    Dispatch is on the exact type, text types first: analyze converts every
-    normalizer level and every generator."""
+    dict of a result record's fields by name (its slots, which are its keys
+    in schema.json). Dispatch is on the exact type, text types first:
+    analyze converts every normalizer level and every generator."""
     kind = type(value)
     if kind in _TEXT_TYPES:
         return str(value)
@@ -146,8 +147,8 @@ def _json(value):
         return [_json(v) for v in value]
     if kind is CenterDerivation:
         return value.describe()
-    if is_dataclass(kind):
-        return {name: _json(v) for name, v in vars(value).items()}
+    if isinstance(value, _RECORD_TYPES):
+        return {name: _json(getattr(value, name)) for name in kind.__slots__}
     return value
 
 

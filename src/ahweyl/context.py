@@ -44,7 +44,6 @@ are `Derivation`s like any other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from operator import mul
 from typing import Optional
@@ -53,6 +52,7 @@ from .centerpoly import CenterPoly
 from .fields import ExactDivisionError, check_same_field
 from .linalg import relations
 from .poly import NotIntegrable, Poly
+from .record import Record
 from .weyl import WeylElement, _accumulate, _add_reordered, _hasse_rows, _reach
 
 
@@ -64,19 +64,19 @@ class FactorListError(ValueError):
     """A user-supplied factor list does not match h's squarefree decomposition."""
 
 
-@dataclass(frozen=True)
-class NotCentralizing:
+class NotCentralizing(Record):
     """Why a centralizer read failed: of x (`centralizer_x_coords`), or of
-    all of A_h, the center (`center_coords`)."""
+    all of A_h, the center (`center_coords`); `reason` is text."""
 
-    reason: str
+    __slots__ = ("reason",)
 
 
-@dataclass(frozen=True)
-class NormalizerResult:
-    ok: bool
-    failing_y_degree: Optional[int] = None
-    reason: Optional[str] = None
+class NormalizerResult(Record):
+    """A normalizer membership verdict: `ok`, and when it fails the y-degree
+    of the failing term and the reason, each None by default."""
+
+    __slots__ = ("ok", "failing_y_degree", "reason")
+    _defaults = {"failing_y_degree": None, "reason": None}
 
     def __bool__(self):
         return self.ok

@@ -27,7 +27,6 @@ decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Optional
@@ -36,6 +35,7 @@ from .centerpoly import CenterPoly
 from .context import AhContext, NotCentralizing, weyl_context
 from .fields import ExactDivisionError, check_same_field
 from .poly import NotIntegrable, Poly, _convolve
+from .record import Record
 from .weyl import WeylElement, _accumulate, _add_reordered, _hasse_rows, _reach, commutator
 
 
@@ -43,13 +43,12 @@ class InvalidDerivationError(ValueError):
     """Raised when generator images do not define a derivation."""
 
 
-@dataclass(frozen=True)
-class InvalidDerivation:
-    """Validation defect, returned as data so callers can print it."""
+class InvalidDerivation(Record):
+    """Validation defect, returned as data so callers can print it: whether
+    the images of x and yhat lie in A_h, and the defect (a WeylElement or
+    None)."""
 
-    x_in_ah: bool
-    yhat_in_ah: bool
-    defect: Optional[WeylElement]
+    __slots__ = ("x_in_ah", "yhat_in_ah", "defect")
 
     def describe(self) -> str:
         parts = []
@@ -492,11 +491,10 @@ def _peel_ad(ctx: AhContext, e_x: WeylElement, e_yhat: WeylElement):
 # -- extension to A_1 ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NotExtendable:
+class NotExtendable(Record):
     """D(y) = W / h does not lie in A_1; carries the reason."""
 
-    reason: str
+    __slots__ = ("reason",)
 
 
 def extend_to_A1(d: Derivation):
@@ -515,12 +513,10 @@ def extend_to_A1(d: Derivation):
 # -- restriction to the center -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CenterDerivation:
-    """A d/dt1 + B d/dt2 on Z(A_h) = F[t1, t2]."""
+class CenterDerivation(Record):
+    """A d/dt1 + B d/dt2 on Z(A_h) = F[t1, t2], A and B CenterPolys."""
 
-    a: CenterPoly
-    b: CenterPoly
+    __slots__ = ("a", "b")
 
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero()
@@ -553,25 +549,19 @@ def restrict_to_center(d: Derivation) -> CenterDerivation:
 # -- decompositions of Der(A_h) -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecompCharZero:
+class DecompCharZero(Record):
     """D = D_g + sum_n ad_{r_n a_n} + ad_(inner witness), with deg g < deg h
-    and deg r_n < deg(h/pi_h)."""
+    and deg r_n < deg(h/pi_h); `terms` is the tuple of the (n, r_n) with
+    n >= 1 and r_n nonzero."""
 
-    g: Poly
-    terms: tuple  # ((n, r_n) with n >= 1, r_n nonzero)
-    inner_witness: WeylElement
+    __slots__ = ("g", "terms", "inner_witness")
 
 
-@dataclass(frozen=True)
-class DecompCharP:
-    """D = u D_qbreve + v bhat_f + D_s + ad_(normalizer part) + ad_(witness)."""
+class DecompCharP(Record):
+    """D = u D_qbreve + v bhat_f + D_s + ad_(normalizer part) + ad_(witness),
+    u and v CenterPolys, s a Poly."""
 
-    u: CenterPoly
-    v: CenterPoly
-    s: Poly
-    normalizer_part: WeylElement
-    inner_witness: WeylElement
+    __slots__ = ("u", "v", "s", "normalizer_part", "inner_witness")
 
 
 def decompose_Ah_char0(d: Derivation) -> DecompCharZero:
@@ -660,23 +650,19 @@ def decompose_Ah_charp(d: Derivation) -> DecompCharP:
 # -- inner test -------------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InnerWitness:
+class InnerWitness(Record):
     """D = ad_witness, with the decomposition the verdict was read from."""
 
-    witness: WeylElement
-    decomposition: DecompCharZero | DecompCharP
+    __slots__ = ("witness", "decomposition")
 
 
-@dataclass(frozen=True)
-class NotInner:
+class NotInner(Record):
     """Certificate: the reason, the decomposition whose outer components it
     names, and in characteristic p the normalizer term outside
-    A_h + Z(A_1), if that is the reason."""
+    A_h + Z(A_1), if that is the reason (None by default)."""
 
-    reason: str
-    decomposition: DecompCharZero | DecompCharP
-    residue: Optional[WeylElement] = None
+    __slots__ = ("reason", "decomposition", "residue")
+    _defaults = {"residue": None}
 
 
 def is_inner(d: Derivation):
@@ -725,12 +711,11 @@ def is_inner(d: Derivation):
 # -- exponential automorphisms ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AhAlgebraMap:
-    """The automorphism x -> x, yhat -> yhat + g (any field)."""
+class AhAlgebraMap(Record):
+    """The automorphism x -> x, yhat -> yhat + g (any field), g a Poly, over
+    an AhContext."""
 
-    g: Poly
-    context: AhContext
+    __slots__ = ("g", "context")
 
     @property
     def image_x(self) -> WeylElement:

@@ -34,9 +34,10 @@ mod p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+
+from .record import Record
 
 
 class FieldMismatchError(ValueError):
@@ -69,16 +70,25 @@ def _is_prime(n: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """The base field F: characteristic 0 means Q, a prime p means GF(p)."""
 
-    characteristic: int
+    __slots__ = ("characteristic",)
 
-    def __post_init__(self):
-        ch = self.characteristic
-        if ch != 0 and not _is_prime(ch):
-            raise ValueError(f"characteristic must be 0 or prime, got {ch}")
+    def __init__(self, characteristic: int):
+        if characteristic != 0 and not _is_prime(characteristic):
+            raise ValueError(f"characteristic must be 0 or prime, got {characteristic}")
+        object.__setattr__(self, "characteristic", characteristic)
+
+    # Poly and WeylElement compare and hash their fields on every call, so
+    # these are the record's `==` and hash written out for one field.
+    def __eq__(self, other):
+        if other.__class__ is FieldSpec:
+            return self.characteristic == other.characteristic
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.characteristic,))
 
     @property
     def is_char_zero(self) -> bool:

@@ -22,7 +22,6 @@ freeness / module-structure report over the center.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -38,6 +37,7 @@ from .derivations import (
 )
 from .fields import check_same_field
 from .poly import NotIntegrable, Poly
+from .record import Record
 from .weyl import WeylElement, _hasse_rows
 
 
@@ -46,19 +46,16 @@ from .weyl import WeylElement, _hasse_rows
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BDg:
+class BDg(Record):
     """D_g for g in F[x]."""
 
-    g: Poly
+    __slots__ = ("g",)
 
 
-@dataclass(frozen=True)
-class BAd:
+class BAd(Record):
     """ad_{r a_n}, n >= 1."""
 
-    r: Poly
-    n: int
+    __slots__ = ("r", "n")
 
 
 def _dg_ad(g: Poly, s: Poly, n: int):
@@ -206,16 +203,22 @@ def generator_classes_char0(ctx: AhContext, max_n: int = 3) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HH1ReportChar0:
-    dim_center: int
-    center_basis: tuple  # polynomials g with Z(HH^1) spanned by the D_g
-    hh1_trivial: bool
-    abelian: bool
-    multiplicity_gt1_primes: Optional[tuple]  # ((u_i, alpha_i), ...), None without factors
-    nilpotent_N_trivial: bool
-    nilpotency_index_bound: int
-    witt_summand_count: Optional[int]  # None without factors
+class HH1ReportChar0(Record):
+    """Structure of HH^1 in characteristic 0. `center_basis` holds the
+    polynomials g with Z(HH^1) spanned by the D_g;
+    `multiplicity_gt1_primes`, ((u_i, alpha_i), ...), and
+    `witt_summand_count` are None without factors."""
+
+    __slots__ = (
+        "dim_center",
+        "center_basis",
+        "hh1_trivial",
+        "abelian",
+        "multiplicity_gt1_primes",
+        "nilpotent_N_trivial",
+        "nilpotency_index_bound",
+        "witt_summand_count",
+    )
 
 
 def structure_report_char0(ctx: AhContext) -> HH1ReportChar0:
@@ -247,14 +250,16 @@ def structure_report_char0(ctx: AhContext) -> HH1ReportChar0:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BBx:
+class BBx(Record):
     """bhat_x = (h^p / varrho_h) E_x."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class BBf:
+
+class BBf(Record):
     """bhat_f = zeta D_{h'/varrho_h} - bhat_x."""
+
+    __slots__ = ()
 
 
 class DerExpr:
@@ -416,24 +421,27 @@ def bracket_charp(e1: DerExpr, e2: DerExpr) -> DerExpr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormalizerQuotientLevel:
+class NormalizerQuotientLevel(Record):
     """N_i/(A_h + Z(A_1)) at one y-degree i, exactly: its dimension and a
     basis of polynomial coefficients."""
 
-    y_degree: int
-    dim: int
-    generators: tuple
+    __slots__ = ("y_degree", "dim", "generators")
 
 
-@dataclass(frozen=True)
-class HH1CharPReport:
-    free_over_center: bool
-    theta_quotient_dim: int
-    res_image_generators: tuple  # (CenterDerivation, CenterDerivation)
-    basis_if_free: Optional[tuple]  # descriptions of (D_qbreve, bhat_f)
-    freeness_certificates: int
-    normalizer_quotient: tuple  # NormalizerQuotientLevel per y-degree
+class HH1CharPReport(Record):
+    """Structure of HH^1 in characteristic p. `res_image_generators` is a
+    pair of CenterDerivations, `basis_if_free` the descriptions of
+    (D_qbreve, bhat_f) or None, `normalizer_quotient` a
+    NormalizerQuotientLevel per y-degree."""
+
+    __slots__ = (
+        "free_over_center",
+        "theta_quotient_dim",
+        "res_image_generators",
+        "basis_if_free",
+        "freeness_certificates",
+        "normalizer_quotient",
+    )
 
 
 def _normalizer_quotient_level(ctx: AhContext, i: int) -> NormalizerQuotientLevel:

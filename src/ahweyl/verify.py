@@ -24,7 +24,6 @@ import marshal
 import os
 import random
 import threading
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .centerpoly import CenterPoly
@@ -47,12 +46,18 @@ from .poly import NotIntegrable, Poly, QPoly
 from .weyl import WeylElement, commutator, varpi
 
 
-@dataclass
 class PropertyResult:
-    name: str
-    count: int = 0
-    passed: bool = True
-    counterexamples: list = dc_field(default_factory=list)
+    """The counts of one property, the one mutable result: `check` counts
+    into it. Its fields, the slots, are its keys in schema.json; a worker
+    sends them back as a row of plain data."""
+
+    __slots__ = ("name", "count", "passed", "counterexamples")
+
+    def __init__(self, name: str, count: int = 0, passed: bool = True, counterexamples=None):
+        self.name = name
+        self.count = count
+        self.passed = passed
+        self.counterexamples = [] if counterexamples is None else counterexamples
 
     def check(self, ok: bool, describe) -> None:
         self.count += 1

@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ahweyl.fields import (
@@ -580,17 +580,50 @@ def squarefree_case(draw):
     return f
 
 
+def musser_over_q(f):
+    """Second oracle over Q: Musser's loop on f, monic nonconstant. With c =
+    gcd(f, f') and w = f / c, step k splits off f_k = w / gcd(w, c) and
+    divides c by gcd(w, c); over Q c ends at 1."""
+    c = f.gcd_monic(f.derivative())
+    w = f.exact_div(c)
+    out = []
+    k = 1
+    while not w.is_one():
+        y = w.gcd_monic(c)
+        z = w.exact_div(y)
+        if not z.is_one():
+            out.append((z, k))
+        w, c = y, c.exact_div(y)
+        k += 1
+    return out
+
+
+def q_power_product(*parts):
+    """prod g^m over Q, each g given by its coefficients from degree 0."""
+    f = Poly.one(QQ)
+    for coeffs, m in parts:
+        f = f * Poly(QQ, coeffs) ** m
+    return f
+
+
 @given(squarefree_case())
+@example(q_power_product(([1, 1], 300)))
+@example(q_power_product(([Fraction(-1, 2), 1], 101), ([3, 0, 1], 250), ([0, 1], 7)))
+@example(q_power_product(([2, 1], 1), ([-1, 1], 199), ([1, Fraction(2, 3), 5], 200)).scale(7))
 @settings(max_examples=150, deadline=None)
 def test_squarefree_decomposition_matches_sympy(f):
     # the ordered list (f_m, m), f_m monic, the parts of one multiplicity
-    # that sympy lists apart multiplied together
+    # that sympy lists apart multiplied together; over Q Musser's loop is
+    # a second oracle, and the examples reach multiplicities in the hundreds
     _, theirs = sympy.sqf_list(to_sympy(f))
     parts = {}
     for g, m in theirs:
         g = from_sympy(f.field, g).monic()
         parts[int(m)] = parts[int(m)] * g if int(m) in parts else g
-    assert f.squarefree_decomposition() == [(parts[m], m) for m in sorted(parts)]
+    expected = [(parts[m], m) for m in sorted(parts)]
+    assert f.squarefree_decomposition() == expected
+    if f.field.is_char_zero:
+        assert musser_over_q(f.monic()) == expected
 
 
 # -- division over Q: the integer pseudo-division against sympy and Fractions -------------

@@ -6,9 +6,9 @@ module-level public function or class is named by some module other
 than `__init__`, every exception class it defines is raised somewhere
 in it, no module
 leans on the private API of `fractions.Fraction`, which changes between
-the Python versions CI runs, and no module writes JSON but through the
+the Python versions CI runs, no module writes JSON but through the
 CLI's writer (`cli._json_text`): `json.dumps`, `json.dump` and
-`JSONEncoder` are not used."""
+`JSONEncoder` are not used, and no module imports `dataclasses`."""
 
 import ast
 import builtins
@@ -176,3 +176,20 @@ def test_one_json_route(path):
         if alias.name in JSON_ROUTES
     ]
     assert not found, f"{path.name} writes JSON outside the CLI's writer: {found}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    # result records derive from record.Record: every CLI call is a fresh
+    # process, and building dataclasses, with the import of dataclasses and
+    # inspect, cost it more than the small jobs it runs
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "dataclasses"
+    ]
+    assert not found, f"{path.name} imports dataclasses at lines {found}"
