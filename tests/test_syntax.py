@@ -187,9 +187,13 @@ def test_no_dataclasses(path):
     found = [
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Import)
-        and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
-        or isinstance(node, ast.ImportFrom)
-        and (node.module or "").split(".")[0] == "dataclasses"
+        if (
+            isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "dataclasses"
+        )
     ]
     assert not found, f"{path.name} imports dataclasses at lines {found}"
