@@ -7,12 +7,13 @@ Exit codes: 0 success, 1 domain error (category printed), 2 usage error.
 
 `main` builds the context and writes the keys every JSON payload carries,
 `command`, `characteristic` and `h` (in text, the `h:` line); each `cmd_*`
-returns only its own fields. A result record is printed under its field
-names, which are its keys in schema.json. A characteristic-p context whose
-zeta = h^p y^p would take p * max(deg h, 1) over `parse.MAX_DEGREE` is
-refused as a domain error before it is built. The payload is written by
-one JSON writer (`_json_text`), whose bytes are those of
-`json.dumps(payload, indent=2, sort_keys=True)`.
+returns only its own fields, as values: polynomials, Weyl elements,
+center derivations, result records. Each is formatted once, in the output
+asked for, by the one JSON writer (`_json_text`: a record under its field
+names, its keys in schema.json) or by the text renderers, which read the
+same records by attribute. A characteristic-p context whose zeta = h^p y^p
+would take p * max(deg h, 1) over `parse.MAX_DEGREE` is refused as a
+domain error before it is built.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .context import (
 from .derivations import (
     AhAlgebraMap,
     CenterDerivation,
+    DecompCharZero,
     Derivation,
     InnerWitness,
     InvalidDerivation,
@@ -130,34 +132,16 @@ def _build_context(args) -> AhContext:
     return AhContext(h, factors=factors, degree_bound=args.degree_bound)
 
 
-_TEXT_TYPES = frozenset((Poly, QPoly, WeylElement, CenterPoly))
-_RECORD_TYPES = (Record, PropertyResult)
-
-
-def _json(value):
-    """The JSON form of a value: the text of a polynomial or Weyl element, a
-    list for a tuple or list, the description of a center derivation, the
-    dict of a result record's fields by name (its slots, which are its keys
-    in schema.json). Dispatch is on the exact type, text types first:
-    analyze converts every normalizer level and every generator."""
-    kind = type(value)
-    if kind in _TEXT_TYPES:
-        return str(value)
-    if kind is tuple or kind is list:
-        return [_json(v) for v in value]
-    if kind is CenterDerivation:
-        return value.describe()
-    if isinstance(value, _RECORD_TYPES):
-        return {name: _json(getattr(value, name)) for name in kind.__slots__}
-    return value
+# types written as their text
+_TEXT_TYPES = frozenset((str, Poly, QPoly, WeylElement, CenterPoly))
 
 
 def _json_text(value) -> str:
-    """The JSON text of a payload: the bytes of `json.dumps(value, indent=2,
-    sort_keys=True)`, ASCII-escaped, written without the pure-Python
-    encoder that `indent` selects there. Made whole before it is printed,
-    so an error leaves no output. A type outside JSON is a TypeError, and
-    so is a key that is not a string: payload keys are field names."""
+    """The JSON text of a payload: the bytes of `json.dumps(indent=2,
+    sort_keys=True)` on its JSON form (see `_write_json`), written without
+    the pure-Python encoder that `indent` selects there. Made whole before
+    it is printed, so an error leaves no output. Any other type is a
+    TypeError, and so is a key that is not a string (keys are field names)."""
     out = []
     _write_json(value, "\n", out.append)
     return "".join(out)
@@ -165,9 +149,17 @@ def _json_text(value) -> str:
 
 def _write_json(value, newline: str, put) -> None:
     """Write `value` through `put`, its nested lines led by `newline`, a
-    line break and the indent of its level. Strings take the C escaper of
-    `json`, and a list made only of strings is joined in one call."""
-    if isinstance(value, str):
+    line break and the indent of its level: a polynomial or Weyl element as
+    its text, a center derivation by `describe()`, a result record as the
+    object of its fields by name (its slots). Text types are matched first,
+    by exact type. Strings take the C escaper of `json`, and a list made
+    only of strings and text values is joined in one call."""
+    kind = type(value)
+    if kind in _TEXT_TYPES:
+        put(encode_basestring_ascii(str(value)))
+    elif kind is CenterDerivation:
+        put(encode_basestring_ascii(value.describe()))
+    elif isinstance(value, str):
         put(encode_basestring_ascii(value))
     elif value is None:
         put("null")
@@ -182,8 +174,9 @@ def _write_json(value, newline: str, put) -> None:
             put("[]")
             return
         inner = newline + "  "
-        if all(isinstance(v, str) for v in value):
-            put(f"[{inner}{(',' + inner).join(map(encode_basestring_ascii, value))}{newline}]")
+        if all(type(v) in _TEXT_TYPES for v in value):
+            texts = map(encode_basestring_ascii, map(str, value))
+            put(f"[{inner}{(',' + inner).join(texts)}{newline}]")
             return
         lead = "[" + inner
         for v in value:
@@ -191,19 +184,23 @@ def _write_json(value, newline: str, put) -> None:
             lead = "," + inner
             _write_json(v, inner, put)
         put(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
+    elif isinstance(value, (dict, Record, PropertyResult)):
+        if isinstance(value, dict):
+            items = value.items()
+        else:
+            items = [(name, getattr(value, name)) for name in kind.__slots__]
+        if not items:
             put("{}")
             return
         inner = newline + "  "
         lead = "{" + inner
-        for key, v in sorted(value.items()):
+        for key, v in sorted(items):
             put(f"{lead}{encode_basestring_ascii(key)}: ")
             lead = "," + inner
             _write_json(v, inner, put)
         put(newline + "}")
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _show(value) -> str:
@@ -222,26 +219,22 @@ def _show(value) -> str:
 def _charp_center(ctx: AhContext) -> dict:
     """zeta, with x^p a generator of Z(A_h), and the polynomials read off it."""
     return {
-        "zeta": str(ctx.zeta_element()),
-        "zeta_hat_coeff": str(ctx.zeta_hat_coeff),
+        "zeta": ctx.zeta_element(),
+        "zeta_hat_coeff": ctx.zeta_hat_coeff,
         "hbar": ctx.hbar.to_text("u"),
-        "qbreve": str(ctx.qbreve),
+        "qbreve": ctx.qbreve,
     }
 
 
 def cmd_analyze(args, ctx: AhContext) -> dict:
-    payload = {
-        "pi_h": str(ctx.pi_h),
-        "varrho_h": str(ctx.varrho_h),
-        "h_over_pi": str(ctx.h_over_pi),
-    }
+    payload = {"pi_h": ctx.pi_h, "varrho_h": ctx.varrho_h, "h_over_pi": ctx.h_over_pi}
     if ctx.field.is_char_zero:
-        payload["hh1"] = _json(structure_report_char0(ctx))
+        payload["hh1"] = structure_report_char0(ctx)
         return payload
     payload.update(_charp_center(ctx))
     payload["hbar_components"] = [c.to_text("u") for c in ctx.hbar_components]
-    payload["S_basis"] = _json(ctx.theta_complement_S())
-    payload["charp_report"] = _json(freeness_and_module_report_charp(ctx, seed=args.seed))
+    payload["S_basis"] = ctx.theta_complement_S()
+    payload["charp_report"] = freeness_and_module_report_charp(ctx, seed=args.seed)
     return payload
 
 
@@ -254,23 +247,23 @@ def _analyze_text(payload: dict) -> str:
     ]
     if "hh1" in payload:
         rep = payload["hh1"]
-        primes = rep["multiplicity_gt1_primes"]
+        primes = rep.multiplicity_gt1_primes
         lines += [
             "HH1 structure (characteristic 0):",
-            f"  dim Z(HH1): {rep['dim_center']}",
+            f"  dim Z(HH1): {rep.dim_center}",
             "  center basis: "
-            + (", ".join(f"D_[{g}]" for g in rep["center_basis"]) or "(empty)"),
-            f"  HH1 trivial: {_show(rep['hh1_trivial'])}",
-            f"  abelian: {_show(rep['abelian'])}",
+            + (", ".join(f"D_[{g}]" for g in rep.center_basis) or "(empty)"),
+            f"  HH1 trivial: {_show(rep.hh1_trivial)}",
+            f"  abelian: {_show(rep.abelian)}",
             "  primes with multiplicity > 1: "
             + (
                 "(needs --factors)"
                 if primes is None
                 else ", ".join(f"{u} (multiplicity {a})" for u, a in primes) or "(none)"
             ),
-            f"  nilpotent ideal trivial: {_show(rep['nilpotent_N_trivial'])}",
-            f"  nilpotency index bound: {_show(rep['nilpotency_index_bound'])}",
-            f"  Witt summands: {_show(rep['witt_summand_count'])}",
+            f"  nilpotent ideal trivial: {_show(rep.nilpotent_N_trivial)}",
+            f"  nilpotency index bound: {_show(rep.nilpotency_index_bound)}",
+            f"  Witt summands: {_show(rep.witt_summand_count)}",
         ]
     else:
         rep = payload["charp_report"]
@@ -279,18 +272,19 @@ def _analyze_text(payload: dict) -> str:
             f"delta^p(x)/h: {payload['zeta_hat_coeff']}",
             f"hbar: {payload['hbar']}",
             f"qbreve: {payload['qbreve']}",
-            "S basis: " + (", ".join(payload["S_basis"]) or "(empty)"),
+            "S basis: " + (", ".join(map(str, payload["S_basis"])) or "(empty)"),
             "HH1 over the center (characteristic p):",
-            f"  free of rank 2: {_show(rep['free_over_center'])}",
+            f"  free of rank 2: {_show(rep.free_over_center)}",
             "  basis if free: "
-            + (", ".join(rep["basis_if_free"]) if rep["basis_if_free"] else "(not free)"),
-            f"  dim Theta/im delta: {rep['theta_quotient_dim']}",
-            "  Res image generators: " + "; ".join(rep["res_image_generators"]),
+            + (", ".join(rep.basis_if_free) if rep.basis_if_free else "(not free)"),
+            f"  dim Theta/im delta: {rep.theta_quotient_dim}",
+            "  Res image generators: "
+            + "; ".join(g.describe() for g in rep.res_image_generators),
         ]
-        for lvl in rep["normalizer_quotient"]:
-            gens = ", ".join(lvl["generators"]) or "(none)"
+        for lvl in rep.normalizer_quotient:
+            gens = ", ".join(map(str, lvl.generators)) or "(none)"
             lines.append(
-                f"  N/(A_h + Z(A_1)) at y-degree {lvl['y_degree']}: dim {lvl['dim']}, generators {gens}"
+                f"  N/(A_h + Z(A_1)) at y-degree {lvl.y_degree}: dim {lvl.dim}, generators {gens}"
             )
     return "\n".join(lines)
 
@@ -315,9 +309,9 @@ def _classification(d: Derivation) -> dict:
     inner = isinstance(verdict, InnerWitness)
     return {
         "inner": inner,
-        "witness": str(verdict.witness) if inner else None,
+        "witness": verdict.witness if inner else None,
         "certificate": None if inner else verdict.reason,
-        "decomposition": _json(verdict.decomposition),
+        "decomposition": verdict.decomposition,
     }
 
 
@@ -338,16 +332,16 @@ def cmd_classify(args, ctx: AhContext) -> dict:
 def _classification_lines(cls: dict) -> list:
     lines = ["valid: yes"]
     dec = cls["decomposition"]
-    if "g" in dec:
-        lines.append(f"D part: D_[{dec['g']}]")
-        for n, r in dec["terms"]:
+    if isinstance(dec, DecompCharZero):
+        lines.append(f"D part: D_[{dec.g}]")
+        for n, r in dec.terms:
             lines.append(f"normalizer term: ad_[({r})*a_{n}]")
     else:
-        lines.append(f"u (coefficient of D_qbreve): {dec['u']}")
-        lines.append(f"v (coefficient of bhat_f): {dec['v']}")
-        lines.append(f"s (complement of im delta in Theta): {dec['s']}")
-        lines.append(f"normalizer part: {dec['normalizer_part']}")
-    lines.append(f"inner witness: {dec['inner_witness']}")
+        lines.append(f"u (coefficient of D_qbreve): {dec.u}")
+        lines.append(f"v (coefficient of bhat_f): {dec.v}")
+        lines.append(f"s (complement of im delta in Theta): {dec.s}")
+        lines.append(f"normalizer part: {dec.normalizer_part}")
+    lines.append(f"inner witness: {dec.inner_witness}")
     if cls["inner"]:
         lines.append(f"verdict: inner, witness {cls['witness']}")
     else:
@@ -382,7 +376,7 @@ def cmd_bracket(args, ctx: AhContext) -> dict:
     return {
         "valid": True,
         "defect": None,
-        "bracket": {"Dx": str(br.image_x), "Dyhat": str(br.image_yhat)},
+        "bracket": {"Dx": br.image_x, "Dyhat": br.image_yhat},
         "classification": _classification(br),
     }
 
@@ -406,7 +400,7 @@ def cmd_normalizer(args, ctx: AhContext) -> dict:
     a = parse_weyl(args.element, ctx.field)
     res = ctx.normalizer_test(a)
     return {
-        "element": str(a),
+        "element": a,
         "in_normalizer": res.ok,
         "failing_y_degree": res.failing_y_degree,
         "reason": res.reason,
@@ -442,7 +436,7 @@ def cmd_center(args, ctx: AhContext) -> dict:
             payload["element_coords"] = None
             payload["not_central_reason"] = coords.reason
         else:
-            payload["element_coords"] = str(coords)
+            payload["element_coords"] = coords
             payload["not_central_reason"] = None
     return payload
 
@@ -463,13 +457,9 @@ def _center_text(payload: dict) -> str:
 def cmd_exp_aut(args, ctx: AhContext) -> dict:
     g = parse_poly(args.g, ctx.field)
     phi = AhAlgebraMap(g, ctx)
-    payload = {
-        "g": str(g),
-        "image_x": str(phi.image_x),
-        "image_yhat": str(phi.image_yhat),
-    }
+    payload = {"g": g, "image_x": phi.image_x, "image_yhat": phi.image_yhat}
     if args.element is not None:
-        payload["element_image"] = str(phi.apply(parse_weyl(args.element, ctx.field)))
+        payload["element_image"] = phi.apply(parse_weyl(args.element, ctx.field))
     return payload
 
 
@@ -497,7 +487,7 @@ def cmd_verify(args, ctx: AhContext) -> dict:
     return {
         "seed": seed,
         "all_passed": all(r.passed for r in results),
-        "properties": _json(results),
+        "properties": results,
     }
 
 
@@ -507,9 +497,9 @@ def _verify_text(payload: dict) -> str:
         f"seed: {payload['seed']}",
     ]
     for prop in payload["properties"]:
-        status = "pass" if prop["passed"] else "FAIL"
-        lines.append(f"[{status}] {prop['name']} ({prop['count']} checks)")
-        for ce in prop["counterexamples"]:
+        status = "pass" if prop.passed else "FAIL"
+        lines.append(f"[{status}] {prop.name} ({prop.count} checks)")
+        for ce in prop.counterexamples:
             lines.append(f"        counterexample: {ce}")
     lines.append("result: " + ("all passed" if payload["all_passed"] else "FAILURES"))
     return "\n".join(lines)
@@ -563,19 +553,21 @@ def main(argv=None) -> int:
         payload = {
             "command": args.command,
             "characteristic": ctx.field.characteristic,
-            "h": str(ctx.h),
+            "h": ctx.h,
             **handler(args, ctx),
         }
+        # written here, as a computed coefficient over the digit limit is a domain error
+        if args.output == "json":
+            text = _json_text(payload)
+        else:
+            text = f"h: {payload['h']}\n{render(payload)}"
     except json.JSONDecodeError as exc:
         print(f"error (invalid JSON input): {exc}", file=sys.stderr)
         return 1
     except tuple(_ERROR_CATEGORIES) as exc:
         print(f"error ({_error_category(exc)}): {exc}", file=sys.stderr)
         return 1
-    if args.output == "json":
-        print(_json_text(payload))
-    else:
-        print(f"h: {payload['h']}\n{render(payload)}")
+    print(text)
     return 1 if payload.get("all_passed") is False else 0
 
 

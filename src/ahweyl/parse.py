@@ -94,7 +94,7 @@ MAX_CELLS = 2 * (MAX_DEGREE + 1)
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
+        self.message, self.position = message, position
 
 
 def _check_literal(digits: int, position: int) -> None:
@@ -568,21 +568,24 @@ def parse_poly(text: str, field: FieldSpec, var: str = "x") -> Poly:
 def parse_factors(text: str, field: FieldSpec):
     """Factor list syntax: comma-separated `poly` or `poly^mult` entries,
     e.g. "x^2,x-1"; the power after the last '^' is the multiplicity, a
-    number literal under the same `MAX_DIGITS` limit."""
+    number literal under the same `MAX_DIGITS` limit. An error's position
+    is counted in the whole text."""
     out = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        base, mult = None, 1
-        head, sep, tail = chunk.rpartition("^")
-        if sep and (digits := tail.strip()).isdecimal() and head.strip():
-            _check_literal(len(digits), len(chunk) - len(digits))
-            try:
-                base, mult = parse_poly(head.strip(), field), int(digits)
-            except ParseError:
-                pass  # the '^' belongs to the polynomial itself
-        if base is None:
-            base = parse_poly(chunk, field)
-        out.append((base, mult))
+    for entry in re.finditer(r"[^,\s][^,]*", text):  # from its first non-space
+        try:
+            out.append(_parse_factor(entry[0].rstrip(), field))
+        except ParseError as exc:
+            raise ParseError(exc.message, entry.start() + exc.position) from None
     return out
+
+
+def _parse_factor(chunk: str, field: FieldSpec):
+    """One stripped `poly` or `poly^mult` entry, as (poly, mult)."""
+    head, sep, tail = chunk.rpartition("^")
+    if sep and (digits := tail.strip()).isdecimal() and head.strip():
+        _check_literal(len(digits), len(chunk) - len(digits))
+        try:
+            return parse_poly(head.strip(), field), int(digits)
+        except ParseError:
+            pass  # the '^' belongs to the polynomial itself
+    return parse_poly(chunk, field), 1

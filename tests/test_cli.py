@@ -1,7 +1,9 @@
 """CLI surface: exit codes, JSON schema validation, golden files, round trips."""
 
+import functools
 import io
 import json
+import random
 import shlex
 import sys
 from fractions import Fraction
@@ -12,12 +14,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ahweyl import cli, derivations
+from ahweyl import cli, derivations, verify
+from ahweyl.centerpoly import CenterPoly
 from ahweyl.cli import main
-from ahweyl.context import weyl_context
-from ahweyl.derivations import DecompCharP, DecompCharZero
-from ahweyl.hochschild import HH1CharPReport, HH1ReportChar0, NormalizerQuotientLevel
-from ahweyl.verify import PropertyResult
+from ahweyl.context import AhContext, weyl_context
+from ahweyl.derivations import CenterDerivation, DecompCharP, DecompCharZero, is_inner
+from ahweyl.fields import FieldSpec
+from ahweyl.hochschild import (
+    HH1CharPReport,
+    HH1ReportChar0,
+    NormalizerQuotientLevel,
+    freeness_and_module_report_charp,
+    structure_report_char0,
+)
+from ahweyl.parse import parse_factors, parse_poly
+from ahweyl.poly import Poly, QPoly
+from ahweyl.record import Record
+from ahweyl.verify import PropertyResult, random_derivation, random_poly, random_weyl
+from ahweyl.weyl import WeylElement
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = json.loads(
@@ -144,6 +158,23 @@ class TestExitCodes:
     )
     def test_parse_error_non_decimal_digit(self, extra, message, capsys):
         code, out, err = run_cli(["analyze", "--char", "0", *extra], capsys=capsys)
+        assert code == 1 and out == ""
+        assert err == f"error (parse error): {message}\n"
+
+    @pytest.mark.parametrize(
+        "factors,message",
+        [
+            ("x, y", "unknown name 'y' (at position 3)"),
+            ("x,x^2^", "unexpected trailing '^' (at position 5)"),
+            ("x^2,  (x+1", "expected ')' (at position 10)"),
+            ("x,x^" + "9" * 4301, "number literal of 4301 digits exceeds the limit 4300 (at position 4)"),
+        ],
+        ids=["second-chunk", "trailing-caret", "leading-spaces", "multiplicity-literal"],
+    )
+    def test_parse_error_position_counts_in_the_whole_factor_list(self, factors, message, capsys):
+        code, out, err = run_cli(
+            ["analyze", "--h", "x^3", "--char", "0", "--factors", factors], capsys=capsys
+        )
         assert code == 1 and out == ""
         assert err == f"error (parse error): {message}\n"
 
@@ -917,9 +948,16 @@ def test_json_writer_empty_containers(value):
 @given(tree=JSON_TREES, bad=st.sampled_from([{1, 2}, Fraction(1, 2), b"x", 1j, object()]))
 @settings(max_examples=100, deadline=None)
 def test_json_writer_refuses_what_json_dumps_refuses(tree, bad):
-    for value in (bad, [tree, bad], {"k": tree, "z": (bad,)}):
+    # also inside a record field, where the writer reads the record itself
+    for value in (
+        bad,
+        [tree, bad],
+        {"k": tree, "z": (bad,)},
+        NormalizerQuotientLevel(1, 1, (bad,)),
+        (tree, PropertyResult("p", 1, False, [bad])),
+    ):
         with pytest.raises(TypeError):
-            dumps(value)
+            dumps(_json(value))
         with pytest.raises(TypeError):
             cli._json_text(value)
 
@@ -931,3 +969,150 @@ def test_json_error_leaves_no_output(monkeypatch, capsys):
     with pytest.raises(TypeError):
         run_cli(["analyze", "--h", "x", "--char", "3", "--output", "json"], capsys=capsys)
     assert capsys.readouterr().out == ""
+
+
+def test_json_error_in_a_record_leaves_no_output(monkeypatch, capsys):
+    # a bad value in the last normalizer level of a real report: the record
+    # is written whole before any of it is printed
+    def report(ctx, seed):
+        rep = freeness_and_module_report_charp(ctx, seed=seed)
+        bad = NormalizerQuotientLevel(7, 1, (object(),))
+        fields = [getattr(rep, name) for name in HH1CharPReport.__slots__[:-1]]
+        return HH1CharPReport(*fields, (*rep.normalizer_quotient, bad))
+
+    monkeypatch.setattr(cli, "freeness_and_module_report_charp", report)
+    with pytest.raises(TypeError):
+        run_cli(["analyze", "--h", "x", "--char", "3", "--output", "json"], capsys=capsys)
+    assert capsys.readouterr().out == ""
+
+
+# -- the JSON writer on result records, against the converter it replaced -----------------
+
+_TEXT_TYPES = frozenset((Poly, QPoly, WeylElement, CenterPoly))
+_RECORD_TYPES = (Record, PropertyResult)
+
+
+def _json(value):
+    """The JSON form of a value: the text of a polynomial or Weyl element, a
+    list for a tuple or list, the description of a center derivation, the
+    dict of a result record's fields by name (its slots, which are its keys
+    in schema.json). Dispatch is on the exact type, text types first:
+    analyze converts every normalizer level and every generator."""
+    kind = type(value)
+    if kind in _TEXT_TYPES:
+        return str(value)
+    if kind is tuple or kind is list:
+        return [_json(v) for v in value]
+    if kind is CenterDerivation:
+        return value.describe()
+    if isinstance(value, _RECORD_TYPES):
+        return {name: _json(getattr(value, name)) for name in kind.__slots__}
+    return value
+
+
+FIELDS = {p: FieldSpec(p) for p in (0, 2, 3, 5)}
+# (h, --factors) over Q: None fields without factors, multiplicities with
+CHAR0_H = [
+    ("1", None),
+    ("x", "x"),
+    ("x^2", None),
+    ("x^2", "x^2"),
+    ("x^3+x", None),
+    ("(x+1)^2*x", "(x+1)^2,x"),
+    ("-2*x^3*(x-1/2)^2", "x^3,(x-1/2)^2"),
+]
+CHARP_H = ["1", "x", "x^2", "x^2+1", "x*(x+1)^2"]
+
+
+@functools.cache
+def _context(p: int, h_text: str, factors_text=None, degree_bound=None) -> AhContext:
+    F = FIELDS[p]
+    factors = parse_factors(factors_text, F) if factors_text else None
+    return AhContext(parse_poly(h_text, F), factors=factors, degree_bound=degree_bound)
+
+
+@functools.cache
+def _charp_report(p: int, h_text: str, degree_bound: int, seed: int):
+    return freeness_and_module_report_charp(
+        _context(p, h_text, degree_bound=degree_bound), seed, certificates=2
+    )
+
+
+@functools.cache
+def _decomposition(p: int, h_text: str, seed: int):
+    return is_inner(random_derivation(random.Random(seed), _context(p, h_text))).decomposition
+
+
+CHAR0_REPORTS = st.sampled_from(CHAR0_H).map(lambda hf: structure_report_char0(_context(0, *hf)))
+CHARP_REPORTS = st.builds(
+    _charp_report,
+    st.sampled_from([2, 3, 5]),
+    st.sampled_from(CHARP_H),
+    st.integers(0, 4),
+    st.integers(0, 3),
+)
+DECOMPOSITIONS = st.builds(
+    _decomposition,
+    st.sampled_from([0, 2, 3, 5]),
+    st.sampled_from(CHARP_H),
+    st.integers(0, 3),
+)
+PROPERTY_RESULTS = st.builds(
+    PropertyResult,
+    JSON_STRINGS,
+    st.integers(0, 50),
+    st.booleans(),
+    st.lists(JSON_STRINGS, max_size=3),
+)
+_SEEDED_FIELDS = st.tuples(st.integers(0, 2**16), st.sampled_from(list(FIELDS.values())))
+TEXT_VALUES = st.one_of(
+    _SEEDED_FIELDS.map(lambda sf: random_poly(random.Random(sf[0]), sf[1])),
+    _SEEDED_FIELDS.map(lambda sf: random_weyl(random.Random(sf[0]), sf[1])),
+    DECOMPOSITIONS.filter(lambda d: isinstance(d, DecompCharP)).map(lambda d: d.u),
+)
+CENTER_DERIVATIONS = CHARP_REPORTS.flatmap(lambda rep: st.sampled_from(rep.res_image_generators))
+RECORD_VALUES = st.one_of(CHAR0_REPORTS, CHARP_REPORTS, DECOMPOSITIONS)
+# lists and tuples that mix the five kinds of value: records, text values,
+# center derivations, property results and plain JSON
+MIXED = st.recursive(
+    st.one_of(RECORD_VALUES, TEXT_VALUES, CENTER_DERIVATIONS, PROPERTY_RESULTS, JSON_LEAVES),
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple)),
+    max_leaves=8,
+)
+
+
+@given(st.one_of(RECORD_VALUES, PROPERTY_RESULTS, MIXED))
+@settings(max_examples=150, deadline=None)
+def test_json_writer_on_records_matches_the_converter(value):
+    # the bytes the CLI wrote when it first turned a payload into dicts,
+    # lists and strings and then wrote that
+    assert cli._json_text(value) == dumps(_json(value))
+
+
+def test_failing_verify_is_rendered(monkeypatch, capsys):
+    def check_fails_four_times(ctx, rng):
+        res = PropertyResult("a property that fails")
+        for i in range(6):
+            res.check(i < 2, lambda i=i: f"case {i}")
+        return res
+
+    monkeypatch.setattr(verify, "COMMON", [*verify.COMMON, check_fails_four_times])
+    argv = ["verify", "--h", "x", "--char", "2", "--seed", "3"]
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert (code, err) == (1, "")
+    assert "[FAIL] a property that fails (6 checks)\n" in out
+    assert [line.strip() for line in out.splitlines() if "counterexample:" in line] == [
+        f"counterexample: case {i}" for i in (2, 3, 4)
+    ]
+    assert out.endswith("result: FAILURES\n")
+    code, out, err = run_cli([*argv, "--output", "json"], capsys=capsys)
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    validate(payload)
+    assert payload["all_passed"] is False
+    assert [prop for prop in payload["properties"] if not prop["passed"]] == [{
+        "name": "a property that fails",
+        "count": 6,
+        "passed": False,
+        "counterexamples": ["case 2", "case 3", "case 4"],
+    }]

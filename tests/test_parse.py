@@ -148,10 +148,10 @@ class TestParseFactors:
         assert got == [(Poly(QQ, [1, 0, 1]), 1)]
 
     def test_multiplicity_over_the_digit_limit(self):
-        # refused before int() reads it, as a number literal, at its position in its entry
+        # refused before int() reads it, as a number literal, at its position in the list
         assert parse_factors(f"x^{'9' * MAX_DIGITS}", QQ) == [(Poly.x(QQ), int("9" * MAX_DIGITS))]
         over = "9" * (MAX_DIGITS + 1)
-        for text, position in [(f"x^{over}", 2), (f"x-1, (x+1)^ {over}", 7)]:
+        for text, position in [(f"x^{over}", 2), (f"x-1, (x+1)^ {over}", 12)]:
             with pytest.raises(ParseError) as e:
                 parse_factors(text, QQ)
             assert str(e.value) == (
