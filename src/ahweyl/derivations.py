@@ -10,10 +10,19 @@ of W (`image_of_zeta`). The automorphisms x -> x,
 yhat -> yhat + g read a in the same form, through phi(y) = y + g / h, and
 both sum the same binomial rows (`_binomial_sum`). With closed forms for
 [yhat, a] and [a, x] (`AhContext.yhat_bracket`, `commutator` with the
-operand x) no general Weyl product is made. `d_on_poly`, `_binomial_sum`
-and `criterion_defect` lift their operands once and sum every piece into
-raw rows through shared row cores, reducing each output row once: no
-intermediate Weyl element or element sum is formed.
+operand x) no general Weyl product is made. `_binomial_sum`,
+`criterion_defect` and the closed form of P_0 = W (`_add_d_yhat`) lift
+their operands once and sum every piece into raw rows, reducing each
+output row once: no intermediate Weyl element or element sum is formed.
+
+`_binomial_sum` lists its sum as pieces, each a univariate row times an
+operand sum_j r_j y^j, and `_sum_pieces` adds them up: by the row loop,
+one schoolbook product per piece and operand row, below `PACKED_WORK`
+multiply-adds; from there by Kronecker substitution, each row packed once
+into one big integer and each of those products one big-integer product,
+summed packed per output row and unpacked once. Its slot width bounds
+every output value, and over Q a signed offset reads the signed values
+back exactly (see `_sum_pieces`).
 
 The module also provides: the special derivations D_g, bhat_x and bhat_f;
 the A_1 derivations E_x and E_y and the extension to A_1, which are
@@ -34,7 +43,7 @@ from typing import Optional
 from .centerpoly import CenterPoly
 from .context import AhContext, NotCentralizing, weyl_context
 from .fields import ExactDivisionError, check_same_field
-from .poly import NotIntegrable, Poly, _convolve
+from .poly import NotIntegrable, Poly, _convolve, _pack, _unpack
 from .record import Record
 from .weyl import WeylElement, _accumulate, _add_reordered, _hasse_rows, _reach, commutator
 
@@ -61,43 +70,14 @@ class InvalidDerivation(Record):
         return "; ".join(parts) or "valid"
 
 
-def d_on_poly(f: Poly, u: WeylElement) -> WeylElement:
-    """The unique derivation d of F[x] into A_1 with d(x) = u, applied to f.
-
-    Closed form: with H_m the m-th Hasse derivative,
-
-        d(f) = sum_{l >= 0} H_(l+1)(f) (-ad x)^l(u),
-        (-ad x)^l(r y^j) = j!/(j-l)! r y^(j-l).
-
-    Derivation: d(x^n) = sum_k x^k u x^(n-1-k). Moving x^m to the left of
-    u gives u x^m = sum_l C(m, l) x^(m-l) (-ad x)^l(u), and
-    sum_k C(n-1-k, l) = C(n, l+1), so d(x^n) = sum_l C(n, l+1) x^(n-1-l)
-    (-ad x)^l(u). Only integer binomials enter, so this holds in
-    characteristic p too. For the term r y^j the sum stops at l = j, or
-    once the falling factorial j!/(j-l)! is 0 in F. A zero H_(l+1)(f) is no
-    reason to stop: over GF(2), H_1(1 + x^2) = 0 but H_2(1 + x^2) = 1.
-
-    Both operands are lifted once (`FieldSpec.lift`), the rows are summed
-    by `_add_d_on_poly`, and each row is reduced once, over Q divided by
-    the two lift denominators."""
-    F = u.field
-    df, (fc,) = F.lift((f,))
-    du, terms = F.lift(u.terms)
-    rows = {}
-    _add_d_on_poly(F, rows, fc, terms)
-    return WeylElement._from_rows(F, rows, df * du)
-
-
-def _add_d_on_poly(F, rows: dict, fc, terms: dict, shift: int = 0) -> None:
-    """rows += d(f) y^shift for d(x) = u, on raw coefficients: fc are those
-    of f and terms the {j: coefficients} of u, lifted over Q (`d_on_poly`).
-
-    The table H_1(f), H_2(f), ... (`weyl._hasse_rows`) is built as far as
-    the falling factorials (j)_l of the y-degrees of u reach, and the
-    reordering kernel `weyl._add_reordered` sums every piece
-    (j)_l H_(l+1)(f) r_j into the raw row of y-degree j - l + shift."""
-    p = F.characteristic
-    _add_reordered(rows, terms, _hasse_rows(F, fc, 1, _reach(terms, p) + 2), shift, p)
+#: Multiply-adds of the row loop (the length of each row times the summed
+#: lengths of its operand's rows, over the pieces) from which `_sum_pieces`
+#: packs. Timed on the sums that the four benchmark workloads and two large
+#: `verify` runs (p = 11 and 61) make, on a 2-CPU x86 machine under Python
+#: 3.11: below 1500 the row loop is faster, packing's fixed cost being some
+#: 10 us a call; from 2000 to 5000 packing is up to 1.5 times faster, above
+#: 5000 2 to 3 times, and above 50000 about 10 times.
+PACKED_WORK = 2000
 
 
 def _lift_elements(F, elements):
@@ -109,35 +89,138 @@ def _lift_elements(F, elements):
     return den, [{i: next(it) for i in w.terms} for w in elements]
 
 
-def _binomial_sum(ctx: AhContext, a: WeylElement, images, first=None) -> WeylElement:
+def _sum_pieces(pieces, operands, signed: bool) -> dict:
+    """{y-degree: raw row} of sum row * operands[k] y^s over the pieces
+    (s, k, row), each operand the raw rows {j: r_j} of sum_j r_j y^j and
+    each row univariate, raw; `signed` says a value may be negative (over
+    Q).
+
+    Below `PACKED_WORK` multiply-adds this is the row loop, one `_convolve`
+    per piece and operand row. From there each row is packed once into one
+    big integer (`poly._pack`, Kronecker substitution), each operand row on
+    the first piece that reads it, and each product row * r_j is one
+    big-integer product, added packed into the sum of its output y-degree
+    s + j; each sum is unpacked once. The operand rows are packed apart,
+    not as one bivariate integer: the operands of `Derivation.apply` are
+    sparse in y (at p = 61 a few rows spread over 120 y-degrees), and one
+    integer would hold every empty row.
+
+    The slot width: a piece adds to each output value at most max|row|
+    max|operand| min(len row, longest operand row), as one operand row
+    meets it there. So M, the sum of max|row| (1 + that bound) over the
+    pieces plus max|operand|, bounds every output value and every packed
+    one. Over GF(p) every value is nonnegative, and a slot of nb bytes with
+    M < B = 2^(8 nb) holds it. Over Q one bit more gives |value| < B/2: the
+    values are packed in two's complement and each sum read back through a
+    signed offset of B/2 in every slot, which is exact because each value
+    plus B/2 is then a base-B digit, with no borrow (`poly._unpack`). nb is
+    1, 2, 4 or 8 where one of them holds M, so that a slot is a machine
+    word."""
+    sizes = [sum(map(len, op.values())) for op in operands]
+    if sum([len(row) * sizes[k] for _, k, row in pieces]) < PACKED_WORK:
+        rows = {}
+        for s, k, row in pieces:
+            for j, r in operands[k].items():
+                _accumulate(rows, j + s, row, r)
+        return rows
+    stats = []  # per operand: longest row, largest |value|
+    for op in operands:
+        big = max([max(r, default=0) for r in op.values()], default=0)
+        if signed:
+            big = max(big, -min([min(r, default=0) for r in op.values()], default=0))
+        stats.append((max(map(len, op.values()), default=0), big))
+    bound = max([big for _, big in stats], default=0)
+    for _, k, row in pieces:
+        longest, big = stats[k]
+        peak = max(max(row, default=0), -min(row, default=0)) if signed else max(row, default=0)
+        bound += peak * (1 + big * min(len(row), longest))
+    bits = bound.bit_length() + signed
+    nb = next((n for n in (1, 2, 4, 8) if 8 * n >= bits), (bits + 7) // 8)
+    packed = {}  # k -> [(j, r_j packed, len r_j)]
+    sums, lengths = {}, {}
+    for s, k, row in pieces:
+        if k not in packed:
+            packed[k] = [(j, _pack(r, nb, signed), len(r)) for j, r in operands[k].items()]
+        v = _pack(row, nb, signed)
+        for j, w, n in packed[k]:
+            sums[s + j] = sums.get(s + j, 0) + v * w
+            lengths[s + j] = max(lengths.get(s + j, 0), n + len(row) - 1)
+    rows = {}
+    for d, total in sums.items():
+        if any(row := _unpack(total, lengths[d], nb, signed)):
+            rows[d] = row
+    return rows
+
+
+def _add_d_yhat(ctx: AhContext, rows: dict, u: dict, sign: int) -> None:
+    """rows += sign (d(h) y + d(h')), for d the derivation of F[x] with d(x)
+    = u and u given by its raw rows {j: r_j} (lifted over Q: the rows are
+    then over that denominator times dh), in one pass:
+
+        d(h) y + d(h') = h' u y + sum_j sum_(t >= 0) (j+2) (j)_t H_(t+2)(h) r_j y^(j-t).
+
+    Proof: d(f) = sum_(l >= 0) H_(l+1)(f) sum_j (j)_l r_j y^(j-l) (see
+    `Derivation.apply`). For f = h, times y, the term l = 0 is h' u y and
+    l = t + 1 gives (j)_(t+1) H_(t+2)(h) r_j y^(j-t). For f = h',
+    H_(t+1)(h') = (t+2) H_(t+2)(h), from C(t+2, 1) H_(t+2) = H_(t+1) H_1.
+    So H_(t+2)(h) r_j y^(j-t) has the factor (j)_(t+1) + (t+2) (j)_t =
+    (j+2) (j)_t, as (j)_(t+1) = (j-t) (j)_t. A term with j + 2 = 0 in F
+    has no sum. The sum is the kernel `weyl._add_reordered` on the cached
+    table H_2(h), H_3(h), ... (empty for deg h < 2)."""
+    p = ctx.field.characteristic
+    _, table = ctx.h_hasse(_reach(u, p) + 3)
+    hp = [sign * c for c in table[1]] if len(table) > 1 else ()
+    scaled = {}
+    for j, r in u.items():
+        if hp:
+            _accumulate(rows, j + 1, hp, r)
+        if b := sign * (j + 2) % p if p else sign * (j + 2):
+            scaled[j] = [b * c for c in r]
+    _add_reordered(rows, scaled, table[2:], 0, p)
+
+
+def _binomial_sum(ctx: AhContext, a: WeylElement, images, ladder=None) -> WeylElement:
     """sum_i sum_(k <= i) C(i, k) g_i h^(i-k) T_k y^(i-k) for a = sum f_i y^i
     in A_h, with g_i = f_i / h^i, summed on raw rows and each output row
     reduced once: the shape of D(a) (`Derivation.apply`) and of phi_g(a)
     (`AhAlgebraMap.apply`).
 
     `images(top)` gives [T_0, ..., T_n] for the y-degree top of a, and T_k
-    = 0 for k > n. With `first`, the k = 0 piece is first(F, rows, fc, T_0,
-    i) on the raw coefficients fc of g_i h^i = f_i instead (`_add_d_on_poly`
-    for d(f_i) y^i). The divisions f_i / h^i, in descending i, are exact iff
-    a lies in A_h: they are the membership test.
+    = 0 for k > n. The divisions f_i / h^i, in descending i, are exact iff
+    a lies in A_h: they are the membership test. The sum is first listed
+    as pieces (s, operand, row), each the product row * operand y^s, and
+    then summed by `_sum_pieces`, packed or by the row loop:
+
+    * for k >= 1 the row is C(i, k) g_i h^(i-k) and the operand T_k, at s =
+      i - k;
+    * for a derivation, `ladder` is [U_1, U_2, ...] with U_l = sum_j (j)_l
+      r_j y^(j-l) for T_0 = D(x) = U_0 = sum_j r_j y^j, and the k = 0 piece
+      is d(f_i) y^i = sum_l H_(l+1)(f_i) U_l y^i (`Derivation.apply`): the
+      rows are the Hasse rows H_(l+1)(f_i) and the operands the U_l;
+      without one, the k = 0 piece is f_i T_0.
 
     Over Q, g_i and the T_k are lifted over dg and den, and g_i h^s is built
     as g_i times the lifted h, s times, over dg dh^s, and enters times
     dh^(top-s). In characteristic p, Lucas skips the s with C(i, i-s) = 0,
-    and g_i h^s after a gap is one product with the cached `h_power`."""
+    and g_i h^s after a gap is one product with the cached `h_power`;
+    every raw value there is a residue or a product of two, nonnegative, so
+    `_sum_pieces` packs it unsigned."""
     F = ctx.field
     p = F.characteristic
     gs = {i: ctx.over_h_power(a.terms[i], i) for i in sorted(a.terms, reverse=True)}
     if not gs:
         return WeylElement.zero(F)
     top = max(gs)
-    den, terms = _lift_elements(F, images(top))
+    elements = images(top)
+    n = len(elements) - 1
+    den, operands = _lift_elements(F, [*elements, *(ladder or ())])
+    us = [0, *range(n + 1, len(operands))]  # the operand of each U_l
     dg, lifted = F.lift(tuple(gs.values()))
     dh, (hc,) = ctx.h_hasse(1)
-    rows = {}
+    pieces = []
     for (i, g), gc in zip(gs.items(), lifted):
         t, at = gc, 0  # g h^at, raw over dg dh^at
-        for k in range(min(i, len(terms) - 1), -1, -1):
+        for k in range(min(i, n), -1, -1):
             s = i - k
             b = comb(i, k) % p if p else comb(i, k)
             if not b:
@@ -149,12 +232,13 @@ def _binomial_sum(ctx: AhContext, a: WeylElement, images, first=None) -> WeylEle
             elif s != at:  # a gap, in characteristic p only
                 t = (g * ctx.h_power(s)).coeffs
             at, scale = s, b * dh ** (top - s)
-            bt = [scale * c for c in t]
-            if k or first is None:
-                for j, r in terms[k].items():
-                    _accumulate(rows, j + s, bt, r)
-            else:
-                first(F, rows, bt, terms[0], i)
+            bt = t if scale == 1 else [scale * c for c in t]
+            if k or ladder is None:
+                pieces.append((s, k, bt))
+            elif operands[0]:  # d(f_i) y^i, 0 for D(x) = 0
+                hasse = _hasse_rows(F, bt, 1, len(us) + 1)
+                pieces += [(i, us[l], row) for l, row in enumerate(hasse) if row]
+    rows = _sum_pieces(pieces, operands, not p)
     return WeylElement._from_rows(F, rows, dg * den * dh**top)
 
 
@@ -260,15 +344,22 @@ class Derivation:
     def dy_numerators(self, n: int) -> list:
         """[P_0, ..., P_(n-1)] (at least), cached: the numerators of
         (ad y)^l(D(y)) = P_l / h^(l+1) (see `apply`). P_0 = W = D(yhat) -
-        D(h) y - D(h'), and each P_(l+1) = h P_l' - (l+1) h' P_l is one row
-        core from the last, over dh times its lift denominator. For D_g,
-        P_(k-1) = T_k = (g h^-1)^(k-1) h^k, derivatives taken in F(x)."""
+        d(h) y - d(h') is one pass over raw rows, over the lift denominator
+        of both images times dh: D(yhat) times dh, less the closed form of
+        d(h) y + d(h') on the cached Hasse table of h (`_add_d_yhat`). Each
+        P_(l+1) = h P_l' - (l+1) h' P_l is one row core from the last, over
+        dh times its lift denominator. For D_g, P_(k-1) = T_k =
+        (g h^-1)^(k-1) h^k, derivatives taken in F(x)."""
         ctx = self.context
         numerators = self._cache.get("dy")
-        if numerators is None:
-            w = self.image_yhat - d_on_poly(ctx.h, self.image_x).shift(1)
-            numerators = self._cache["dy"] = [w - d_on_poly(ctx.h.derivative(), self.image_x)]
         dh, (hc, *hp) = ctx.h_hasse(2)
+        if numerators is None:
+            den, (u, v) = _lift_elements(ctx.field, (self.image_x, self.image_yhat))
+            rows = {}
+            for j, r in v.items():
+                _accumulate(rows, j, [dh], r)
+            _add_d_yhat(ctx, rows, u, -1)
+            numerators = self._cache["dy"] = [WeylElement._from_rows(ctx.field, rows, den * dh)]
         while len(numerators) < n:
             scale = -len(numerators)  # -(l+1)
             dl, terms = ctx.field.lift(numerators[-1].terms)
@@ -330,14 +421,41 @@ class Derivation:
         Only integer binomials enter, so this holds in characteristic p,
         where c_l = 0 for l >= p, as d^p is a derivation of F(x) that kills
         x; so there l < min(i, p). With k = l + 1 this is `_binomial_sum`
-        over T_k = P_(k-1), whose k = 0 piece is d(f_i) y^i."""
+        over T_k = P_(k-1), whose k = 0 piece is d(f_i) y^i.
+
+        For d(x) = u = sum_j r_j y^j and H_m the m-th Hasse derivative,
+
+            d(f) = sum_(l >= 0) H_(l+1)(f) U_l,  U_l = (-ad x)^l(u) = sum_j (j)_l r_j y^(j-l):
+
+        d(x^n) = sum_k x^k u x^(n-1-k); moving x^m to the left of u gives
+        u x^m = sum_l C(m, l) x^(m-l) U_l, and sum_k C(n-1-k, l) = C(n, l+1),
+        so d(x^n) = sum_l C(n, l+1) x^(n-1-l) U_l. Only integer binomials
+        enter, so this holds in characteristic p too, where U_l = 0 once
+        every (j)_l is 0 in F. A zero H_(l+1)(f) is no reason to stop: over
+        GF(2), H_1(1 + x^2) = 0 but H_2(1 + x^2) = 1. So the pieces of the
+        k = 0 term are the Hasse rows of f_i against the ladder U_l
+        (`_ladder`), made once per derivation; from `PACKED_WORK`
+        multiply-adds on, each product of a piece's row with an operand row
+        is one big-integer product (`_sum_pieces`)."""
         p = self.context.field.characteristic
 
         def images(top):
             count = min(top, p) if p else top  # c_l = 0 for l >= p
             return [self.image_x, *self.dy_numerators(count)[:count]]
 
-        return _binomial_sum(self.context, a, images, _add_d_on_poly)
+        return _binomial_sum(self.context, a, images, self._ladder())
+
+    def _ladder(self) -> list:
+        """[U_1, U_2, ...], cached: U_l = (-ad x)^l(D(x)) (see `apply`), each
+        U_(l+1) = [U_l, x] (`_Rows._d_dv`), until one is 0."""
+        ladder = self._cache.get("ladder")
+        if ladder is None:
+            ladder = self._cache["ladder"] = []
+            u = self.image_x._d_dv()
+            while u:
+                ladder.append(u)
+                u = u._d_dv()
+        return ladder
 
     def bracket(self, other: "Derivation") -> "Derivation":
         """[D, E] as a derivation: images D(E(x)) - E(D(x)), same on yhat."""
@@ -419,9 +537,12 @@ def ey_apply(a: WeylElement) -> WeylElement:
 
 
 def ex_on_yhat(ctx: AhContext) -> WeylElement:
-    """E_x(yhat) = E_x(h) y + E_x(h'): Leibniz on yhat = h y + h', as E_x(y) = 0."""
-    e = WeylElement.y_power(ctx.field, ctx.p - 1)
-    return d_on_poly(ctx.h, e).shift(1) + d_on_poly(ctx.h.derivative(), e)
+    """E_x(yhat) = E_x(h) y + E_x(h'): Leibniz on yhat = h y + h', as E_x(y) =
+    0, read in one pass from the closed form of `_add_d_yhat` with u =
+    y^(p-1)."""
+    rows = {}
+    _add_d_yhat(ctx, rows, {ctx.p - 1: (1,)}, 1)
+    return WeylElement._from_rows(ctx.field, rows)
 
 
 def bhat_x(ctx: AhContext) -> Derivation:

@@ -22,7 +22,12 @@ field; over Q the raw integers over their denominator are divided by one
 gcd with it. `+`, `-` and `*` of two GF(p) polynomials over the same
 `FieldSpec` object skip the operand check. The public `Poly(field,
 coeffs)` validates and coerces, as the entry point for outside input.
-`_convolve` is the one product loop; the Weyl product shares it.
+`_convolve` is the schoolbook product loop: `Poly.__mul__`, the Weyl
+product, and the binomial sums of `Derivation.apply` and
+`AhAlgebraMap.apply` below `derivations.PACKED_WORK` multiply-adds run
+through it. The larger binomial sums pack each row into one big integer,
+Kronecker substitution, make each row product one big-integer product,
+and sum the products packed (`_pack`, `_unpack`).
 
 Division over Q pseudo-divides the numerators (Knuth, TAOCP vol. 2, 4.6.1,
 Algorithm R) with lazy scaling: with L the divisor's leading numerator, a
@@ -51,6 +56,8 @@ numerator is read over `den` and put in lowest terms by one gcd.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -839,12 +846,66 @@ def _stored(r: Poly):
 
 def _convolve(acc: list, a, b) -> None:
     """acc[m + n] += a[m] * b[n] on raw values, no reduction; acc must be
-    long enough. The one product loop of the package: `Poly.__mul__` and
-    the Weyl product both accumulate through it."""
+    long enough. The schoolbook product loop: `Poly.__mul__`, the Weyl
+    product and the small binomial sums of `derivations` accumulate through
+    it; the large ones are packed (`_pack`)."""
     for m, am in enumerate(a):
         if am:
             for n, bn in enumerate(b, m):
                 acc[n] += am * bn
+
+
+#: (unsigned, signed) typecodes of the machine words of 1, 2, 4 and 8
+#: bytes, by width, for the slots of `_pack` and `_unpack` that fit one;
+#: none on a big-endian machine, whose words are not little-endian slots.
+_WORDS = {array(t).itemsize: (t, t.lower()) for t in "BHIQ"} if sys.byteorder == "little" else {}
+
+
+def _pack(values, nb: int, signed: bool) -> int:
+    """The integer sum_m values[m] B^m, B = 2^(8 nb): a row of raw values
+    evaluated at x = B, Kronecker substitution (von zur Gathen and
+    Gerhard, Modern Computer Algebra, 8.4). The product of two packed rows
+    is their product, packed, and packed products add as their rows do, as
+    long as each output value fits its slot (the caller's bound); `_unpack`
+    reads them back.
+
+    Each value is written into its slot of nb bytes, a machine word where
+    one is that wide (`_WORDS`). Each value is in [0, B), or with `signed`
+    in [-B/2, B/2), written in two's complement: a negative value c at
+    slot m then reads as c + B, with the top bit B/2 of its slot set, so
+    the sum is the read less twice its top bits, 2 (B/2) B^m = B^(m+1)
+    for each negative value."""
+    word = _WORDS.get(nb)
+    if word:
+        data = array(word[1] if signed else word[0], values).tobytes()
+    else:
+        data = b"".join([c.to_bytes(nb, "little", signed=signed) for c in values])
+    value = int.from_bytes(data, "little")
+    if signed:
+        value -= (value & _slot_tops(len(values), nb)) << 1
+    return value
+
+
+def _unpack(value: int, count: int, nb: int, signed: bool) -> list:
+    """The `count` values of a packed row or sum of products (see `_pack`),
+    each in [0, B), or with `signed` in [-B/2, B/2). The signed read adds
+    B/2 to every slot, as one integer, which puts each value plus B/2 in
+    [0, B), a base-B digit with no borrow, and flips each top bit back:
+    that leaves each value in two's complement, exactly."""
+    if signed:
+        tops = _slot_tops(count, nb)
+        value = (value + tops) ^ tops
+    data = value.to_bytes(count * nb, "little")
+    word = _WORDS.get(nb)
+    if word:
+        return array(word[1] if signed else word[0], data).tolist()
+    read = int.from_bytes
+    return [read(data[m : m + nb], "little", signed=signed) for m in range(0, count * nb, nb)]
+
+
+def _slot_tops(count: int, nb: int) -> int:
+    """The top bit of each of `count` slots of nb bytes, B/2 in each."""
+    return int.from_bytes((bytes(nb - 1) + b"\x80") * count, "little")
 
 
 #: var -> the texts of its powers, '' for var^0 and `var` for var^1: the

@@ -42,6 +42,7 @@ from .derivations import (
     restrict_to_center,
 )
 from .fields import FieldSpec
+from .hochschild import _normalizer_quotient_level
 from .poly import NotIntegrable, Poly, QPoly
 from .weyl import WeylElement, commutator, varpi
 
@@ -446,10 +447,21 @@ def check_bracket_closure(ctx, rng):
 def check_extension_faithfulness(ctx, rng):
     """Also the oracle of the decomposer against membership: ad_a is inner
     iff a lies in A_h + Z(A_1) (`AhContext.ah_center_part`), both ways, on
-    normalizer elements that land on either side for a non-free h."""
+    normalizer elements that land on either side for a non-free h.
+
+    In characteristic p, when S is nonempty, each element also gets a
+    random multiple of a generator of N_p/(A_h + Z(A_1)) at y-degree p
+    (`hochschild._normalizer_quotient_level`): `random_normalizer_element`
+    draws only the part of N_i in A_h + Z(A_1) at p | i, so without it the
+    decomposer's test of a normalizer part at y-degree kp is never
+    reached."""
     res = PropertyResult("extensions to A_1 are unique and restrict back")
+    quotient = () if ctx.field.is_char_zero else _normalizer_quotient_level(ctx, ctx.p).generators
     for _ in range(6):
         a = random_normalizer_element(rng, ctx)
+        if quotient:
+            r = rng.choice(quotient).scale(rng.randrange(ctx.p))
+            a = a + WeylElement.from_term(r, ctx.p)
         d = ad(a, ctx)
         ext = extend_to_A1(d)
         if not isinstance(ext, Derivation):

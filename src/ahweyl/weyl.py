@@ -8,14 +8,16 @@ all y-factors, stored as {i: r_i} with every r_i a nonzero canonical `Poly`
 
 with H_k the k-th Hasse derivative and (i)_k = i!/(i-k)! the falling
 factorial, in every characteristic. One row kernel over one table H_0(f),
-H_1(f), ... (`_add_reordered`, `_hasse_rows`) does every reordering of the
-package: this product, [yhat, a] and d(f) for a derivation d of F[x]. It
-follows the reduce-once rule of `poly`: each output y-degree gets one row
-of raw coefficients, every piece (i)_k H_k(s) r_i is accumulated into it by
-the shared convolution loop, and each row is reduced once, by the
-polynomial kernel's own `_reduced` (`WeylElement._from_rows`): over GF(p)
-the stored residues are the raw values, and the Hasse rows and the output
-rows are taken mod p with p read once per call, not through the field.
+H_1(f), ... (`_add_reordered`, `_hasse_rows`) does this product, [yhat, a]
+and d(h) y + d(h') for a derivation d of F[x]; `Derivation.apply` reads
+d(f) off the same Hasse rows, against the falling-factorial ladder of d(x)
+(`Derivation._ladder`). It follows the reduce-once rule of
+`poly`: each output y-degree gets one row of raw coefficients, every piece
+(i)_k H_k(s) r_i is accumulated into it by the shared convolution loop,
+and each row is reduced once, by the polynomial kernel's own `_reduced`
+(`WeylElement._from_rows`): over GF(p) the stored residues are the raw
+values, and the Hasse rows and the output rows are taken mod p with p
+read once per call, not through the field.
 Over Q the two operands are first lifted (`FieldSpec.lift`) to integer
 numerators over their common denominators da and db, so the tables and the
 rows hold Python ints and each row becomes a polynomial over da * db by
@@ -314,10 +316,12 @@ def _add_reordered(rows: dict, terms: dict, table, shift: int, p: int) -> None:
     """rows[i - k + shift] += (i)_k table[k] r for every term r y^i of
     `terms` (raw coefficients), for k = 0, 1, ... while the table lasts and
     the falling factorial (i)_k is nonzero in F (kept mod p in
-    characteristic p). The one reordering kernel: with table[k] = H_k(s)
-    and shift j it sums a * s y^j; with table[k] = H_(k+1)(f) it sums d(f)
-    for the derivation d of F[x] with d(x) = a. A zero table row is skipped,
-    not a stop: over GF(2), H_1(1 + x^2) = 0 but H_2(1 + x^2) = 1."""
+    characteristic p). The reordering kernel: with table[k] = H_k(s)
+    and shift j it sums a * s y^j; with table[k] = H_(k+2)(h) and the terms
+    scaled by j + 2 it sums the closed form of d(h) y + d(h') for the
+    derivation d of F[x] with d(x) = a (`derivations._add_d_yhat`). A zero
+    table row is skipped, not a stop: over GF(2), H_1(1 + x^2) = 0 but
+    H_2(1 + x^2) = 1."""
     for i, r in terms.items():
         falling = 1
         for k, t in enumerate(table):

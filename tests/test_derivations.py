@@ -26,7 +26,6 @@ from ahweyl.derivations import (
     ad_ra_n,
     bhat_f,
     bhat_x,
-    d_on_poly,
     decompose_Ah_char0,
     decompose_Ah_charp,
     ex_apply,
@@ -37,7 +36,6 @@ from ahweyl.derivations import (
     make_derivation,
     require_derivation,
     restrict_to_center,
-    _add_d_on_poly,
     _lift_elements,
     _split_ad_x,
 )
@@ -46,7 +44,7 @@ from ahweyl.poly import NotIntegrable, Poly, _kernel
 from ahweyl.verify import random_derivation as verify_random_derivation
 from ahweyl.weyl import WeylElement, _accumulate, commutator, varpi
 
-from test_oracles import lifted_chain
+from test_oracles import add_d_on_poly, d_on_poly, lifted_chain
 from test_poly import hasse_derivative
 from test_weyl import repeated_product
 
@@ -1692,7 +1690,7 @@ def apply_by_yhat_zeta(d, a):
     dg, gs = F.lift(tuple(coords.values()))
     rows = defaultdict(dict)  # (m, k) -> raw rows of the zeta^k yhat^m summand
     for (j, k), gc in zip(coords, gs):
-        _add_d_on_poly(F, rows[j, k], gc, u)
+        add_d_on_poly(F, rows[j, k], gc, u)
         if k and k % p:
             kg = [k * c for c in gc]
             for i, r in lifted[top].items():

@@ -17,6 +17,12 @@ are kept here as its oracles: the Weyl product over a derivative chain of
 each right-hand term with cached binomials C(i, k), the closed form of
 [yhat, a] over the lifted derivative chain of h with one binomial per
 term, and d(f) over Hasse rows made of one `math.comb` per coefficient.
+`d_on_poly` itself, which the package no longer calls, is kept here as
+the oracle of the routes that replaced it: the closed form of P_0 = h D(y)
+and of E_x(yhat) (`derivations._add_d_yhat`), and `Derivation.apply`,
+whose sum is checked against the (i, k, j) row loop it replaced on both
+sides of `derivations.PACKED_WORK`, and its packed sum (`_sum_pieces`)
+against one multiply-add per coefficient pair.
 
 A center polynomial is stored in the row form of a Weyl element,
 {j: r_j(t1)} for sum_j r_j t2^j. The dict form {(i, j): scalar} it
@@ -25,17 +31,18 @@ replaced is kept here as its oracle (`DictCenterPoly`).
 
 import random
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from ahweyl.context import AhContext
-from ahweyl.derivations import d_on_poly
+from ahweyl import derivations
+from ahweyl.derivations import AhAlgebraMap, Derivation, _lift_elements, _sum_pieces
 from ahweyl.fields import ExactDivisionError, FieldSpec, QQ
-from ahweyl.poly import Poly, QPoly
-from ahweyl.weyl import WeylElement, _accumulate, _hasse_rows
+from ahweyl.poly import Poly, QPoly, _pack
+from ahweyl.weyl import WeylElement, _accumulate, _add_reordered, _hasse_rows, _reach
 
 from test_poly import hasse_derivative
 
@@ -240,6 +247,101 @@ def yhat_bracket_by_chain(ctx, a):
     return WeylElement._from_rows(F, rows, da * dh)
 
 
+def d_on_poly(f, u):
+    """The unique derivation d of F[x] into A_1 with d(x) = u, applied to f.
+
+    Closed form: with H_m the m-th Hasse derivative,
+
+        d(f) = sum_{l >= 0} H_(l+1)(f) (-ad x)^l(u),
+        (-ad x)^l(r y^j) = j!/(j-l)! r y^(j-l).
+
+    Derivation: d(x^n) = sum_k x^k u x^(n-1-k). Moving x^m to the left of
+    u gives u x^m = sum_l C(m, l) x^(m-l) (-ad x)^l(u), and
+    sum_k C(n-1-k, l) = C(n, l+1), so d(x^n) = sum_l C(n, l+1) x^(n-1-l)
+    (-ad x)^l(u). Only integer binomials enter, so this holds in
+    characteristic p too. For the term r y^j the sum stops at l = j, or
+    once the falling factorial j!/(j-l)! is 0 in F. A zero H_(l+1)(f) is no
+    reason to stop: over GF(2), H_1(1 + x^2) = 0 but H_2(1 + x^2) = 1.
+
+    The package reads d(f) in closed forms of its own (`Derivation.apply`,
+    `derivations._add_d_yhat`); this is their oracle on the lifted rows,
+    summed by `add_d_on_poly`."""
+    F = u.field
+    df, (fc,) = F.lift((f,))
+    du, terms = F.lift(u.terms)
+    rows = {}
+    add_d_on_poly(F, rows, fc, terms)
+    return WeylElement._from_rows(F, rows, df * du)
+
+
+def add_d_on_poly(F, rows: dict, fc, terms: dict, shift: int = 0) -> None:
+    """rows += d(f) y^shift for d(x) = u, on raw coefficients: fc are those
+    of f and terms the {j: coefficients} of u, lifted over Q (`d_on_poly`).
+    The table H_1(f), H_2(f), ... is built as far as the falling factorials
+    (j)_l of the y-degrees of u reach, and `weyl._add_reordered` sums every
+    piece (j)_l H_(l+1)(f) r_j into the raw row of y-degree j - l + shift."""
+    p = F.characteristic
+    _add_reordered(rows, terms, _hasse_rows(F, fc, 1, _reach(terms, p) + 2), shift, p)
+
+
+def binomial_sum_by_rows(ctx, a, images, derivation=False):
+    """Oracle: `derivations._binomial_sum` as the row loop it replaced, one
+    `_accumulate` per (i, k, j) row triple as each row is made, and for a
+    derivation the k = 0 piece d(f_i) y^i by `add_d_on_poly`, with its
+    Hasse table of f_i and falling factorials made again for every i."""
+    F = ctx.field
+    p = F.characteristic
+    gs = {i: ctx.over_h_power(a.terms[i], i) for i in sorted(a.terms, reverse=True)}
+    if not gs:
+        return WeylElement.zero(F)
+    top = max(gs)
+    den, terms = _lift_elements(F, images(top))
+    dg, lifted = F.lift(tuple(gs.values()))
+    dh, (hc,) = ctx.h_hasse(1)
+    rows = {}
+    for (i, g), gc in zip(gs.items(), lifted):
+        for k in range(min(i, len(terms) - 1), -1, -1):
+            s = i - k
+            b = comb(i, k) % p if p else comb(i, k)
+            if not b:
+                continue
+            t = list(gc)
+            for _ in range(s):
+                step = [0] * (len(t) + len(hc) - 1)
+                for m, c in enumerate(t):
+                    for n, e in enumerate(hc, m):
+                        step[n] += c * e
+                t = step
+            bt = [b * dh ** (top - s) * c for c in t]
+            if k or not derivation:
+                for j, r in terms[k].items():
+                    _accumulate(rows, j + s, bt, r)
+            else:
+                add_d_on_poly(F, rows, bt, terms[0], i)
+    return WeylElement._from_rows(F, rows, dg * den * dh**top)
+
+
+def apply_by_rows(d, a):
+    """Oracle: `Derivation.apply` through `binomial_sum_by_rows`, over the
+    same T_k = P_(k-1) (`Derivation.dy_numerators`)."""
+    p = d.context.field.characteristic
+
+    def images(top):
+        count = min(top, p) if p else top
+        return [d.image_x, *d.dy_numerators(count)[:count]]
+
+    return binomial_sum_by_rows(d.context, a, images, derivation=True)
+
+
+def p0_by_d_on_poly(d):
+    """Oracle: P_0 = W = D(yhat) - d(h) y - d(h') by two `d_on_poly` calls,
+    a shift and two element subtractions, the route `dy_numerators`
+    replaced by its closed form (`derivations._add_d_yhat`)."""
+    ctx = d.context
+    w = d.image_yhat - d_on_poly(ctx.h, d.image_x).shift(1)
+    return w - d_on_poly(ctx.h.derivative(), d.image_x)
+
+
 def d_on_poly_by_comb(f, u):
     """Oracle: d(f) = sum_l H_(l+1)(f) (j)_l r y^(j-l) over the terms r y^j
     of u = d(x), with every Hasse coefficient C(n, l+1) c_n made by
@@ -316,6 +418,159 @@ def test_d_on_poly_reads_past_a_zero_hasse_row():
     F = FieldSpec(2)
     f, u = Poly(F, [1, 0, 1]), WeylElement.y_power(F, 3)
     assert d_on_poly(f, u) == d_on_poly_by_comb(f, u) == WeylElement.y_power(F, 2)
+
+
+def sum_pieces_by_triples(pieces, operands):
+    """Oracle: `derivations._sum_pieces` as a multiply-add per coefficient
+    pair of each (piece, operand row), trimmed, zero rows dropped."""
+    out = {}
+    for s, k, row in pieces:
+        for j, r in operands[k].items():
+            acc = out.setdefault(j + s, {})
+            for m, a in enumerate(row):
+                for n, b in enumerate(r):
+                    acc[m + n] = acc.get(m + n, 0) + a * b
+    return trimmed({d: [acc.get(m, 0) for m in range(max(acc, default=-1) + 1)] for d, acc in out.items()})
+
+
+def trimmed(rows):
+    """Raw rows without trailing zeros, the zero rows dropped."""
+    out = {}
+    for d, row in rows.items():
+        row = list(row)
+        while row and not row[-1]:
+            row.pop()
+        if row:
+            out[d] = row
+    return out
+
+
+@st.composite
+def raw_pieces(draw):
+    """(pieces, operands, signed): signed values as large as the lifted
+    numerators over Q, or residues and unreduced sums and products of
+    residues over GF(p); rows may be empty or all zero, operands empty."""
+    signed = draw(st.booleans())
+    if signed:
+        value = st.integers(-9, 9) | st.integers(-(10**40), 10**40)
+    else:
+        p = draw(st.sampled_from([2, 3, 5, 7]))
+        value = st.integers(0, p - 1) | st.integers(0, p**3)
+    row = st.lists(value, max_size=9) | st.lists(st.just(0), max_size=3)
+    operands = draw(st.lists(st.dictionaries(st.integers(0, 5), row, max_size=4), min_size=1, max_size=4))
+    index = st.integers(0, len(operands) - 1)
+    pieces = draw(st.lists(st.tuples(st.integers(0, 5), index, row), max_size=6))
+    return pieces, operands, signed
+
+
+@pytest.mark.parametrize("work", [0, 10**9], ids=["packed", "row loop"])
+@given(case=raw_pieces())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_sum_pieces_matches_the_triple_loop(work, case, monkeypatch):
+    monkeypatch.setattr(derivations, "PACKED_WORK", work)
+    pieces, operands, signed = case
+    assert trimmed(_sum_pieces(pieces, operands, signed)) == sum_pieces_by_triples(pieces, operands)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_sum_pieces_at_the_slot_boundaries(signed, monkeypatch):
+    # outputs c^2 and 2 c^2 just under and over each power of two, where
+    # a slot one bit short (the sign bit over Q) would wrap; the bound is
+    # within a few c of the largest output
+    monkeypatch.setattr(derivations, "PACKED_WORK", 0)
+    for bits in range(1, 140):
+        for c in {isqrt(2**bits - 1), isqrt(2**bits) + 1}:
+            for a, b in [(c, c), (-c, c), (c, -c)] if signed else [(c, c)]:
+                for pieces in ([(0, 0, [a])], [(0, 0, [a]), (1, 0, [0, a])]):
+                    operands = [{0: [b], 1: [0, b]}]
+                    want = sum_pieces_by_triples(pieces, operands)
+                    assert trimmed(_sum_pieces(pieces, operands, signed)) == want, (bits, a, b)
+
+
+@pytest.mark.parametrize("below", [True, False], ids=["below the threshold", "at the threshold"])
+@pytest.mark.parametrize("signed", [False, True])
+def test_sum_pieces_packs_from_the_threshold_on(below, signed, monkeypatch):
+    # one piece of PACKED_WORK or PACKED_WORK - 1 multiply-adds: a row of
+    # that length times an operand of one value
+    packs = []
+    monkeypatch.setattr(derivations, "_pack", lambda *args: packs.append(args) or _pack(*args))
+    n = derivations.PACKED_WORK - below
+    row = [(-1) ** m * (m % 7) if signed else m % 7 for m in range(n)]
+    pieces, operands = [(2, 0, row), (0, 1, [])], [{1: [5 if signed else 3]}, {}]
+    got = _sum_pieces(pieces, operands, signed)
+    assert bool(packs) != below
+    assert trimmed(got) == sum_pieces_by_triples(pieces, operands)
+
+
+ALL_FIELDS = [*FIELDS, FieldSpec(7)]
+
+
+@st.composite
+def derivation_cases(draw):
+    """(d, a): a Derivation with arbitrary images (apply and P_0 do not
+    need the criterion) over h of degree 0 to 5, most often 0, 1 or 2,
+    where the Hasse table of h is shorter than 3, and a in A_h."""
+    field = draw(st.sampled_from(ALL_FIELDS))
+    deg = draw(st.sampled_from([0, 1, 2, 2, 3, 5]))
+    h = draw(polys(field, deg, deg))
+    assume(not h.is_zero())
+    ctx = AhContext(h)
+    u, v = draw(weyls(field, 9, 4)), draw(weyls(field, 9, 4))
+    rows = draw(st.dictionaries(st.integers(0, 4), polys(field, 3), max_size=3))
+    a = WeylElement(field, {i: r * ctx.h_power(i) for i, r in rows.items()})
+    return Derivation(ctx, u, v), a
+
+
+@pytest.mark.parametrize("work", [0, 10**9], ids=["packed", "row loop"])
+@given(case=derivation_cases())
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_apply_matches_the_row_loop(work, case, monkeypatch):
+    monkeypatch.setattr(derivations, "PACKED_WORK", work)
+    d, a = case
+    assert d.apply(a) == apply_by_rows(d, a)
+
+
+@given(case=derivation_cases(), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_aut_packed_matches_the_row_loop(case, data):
+    # phi_g sums its pieces by the same two routes; tests/test_derivations.py
+    # checks it against the yhat-coordinate route
+    _, a = case
+    ctx = case[0].context
+    phi = AhAlgebraMap(data.draw(polys(ctx.field, 4)), ctx)
+    saved = derivations.PACKED_WORK
+    try:
+        derivations.PACKED_WORK = 0
+        packed = phi.apply(a)
+        derivations.PACKED_WORK = 10**9
+        assert packed == phi.apply(a)
+    finally:
+        derivations.PACKED_WORK = saved
+
+
+@given(case=derivation_cases())
+@settings(max_examples=150, deadline=None)
+def test_p0_closed_form_matches_two_d_on_poly_calls(case):
+    d, _ = case
+    assert d.dy_numerators(1)[0] == p0_by_d_on_poly(d)
+
+
+@pytest.mark.parametrize("work", [0, 10**9], ids=["packed", "row loop"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("deg", [0, 1, 2, 4])
+def test_p0_and_apply_where_j_plus_2_vanishes(p, deg, work, monkeypatch):
+    # D(x) with terms only at y-degrees j = -2 mod p, where the factor j + 2
+    # of the closed form of P_0 is 0 in F, beside one term where it is not
+    monkeypatch.setattr(derivations, "PACKED_WORK", work)
+    F = FieldSpec(p)
+    rng = random.Random(f"{p}:{deg}")
+    ctx = AhContext(Poly(F, [rng.randrange(1, p) for _ in range(deg + 1)]))
+    for degrees in ([p - 2, 2 * p - 2], [p - 2, 2 * p - 2, p]):
+        u = WeylElement(F, {j: random_poly(rng, F, 3) for j in degrees if j >= 0})
+        d = Derivation(ctx, u, random_weyl(rng, F))
+        assert d.dy_numerators(1)[0] == p0_by_d_on_poly(d)
+        a = WeylElement(F, {i: random_poly(rng, F, 3) * ctx.h_power(i) for i in range(4)})
+        assert d.apply(a) == apply_by_rows(d, a)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

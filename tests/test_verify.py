@@ -168,3 +168,28 @@ def test_worker_count_is_the_usable_cpus_capped(monkeypatch):
     assert not thread.is_alive() and verify._worker_count(30) == 2
     monkeypatch.delattr(os, "fork")
     assert verify._worker_count(30) == 1
+
+
+@pytest.mark.parametrize("p,h", [(2, "x^3"), (3, "x^2"), (5, "x^2")])
+def test_extension_check_reaches_a_normalizer_part_at_y_degree_p(p, h, monkeypatch):
+    # S is nonempty for these h, so N_p/(A_h + Z(A_1)) is too, and the
+    # elements the check draws reach the decomposer's test at y-degree p
+    import random
+
+    from ahweyl.fields import FieldSpec
+
+    residues = []
+    is_inner = verify.is_inner
+
+    def spy(d):
+        out = is_inner(d)
+        if getattr(out, "residue", None) is not None:
+            residues.append(out.residue.y_degree)
+        return out
+
+    monkeypatch.setattr(verify, "is_inner", spy)
+    ctx = AhContext(parse_poly(h, FieldSpec(p)))
+    for seed in range(4):
+        res = verify.check_extension_faithfulness(ctx, random.Random(seed))
+        assert res.passed and res.count == 6
+    assert p in residues
