@@ -30,11 +30,11 @@ C_{A_h}(x) = Z(A_h) F[x], of which the center coordinates are the ones in
 F[x^p]) and basis conversions live here too. Elements are read only in
 the y normal form a = sum f_i y^i that they are stored in. A central factor
 zeta^k or z(x^p, zeta) multiplies without a Weyl product, as a polynomial
-factor and a shift of the y-degrees (`zeta_mul`, `central_mul`), and
-[yhat, a] has a closed form (`yhat_bracket`, whose row core `derivations`
-shares) over one cached table H_0(h), H_1(h), ... of Hasse derivatives,
-grown only as far as a caller reads it (`h_hasse`). The cached powers of h
-use h^p = h(x^p) over the prime field (`h_power`).
+factor and a shift of the y-degrees (`zeta_mul`, `central_mul`). A
+derivation's yhat side D(yhat) = h D(y) + d(h) y + d(h') has one closed
+form (`_add_d_yhat`) over one cached table H_0(h), H_1(h), ... of Hasse
+derivatives, grown only as far as a caller reads it (`h_hasse`). The
+cached powers of h use h^p = h(x^p) over the prime field (`h_power`).
 
 A_1 is itself the member at h = 1, where yhat = y and every element lies
 in A_h: `weyl_context(field)` is that context, one per field, over which
@@ -53,7 +53,7 @@ from .fields import ExactDivisionError, check_same_field
 from .linalg import relations
 from .poly import NotIntegrable, Poly
 from .record import Record
-from .weyl import WeylElement, _accumulate, _add_reordered, _hasse_rows, _reach
+from .weyl import WeylElement, _accumulate, _add_reordered, _hasse_rows, _lift_elements, _reach
 
 
 class MembershipError(ValueError):
@@ -351,40 +351,39 @@ class AhContext:
             table += _hasse_rows(self.field, table[0], len(table), n)
         return self._dh, table[:n]
 
-    def yhat_bracket(self, a: WeylElement) -> WeylElement:
-        """[yhat, a] in closed form, without a Weyl product (`_add_yhat_bracket`)."""
-        check_same_field(self.field, a.field)
-        da, terms = self.field.lift(a.terms)
-        rows = {}
-        self._add_yhat_bracket(rows, terms)
-        return WeylElement._from_rows(self.field, rows, da * self._dh)
+    def _add_d_yhat(self, w: WeylElement, u: WeylElement, sign: int) -> WeylElement:
+        """w + sign K(u), K(u) = d(h) y + d(h') for d the derivation of F[x]
+        with d(x) = u: the one closed form of a derivation's yhat side. As
+        yhat = h y + h', a derivation D with D(x) = u has D(yhat) = W +
+        K(u), W = h D(y) in A_1[h^-1]: sign -1 reads W off D(yhat)
+        (`Derivation.dy_numerators`), sign 1 builds D(yhat) from W
+        (`derivations._from_w`). In one pass over raw rows,
 
-    def _add_yhat_bracket(self, rows: dict, terms: dict, e: int = 0) -> None:
-        """rows += [yhat, a] - e d(h) for e in {0, 1}, over the raw
-        coefficients {j: r} of a (lifted over Q, so the rows are over the
-        lift denominator times dh), with d the derivation of F[x] with d(x)
-        = a. yhat r y^j = y h r y^j = (h r y + (h r)') y^j, and r y^j yhat
-        = r y^(j+1) h = sum_{k >= 0} (j+1)_k r H_k(h) y^(j+1-k), whose k = 0
-        term is h r y^(j+1). With (j+1)_(l+1) = (j+1) (j)_l this gives
+            K(u) = h' u y + sum_j sum_(t >= 0) (j+2) (j)_t H_(t+2)(h) r_j y^(j-t)
 
-            [yhat, r y^j] = (h r' - j h' r) y^j - (j+1) sum_{l >= 1} (j)_l H_(l+1)(h) r y^(j-l),
-
-        and d(h) = sum_{l >= 0} (j)_l H_(l+1)(h) r y^(j-l) adds e to each
-        factor j and j+1: the criterion defect [yhat, a] - d(h) is one pass
-        with e = 1. The sum over l >= 1 is the kernel `weyl._add_reordered`
-        on the cached table H_2(h), H_3(h), ... behind an empty row for l = 0;
-        a term with j + 1 + e = 0 in F has no sum."""
-        p = self.field.characteristic
-        _, table = self.h_hasse(_reach(terms, p) + 2)
-        hc, hp = table[0], table[1] if len(table) > 1 else ()
+        for u = sum_j r_j y^j. Proof: d(f) = sum_(l >= 0) H_(l+1)(f) sum_j
+        (j)_l r_j y^(j-l) (see `Derivation.apply`). For f = h, times y, the
+        term l = 0 is h' u y and l = t + 1 gives (j)_(t+1) H_(t+2)(h) r_j
+        y^(j-t). For f = h', H_(t+1)(h') = (t+2) H_(t+2)(h), from C(t+2, 1)
+        H_(t+2) = H_(t+1) H_1. So H_(t+2)(h) r_j y^(j-t) has the factor
+        (j)_(t+1) + (t+2) (j)_t = (j+2) (j)_t, as (j)_(t+1) = (j-t) (j)_t. A
+        term with j + 2 = 0 in F has no sum. The sum is the kernel
+        `weyl._add_reordered` on the cached table H_2(h), H_3(h), ...
+        (empty for deg h < 2); the rows are over den dh, den lifting w and u."""
+        F = self.field
+        p = F.characteristic
+        den, (wt, ut) = _lift_elements(F, (w, u))
+        dh, table = self.h_hasse(_reach(ut, p) + 3)
+        rows = {j: [dh * c for c in r] for j, r in wt.items()}
+        hp = [sign * c for c in table[1]] if len(table) > 1 else ()
         scaled = {}
-        for j, rc in terms.items():
-            _accumulate(rows, j, hc, [i * c for i, c in enumerate(rc[1:], 1)])
-            if hp and (b := -(j + e) % p if p else -(j + e)):
-                _accumulate(rows, j, hp, [b * c for c in rc])
-            if b := -(j + 1 + e) % p if p else -(j + 1 + e):
-                scaled[j] = [b * c for c in rc]
-        _add_reordered(rows, scaled, [(), *table[2:]], 0, p)
+        for j, r in ut.items():
+            if hp:
+                _accumulate(rows, j + 1, hp, r)
+            if b := sign * (j + 2) % p if p else sign * (j + 2):
+                scaled[j] = [b * c for c in r]
+        _add_reordered(rows, scaled, table[2:], 0, p)
+        return WeylElement._from_rows(F, rows, den * dh)
 
     def centralizer_x_coords(self, f: WeylElement, keep=None):
         """(g_0, g_1, ...) with f = sum_k g_k zeta^k, g_k in F[x], read in

@@ -3,17 +3,20 @@
 A derivation of A_h is stored by its generator images (D(x), D(yhat)),
 subject to two checks: both images lie in A_h, and the existence criterion
 [D(yhat), x] + [yhat, D(x)] = d(h) holds, where d is the derivation of F[x]
-with d(x) = D(x). `apply` works in the normal form a = sum f_i y^i that
-elements are stored in, through D(y) = W / h in A_1[h^-1], one route over Q
-and GF(p); D(zeta) is read in closed form from D(x^p) and the Cartier read
-of W (`image_of_zeta`). The automorphisms x -> x,
-yhat -> yhat + g read a in the same form, through phi(y) = y + g / h, and
-both sum the same binomial rows (`_binomial_sum`). With closed forms for
-[yhat, a] and [a, x] (`AhContext.yhat_bracket`, `commutator` with the
+with d(x) = D(x). D extends to A_1[h^-1], where W = h D(y) and D(yhat) =
+W + K(D(x)), K(u) = d(h) y + d(h') the one closed form of the yhat side
+(`AhContext._add_d_yhat`). W is read once per derivation, or recorded when
+it is built from (D(x), W) (`_from_w`: `ad`, `bhat_x`), and the criterion,
+`apply`, D(zeta) (`image_of_zeta`), the extension to A_1 and the peel of
+ad_b (`_peel_ad`) all read it. `apply` works in the normal form a = sum
+f_i y^i that elements are stored in, through D(y) = W / h, one route over
+Q and GF(p). The automorphisms x -> x, yhat -> yhat + g read a in the
+same form, through phi(y) = y + g / h, and both sum the same binomial rows
+(`_binomial_sum`). With the closed form of [a, x] (`commutator` with the
 operand x) no general Weyl product is made. `_binomial_sum`,
-`criterion_defect` and the closed form of P_0 = W (`_add_d_yhat`) lift
-their operands once and sum every piece into raw rows, reducing each
-output row once: no intermediate Weyl element or element sum is formed.
+`criterion_defect` and K lift their operands once and sum every piece
+into raw rows, reducing each output row once: no intermediate Weyl
+element or element sum is formed.
 
 `_binomial_sum` lists its sum as pieces, each a univariate row times an
 operand sum_j r_j y^j, and `_sum_pieces` adds them up: by the row loop,
@@ -45,7 +48,7 @@ from .context import AhContext, NotCentralizing, weyl_context
 from .fields import ExactDivisionError, check_same_field
 from .poly import NotIntegrable, Poly, _convolve, _pack, _unpack
 from .record import Record
-from .weyl import WeylElement, _accumulate, _add_reordered, _hasse_rows, _reach, commutator
+from .weyl import WeylElement, _accumulate, _hasse_rows, _lift_elements, commutator
 
 
 class InvalidDerivationError(ValueError):
@@ -70,23 +73,15 @@ class InvalidDerivation(Record):
         return "; ".join(parts) or "valid"
 
 
-#: Multiply-adds of the row loop (the length of each row times the summed
-#: lengths of its operand's rows, over the pieces) from which `_sum_pieces`
-#: packs. Timed on the sums that the four benchmark workloads and two large
-#: `verify` runs (p = 11 and 61) make, on a 2-CPU x86 machine under Python
-#: 3.11: below 1500 the row loop is faster, packing's fixed cost being some
-#: 10 us a call; from 2000 to 5000 packing is up to 1.5 times faster, above
-#: 5000 2 to 3 times, and above 50000 about 10 times.
+#: Multiply-adds of the row loop (the nonzero entries of each row, as
+#: `_convolve` skips a zero one, times the summed lengths of its operand's
+#: rows, over the pieces) from which `_sum_pieces` packs. Timed on the sums
+#: that the four benchmark workloads and two large `verify` runs (p = 11
+#: and 61) make, on a 2-CPU x86 machine under Python 3.11: below 1500 the
+#: row loop is faster, packing's fixed cost being some 10 us a call; from
+#: 2000 to 5000 packing is up to 1.5 times faster, above 5000 2 to 3 times,
+#: and above 50000 about 10 times.
 PACKED_WORK = 2000
-
-
-def _lift_elements(F, elements):
-    """(den, [{i: raw coefficients}, ...]): the Weyl elements lifted over one
-    common denominator (`FieldSpec.lift`); over GF(p) den = 1 and the
-    coefficients are the stored ones."""
-    den, images = F.lift(tuple(r for w in elements for r in w.terms.values()))
-    it = iter(images)
-    return den, [{i: next(it) for i in w.terms} for w in elements]
 
 
 def _sum_pieces(pieces, operands, signed: bool) -> dict:
@@ -117,7 +112,7 @@ def _sum_pieces(pieces, operands, signed: bool) -> dict:
     1, 2, 4 or 8 where one of them holds M, so that a slot is a machine
     word."""
     sizes = [sum(map(len, op.values())) for op in operands]
-    if sum([len(row) * sizes[k] for _, k, row in pieces]) < PACKED_WORK:
+    if sum([(len(row) - row.count(0)) * sizes[k] for _, k, row in pieces]) < PACKED_WORK:
         rows = {}
         for s, k, row in pieces:
             for j, r in operands[k].items():
@@ -150,33 +145,6 @@ def _sum_pieces(pieces, operands, signed: bool) -> dict:
         if any(row := _unpack(total, lengths[d], nb, signed)):
             rows[d] = row
     return rows
-
-
-def _add_d_yhat(ctx: AhContext, rows: dict, u: dict, sign: int) -> None:
-    """rows += sign (d(h) y + d(h')), for d the derivation of F[x] with d(x)
-    = u and u given by its raw rows {j: r_j} (lifted over Q: the rows are
-    then over that denominator times dh), in one pass:
-
-        d(h) y + d(h') = h' u y + sum_j sum_(t >= 0) (j+2) (j)_t H_(t+2)(h) r_j y^(j-t).
-
-    Proof: d(f) = sum_(l >= 0) H_(l+1)(f) sum_j (j)_l r_j y^(j-l) (see
-    `Derivation.apply`). For f = h, times y, the term l = 0 is h' u y and
-    l = t + 1 gives (j)_(t+1) H_(t+2)(h) r_j y^(j-t). For f = h',
-    H_(t+1)(h') = (t+2) H_(t+2)(h), from C(t+2, 1) H_(t+2) = H_(t+1) H_1.
-    So H_(t+2)(h) r_j y^(j-t) has the factor (j)_(t+1) + (t+2) (j)_t =
-    (j+2) (j)_t, as (j)_(t+1) = (j-t) (j)_t. A term with j + 2 = 0 in F
-    has no sum. The sum is the kernel `weyl._add_reordered` on the cached
-    table H_2(h), H_3(h), ... (empty for deg h < 2)."""
-    p = ctx.field.characteristic
-    _, table = ctx.h_hasse(_reach(u, p) + 3)
-    hp = [sign * c for c in table[1]] if len(table) > 1 else ()
-    scaled = {}
-    for j, r in u.items():
-        if hp:
-            _accumulate(rows, j + 1, hp, r)
-        if b := sign * (j + 2) % p if p else sign * (j + 2):
-            scaled[j] = [b * c for c in r]
-    _add_reordered(rows, scaled, table[2:], 0, p)
 
 
 def _binomial_sum(ctx: AhContext, a: WeylElement, images, ladder=None) -> WeylElement:
@@ -259,19 +227,30 @@ class Derivation:
 
     def criterion_defect(self) -> WeylElement:
         """[D(yhat), x] + [yhat, D(x)] - d(h); zero iff the images define a
-        derivation. The three parts are summed into one set of raw rows over
-        den dh (den lifts both images, dh lifts h): [D(yhat), x] =
-        sum_i i v_i y^(i-1) scaled by dh, and [yhat, D(x)] - d(h) in one
-        pass of `AhContext._add_yhat_bracket`."""
+        derivation. It is read as
+
+            [D(yhat), x] + [yhat, u] - d(h) = [W, x] + h u',
+
+        with u = D(x), W = D(yhat) - K(u) = P_0 (`dy_numerators`, defined
+        for any images) and ' the x-derivative of each row. Proof: d is a
+        derivation of F[x] into A_1, and [f, x] = 0 gives [d(f), x] = [u,
+        f]. So, as [y, x] = 1, [K(u), x] = [d(h) y + d(h'), x] = d(h) +
+        [u, h] y + [u, h'], and, as [y, u] = u', [yhat, u] = [h y + h', u]
+        = h u' + [h, u] y + [h', u]; their sum less d(h) is h u'. The two
+        terms are summed into one set of raw rows over den dh (den lifts W
+        and u, dh lifts h): [W, x] = sum_i i W_i y^(i-1) scaled by dh, and
+        h u' row by row. It makes no pass of K of its own: `validate`,
+        `apply` and `image_of_zeta` share the one W."""
         ctx = self.context
         F = ctx.field
-        dh = ctx._dh
-        den, (u, v) = _lift_elements(F, (self.image_x, self.image_yhat))
+        dh, (hc,) = ctx.h_hasse(1)
+        den, (w, u) = _lift_elements(F, (self.dy_numerators(1)[0], self.image_x))
         rows = {}
-        for i, r in v.items():
+        for i, r in w.items():
             if i:
                 _accumulate(rows, i - 1, [i * dh], r)
-        ctx._add_yhat_bracket(rows, u, 1)
+        for j, r in u.items():
+            _accumulate(rows, j, hc, [k * c for k, c in enumerate(r[1:], 1)])
         return WeylElement._from_rows(F, rows, den * dh)
 
     def validate(self) -> Optional[InvalidDerivation]:
@@ -344,22 +323,16 @@ class Derivation:
     def dy_numerators(self, n: int) -> list:
         """[P_0, ..., P_(n-1)] (at least), cached: the numerators of
         (ad y)^l(D(y)) = P_l / h^(l+1) (see `apply`). P_0 = W = D(yhat) -
-        d(h) y - d(h') is one pass over raw rows, over the lift denominator
-        of both images times dh: D(yhat) times dh, less the closed form of
-        d(h) y + d(h') on the cached Hasse table of h (`_add_d_yhat`). Each
-        P_(l+1) = h P_l' - (l+1) h' P_l is one row core from the last, over
-        dh times its lift denominator. For D_g, P_(k-1) = T_k =
-        (g h^-1)^(k-1) h^k, derivatives taken in F(x)."""
+        K(D(x)), K(u) = d(h) y + d(h'), is one pass of the closed form
+        `AhContext._add_d_yhat`, unless the derivation was built from W
+        (`_from_w`). Each P_(l+1) = h P_l' - (l+1) h' P_l is one row core
+        from the last, over dh times its lift denominator. For D_g, P_(k-1)
+        = T_k = (g h^-1)^(k-1) h^k, derivatives taken in F(x)."""
         ctx = self.context
         numerators = self._cache.get("dy")
         dh, (hc, *hp) = ctx.h_hasse(2)
         if numerators is None:
-            den, (u, v) = _lift_elements(ctx.field, (self.image_x, self.image_yhat))
-            rows = {}
-            for j, r in v.items():
-                _accumulate(rows, j, [dh], r)
-            _add_d_yhat(ctx, rows, u, -1)
-            numerators = self._cache["dy"] = [WeylElement._from_rows(ctx.field, rows, den * dh)]
+            numerators = self._cache["dy"] = [ctx._add_d_yhat(self.image_yhat, self.image_x, -1)]
         while len(numerators) < n:
             scale = -len(numerators)  # -(l+1)
             dl, terms = ctx.field.lift(numerators[-1].terms)
@@ -476,11 +449,31 @@ def make_derivation(u, v, ctx: AhContext):
     return d
 
 
-def require_derivation(u, v, ctx: AhContext) -> Derivation:
-    d = make_derivation(u, v, ctx)
-    if isinstance(d, InvalidDerivation):
-        raise InvalidDerivationError(d.describe())
+def _require_valid(d: Derivation) -> Derivation:
+    """d, once `validate` passes; else InvalidDerivationError."""
+    bad = d.validate()
+    if bad is not None:
+        raise InvalidDerivationError(bad.describe())
     return d
+
+
+def _from_w(ctx: AhContext, u: WeylElement, w: WeylElement) -> Derivation:
+    """The Derivation with D(x) = u and h D(y) = w in A_1[h^-1], not
+    validated: D(yhat) = w + K(u), with w recorded as P_0 (`dy_numerators`)."""
+    d = Derivation(ctx, u, ctx._add_d_yhat(w, u, 1))
+    d._cache["dy"] = [w]
+    return d
+
+
+def _h_d_dx(ctx: AhContext, a: WeylElement, sign: int) -> WeylElement:
+    """sign h a' = sign h [y, a], a' the x-derivative of each row of a, on
+    raw rows over the lift denominators of a and h."""
+    dh, (hc,) = ctx.h_hasse(1)
+    da, terms = ctx.field.lift(a.terms)
+    rows = {}
+    for i, r in terms.items():
+        _accumulate(rows, i, hc, [sign * k * c for k, c in enumerate(r[1:], 1)])
+    return WeylElement._from_rows(ctx.field, rows, da * dh)
 
 
 def D_g(g: Poly, ctx: AhContext) -> Derivation:
@@ -492,6 +485,11 @@ def D_g(g: Poly, ctx: AhContext) -> Derivation:
 def ad(a: WeylElement, ctx: AhContext) -> Derivation:
     """The inner-by-normalizer derivation ad_a, for a in N(A_h).
 
+    It is built from (D(x), W) (`_from_w`): ad_a(x) = [a, x] = sum_j j a_j
+    y^(j-1), and W = h ad_a(y) = h [a, y] = -h a', as [y, a] = a' row by
+    row, so ad_a(yhat) = -h a' + K([a, x]). This holds for every a in A_1;
+    the normalizer test is what makes ad_a a derivation of A_h.
+
     In characteristic p its images of x^p and zeta are recorded as 0, so
     `restrict_to_center` reads Res(ad_a) = 0 without computing them: x^p
     and zeta = h(x^p) y^p lie in Z(A_1) = F[x^p, y^p], and ad_a(z) =
@@ -501,7 +499,7 @@ def ad(a: WeylElement, ctx: AhContext) -> Derivation:
         raise InvalidDerivationError(
             f"{a} is not in the normalizer of A_h: {res.reason}"
         )
-    d = Derivation(ctx, commutator(a, ctx.x_elt), -ctx.yhat_bracket(a))
+    d = _from_w(ctx, commutator(a, ctx.x_elt), _h_d_dx(ctx, a, -1))
     if not ctx.field.is_char_zero:
         zero = WeylElement.zero(ctx.field)
         d._cache.update(xp=zero, zeta=zero)
@@ -536,15 +534,6 @@ def ey_apply(a: WeylElement) -> WeylElement:
     ).apply(a)
 
 
-def ex_on_yhat(ctx: AhContext) -> WeylElement:
-    """E_x(yhat) = E_x(h) y + E_x(h'): Leibniz on yhat = h y + h', as E_x(y) =
-    0, read in one pass from the closed form of `_add_d_yhat` with u =
-    y^(p-1)."""
-    rows = {}
-    _add_d_yhat(ctx, rows, {ctx.p - 1: (1,)}, 1)
-    return WeylElement._from_rows(ctx.field, rows)
-
-
 def bhat_x(ctx: AhContext) -> Derivation:
     """bhat_x = (h^p / varrho_h) E_x, restricted to A_h; built and validated
     once per context."""
@@ -552,10 +541,10 @@ def bhat_x(ctx: AhContext) -> Derivation:
 
 
 def _build_bhat_x(ctx: AhContext) -> Derivation:
-    w = ctx.hp_over_varrho
-    return require_derivation(
-        WeylElement.from_term(w, ctx.p - 1), ex_on_yhat(ctx).poly_mul(w), ctx
-    )
+    """From (D(x), W) = ((h^p / varrho_h) y^(p-1), 0) (`_from_w`): W =
+    h bhat_x(y) = 0, as E_x(y) = 0."""
+    u = WeylElement.from_term(ctx.hp_over_varrho, ctx.p - 1)
+    return _require_valid(_from_w(ctx, u, WeylElement.zero(ctx.field)))
 
 
 def bhat_f(ctx: AhContext) -> Derivation:
@@ -566,7 +555,7 @@ def bhat_f(ctx: AhContext) -> Derivation:
 
 def _build_bhat_f(ctx: AhContext) -> Derivation:
     d = D_g(ctx.hprime_over_varrho, ctx).central_scale(CenterPoly.t2(ctx.field)) - bhat_x(ctx)
-    return require_derivation(d.image_x, d.image_yhat, ctx)
+    return _require_valid(d)
 
 
 # -- peeling ad_b off D(x) ------------------------------------------------------------------
@@ -588,20 +577,22 @@ def _split_ad_x(w: WeylElement):
     return WeylElement(F, b), WeylElement(F, rest)
 
 
-def _peel_ad(ctx: AhContext, e_x: WeylElement, e_yhat: WeylElement):
-    """(b, gs) for the derivation E with E(x) = e_x, E(yhat) = e_yhat:
-    [b, x] = e_x, so E - ad_b kills x and sends yhat to e_yhat + [yhat, b],
-    which centralizes x; gs are its coordinates sum_k zeta^k g_k there
-    (`centralizer_x_coords`, F[x] over Q and Z(A_h) F[x] in characteristic
-    p)."""
-    b, rest = _split_ad_x(e_x)
+def _peel_ad(e: Derivation):
+    """(b, gs) for the derivation E: [b, x] = E(x), so E - ad_b kills x and
+    sends yhat to W_E + h b', which centralizes x; gs are its coordinates
+    sum_k zeta^k g_k there (`centralizer_x_coords`, F[x] over Q and Z(A_h)
+    F[x] in characteristic p). This holds as W = D(yhat) - K(D(x)) is
+    linear in D, ad_b has W = -h b' (`ad`) and K(0) = 0. W_E is the cached
+    P_0, so a validated E makes no pass of K here."""
+    ctx = e.context
+    b, rest = _split_ad_x(e.image_x)
     if not rest.is_zero():
         raise InvalidDerivationError(
             "kernel remainder still moves x by a degree = -1 mod p term"
         )
-    if e_x != commutator(b, ctx.x_elt):
+    if e.image_x != commutator(b, ctx.x_elt):
         raise AssertionError("anti-integration of the kernel x-image failed")
-    coords = ctx.centralizer_x_coords(e_yhat + ctx.yhat_bracket(b))
+    coords = ctx.centralizer_x_coords(e.dy_numerators(1)[0] + _h_d_dx(ctx, b, 1))
     if isinstance(coords, NotCentralizing):
         raise InvalidDerivationError(
             f"kernel remainder of yhat does not centralize x: {coords.reason}"
@@ -702,10 +693,7 @@ def decompose_Ah_char0(d: Derivation) -> DecompCharZero:
     ctx = d.context
     if not ctx.field.is_char_zero:
         raise ValueError("characteristic-0 decomposition")
-    bad = d.validate()
-    if bad is not None:
-        raise InvalidDerivationError(bad.describe())
-    b, (g0,) = _peel_ad(ctx, d.image_x, d.image_yhat)
+    b, (g0,) = _peel_ad(_require_valid(d))
     q, g = divmod(g0, ctx.h)
     witness = WeylElement.from_poly((-q).antiderivative())
     terms = []
@@ -731,9 +719,7 @@ def decompose_Ah_charp(d: Derivation) -> DecompCharP:
     ad_(-c0)."""
     ctx = d.context
     ctx._require_char_p()
-    bad = d.validate()
-    if bad is not None:
-        raise InvalidDerivationError(bad.describe())
+    _require_valid(d)
     F = ctx.field
     p = ctx.p
     res = restrict_to_center(d)
@@ -749,7 +735,7 @@ def decompose_Ah_charp(d: Derivation) -> DecompCharP:
         e = e - D_g(ctx.qbreve, ctx).central_scale(u)
     if not v.is_zero():
         e = e - bhat_f(ctx).central_scale(v)
-    b, gs = _peel_ad(ctx, e.image_x, e.image_yhat)
+    b, gs = _peel_ad(e)
     for g in gs:
         if not ctx.in_theta(g):
             raise InvalidDerivationError(

@@ -19,10 +19,10 @@ scalar in the field's raw form (a residue mod p; over Q an int, or a
 `Fraction` from an `a/b` literal) until a value leaves it (see `parse`).
 
 The routes that sum raw rows across several polynomials (the Weyl and
-`CenterPoly` products, the closed forms `yhat_bracket` and P_0 =
-h D(y) (`Derivation.dy_numerators`), the binomial sum that
-`Derivation.apply` and `AhAlgebraMap.apply` share, and
-`Derivation.criterion_defect`) first pass their operands through
+`CenterPoly` products, the closed form K of a derivation's yhat side
+(`AhContext._add_d_yhat`), the binomial sum that `Derivation.apply` and
+`AhAlgebraMap.apply` share, and `Derivation.criterion_defect`) first
+pass their operands through
 `FieldSpec.lift`, which puts them over one common denominator `den`:
 over Q the lcm of the polynomials' `den`s, each image the numerators
 times `den // r.den` (a polynomial already over `den` passes its

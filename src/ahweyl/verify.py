@@ -25,6 +25,7 @@ import os
 import random
 import threading
 from fractions import Fraction
+from math import comb
 
 from .centerpoly import CenterPoly
 from .context import AhContext, weyl_context
@@ -42,7 +43,20 @@ from .derivations import (
     restrict_to_center,
 )
 from .fields import FieldSpec
-from .hochschild import _normalizer_quotient_level
+from .hochschild import (
+    BAd,
+    BBf,
+    BBx,
+    BDg,
+    DerExpr,
+    HH1ClassChar0,
+    _normalizer_quotient_level,
+    bracket_char0,
+    bracket_charp,
+    canonical_class_char0,
+    center_HH1_char0,
+    generator_classes_char0,
+)
 from .poly import NotIntegrable, Poly, QPoly
 from .weyl import WeylElement, commutator, varpi
 
@@ -478,8 +492,6 @@ def check_extension_faithfulness(ctx, rng):
 
 def check_dg_ad_formula(ctx, rng):
     res = PropertyResult("[D_g, ad_{r a_n}] = ad of the explicit image (n >= 2)")
-    from math import comb
-
     for _ in range(6):
         n = rng.randrange(2, 5)
         g = random_poly(rng, ctx.field, 3)
@@ -580,8 +592,6 @@ def check_dr_zeta(ctx, rng):
 
 def check_bracket_oracle_char0(ctx, rng):
     res = PropertyResult("closed-form brackets match operator brackets (char 0)")
-    from .hochschild import HH1ClassChar0, bracket_char0, canonical_class_char0
-
     width = max(int(ctx.h_over_pi.degree), 1)
     for _ in range(12):
         if rng.random() < 0.5:
@@ -612,8 +622,6 @@ def check_bracket_oracle_char0(ctx, rng):
 
 def check_bracket_oracle_charp(ctx, rng):
     res = PropertyResult("closed-form brackets match operator brackets (char p)")
-    from .hochschild import BAd, BBf, BBx, BDg, DerExpr, bracket_charp
-
     def random_expr():
         kind = rng.randrange(4)
         if kind == 0:
@@ -642,8 +650,6 @@ def check_bracket_oracle_charp(ctx, rng):
 
 def check_hh1_center_char0(ctx, rng):
     res = PropertyResult("center of HH^1 brackets to zero with generators")
-    from .hochschild import bracket_char0, center_HH1_char0, generator_classes_char0
-
     gens = generator_classes_char0(ctx)
     for z in center_HH1_char0(ctx):
         for g in gens:
@@ -656,8 +662,6 @@ def check_hh1_center_char0(ctx, rng):
 
 def check_class_jacobi_char0(ctx, rng):
     res = PropertyResult("Jacobi identity for the class bracket")
-    from .hochschild import HH1ClassChar0, bracket_char0
-
     width = max(int(ctx.h_over_pi.degree), 1)
 
     def random_class():

@@ -8,8 +8,8 @@ all y-factors, stored as {i: r_i} with every r_i a nonzero canonical `Poly`
 
 with H_k the k-th Hasse derivative and (i)_k = i!/(i-k)! the falling
 factorial, in every characteristic. One row kernel over one table H_0(f),
-H_1(f), ... (`_add_reordered`, `_hasse_rows`) does this product, [yhat, a]
-and d(h) y + d(h') for a derivation d of F[x]; `Derivation.apply` reads
+H_1(f), ... (`_add_reordered`, `_hasse_rows`) does this product and
+d(h) y + d(h') for a derivation d of F[x]; `Derivation.apply` reads
 d(f) off the same Hasse rows, against the falling-factorial ladder of d(x)
 (`Derivation._ladder`). It follows the reduce-once rule of
 `poly`: each output y-degree gets one row of raw coefficients, every piece
@@ -283,6 +283,15 @@ def _accumulate(rows: dict, deg: int, u, v) -> None:
     _convolve(row, u, v)
 
 
+def _lift_elements(F, elements):
+    """(den, [{i: raw coefficients}, ...]): the Weyl elements lifted over one
+    common denominator (`FieldSpec.lift`); over GF(p) den = 1 and the
+    coefficients are the stored ones."""
+    den, images = F.lift(tuple(r for w in elements for r in w.terms.values()))
+    it = iter(images)
+    return den, [{i: next(it) for i in w.terms} for w in elements]
+
+
 def _reach(terms: dict, p: int) -> int:
     """The largest k with (i)_k nonzero in F for a y-degree i of `terms`, -1
     for none: max i, or in characteristic p max i mod p, as (i)_k has the
@@ -319,7 +328,7 @@ def _add_reordered(rows: dict, terms: dict, table, shift: int, p: int) -> None:
     characteristic p). The reordering kernel: with table[k] = H_k(s)
     and shift j it sums a * s y^j; with table[k] = H_(k+2)(h) and the terms
     scaled by j + 2 it sums the closed form of d(h) y + d(h') for the
-    derivation d of F[x] with d(x) = a (`derivations._add_d_yhat`). A zero
+    derivation d of F[x] with d(x) = a (`AhContext._add_d_yhat`). A zero
     table row is skipped, not a stop: over GF(2), H_1(1 + x^2) = 0 but
     H_2(1 + x^2) = 1."""
     for i, r in terms.items():

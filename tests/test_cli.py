@@ -459,6 +459,35 @@ class TestGolden:
         validate(json.loads(out))
 
 
+# passes of the closed form K of the yhat side (`AhContext._add_d_yhat`) on
+# the classify and bracket goldens: one per derivation whose W is read
+# (validate, or the bracket's derivation) or recorded (ad of the witness),
+# which the criterion, apply, D(zeta) and the peel of ad_b then share
+K_PASSES = {
+    "classify_D1_x_char0.txt": 1,
+    "classify_x2p1_char3.txt": 2,
+    "classify_x2_char3.txt": 1,
+    "bracket_frac_lc_char0.txt": 3,
+    "classify_invalid_x2_char0.txt": 1,
+    "bracket_D1_x2p1_char3.txt": 4,
+}
+
+
+@pytest.mark.parametrize("name,argv,stdin_text", [c for c in GOLDEN_CASES if c[0] in K_PASSES])
+def test_goldens_read_each_w_once(name, argv, stdin_text, monkeypatch, capsys):
+    passes = []
+    original = AhContext._add_d_yhat
+
+    def counted(ctx, w, u, sign):
+        passes.append(sign)
+        return original(ctx, w, u, sign)
+
+    monkeypatch.setattr(AhContext, "_add_d_yhat", counted)
+    code, out, _ = run_cli(argv, stdin_text=stdin_text, capsys=capsys)
+    assert (code, out) == (0, (GOLDEN / name).read_text())
+    assert len(passes) == K_PASSES[name]
+
+
 _CHAR0_ANALYZE = [
     argv
     for _, argv, _ in GOLDEN_CASES

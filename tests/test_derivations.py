@@ -29,14 +29,14 @@ from ahweyl.derivations import (
     decompose_Ah_char0,
     decompose_Ah_charp,
     ex_apply,
-    ex_on_yhat,
     extend_to_A1,
     ey_apply,
     is_inner,
     make_derivation,
-    require_derivation,
     restrict_to_center,
+    _from_w,
     _lift_elements,
+    _require_valid,
     _split_ad_x,
 )
 from ahweyl.fields import ExactDivisionError, FieldSpec, QQ
@@ -233,6 +233,13 @@ def ex_on_poly(g: Poly) -> WeylElement:
     return WeylElement(F, out)
 
 
+def ex_on_yhat_by_w(ctx: AhContext) -> WeylElement:
+    """E_x(yhat) = K(y^(p-1)), through the constructor from (D(x), W) with W
+    = h E_x(y) = 0 (`_from_w`)."""
+    F = ctx.field
+    return _from_w(ctx, WeylElement.y_power(F, F.p - 1), WeylElement.zero(F)).image_yhat
+
+
 def ey_on_yhat(ctx: AhContext) -> WeylElement:
     """Oracle: E_y(yhat) = x^(p-1) h."""
     return WeylElement.from_poly(ctx.h.shift(ctx.p - 1))
@@ -241,15 +248,14 @@ def ey_on_yhat(ctx: AhContext) -> WeylElement:
 def ex_as_derivation(ctx: AhContext) -> Derivation:
     """Oracle: E_x restricted to A_h (valid when it preserves A_h, e.g.
     h = 1)."""
-    return require_derivation(
-        WeylElement.y_power(ctx.field, ctx.p - 1), ex_on_yhat(ctx), ctx
-    )
+    u = WeylElement.y_power(ctx.field, ctx.p - 1)
+    return _require_valid(Derivation(ctx, u, ex_on_yhat_by_w(ctx)))
 
 
 def ey_as_derivation(ctx: AhContext) -> Derivation:
     """Oracle: E_y restricted to A_h; always restricts since
     E_y = D_{x^(p-1) h}."""
-    return require_derivation(WeylElement.zero(ctx.field), ey_on_yhat(ctx), ctx)
+    return _require_valid(Derivation(ctx, WeylElement.zero(ctx.field), ey_on_yhat(ctx)))
 
 
 # -- independent A_1 routes: oracles for the derivations over `weyl_context` ---------
@@ -404,7 +410,7 @@ class TestExEy:
     def test_yhat_closed_forms(self, p, h):
         field = FieldSpec(p)
         ctx = AhContext(Poly(field, h))
-        assert ex_on_yhat(ctx) == ex_apply(ctx.yhat) == ex_on_yhat_closed_form(ctx)
+        assert ex_on_yhat_by_w(ctx) == ex_apply(ctx.yhat) == ex_on_yhat_closed_form(ctx)
         assert ey_on_yhat(ctx) == ey_apply(ctx.yhat)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -462,7 +468,7 @@ class TestBhat:
             bf = bhat_f(ctx)
             want_x = WeylElement.from_term(-xn(field, p), p - 1)
             assert bf.image_x == want_x
-            alt = ctx.zeta_element() - ex_on_yhat(ctx).poly_mul(xn(field, p))
+            alt = ctx.zeta_element() - ex_on_yhat_by_w(ctx).poly_mul(xn(field, p))
             assert bf.image_yhat == alt
 
     def test_wEx_restriction_criterion(self):
@@ -470,11 +476,11 @@ class TestBhat:
         ctx = AhContext(Poly.x(GF2))
         w_good = xn(GF2, 2)  # = h^p / varrho
         img_x = WeylElement.from_term(w_good, 1)
-        d = make_derivation(img_x, ex_on_yhat(ctx).poly_mul(w_good), ctx)
+        d = make_derivation(img_x, ex_on_yhat_by_w(ctx).poly_mul(w_good), ctx)
         assert not isinstance(d, InvalidDerivation)
         w_bad = Poly.one(GF2)
         bad = make_derivation(
-            WeylElement.from_term(w_bad, 1), ex_on_yhat(ctx).poly_mul(w_bad), ctx
+            WeylElement.from_term(w_bad, 1), ex_on_yhat_by_w(ctx).poly_mul(w_bad), ctx
         )
         assert isinstance(bad, InvalidDerivation)
 
@@ -531,7 +537,7 @@ def test_bhat_f_matches_closed_form(p, k):
     assert bf.image_yhat == bhat_f_closed_form(ctx)
     hpr = ctx.h.derivative().exact_div(ctx.varrho_h)
     assert ctx.hprime_over_varrho == hpr
-    assert bf.image_yhat == ctx.zeta_element().poly_mul(hpr) - ex_on_yhat(ctx).poly_mul(w)
+    assert bf.image_yhat == ctx.zeta_element().poly_mul(hpr) - ex_on_yhat_by_w(ctx).poly_mul(w)
 
 
 class TestExtension:
@@ -1279,7 +1285,7 @@ def test_unit_context_routes_match_the_A1_oracles(p, seed):
     if p:
         assert ex_apply(a) == generic_a1_apply(WeylElement.y_power(field, p - 1), zero, a)
         assert ey_apply(a) == generic_a1_apply(zero, WeylElement.x_power(field, p - 1), a)
-        assert ex_on_yhat(ctx) == ex_on_yhat_closed_form(ctx) == ex_apply(ctx.yhat)
+        assert ex_on_yhat_by_w(ctx) == ex_on_yhat_closed_form(ctx) == ex_apply(ctx.yhat)
     # T_k = P_(k-1) of D_g
     g = random_poly(rng, field, 3)
     numerators = D_g(g, ctx).dy_numerators(top)
@@ -1423,10 +1429,11 @@ def test_closed_form_brackets_match_commutators(p, seed):
     a = random_weyl(rng, field, 2 * p + 3 if p else 6, 4)
     if field.is_char_zero:
         a = a.poly_mul(Poly.constant(field, Fraction(1, rng.choice([1, 2, 6]))))
-    got = ctx.yhat_bracket(a)
-    assert got == commutator(ctx.yhat, a)
+    # ad_a(yhat) = [a, yhat] from (D(x), W) = ([a, x], h [a, y]), for any a in A_1
+    x, y = ctx.x_elt, WeylElement.y_power(field, 1)
+    got = _from_w(ctx, commutator(a, x), WeylElement.from_poly(ctx.h) * commutator(a, y)).image_yhat
+    assert got == commutator(a, ctx.yhat)
     assert all(r for r in got.terms.values())
-    x = ctx.x_elt
     assert commutator(a, x) == a * x - x * a == -commutator(x, a)
 
 
@@ -1439,6 +1446,9 @@ def test_apply_and_bracket_make_no_weyl_product(p, monkeypatch):
     e = verify_random_derivation(rng, ctx)
     a = random_ah(rng, ctx, max_ydeg=2 * p + 2 if p else 5)
     phi = AhAlgebraMap(random_h(rng, field, 2), ctx)
+    unchecked = Derivation(ctx, d.image_x, d.image_yhat)
+    n = random_normalizer(rng, ctx)
+    fresh = AhContext(ctx.h)
     calls = []
     product = WeylElement.__mul__
 
@@ -1447,14 +1457,18 @@ def test_apply_and_bracket_make_no_weyl_product(p, monkeypatch):
         return product(self, other)
 
     monkeypatch.setattr(WeylElement, "__mul__", counted)
+    assert unchecked.validate() is None
+    inner = ad(n, ctx)
     d.apply(a)
     d.bracket(e)
     is_inner(d)
     if p:
         d.image_of_zeta()
+        bhat_x(fresh)
     phi.apply(a)
     monkeypatch.undo()
     assert not calls
+    assert inner.image_yhat == n * ctx.yhat - ctx.yhat * n
     # with the numerators P_l and D(zeta) warm, apply and the criterion sum
     # raw rows: no element sum and no left multiplication by a polynomial
     sums = []
@@ -1635,10 +1649,11 @@ def yhat_zeta_collect(ctx, a, period=None):
 
 def yhat_iterates(d, n):
     """Oracle: the iterates c_l = (ad yhat)^l(D(yhat)) for l < n (at least),
-    cached on the derivation, each one `yhat_bracket` step from the last."""
+    cached on the derivation, each the commutator of yhat with the last, by
+    general products."""
     iterates = d._cache.setdefault("oracle_yhat_iterates", [d.image_yhat])
     while len(iterates) < n:
-        iterates.append(d.context.yhat_bracket(iterates[-1]))
+        iterates.append(commutator(d.context.yhat, iterates[-1]))
     return iterates
 
 
@@ -1743,13 +1758,11 @@ def apply_by_elements(d, a):
 
 
 def criterion_defect_by_elements(d):
-    """Oracle: [D(yhat), x] + [yhat, D(x)] - d(h) as three reduced elements."""
+    """Oracle: [D(yhat), x] + [yhat, D(x)] - d(h) as three reduced elements,
+    [yhat, D(x)] by general products and d(h) by `d_on_poly`."""
     ctx = d.context
-    return (
-        commutator(d.image_yhat, ctx.x_elt)
-        + ctx.yhat_bracket(d.image_x)
-        - d_on_poly(ctx.h, d.image_x)
-    )
+    u = d.image_x
+    return commutator(d.image_yhat, ctx.x_elt) + (ctx.yhat * u - u * ctx.yhat) - d_on_poly(ctx.h, u)
 
 
 def fraction(rng, field):

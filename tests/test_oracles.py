@@ -16,10 +16,12 @@ table (`weyl._add_reordered`, `weyl._hasse_rows`). The routes it replaced
 are kept here as its oracles: the Weyl product over a derivative chain of
 each right-hand term with cached binomials C(i, k), the closed form of
 [yhat, a] over the lifted derivative chain of h with one binomial per
-term, and d(f) over Hasse rows made of one `math.comb` per coefficient.
-`d_on_poly` itself, which the package no longer calls, is kept here as
-the oracle of the routes that replaced it: the closed form of P_0 = h D(y)
-and of E_x(yhat) (`derivations._add_d_yhat`), and `Derivation.apply`,
+term (now the oracle of ad_a(yhat) = -[yhat, a], built from D(x) and
+W = h D(y) by `derivations._from_w`), and d(f) over Hasse rows made of one
+`math.comb` per coefficient. `d_on_poly` itself, which the package no
+longer calls, is kept here as the oracle of the routes that replaced it:
+the closed form K(u) = d(h) y + d(h') that reads P_0 = h D(y) off D(yhat)
+and D(yhat) off P_0 (`AhContext._add_d_yhat`), and `Derivation.apply`,
 whose sum is checked against the (i, k, j) row loop it replaced on both
 sides of `derivations.PACKED_WORK`, and its packed sum (`_sum_pieces`)
 against one multiply-add per coefficient pair.
@@ -39,10 +41,10 @@ from hypothesis import strategies as st
 
 from ahweyl.context import AhContext
 from ahweyl import derivations
-from ahweyl.derivations import AhAlgebraMap, Derivation, _lift_elements, _sum_pieces
+from ahweyl.derivations import AhAlgebraMap, Derivation, _from_w, _lift_elements, _sum_pieces, ad
 from ahweyl.fields import ExactDivisionError, FieldSpec, QQ
 from ahweyl.poly import Poly, QPoly, _pack
-from ahweyl.weyl import WeylElement, _accumulate, _add_reordered, _hasse_rows, _reach
+from ahweyl.weyl import WeylElement, _accumulate, _add_reordered, _hasse_rows, _reach, commutator
 
 from test_poly import hasse_derivative
 
@@ -264,7 +266,7 @@ def d_on_poly(f, u):
     reason to stop: over GF(2), H_1(1 + x^2) = 0 but H_2(1 + x^2) = 1.
 
     The package reads d(f) in closed forms of its own (`Derivation.apply`,
-    `derivations._add_d_yhat`); this is their oracle on the lifted rows,
+    `AhContext._add_d_yhat`); this is their oracle on the lifted rows,
     summed by `add_d_on_poly`."""
     F = u.field
     df, (fc,) = F.lift((f,))
@@ -336,7 +338,7 @@ def apply_by_rows(d, a):
 def p0_by_d_on_poly(d):
     """Oracle: P_0 = W = D(yhat) - d(h) y - d(h') by two `d_on_poly` calls,
     a shift and two element subtractions, the route `dy_numerators`
-    replaced by its closed form (`derivations._add_d_yhat`)."""
+    replaced by its closed form (`AhContext._add_d_yhat`)."""
     ctx = d.context
     w = d.image_yhat - d_on_poly(ctx.h, d.image_x).shift(1)
     return w - d_on_poly(ctx.h.derivative(), d.image_x)
@@ -367,6 +369,7 @@ def d_on_poly_by_comb(f, u):
 
 
 FIELDS = [QQ, FieldSpec(2), FieldSpec(3), FieldSpec(5)]
+ALL_FIELDS = [*FIELDS, FieldSpec(7)]
 
 
 @st.composite
@@ -395,14 +398,19 @@ def test_weyl_product_matches_the_chain_oracle(data, field):
     assert b * a == chain_product(b, a)
 
 
-@given(data=st.data(), field=st.sampled_from(FIELDS))
+@given(data=st.data(), field=st.sampled_from(ALL_FIELDS))
 @settings(max_examples=120, deadline=None)
 def test_yhat_bracket_matches_the_chain_oracle(data, field):
-    # deg h up to 8 >= 2p for p <= 3, so H_k(h) with k >= p is in the table
+    # deg h up to 8 >= 2p for p <= 3, so H_k(h) with k >= p is in the table;
+    # a is any element of A_1: ad_a(yhat) = [a, yhat] from (D(x), W) =
+    # ([a, x], h [a, y]), W by a general product
     h = data.draw(polys(field, 8, 0).filter(lambda f: not f.is_zero()))
     a = data.draw(weyls(field))
     ctx = AhContext(h)
-    assert ctx.yhat_bracket(a) == yhat_bracket_by_chain(ctx, a)
+    w = WeylElement.from_poly(h) * commutator(a, WeylElement.y_power(field, 1))
+    got = _from_w(ctx, commutator(a, ctx.x_elt), w)
+    assert got.image_yhat == -yhat_bracket_by_chain(ctx, a)
+    assert got.dy_numerators(1) == [w]
 
 
 @given(data=st.data(), field=st.sampled_from(FIELDS))
@@ -491,18 +499,32 @@ def test_sum_pieces_at_the_slot_boundaries(signed, monkeypatch):
 @pytest.mark.parametrize("signed", [False, True])
 def test_sum_pieces_packs_from_the_threshold_on(below, signed, monkeypatch):
     # one piece of PACKED_WORK or PACKED_WORK - 1 multiply-adds: a row of
-    # that length times an operand of one value
+    # that many nonzero values times an operand of one value
     packs = []
     monkeypatch.setattr(derivations, "_pack", lambda *args: packs.append(args) or _pack(*args))
     n = derivations.PACKED_WORK - below
-    row = [(-1) ** m * (m % 7) if signed else m % 7 for m in range(n)]
+    row = [(-1) ** m * (m % 7 + 1) if signed else m % 7 + 1 for m in range(n)]
     pieces, operands = [(2, 0, row), (0, 1, [])], [{1: [5 if signed else 3]}, {}]
     got = _sum_pieces(pieces, operands, signed)
     assert bool(packs) != below
     assert trimmed(got) == sum_pieces_by_triples(pieces, operands)
 
 
-ALL_FIELDS = [*FIELDS, FieldSpec(7)]
+@pytest.mark.parametrize("below", [True, False], ids=["below the threshold", "at the threshold"])
+def test_sum_pieces_counts_the_nonzero_values_of_a_row(below, monkeypatch):
+    # a row nonzero only at multiples of p = 5, like g h^s with s >= p, as
+    # h^p = h(x^p): PACKED_WORK - 1 or PACKED_WORK nonzero values in a row
+    # some 5 times longer. The row loop skips a zero value, so the nonzero
+    # count, not the length, decides the route
+    packs = []
+    monkeypatch.setattr(derivations, "_pack", lambda *args: packs.append(args) or _pack(*args))
+    n = derivations.PACKED_WORK - below
+    row = [0] * (5 * n - 4)
+    row[::5] = [m % 4 + 1 for m in range(n)]
+    pieces, operands = [(1, 0, row)], [{2: [3]}]
+    got = _sum_pieces(pieces, operands, False)
+    assert bool(packs) != below
+    assert trimmed(got) == sum_pieces_by_triples(pieces, operands)
 
 
 @st.composite
@@ -598,11 +620,12 @@ def test_hasse_table_matches_the_oracle(field):
 
 
 def test_context_builds_no_derivative_of_h_past_h_prime():
-    # analyze reads h and h' only; [yhat, x] = h reads no Hasse row past H_1
+    # analyze reads h and h' only; ad(x), with D(x) = 0 and W = -h, gives
+    # D(yhat) = -h and reads no Hasse row past H_1
     h = Poly(QQ, [1] * 40)
     ctx = AhContext(h)
     assert len(ctx._h_hasse) == 1
-    assert ctx.yhat_bracket(ctx.x_elt) == WeylElement.from_poly(h)
+    assert ad(ctx.x_elt, ctx).image_yhat == WeylElement.from_poly(-h)
     assert len(ctx._h_hasse) == 2
 
 
@@ -893,10 +916,11 @@ def test_verify_generators_match_their_public_constructor_oracles(field):
 
 def test_gf_hot_path_does_not_reduce_through_the_field(monkeypatch):
     # the GF(p) kernel reduces its own values: a Weyl product, apply,
-    # bracket, [yhat, .], the criterion defect, and through the center
+    # bracket, the closed form K of the yhat side, the criterion defect,
+    # and through the center
     # polynomials Res, its bracket and is_inner run with FieldSpec.reduce
     # broken. (`coerce` stays: scaling by a Fraction goes through it.)
-    from ahweyl.derivations import D_g, Derivation, ad, bhat_f, is_inner, restrict_to_center
+    from ahweyl.derivations import D_g, bhat_f, is_inner, restrict_to_center
 
     F = FieldSpec(5)
     h = Poly(F, [1, 3, 0, 1])
@@ -907,7 +931,7 @@ def test_gf_hot_path_does_not_reduce_through_the_field(monkeypatch):
     d1, d2 = D_g(Poly(F, [1, 2, 3]), ctx), ad(n, ctx)
     element = WeylElement(F, {0: Poly(F, [1, 4]), 2: h * h * Poly(F, [2, 0, 1])})
     defective = Derivation(ctx, b, a)
-    want = (a * b, d1.apply(element), d1.bracket(d2), ctx.yhat_bracket(a), defective.criterion_defect())
+    want = (a * b, d1.apply(element), d1.bracket(d2), _from_w(ctx, b, a).image_yhat, defective.criterion_defect())
     res = restrict_to_center(d1 + bhat_f(ctx))
     center = (res.bracket(restrict_to_center(bhat_f(ctx))), is_inner(d1).reason)
 
@@ -917,7 +941,7 @@ def test_gf_hot_path_does_not_reduce_through_the_field(monkeypatch):
     monkeypatch.setattr(FieldSpec, "reduce", broken)
     d1, d2 = D_g(Poly(F, [1, 2, 3]), ctx), ad(n, ctx)
     defective = Derivation(ctx, b, a)
-    got = (a * b, d1.apply(element), d1.bracket(d2), ctx.yhat_bracket(a), defective.criterion_defect())
+    got = (a * b, d1.apply(element), d1.bracket(d2), _from_w(ctx, b, a).image_yhat, defective.criterion_defect())
     assert got == want
     assert not want[-1].is_zero()
     res = restrict_to_center(d1 + bhat_f(ctx))
